@@ -53,17 +53,24 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict | Non
     raw = Path(path).read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    header_len = struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0]
     body_start = len(MAGIC) + 4
-    header = json.loads(raw[body_start:body_start + header_len].decode("utf-8"))
-    blob_start = body_start + header_len
+    if len(raw) < body_start:
+        raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, no header length)")
+    blob_start = body_start + struct.unpack("<I", raw[len(MAGIC):body_start])[0]
+    if len(raw) < blob_start:
+        raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
+                         f"header ends at {blob_start})")
+    header = json.loads(raw[body_start:blob_start].decode("utf-8"))
+    counts = [int(np.prod(entry["shape"])) for entry in header["params"]]
+    end = blob_start + max((e["offset"] + 8 * n for e, n in zip(header["params"], counts)),
+                           default=0)
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
+                         f"parameters end at {end})")
     params: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = blob_start + entry["offset"]
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    for entry, count in zip(header["params"], counts):
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=blob_start + entry["offset"])
+        params[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
     return params, header.get("config"), header.get("verifiers")
 
 

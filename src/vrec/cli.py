@@ -2,7 +2,8 @@
 
 Every subcommand reads a JSON run configuration (see config.py for the
 schema), applies flag overrides, and writes its outputs under the configured
-directory. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+directory. Each stage command loads its inputs and runs one stage of
+pipeline.py. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,20 +16,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .backbone import Backbone
-from .checkpoint import load_model, save_model
-from .config import SEED_ENV_VAR, ConfigError, RunConfig, load_config
-from .datasets import Split, chronological_split, generate_synthetic, ingest
-from .evaluation import (_metric_columns, _report_row, ablate, evaluate,
-                         step_scalability, sweep, timing_overhead,
-                         write_metrics_csv)
-from .labeling import GroupLabeling, build_labeling, save_labeling
+from .checkpoint import load_model
+from .config import SEED_ENV_VAR, ConfigError, RunConfig, check_max_positions, load_config
+from .evaluation import timing_overhead, write_metrics_csv
+from .pipeline import (VERIFIER_DATA, ablate, build_labelings, load_corpus,
+                       load_verifier_data, run_collection, run_eval, run_stage0,
+                       run_stage1, run_stage2, step_scalability, sweep)
 from .reasoning import export_traces, homogeneity, run_reasoning
-from .training import (TrainHyper, VerifierSample, collect_verifier_dataset,
-                       finetune, pretrain_backbone, pretrain_verifiers)
-from .verifiers import make_bank
 
 __all__ = ["main"]
 
@@ -57,23 +52,6 @@ def _resolved(args) -> RunConfig:
     return cfg
 
 
-def _corpus(cfg: RunConfig):
-    if cfg.synth is not None:
-        items, logs, _ = generate_synthetic(cfg.synth)
-        return items, logs
-    return ingest(cfg.items_path, cfg.interactions_path)
-
-
-def _labelings(cfg: RunConfig, items, split: Split) -> list[GroupLabeling]:
-    return [build_labeling(name, items, samples=split.train, n_users=split.n_users,
-                           d_i=d_i, seed=cfg.data_seed())
-            for name, d_i in cfg.dimensions]
-
-
-def _stage_hyper(hyper: TrainHyper, epochs: int | None) -> TrainHyper:
-    return hyper if epochs is None else replace(hyper, epochs=epochs)
-
-
 def _load_stage(cfg: RunConfig, name: str):
     path = cfg.out / name
     if not path.exists():
@@ -81,33 +59,23 @@ def _load_stage(cfg: RunConfig, name: str):
     return load_model(path)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _number(tok: str) -> int | float:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return int(tok)
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
+        return float(tok)
 
 
-def _parse_number_list(text: str, flag: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise UsageError(f"{flag} expects comma-separated numbers, got {tok!r}")
-    return out
+def _parse_list(text: str, flag: str, parse=int) -> list:
+    try:
+        return [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
 def _require_synth(cfg: RunConfig, command: str) -> None:
     if cfg.synth is None:
-        raise ConfigError(f"{command} retrains per configuration, which needs a "
-                          "data.synth section")
+        raise ConfigError(f"{command} requires a data.synth section")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -115,100 +83,54 @@ def _require_synth(cfg: RunConfig, command: str) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolved(args)
-    if cfg.synth is None:
-        raise ConfigError("gen-data requires a data.synth section")
-    items, logs, planted = generate_synthetic(cfg.synth)
-    items_path = cfg.out / "items.jsonl"
-    with items_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for it in items:
-            fh.write(json.dumps({"id": it.id, "title": it.title,
-                                 "category": it.category}) + "\n")
-    inter_path = cfg.out / "interactions.jsonl"
-    with inter_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for log in logs:
-            fh.write(json.dumps({"user": log.user, "items": log.items,
-                                 "timestamps": log.timestamps}) + "\n")
-    save_labeling(planted, cfg.out / "planted_labels.jsonl")
-    print(f"wrote {len(items)} items and {len(logs)} interaction logs to {cfg.out}")
+    _require_synth(cfg, "gen-data")
+    items, _ = load_corpus(cfg.synth, out_dir=cfg.out)
+    print(f"wrote {len(items)} items and {cfg.synth.n_users} interaction logs to {cfg.out}")
     return 0
 
 
 def cmd_label(args) -> int:
     cfg = _resolved(args)
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
     if not cfg.dimensions:
         raise ConfigError("label requires at least one entry in 'dimensions'")
-    for labeling in _labelings(cfg, items, split):
-        path = cfg.out / f"labeling_{labeling.dimension}.jsonl"
-        save_labeling(labeling, path)
-        print(f"{labeling.dimension}: {labeling.d_i} classes -> {path}")
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    for lab in build_labelings(cfg.dimensions, items, split, cfg.data_seed(), cfg.out):
+        print(f"{lab.dimension}: {lab.d_i} classes -> {cfg.out}/labeling_{lab.dimension}.jsonl")
     return 0
 
 
 def cmd_pretrain_backbone(args) -> int:
     cfg = _resolved(args)
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone = Backbone(cfg.model_config(len(items)))
-    hyper = _stage_hyper(cfg.hyper, cfg.stage0_epochs)
-    losses = pretrain_backbone(backbone, split.train, hyper,
-                               log_path=cfg.out / "stage0_log.csv")
-    save_model(cfg.out / "stage0.ckpt", backbone)
-    print(f"stage 0: {len(split.train)} samples, {hyper.epochs} epochs, "
+    losses = run_stage0(backbone, split, cfg.hyper, cfg.stage0_epochs, cfg.out)
+    print(f"stage 0: {len(split.train)} samples, {len(losses)} epochs, "
           f"final loss {losses[-1]:.4f} -> {cfg.out / 'stage0.ckpt'}")
     return 0
 
 
 def cmd_collect(args) -> int:
     cfg = _resolved(args)
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
-    labelings = _labelings(cfg, items, split)
-    dataset = collect_verifier_dataset(backbone, split.train, labelings,
-                                       m=backbone.cfg.m)
-    n_dims = len(labelings)
-    labels = np.full((len(dataset), n_dims), -1, dtype=np.int64)
-    for i, sample in enumerate(dataset):
-        if sample.labels is not None:
-            labels[i] = sample.labels
-    r_steps = np.stack([s.r_steps for s in dataset]) if dataset else \
-        np.zeros((0, backbone.cfg.m, backbone.cfg.d_m))
-    path = cfg.out / "verifier_data.npz"
-    np.savez(path, r_steps=r_steps, labels=labels)
-    positives = int((labels[:, 0] >= 0).sum()) if len(dataset) else 0
-    print(f"collected {len(dataset)} traces ({positives} positive) -> {path}")
+    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+    dataset = run_collection(backbone, split, labelings, cfg.out)
+    positives = sum(s.labels is not None for s in dataset)
+    print(f"collected {len(dataset)} traces ({positives} positive) "
+          f"-> {cfg.out / VERIFIER_DATA}")
     return 0
-
-
-def _load_verifier_dataset(path: Path) -> list[VerifierSample]:
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run collect-verifier-data first")
-    data = np.load(path)
-    out = []
-    for r_steps, labels in zip(data["r_steps"], data["labels"]):
-        negative = labels.size == 0 or labels[0] < 0
-        out.append(VerifierSample(r_steps=r_steps,
-                                  labels=None if negative else labels))
-    return out
 
 
 def cmd_pretrain_verifiers(args) -> int:
     cfg = _resolved(args)
     if not cfg.dimensions:
         raise ConfigError("pretrain-verifiers requires at least one entry in 'dimensions'")
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
-    labelings = _labelings(cfg, items, split)
-    dataset = _load_verifier_dataset(cfg.out / "verifier_data.npz")
-    bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
-                     d_m=backbone.cfg.d_m, seed=cfg.hyper.seed)
-    hyper = _stage_hyper(cfg.hyper, cfg.stage1_epochs)
-    history = pretrain_verifiers(bank, dataset, hyper,
-                                 log_path=cfg.out / "stage1_log.csv")
-    save_model(cfg.out / "stage1.ckpt", backbone, bank)
+    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+    dataset = load_verifier_data(cfg.out / VERIFIER_DATA, labelings, backbone.cfg)
+    _, history = run_stage1(backbone, dataset, labelings, cfg.hyper, cfg.stage1_epochs,
+                            out_dir=cfg.out)
     acc, neg_h = history[-1]
     print(f"stage 1: accuracy {acc:.3f}, negative entropy {neg_h:.3f} "
           f"-> {cfg.out / 'stage1.ckpt'}")
@@ -217,15 +139,12 @@ def cmd_pretrain_verifiers(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _resolved(args)
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone, bank = _load_stage(cfg, "stage1.ckpt")
     if bank is None:
         raise ValueError("stage1.ckpt holds no verifier bank; run pretrain-verifiers first")
-    labelings = _labelings(cfg, items, split)
-    rows = finetune(backbone, bank, split.train, labelings, cfg.hyper,
-                    valid_samples=split.valid, log_path=cfg.out / "stage2_log.csv")
-    save_model(cfg.out / "final.ckpt", backbone, bank)
+    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+    rows = run_stage2(backbone, bank, split, labelings, cfg.hyper, cfg.out)
     last = rows[-1]
     print(f"stage 2: total {last['total']:.4f}, "
           f"val recall@5 {last.get('val_recall@5', float('nan')):.4f} "
@@ -235,24 +154,13 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolved(args)
-    _, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    _, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone, bank = _load_stage(cfg, "final.ckpt")
-    m = args.m if args.m is not None else backbone.cfg.m
-    report = evaluate(backbone, bank, split.test, m=m, ks=cfg.eval_ks)
-    write_metrics_csv(cfg.out / "metrics.csv",
-                      [_report_row({"variant": "final"}, report, cfg.eval_ks)],
-                      _metric_columns(["variant"], cfg.eval_ks))
-    (cfg.out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                                         encoding="utf-8")
+    report = run_eval(backbone, bank, split, args.m, cfg.eval_ks, cfg.out)
     for k in cfg.eval_ks:
         print(f"recall@{k} {report.recall[k]:.4f}  ndcg@{k} {report.ndcg[k]:.4f}  "
               f"({report.n_samples} samples)")
     return 0
-
-
-def _pipeline_kwargs(cfg: RunConfig) -> dict:
-    return {"stage0_epochs": cfg.stage0_epochs, "stage1_epochs": cfg.stage1_epochs}
 
 
 def cmd_ablate(args) -> int:
@@ -261,8 +169,9 @@ def cmd_ablate(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()] \
         if args.variants else None
     model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = ablate(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions,
-                  variants=variants, out_dir=cfg.out, **_pipeline_kwargs(cfg))
+    rows = ablate(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions, variants=variants,
+                  out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
+                  stage1_epochs=cfg.stage1_epochs)
     for row in rows:
         print(f"{row['variant']}: recall@5 {row['recall@5']:.4f} "
               f"ndcg@5 {row['ndcg@5']:.4f}")
@@ -272,12 +181,13 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolved(args)
     _require_synth(cfg, "sweep")
-    values = _parse_number_list(args.values, "--values")
+    values = _parse_list(args.values, "--values", _number)
     if not values:
         raise UsageError("--values must list at least one value")
     model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = sweep(args.param, values, cfg.synth, model_cfg, cfg.hyper,
-                 cfg.dimensions, out_dir=cfg.out, **_pipeline_kwargs(cfg))
+    rows = sweep(args.param, values, cfg.synth, model_cfg, cfg.hyper, cfg.dimensions,
+                 out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
+                 stage1_epochs=cfg.stage1_epochs)
     for row in rows:
         print(f"{args.param}={row['value']}: recall@5 {row['recall@5']:.4f}")
     return 0
@@ -286,12 +196,13 @@ def cmd_sweep(args) -> int:
 def cmd_step_scan(args) -> int:
     cfg = _resolved(args)
     _require_synth(cfg, "step-scan")
-    steps = _parse_int_list(args.steps, "--steps")
+    steps = _parse_list(args.steps, "--steps")
     if not steps:
         raise UsageError("--steps must list at least one step count")
     model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = step_scalability(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions,
-                            steps=steps, out_dir=cfg.out, **_pipeline_kwargs(cfg))
+    rows = step_scalability(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions, steps=steps,
+                            out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
+                            stage1_epochs=cfg.stage1_epochs)
     for row in rows:
         print(f"m={row['m']}: recall@5 {row['recall@5']:.4f}")
     return 0
@@ -299,21 +210,20 @@ def cmd_step_scan(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolved(args)
-    items, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     final = cfg.out / "final.ckpt"
     if final.exists():
         backbone, bank = load_model(final)
         if bank is None:
             raise ValueError(f"{final} holds no verifier bank; bench needs one")
     else:
-        backbone = Backbone(cfg.model_config(len(items)))
-        labelings = _labelings(cfg, items, split)
-        if not labelings:
+        if not cfg.dimensions:
             raise ConfigError("bench requires at least one labeling dimension")
-        bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
-                         d_m=backbone.cfg.d_m, seed=cfg.hyper.seed)
-    steps = _parse_int_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
+        backbone = Backbone(cfg.model_config(len(items)))
+        labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+        bank, _ = run_stage1(backbone, None, labelings, cfg.hyper)  # untrained bank
+    steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
+    check_max_positions(backbone.cfg.max_positions, steps)
     result = timing_overhead(backbone, bank, split.test or split.train,
                              steps=steps, out_dir=cfg.out)
     for row in result["rows"]:
@@ -324,8 +234,7 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg = _resolved(args)
-    _, logs = _corpus(cfg)
-    split = chronological_split(logs)
+    _, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone, bank = _load_stage(cfg, "final.ckpt")
     m = args.m if args.m is not None else backbone.cfg.m
     samples = split.test or split.valid or split.train
@@ -387,16 +296,6 @@ def cmd_plot_data(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_common(sub, with_m: bool = False):
-    sub.add_argument("--config", required=True, help="path to a JSON run config")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"override every seed (also {SEED_ENV_VAR} env var)")
-    sub.add_argument("--out", default=None, help="override the output directory")
-    if with_m:
-        sub.add_argument("--m", type=int, default=None,
-                         help="override the reasoning step count")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrec",
@@ -404,47 +303,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "data, staged training, evaluation, and reports.")
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    specs = [
-        ("gen-data", cmd_gen_data, "write a synthetic corpus as JSON lines", {}),
-        ("label", cmd_label, "build and save group labelings per dimension", {}),
-        ("pretrain-backbone", cmd_pretrain_backbone,
-         "stage 0: recommendation-only training", {}),
-        ("collect-verifier-data", cmd_collect,
-         "stage 1 data: greedy-decode traces into positives/negatives", {}),
-        ("pretrain-verifiers", cmd_pretrain_verifiers,
-         "stage 1: fit the verifier bank on collected traces", {}),
-        ("finetune", cmd_finetune, "stage 2: joint verifiable fine-tuning", {}),
-        ("eval", cmd_eval, "rank the test split and write metrics", {"with_m": True}),
-        ("ablate", cmd_ablate, "train and evaluate ablation variants", {}),
-        ("sweep", cmd_sweep, "train and evaluate across one hyper-parameter", {}),
-        ("step-scan", cmd_step_scan, "metrics per reasoning step count", {}),
-        ("bench", cmd_bench, "inference timing with and without verification", {}),
-        ("inspect", cmd_inspect,
-         "export traces, per-step homogeneity, and a 2-D projection", {"with_m": True}),
-        ("plot-data", cmd_plot_data,
-         "rewrite report CSVs as (x, y, series) tables", {}),
-    ]
-    for name, func, help_text, extra in specs:
+    def add(name, func, help_text, with_m=False):
         sub = subs.add_parser(name, help=help_text, description=help_text)
-        _add_common(sub, **extra)
-        if name == "ablate":
-            sub.add_argument("--variants", default=None,
-                             help="comma-separated variant names (default: full)")
-        elif name == "sweep":
-            sub.add_argument("--param", required=True,
-                             help="hyper-parameter to sweep")
-            sub.add_argument("--values", required=True,
-                             help="comma-separated values")
-        elif name == "step-scan":
-            sub.add_argument("--steps", required=True,
-                             help="comma-separated step counts")
-        elif name == "bench":
-            sub.add_argument("--steps", default=None,
-                             help="comma-separated step counts (default 1,2,4,6,8,10)")
-        elif name == "inspect":
-            sub.add_argument("--vectors", action="store_true",
-                             help="include raw latent vectors in traces.jsonl")
         sub.set_defaults(func=func)
+        sub.add_argument("--config", required=True, help="path to a JSON run config")
+        sub.add_argument("--seed", type=int, default=None,
+                         help=f"override every seed (also {SEED_ENV_VAR} env var)")
+        sub.add_argument("--out", default=None, help="override the output directory")
+        if with_m:
+            sub.add_argument("--m", type=int, default=None,
+                             help="override the reasoning step count")
+        return sub
+
+    add("gen-data", cmd_gen_data, "write a synthetic corpus as JSON lines")
+    add("label", cmd_label, "build and save group labelings per dimension")
+    add("pretrain-backbone", cmd_pretrain_backbone, "stage 0: recommendation-only training")
+    add("collect-verifier-data", cmd_collect,
+        "stage 1 data: greedy-decode traces into positives/negatives")
+    add("pretrain-verifiers", cmd_pretrain_verifiers,
+        "stage 1: fit the verifier bank on collected traces")
+    add("finetune", cmd_finetune, "stage 2: joint verifiable fine-tuning")
+    add("eval", cmd_eval, "rank the test split and write metrics", with_m=True)
+    add("ablate", cmd_ablate, "train and evaluate ablation variants").add_argument(
+        "--variants", default=None, help="comma-separated variant names (default: full)")
+    sub = add("sweep", cmd_sweep, "train and evaluate across one hyper-parameter")
+    sub.add_argument("--param", required=True, help="hyper-parameter to sweep")
+    sub.add_argument("--values", required=True, help="comma-separated values")
+    add("step-scan", cmd_step_scan, "metrics per reasoning step count").add_argument(
+        "--steps", required=True, help="comma-separated step counts")
+    add("bench", cmd_bench, "inference timing with and without verification").add_argument(
+        "--steps", default=None, help="comma-separated step counts (default 1,2,4,6,8,10)")
+    add("inspect", cmd_inspect, "export traces, per-step homogeneity, and a 2-D projection",
+        with_m=True).add_argument("--vectors", action="store_true",
+                                  help="include raw latent vectors in traces.jsonl")
+    add("plot-data", cmd_plot_data, "rewrite report CSVs as (x, y, series) tables")
     return parser
 
 

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backbone import ModelConfig
-from .datasets import SynthConfig
+from .datasets import MAX_HISTORY, SynthConfig
 from .training import TrainHyper
 
-__all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR", "load_config"]
+__all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
+           "check_max_positions", "load_config"]
 
 SEED_ENV_VAR = "VREC_SEED"
 DIMENSION_NAMES = ("category", "title", "cf")
@@ -47,6 +48,18 @@ _SYNTH_KEYS = ("n_users", "n_items", "n_groups", "stickiness", "seq_len_range", 
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
+
+
+def _model_default(key: str):
+    return ModelConfig.__dataclass_fields__[key].default
+
+
+def check_max_positions(max_positions: int, steps) -> None:
+    """Reject step counts m for which MAX_HISTORY + m positions do not fit."""
+    m = max(steps, default=0)
+    if MAX_HISTORY + m > max_positions:
+        raise ConfigError(f"model.max_positions {max_positions} is too small for m={m}: "
+                          f"it needs MAX_HISTORY + m = {MAX_HISTORY + m} positions")
 
 
 @dataclass
@@ -63,6 +76,13 @@ class RunConfig:
     stage1_epochs: int | None = None
     eval_ks: tuple[int, ...] = (5, 10)
 
+    def __post_init__(self):  # also runs on every dataclasses.replace, e.g. with_m
+        check_max_positions(self.model.get("max_positions", _model_default("max_positions")),
+                            [self.m])
+        if self.m > 0 and not self.dimensions:
+            raise ConfigError("at least one labeling dimension is required when "
+                              "reasoning steps use verifiers (model.m > 0)")
+
     def model_config(self, n_items: int) -> ModelConfig:
         kwargs = dict(self.model)
         kwargs.setdefault("seed", self.seed)
@@ -70,7 +90,7 @@ class RunConfig:
 
     @property
     def m(self) -> int:
-        return int(self.model.get("m", ModelConfig.__dataclass_fields__["m"].default))
+        return int(self.model.get("m", _model_default("m")))
 
     def data_seed(self) -> int:
         return self.synth.seed if self.synth is not None else self.seed
@@ -94,7 +114,7 @@ def _require_keys(section: str, obj: dict, allowed: tuple[str, ...]) -> None:
                           f"allowed: {', '.join(allowed)}")
 
 
-def _parse_dimensions(raw, m: int) -> list[tuple[str, int | None]]:
+def _parse_dimensions(raw) -> list[tuple[str, int | None]]:
     dims: list[tuple[str, int | None]] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
@@ -112,9 +132,6 @@ def _parse_dimensions(raw, m: int) -> list[tuple[str, int | None]]:
         if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
             raise ConfigError(f"dimensions[{i}]: d_i must be an integer >= 2, got {d_i!r}")
         dims.append((name, d_i))
-    if m > 0 and not dims:
-        raise ConfigError("at least one labeling dimension is required when "
-                          "reasoning steps use verifiers (model.m > 0)")
     return dims
 
 
@@ -169,8 +186,7 @@ def load_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"hyper: {e}")
 
-    m = int(model.get("m", ModelConfig.__dataclass_fields__["m"].default))
-    dims = _parse_dimensions(raw.get("dimensions", []), m)
+    dims = _parse_dimensions(raw.get("dimensions", []))
 
     eval_ks = tuple(int(k) for k in raw.get("eval_ks", (5, 10)))
     if not eval_ks or min(eval_ks) < 1:

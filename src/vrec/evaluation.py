@@ -1,4 +1,4 @@
-"""Metrics, ablation matrix, scaling studies, sweeps, and timing overhead."""
+"""Ranking metrics, full-ranking evaluation, and verification timing overhead."""
 
 from __future__ import annotations
 
@@ -6,27 +6,22 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, ModelConfig
-from .datasets import Sample, Split, chronological_split, generate_synthetic
-from .labeling import GroupLabeling, build_labeling
+from .backbone import Backbone
+from .datasets import Sample
 from .reasoning import recommend, run_reasoning
-from .verifiers import VerifierBank, make_bank
+from .verifiers import VerifierBank
 
 __all__ = [
     "MetricsReport",
-    "PipelineResult",
-    "ablate",
+    "config_fingerprint",
     "evaluate",
     "ndcg_at_k",
     "recall_at_k",
-    "run_pipeline",
-    "step_scalability",
-    "sweep",
     "timing_overhead",
     "write_metrics_csv",
 ]
@@ -34,9 +29,6 @@ __all__ = [
 # average verification overhead reported by the reference efficiency table;
 # not reproducible at this scale, carried as metadata only
 REFERENCE_OVERHEAD_PCT = 0.59
-
-ABLATION_VARIANTS = ("full", "no-verifier", "single-category", "single-title",
-                     "single-cf", "no-monotonicity", "no-router", "no-pretrain")
 
 
 def recall_at_k(ranked, target: int, k: int) -> float:
@@ -113,178 +105,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class PipelineResult:
-    backbone: Backbone
-    bank: VerifierBank | None
-    report: MetricsReport
-    split: Split
-    labelings: list[GroupLabeling] = field(default_factory=list)
-
-
-def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
-                 stage0_epochs: int | None = None, stage1_epochs: int | None = None,
-                 use_bank: bool = True, uniform_router: bool = False,
-                 skip_verifier_pretrain: bool = False, gamma_override: float | None = None,
-                 bank_width: int = 0, bank_depth: int = 1,
-                 out_dir: str | Path | None = None, eval_ks: tuple[int, ...] = (5, 10)
-                 ) -> PipelineResult:
-    """All three stages end to end on a synthetic corpus.
-
-    With ``use_bank`` false the verifier stages are skipped and stage 2
-    continues recommendation-only training for the same epoch budget, so
-    verifier-less baselines consume equal compute.
-    """
-    from dataclasses import replace
-
-    from .checkpoint import save_model
-    from .training import (TrainHyper, collect_verifier_dataset, finetune,
-                           pretrain_backbone, pretrain_verifiers)
-
-    items, logs, _ = generate_synthetic(synth_cfg)
-    split = chronological_split(logs)
-    backbone = Backbone(model_cfg)
-
-    out_dir = Path(out_dir) if out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    h0 = replace(hyper, epochs=stage0_epochs if stage0_epochs is not None else hyper.epochs)
-    pretrain_backbone(backbone, split.train, h0,
-                      log_path=out_dir / "stage0_log.csv" if out_dir else None)
-    if out_dir:
-        save_model(out_dir / "stage0.ckpt", backbone)
-
-    bank = None
-    labelings: list[GroupLabeling] = []
-    if use_bank:
-        for name, d_i in dimensions:
-            labelings.append(build_labeling(name, items, samples=split.train,
-                                            n_users=split.n_users, d_i=d_i,
-                                            seed=synth_cfg.seed))
-        bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
-                         d_m=model_cfg.d_m, seed=hyper.seed,
-                         hidden_width=bank_width, hidden_depth=bank_depth)
-        bank.uniform_router = uniform_router
-        if not skip_verifier_pretrain:
-            dataset = collect_verifier_dataset(backbone, split.train, labelings,
-                                               m=model_cfg.m)
-            h1 = replace(hyper, epochs=stage1_epochs if stage1_epochs is not None else hyper.epochs)
-            pretrain_verifiers(bank, dataset, h1,
-                               log_path=out_dir / "stage1_log.csv" if out_dir else None)
-        if out_dir:
-            save_model(out_dir / "stage1.ckpt", backbone, bank)
-        h2 = hyper if gamma_override is None else replace(hyper, gamma=gamma_override)
-        finetune(backbone, bank, split.train, labelings, h2,
-                 valid_samples=split.valid,
-                 log_path=out_dir / "stage2_log.csv" if out_dir else None)
-    else:
-        # equal-compute baseline: keep training on the recommendation loss alone
-        pretrain_backbone(backbone, split.train, hyper,
-                          log_path=out_dir / "stage2_log.csv" if out_dir else None)
-    if out_dir:
-        save_model(out_dir / "final.ckpt", backbone, bank)
-
-    report = evaluate(backbone, bank, split.test, m=model_cfg.m, ks=eval_ks)
-    if out_dir:
-        write_metrics_csv(out_dir / "metrics.csv",
-                          [_report_row({"variant": "final"}, report, eval_ks)],
-                          _metric_columns(["variant"], eval_ks))
-        (out_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    return PipelineResult(backbone=backbone, bank=bank, report=report,
-                          split=split, labelings=labelings)
-
-
-def _metric_columns(lead: list[str], ks: tuple[int, ...]) -> list[str]:
-    cols = list(lead)
-    for k in ks:
-        cols += [f"recall@{k}", f"ndcg@{k}"]
-    cols.append("n_samples")
-    return cols
-
-
-def _report_row(lead: dict, report: MetricsReport, ks: tuple[int, ...]) -> dict:
-    row = dict(lead)
-    for k in ks:
-        row[f"recall@{k}"] = report.recall[k]
-        row[f"ndcg@{k}"] = report.ndcg[k]
-    row["n_samples"] = report.n_samples
-    return row
-
-
-def _variant_kwargs(variant: str, dimensions: list[tuple[str, int]]) -> dict:
-    if variant == "full":
-        return {}
-    if variant == "no-verifier":
-        return {"use_bank": False}
-    if variant.startswith("single-"):
-        name = variant.removeprefix("single-")
-        dims = [d for d in dimensions if d[0] == name]
-        if not dims:
-            raise ValueError(f"variant {variant!r}: dimension {name!r} not configured")
-        return {"dimensions": dims}
-    if variant == "no-monotonicity":
-        return {"gamma_override": 0.0}
-    if variant == "no-router":
-        return {"uniform_router": True}
-    if variant == "no-pretrain":
-        return {"skip_verifier_pretrain": True}
-    raise ValueError(f"unknown ablation variant {variant!r}; "
-                     f"known: {', '.join(ABLATION_VARIANTS)}")
-
-
-def ablate(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
-           variants: list[str] | None = None, out_dir: str | Path | None = None,
-           **pipeline_kwargs) -> list[dict]:
-    """Train and evaluate each variant under the shared seed; one row each."""
-    variants = list(variants) if variants else ["full"]
-    rows = []
-    for variant in variants:
-        kwargs = dict(pipeline_kwargs)
-        kwargs.update(_variant_kwargs(variant, dimensions))
-        dims = kwargs.pop("dimensions", dimensions)
-        result = run_pipeline(synth_cfg, model_cfg, hyper, dims, **kwargs)
-        rows.append(_report_row({"variant": variant}, result.report, (5, 10)))
-    if out_dir:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "ablation.csv", rows,
-                          _metric_columns(["variant"], (5, 10)))
-    return rows
-
-
-def step_scalability(synth_cfg, model_cfg: ModelConfig, hyper,
-                     dimensions: list[tuple[str, int]], steps: list[int],
-                     seeds: list[int] | None = None,
-                     out_dir: str | Path | None = None, **pipeline_kwargs) -> list[dict]:
-    """Per-m metrics, median over seeds."""
-    from dataclasses import replace
-
-    seeds = seeds or [hyper.seed]
-    rows = []
-    for m in steps:
-        per_seed = []
-        for seed in seeds:
-            cfg_m = replace(model_cfg, m=m, seed=seed)
-            result = run_pipeline(replace(synth_cfg, seed=seed), cfg_m,
-                                  replace(hyper, seed=seed), dimensions,
-                                  use_bank=m > 0 and bool(dimensions), **pipeline_kwargs)
-            per_seed.append(result.report)
-        row = {"m": m,
-               "recall@5": float(np.median([r.recall[5] for r in per_seed])),
-               "ndcg@5": float(np.median([r.ndcg[5] for r in per_seed])),
-               "n_samples": per_seed[0].n_samples,
-               "seeds": ";".join(str(s) for s in seeds)}
-        rows.append(row)
-    if out_dir:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "steps.csv", rows,
-                          ["m", "recall@5", "ndcg@5", "n_samples", "seeds"])
-    return rows
-
-
 def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
                     steps: list[int], warmup: int = 10, min_samples: int = 100,
                     out_dir: str | Path | None = None) -> dict:
@@ -296,7 +116,6 @@ def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample
     pool = list(samples)
     while len(pool) < min_samples:
         pool = pool + list(samples)
-    pool = pool[:max(min_samples, len(pool))]
 
     rows = []
     for m in steps:
@@ -322,42 +141,7 @@ def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bench.json").write_text(json.dumps(result, indent=2) + "\n",
                                             encoding="utf-8")
-        write_metrics_csv(out_dir / "bench.csv",
-                          [{k: r[k] for k in ("m", "t_without_s", "t_with_s", "overhead_pct")}
-                           for r in rows],
+        write_metrics_csv(out_dir / "bench.csv", rows,
                           ["m", "t_without_s", "t_with_s", "overhead_pct"])
     return result
 
-
-SWEEPABLE = ("beta", "gamma", "alpha", "d_i", "verifier-width", "verifier-depth", "m")
-
-
-def sweep(param: str, values: list, synth_cfg, model_cfg: ModelConfig, hyper,
-          dimensions: list[tuple[str, int]], out_dir: str | Path | None = None,
-          **pipeline_kwargs) -> list[dict]:
-    """One train/eval per value under the shared seed."""
-    from dataclasses import replace
-
-    if param not in SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {param!r}; known: {', '.join(SWEEPABLE)}")
-    rows = []
-    for value in values:
-        cfg, hyp, dims, kwargs = model_cfg, hyper, dimensions, dict(pipeline_kwargs)
-        if param in ("beta", "gamma", "alpha"):
-            hyp = replace(hyper, **{param: float(value)})
-        elif param == "m":
-            cfg = replace(model_cfg, m=int(value))
-        elif param == "d_i":
-            dims = [(name, int(value)) for name, _ in dimensions]
-        elif param == "verifier-width":
-            kwargs["bank_width"] = int(value)
-        elif param == "verifier-depth":
-            kwargs["bank_depth"] = int(value)
-        result = run_pipeline(synth_cfg, cfg, hyp, dims, **kwargs)
-        rows.append(_report_row({"param": param, "value": value}, result.report, (5, 10)))
-    if out_dir:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / f"sweep_{param}.csv", rows,
-                          _metric_columns(["param", "value"], (5, 10)))
-    return rows

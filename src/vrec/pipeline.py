@@ -1,0 +1,320 @@
+"""The three-stage pipeline, one function per stage, and the ablations, sweeps
+and step scans built on it. Given ``out_dir``, a stage writes its artifacts there."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+
+import numpy as np
+
+from .backbone import Backbone, ModelConfig
+from .checkpoint import save_model
+from .config import check_max_positions
+from .datasets import Item, Split, SynthConfig, chronological_split, generate_synthetic, ingest
+from .evaluation import MetricsReport, evaluate, write_metrics_csv
+from .labeling import GroupLabeling, build_labeling, save_labeling
+from .training import (TrainHyper, VerifierSample, collect_verifier_dataset, finetune,
+                       pretrain_backbone, pretrain_verifiers)
+from .verifiers import VerifierBank, make_bank
+
+__all__ = ["PipelineResult", "VERIFIER_DATA", "ablate", "build_labelings", "load_corpus",
+           "load_verifier_data", "run_collection", "run_eval", "run_pipeline", "run_stage0",
+           "run_stage1", "run_stage2", "step_scalability", "sweep"]
+
+VERIFIER_DATA = "verifier_data.npz"
+
+# run_pipeline keyword arguments per ablation variant, besides single-<dimension>
+VARIANTS = {"full": {}, "no-verifier": {"use_bank": False},
+            "no-monotonicity": {"gamma_override": 0.0}, "no-router": {"uniform_router": True},
+            "no-pretrain": {"skip_verifier_pretrain": True}}
+
+SWEEPABLE = ("beta", "gamma", "alpha", "d_i", "verifier-width", "verifier-depth", "m")
+
+
+def _out(out_dir: str | Path | None, name: str) -> Path | None:
+    return Path(out_dir) / name if out_dir else None
+
+
+def _with_epochs(hyper: TrainHyper, epochs: int | None) -> TrainHyper:
+    return hyper if epochs is None else replace(hyper, epochs=epochs)
+
+
+# -- stages ------------------------------------------------------------------
+
+
+def load_corpus(synth: SynthConfig | None, items_path: str | Path | None = None,
+                interactions_path: str | Path | None = None,
+                out_dir: str | Path | None = None) -> tuple[list[Item], Split]:
+    """The synthetic corpus, or the ingested one when ``synth`` is None, split."""
+    if synth is None:
+        items, logs = ingest(items_path, interactions_path)
+    else:
+        items, logs, planted = generate_synthetic(synth)
+        if out_dir:
+            out_dir = Path(out_dir)
+            with (out_dir / "items.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
+                for it in items:
+                    fh.write(json.dumps({"id": it.id, "title": it.title,
+                                         "category": it.category}) + "\n")
+            with (out_dir / "interactions.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
+                for log in logs:
+                    fh.write(json.dumps({"user": log.user, "items": log.items,
+                                         "timestamps": log.timestamps}) + "\n")
+            save_labeling(planted, out_dir / "planted_labels.jsonl")
+    return items, chronological_split(logs)
+
+
+def build_labelings(dimensions: list[tuple[str, int | None]], items: list[Item], split: Split,
+                    seed: int, out_dir: str | Path | None = None) -> list[GroupLabeling]:
+    """One labeling per (dimension, d_i); written as labeling_<dimension>.jsonl."""
+    labelings = [build_labeling(name, items, samples=split.train, n_users=split.n_users,
+                                d_i=d_i, seed=seed)
+                 for name, d_i in dimensions]
+    if out_dir:
+        for lab in labelings:
+            save_labeling(lab, Path(out_dir) / f"labeling_{lab.dimension}.jsonl")
+    return labelings
+
+
+def run_stage0(backbone: Backbone, split: Split, hyper: TrainHyper, epochs: int | None = None,
+               out_dir: str | Path | None = None) -> list[float]:
+    """Stage 0: recommendation-only training of ``backbone`` in place."""
+    losses = pretrain_backbone(backbone, split.train, _with_epochs(hyper, epochs),
+                               log_path=_out(out_dir, "stage0_log.csv"))
+    if out_dir:
+        save_model(Path(out_dir) / "stage0.ckpt", backbone)
+    return losses
+
+
+def _labeling_arrays(labelings: list[GroupLabeling]) -> dict[str, np.ndarray]:
+    return {"dimensions": np.array([lab.dimension for lab in labelings]),
+            "d_i": np.array([lab.d_i for lab in labelings], dtype=np.int64),
+            "item_labels": np.array([lab.labels for lab in labelings], dtype=np.int64)}
+
+
+def run_collection(backbone: Backbone, split: Split, labelings: list[GroupLabeling],
+                   out_dir: str | Path | None = None) -> list[VerifierSample]:
+    """Stage 1 data: greedy-decoded train traces, saved with their labelings."""
+    cfg = backbone.cfg
+    dataset = collect_verifier_dataset(backbone, split.train, labelings, m=cfg.m)
+    if out_dir:
+        labels = np.full((len(dataset), len(labelings)), -1, dtype=np.int64)
+        for i, sample in enumerate(dataset):
+            if sample.labels is not None:
+                labels[i] = sample.labels
+        r_steps = np.stack([s.r_steps for s in dataset]) if dataset else \
+            np.zeros((0, cfg.m, cfg.d_m))
+        np.savez(Path(out_dir) / VERIFIER_DATA, r_steps=r_steps, labels=labels,
+                 **_labeling_arrays(labelings))
+    return dataset
+
+
+def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
+                       model_cfg: ModelConfig) -> list[VerifierSample]:
+    """Read verifier data, refusing data of other labelings or backbone shape."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run collect-verifier-data first")
+    with np.load(path) as data:
+        stored = {key: data[key] for key in data.files}
+    expected = _labeling_arrays(labelings)
+    if any(key not in stored or not np.array_equal(stored[key], value)
+           for key, value in expected.items()):
+        raise ValueError(f"{path} is stale: it was collected under other labelings "
+                         "than the configured dimensions")
+    if stored["r_steps"].shape[1:] != (model_cfg.m, model_cfg.d_m):
+        raise ValueError(f"{path} is stale: r_steps has shape {stored['r_steps'].shape}, but "
+                         f"stage0.ckpt has m={model_cfg.m}, d_m={model_cfg.d_m}")
+    return [VerifierSample(r_steps=r, labels=None if lab.size == 0 or lab[0] < 0 else lab)
+            for r, lab in zip(stored["r_steps"], stored["labels"])]
+
+
+def run_stage1(backbone: Backbone, dataset: list[VerifierSample] | None,
+               labelings: list[GroupLabeling], hyper: TrainHyper, epochs: int | None = None,
+               uniform_router: bool = False, bank_width: int = 0, bank_depth: int = 1,
+               out_dir: str | Path | None = None
+               ) -> tuple[VerifierBank, list[tuple[float, float]]]:
+    """Stage 1: a fresh verifier bank fitted on ``dataset`` (None: unfitted)
+    with the backbone frozen, and its per-epoch (accuracy, negative entropy)."""
+    bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings], d_m=backbone.cfg.d_m,
+                     seed=hyper.seed, hidden_width=bank_width, hidden_depth=bank_depth)
+    bank.uniform_router = uniform_router
+    history = [] if dataset is None else pretrain_verifiers(
+        bank, dataset, _with_epochs(hyper, epochs), log_path=_out(out_dir, "stage1_log.csv"))
+    if out_dir:
+        save_model(Path(out_dir) / "stage1.ckpt", backbone, bank)
+    return bank, history
+
+
+def run_stage2(backbone: Backbone, bank: VerifierBank | None, split: Split,
+               labelings: list[GroupLabeling], hyper: TrainHyper,
+               out_dir: str | Path | None = None) -> list:
+    """Stage 2: joint fine-tuning, or without a bank the equal-compute baseline:
+    recommendation-only training for the same epochs."""
+    log_path = _out(out_dir, "stage2_log.csv")
+    if bank is None:
+        history = pretrain_backbone(backbone, split.train, hyper, log_path=log_path)
+    else:
+        history = finetune(backbone, bank, split.train, labelings, hyper,
+                           valid_samples=split.valid, log_path=log_path)
+    if out_dir:
+        save_model(Path(out_dir) / "final.ckpt", backbone, bank)
+    return history
+
+
+def _write_rows(out_dir: str | Path | None, name: str, rows: list[dict]) -> None:
+    """CSV whose columns are the keys of the first row, in order."""
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        write_metrics_csv(Path(out_dir) / name, rows, list(rows[0]) if rows else [])
+
+
+def _report_row(lead: dict, report: MetricsReport, ks: tuple[int, ...]) -> dict:
+    row = dict(lead)
+    for k in ks:
+        row[f"recall@{k}"] = report.recall[k]
+        row[f"ndcg@{k}"] = report.ndcg[k]
+    row["n_samples"] = report.n_samples
+    return row
+
+
+def run_eval(backbone: Backbone, bank: VerifierBank | None, split: Split, m: int | None,
+             ks: tuple[int, ...], out_dir: str | Path | None = None) -> MetricsReport:
+    """Evaluate the test split with ``m`` steps (None: the backbone's)."""
+    report = evaluate(backbone, bank, split.test, m=m, ks=ks)
+    if out_dir:
+        out_dir = Path(out_dir)
+        _write_rows(out_dir, "metrics.csv", [_report_row({"variant": "final"}, report, ks)])
+        (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n",
+                                             encoding="utf-8")
+    return report
+
+
+# -- the whole pipeline --------------------------------------------------------
+
+
+@dataclass
+class PipelineResult:
+    backbone: Backbone
+    bank: VerifierBank | None
+    report: MetricsReport
+    split: Split
+    labelings: list[GroupLabeling] = field(default_factory=list)
+
+
+def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
+                 stage0_epochs: int | None = None, stage1_epochs: int | None = None,
+                 use_bank: bool = True, uniform_router: bool = False,
+                 skip_verifier_pretrain: bool = False, gamma_override: float | None = None,
+                 bank_width: int = 0, bank_depth: int = 1,
+                 out_dir: str | Path | None = None, eval_ks: tuple[int, ...] = (5, 10)
+                 ) -> PipelineResult:
+    """All stages end to end on a synthetic corpus. With ``use_bank`` false
+    the labeling and verifier stages are skipped."""
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    items, split = load_corpus(synth_cfg, out_dir=out_dir)
+    backbone = Backbone(model_cfg)
+    run_stage0(backbone, split, hyper, stage0_epochs, out_dir)
+    bank = None
+    labelings: list[GroupLabeling] = []
+    if use_bank:
+        labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir)
+        dataset = None if skip_verifier_pretrain else \
+            run_collection(backbone, split, labelings, out_dir)
+        bank, _ = run_stage1(backbone, dataset, labelings, hyper, stage1_epochs,
+                             uniform_router, bank_width, bank_depth, out_dir)
+        if gamma_override is not None:
+            hyper = replace(hyper, gamma=gamma_override)
+    run_stage2(backbone, bank, split, labelings, hyper, out_dir)
+    report = run_eval(backbone, bank, split, model_cfg.m, eval_ks, out_dir)
+    return PipelineResult(backbone=backbone, bank=bank, report=report,
+                          split=split, labelings=labelings)
+
+
+# -- studies -------------------------------------------------------------------
+
+
+def _variant_kwargs(variant: str, dimensions: list[tuple[str, int]]) -> dict:
+    if variant.startswith("single-"):
+        name = variant.removeprefix("single-")
+        dims = [d for d in dimensions if d[0] == name]
+        if not dims:
+            raise ValueError(f"variant {variant!r}: dimension {name!r} not configured")
+        return {"dimensions": dims}
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown ablation variant {variant!r}; "
+                         f"known: {', '.join(VARIANTS)}, single-<dimension>")
+    return VARIANTS[variant]
+
+
+def ablate(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
+           variants: list[str] | None = None, out_dir: str | Path | None = None,
+           **pipeline_kwargs) -> list[dict]:
+    """Train and evaluate each variant under the shared seed; one row each.
+    Every variant name is checked before the first pipeline runs."""
+    variants = list(variants) if variants else ["full"]
+    per_variant = [{"dimensions": dimensions, **pipeline_kwargs, **_variant_kwargs(v, dimensions)}
+                   for v in variants]
+    rows = []
+    for variant, kwargs in zip(variants, per_variant):
+        result = run_pipeline(synth_cfg, model_cfg, hyper, **kwargs)
+        rows.append(_report_row({"variant": variant}, result.report, (5, 10)))
+    _write_rows(out_dir, "ablation.csv", rows)
+    return rows
+
+
+def step_scalability(synth_cfg, model_cfg: ModelConfig, hyper,
+                     dimensions: list[tuple[str, int]], steps: list[int],
+                     seeds: list[int] | None = None,
+                     out_dir: str | Path | None = None, **pipeline_kwargs) -> list[dict]:
+    """Per-m metrics, median over seeds. Every m is checked against
+    ``model_cfg.max_positions`` before the first pipeline runs."""
+    check_max_positions(model_cfg.max_positions, steps)
+    seeds = seeds or [hyper.seed]
+    rows = []
+    for m in steps:
+        per_seed = []
+        for seed in seeds:
+            cfg_m = replace(model_cfg, m=m, seed=seed)
+            result = run_pipeline(replace(synth_cfg, seed=seed), cfg_m,
+                                  replace(hyper, seed=seed), dimensions,
+                                  use_bank=m > 0 and bool(dimensions), **pipeline_kwargs)
+            per_seed.append(result.report)
+        rows.append({"m": m,
+                     "recall@5": float(np.median([r.recall[5] for r in per_seed])),
+                     "ndcg@5": float(np.median([r.ndcg[5] for r in per_seed])),
+                     "n_samples": per_seed[0].n_samples,
+                     "seeds": ";".join(str(s) for s in seeds)})
+    _write_rows(out_dir, "steps.csv", rows)
+    return rows
+
+
+def sweep(param: str, values: list, synth_cfg, model_cfg: ModelConfig, hyper,
+          dimensions: list[tuple[str, int]], out_dir: str | Path | None = None,
+          **pipeline_kwargs) -> list[dict]:
+    """One train/eval per value under the shared seed. The parameter name, and
+    for ``m`` every value, are checked before the first pipeline runs."""
+    if param not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {param!r}; known: {', '.join(SWEEPABLE)}")
+    if param == "m":
+        check_max_positions(model_cfg.max_positions, [int(v) for v in values])
+    rows = []
+    for value in values:
+        cfg, hyp, dims, kwargs = model_cfg, hyper, dimensions, dict(pipeline_kwargs)
+        if param in ("beta", "gamma", "alpha"):
+            hyp = replace(hyper, **{param: float(value)})
+        elif param == "m":
+            cfg = replace(model_cfg, m=int(value))
+        elif param == "d_i":
+            dims = [(name, int(value)) for name, _ in dimensions]
+        elif param == "verifier-width":
+            kwargs["bank_width"] = int(value)
+        elif param == "verifier-depth":
+            kwargs["bank_depth"] = int(value)
+        result = run_pipeline(synth_cfg, cfg, hyp, dims, **kwargs)
+        rows.append(_report_row({"param": param, "value": value}, result.report, (5, 10)))
+    _write_rows(out_dir, f"sweep_{param}.csv", rows)
+    return rows

@@ -15,10 +15,10 @@ import pytest
 
 from vrec.backbone import Backbone, ModelConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
-from vrec.evaluation import (REFERENCE_OVERHEAD_PCT, ndcg_at_k, recall_at_k,
-                             run_pipeline, timing_overhead)
+from vrec.evaluation import REFERENCE_OVERHEAD_PCT, ndcg_at_k, recall_at_k, timing_overhead
 from vrec.labeling import build_labeling, kmeans
 from vrec.numerics import Tensor, confidence, entropy, grad_check
+from vrec.pipeline import run_pipeline
 from vrec.reasoning import greedy_recommend, run_reasoning
 from vrec.training import (TrainHyper, collect_verifier_dataset,
                            monotonicity_loss, pretrain_backbone,

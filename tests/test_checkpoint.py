@@ -1,7 +1,12 @@
 """Checkpoint format tests: byte identity, validation, model reconstruction."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vrec.backbone import Backbone, ModelConfig
 from vrec.checkpoint import MAGIC, load_checkpoint, load_model, save_checkpoint, save_model
@@ -117,3 +122,28 @@ def test_config_missing_rejected(tmp_path):
     save_checkpoint(path, {"w": np.zeros(2)})
     with pytest.raises(ValueError, match="config"):
         load_model(path)
+
+
+def _saved_model_bytes() -> bytes:
+    bb = Backbone(ModelConfig(d_m=8, layers=1, heads=1, n_items=6, max_positions=16, m=1, seed=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "full.ckpt"
+        save_model(path, bb, make_bank([("a", 2)], d_m=8, seed=0))
+        return path.read_bytes()
+
+
+SAVED = _saved_model_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=len(SAVED) - 1))
+@example(cut=len(MAGIC) + 2)  # inside the header length
+@example(cut=30)  # inside the JSON header
+@example(cut=len(SAVED) - 1)  # one byte short of the last parameter
+def test_every_strict_prefix_names_the_path(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cut.ckpt"
+        path.write_bytes(SAVED[:cut])
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+    assert str(path) in str(err.value)

@@ -2,14 +2,19 @@
 
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vrec.pipeline
+from vrec.checkpoint import load_model
 from vrec.cli import main
-from vrec.config import SEED_ENV_VAR
+from vrec.config import SEED_ENV_VAR, load_config
 from vrec.datasets import ingest
 from vrec.labeling import load_labeling
+from vrec.pipeline import VERIFIER_DATA, load_verifier_data, run_pipeline
 
 CONFIG = {
     "seed": 7,
@@ -83,6 +88,23 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["step-scan", "--steps", "1,8"], "max_positions 16 is too small for m=8"),
+    (["sweep", "--param", "m", "--values", "1,8"], "max_positions 16 is too small for m=8"),
+    (["eval", "--m", "8"], "max_positions 16 is too small for m=8"),
+    (["bench", "--steps", "1,8"], "max_positions 16 is too small for m=8"),
+    (["ablate", "--variants", "full,no-verifier,uniform-router"], "'uniform-router'"),
+])
+def test_bad_setting_rejected_before_training(tmp_path, capsys, monkeypatch, argv, setting):
+    trained = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
+    cfg = write_config(tmp_path)
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    assert setting in capsys.readouterr().err
+    assert not trained
+    assert not (tmp_path / "out" / "stage0.ckpt").exists()
+
+
 # -- staged pipeline -----------------------------------------------------------
 
 
@@ -94,6 +116,17 @@ def test_pipeline_artifacts(pipeline):
                  "stage1.ckpt", "stage1_log.csv", "final.ckpt", "stage2_log.csv",
                  "metrics.csv", "report.json"):
         assert (out / name).exists(), name
+
+
+def test_cli_stages_match_run_pipeline(pipeline, tmp_path):
+    """The stage-by-stage CLI and the in-memory pipeline write the same bytes."""
+    cfg_path, out = pipeline
+    cfg = load_config(cfg_path)
+    run_pipeline(cfg.synth, cfg.model_config(cfg.synth.n_items), cfg.hyper,
+                 cfg.dimensions, stage0_epochs=cfg.stage0_epochs,
+                 stage1_epochs=cfg.stage1_epochs, out_dir=tmp_path, eval_ks=cfg.eval_ks)
+    for name in ("stage0.ckpt", "stage1.ckpt", "final.ckpt", "metrics.csv"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_gen_data_roundtrips_through_ingest(pipeline):
@@ -120,6 +153,28 @@ def test_verifier_data_format(pipeline):
     assert (m, d_m) == (CONFIG["model"]["m"], CONFIG["model"]["d_m"])
     assert data["labels"].shape == (n, len(CONFIG["dimensions"]))
     assert ((data["labels"] >= -1).all())
+
+
+@pytest.mark.parametrize("dimensions", [
+    [{"name": "category"}, {"name": "title", "d_i": 5}],
+    [{"name": "category"}, {"name": "title", "d_i": 3}, {"name": "cf", "d_i": 3}],
+])
+def test_stale_verifier_data_rejected(pipeline, tmp_path, capsys, dimensions):
+    _, out = pipeline
+    shutil.copytree(out, tmp_path / "out")
+    cfg = write_config(tmp_path, dict(CONFIG, dimensions=dimensions))
+    assert main(["pretrain-verifiers", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / VERIFIER_DATA) in err and "stale" in err
+
+
+def test_verifier_data_shape_must_match_backbone(pipeline):
+    _, out = pipeline
+    labelings = [load_labeling(out / f"labeling_{d['name']}.jsonl") for d in CONFIG["dimensions"]]
+    backbone, _ = load_model(out / "stage0.ckpt")
+    assert load_verifier_data(out / VERIFIER_DATA, labelings, backbone.cfg)
+    with pytest.raises(ValueError, match="verifier_data.npz is stale"):
+        load_verifier_data(out / VERIFIER_DATA, labelings, replace(backbone.cfg, m=2))
 
 
 def test_report_json(pipeline):

@@ -159,3 +159,14 @@ def test_malformed_json(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.json")
+
+
+def test_max_positions_must_hold_history_and_steps(tmp_path):
+    obj = json.loads(json.dumps(MINI))
+    obj["model"]["max_positions"] = 12  # MAX_HISTORY (10) + m (1) = 11 fits
+    cfg = load_config(write(tmp_path, obj))
+    obj["model"]["m"] = 3
+    with pytest.raises(ConfigError, match="max_positions 12 is too small for m=3"):
+        load_config(write(tmp_path, obj))
+    with pytest.raises(ConfigError, match="max_positions 12 is too small for m=4"):
+        cfg.with_m(4)

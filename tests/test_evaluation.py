@@ -10,17 +10,14 @@ from vrec.backbone import Backbone, ModelConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import (
     REFERENCE_OVERHEAD_PCT,
-    ablate,
     config_fingerprint,
     evaluate,
     ndcg_at_k,
     recall_at_k,
-    run_pipeline,
-    step_scalability,
-    sweep,
     timing_overhead,
     write_metrics_csv,
 )
+from vrec.pipeline import ablate, run_pipeline, step_scalability, sweep
 from vrec.reasoning import run_reasoning
 from vrec.training import TrainHyper
 from vrec.verifiers import make_bank
