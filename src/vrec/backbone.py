@@ -17,14 +17,11 @@ from .numerics import (
     Rng,
     Tensor,
     add_rowvec,
-    cols,
     concat,
     embedding_lookup,
     gelu,
     layer_norm,
     matmul,
-    row,
-    rows,
     softmax,
 )
 
@@ -45,6 +42,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("d_m", "heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.d_m % self.heads != 0:
             raise ValueError(f"d_m ({self.d_m}) not divisible by heads ({self.heads})")
         if self.m < 0:
@@ -107,9 +107,9 @@ class Backbone:
         outs = []
         scale = 1.0 / math.sqrt(dh)
         for h in range(heads):
-            qh = cols(q, h * dh, (h + 1) * dh)
-            kh = cols(k, h * dh, (h + 1) * dh)
-            vh = cols(v, h * dh, (h + 1) * dh)
+            qh = q[:, h * dh:(h + 1) * dh]
+            kh = k[:, h * dh:(h + 1) * dh]
+            vh = v[:, h * dh:(h + 1) * dh]
             att = softmax(matmul(qh, kh.transpose()) * scale + mask)
             outs.append(matmul(att, vh))
         joined = concat(outs, axis=1)
@@ -139,7 +139,7 @@ class Backbone:
         parts = [embedding_lookup(p["tok_emb"], history)]
         parts.extend(vec.reshape(1, self.cfg.d_m) for _, vec in injected)
         x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
-        x = x + rows(p["pos_emb"], 0, T)
+        x = x + p["pos_emb"][:T]
 
         mask = Tensor(np.triu(np.full((T, T), MASK_VALUE), k=1))
         for i in range(self.cfg.layers):
@@ -155,8 +155,8 @@ class Backbone:
         """Logits over item tokens from one position, tied to the embedding table."""
         if position >= hidden.data.shape[0]:
             raise ValueError(f"position {position} out of range for {hidden.data.shape[0]} states")
-        item_rows = rows(self._params["tok_emb"], 0, self.cfg.n_items)
-        return matmul(item_rows, row(hidden, position))
+        item_rows = self._params["tok_emb"][:self.cfg.n_items]
+        return matmul(item_rows, hidden[position])
 
     def rank_items(self, hidden: Tensor, position: int, k: int | None = None) -> np.ndarray:
         """Top-k item ids by descending score; ties go to the lower id."""

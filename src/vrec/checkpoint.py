@@ -60,10 +60,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict | Non
     if len(raw) < blob_start:
         raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
                          f"header ends at {blob_start})")
-    header = json.loads(raw[body_start:blob_start].decode("utf-8"))
-    counts = [int(np.prod(entry["shape"])) for entry in header["params"]]
-    end = blob_start + max((e["offset"] + 8 * n for e, n in zip(header["params"], counts)),
-                           default=0)
+    try:
+        header = json.loads(raw[body_start:blob_start].decode("utf-8"))
+        counts = [int(np.prod(entry["shape"])) for entry in header["params"]]
+        end = blob_start + max((e["offset"] + 8 * n for e, n in zip(header["params"], counts)),
+                               default=0)
+    except (ValueError, KeyError, TypeError) as e:  # undecodable, malformed or incomplete
+        raise ValueError(f"{path}: corrupt checkpoint header ({type(e).__name__}: {e})") from None
     if len(raw) < end:
         raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
                          f"parameters end at {end})")

@@ -104,8 +104,9 @@ def cmd_pretrain_backbone(args) -> int:
     items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
     backbone = Backbone(cfg.model_config(len(items)))
     losses = run_stage0(backbone, split, cfg.hyper, cfg.stage0_epochs, cfg.out)
-    print(f"stage 0: {len(split.train)} samples, {len(losses)} epochs, "
-          f"final loss {losses[-1]:.4f} -> {cfg.out / 'stage0.ckpt'}")
+    final = f", final loss {losses[-1]:.4f}" if losses else ""
+    print(f"stage 0: {len(split.train)} samples, {len(losses)} epochs{final} "
+          f"-> {cfg.out / 'stage0.ckpt'}")
     return 0
 
 
@@ -131,9 +132,11 @@ def cmd_pretrain_verifiers(args) -> int:
     dataset = load_verifier_data(cfg.out / VERIFIER_DATA, labelings, backbone.cfg)
     _, history = run_stage1(backbone, dataset, labelings, cfg.hyper, cfg.stage1_epochs,
                             out_dir=cfg.out)
-    acc, neg_h = history[-1]
-    print(f"stage 1: accuracy {acc:.3f}, negative entropy {neg_h:.3f} "
-          f"-> {cfg.out / 'stage1.ckpt'}")
+    summary = "0 epochs"
+    if history:
+        acc, neg_h = history[-1]
+        summary = f"accuracy {acc:.3f}, negative entropy {neg_h:.3f}"
+    print(f"stage 1: {summary} -> {cfg.out / 'stage1.ckpt'}")
     return 0
 
 
@@ -145,10 +148,12 @@ def cmd_finetune(args) -> int:
         raise ValueError("stage1.ckpt holds no verifier bank; run pretrain-verifiers first")
     labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
     rows = run_stage2(backbone, bank, split, labelings, cfg.hyper, cfg.out)
-    last = rows[-1]
-    print(f"stage 2: total {last['total']:.4f}, "
-          f"val recall@5 {last.get('val_recall@5', float('nan')):.4f} "
-          f"-> {cfg.out / 'final.ckpt'}")
+    summary = "0 epochs"
+    if rows:
+        last = rows[-1]
+        summary = (f"total {last['total']:.4f}, "
+                   f"val recall@5 {last.get('val_recall@5', float('nan')):.4f}")
+    print(f"stage 2: {summary} -> {cfg.out / 'final.ckpt'}")
     return 0
 
 

@@ -77,8 +77,11 @@ class RunConfig:
     eval_ks: tuple[int, ...] = (5, 10)
 
     def __post_init__(self):  # also runs on every dataclasses.replace, e.g. with_m
-        check_max_positions(self.model.get("max_positions", _model_default("max_positions")),
-                            [self.m])
+        try:
+            model = ModelConfig(**self.model)  # n_items is checked when the data loads
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"model: {e}")
+        check_max_positions(model.max_positions, [self.m])
         if self.m > 0 and not self.dimensions:
             raise ConfigError("at least one labeling dimension is required when "
                               "reasoning steps use verifiers (model.m > 0)")

@@ -113,6 +113,8 @@ def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample
     overhead% = (t_with - t_without) / t_without. The reference average from
     the source efficiency table is attached as metadata, not asserted.
     """
+    if not samples:
+        raise ValueError("timing_overhead needs at least one sample to time")
     pool = list(samples)
     while len(pool) < min_samples:
         pool = pool + list(samples)

@@ -4,6 +4,13 @@ Everything downstream (backbone, verifiers, training) is built from the
 operator set in this module. Arrays are row-major float64 throughout;
 there is no broadcasting except scalar-with-tensor, so shape mismatches
 fail loudly instead of silently expanding.
+
+Two rules keep the core small:
+
+- Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
+- Every op builds its output through ``_node``, which links the output into
+  the graph only when some child is tracked; an op on untracked inputs
+  builds no graph and runs no gradient-only work.
 """
 
 from __future__ import annotations
@@ -17,13 +24,10 @@ __all__ = [
     "Tensor",
     "Rng",
     "add_rowvec",
-    "cols",
     "concat",
     "confidence",
-    "element",
     "embedding_lookup",
     "entropy",
-    "colvec",
     "gelu",
     "grad_check",
     "layer_norm",
@@ -32,8 +36,6 @@ __all__ = [
     "log_softmax",
     "matmul",
     "relu",
-    "row",
-    "rows",
     "softmax",
 ]
 
@@ -94,7 +96,7 @@ class Tensor:
         return _mul(self, -1.0)
 
     def __sub__(self, other):
-        return _add(self, _neg_operand(other))
+        return _add(self, -_as_tensor(other))
 
     def __rsub__(self, other):
         return _add(-self, other)
@@ -105,17 +107,29 @@ class Tensor:
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ValueError(f"transpose expects a matrix, got shape {self.data.shape}")
-        out = _node(self.data.T.copy(), (self,), "transpose")
-        if out._vjp is not None or _any_tracked((self,)):
-            _set_vjp(out, (self,), lambda g: (g.T,))
-        return out
+        return _node(self.data.T.copy(), (self,), "transpose", lambda g: (g.T,))
 
     def reshape(self, *shape) -> "Tensor":
         old = self.data.shape
-        out = _node(self.data.reshape(shape), (self,), "reshape")
-        if _any_tracked((self,)):
-            _set_vjp(out, (self,), lambda g: (g.reshape(old),))
-        return out
+        return _node(self.data.reshape(shape), (self,), "reshape", lambda g: (g.reshape(old),))
+
+    def __getitem__(self, key) -> "Tensor":
+        """Basic indexing: an int, numpy integer or slice, or a tuple of them.
+
+        The gradient scatters back into zeros. Gathers (list or array keys)
+        are rejected because a repeated index would drop gradient; use
+        ``embedding_lookup`` for those.
+        """
+        for k in key if isinstance(key, tuple) else (key,):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer, slice)):
+                raise TypeError("Tensor indices must be ints, slices or tuples of them, "
+                                f"got {type(k).__name__}")
+
+        def vjp(g):
+            gx = np.zeros_like(self.data)
+            gx[key] = g
+            return (gx,)
+        return _node(self.data[key].copy(), (self,), "getitem", vjp)
 
     def sum(self, axis: int | None = None) -> "Tensor":
         return _reduce(self, axis, mean=False)
@@ -171,114 +185,72 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str) -> Tensor:
+def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
+          vjp: Callable[[np.ndarray], tuple]) -> Tensor:
+    """Wrap an op's output; it joins the graph only when some child is tracked.
+
+    ``vjp`` maps the output gradient to one gradient per entry of
+    ``children``, in order; ``backward`` skips the untracked ones.
+    """
     out = Tensor(data)
-    out._children = tuple(c for c in children if c.tracked())
     out._op = op
-    return out
-
-
-def _set_vjp(out: Tensor, children: tuple[Tensor, ...], vjp_all) -> None:
-    # vjp_all is written against the full child tuple; remap onto the
-    # tracked subset actually stored on the node.
-    tracked_idx = [i for i, c in enumerate(children) if c.tracked()]
-    if not tracked_idx:
-        return
-    if len(tracked_idx) == len(children):
-        out._vjp = vjp_all
-    else:
-        def vjp(g, _idx=tuple(tracked_idx), _all=vjp_all):
-            full = _all(g)
-            return tuple(full[i] for i in _idx)
+    if any(c.tracked() for c in children):
+        out._children = children
         out._vjp = vjp
-
-
-def _any_tracked(ts: Sequence[Tensor]) -> bool:
-    return any(t.tracked() for t in ts)
+    return out
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _neg_operand(x):
-    if isinstance(x, Tensor):
-        return -x
-    return -np.asarray(x, dtype=np.float64)
+def _elementwise_operand(op: str, a: Tensor, b) -> Tensor:
+    """``b`` as a tensor of ``a``'s shape, or either one a scalar."""
+    b = _as_tensor(b)
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+    return b
 
 
-def _is_scalar(t: Tensor) -> bool:
-    return t.data.size == 1
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of a scalar operand that was applied to every element."""
+    return g if g.shape == shape else np.asarray(g.sum()).reshape(shape)
 
 
 def _add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    if a.data.shape != b.data.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = _node(a.data + b.data, (a, b), "add")
-    if _any_tracked((a, b)):
-        def vjp(g):
-            ga = g if a.data.shape == g.shape else np.asarray(g.sum()).reshape(a.data.shape)
-            gb = g if b.data.shape == g.shape else np.asarray(g.sum()).reshape(b.data.shape)
-            return (ga, gb)
-        _set_vjp(out, (a, b), vjp)
-    return out
+    b = _elementwise_operand("add", a, b)
+    return _node(a.data + b.data, (a, b), "add",
+                 lambda g: (_sum_to(g, a.data.shape), _sum_to(g, b.data.shape)))
 
 
 def _mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    if a.data.shape != b.data.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = _node(a.data * b.data, (a, b), "mul")
-    if _any_tracked((a, b)):
-        ad, bd = a.data, b.data
-        def vjp(g):
-            ga = g * bd
-            gb = g * ad
-            if ga.shape != ad.shape:
-                ga = np.asarray(ga.sum()).reshape(ad.shape)
-            if gb.shape != bd.shape:
-                gb = np.asarray(gb.sum()).reshape(bd.shape)
-            return (ga, gb)
-        _set_vjp(out, (a, b), vjp)
-    return out
+    b = _elementwise_operand("mul", a, b)
+    ad, bd = a.data, b.data
+    return _node(ad * bd, (a, b), "mul", lambda g: (_sum_to(g * bd, ad.shape),
+                                                    _sum_to(g * ad, bd.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for 2D@2D, 2D@1D and 1D@2D operands."""
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
-        out = _node(ad @ bd, (a, b), "matmul")
-        if _any_tracked((a, b)):
-            _set_vjp(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-        return out
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
-        out = _node(ad @ bd, (a, b), "matmul")
-        if _any_tracked((a, b)):
-            _set_vjp(out, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
-        return out
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
-        out = _node(ad @ bd, (a, b), "matmul")
-        if _any_tracked((a, b)):
-            _set_vjp(out, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
-        return out
-    raise ValueError(f"matmul: unsupported ranks {ad.ndim} @ {bd.ndim}")
+        vjp = lambda g: (g @ bd.T, ad.T @ g)
+    elif ad.ndim == 2 and bd.ndim == 1:
+        vjp = lambda g: (np.outer(g, bd), ad.T @ g)
+    elif ad.ndim == 1 and bd.ndim == 2:
+        vjp = lambda g: (bd @ g, np.outer(ad, g))
+    else:
+        raise ValueError(f"matmul: unsupported ranks {ad.ndim} @ {bd.ndim}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
+    return _node(ad @ bd, (a, b), "matmul", vjp)
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-d vector to every row of a (T, d) matrix (explicit, not broadcast)."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"add_rowvec: shape mismatch {x.data.shape} + {b.data.shape}")
-    out = _node(x.data + b.data[None, :], (x, b), "add_rowvec")
-    if _any_tracked((x, b)):
-        _set_vjp(out, (x, b), lambda g: (g, g.sum(axis=0)))
-    return out
+    return _node(x.data + b.data[None, :], (x, b), "add_rowvec", lambda g: (g, g.sum(axis=0)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -290,99 +262,23 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding_lookup: table must be 2-D, got shape {table.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError(f"embedding_lookup: index out of range for table of {table.data.shape[0]} rows")
-    out = _node(table.data[idx].copy(), (table,), "embedding_lookup")
-    if table.tracked():
-        def vjp(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            return (gt,)
-        _set_vjp(out, (table,), vjp)
-    return out
 
-
-def row(x: Tensor, i: int) -> Tensor:
-    """Extract row i of a matrix as a 1-D vector."""
-    if x.data.ndim != 2:
-        raise ValueError(f"row: expected matrix, got shape {x.data.shape}")
-    out = _node(x.data[i].copy(), (x,), "row")
-    if x.tracked():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[i] = g
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
-
-
-def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice of a matrix."""
-    if x.data.ndim != 2:
-        raise ValueError(f"rows: expected matrix, got shape {x.data.shape}")
-    out = _node(x.data[start:stop].copy(), (x,), "rows")
-    if x.tracked():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = g
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
-
-
-def cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column slice of a matrix."""
-    if x.data.ndim != 2:
-        raise ValueError(f"cols: expected matrix, got shape {x.data.shape}")
-    out = _node(x.data[:, start:stop].copy(), (x,), "cols")
-    if x.tracked():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
-
-
-def colvec(x: Tensor, j: int) -> Tensor:
-    """Extract column j of a matrix as a 1-D vector (bitwise copy of the stored column)."""
-    if x.data.ndim != 2:
-        raise ValueError(f"colvec: expected matrix, got shape {x.data.shape}")
-    out = _node(x.data[:, j].copy(), (x,), "colvec")
-    if x.tracked():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[:, j] = g
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
-
-
-def element(x: Tensor, i: int) -> Tensor:
-    """Extract element i of a vector as a scalar tensor."""
-    if x.data.ndim != 1:
-        raise ValueError(f"element: expected vector, got shape {x.data.shape}")
-    out = _node(np.asarray(x.data[i]), (x,), "element")
-    if x.tracked():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[i] = g
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
+    def vjp(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return (gt,)
+    return _node(table.data[idx].copy(), (table,), "embedding_lookup", vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ValueError("concat: empty input")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    out = _node(data, tuple(parts), "concat")
-    if _any_tracked(parts):
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
-        _set_vjp(out, tuple(parts), vjp)
-    return out
+
+    def vjp(g):
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        return tuple(np.split(g, splits, axis=axis))
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, "concat", vjp)
 
 
 def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:
@@ -392,41 +288,32 @@ def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:
     else:
         data = x.data.sum(axis=axis)
         denom = 1
-    out = _node(np.asarray(data), (x,), "mean" if mean else "sum")
-    if x.tracked():
-        shape = x.data.shape
-        def vjp(g):
-            if axis is None:
-                gx = np.full(shape, float(g) / denom)
-            else:
-                gx = np.expand_dims(g, axis) / denom
-                gx = np.broadcast_to(gx, shape).copy()
-            return (gx,)
-        _set_vjp(out, (x,), vjp)
-    return out
+    shape = x.data.shape
+
+    def vjp(g):
+        if axis is None:
+            gx = np.full(shape, float(g) / denom)
+        else:
+            gx = np.expand_dims(g, axis) / denom
+            gx = np.broadcast_to(gx, shape).copy()
+        return (gx,)
+    return _node(np.asarray(data), (x,), "mean" if mean else "sum", vjp)
 
 
 def log(x: Tensor) -> Tensor:
-    out = _node(np.log(x.data), (x,), "log")
-    if x.tracked():
-        _set_vjp(out, (x,), lambda g: (g / x.data,))
-    return out
+    xd = x.data
+    return _node(np.log(xd), (x,), "log", lambda g: (g / xd,))
 
 
 def exp(x: Tensor) -> Tensor:
-    out = _node(np.exp(x.data), (x,), "exp")
-    if x.tracked():
-        od = out.data
-        _set_vjp(out, (x,), lambda g: (g * od,))
-    return out
+    od = np.exp(x.data)
+    return _node(od, (x,), "exp", lambda g: (g * od,))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _node(np.maximum(x.data, 0.0), (x,), "relu")
-    if x.tracked():
-        mask = (x.data > 0.0).astype(np.float64)
-        _set_vjp(out, (x,), lambda g: (g * mask,))
-    return out
+    xd = x.data
+    return _node(np.maximum(xd, 0.0), (x,), "relu",
+                 lambda g: (g * (xd > 0.0).astype(np.float64),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -437,12 +324,12 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     inner = _GELU_C * (xd + 0.044715 * xd**3)
     tanh = np.tanh(inner)
-    out = _node(0.5 * xd * (1.0 + tanh), (x,), "gelu")
-    if x.tracked():
+
+    def vjp(g):
         sech2 = 1.0 - tanh**2
         deriv = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        _set_vjp(out, (x,), lambda g: (g * deriv,))
-    return out
+        return (g * deriv,)
+    return _node(0.5 * xd * (1.0 + tanh), (x,), "gelu", vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -450,13 +337,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = xd - xd.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _node(s, (x,), "softmax")
-    if x.tracked():
-        def vjp(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return (s * (g - dot),)
-        _set_vjp(out, (x,), vjp)
-    return out
+
+    def vjp(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        return (s * (g - dot),)
+    return _node(s, (x,), "softmax", vjp)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -464,13 +349,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     m = xd.max(axis=axis, keepdims=True)
     shifted = xd - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = _node(shifted - lse, (x,), "log_softmax")
-    if x.tracked():
-        s = np.exp(out.data)
-        def vjp(g):
-            return (g - s * g.sum(axis=axis, keepdims=True),)
-        _set_vjp(out, (x,), vjp)
-    return out
+    ld = shifted - lse
+
+    def vjp(g):
+        s = np.exp(ld)
+        return (g - s * g.sum(axis=axis, keepdims=True),)
+    return _node(ld, (x,), "log_softmax", vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -483,20 +367,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
-    if _any_tracked((x, gain, bias)):
-        gd = gain.data
-        def vjp(g):
-            gxhat = g * gd
-            # standard layernorm backward over the last axis
-            dx = inv / d * (d * gxhat - gxhat.sum(axis=-1, keepdims=True)
-                            - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
-            axes = tuple(range(xd.ndim - 1))
-            ggain = (g * xhat).sum(axis=axes) if axes else g * xhat
-            gbias = g.sum(axis=axes) if axes else g.copy()
-            return (dx, ggain, gbias)
-        _set_vjp(out, (x, gain, bias), vjp)
-    return out
+    gd = gain.data
+
+    def vjp(g):
+        gxhat = g * gd
+        # standard layernorm backward over the last axis
+        dx = inv / d * (d * gxhat - gxhat.sum(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
+        axes = tuple(range(xd.ndim - 1))
+        ggain = (g * xhat).sum(axis=axes) if axes else g * xhat
+        gbias = g.sum(axis=axes) if axes else g.copy()
+        return (dx, ggain, gbias)
+    return _node(xhat * gd + bias.data, (x, gain, bias), "layer_norm", vjp)
 
 
 def entropy(p: Tensor) -> Tensor:
@@ -506,12 +388,12 @@ def entropy(p: Tensor) -> Tensor:
         raise ValueError(f"entropy: expected 1-D distribution, got shape {pd.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(pd > 0.0, pd * np.log(np.where(pd > 0.0, pd, 1.0)), 0.0)
-    out = _node(np.asarray(-terms.sum()), (p,), "entropy")
-    if p.tracked():
+
+    def vjp(g):
         # gradient -(log p + 1); softmax upstream keeps p strictly positive
         safe = np.maximum(pd, 1e-300)
-        _set_vjp(out, (p,), lambda g: (float(g) * -(np.log(safe) + 1.0),))
-    return out
+        return (float(g) * -(np.log(safe) + 1.0),)
+    return _node(np.asarray(-terms.sum()), (p,), "entropy", vjp)
 
 
 def confidence(f: Tensor, eps: float = 1e-6) -> Tensor:
@@ -520,11 +402,11 @@ def confidence(f: Tensor, eps: float = 1e-6) -> Tensor:
         raise ValueError("confidence: expected a scalar")
     fv = float(f.data)
     c = min(1.0, 1.0 / max(fv, eps))
-    out = _node(np.asarray(np.float64(c)), (f,), "confidence")
-    if f.tracked():
+
+    def vjp(g):
         deriv = -1.0 / (fv * fv) if fv > 1.0 else 0.0
-        _set_vjp(out, (f,), lambda g: (np.asarray(float(g) * deriv).reshape(f.data.shape),))
-    return out
+        return (np.asarray(float(g) * deriv).reshape(f.data.shape),)
+    return _node(np.asarray(np.float64(c)), (f,), "confidence", vjp)
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:

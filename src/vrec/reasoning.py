@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Backbone
-from .numerics import Tensor, row
+from .numerics import Tensor
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
 __all__ = ["ReasoningTrace", "homogeneity", "pca_project", "recommend",
@@ -43,7 +43,7 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
     latents: list[tuple[int, Tensor]] = []
     for t in range(m):
         hidden = backbone.encode(history, latents)
-        r_t = row(hidden, L + t - 1)
+        r_t = hidden[L + t - 1]
         if bank is not None:
             verdict = verify_and_adjust(bank, r_t)
             r_adj = verdict.r_star

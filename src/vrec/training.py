@@ -13,7 +13,7 @@ import numpy as np
 from .backbone import Backbone
 from .datasets import Sample
 from .labeling import GroupLabeling
-from .numerics import Rng, Tensor, element, entropy, log, log_softmax, relu
+from .numerics import Rng, Tensor, entropy, log, log_softmax, relu
 from .reasoning import ReasoningTrace, greedy_recommend, run_reasoning
 from .verifiers import VerifierBank, predict, route
 
@@ -44,6 +44,10 @@ class TrainHyper:
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
 
 @dataclass
@@ -105,7 +109,7 @@ class TrainLog:
 def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target: int) -> Tensor:
     """Negative log-probability of the target item at the final position."""
     scores = backbone.next_item_scores(final_hidden, final_hidden.data.shape[0] - 1)
-    return -element(log_softmax(scores), target)
+    return -log_softmax(scores)[target]
 
 
 def _mean(losses: list[Tensor]) -> Tensor:
@@ -197,7 +201,7 @@ def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
     for r in vectors:
         w = route(bank, r)
         for i, verifier in enumerate(bank.verifiers):
-            p = predict(verifier, element(w, i) * r)
+            p = predict(verifier, w[i] * r)
             if labels is None:
                 terms.append(-alpha * entropy(p))
             else:
@@ -205,7 +209,7 @@ def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
                 if not 0 <= cls < verifier.d_i:
                     raise ValueError(f"label {cls} out of range for dimension "
                                      f"{verifier.dimension!r} (d_i={verifier.d_i})")
-                terms.append(-element(log(p), cls))
+                terms.append(-log(p)[cls])
     return _mean(terms)
 
 
@@ -218,7 +222,7 @@ def verifier_stats(bank: VerifierBank, dataset: list[VerifierSample]) -> tuple[f
             r = Tensor(r_vec)
             w = route(bank, r)
             for i, verifier in enumerate(bank.verifiers):
-                p = predict(verifier, element(w, i) * r)
+                p = predict(verifier, w[i] * r)
                 if sample.labels is None:
                     neg_entropies.append(entropy(p).item())
                 else:

@@ -17,9 +17,7 @@ from .numerics import (
     Rng,
     Tensor,
     add_rowvec,
-    colvec,
     confidence,
-    element,
     entropy,
     gelu,
     matmul,
@@ -142,7 +140,7 @@ def predict(verifier: Verifier, x: Tensor) -> Tensor:
 def guidance(verifier: Verifier, p: Tensor) -> tuple[int, Tensor]:
     """Prototype column of the predicted class: exactly W_last[:, argmax p]."""
     j_star = int(np.argmax(p.data))
-    return j_star, colvec(verifier.w_last, j_star)
+    return j_star, verifier.w_last[:, j_star]
 
 
 def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
@@ -156,7 +154,7 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     verdict = StepVerdict(w=w, p=[], f=[], c=[], j_star=[], g=[])
     acc = None
     for i, verifier in enumerate(bank.verifiers):
-        p = predict(verifier, element(w, i) * r)
+        p = predict(verifier, w[i] * r)
         f = entropy(p)
         c = confidence(f, eps=bank.epsilon)
         j_star, g = guidance(verifier, p)

@@ -147,3 +147,21 @@ def test_every_strict_prefix_names_the_path(cut):
         with pytest.raises(ValueError) as err:
             load_model(path)
     assert str(path) in str(err.value)
+
+
+HEADER_START = len(MAGIC) + 4
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b[:HEADER_START + 1] + b"!" + b[HEADER_START + 2:],  # JSON syntax
+    lambda b: b[:HEADER_START + 1] + b"\xff" + b[HEADER_START + 2:],  # not UTF-8
+    lambda b: b.replace(b'"params"', b'"qarams"', 1),  # no parameter table
+], ids=["json", "utf8", "no_params"])
+def test_corrupt_header_names_the_path(tmp_path, corrupt):
+    path = tmp_path / "bad.ckpt"
+    data = corrupt(SAVED)
+    assert len(data) == len(SAVED) and data != SAVED
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="corrupt checkpoint header") as err:
+        load_model(path)
+    assert str(path) in str(err.value)

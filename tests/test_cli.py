@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,10 @@ CONFIG = {
 }
 
 
+STAGE_COMMANDS = ("gen-data", "label", "pretrain-backbone", "collect-verifier-data",
+                  "pretrain-verifiers", "finetune", "eval")
+
+
 def write_config(directory, obj=CONFIG):
     path = directory / "run.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -39,9 +44,7 @@ def pipeline(tmp_path_factory):
     os.environ.pop(SEED_ENV_VAR, None)
     root = tmp_path_factory.mktemp("cli")
     cfg = write_config(root)
-    for command in ("gen-data", "label", "pretrain-backbone",
-                    "collect-verifier-data", "pretrain-verifiers",
-                    "finetune", "eval"):
+    for command in STAGE_COMMANDS:
         assert main([command, "--config", str(cfg)]) == 0, command
     return cfg, root / "out"
 
@@ -103,6 +106,45 @@ def test_bad_setting_rejected_before_training(tmp_path, capsys, monkeypatch, arg
     assert setting in capsys.readouterr().err
     assert not trained
     assert not (tmp_path / "out" / "stage0.ckpt").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hyper", "batch", 0), ("hyper", "epochs", -1), ("model", "heads", 0), ("model", "d_m", 0),
+])
+def test_bad_config_value_rejected_at_load(tmp_path, capsys, section, key, value):
+    obj = json.loads(json.dumps(CONFIG))
+    obj[section][key] = value
+    cfg = write_config(tmp_path, obj)
+    assert main(["pretrain-backbone", "--config", str(cfg)]) == 1
+    assert f"{section}: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stage0.ckpt").exists()
+
+
+def test_zero_epoch_stages_exit_zero(tmp_path, capsys):
+    obj = json.loads(json.dumps(CONFIG))
+    obj["hyper"]["epochs"] = 0
+    cfg = write_config(tmp_path, obj)
+    for command in STAGE_COMMANDS:
+        assert main([command, "--config", str(cfg)]) == 0, command
+    printed = capsys.readouterr().out
+    for stage in ("stage 0: ", "stage 1: ", "stage 2: "):
+        assert stage in printed and "0 epochs" in printed.split(stage)[1].splitlines()[0]
+    for name in ("stage0.ckpt", "verifier_data.npz", "stage1.ckpt", "final.ckpt", "metrics.csv"):
+        assert (tmp_path / "out" / name).exists(), name
+
+
+def test_bench_without_samples_exits_one(tmp_path, capsys):
+    obj = json.loads(json.dumps(CONFIG))
+    obj["data"]["synth"]["seq_len_range"] = [2, 2]  # below MIN_LOG_LENGTH: no samples
+    cfg = write_config(tmp_path, obj)
+    argv = ["bench", "--config", str(cfg), "--steps", "1"]
+    codes = []
+    # a hang must not stall the suite
+    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert codes == [1]
+    assert "at least one sample" in capsys.readouterr().err
 
 
 # -- staged pipeline -----------------------------------------------------------

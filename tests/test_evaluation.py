@@ -2,6 +2,7 @@
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -229,3 +230,21 @@ def test_timing_identical_conditions_near_zero():
     bank = make_bank([("a", 3)], d_m=8, seed=1)
     result = timing_overhead(bb, bank, split.test, steps=[0], warmup=5, min_samples=60)
     assert abs(result["rows"][0]["overhead_pct"]) < 75.0
+
+
+def test_timing_overhead_rejects_empty_samples():
+    bb = Backbone(MICRO_MODEL)
+    bank = make_bank([("a", 3)], d_m=8, seed=1)
+    outcome = {}
+
+    def call():
+        try:
+            timing_overhead(bb, bank, [], steps=[1])
+        except ValueError as e:
+            outcome["error"] = str(e)
+
+    worker = threading.Thread(target=call, daemon=True)  # a hang must not stall the suite
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "timing_overhead did not return on an empty sample list"
+    assert "at least one sample" in outcome["error"]
