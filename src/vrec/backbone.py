@@ -164,6 +164,3 @@ class Backbone:
         k = self.cfg.n_items if k is None else k
         order = np.lexsort((np.arange(len(scores)), -scores))
         return order[:k]
-
-    def greedy(self, hidden: Tensor, position: int) -> int:
-        return int(self.rank_items(hidden, position, 1)[0])

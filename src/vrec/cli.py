@@ -133,7 +133,9 @@ def cmd_pretrain_verifiers(args) -> int:
     _, history = run_stage1(backbone, dataset, labelings, cfg.hyper, cfg.stage1_epochs,
                             out_dir=cfg.out)
     summary = "0 epochs"
-    if history:
+    if not any(len(s.r_steps) for s in dataset):
+        summary = "no trace has a latent step, nothing to fit"
+    elif history:
         acc, neg_h = history[-1]
         summary = f"accuracy {acc:.3f}, negative entropy {neg_h:.3f}"
     print(f"stage 1: {summary} -> {cfg.out / 'stage1.ckpt'}")

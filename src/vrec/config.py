@@ -28,7 +28,7 @@ the master seed and every sub-seed so one knob re-runs the whole pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .backbone import ModelConfig
@@ -41,9 +41,9 @@ __all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
 SEED_ENV_VAR = "VREC_SEED"
 DIMENSION_NAMES = ("category", "title", "cf")
 
-_MODEL_KEYS = ("d_m", "layers", "heads", "max_positions", "m", "seed")
-_HYPER_KEYS = ("lr", "epochs", "batch", "alpha", "beta", "gamma", "seed")
-_SYNTH_KEYS = ("n_users", "n_items", "n_groups", "stickiness", "seq_len_range", "seed")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "n_items")
+_HYPER_KEYS = tuple(f.name for f in fields(TrainHyper))
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 
 
 class ConfigError(ValueError):

@@ -202,22 +202,31 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100,
 def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
                    d_i: int | None = None, seed: int = 0,
                    cf_epochs: int = 10) -> GroupLabeling:
-    """Compose a labeling for one dimension: category, title, or cf."""
+    """Compose a labeling for one dimension: category, title, or cf.
+
+    A labeling with fewer than 2 classes is refused: its verifier's entropy
+    is always 0, so confidence is full and every step becomes the prototype.
+    """
     if dimension == "category":
-        return label_by_category(items)
-    k = DEFAULT_CLASS_COUNT if d_i is None else d_i
-    if dimension == "title":
-        emb = embed_titles(items)
-    elif dimension == "cf":
-        if samples is None:
-            raise ValueError("cf labeling requires train samples")
-        model = train_cf(samples, n_items=len(items), n_users=n_users,
-                         epochs=cf_epochs, seed=seed)
-        emb = model.item_emb
+        labeling = label_by_category(items)
     else:
-        raise ValueError(f"unknown labeling dimension {dimension!r}")
-    assign, _ = kmeans(emb, k, seed=seed)
-    return GroupLabeling(dimension=dimension, d_i=k, labels=assign)
+        k = DEFAULT_CLASS_COUNT if d_i is None else d_i
+        if dimension == "title":
+            emb = embed_titles(items)
+        elif dimension == "cf":
+            if samples is None:
+                raise ValueError("cf labeling requires train samples")
+            model = train_cf(samples, n_items=len(items), n_users=n_users,
+                             epochs=cf_epochs, seed=seed)
+            emb = model.item_emb
+        else:
+            raise ValueError(f"unknown labeling dimension {dimension!r}")
+        assign, _ = kmeans(emb, k, seed=seed)
+        labeling = GroupLabeling(dimension=dimension, d_i=k, labels=assign)
+    if labeling.d_i < 2:
+        raise ValueError(f"labeling {dimension!r} yields {labeling.d_i} class(es); "
+                         "a verifier needs at least 2")
+    return labeling
 
 
 def save_labeling(labeling: GroupLabeling, path: str | Path) -> None:

@@ -216,12 +216,12 @@ def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tupl
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     items, split = load_corpus(synth_cfg, out_dir=out_dir)
+    labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir) \
+        if use_bank else []
     backbone = Backbone(model_cfg)
     run_stage0(backbone, split, hyper, stage0_epochs, out_dir)
     bank = None
-    labelings: list[GroupLabeling] = []
     if use_bank:
-        labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir)
         dataset = None if skip_verifier_pretrain else \
             run_collection(backbone, split, labelings, out_dir)
         bank, _ = run_stage1(backbone, dataset, labelings, hyper, stage1_epochs,

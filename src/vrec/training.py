@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from .datasets import Sample
 from .labeling import GroupLabeling
 from .numerics import Rng, Tensor, entropy, log, log_softmax, relu
 from .reasoning import ReasoningTrace, greedy_recommend, run_reasoning
-from .verifiers import VerifierBank, predict, route
+from .verifiers import VerifierBank, predict_all
 
 __all__ = [
     "Adam",
@@ -87,23 +87,8 @@ class Adam:
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class TrainLog:
-    """Per-epoch CSV: epoch, L_r, L_v, L_m, total, val_recall@5, wall_seconds."""
-
-    COLUMNS = ["epoch", "L_r", "L_v", "L_m", "total", "val_recall@5", "wall_seconds"]
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path else None
-        self.rows: list[dict] = []
-        if self.path:
-            with self.path.open("w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerow(self.COLUMNS)
-
-    def append(self, **row) -> None:
-        self.rows.append(row)
-        if self.path:
-            with self.path.open("a", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerow([row.get(c, "") for c in self.COLUMNS])
+# per-epoch CSV log columns; a stage leaves blank the ones it does not compute
+LOG_COLUMNS = ["epoch", "L_r", "L_v", "L_m", "total", "val_recall@5", "wall_seconds"]
 
 
 def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target: int) -> Tensor:
@@ -119,47 +104,69 @@ def _mean(losses: list[Tensor]) -> Tensor:
     return acc * (1.0 / len(losses))
 
 
-def _batches(n: int, batch: int, rng: Rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch):
-        yield order[start:start + batch]
+def _write_log_row(path: str | Path | None, row: list, mode: str) -> None:
+    if path:
+        with Path(path).open(mode, encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(row)
 
 
-def _check_finite(value: float, stage: str, epoch: int) -> None:
-    if not np.isfinite(value):
-        raise FloatingPointError(f"{stage}: loss became {value} at epoch {epoch}")
+def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, stream: int,
+         batch_losses, log_path: str | Path | None, epoch_end=None) -> list[dict]:
+    """The epoch loop of every stage: Adam on ``params`` over minibatches of
+    sample indices ``range(n)``, shuffled by RNG stream ``stream``.
+
+    ``batch_losses(idx)`` returns an ordered dict of loss Tensors for one
+    minibatch; its ``"total"`` is optimised. Each epoch's row holds their
+    sample-weighted means, then the entries of ``epoch_end()``, ``epoch``
+    and ``wall_seconds``; it is appended to the CSV log at ``log_path``.
+    """
+    if n == 0 and hyper.epochs:
+        raise ValueError(f"{stage}: no samples to fit")
+    opt = Adam(params, lr=hyper.lr)
+    rng = Rng(hyper.seed, stream)
+    _write_log_row(log_path, LOG_COLUMNS, "w")
+    rows: list[dict] = []
+    for epoch in range(hyper.epochs):
+        t0 = time.monotonic()
+        sums: dict[str, float] = {}
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch):
+            idx = order[start:start + hyper.batch]
+            losses = batch_losses(idx)
+            total = losses["total"].item()
+            if not np.isfinite(total):
+                raise FloatingPointError(f"{stage}: loss became {total} at epoch {epoch}")
+            opt.zero_grad()
+            losses["total"].backward()
+            opt.step()
+            for key, value in losses.items():
+                sums[key] = sums.get(key, 0.0) + value.item() * len(idx)
+        row = {key: value / n for key, value in sums.items()}
+        row.update(epoch_end() if epoch_end else {})
+        row["epoch"] = epoch
+        row["wall_seconds"] = round(time.monotonic() - t0, 3)
+        rows.append(row)
+        _write_log_row(log_path, [row.get(c, "") for c in LOG_COLUMNS], "a")
+    return rows
 
 
 def pretrain_backbone(backbone: Backbone, samples: list[Sample], hyper: TrainHyper,
                       log_path: str | Path | None = None) -> list[float]:
     """Stage 0: reason-then-recommend training with the recommendation loss only."""
-    opt = Adam(backbone.params(), lr=hyper.lr)
-    rng = Rng(hyper.seed, 30)
-    tlog = TrainLog(log_path)
-    epoch_losses: list[float] = []
     m = backbone.cfg.m
-    for epoch in range(hyper.epochs):
-        t0 = time.monotonic()
-        total = 0.0
-        count = 0
-        for idx in _batches(len(samples), hyper.batch, rng):
-            losses = []
-            for j in idx:
-                s = samples[j]
-                _, hidden = run_reasoning(backbone, None, s.history, m)
-                losses.append(recommendation_loss(backbone, hidden, s.target))
-            loss = _mean(losses)
-            _check_finite(loss.item(), "pretrain_backbone", epoch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-            count += len(idx)
-        mean_loss = total / count
-        epoch_losses.append(mean_loss)
-        tlog.append(epoch=epoch, L_r=mean_loss, L_v=0.0, L_m=0.0, total=mean_loss,
-                   wall_seconds=round(time.monotonic() - t0, 3))
-    return epoch_losses
+
+    def batch_losses(idx):
+        losses = []
+        for j in idx:
+            s = samples[j]
+            _, hidden = run_reasoning(backbone, None, s.history, m)
+            losses.append(recommendation_loss(backbone, hidden, s.target))
+        loss = _mean(losses)
+        return {"L_r": loss, "total": loss}
+
+    rows = _fit("pretrain_backbone", backbone.params(), len(samples), hyper, 30,
+                batch_losses, log_path, epoch_end=lambda: {"L_v": 0.0, "L_m": 0.0})
+    return [row["total"] for row in rows]
 
 
 def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
@@ -199,9 +206,8 @@ def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
         raise ValueError("verifier_loss requires a non-empty trace")
     terms: list[Tensor] = []
     for r in vectors:
-        w = route(bank, r)
-        for i, verifier in enumerate(bank.verifiers):
-            p = predict(verifier, w[i] * r)
+        _, ps = predict_all(bank, r)
+        for i, (verifier, p) in enumerate(zip(bank.verifiers, ps)):
             if labels is None:
                 terms.append(-alpha * entropy(p))
             else:
@@ -219,10 +225,8 @@ def verifier_stats(bank: VerifierBank, dataset: list[VerifierSample]) -> tuple[f
     neg_entropies: list[float] = []
     for sample in dataset:
         for r_vec in sample.r_steps:
-            r = Tensor(r_vec)
-            w = route(bank, r)
-            for i, verifier in enumerate(bank.verifiers):
-                p = predict(verifier, w[i] * r)
+            _, ps = predict_all(bank, Tensor(r_vec))
+            for i, p in enumerate(ps):
                 if sample.labels is None:
                     neg_entropies.append(entropy(p).item())
                 else:
@@ -238,34 +242,23 @@ def pretrain_verifiers(bank: VerifierBank, dataset: list[VerifierSample],
                        ) -> list[tuple[float, float]]:
     """Stage 1 training: fit the bank on collected traces, backbone frozen.
 
-    Returns per-epoch (positive accuracy, negative mean entropy).
+    Returns per-epoch (positive accuracy, negative mean entropy); empty when
+    no trace has a latent step.
     """
     if not dataset:
         raise ValueError("verifier dataset is empty")
     usable = [s for s in dataset if len(s.r_steps)]
-    opt = Adam(bank.params(), lr=hyper.lr)
-    rng = Rng(hyper.seed, 31)
-    tlog = TrainLog(log_path)
-    history: list[tuple[float, float]] = []
-    for epoch in range(hyper.epochs):
-        t0 = time.monotonic()
-        total = 0.0
-        count = 0
-        for idx in _batches(len(usable), hyper.batch, rng):
-            losses = [verifier_loss(bank, usable[j].r_steps, usable[j].labels, hyper.alpha)
-                      for j in idx]
-            loss = _mean(losses)
-            _check_finite(loss.item(), "pretrain_verifiers", epoch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-            count += len(idx)
-        acc, neg_h = verifier_stats(bank, usable)
-        history.append((acc, neg_h))
-        tlog.append(epoch=epoch, L_v=total / count, total=total / count,
-                   wall_seconds=round(time.monotonic() - t0, 3))
-    return history
+    if not usable:  # with m=0 no trace has a latent step: there is nothing to fit
+        hyper = replace(hyper, epochs=0)
+
+    def batch_losses(idx):
+        loss = _mean([verifier_loss(bank, usable[j].r_steps, usable[j].labels, hyper.alpha)
+                      for j in idx])
+        return {"L_v": loss, "total": loss}
+
+    rows = _fit("pretrain_verifiers", bank.params(), len(usable), hyper, 31, batch_losses,
+                log_path, epoch_end=lambda: {"stats": verifier_stats(bank, usable)})
+    return [row["stats"] for row in rows]
 
 
 def monotonicity_loss(trace) -> Tensor:
@@ -295,43 +288,27 @@ def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
 
     params = {f"backbone.{k}": v for k, v in backbone.params().items()}
     params.update({f"bank.{k}": v for k, v in bank.params().items()})
-    opt = Adam(params, lr=hyper.lr)
-    rng = Rng(hyper.seed, 32)
-    tlog = TrainLog(log_path)
     m = backbone.cfg.m
     target_labels = np.stack([lab.labels for lab in labelings], axis=1)  # item -> per-dim classes
-    history: list[dict] = []
-    for epoch in range(hyper.epochs):
-        t0 = time.monotonic()
-        sums = {"L_r": 0.0, "L_v": 0.0, "L_m": 0.0, "total": 0.0}
-        count = 0
-        for idx in _batches(len(samples), hyper.batch, rng):
-            l_r_parts, l_v_parts, l_m_parts = [], [], []
-            for j in idx:
-                s = samples[j]
-                trace, hidden = run_reasoning(backbone, bank, s.history, m)
-                l_r_parts.append(recommendation_loss(backbone, hidden, s.target))
-                if m > 0:
-                    l_v_parts.append(verifier_loss(bank, trace, target_labels[s.target],
-                                                   hyper.alpha))
-                    l_m_parts.append(monotonicity_loss(trace))
-            l_r = _mean(l_r_parts)
-            l_v = _mean(l_v_parts) if l_v_parts else Tensor(0.0)
-            l_m = _mean(l_m_parts) if l_m_parts else Tensor(0.0)
-            total = l_r + hyper.beta * l_v + hyper.gamma * l_m
-            _check_finite(total.item(), "finetune", epoch)
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            for key, val in (("L_r", l_r), ("L_v", l_v), ("L_m", l_m), ("total", total)):
-                sums[key] += val.item() * len(idx)
-            count += len(idx)
-        row = {k: v / count for k, v in sums.items()}
-        if valid_samples:
-            report = evaluate(backbone, bank, valid_samples, m=m, ks=(5,))
-            row["val_recall@5"] = report.recall[5]
-        row["epoch"] = epoch
-        row["wall_seconds"] = round(time.monotonic() - t0, 3)
-        history.append(row)
-        tlog.append(**row)
-    return history
+
+    def batch_losses(idx):
+        l_r_parts, l_v_parts, l_m_parts = [], [], []
+        for j in idx:
+            s = samples[j]
+            trace, hidden = run_reasoning(backbone, bank, s.history, m)
+            l_r_parts.append(recommendation_loss(backbone, hidden, s.target))
+            if m > 0:
+                l_v_parts.append(verifier_loss(bank, trace, target_labels[s.target],
+                                               hyper.alpha))
+                l_m_parts.append(monotonicity_loss(trace))
+        l_r = _mean(l_r_parts)
+        l_v = _mean(l_v_parts) if l_v_parts else Tensor(0.0)
+        l_m = _mean(l_m_parts) if l_m_parts else Tensor(0.0)
+        total = l_r + hyper.beta * l_v + hyper.gamma * l_m
+        return {"L_r": l_r, "L_v": l_v, "L_m": l_m, "total": total}
+
+    def val_recall():
+        return {"val_recall@5": evaluate(backbone, bank, valid_samples, m=m, ks=(5,)).recall[5]}
+
+    return _fit("finetune", params, len(samples), hyper, 32, batch_losses, log_path,
+                epoch_end=val_recall if valid_samples else None)

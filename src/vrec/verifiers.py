@@ -24,7 +24,7 @@ from .numerics import (
     softmax,
 )
 
-__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "make_bank"]
+__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "make_bank", "predict_all"]
 
 EPSILON = 1e-6
 
@@ -137,6 +137,12 @@ def predict(verifier: Verifier, x: Tensor) -> Tensor:
     return softmax(matmul(h, verifier.w_last) + verifier.b_last)
 
 
+def predict_all(bank: VerifierBank, r: Tensor) -> tuple[Tensor, list[Tensor]]:
+    """Router weights w and every verifier's distribution p_i = predict(v_i, w_i r)."""
+    w = route(bank, r)
+    return w, [predict(verifier, w[i] * r) for i, verifier in enumerate(bank.verifiers)]
+
+
 def guidance(verifier: Verifier, p: Tensor) -> tuple[int, Tensor]:
     """Prototype column of the predicted class: exactly W_last[:, argmax p]."""
     j_star = int(np.argmax(p.data))
@@ -150,15 +156,13 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     term is a convex combination of the raw representation and the chosen
     prototype.
     """
-    w = route(bank, r)
-    verdict = StepVerdict(w=w, p=[], f=[], c=[], j_star=[], g=[])
+    w, ps = predict_all(bank, r)
+    verdict = StepVerdict(w=w, p=ps, f=[], c=[], j_star=[], g=[])
     acc = None
-    for i, verifier in enumerate(bank.verifiers):
-        p = predict(verifier, w[i] * r)
+    for verifier, p in zip(bank.verifiers, ps):
         f = entropy(p)
         c = confidence(f, eps=bank.epsilon)
         j_star, g = guidance(verifier, p)
-        verdict.p.append(p)
         verdict.f.append(f)
         verdict.c.append(c)
         verdict.j_star.append(j_star)

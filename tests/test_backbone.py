@@ -5,6 +5,7 @@ import pytest
 
 from vrec.backbone import Backbone, ModelConfig
 from vrec.numerics import Tensor, softmax
+from vrec.reasoning import greedy_recommend
 
 
 def small_cfg(**kw):
@@ -94,7 +95,7 @@ def test_greedy_is_top_of_scores():
     bb = Backbone(small_cfg())
     hidden = bb.encode([0, 3, 5])
     scores = bb.next_item_scores(hidden, 2).data
-    assert bb.greedy(hidden, 2) == int(scores.argmax())
+    assert greedy_recommend(bb, hidden) == int(scores.argmax())
 
 
 def test_rank_full_permutation_and_oracle():

@@ -147,6 +147,52 @@ def test_bench_without_samples_exits_one(tmp_path, capsys):
     assert "at least one sample" in capsys.readouterr().err
 
 
+def test_m0_chain_exits_zero(tmp_path, capsys):
+    obj = json.loads(json.dumps(CONFIG))
+    obj["model"]["m"] = 0
+    obj["dimensions"] = [{"name": "category"}]
+    cfg = write_config(tmp_path, obj)
+    for command in STAGE_COMMANDS:
+        assert main([command, "--config", str(cfg)]) == 0, command
+    printed = capsys.readouterr().out
+    assert "stage 1: no trace has a latent step" in printed
+    assert "nan" not in printed
+    for name in ("stage1.ckpt", "final.ckpt", "metrics.csv"):
+        assert (tmp_path / "out" / name).exists(), name
+
+
+def test_sweep_m_from_zero_writes_rows(tmp_path):
+    obj = json.loads(json.dumps(CONFIG))
+    obj["dimensions"] = [{"name": "category"}]
+    cfg = write_config(tmp_path, obj)
+    assert main(["sweep", "--config", str(cfg), "--param", "m", "--values", "0,1"]) == 0
+    lines = (tmp_path / "out" / "sweep_m.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["m", "0"], ["m", "1"]]
+
+
+def test_one_class_labeling_rejected(tmp_path, capsys):
+    obj = json.loads(json.dumps(CONFIG))
+    obj["data"]["synth"]["n_groups"] = 1
+    obj["dimensions"] = [{"name": "category"}]
+    cfg = write_config(tmp_path, obj)
+    assert main(["gen-data", "--config", str(cfg)]) == 0  # the planted labeling may have 1 class
+    assert main(["label", "--config", str(cfg)]) == 1
+    assert "'category'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "labeling_category.jsonl").exists()
+
+
+def test_one_class_labeling_rejected_before_training(tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
+    cfg = load_config(write_config(tmp_path))
+    synth = replace(cfg.synth, n_groups=1)
+    with pytest.raises(ValueError, match="'category'"):
+        run_pipeline(synth, cfg.model_config(synth.n_items), cfg.hyper, [("category", None)],
+                     out_dir=tmp_path / "run")
+    assert not trained
+    assert not (tmp_path / "run" / "stage0.ckpt").exists()
+
+
 # -- staged pipeline -----------------------------------------------------------
 
 

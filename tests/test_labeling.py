@@ -175,6 +175,18 @@ def test_build_labeling_unknown_dimension():
         build_labeling("mood", [])
 
 
+@pytest.mark.parametrize("dimension", ["category", "title"])
+def test_build_labeling_rejects_one_class(dimension):
+    items = items_with_categories(["x"] * 5)
+    with pytest.raises(ValueError, match=f"'{dimension}'.*at least 2"):
+        build_labeling(dimension, items, d_i=1)
+
+
+def test_planted_labeling_with_one_group_allowed():
+    _, _, planted = generate_synthetic(SynthConfig(n_users=5, n_items=6, n_groups=1, seed=0))
+    assert planted.d_i == 1 and set(planted.labels) == {0}
+
+
 def test_labeling_roundtrip_jsonl(tmp_path, synth):
     items, _, _, _ = synth
     lab = build_labeling("title", items, d_i=4, seed=42)

@@ -1,5 +1,7 @@
 """Training-stage tests: optimizer, losses, dataset collection, fine-tuning."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,17 @@ def test_pretrain_nan_failure_names_epoch(corpus):
         pretrain_backbone(bb, split.train[:8], TrainHyper(epochs=1, batch=8, seed=0))
 
 
+def test_stages_without_samples_raise(corpus):
+    _, _, labelings = corpus
+    bb = Backbone(small_model())
+    bank = make_bank([(l.dimension, l.d_i) for l in labelings], d_m=24, seed=0)
+    with pytest.raises(ValueError, match="pretrain_backbone: no samples to fit"):
+        pretrain_backbone(bb, [], TrainHyper(epochs=1))
+    with pytest.raises(ValueError, match="finetune: no samples to fit"):
+        finetune(bb, bank, [], labelings, TrainHyper(epochs=1))
+    assert pretrain_backbone(bb, [], TrainHyper(epochs=0)) == []
+
+
 def test_training_log_csv(tmp_path, corpus):
     _, split, _ = corpus
     bb = Backbone(small_model())
@@ -293,6 +306,16 @@ def test_pretrain_verifiers_empty_dataset():
         pretrain_verifiers(bank, [], TrainHyper())
 
 
+def test_pretrain_verifiers_without_latent_steps():
+    bank = make_bank([("a", 3)], d_m=8, seed=0)
+    before = {k: v.data.copy() for k, v in bank.params().items()}
+    ds = [VerifierSample(r_steps=np.zeros((0, 8)), labels=None),
+          VerifierSample(r_steps=np.zeros((0, 8)), labels=np.array([1]))]
+    assert pretrain_verifiers(bank, ds, TrainHyper(epochs=2)) == []
+    for k, v in bank.params().items():
+        assert np.array_equal(v.data, before[k])
+
+
 # -- stage 2 -------------------------------------------------------------
 
 
@@ -348,3 +371,42 @@ def test_finetune_deterministic(corpus):
 def test_hyper_validation():
     with pytest.raises(ValueError, match="non-negative"):
         TrainHyper(beta=-0.1)
+
+
+# -- logs ----------------------------------------------------------------
+
+
+def read_log(path):
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_stage_logs_match_returned_history(tmp_path, corpus):
+    _, split, labelings = corpus
+    bb = Backbone(small_model())
+    hyper = TrainHyper(lr=3e-3, epochs=2, batch=8, seed=5)
+
+    losses = pretrain_backbone(bb, split.train[:16], hyper, log_path=tmp_path / "s0.csv")
+    rows = read_log(tmp_path / "s0.csv")
+    assert [float(r["L_r"]) for r in rows] == losses
+    assert [float(r["total"]) for r in rows] == losses
+    assert all(r["L_v"] == r["L_m"] == "0.0" and r["val_recall@5"] == "" for r in rows)
+
+    ds = collect_verifier_dataset(bb, split.train[:16], labelings, m=2)
+    bank = make_bank([(l.dimension, l.d_i) for l in labelings], d_m=24, seed=5)
+    history = pretrain_verifiers(bank, ds, hyper, log_path=tmp_path / "s1.csv")
+    rows = read_log(tmp_path / "s1.csv")
+    assert len(rows) == len(history) == 2
+    for r in rows:
+        assert r["L_r"] == r["L_m"] == r["val_recall@5"] == ""
+        assert r["L_v"] == r["total"] != ""
+
+    history = finetune(bb, bank, split.train[:16], labelings, hyper,
+                       valid_samples=split.valid[:4], log_path=tmp_path / "s2.csv")
+    rows = read_log(tmp_path / "s2.csv")
+    assert len(rows) == len(history) == 2
+    for r, h in zip(rows, history):
+        for key in ("epoch", "L_r", "L_v", "L_m", "total", "val_recall@5"):
+            assert r[key] != "" and float(r[key]) == h[key], key
+    for r in read_log(tmp_path / "s0.csv") + read_log(tmp_path / "s1.csv") + rows:
+        assert float(r["wall_seconds"]) >= 0.0
