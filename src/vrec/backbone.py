@@ -4,12 +4,17 @@ Items are single tokens; the model encodes an interaction history, accepts
 latent reasoning vectors injected at reserved trailing positions, and ranks
 the item vocabulary from any position's hidden state. The output projection
 is weight-tied to the token embedding table, restricted to item rows.
+
+The model is causal, so a position's hidden state never changes once
+computed. ``encode`` can therefore extend a sequence through a per-request
+``KVCache``: each call computes only the positions it is given, attending
+to the keys and values the cache kept from earlier calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .numerics import (
     softmax,
 )
 
-__all__ = ["Backbone", "ModelConfig"]
+__all__ = ["Backbone", "KVCache", "ModelConfig"]
 
 N_SPECIAL_TOKENS = 1  # one reserved non-item token keeps item-row restriction honest
 MASK_VALUE = -1e30
@@ -55,6 +60,21 @@ class ModelConfig:
         return self.n_items + N_SPECIAL_TOKENS
 
 
+@dataclass
+class KVCache:
+    """One request's attention keys and values, one (T, d_m) Tensor per layer.
+
+    They are ordinary graph Tensors, so a loss back-propagates through every
+    position the cache holds.
+    """
+
+    keys: list[Tensor] = field(default_factory=list)
+    values: list[Tensor] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return self.keys[0].shape[0] if self.keys else 0
+
+
 class Backbone:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -62,13 +82,13 @@ class Backbone:
         d = cfg.d_m
 
         def w(shape):
-            return Tensor(rng.normal(shape, std=0.02), requires_grad=True)
+            return Tensor(rng.normal(shape, std=0.02))
 
         def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
+            return Tensor(np.zeros(shape))
 
         def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
+            return Tensor(np.ones(shape))
 
         p: dict[str, Tensor] = {}
         p["tok_emb"] = w((cfg.vocab, d))
@@ -96,7 +116,9 @@ class Backbone:
     def param_count(self) -> int:
         return sum(t.size for t in self._params.values())
 
-    def _attend(self, x: Tensor, i: int, mask: Tensor) -> Tensor:
+    def _attend(self, x: Tensor, i: int, mask: Tensor | None, cache: KVCache) -> Tensor:
+        """Attention of the new rows ``x`` over the cached and new keys;
+        appends the new keys and values to layer ``i`` of ``cache``."""
         p = self._params
         pre = f"blocks.{i}.attn."
         d, heads = self.cfg.d_m, self.cfg.heads
@@ -104,31 +126,49 @@ class Backbone:
         q = add_rowvec(matmul(x, p[pre + "wq"]), p[pre + "bq"])
         k = add_rowvec(matmul(x, p[pre + "wk"]), p[pre + "bk"])
         v = add_rowvec(matmul(x, p[pre + "wv"]), p[pre + "bv"])
+        if i < len(cache.keys):
+            k = cache.keys[i] = concat([cache.keys[i], k], axis=0)
+            v = cache.values[i] = concat([cache.values[i], v], axis=0)
+        else:
+            cache.keys.append(k)
+            cache.values.append(v)
         outs = []
         scale = 1.0 / math.sqrt(dh)
         for h in range(heads):
             qh = q[:, h * dh:(h + 1) * dh]
             kh = k[:, h * dh:(h + 1) * dh]
             vh = v[:, h * dh:(h + 1) * dh]
-            att = softmax(matmul(qh, kh.transpose()) * scale + mask)
+            logits = matmul(qh, kh.transpose()) * scale
+            att = softmax(logits if mask is None else logits + mask)
             outs.append(matmul(att, vh))
         joined = concat(outs, axis=1)
         return add_rowvec(matmul(joined, p[pre + "wo"]), p[pre + "bo"])
 
-    def encode(self, history: list[int], injected: list[tuple[int, Tensor]] | None = None) -> Tensor:
+    def encode(self, history: list[int], injected: list[tuple[int, Tensor]] | None = None,
+               cache: KVCache | None = None) -> Tensor:
         """Hidden states for history tokens plus injected latent vectors.
 
         Injected latents occupy the positions immediately after the history,
         in order; each replaces the token lookup at its position (positional
-        embedding still added). Returns the last layer's (T, d_m) states.
+        embedding still added). Returns the last layer's (T, d_m) states of
+        the positions given.
+
+        With a ``cache``, ``history`` and ``injected`` are only the new
+        positions, which start at ``len(cache)``; they attend to every
+        cached position, and the cache grows by them. ``history`` may then
+        be empty. Without one, the sequence starts at position 0.
         """
-        L = len(history)
+        cache = KVCache() if cache is None else cache
+        start = len(cache)
+        L = start + len(history)
         injected = injected or []
         T = L + len(injected)
         if T > self.cfg.max_positions:
             raise ValueError(f"sequence length {T} exceeds max_positions {self.cfg.max_positions}")
         if L == 0:
             raise ValueError("encode requires a non-empty history")
+        if T == start:
+            raise ValueError("encode requires at least one new position")
         for offset, (pos, vec) in enumerate(injected):
             if pos != L + offset:
                 raise ValueError(f"injected latent at position {pos}, expected {L + offset}")
@@ -136,16 +176,18 @@ class Backbone:
                 raise ValueError(f"latent vector shape {vec.data.shape}, expected ({self.cfg.d_m},)")
 
         p = self._params
-        parts = [embedding_lookup(p["tok_emb"], history)]
+        parts = [embedding_lookup(p["tok_emb"], history)] if history else []
         parts.extend(vec.reshape(1, self.cfg.d_m) for _, vec in injected)
         x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
-        x = x + p["pos_emb"][:T]
+        x = x + p["pos_emb"][start:T]
 
-        mask = Tensor(np.triu(np.full((T, T), MASK_VALUE), k=1))
+        # row r sits at position start + r and sees positions 0..start + r
+        n = T - start
+        mask = Tensor(np.triu(np.full((n, T), MASK_VALUE), k=start + 1)) if n > 1 else None
         for i in range(self.cfg.layers):
             pre = f"blocks.{i}."
             normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-            x = x + self._attend(normed, i, mask)
+            x = x + self._attend(normed, i, mask, cache)
             normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
             h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
             x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])

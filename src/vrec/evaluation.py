@@ -108,10 +108,14 @@ def _fmt(value) -> str:
 def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
                     steps: list[int], warmup: int = 10, min_samples: int = 100,
                     out_dir: str | Path | None = None) -> dict:
-    """Median per-sample inference time with and without verification, per m.
+    """Median per-request inference time with and without verification, per m.
 
-    overhead% = (t_with - t_without) / t_without. The reference average from
-    the source efficiency table is attached as metadata, not asserted.
+    A request is ``run_reasoning`` plus ``recommend``, what serving one
+    costs. The two conditions alternate sample by sample, and which goes
+    first alternates too, so a change of host speed during the run falls
+    on both alike. overhead% = (t_with - t_without) / t_without. The
+    reference average from the source efficiency table is attached as
+    metadata, not asserted.
     """
     if not samples:
         raise ValueError("timing_overhead needs at least one sample to time")
@@ -119,17 +123,20 @@ def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample
     while len(pool) < min_samples:
         pool = pool + list(samples)
 
+    def request(cond_bank, history, m):
+        _, hidden = run_reasoning(backbone, cond_bank, history, m)
+        recommend(backbone, hidden)
+
     rows = []
     for m in steps:
         for cond_bank in (None, bank):
             for s in pool[:warmup]:
-                run_reasoning(backbone, cond_bank, s.history, m)
+                request(cond_bank, s.history, m)
         durations = {True: [], False: []}
-        for with_bank in (False, True):
-            cond_bank = bank if with_bank else None
-            for s in pool:
+        for i, s in enumerate(pool):
+            for with_bank in ((False, True) if i % 2 == 0 else (True, False)):
                 t0 = time.perf_counter()
-                run_reasoning(backbone, cond_bank, s.history, m)
+                request(bank if with_bank else None, s.history, m)
                 durations[with_bank].append(time.perf_counter() - t0)
         t_without = float(np.median(durations[False]))
         t_with = float(np.median(durations[True]))

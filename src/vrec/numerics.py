@@ -5,18 +5,22 @@ operator set in this module. Arrays are row-major float64 throughout;
 there is no broadcasting except scalar-with-tensor, so shape mismatches
 fail loudly instead of silently expanding.
 
-Two rules keep the core small:
+Three rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - Every op builds its output through ``_node``, which links the output into
   the graph only when some child is tracked; an op on untracked inputs
   builds no graph and runs no gradient-only work.
+- Model parameters are created untracked. Only the tensors being fitted or
+  grad-checked are tracked, and only inside ``tracking(tensors)``, so
+  inference and evaluation build no graph at all.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,14 +41,16 @@ __all__ = [
     "matmul",
     "relu",
     "softmax",
+    "tracking",
 ]
 
 
 class Tensor:
     """A float64 array plus an optional reverse-mode graph node.
 
-    ``requires_grad=True`` marks a leaf parameter: ``backward`` accumulates
-    d(loss)/d(leaf) into ``.grad``. Tensors produced by operators carry a
+    ``requires_grad=True`` marks a leaf to differentiate (``tracking`` sets
+    it for a block): ``backward`` accumulates d(loss)/d(leaf) into
+    ``.grad``. Tensors produced by operators on tracked inputs carry a
     vector-Jacobian closure and propagate instead of accumulating.
     """
 
@@ -140,11 +146,14 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every tracked leaf's ``.grad``.
 
-        ``self`` must be a scalar (size 1). Repeated calls without a grad
-        reset keep accumulating.
+        ``self`` must be a scalar (size 1) that depends on a tracked tensor.
+        Repeated calls without a grad reset keep accumulating.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
+        if not self.tracked():
+            raise ValueError("backward: the loss depends on no tracked tensor; build it "
+                             "inside numerics.tracking(params)")
         topo = _topo_order(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
@@ -158,15 +167,34 @@ class Tensor:
             if node._vjp is None:
                 continue
             for child, cg in zip(node._children, node._vjp(g)):
-                if cg is None or not child.tracked():
+                if cg is None or not (child.requires_grad or child._vjp is not None):
                     continue
                 prev = grads.get(id(child))
                 grads[id(child)] = cg if prev is None else prev + cg
 
 
+@contextmanager
+def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
+    """Mark ``tensors`` as leaves to differentiate for the length of the block.
+
+    Ops on them build a graph only inside the block; on exit, also by an
+    exception, each tensor's previous ``requires_grad`` comes back.
+    """
+    tensors = list(tensors)
+    saved = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = True
+    try:
+        yield
+    finally:
+        for t, was in zip(tensors, saved):
+            t.requires_grad = was
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS; graphs from unrolled reasoning loops overflow Python's
-    # recursion limit.
+    # recursion limit. Here, in backward and in _node the test of
+    # Tensor.tracked is written out: they run once per graph edge.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -180,7 +208,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for child in node._children:
-            if id(child) not in visited and child.tracked():
+            if (child.requires_grad or child._vjp is not None) and id(child) not in visited:
                 stack.append((child, False))
     return order
 
@@ -194,9 +222,11 @@ def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
     """
     out = Tensor(data)
     out._op = op
-    if any(c.tracked() for c in children):
-        out._children = children
-        out._vjp = vjp
+    for c in children:
+        if c.requires_grad or c._vjp is not None:
+            out._children = children
+            out._vjp = vjp
+            break
     return out
 
 
@@ -413,13 +443,14 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
     """Max relative error between reverse-mode and central-difference gradients.
 
     ``f`` must be a deterministic closure over ``params`` returning a scalar
-    tensor. Relative error is |ad - fd| / (|fd| + 1e-12), maximized over every
-    element of every parameter.
+    tensor. Only the analytic pass tracks ``params``. Relative error is
+    |ad - fd| / (|fd| + 1e-12), maximized over every element of every
+    parameter.
     """
     for p in params:
         p.zero_grad()
-    loss = f()
-    loss.backward()
+    with tracking(params):
+        f().backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
 
     worst = 0.0

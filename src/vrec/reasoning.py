@@ -1,9 +1,10 @@
 """Interleaved reason-verify loop over latent steps.
 
-Each step re-encodes the history plus all previously adjusted latents,
-reads the last position's hidden state as the new reasoning representation,
-and (when a verifier bank is present) replaces it with the confidence-
-adjusted version before injecting it for the next step.
+The history is encoded once into a per-request KV cache. Each step reads
+the last position's hidden state as the new reasoning representation,
+replaces it (when a verifier bank is present) with its confidence-adjusted
+version, and injects that as the next position, so the backbone computes
+one new row per step and every position exactly once.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone
-from .numerics import Tensor
+from .backbone import Backbone, KVCache
+from .numerics import Tensor, concat
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
 __all__ = ["ReasoningTrace", "homogeneity", "pca_project", "recommend",
@@ -35,15 +36,18 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
                   history: list[int], m: int) -> tuple[ReasoningTrace, Tensor]:
     """Produce m adjusted latent steps, then the final encoding.
 
-    Returns the trace and the hidden states of the last pass (history plus
-    all m adjusted latents); the recommendation reads the last position.
+    Returns the trace and the (L + m, d_m) hidden states of the history
+    plus all m adjusted latents; the recommendation reads the last position.
     """
     L = len(history)
+    if L + m > backbone.cfg.max_positions:
+        raise ValueError(f"sequence length {L + m} exceeds max_positions "
+                         f"{backbone.cfg.max_positions}")
+    cache = KVCache()
+    rows = [backbone.encode(history, cache=cache)]
     steps: list[tuple[Tensor, Tensor, StepVerdict | None]] = []
-    latents: list[tuple[int, Tensor]] = []
     for t in range(m):
-        hidden = backbone.encode(history, latents)
-        r_t = hidden[L + t - 1]
+        r_t = rows[-1][-1]
         if bank is not None:
             verdict = verify_and_adjust(bank, r_t)
             r_adj = verdict.r_star
@@ -51,8 +55,8 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
             verdict = None
             r_adj = r_t
         steps.append((r_t, r_adj, verdict))
-        latents.append((L + t, r_adj))
-    final_hidden = backbone.encode(history, latents)
+        rows.append(backbone.encode([], [(L + t, r_adj)], cache=cache))
+    final_hidden = concat(rows, axis=0) if len(rows) > 1 else rows[0]
     return ReasoningTrace(steps=steps, m=m), final_hidden
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .backbone import Backbone
 from .datasets import Sample
 from .labeling import GroupLabeling
-from .numerics import Rng, Tensor, entropy, log, log_softmax, relu
+from .numerics import Rng, Tensor, entropy, log, log_softmax, relu, tracking
 from .reasoning import ReasoningTrace, greedy_recommend, run_reasoning
 from .verifiers import VerifierBank, predict_all
 
@@ -119,6 +119,9 @@ def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, strea
     minibatch; its ``"total"`` is optimised. Each epoch's row holds their
     sample-weighted means, then the entries of ``epoch_end()``, ``epoch``
     and ``wall_seconds``; it is appended to the CSV log at ``log_path``.
+    ``params`` are tracked only while a batch's losses are built and
+    back-propagated, so ``epoch_end`` and everything after ``_fit`` build
+    no graph.
     """
     if n == 0 and hyper.epochs:
         raise ValueError(f"{stage}: no samples to fit")
@@ -132,12 +135,13 @@ def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, strea
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch):
             idx = order[start:start + hyper.batch]
-            losses = batch_losses(idx)
-            total = losses["total"].item()
-            if not np.isfinite(total):
-                raise FloatingPointError(f"{stage}: loss became {total} at epoch {epoch}")
-            opt.zero_grad()
-            losses["total"].backward()
+            with tracking(params.values()):
+                losses = batch_losses(idx)
+                total = losses["total"].item()
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"{stage}: loss became {total} at epoch {epoch}")
+                opt.zero_grad()
+                losses["total"].backward()
             opt.step()
             for key, value in losses.items():
                 sums[key] = sums.get(key, 0.0) + value.item() * len(idx)

@@ -111,14 +111,12 @@ def make_bank(dimensions: list[tuple[str, int]], d_m: int, seed: int = 0,
                 raise ValueError("hidden_depth > 1 requires a positive hidden_width")
             widths = [d_m] + [hidden_width] * (hidden_depth - 2) + [d_m]
             for a, b in zip(widths, widths[1:]):
-                hidden.append((Tensor(rng.normal((a, b), std=0.02), requires_grad=True),
-                               Tensor(np.zeros(b), requires_grad=True)))
+                hidden.append((Tensor(rng.normal((a, b), std=0.02)), Tensor(np.zeros(b))))
         verifiers.append(Verifier(
             dimension=name, d_i=d_i, hidden=hidden,
-            w_last=Tensor(rng.normal((d_m, d_i), std=0.02), requires_grad=True),
-            b_last=Tensor(np.zeros(d_i), requires_grad=True)))
-    router = Router(a=Tensor(rng.normal((len(dimensions), d_m), std=0.02), requires_grad=True),
-                    bias=Tensor(np.zeros(len(dimensions)), requires_grad=True))
+            w_last=Tensor(rng.normal((d_m, d_i), std=0.02)), b_last=Tensor(np.zeros(d_i))))
+    router = Router(a=Tensor(rng.normal((len(dimensions), d_m), std=0.02)),
+                    bias=Tensor(np.zeros(len(dimensions))))
     return VerifierBank(verifiers=verifiers, router=router)
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Tensor, softmax
+from vrec.backbone import Backbone, KVCache, ModelConfig
+from vrec.numerics import Rng, Tensor, softmax
 from vrec.reasoning import greedy_recommend
 
 
@@ -70,6 +70,36 @@ def test_injected_latents_replace_lookup():
     with_lat = bb.encode([0, 3, 5], [(3, lat)])
     assert with_lat.shape == (4, 16)
     assert np.array_equal(with_lat.data[:3], plain.data[:3])
+
+
+def test_cached_encode_in_chunks_matches_one_pass():
+    bb = Backbone(small_cfg())
+    hist = [1, 4, 2, 8, 6, 0]
+    latents = [(6, Tensor(Rng(1).normal((16,)))), (7, Tensor(Rng(2).normal((16,))))]
+    full = bb.encode(hist, latents)
+    for cut in range(1, len(hist) + 1):
+        cache = KVCache()
+        head = bb.encode(hist[:cut], cache=cache)
+        tail = bb.encode(hist[cut:], latents[:1], cache=cache)
+        last = bb.encode([], latents[1:], cache=cache)
+        assert len(cache) == len(full.data)
+        chunks = np.concatenate([head.data, tail.data, last.data])
+        assert np.abs(chunks - full.data).max() <= 1e-12
+
+
+def test_cached_encode_errors():
+    bb = Backbone(small_cfg(max_positions=4))
+    cache = KVCache()
+    bb.encode([0, 1], cache=cache)
+    with pytest.raises(ValueError, match="at least one new position"):
+        bb.encode([], cache=cache)
+    with pytest.raises(ValueError, match="expected 2"):
+        bb.encode([], [(0, Tensor(np.zeros(16)))], cache=cache)
+    with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
+        bb.encode([3, 4, 5], cache=cache)
+    assert len(cache) == 2  # a refused call leaves the cache as it was
+    assert bb.encode([3], [(3, Tensor(np.zeros(16)))], cache=cache).shape == (2, 16)
+    assert len(cache) == 4
 
 
 def test_encode_errors():

@@ -31,6 +31,15 @@ def test_roundtrip_values_and_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_model_parameters_created_untracked(tmp_path):
+    bb = Backbone(ModelConfig(d_m=8, layers=1, heads=2, n_items=6, max_positions=8, m=1))
+    bank = make_bank([("a", 3)], d_m=8, hidden_width=4, hidden_depth=2)
+    save_model(tmp_path / "m.ckpt", bb, bank)
+    loaded_bb, loaded_bank = load_model(tmp_path / "m.ckpt")
+    for model in (bb, bank, loaded_bb, loaded_bank):
+        assert not any(p.requires_grad for p in model.params().values())
+
+
 def test_bytes_independent_of_dict_order(tmp_path):
     arrs = {"x": np.arange(6.0).reshape(2, 3), "y": np.ones(2)}
     p1, p2 = tmp_path / "fwd.ckpt", tmp_path / "rev.ckpt"

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from vrec import evaluation as evaluation_module
 from vrec.backbone import Backbone, ModelConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import (
@@ -230,6 +231,30 @@ def test_timing_identical_conditions_near_zero():
     bank = make_bank([("a", 3)], d_m=8, seed=1)
     result = timing_overhead(bb, bank, split.test, steps=[0], warmup=5, min_samples=60)
     assert abs(result["rows"][0]["overhead_pct"]) < 75.0
+
+
+def test_timing_overhead_times_whole_requests_alternately(monkeypatch):
+    _, logs, _ = generate_synthetic(MICRO_SYNTH)
+    samples = chronological_split(logs).test[:3]
+    bb = Backbone(MICRO_MODEL)
+    bank = make_bank([("a", 3)], d_m=8, seed=1)
+    calls = []
+    real_run, real_recommend = evaluation_module.run_reasoning, evaluation_module.recommend
+
+    def run(backbone, cond_bank, history, m):
+        calls.append("with" if cond_bank is bank else "without")
+        return real_run(backbone, cond_bank, history, m)
+
+    def recommend(backbone, hidden, k=None):
+        calls.append("recommend")
+        return real_recommend(backbone, hidden, k)
+
+    monkeypatch.setattr(evaluation_module, "run_reasoning", run)
+    monkeypatch.setattr(evaluation_module, "recommend", recommend)
+    timing_overhead(bb, bank, samples, steps=[1], warmup=0, min_samples=4)
+    assert calls[1::2] == ["recommend"] * (len(calls) // 2)
+    # 3 samples fill a pool of 6; the first condition alternates sample by sample
+    assert calls[0::2] == ["without", "with", "with", "without"] * 3
 
 
 def test_timing_overhead_rejects_empty_samples():

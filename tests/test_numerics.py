@@ -20,6 +20,7 @@ from vrec.numerics import (
     matmul,
     relu,
     softmax,
+    tracking,
 )
 
 
@@ -113,6 +114,33 @@ def test_shape_errors_name_operator_and_shapes():
         add_rowvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="embedding_lookup"):
         embedding_lookup(Tensor(np.zeros((4, 2))), [0, 4])
+
+
+def test_backward_rejects_loss_without_tracked_input():
+    x = Tensor(np.ones(3))
+    with pytest.raises(ValueError, match="no tracked tensor"):
+        (x * x).sum().backward()
+    assert x.grad is None
+
+
+def test_tracking_scopes_and_restores():
+    a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0), requires_grad=True)
+    with tracking([a, b]):
+        assert a.requires_grad and b.requires_grad
+        (a * b).sum().backward()
+    assert not a.requires_grad and b.requires_grad
+    assert np.array_equal(a.grad, np.full(3, 2.0)) and np.array_equal(b.grad, np.ones(3))
+    with pytest.raises(RuntimeError):
+        with tracking([a]):
+            raise RuntimeError("raised inside the block")
+    assert not a.requires_grad
+    assert (a * a).sum()._vjp is None
+
+
+def test_grad_check_tracks_untracked_params_only_while_checking():
+    x = Tensor(Rng(3).normal((4,)))
+    assert grad_check(lambda: (x * x * x).sum(), [x]) < 1e-6
+    assert not x.requires_grad and x.grad is None
 
 
 def test_backward_requires_scalar():

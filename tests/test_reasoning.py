@@ -1,4 +1,4 @@
-"""Reason-verify loop tests: stepping, recommendation, homogeneity."""
+"""Reason-verify loop tests: stepping, the KV cache, recommendation, homogeneity."""
 
 import json
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Rng, Tensor
+from vrec.numerics import Rng, Tensor, grad_check, tracking
 from vrec.reasoning import (
     ReasoningTrace,
     export_traces,
@@ -15,7 +15,8 @@ from vrec.reasoning import (
     recommend,
     run_reasoning,
 )
-from vrec.verifiers import make_bank
+from vrec.training import monotonicity_loss, recommendation_loss, verifier_loss
+from vrec.verifiers import make_bank, verify_and_adjust
 
 
 def small_backbone(m=2, seed=0):
@@ -89,6 +90,105 @@ def test_sequence_budget_enforced():
                               max_positions=5, m=0, seed=0))
     with pytest.raises(ValueError, match="max_positions"):
         run_reasoning(bb, None, [0, 1, 2, 3], 2)
+
+
+def counting_encode(monkeypatch):
+    """Wrap Backbone.encode; returns the list of positions each call computed."""
+    counts = []
+    real = Backbone.encode
+
+    def encode(self, history, injected=None, cache=None):
+        counts.append(len(history) + len(injected or ()))
+        return real(self, history, injected, cache)
+    monkeypatch.setattr(Backbone, "encode", encode)
+    return counts
+
+
+def test_over_long_sequence_rejected_before_encoding(monkeypatch):
+    bb = Backbone(ModelConfig(d_m=16, layers=1, heads=2, n_items=12,
+                              max_positions=6, m=3, seed=0))
+    counts = counting_encode(monkeypatch)
+    with pytest.raises(ValueError, match="sequence length 7 exceeds max_positions 6"):
+        run_reasoning(bb, make_bank([("a", 4)], d_m=16, seed=0), [0, 1, 2, 3], 3)
+    assert counts == []
+
+
+def reencode_reasoning(bb, bank, history, m):
+    """The loop the KV cache replaced: every step re-encodes the whole prefix."""
+    L = len(history)
+    steps, latents = [], []
+    for t in range(m):
+        r_t = bb.encode(history, latents)[L + t - 1]
+        verdict = verify_and_adjust(bank, r_t) if bank is not None else None
+        r_adj = r_t if verdict is None else verdict.r_star
+        steps.append((r_t, r_adj, verdict))
+        latents.append((L + t, r_adj))
+    return steps, bb.encode(history, latents)
+
+
+@pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
+@pytest.mark.parametrize("m", [0, 1, 3, 8])
+@pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_cached_reasoning_matches_full_reencode(layers, heads, m, with_bank):
+    bb = Backbone(ModelConfig(d_m=12, layers=layers, heads=heads, n_items=12,
+                              max_positions=18, m=m, seed=10 * layers + heads))
+    bank = make_bank([("a", 4), ("b", 3)], d_m=12, seed=m) if with_bank else None
+    for history in ([5], [0, 3, 5, 9, 2], [7, 1, 4, 4, 0, 11, 2, 8, 6, 3]):
+        trace, hidden = run_reasoning(bb, bank, history, m)
+        ref_steps, ref_hidden = reencode_reasoning(bb, bank, history, m)
+        assert hidden.shape == ref_hidden.shape == (len(history) + m, 12)
+        assert np.abs(hidden.data - ref_hidden.data).max() <= 1e-12
+        assert len(trace.steps) == len(ref_steps) == m
+        for (raw, adj, verdict), (ref_raw, ref_adj, ref_verdict) in zip(trace.steps, ref_steps):
+            assert np.abs(raw.data - ref_raw.data).max() <= 1e-12
+            assert np.abs(adj.data - ref_adj.data).max() <= 1e-12
+            if with_bank:
+                assert verdict.j_star == ref_verdict.j_star
+        assert recommend(bb, hidden).tolist() == recommend(bb, ref_hidden).tolist()
+
+
+def test_each_position_encoded_once(monkeypatch):
+    bb = small_backbone(m=8)
+    bank = make_bank([("a", 4), ("b", 3)], d_m=16, seed=4)
+    counts = counting_encode(monkeypatch)
+    for history in ([3], [0, 5, 9, 2, 7, 1]):
+        for m in (0, 1, 3, 8):
+            counts.clear()
+            _, hidden = run_reasoning(bb, bank, history, m)
+            assert sum(counts) == len(history) + m == hidden.shape[0]
+            assert counts == [len(history)] + [1] * m
+
+
+def test_grad_check_through_cached_rollout():
+    # the gradient-fidelity acceptance setup, one latent step deeper
+    bb = Backbone(ModelConfig(d_m=8, layers=1, heads=2, n_items=6, max_positions=16,
+                              m=3, seed=5))
+    bank = make_bank([("a", 4), ("b", 4)], d_m=8, seed=5)
+    history, labels = [0, 3, 5, 1], np.array([1, 3])
+
+    def loss(reasoning=run_reasoning):
+        trace, hidden = reasoning(bb, bank, history, 3)
+        return (recommendation_loss(bb, hidden, 2) + 0.5 * verifier_loss(bank, trace, labels)
+                + 0.5 * monotonicity_loss(trace))
+
+    def reencoded(*args):
+        steps, hidden = reencode_reasoning(*args)
+        return ReasoningTrace(steps=steps, m=len(steps)), hidden
+
+    # keep the check point off the confidence clamp at f=1
+    trace, _ = run_reasoning(bb, bank, history, 3)
+    assert min(float(f.data) for _, _, v in trace.steps for f in v.f) > 1.05
+    params = list(bb.params().values()) + list(bank.params().values())
+    grads = []
+    for reasoning in (run_reasoning, reencoded):
+        with tracking(params):
+            loss(reasoning).backward()
+        grads.append([p.grad for p in params])
+        for p in params:
+            p.zero_grad()
+    assert max(np.abs(a - b).max() for a, b in zip(*grads)) <= 1e-12
+    assert grad_check(loss, params, h=3e-5) < 1e-5
+    assert not any(p.requires_grad for p in params)
 
 
 def test_greedy_matches_rank_one():

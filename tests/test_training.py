@@ -16,6 +16,7 @@ from vrec.training import (
     Adam,
     TrainHyper,
     VerifierSample,
+    _fit,
     collect_verifier_dataset,
     finetune,
     monotonicity_loss,
@@ -200,6 +201,37 @@ def test_pretrain_nan_failure_names_epoch(corpus):
     bb.params()["tok_emb"].data[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="epoch 0"):
         pretrain_backbone(bb, split.train[:8], TrainHyper(epochs=1, batch=8, seed=0))
+
+
+def test_fit_restores_tracking_after_non_finite_loss():
+    was_tracked = Tensor(np.ones(2), requires_grad=True)
+    untracked = Tensor(np.ones(2))
+
+    def batch_losses(idx):
+        assert was_tracked.requires_grad and untracked.requires_grad
+        return {"total": (was_tracked * np.nan).sum() + untracked.sum()}
+
+    with pytest.raises(FloatingPointError, match="probe: loss became nan at epoch 0"):
+        _fit("probe", {"a": was_tracked, "b": untracked}, 4, TrainHyper(epochs=1, batch=2),
+             99, batch_losses, None)
+    assert was_tracked.requires_grad and not untracked.requires_grad
+
+
+def test_stages_leave_nothing_tracked(corpus):
+    _, split, labelings = corpus
+    bb = Backbone(small_model())
+    bank = make_bank([(l.dimension, l.d_i) for l in labelings], d_m=24, seed=0)
+    hyper = TrainHyper(epochs=1, batch=8, seed=0)
+    pretrain_backbone(bb, split.train[:8], hyper)
+    dataset = collect_verifier_dataset(bb, split.train[:8], labelings, m=2)
+    pretrain_verifiers(bank, dataset, hyper)
+    finetune(bb, bank, split.train[:8], labelings, hyper, valid_samples=split.valid[:4])
+    params = list(bb.params().values()) + list(bank.params().values())
+    assert not any(p.requires_grad for p in params)
+    trace, hidden = run_reasoning(bb, bank, split.test[0].history, 2)
+    outputs = [hidden] + [t for raw, adj, v in trace.steps for t in [raw, adj, v.w, *v.p, *v.f]]
+    assert all(t._vjp is None and t._children == () for t in outputs)
+    assert recommendation_loss(bb, hidden, 0)._vjp is None
 
 
 def test_stages_without_samples_raise(corpus):
