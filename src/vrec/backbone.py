@@ -13,7 +13,6 @@ to the keys and values the cache kept from earlier calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +21,12 @@ from .numerics import (
     Rng,
     Tensor,
     add_rowvec,
+    attention,
     concat,
     embedding_lookup,
     gelu,
     layer_norm,
     matmul,
-    softmax,
 )
 
 __all__ = ["Backbone", "KVCache", "ModelConfig"]
@@ -116,13 +115,11 @@ class Backbone:
     def param_count(self) -> int:
         return sum(t.size for t in self._params.values())
 
-    def _attend(self, x: Tensor, i: int, mask: Tensor | None, cache: KVCache) -> Tensor:
+    def _attend(self, x: Tensor, i: int, mask: np.ndarray | None, cache: KVCache) -> Tensor:
         """Attention of the new rows ``x`` over the cached and new keys;
         appends the new keys and values to layer ``i`` of ``cache``."""
         p = self._params
         pre = f"blocks.{i}.attn."
-        d, heads = self.cfg.d_m, self.cfg.heads
-        dh = d // heads
         q = add_rowvec(matmul(x, p[pre + "wq"]), p[pre + "bq"])
         k = add_rowvec(matmul(x, p[pre + "wk"]), p[pre + "bk"])
         v = add_rowvec(matmul(x, p[pre + "wv"]), p[pre + "bv"])
@@ -132,16 +129,7 @@ class Backbone:
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        outs = []
-        scale = 1.0 / math.sqrt(dh)
-        for h in range(heads):
-            qh = q[:, h * dh:(h + 1) * dh]
-            kh = k[:, h * dh:(h + 1) * dh]
-            vh = v[:, h * dh:(h + 1) * dh]
-            logits = matmul(qh, kh.transpose()) * scale
-            att = softmax(logits if mask is None else logits + mask)
-            outs.append(matmul(att, vh))
-        joined = concat(outs, axis=1)
+        joined = attention(q, k, v, self.cfg.heads, mask)
         return add_rowvec(matmul(joined, p[pre + "wo"]), p[pre + "bo"])
 
     def encode(self, history: list[int], injected: list[tuple[int, Tensor]] | None = None,
@@ -183,7 +171,7 @@ class Backbone:
 
         # row r sits at position start + r and sees positions 0..start + r
         n = T - start
-        mask = Tensor(np.triu(np.full((n, T), MASK_VALUE), k=start + 1)) if n > 1 else None
+        mask = np.triu(np.full((n, T), MASK_VALUE), k=start + 1) if n > 1 else None
         for i in range(self.cfg.layers):
             pre = f"blocks.{i}."
             normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])

@@ -103,13 +103,31 @@ def save_model(path: str | Path, backbone: Backbone, bank: VerifierBank | None =
     save_checkpoint(path, params, config=config, verifiers=_bank_meta(bank))
 
 
+def _fill(path: str | Path, stored: dict[str, np.ndarray], prefix: str,
+          params: dict[str, Tensor]) -> None:
+    """Move ``stored[prefix + name]`` into each model parameter, checking its shape."""
+    for name, tensor in params.items():
+        key = prefix + name
+        data = stored.pop(key, None)
+        if data is None:
+            raise ValueError(f"{path}: parameter {key} missing")
+        if data.shape != tensor.shape:
+            raise ValueError(f"{path}: parameter {key} has shape {data.shape}, "
+                             f"expected {tensor.shape}")
+        tensor.data = data
+
+
 def load_model(path: str | Path) -> tuple[Backbone, VerifierBank | None]:
+    """The backbone and bank a checkpoint's header describes, with its values.
+
+    Raises ``ValueError`` naming the path and the parameter when a stored
+    parameter is missing, unexpected or of another shape than the model's.
+    """
     params, config, verifiers = load_checkpoint(path)
     if config is None:
         raise ValueError(f"{path}: checkpoint has no model config")
     backbone = Backbone(ModelConfig(**config))
-    for name, tensor in backbone.params().items():
-        tensor.data = params[f"backbone.{name}"].copy()
+    _fill(path, params, "backbone.", backbone.params())
 
     bank = None
     if verifiers is not None:
@@ -120,6 +138,8 @@ def load_model(path: str | Path) -> tuple[Backbone, VerifierBank | None]:
         bank = make_bank(dims, d_m=backbone.cfg.d_m, hidden_width=width, hidden_depth=depth)
         bank.epsilon = verifiers.get("epsilon", bank.epsilon)
         bank.uniform_router = verifiers.get("uniform_router", False)
-        for name, tensor in bank.params().items():
-            tensor.data = params[f"bank.{name}"].copy()
+        _fill(path, params, "bank.", bank.params())
+    if params:
+        raise ValueError(f"{path}: unexpected parameter {min(params)} "
+                         f"for the model its header describes")
     return backbone, bank

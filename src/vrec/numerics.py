@@ -14,6 +14,12 @@ Three rules keep the core small:
 - Model parameters are created untracked. Only the tensors being fitted or
   grad-checked are tracked, and only inside ``tracking(tensors)``, so
   inference and evaluation build no graph at all.
+
+Composites that every latent step runs are single nodes with hand-written
+vector-Jacobian products: ``attention`` here (causal multi-head
+scaled-dot-product attention) and the verifier bank's step in
+``verifiers``. Their outputs have the bits of the chains of elementary ops
+they replace, which stay in the tests as their oracles.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "Tensor",
     "Rng",
     "add_rowvec",
+    "attention",
     "concat",
     "confidence",
     "embedding_lookup",
@@ -312,21 +319,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:
-    if mean:
-        data = x.data.mean(axis=axis)
-        denom = x.data.size if axis is None else x.data.shape[axis]
-    else:
-        data = x.data.sum(axis=axis)
-        denom = 1
+    """Sum or mean over ``axis``, or over every element in index order.
+
+    Terms are added first to last and a mean multiplies by 1/count, so the
+    result has the bits of adding scalar terms one by one and scaling.
+    """
     shape = x.data.shape
+    xd = x.data.reshape(-1) if axis is None else x.data
+    ax = 0 if axis is None else axis
+    scale = 1.0 / xd.shape[ax] if mean else 1.0
+    data = np.take(np.add.accumulate(xd, axis=ax), -1, axis=ax)
+    if mean:
+        data = data * scale
 
     def vjp(g):
         if axis is None:
-            gx = np.full(shape, float(g) / denom)
-        else:
-            gx = np.expand_dims(g, axis) / denom
-            gx = np.broadcast_to(gx, shape).copy()
-        return (gx,)
+            return (np.full(shape, float(g) * scale),)
+        return (np.broadcast_to(np.expand_dims(g, axis) * scale, shape).copy(),)
     return _node(np.asarray(data), (x,), "mean" if mean else "sum", vjp)
 
 
@@ -349,24 +358,31 @@ def relu(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_np(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU of an array, and the tanh its derivative reuses."""
+    tanh = np.tanh(_GELU_C * (xd + 0.044715 * xd**3))
+    return 0.5 * xd * (1.0 + tanh), tanh
+
+
+def _gelu_deriv(xd: np.ndarray, tanh: np.ndarray) -> np.ndarray:
+    sech2 = 1.0 - tanh**2
+    return 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
-    tanh = np.tanh(inner)
+    out, tanh = _gelu_np(xd)
+    return _node(out, (x,), "gelu", lambda g: (g * _gelu_deriv(xd, tanh),))
 
-    def vjp(g):
-        sech2 = 1.0 - tanh**2
-        deriv = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        return (g * deriv,)
-    return _node(0.5 * xd * (1.0 + tanh), (x,), "gelu", vjp)
+
+def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(xd - xd.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax_np(x.data, axis)
 
     def vjp(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -387,16 +403,54 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(ld, (x,), "log_softmax", vjp)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled-dot-product attention of n query rows over T key rows.
+
+    ``q`` is (n, d) and ``k``, ``v`` are (T, d); head h owns columns
+    [h*d/heads, (h+1)*d/heads) of each. Head h computes
+    softmax(q_h k_h^T / sqrt(d/heads) + mask) v_h, and the heads' outputs sit
+    side by side in the (n, d) result. ``mask`` is an additive (n, T) array
+    (a large negative value hides a key) or None. One node; the gradient
+    flows to ``q``, ``k`` and ``v``.
+    """
+    n, d = q.data.shape
+    T = k.data.shape[0]
+    if k.data.shape != (T, d) or v.data.shape != (T, d) or d % heads:
+        raise ValueError(f"attention: shapes q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape} with {heads} heads")
+    if mask is not None and mask.shape != (n, T):
+        raise ValueError(f"attention: mask shape {mask.shape}, expected {(n, T)}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    # one contiguous matrix per head: each batched product then makes the
+    # BLAS call, and gets the bits, of that head's product on its own
+    qh = np.ascontiguousarray(q.data.reshape(n, heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.data.reshape(T, heads, dh).transpose(1, 2, 0))  # k_h^T
+    vh = np.ascontiguousarray(v.data.reshape(T, heads, dh).transpose(1, 0, 2))
+    logits = (qh @ kt) * scale
+    att = _softmax_np(logits if mask is None else logits + mask)
+
+    def vjp(g):
+        gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
+        ga = gh @ vh.transpose(0, 2, 1)
+        gl = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * scale
+        return tuple(x.transpose(1, 0, 2).reshape(rows, d) for x, rows in (
+            (gl @ kt.transpose(0, 2, 1), n), (gl.transpose(0, 2, 1) @ qh, T),
+            (att.transpose(0, 2, 1) @ gh, T)))
+    return _node((att @ vh).transpose(1, 0, 2).reshape(n, d), (q, k, v), "attention", vjp)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     xd = x.data
     d = xd.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    # np.mean and np.var's arithmetic, without their per-call overhead
+    centered = xd - xd.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = centered * inv
     gd = gain.data
 
     def vjp(g):

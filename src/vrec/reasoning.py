@@ -101,7 +101,7 @@ def export_traces(traces: list[ReasoningTrace], path: str | Path,
             for raw, adj, verdict in tr.steps:
                 entry: dict = {}
                 if verdict is not None:
-                    entry["f"] = [float(f.data) for f in verdict.f]
+                    entry["f"] = verdict.f.data.tolist()
                     entry["w"] = verdict.w.data.tolist()
                     entry["classes"] = list(verdict.j_star)
                 if include_vectors:

@@ -13,9 +13,9 @@ import numpy as np
 from .backbone import Backbone
 from .datasets import Sample
 from .labeling import GroupLabeling
-from .numerics import Rng, Tensor, entropy, log, log_softmax, relu, tracking
+from .numerics import Rng, Tensor, concat, log_softmax, relu, tracking
 from .reasoning import ReasoningTrace, greedy_recommend, run_reasoning
-from .verifiers import VerifierBank, predict_all
+from .verifiers import VerifierBank, verify_and_adjust
 
 __all__ = [
     "Adam",
@@ -195,49 +195,47 @@ def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
     return out
 
 
-def _step_vectors(trace) -> list[Tensor]:
+def _step_rows(trace) -> Tensor:
+    """A trace's adjusted step vectors as the rows of one (m, d_m) Tensor."""
     if isinstance(trace, ReasoningTrace):
-        return trace.adjusted()
-    return [r if isinstance(r, Tensor) else Tensor(r) for r in trace]
+        rows = [r.reshape(1, -1) for r in trace.adjusted()]
+        if rows:
+            return concat(rows)
+    elif len(trace):
+        return Tensor(np.asarray(trace, dtype=np.float64).reshape(len(trace), -1))
+    raise ValueError("verifier_loss requires a non-empty trace")
 
 
 def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
                   alpha: float = 1.0) -> Tensor:
     """Mean per-step, per-dimension loss: -log p[label] on positives,
-    -alpha * H(p) on negatives (minimizing pushes negative entropy up)."""
-    vectors = _step_vectors(trace)
-    if not vectors:
-        raise ValueError("verifier_loss requires a non-empty trace")
-    terms: list[Tensor] = []
-    for r in vectors:
-        _, ps = predict_all(bank, r)
-        for i, (verifier, p) in enumerate(zip(bank.verifiers, ps)):
-            if labels is None:
-                terms.append(-alpha * entropy(p))
-            else:
-                cls = int(labels[i])
-                if not 0 <= cls < verifier.d_i:
-                    raise ValueError(f"label {cls} out of range for dimension "
-                                     f"{verifier.dimension!r} (d_i={verifier.d_i})")
-                terms.append(-log(p)[cls])
-    return _mean(terms)
+    -alpha * H(p) on negatives (minimizing pushes negative entropy up).
+    One fused bank step covers every step of the trace."""
+    verdict = verify_and_adjust(bank, _step_rows(trace))
+    if labels is None:
+        return (verdict.f * -alpha).mean()
+    for cls, verifier in zip(labels, bank.verifiers):
+        if not 0 <= cls < verifier.d_i:
+            raise ValueError(f"label {cls} out of range for dimension "
+                             f"{verifier.dimension!r} (d_i={verifier.d_i})")
+    return verdict.label_nll(np.asarray(labels, dtype=np.int64))
 
 
 def verifier_stats(bank: VerifierBank, dataset: list[VerifierSample]) -> tuple[float, float]:
     """(positive class accuracy, negative mean entropy) over a collected dataset."""
     hits = total = 0
-    neg_entropies: list[float] = []
+    neg_entropies: list[np.ndarray] = []
     for sample in dataset:
-        for r_vec in sample.r_steps:
-            _, ps = predict_all(bank, Tensor(r_vec))
-            for i, p in enumerate(ps):
-                if sample.labels is None:
-                    neg_entropies.append(entropy(p).item())
-                else:
-                    hits += int(np.argmax(p.data)) == int(sample.labels[i])
-                    total += 1
+        if not len(sample.r_steps):
+            continue
+        verdict = verify_and_adjust(bank, Tensor(sample.r_steps))
+        if sample.labels is None:
+            neg_entropies.append(verdict.f.data.ravel())
+        else:
+            hits += int((np.array(verdict.j_star) == sample.labels).sum())
+            total += sample.r_steps.shape[0] * bank.n
     acc = hits / total if total else float("nan")
-    neg_h = float(np.mean(neg_entropies)) if neg_entropies else float("nan")
+    neg_h = float(np.mean(np.concatenate(neg_entropies))) if neg_entropies else float("nan")
     return acc, neg_h
 
 
@@ -271,15 +269,12 @@ def monotonicity_loss(trace) -> Tensor:
     if isinstance(trace, ReasoningTrace):
         f_rows = [v.f for _, _, v in trace.steps if v is not None]
     else:
-        arr = np.asarray(trace, dtype=np.float64)
-        f_rows = [[Tensor(x) for x in step] for step in arr]
+        f_rows = [Tensor(step) for step in np.asarray(trace, dtype=np.float64)]
     if len(f_rows) < 2:
         return Tensor(0.0)
-    terms: list[Tensor] = []
-    for prev, curr in zip(f_rows, f_rows[1:]):
-        for f_prev, f_curr in zip(prev, curr):
-            terms.append(relu(f_curr - f_prev))
-    return _mean(terms)
+    n = f_rows[0].shape[0]
+    f = concat(f_rows)  # step after step
+    return relu(f[n:] - f[:-n]).mean()
 
 
 def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],

@@ -5,26 +5,24 @@ dimension: a router weights the dimensions, each verifier predicts a class
 distribution, and the prediction entropy is turned into a confidence that
 interpolates between the raw representation and the predicted class
 prototype (a column of the verifier's last layer).
+
+One step through the whole bank, over one representation or a batch of them
+as rows, is one graph node with a hand-written vector-Jacobian product
+(``verify_and_adjust``). Its output packs [r* | w | p_1 .. p_n | f | c]
+along the last axis, and ``StepVerdict`` reads each field as a view of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .numerics import (
-    Rng,
-    Tensor,
-    add_rowvec,
-    confidence,
-    entropy,
-    gelu,
-    matmul,
-    softmax,
-)
+from .numerics import Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log
 
-__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "make_bank", "predict_all"]
+__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "make_bank",
+           "verify_and_adjust"]
 
 EPSILON = 1e-6
 
@@ -69,6 +67,19 @@ class VerifierBank:
     def n(self) -> int:
         return len(self.verifiers)
 
+    @property
+    def d_m(self) -> int:
+        return self.router.a.shape[1]
+
+    @property
+    def n_classes(self) -> int:
+        """Classes of all verifiers together, the length of p_1 .. p_n."""
+        return sum(v.d_i for v in self.verifiers)
+
+    def class_offsets(self) -> list[int]:
+        """Where each verifier's classes start within p_1 .. p_n."""
+        return list(accumulate((v.d_i for v in self.verifiers[:-1]), initial=0))
+
     def params(self) -> dict[str, Tensor]:
         p: dict[str, Tensor] = {"router.a": self.router.a, "router.bias": self.router.bias}
         for i, v in enumerate(self.verifiers):
@@ -80,17 +91,74 @@ class VerifierBank:
         return p
 
 
-@dataclass
 class StepVerdict:
-    """Everything the bank computed for one reasoning step."""
+    """Everything the bank computed for one reasoning step, or for each of B rows.
 
-    w: Tensor  # router weights, R^n
-    p: list[Tensor]  # per-verifier class distributions
-    f: list[Tensor]  # per-verifier entropies (scalars)
-    c: list[Tensor]  # per-verifier confidences (scalars)
-    j_star: list[int]  # per-verifier argmax classes
-    g: list[Tensor]  # per-verifier guidance prototypes, R^{d_m}
-    r_star: Tensor = field(default=None)  # adjusted representation
+    ``packed`` is the fused step's output, [r* | w | p_1 .. p_n | f | c] along
+    its last axis (shape (P,) for one representation, (B, P) for rows). The
+    fields are basic-index views of it, built each time they are read, so a
+    served step that reads only ``r_star`` builds two Tensors.
+    """
+
+    def __init__(self, bank: "VerifierBank", packed: Tensor, j_star: np.ndarray):
+        self.packed = packed
+        self._bank = bank
+        self._j = j_star  # (n,) or (B, n) argmax classes
+
+    def _cols(self, start: int, stop: int) -> Tensor:
+        cols = slice(start, stop)
+        return self.packed[cols] if self.packed.data.ndim == 1 else self.packed[:, cols]
+
+    @property
+    def r_star(self) -> Tensor:
+        """Adjusted representation(s), R^{d_m}."""
+        return self._cols(0, self._bank.d_m)
+
+    @property
+    def w(self) -> Tensor:
+        """Router weights, R^n."""
+        d, n = self._bank.d_m, self._bank.n
+        return self._cols(d, d + n)
+
+    @property
+    def p(self) -> list[Tensor]:
+        """Per-verifier class distributions."""
+        lo = self._bank.d_m + self._bank.n
+        return [self._cols(lo + a, lo + a + v.d_i)
+                for a, v in zip(self._bank.class_offsets(), self._bank.verifiers)]
+
+    @property
+    def f(self) -> Tensor:
+        """Per-verifier prediction entropies, R^n."""
+        lo = self._bank.d_m + self._bank.n + self._bank.n_classes
+        return self._cols(lo, lo + self._bank.n)
+
+    @property
+    def c(self) -> Tensor:
+        """Per-verifier confidences, R^n."""
+        lo = self._bank.d_m + 2 * self._bank.n + self._bank.n_classes
+        return self._cols(lo, lo + self._bank.n)
+
+    @property
+    def j_star(self) -> list:
+        """Per-verifier argmax classes (for rows, one such list per row)."""
+        return self._j.tolist()
+
+    @property
+    def g(self) -> list[Tensor]:
+        """Per-verifier guidance prototypes W_last[:, j*], of one representation."""
+        if self._j.ndim != 1:
+            raise ValueError("StepVerdict.g is defined for a single representation")
+        return [v.w_last[:, j] for v, j in zip(self._bank.verifiers, self.j_star)]
+
+    def label_nll(self, labels: np.ndarray) -> Tensor:
+        """Mean over rows and verifiers of -log p_i[labels[i]], the terms
+        added row by row and, within a row, verifier by verifier."""
+        p_lo = self._bank.d_m + self._bank.n
+        p = self._cols(p_lo, p_lo + self._bank.n_classes)
+        pick = np.zeros(p.shape)
+        pick[..., np.add(self._bank.class_offsets(), labels)] = -1.0
+        return (log(p) * pick).sum() * (1.0 / (p.size // self._bank.n_classes * self._bank.n))
 
 
 def make_bank(dimensions: list[tuple[str, int]], d_m: int, seed: int = 0,
@@ -120,52 +188,109 @@ def make_bank(dimensions: list[tuple[str, int]], d_m: int, seed: int = 0,
     return VerifierBank(verifiers=verifiers, router=router)
 
 
-def route(bank: VerifierBank, r: Tensor) -> Tensor:
-    """Personalized mixture weights w = softmax(A r + bias)."""
-    if bank.uniform_router:
-        return Tensor(np.full(bank.n, 1.0 / bank.n))
-    return softmax(matmul(bank.router.a, r) + bank.router.bias)
+def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` times ``w`` as a vector-matrix product of its own, so
+    a row gets the same bits alone as in a batch."""
+    return (x[:, None, :] @ w)[:, 0]
 
 
-def predict(verifier: Verifier, x: Tensor) -> Tensor:
-    """Class distribution p = softmax(head(trunk(x)))."""
-    h = x
-    for w, b in verifier.hidden:
-        h = gelu(matmul(h, w) + b)
-    return softmax(matmul(h, verifier.w_last) + verifier.b_last)
-
-
-def predict_all(bank: VerifierBank, r: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """Router weights w and every verifier's distribution p_i = predict(v_i, w_i r)."""
-    w = route(bank, r)
-    return w, [predict(verifier, w[i] * r) for i, verifier in enumerate(bank.verifiers)]
-
-
-def guidance(verifier: Verifier, p: Tensor) -> tuple[int, Tensor]:
-    """Prototype column of the predicted class: exactly W_last[:, argmax p]."""
-    j_star = int(np.argmax(p.data))
-    return j_star, verifier.w_last[:, j_star]
+def _segment_sums(a: np.ndarray, segments: list[slice]) -> np.ndarray:
+    """Row sums of each segment of columns. Each is summed on its own, with
+    the grouping of terms, hence the bits, of a sum over that segment alone."""
+    out = np.empty((len(a), len(segments)))
+    for i, seg in enumerate(segments):
+        np.add.reduce(a[:, seg], axis=1, out=out[:, i])
+    return out
 
 
 def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
-    """Route, predict, and confidence-adjust one reasoning representation.
+    """Route, predict, and confidence-adjust reasoning representations.
 
-    r* averages the per-verifier interpolation (1-c_i) r + c_i g_i, so each
+    ``r`` is one representation (d_m,) or B of them as rows (B, d_m); each
+    row is handled on its own. Per row: w = softmax(A r + bias) (1/n each
+    with ``uniform_router``); p_i = softmax(head_i(trunk_i(w_i r))); entropy
+    f_i = H(p_i); confidence c_i = min(1, 1 / max(f_i, epsilon)); class
+    j*_i = argmax p_i (the lowest index on a tie); and r* averages the
+    per-verifier interpolation (1 - c_i) r + c_i W_last_i[:, j*_i], so each
     term is a convex combination of the raw representation and the chosen
-    prototype.
+    prototype. All of it is one graph node, whose values have the bits of
+    the same ops applied one verifier and one row at a time.
     """
-    w, ps = predict_all(bank, r)
-    verdict = StepVerdict(w=w, p=ps, f=[], c=[], j_star=[], g=[])
-    acc = None
-    for verifier, p in zip(bank.verifiers, ps):
-        f = entropy(p)
-        c = confidence(f, eps=bank.epsilon)
-        j_star, g = guidance(verifier, p)
-        verdict.f.append(f)
-        verdict.c.append(c)
-        verdict.j_star.append(j_star)
-        verdict.g.append(g)
-        term = (1.0 - c) * r + c * g
-        acc = term if acc is None else acc + term
-    verdict.r_star = acc * (1.0 / bank.n)
-    return verdict
+    vs = bank.verifiers
+    n = len(vs)
+    x = r.data if r.data.ndim == 2 else r.data.reshape(1, -1)
+    if r.data.ndim > 2 or x.shape[1] != bank.d_m:
+        raise ValueError(f"verify_and_adjust: expected ({bank.d_m},) or (B, {bank.d_m}) rows, "
+                         f"got shape {r.data.shape}")
+    if bank.uniform_router:
+        w = np.full((len(x), n), 1.0 / n)
+    else:
+        w = _softmax_np(_rowwise(x, bank.router.a.data.T) + bank.router.bias.data)
+    starts = bank.class_offsets()
+    sizes = [v.d_i for v in vs]
+    segments = [slice(a, a + k) for a, k in zip(starts, sizes)]
+    inputs = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
+    trunks, heads_in, logits = [], [], []
+    for i, v in enumerate(vs):
+        h = inputs[:, i]
+        trunk = []
+        for wt, b in v.hidden:
+            u = _rowwise(h, wt.data) + b.data
+            out, tanh = _gelu_np(u)
+            trunk.append((h, u, tanh))
+            h = out
+        trunks.append(trunk)
+        heads_in.append(h)
+        logits.append(_rowwise(h, v.w_last.data) + v.b_last.data)
+    z = np.concatenate(logits, axis=1)
+    # softmax and entropy per segment of classes; a max is exact in any order
+    e = np.exp(z - np.maximum.reduceat(z, starts, axis=1).repeat(sizes, axis=1))
+    p = e / _segment_sums(e, segments).repeat(sizes, axis=1)
+    f = -_segment_sums(p * np.log(np.where(p > 0.0, p, 1.0)), segments)  # 0 log 0 is 0
+    c = np.minimum(1.0, 1.0 / np.maximum(f, bank.epsilon))
+    j = np.empty((len(x), n), dtype=np.intp)
+    for i, seg in enumerate(segments):
+        j[:, i] = p[:, seg].argmax(axis=1)
+    protos = np.concatenate([v.w_last.data for v in vs], axis=1).T[j + starts]  # W_last_i[:, j*_i]
+    terms = (1.0 - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
+    r_star = np.add.accumulate(terms, axis=1)[:, -1] * (1.0 / n)  # summed verifier by verifier
+    packed = np.concatenate([r_star, w, p, f, c], axis=1)
+
+    def vjp(g_out):
+        g_out = g_out.reshape(len(x), -1)
+        d = x.shape[1]
+        g_r, g_w, g_p, g_f, g_c = np.split(g_out, np.cumsum([d, n, p.shape[1], n]), axis=1)
+        g_acc = g_r * (1.0 / n)
+        g_x = g_acc * (1.0 - c).sum(axis=1, keepdims=True)
+        g_c = g_c + ((protos - x[:, None, :]) * g_acc[:, None, :]).sum(axis=2)
+        g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)
+        g_p = g_p - g_f.repeat(sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)
+        g_z = p * (g_p - np.add.reduceat(g_p * p, starts, axis=1).repeat(sizes, axis=1))
+        grads = []
+        g_w = g_w.copy()  # a view of g_out until now
+        for i, (v, seg) in enumerate(zip(vs, segments)):
+            g_zi = g_z[:, seg]
+            g_wlast = heads_in[i].T @ g_zi + g_acc.T @ (c[:, i, None] * np.eye(v.d_i)[j[:, i]])
+            g_h = g_zi @ v.w_last.data.T
+            layer_grads = []
+            for (h_in, u, tanh), (wt, _) in zip(reversed(trunks[i]), reversed(v.hidden)):
+                g_u = g_h * _gelu_deriv(u, tanh)
+                layer_grads[:0] = [h_in.T @ g_u, g_u.sum(axis=0)]
+                g_h = g_u @ wt.data.T
+            g_x += w[:, i, None] * g_h
+            g_w[:, i] += (g_h * x).sum(axis=1)
+            grads.extend(layer_grads + [g_wlast, g_zi.sum(axis=0)])
+        if bank.uniform_router:
+            router = [None, None]
+        else:
+            g_a = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
+            g_x += g_a @ bank.router.a.data
+            router = [g_a.T @ x, g_a.sum(axis=0)]
+        return (g_x.reshape(r.data.shape), *router, *grads)
+
+    children = [r, bank.router.a, bank.router.bias]  # in the order vjp returns gradients
+    for v in vs:
+        children += [t for pair in v.hidden for t in pair] + [v.w_last, v.b_last]
+    out = _node(packed if r.data.ndim == 2 else packed[0], tuple(children), "verify_and_adjust",
+                vjp)
+    return StepVerdict(bank, out, j if r.data.ndim == 2 else j[0])

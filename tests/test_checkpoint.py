@@ -174,3 +174,22 @@ def test_corrupt_header_names_the_path(tmp_path, corrupt):
     with pytest.raises(ValueError, match="corrupt checkpoint header") as err:
         load_model(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda p: p.pop("backbone.ln_f.bias"), "parameter backbone.ln_f.bias missing"),
+    (lambda p: p.update({"backbone.pos_emb": np.zeros((4, 8))}),
+     r"parameter backbone.pos_emb has shape \(4, 8\), expected \(16, 8\)"),
+    (lambda p: p.update({"bank.verifiers.1.w_last": np.zeros((8, 2))}),
+     "unexpected parameter bank.verifiers.1.w_last"),
+], ids=["missing", "wrong_shape", "unexpected"])
+def test_parameters_must_match_the_header_model(tmp_path, edit, message):
+    good = tmp_path / "good.ckpt"
+    good.write_bytes(SAVED)
+    params, config, verifiers = load_checkpoint(good)
+    edit(params)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, params, config=config, verifiers=verifiers)
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)

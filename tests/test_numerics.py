@@ -1,5 +1,7 @@
 """Tensor op and autodiff tests against an independent finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from vrec.numerics import (
     Rng,
     Tensor,
     add_rowvec,
+    attention,
     concat,
     confidence,
     embedding_lookup,
@@ -114,6 +117,11 @@ def test_shape_errors_name_operator_and_shapes():
         add_rowvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="embedding_lookup"):
         embedding_lookup(Tensor(np.zeros((4, 2))), [0, 4])
+    with pytest.raises(ValueError, match="attention"):
+        attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 3)
+    with pytest.raises(ValueError, match=r"attention: mask shape \(2, 2\)"):
+        attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 2,
+                  np.zeros((2, 2)))
 
 
 def test_backward_rejects_loss_without_tracked_input():
@@ -162,7 +170,8 @@ def test_untracked_inputs_build_no_graph():
     x = Tensor(Rng(10).normal((3, 4)))
     gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
     outs = [matmul(x, x.transpose()), x[1:, np.int64(2)], softmax(x) * x - 1.0,
-            layer_norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0])]
+            layer_norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0]),
+            attention(x, x, x, 2)]
     for out in outs:
         assert out._children == () and out._vjp is None, out._op
 
@@ -174,6 +183,22 @@ def test_sum_gradient_is_ones():
     x = Tensor(np.array([1.0, -2.0, 3.0, 0.5]), requires_grad=True)
     x.sum().backward()
     assert np.array_equal(x.grad, np.ones(4))
+
+
+def test_sum_and_mean_add_in_index_order():
+    # the bits of adding the elements one by one, as a loss summed term by term
+    values = Rng(20).normal((3, 11))
+    total = 0.0
+    for v in values.reshape(-1):
+        total += v
+    x = Tensor(values)
+    assert x.sum().item() == total
+    assert x.mean().item() == total * (1.0 / values.size)
+    rows = [0.0, 0.0, 0.0]
+    for i in range(3):
+        for v in values[i]:
+            rows[i] += v
+    assert x.sum(axis=1).data.tolist() == rows
 
 
 def test_half_norm_squared_gradient_is_x():
@@ -377,3 +402,60 @@ def test_rng_choice_weighted_deterministic():
     draws2 = [rng2.choice_weighted(w) for _ in range(50)]
     assert draws1 == draws2
     assert set(draws1) <= {0, 1, 2}
+
+
+# -- fused attention against the per-head chain ---------------------------
+
+
+def attention_oracle(q: Tensor, k: Tensor, v: Tensor, heads: int, mask) -> Tensor:
+    """The per-head chain ``attention`` fuses: slice, transpose, matmul, scale,
+    mask, softmax, matmul, then the heads side by side."""
+    dh = q.shape[1] // heads
+    scale = 1.0 / math.sqrt(dh)
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        logits = matmul(q[:, cols], k[:, cols].transpose()) * scale
+        att = softmax(logits if mask is None else logits + Tensor(mask))
+        outs.append(matmul(att, v[:, cols]))
+    return concat(outs, axis=1)
+
+
+@pytest.mark.parametrize("rows,start", [(1, 5), (3, 4), (4, 0)],
+                         ids=["row_after_cache", "chunk_after_cache", "chunk_from_empty"])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_matches_per_head_chain(heads, rows, start):
+    # rows new positions start..start+rows-1 over every key up to them, as
+    # Backbone.encode asks: a single row needs no mask, a chunk is causal
+    rng = Rng(heads, rows)
+    T = start + rows
+    q, k, v = (Tensor(rng.normal((n, 6))) for n in (rows, T, T))
+    mask = np.triu(np.full((rows, T), -1e30), k=start + 1) if rows > 1 else None
+    coef = rng.normal((rows, 6))
+    grads = []
+    with tracking([q, k, v]):
+        for op in (attention, attention_oracle):
+            out = op(q, k, v, heads, mask)
+            (out * coef).sum().backward()
+            grads.append((out.data, [t.grad for t in (q, k, v)]))
+            for t in (q, k, v):
+                t.zero_grad()
+    (fused, fused_grads), (chain, chain_grads) = grads
+    assert np.array_equal(fused, chain)  # the chain's bits, head by head
+    for got, want in zip(fused_grads, chain_grads):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_attention_builds_one_tensor(monkeypatch):
+    rng = Rng(11)
+    q, k, v = (Tensor(rng.normal((n, 6))) for n in (3, 5, 5))
+    made = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    with tracking([q, k, v]):
+        attention(q, k, v, 2, np.triu(np.full((3, 5), -1e30), k=3))
+    assert len(made) == 1

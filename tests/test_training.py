@@ -25,7 +25,7 @@ from vrec.training import (
     recommendation_loss,
     verifier_loss,
 )
-from vrec.verifiers import make_bank
+from vrec.verifiers import make_bank, verify_and_adjust
 
 
 def small_model(**kw):
@@ -154,6 +154,23 @@ def test_verifier_loss_reference_values():
 
     v.b_last.data[:] = [0.0, 0.0, 60.0, 0.0]  # certain correct prediction
     assert verifier_loss(bank, r, np.array([2])).item() < 1e-9
+
+
+def test_verifier_loss_adds_terms_step_by_step():
+    # one fused step over the stacked rows gives the bits of summing the
+    # per-step, per-dimension terms one by one and scaling by 1/count
+    bank = make_bank([("a", 4), ("b", 3), ("c", 5)], d_m=8, seed=3)
+    for t in bank.params().values():
+        t.data = Rng(4).normal(t.shape)
+    rows, labels = Rng(5).normal((4, 8)), np.array([1, 2, 0])
+    pos = neg = 0.0
+    for row in rows:
+        verdict = verify_and_adjust(bank, Tensor(row))
+        for i, p in enumerate(verdict.p):
+            pos += -np.log(p.data[labels[i]])
+            neg += verdict.f.data[i] * -0.7
+    assert verifier_loss(bank, rows, labels).item() == pos * (1.0 / 12)
+    assert verifier_loss(bank, rows, None, alpha=0.7).item() == neg * (1.0 / 12)
 
 
 def test_verifier_loss_label_out_of_range():

@@ -1,43 +1,69 @@
-"""Verifier mixture tests: routing, prediction, entropy, guidance, adjustment."""
+"""Verifier mixture tests: routing, prediction, entropy, guidance, adjustment,
+and the fused bank step against the per-verifier chain it replaced."""
 
 import numpy as np
 import pytest
 
-from vrec.numerics import Rng, Tensor, confidence, entropy, grad_check
-from vrec.verifiers import (
-    Router,
-    Verifier,
-    VerifierBank,
-    guidance,
-    make_bank,
-    predict,
-    route,
-    verify_and_adjust,
-)
+from vrec.numerics import (Rng, Tensor, confidence, entropy, gelu, grad_check, matmul,
+                           softmax, tracking)
+from vrec.verifiers import Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
 def bank_of(dims, d_m=8, seed=0, **kw):
     return make_bank(dims, d_m=d_m, seed=seed, **kw)
 
 
+def one_verifier_bank(verifier: Verifier) -> VerifierBank:
+    d_m = verifier.w_last.shape[0]
+    return VerifierBank(verifiers=[verifier],
+                        router=Router(a=Tensor(np.zeros((1, d_m))), bias=Tensor(np.zeros(1))))
+
+
+def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
+    """One representation through the bank as a chain of elementary ops: the
+    per-verifier route, predict, entropy, confidence, guidance and averaged
+    interpolation that ``verify_and_adjust`` fuses into one node."""
+    if bank.uniform_router:
+        w = Tensor(np.full(bank.n, 1.0 / bank.n))
+    else:
+        w = softmax(matmul(bank.router.a, r) + bank.router.bias)
+    out = {"w": w, "p": [], "f": [], "c": [], "j_star": [], "g": []}
+    acc = None
+    for i, v in enumerate(bank.verifiers):
+        h = w[i] * r
+        for wt, b in v.hidden:
+            h = gelu(matmul(h, wt) + b)
+        p = softmax(matmul(h, v.w_last) + v.b_last)
+        f = entropy(p)
+        c = confidence(f, eps=bank.epsilon)
+        j_star = int(np.argmax(p.data))
+        g = v.w_last[:, j_star]
+        for key, value in zip(("p", "f", "c", "j_star", "g"), (p, f, c, j_star, g)):
+            out[key].append(value)
+        term = (1.0 - c) * r + c * g
+        acc = term if acc is None else acc + term
+    out["r_star"] = acc * (1.0 / bank.n)
+    return out
+
+
 def test_route_zero_logits_uniform():
     bank = bank_of([("a", 3), ("b", 3), ("c", 3)])
     bank.router.a.data[:] = 0.0
     bank.router.bias.data[:] = 0.0
-    w = route(bank, Tensor(np.ones(8)))
+    w = verify_and_adjust(bank, Tensor(np.ones(8))).w
     assert np.allclose(w.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_route_single_verifier():
     bank = bank_of([("a", 4)])
-    w = route(bank, Tensor(Rng(1).normal((8,))))
+    w = verify_and_adjust(bank, Tensor(Rng(1).normal((8,)))).w
     assert w.data.shape == (1,) and w.data[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_route_sums_to_one():
     bank = bank_of([("a", 2), ("b", 5)])
     for seed in range(5):
-        w = route(bank, Tensor(Rng(seed).normal((8,))))
+        w = verify_and_adjust(bank, Tensor(Rng(seed).normal((8,)))).w
         assert abs(w.data.sum() - 1.0) < 1e-12
         assert np.all(w.data > 0)
 
@@ -45,7 +71,7 @@ def test_route_sums_to_one():
 def test_route_uniform_router_flag():
     bank = bank_of([("a", 2), ("b", 2)])
     bank.uniform_router = True
-    w = route(bank, Tensor(Rng(2).normal((8,))))
+    w = verify_and_adjust(bank, Tensor(Rng(2).normal((8,)))).w
     assert np.array_equal(w.data, [0.5, 0.5])
 
 
@@ -54,7 +80,7 @@ def test_predict_zero_weights_uniform():
     v = bank.verifiers[0]
     v.w_last.data[:] = 0.0
     v.b_last.data[:] = 0.0
-    p = predict(v, Tensor(np.ones(8)))
+    p = verify_and_adjust(bank, Tensor(np.ones(8))).p[0]
     assert np.allclose(p.data, 0.25, atol=1e-15)
 
 
@@ -63,7 +89,8 @@ def test_predict_hand_2x2():
                  hidden=[],
                  w_last=Tensor(np.array([[2.0, 0.0], [1.0, 5.0]])),
                  b_last=Tensor(np.zeros(2)))
-    p = predict(v, Tensor(np.array([1.0, 0.0])))
+    # a one-verifier router weighs it exactly 1, so the head sees r itself
+    p = verify_and_adjust(one_verifier_bank(v), Tensor(np.array([1.0, 0.0]))).p[0]
     # logits = [2, 0]; softmax by hand
     assert p.data == pytest.approx([0.8807970779778823, 0.11920292202211755], abs=1e-15)
     assert abs(p.data.sum() - 1.0) < 1e-12
@@ -78,19 +105,22 @@ def test_entropy_reference_values():
 
 
 def test_guidance_argmax_column():
+    # r = 0 leaves the logits at b_last, so p = [0.2, 0.7, 0.1]
     v = Verifier(dimension="g", d_i=3, hidden=[],
-                 w_last=Tensor(Rng(3).normal((8, 3))), b_last=Tensor(np.zeros(3)))
-    j, g = guidance(v, Tensor([0.2, 0.7, 0.1]))
-    assert j == 1
-    assert np.array_equal(g.data, v.w_last.data[:, 1])
+                 w_last=Tensor(Rng(3).normal((8, 3))), b_last=Tensor(np.log([0.2, 0.7, 0.1])))
+    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros(8)))
+    assert verdict.p[0].data == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
+    assert verdict.j_star == [1]
+    assert np.array_equal(verdict.g[0].data, v.w_last.data[:, 1])
 
 
 def test_guidance_tie_lowest_index():
     v = Verifier(dimension="g", d_i=2, hidden=[],
                  w_last=Tensor(Rng(4).normal((8, 2))), b_last=Tensor(np.zeros(2)))
-    j, g = guidance(v, Tensor([0.5, 0.5]))
-    assert j == 0
-    assert np.array_equal(g.data, v.w_last.data[:, 0])
+    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros(8)))
+    assert np.array_equal(verdict.p[0].data, [0.5, 0.5])
+    assert verdict.j_star == [0]
+    assert np.array_equal(verdict.g[0].data, v.w_last.data[:, 0])
 
 
 def test_confidence_cases():
@@ -185,5 +215,101 @@ def test_mlp_verifier_shapes():
     v = bank.verifiers[0]
     assert [tuple(w.shape) for w, _ in v.hidden] == [(8, 16), (16, 8)]
     assert tuple(v.w_last.shape) == (8, 4)
-    p = predict(v, Tensor(Rng(14).normal((8,))))
+    p = verify_and_adjust(bank, Tensor(Rng(14).normal((8,)))).p[0]
     assert abs(p.data.sum() - 1.0) < 1e-12
+
+
+def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBank:
+    """A bank whose parameters are drawn at unit scale, so predictions range
+    from near-uniform (f > 1, c < 1) to peaked (c = 1)."""
+    bank = bank_of([(f"d{i}", 2 + (seed + i) % 4) for i in range(n)], d_m=6, seed=seed,
+                   hidden_width=5 if depth > 1 else 0, hidden_depth=depth)
+    rng = Rng(seed, 1)
+    for t in bank.params().values():
+        t.data = rng.normal(t.shape, std=0.8)
+    bank.uniform_router = uniform
+    return bank
+
+
+def take_grads(tensors: list[Tensor]) -> list[np.ndarray]:
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+    return grads
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("uniform", [False, True], ids=["learned", "uniform"])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
+    bank = randomized_bank(n, depth, uniform, seed=10 * n + depth + rows)
+    r = Tensor(Rng(n, rows).normal((rows, 6), std=1.5))
+    tracked = list(bank.params().values()) + [r]
+    # a scalar that depends on every output: r*, w, p, f and c
+    rng = Rng(n + depth, rows)
+    coef_r, coef_w, coef_f, coef_c = (rng.normal((rows, k)) for k in (6, n, n, n))
+    coef_p = [rng.normal((rows, v.d_i)) for v in bank.verifiers]
+
+    with tracking(tracked):
+        verdict = verify_and_adjust(bank, r)
+        loss = ((verdict.r_star * coef_r).sum() + (verdict.w * coef_w).sum()
+                + (verdict.f * coef_f).sum() + (verdict.c * coef_c).sum())
+        for p, k in zip(verdict.p, coef_p):
+            loss = loss + (p * k).sum()
+        loss.backward()
+        fused_grads = take_grads(tracked)
+
+        ref_loss = None
+        for b in range(rows):
+            ref = oracle_step(bank, r[b])
+            # every value has the chain's bits, whatever rows share the batch
+            assert verdict.j_star[b] == ref["j_star"]
+            assert np.array_equal(verdict.r_star.data[b], ref["r_star"].data)
+            assert np.array_equal(verdict.w.data[b], ref["w"].data)
+            term = (ref["r_star"] * coef_r[b]).sum() + (ref["w"] * coef_w[b]).sum()
+            for i in range(n):
+                assert np.array_equal(verdict.p[i].data[b], ref["p"][i].data)
+                assert verdict.f.data[b, i] == ref["f"][i].item()
+                assert verdict.c.data[b, i] == ref["c"][i].item()
+                term = (term + (ref["p"][i] * coef_p[i][b]).sum()
+                        + ref["f"][i] * coef_f[b, i] + ref["c"][i] * coef_c[b, i])
+            ref_loss = term if ref_loss is None else ref_loss + term
+        ref_loss.backward()
+        ref_grads = take_grads(tracked)
+    for got, want in zip(fused_grads, ref_grads):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["learned", "uniform"])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_fused_step_single_row_guidance(depth, uniform):
+    for seed in range(6):
+        bank = randomized_bank(1 + seed % 4, depth, uniform, seed)
+        r = Tensor(Rng(seed, 2).normal(6, std=1.5))
+        verdict, ref = verify_and_adjust(bank, r), oracle_step(bank, r)
+        assert verdict.r_star.shape == (6,) and verdict.f.shape == (bank.n,)
+        assert np.array_equal(verdict.r_star.data, ref["r_star"].data)
+        assert verdict.j_star == ref["j_star"]
+        for i, v in enumerate(bank.verifiers):
+            col = np.ascontiguousarray(v.w_last.data[:, verdict.j_star[i]])
+            assert verdict.g[i].data.tobytes() == col.tobytes()
+
+
+def count_tensors(monkeypatch) -> list:
+    made = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return made
+
+
+def test_served_step_builds_at_most_five_tensors(monkeypatch):
+    bank = bank_of([("a", 4), ("b", 3), ("c", 5)], hidden_width=6, hidden_depth=3)
+    r = Tensor(Rng(15).normal((8,)))
+    made = count_tensors(monkeypatch)
+    verify_and_adjust(bank, r).r_star
+    assert 0 < len(made) <= 5
