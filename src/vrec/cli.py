@@ -20,7 +20,7 @@ from .backbone import Backbone
 from .checkpoint import load_model
 from .config import SEED_ENV_VAR, ConfigError, RunConfig, check_max_positions, load_config
 from .evaluation import timing_overhead, write_metrics_csv
-from .pipeline import (VERIFIER_DATA, ablate, build_labelings, load_corpus,
+from .pipeline import (SWEEPS, VARIANTS, VERIFIER_DATA, ablate, build_labelings, load_corpus,
                        load_verifier_data, run_collection, run_eval, run_stage0,
                        run_stage1, run_stage2, step_scalability, sweep)
 from .reasoning import export_traces, homogeneity, run_reasoning
@@ -170,47 +170,41 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def _study_run(args, command: str) -> tuple[RunConfig, dict]:
+    """The resolved config and its run, as ``run_pipeline`` arguments."""
     cfg = _resolved(args)
-    _require_synth(cfg, "ablate")
+    _require_synth(cfg, command)
+    return cfg, {"synth_cfg": cfg.synth, "model_cfg": cfg.model_config(cfg.synth.n_items),
+                 "hyper": cfg.hyper, "dimensions": cfg.dimensions,
+                 "stage0_epochs": cfg.stage0_epochs, "stage1_epochs": cfg.stage1_epochs}
+
+
+def cmd_ablate(args) -> int:
+    cfg, run = _study_run(args, "ablate")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()] \
         if args.variants else None
-    model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = ablate(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions, variants=variants,
-                  out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
-                  stage1_epochs=cfg.stage1_epochs)
-    for row in rows:
+    for row in ablate(run, variants=variants, out_dir=cfg.out):
         print(f"{row['variant']}: recall@5 {row['recall@5']:.4f} "
               f"ndcg@5 {row['ndcg@5']:.4f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolved(args)
-    _require_synth(cfg, "sweep")
+    cfg, run = _study_run(args, "sweep")
     values = _parse_list(args.values, "--values", _number)
     if not values:
         raise UsageError("--values must list at least one value")
-    model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = sweep(args.param, values, cfg.synth, model_cfg, cfg.hyper, cfg.dimensions,
-                 out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
-                 stage1_epochs=cfg.stage1_epochs)
-    for row in rows:
+    for row in sweep(run, args.param, values, out_dir=cfg.out):
         print(f"{args.param}={row['value']}: recall@5 {row['recall@5']:.4f}")
     return 0
 
 
 def cmd_step_scan(args) -> int:
-    cfg = _resolved(args)
-    _require_synth(cfg, "step-scan")
+    cfg, run = _study_run(args, "step-scan")
     steps = _parse_list(args.steps, "--steps")
     if not steps:
         raise UsageError("--steps must list at least one step count")
-    model_cfg = cfg.model_config(cfg.synth.n_items)
-    rows = step_scalability(cfg.synth, model_cfg, cfg.hyper, cfg.dimensions, steps=steps,
-                            out_dir=cfg.out, stage0_epochs=cfg.stage0_epochs,
-                            stage1_epochs=cfg.stage1_epochs)
-    for row in rows:
+    for row in step_scalability(run, steps=steps, out_dir=cfg.out):
         print(f"m={row['m']}: recall@5 {row['recall@5']:.4f}")
     return 0
 
@@ -332,9 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add("finetune", cmd_finetune, "stage 2: joint verifiable fine-tuning")
     add("eval", cmd_eval, "rank the test split and write metrics", with_m=True)
     add("ablate", cmd_ablate, "train and evaluate ablation variants").add_argument(
-        "--variants", default=None, help="comma-separated variant names (default: full)")
+        "--variants", default=None,
+        help=f"comma-separated variant names (default: full): {', '.join(VARIANTS)}")
     sub = add("sweep", cmd_sweep, "train and evaluate across one hyper-parameter")
-    sub.add_argument("--param", required=True, help="hyper-parameter to sweep")
+    sub.add_argument("--param", required=True,
+                     help=f"hyper-parameter to sweep: {', '.join(SWEEPS)}")
     sub.add_argument("--values", required=True, help="comma-separated values")
     add("step-scan", cmd_step_scan, "metrics per reasoning step count").add_argument(
         "--steps", required=True, help="comma-separated step counts")

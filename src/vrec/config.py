@@ -36,7 +36,7 @@ from .datasets import MAX_HISTORY, SynthConfig
 from .training import TrainHyper
 
 __all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
-           "check_max_positions", "load_config"]
+           "check_d_i", "check_max_positions", "load_config"]
 
 SEED_ENV_VAR = "VREC_SEED"
 DIMENSION_NAMES = ("category", "title", "cf")
@@ -60,6 +60,12 @@ def check_max_positions(max_positions: int, steps) -> None:
     if MAX_HISTORY + m > max_positions:
         raise ConfigError(f"model.max_positions {max_positions} is too small for m={m}: "
                           f"it needs MAX_HISTORY + m = {MAX_HISTORY + m} positions")
+
+
+def check_d_i(where: str, d_i) -> None:
+    """A dimension's class count is unset (None) or an integer of at least 2."""
+    if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
+        raise ConfigError(f"{where}: d_i must be an integer >= 2, got {d_i!r}")
 
 
 @dataclass
@@ -131,10 +137,8 @@ def _parse_dimensions(raw) -> list[tuple[str, int | None]]:
         if name in seen:
             raise ConfigError(f"dimensions[{i}]: duplicate dimension {name!r}")
         seen.add(name)
-        d_i = entry.get("d_i")
-        if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
-            raise ConfigError(f"dimensions[{i}]: d_i must be an integer >= 2, got {d_i!r}")
-        dims.append((name, d_i))
+        check_d_i(f"dimensions[{i}]", entry.get("d_i"))
+        dims.append((name, entry.get("d_i")))
     return dims
 
 

@@ -1,5 +1,9 @@
 """The three-stage pipeline, one function per stage, and the ablations, sweeps
-and step scans built on it. Given ``out_dir``, a stage writes its artifacts there."""
+and step scans built on it. Given ``out_dir``, a stage writes its artifacts there.
+
+A run is a dict of ``run_pipeline`` arguments; a study is a list of them. An
+ablation variant or a sweep value is an edit of one run, and every run of a
+study is checked before the first one starts."""
 
 from __future__ import annotations
 
@@ -11,26 +15,20 @@ import numpy as np
 
 from .backbone import Backbone, ModelConfig
 from .checkpoint import save_model
-from .config import check_max_positions
+from .config import DIMENSION_NAMES, check_d_i, check_max_positions
 from .datasets import Item, Split, SynthConfig, chronological_split, generate_synthetic, ingest
 from .evaluation import MetricsReport, evaluate, write_metrics_csv
 from .labeling import GroupLabeling, build_labeling, save_labeling
 from .training import (TrainHyper, VerifierSample, collect_verifier_dataset, finetune,
                        pretrain_backbone, pretrain_verifiers)
-from .verifiers import VerifierBank, make_bank
+from .verifiers import VerifierBank, check_bank_shape, make_bank
 
-__all__ = ["PipelineResult", "VERIFIER_DATA", "ablate", "build_labelings", "load_corpus",
-           "load_verifier_data", "run_collection", "run_eval", "run_pipeline", "run_stage0",
-           "run_stage1", "run_stage2", "step_scalability", "sweep"]
+__all__ = ["PipelineResult", "SWEEPS", "VARIANTS", "VERIFIER_DATA", "ablate",
+           "build_labelings", "load_corpus", "load_verifier_data", "run_collection",
+           "run_eval", "run_pipeline", "run_stage0", "run_stage1", "run_stage2",
+           "step_scalability", "sweep"]
 
 VERIFIER_DATA = "verifier_data.npz"
-
-# run_pipeline keyword arguments per ablation variant, besides single-<dimension>
-VARIANTS = {"full": {}, "no-verifier": {"use_bank": False},
-            "no-monotonicity": {"gamma_override": 0.0}, "no-router": {"uniform_router": True},
-            "no-pretrain": {"skip_verifier_pretrain": True}}
-
-SWEEPABLE = ("beta", "gamma", "alpha", "d_i", "verifier-width", "verifier-depth", "m")
 
 
 def _out(out_dir: str | Path | None, name: str) -> Path | None:
@@ -206,28 +204,22 @@ class PipelineResult:
 
 def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
                  stage0_epochs: int | None = None, stage1_epochs: int | None = None,
-                 use_bank: bool = True, uniform_router: bool = False,
-                 skip_verifier_pretrain: bool = False, gamma_override: float | None = None,
-                 bank_width: int = 0, bank_depth: int = 1,
+                 uniform_router: bool = False, bank_width: int = 0, bank_depth: int = 1,
                  out_dir: str | Path | None = None, eval_ks: tuple[int, ...] = (5, 10)
                  ) -> PipelineResult:
-    """All stages end to end on a synthetic corpus. With ``use_bank`` false
-    the labeling and verifier stages are skipped."""
+    """All stages end to end on a synthetic corpus. Without ``dimensions`` it
+    is the equal-compute baseline: no labeling and no verifier stage."""
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     items, split = load_corpus(synth_cfg, out_dir=out_dir)
-    labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir) \
-        if use_bank else []
+    labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir)
     backbone = Backbone(model_cfg)
     run_stage0(backbone, split, hyper, stage0_epochs, out_dir)
     bank = None
-    if use_bank:
-        dataset = None if skip_verifier_pretrain else \
-            run_collection(backbone, split, labelings, out_dir)
+    if labelings:
+        dataset = run_collection(backbone, split, labelings, out_dir)
         bank, _ = run_stage1(backbone, dataset, labelings, hyper, stage1_epochs,
                              uniform_router, bank_width, bank_depth, out_dir)
-        if gamma_override is not None:
-            hyper = replace(hyper, gamma=gamma_override)
     run_stage2(backbone, bank, split, labelings, hyper, out_dir)
     report = run_eval(backbone, bank, split, model_cfg.m, eval_ks, out_dir)
     return PipelineResult(backbone=backbone, bank=bank, report=report,
@@ -237,52 +229,82 @@ def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tupl
 # -- studies -------------------------------------------------------------------
 
 
-def _variant_kwargs(variant: str, dimensions: list[tuple[str, int]]) -> dict:
-    if variant.startswith("single-"):
-        name = variant.removeprefix("single-")
-        dims = [d for d in dimensions if d[0] == name]
+def _single(name: str):
+    def edit(run: dict) -> dict:
+        dims = [d for d in run["dimensions"] if d[0] == name]
         if not dims:
-            raise ValueError(f"variant {variant!r}: dimension {name!r} not configured")
-        return {"dimensions": dims}
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}; "
-                         f"known: {', '.join(VARIANTS)}, single-<dimension>")
-    return VARIANTS[variant]
+            raise ValueError(f"variant 'single-{name}': dimension {name!r} not configured")
+        return {**run, "dimensions": dims}
+    return edit
 
 
-def ablate(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
-           variants: list[str] | None = None, out_dir: str | Path | None = None,
-           **pipeline_kwargs) -> list[dict]:
-    """Train and evaluate each variant under the shared seed; one row each.
-    Every variant name is checked before the first pipeline runs."""
+# each ablation variant as an edit of one run
+VARIANTS = {
+    "full": lambda run: run,
+    "no-verifier": lambda run: {**run, "dimensions": []},
+    "no-monotonicity": lambda run: {**run, "hyper": replace(run["hyper"], gamma=0.0)},
+    "no-router": lambda run: {**run, "uniform_router": True},
+    "no-pretrain": lambda run: {**run, "stage1_epochs": 0},
+    **{f"single-{name}": _single(name) for name in DIMENSION_NAMES},
+}
+
+
+def _hyper(key: str):
+    return lambda run, value: {**run, "hyper": replace(run["hyper"], **{key: float(value)})}
+
+
+# each sweep parameter as an edit of one run by one value; width only shows
+# from depth 3 on, since a depth-2 verifier's one hidden layer maps d_m to d_m
+SWEEPS = {
+    "beta": _hyper("beta"), "gamma": _hyper("gamma"), "alpha": _hyper("alpha"),
+    "d_i": lambda run, value: {**run, "dimensions": [(name, int(value))
+                                                     for name, _ in run["dimensions"]]},
+    "verifier-width": lambda run, value: {**run, "bank_width": int(value),
+                                          "bank_depth": max(run.get("bank_depth", 1), 3)},
+    "verifier-depth": lambda run, value: {**run, "bank_depth": int(value)},
+    "m": lambda run, value: {**run, "model_cfg": replace(run["model_cfg"], m=int(value))},
+}
+
+
+def _lookup(table: dict, name: str, kind: str):
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(table)}")
+    return table[name]
+
+
+def _run_all(runs: list[dict]) -> list[MetricsReport]:
+    """Check every run, then run their pipelines in order; their reports."""
+    for run in runs:
+        check_max_positions(run["model_cfg"].max_positions, [run["model_cfg"].m])
+        for name, d_i in run["dimensions"]:
+            check_d_i(f"dimension {name!r}", d_i)
+        check_bank_shape(run.get("bank_width", 0), run.get("bank_depth", 1))
+    return [run_pipeline(**run).report for run in runs]
+
+
+def ablate(run: dict, variants: list[str] | None = None,
+           out_dir: str | Path | None = None) -> list[dict]:
+    """Train and evaluate each variant of ``run``; one row each."""
     variants = list(variants) if variants else ["full"]
-    per_variant = [{"dimensions": dimensions, **pipeline_kwargs, **_variant_kwargs(v, dimensions)}
-                   for v in variants]
-    rows = []
-    for variant, kwargs in zip(variants, per_variant):
-        result = run_pipeline(synth_cfg, model_cfg, hyper, **kwargs)
-        rows.append(_report_row({"variant": variant}, result.report, (5, 10)))
+    reports = _run_all([_lookup(VARIANTS, v, "ablation variant")(run) for v in variants])
+    rows = [_report_row({"variant": v}, r, (5, 10)) for v, r in zip(variants, reports)]
     _write_rows(out_dir, "ablation.csv", rows)
     return rows
 
 
-def step_scalability(synth_cfg, model_cfg: ModelConfig, hyper,
-                     dimensions: list[tuple[str, int]], steps: list[int],
-                     seeds: list[int] | None = None,
-                     out_dir: str | Path | None = None, **pipeline_kwargs) -> list[dict]:
-    """Per-m metrics, median over seeds. Every m is checked against
-    ``model_cfg.max_positions`` before the first pipeline runs."""
-    check_max_positions(model_cfg.max_positions, steps)
-    seeds = seeds or [hyper.seed]
+def step_scalability(run: dict, steps: list[int], seeds: list[int] | None = None,
+                     out_dir: str | Path | None = None) -> list[dict]:
+    """Per-m metrics of ``run``, median over seeds; m=0 runs without a bank."""
+    seeds = seeds or [run["hyper"].seed]
+    runs = [{**run, "dimensions": run["dimensions"] if m > 0 else [],
+             "synth_cfg": replace(run["synth_cfg"], seed=seed),
+             "model_cfg": replace(run["model_cfg"], m=m, seed=seed),
+             "hyper": replace(run["hyper"], seed=seed)}
+            for m in steps for seed in seeds]
+    reports = _run_all(runs)
     rows = []
-    for m in steps:
-        per_seed = []
-        for seed in seeds:
-            cfg_m = replace(model_cfg, m=m, seed=seed)
-            result = run_pipeline(replace(synth_cfg, seed=seed), cfg_m,
-                                  replace(hyper, seed=seed), dimensions,
-                                  use_bank=m > 0 and bool(dimensions), **pipeline_kwargs)
-            per_seed.append(result.report)
+    for i, m in enumerate(steps):
+        per_seed = reports[i * len(seeds):(i + 1) * len(seeds)]
         rows.append({"m": m,
                      "recall@5": float(np.median([r.recall[5] for r in per_seed])),
                      "ndcg@5": float(np.median([r.ndcg[5] for r in per_seed])),
@@ -292,29 +314,12 @@ def step_scalability(synth_cfg, model_cfg: ModelConfig, hyper,
     return rows
 
 
-def sweep(param: str, values: list, synth_cfg, model_cfg: ModelConfig, hyper,
-          dimensions: list[tuple[str, int]], out_dir: str | Path | None = None,
-          **pipeline_kwargs) -> list[dict]:
-    """One train/eval per value under the shared seed. The parameter name, and
-    for ``m`` every value, are checked before the first pipeline runs."""
-    if param not in SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {param!r}; known: {', '.join(SWEEPABLE)}")
-    if param == "m":
-        check_max_positions(model_cfg.max_positions, [int(v) for v in values])
-    rows = []
-    for value in values:
-        cfg, hyp, dims, kwargs = model_cfg, hyper, dimensions, dict(pipeline_kwargs)
-        if param in ("beta", "gamma", "alpha"):
-            hyp = replace(hyper, **{param: float(value)})
-        elif param == "m":
-            cfg = replace(model_cfg, m=int(value))
-        elif param == "d_i":
-            dims = [(name, int(value)) for name, _ in dimensions]
-        elif param == "verifier-width":
-            kwargs["bank_width"] = int(value)
-        elif param == "verifier-depth":
-            kwargs["bank_depth"] = int(value)
-        result = run_pipeline(synth_cfg, cfg, hyp, dims, **kwargs)
-        rows.append(_report_row({"param": param, "value": value}, result.report, (5, 10)))
+def sweep(run: dict, param: str, values: list,
+          out_dir: str | Path | None = None) -> list[dict]:
+    """One train/eval of ``run`` per value of ``param``."""
+    edit = _lookup(SWEEPS, param, "sweep parameter")
+    reports = _run_all([edit(run, value) for value in values])
+    rows = [_report_row({"param": param, "value": v}, r, (5, 10))
+            for v, r in zip(values, reports)]
     _write_rows(out_dir, f"sweep_{param}.csv", rows)
     return rows

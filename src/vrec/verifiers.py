@@ -21,8 +21,8 @@ import numpy as np
 
 from .numerics import Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log
 
-__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "make_bank",
-           "verify_and_adjust"]
+__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "check_bank_shape",
+           "make_bank", "verify_and_adjust"]
 
 EPSILON = 1e-6
 
@@ -161,23 +161,30 @@ class StepVerdict:
         return (log(p) * pick).sum() * (1.0 / (p.size // self._bank.n_classes * self._bank.n))
 
 
+def check_bank_shape(hidden_width: int, hidden_depth: int) -> None:
+    """Reject a verifier shape ``make_bank`` cannot build."""
+    if hidden_depth < 1 or hidden_width < 0:
+        raise ValueError(f"a verifier needs depth >= 1 and width >= 0, "
+                         f"got depth {hidden_depth}, width {hidden_width}")
+
+
 def make_bank(dimensions: list[tuple[str, int]], d_m: int, seed: int = 0,
               hidden_width: int = 0, hidden_depth: int = 1) -> VerifierBank:
     """Build a bank with one verifier per (dimension-name, d_i) pair.
 
     ``hidden_depth`` counts layers including the classifier head: depth 1 is
-    the default linear verifier, depth k adds k-1 gelu layers of
-    ``hidden_width`` units (the trunk maps back to d_m before the head so
-    prototype columns stay in representation space).
+    the default linear verifier, depth k adds a trunk of k-1 gelu layers
+    whose inner widths are ``hidden_width`` (0: d_m). The trunk maps back to
+    d_m before the head so prototype columns stay in representation space;
+    so at depth 2 its one layer is d_m x d_m whatever the width.
     """
+    check_bank_shape(hidden_width, hidden_depth)
     rng = Rng(seed, 20)
     verifiers = []
     for name, d_i in dimensions:
         hidden: list[tuple[Tensor, Tensor]] = []
         if hidden_depth > 1:
-            if hidden_width <= 0:
-                raise ValueError("hidden_depth > 1 requires a positive hidden_width")
-            widths = [d_m] + [hidden_width] * (hidden_depth - 2) + [d_m]
+            widths = [d_m] + [hidden_width or d_m] * (hidden_depth - 2) + [d_m]
             for a, b in zip(widths, widths[1:]):
                 hidden.append((Tensor(rng.normal((a, b), std=0.02)), Tensor(np.zeros(b))))
         verifiers.append(Verifier(

@@ -262,9 +262,9 @@ def bench_runs():
             hyper = TrainHyper(lr=3e-3, epochs=BENCH_STAGE2, batch=16,
                                beta=BENCH_BETA, gamma=BENCH_GAMMA, seed=seed)
             t0 = time.monotonic()
-            res = run_pipeline(BENCH_SYNTH, mc, hyper, BENCH_DIMS,
+            res = run_pipeline(BENCH_SYNTH, mc, hyper, BENCH_DIMS if bank else [],
                                stage0_epochs=BENCH_STAGE0,
-                               stage1_epochs=BENCH_STAGE1, use_bank=bank)
+                               stage1_epochs=BENCH_STAGE1)
             walls[(seed, m, bank)] = time.monotonic() - t0
             results[(seed, m, bank)] = res.report.recall[5]
             print(f"  bench seed={seed} m={m} bank={int(bank)}: "
@@ -413,7 +413,7 @@ def test_ac12_reproducibility(tmp_path):
                          max_positions=24, m=2, seed=11)
         hyper = TrainHyper(lr=3e-3, epochs=2, batch=8, seed=11)
         run_pipeline(synth, mc, hyper, [("category", 3), ("title", 3)],
-                     stage0_epochs=2, stage1_epochs=2, use_bank=True, out_dir=out)
+                     stage0_epochs=2, stage1_epochs=2, out_dir=out)
 
     once(tmp_path / "a")
     once(tmp_path / "b")

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import shutil
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from vrec.cli import main
 from vrec.config import SEED_ENV_VAR, load_config
 from vrec.datasets import ingest
 from vrec.labeling import load_labeling
-from vrec.pipeline import VERIFIER_DATA, load_verifier_data, run_pipeline
+from vrec.pipeline import SWEEPS, VARIANTS, VERIFIER_DATA, load_verifier_data, run_pipeline, sweep
+from vrec.verifiers import make_bank
 
 CONFIG = {
     "seed": 7,
@@ -191,6 +194,72 @@ def test_one_class_labeling_rejected_before_training(tmp_path, monkeypatch):
                      out_dir=tmp_path / "run")
     assert not trained
     assert not (tmp_path / "run" / "stage0.ckpt").exists()
+
+
+BAD_STUDY_VALUES = [
+    ("beta", "0.5,-1", "must be non-negative"),
+    ("m", "1,-1", "m must be non-negative"),
+    ("d_i", "3,1", "d_i must be an integer >= 2"),
+    ("verifier-depth", "1,0", "depth >= 1"),
+    ("verifier-width", "4,-4", "width >= 0"),
+]
+
+
+@pytest.mark.parametrize("param, values, message", BAD_STUDY_VALUES)
+def test_bad_study_value_rejected_before_training(tmp_path, monkeypatch, param, values, message):
+    trained = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
+    cfg = load_config(write_config(tmp_path))
+    run = {"synth_cfg": cfg.synth, "model_cfg": cfg.model_config(cfg.synth.n_items),
+           "hyper": cfg.hyper, "dimensions": cfg.dimensions, "bank_depth": 2}
+    with pytest.raises(ValueError, match=message):
+        sweep(run, param, [float(v) for v in values.split(",")], out_dir=tmp_path / "lib")
+    assert not trained
+    assert main(["sweep", "--config", str(write_config(tmp_path)),
+                 "--param", param, "--values", values]) == 1
+    assert not trained
+    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "lib").exists()
+
+
+def _built_banks(tmp_path, monkeypatch, param, values):
+    """Hidden-layer shapes of each bank a CLI sweep builds, per verifier."""
+    shapes = []
+
+    def recording_make_bank(*args, **kwargs):
+        bank = make_bank(*args, **kwargs)
+        shapes.append([[w.shape for w, _ in v.hidden] for v in bank.verifiers])
+        return bank
+
+    monkeypatch.setattr(vrec.pipeline, "make_bank", recording_make_bank)
+    obj = json.loads(json.dumps(CONFIG))
+    obj["hyper"]["epochs"] = 0
+    cfg = write_config(tmp_path, obj)
+    assert main(["sweep", "--config", str(cfg), "--param", param, "--values", values]) == 0
+    return shapes
+
+
+def test_sweep_verifier_width_builds_wider_banks(tmp_path, monkeypatch):
+    shapes = _built_banks(tmp_path, monkeypatch, "verifier-width", "2,16")
+    assert shapes == [[[(8, 2), (2, 8)]] * 2, [[(8, 16), (16, 8)]] * 2]
+
+
+def test_sweep_verifier_depth_builds_deeper_banks(tmp_path, monkeypatch):
+    shapes = _built_banks(tmp_path, monkeypatch, "verifier-depth", "1,2,3")
+    assert shapes == [[[]] * 2, [[(8, 8)]] * 2, [[(8, 8), (8, 8)]] * 2]
+
+
+def test_readme_study_examples_use_known_names(capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    variants = re.findall(r"vrec ablate .*--variants (\S+)", readme)
+    params = re.findall(r"vrec sweep .*--param (\S+)", readme)
+    assert variants and params
+    assert set(",".join(variants).split(",")) <= set(VARIANTS)
+    assert set(params) <= set(SWEEPS)
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a name
+    for command, names in (("ablate", VARIANTS), ("sweep", SWEEPS)):
+        assert main([command, "--help"]) == 0
+        assert ", ".join(names) in capsys.readouterr().out
 
 
 # -- staged pipeline -----------------------------------------------------------

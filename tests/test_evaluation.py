@@ -3,6 +3,7 @@
 import csv
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ MICRO_MODEL = ModelConfig(d_m=8, layers=1, heads=1, n_items=12, max_positions=16
                           m=1, seed=1)
 MICRO_HYPER = TrainHyper(lr=1e-3, epochs=1, batch=8, seed=1)
 MICRO_DIMS = [("category", 3)]
+MICRO_RUN = {"synth_cfg": MICRO_SYNTH, "model_cfg": MICRO_MODEL, "hyper": MICRO_HYPER,
+             "dimensions": MICRO_DIMS}
 
 
 # -- metric definitions ----------------------------------------------------
@@ -141,8 +144,7 @@ def test_run_pipeline_writes_artifacts(tmp_path):
 
 def test_run_pipeline_without_bank(tmp_path):
     out = tmp_path / "nb"
-    result = run_pipeline(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS,
-                          use_bank=False, out_dir=out)
+    result = run_pipeline(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, [], out_dir=out)
     assert result.bank is None
     assert not (out / "stage1.ckpt").exists()
     assert (out / "final.ckpt").exists()
@@ -153,24 +155,22 @@ def test_run_pipeline_without_bank(tmp_path):
 
 def test_ablate_unknown_variant():
     with pytest.raises(ValueError, match="unknown ablation variant"):
-        ablate(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS, variants=["bogus"])
+        ablate(MICRO_RUN, variants=["bogus"])
 
 
 def test_ablate_single_dimension_not_configured():
     with pytest.raises(ValueError, match="not configured"):
-        ablate(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS, variants=["single-cf"])
+        ablate(MICRO_RUN, variants=["single-cf"])
 
 
 def test_ablate_default_is_full(tmp_path):
-    rows = ablate(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS,
-                  out_dir=tmp_path)
+    rows = ablate(MICRO_RUN, out_dir=tmp_path)
     assert [r["variant"] for r in rows] == ["full"]
     assert (tmp_path / "ablation.csv").exists()
 
 
 def test_ablate_rows_per_variant(tmp_path):
-    rows = ablate(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS,
-                  variants=["full", "no-verifier"], out_dir=tmp_path)
+    rows = ablate(MICRO_RUN, variants=["full", "no-verifier"], out_dir=tmp_path)
     assert [r["variant"] for r in rows] == ["full", "no-verifier"]
     for row in rows:
         assert 0.0 <= row["recall@5"] <= 1.0
@@ -179,12 +179,31 @@ def test_ablate_rows_per_variant(tmp_path):
     assert len(lines) == 3
 
 
+# a run on which each variant below changes the row
+VARIANT_HYPER = replace(MICRO_HYPER, lr=1e-2, epochs=2)
+VARIANT_RUN = {**MICRO_RUN, "model_cfg": replace(MICRO_MODEL, d_m=16, heads=2, m=2),
+               "hyper": VARIANT_HYPER, "dimensions": [("category", 3), ("title", 3)]}
+
+
+@pytest.mark.parametrize("variant, explicit", [
+    ("no-monotonicity", {"hyper": replace(VARIANT_HYPER, gamma=0.0)}),
+    ("no-router", {"uniform_router": True}),
+    ("no-pretrain", {"stage1_epochs": 0}),
+    ("single-title", {"dimensions": [("title", 3)]}),
+])
+def test_variant_is_its_explicit_run(variant, explicit):
+    [row] = ablate(VARIANT_RUN, variants=[variant])
+    report = run_pipeline(**{**VARIANT_RUN, **explicit}).report
+    assert row == {"variant": variant, "recall@5": report.recall[5], "ndcg@5": report.ndcg[5],
+                   "recall@10": report.recall[10], "ndcg@10": report.ndcg[10],
+                   "n_samples": report.n_samples}
+
+
 # -- scaling and sweeps ------------------------------------------------------
 
 
 def test_step_scalability_m_zero(tmp_path):
-    rows = step_scalability(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS,
-                            steps=[0], out_dir=tmp_path)
+    rows = step_scalability(MICRO_RUN, steps=[0], out_dir=tmp_path)
     assert rows[0]["m"] == 0
     assert 0.0 <= rows[0]["recall@5"] <= 1.0
     assert (tmp_path / "steps.csv").exists()
@@ -192,12 +211,11 @@ def test_step_scalability_m_zero(tmp_path):
 
 def test_sweep_unknown_param():
     with pytest.raises(ValueError, match="unknown sweep parameter"):
-        sweep("dropout", [0.1], MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS)
+        sweep(MICRO_RUN, "dropout", [0.1])
 
 
 def test_sweep_single_value(tmp_path):
-    rows = sweep("beta", [0.0], MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS,
-                 out_dir=tmp_path)
+    rows = sweep(MICRO_RUN, "beta", [0.0], out_dir=tmp_path)
     assert rows[0]["param"] == "beta"
     assert rows[0]["value"] == 0.0
     assert 0.0 <= rows[0]["recall@5"] <= 1.0

@@ -208,6 +208,9 @@ def test_bank_validation():
     with pytest.raises(ValueError, match="columns"):
         Verifier(dimension="bad", d_i=3, hidden=[],
                  w_last=Tensor(np.zeros((8, 2))), b_last=Tensor(np.zeros(3)))
+    for width, depth in ((0, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="depth >= 1 and width >= 0"):
+            make_bank([("a", 3)], d_m=8, hidden_width=width, hidden_depth=depth)
 
 
 def test_mlp_verifier_shapes():
