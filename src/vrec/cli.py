@@ -24,6 +24,7 @@ from .pipeline import (SWEEPS, VARIANTS, VERIFIER_DATA, ablate, build_labelings,
                        load_verifier_data, run_collection, run_eval, run_stage0,
                        run_stage1, run_stage2, step_scalability, sweep)
 from .reasoning import export_traces, homogeneity, run_reasoning
+from .verifiers import make_bank
 
 __all__ = ["main"]
 
@@ -116,7 +117,7 @@ def cmd_collect(args) -> int:
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
     labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
     dataset = run_collection(backbone, split, labelings, cfg.out)
-    positives = sum(s.labels is not None for s in dataset)
+    positives = int(dataset.positive.sum())
     print(f"collected {len(dataset)} traces ({positives} positive) "
           f"-> {cfg.out / VERIFIER_DATA}")
     return 0
@@ -133,7 +134,7 @@ def cmd_pretrain_verifiers(args) -> int:
     _, history = run_stage1(backbone, dataset, labelings, cfg.hyper, cfg.stage1_epochs,
                             out_dir=cfg.out)
     summary = "0 epochs"
-    if not any(len(s.r_steps) for s in dataset):
+    if not dataset.r_steps.shape[1]:
         summary = "no trace has a latent step, nothing to fit"
     elif history:
         acc, neg_h = history[-1]
@@ -222,7 +223,8 @@ def cmd_bench(args) -> int:
             raise ConfigError("bench requires at least one labeling dimension")
         backbone = Backbone(cfg.model_config(len(items)))
         labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
-        bank, _ = run_stage1(backbone, None, labelings, cfg.hyper)  # untrained bank
+        bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
+                         d_m=backbone.cfg.d_m, seed=cfg.hyper.seed)  # untrained
     steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
     check_max_positions(backbone.cfg.max_positions, steps)
     result = timing_overhead(backbone, bank, split.test or split.train,

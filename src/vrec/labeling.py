@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_COUNT = 20
-CLASS_COUNT_CHOICES = (15, 20, 25)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .config import DIMENSION_NAMES, check_d_i, check_max_positions
 from .datasets import Item, Split, SynthConfig, chronological_split, generate_synthetic, ingest
 from .evaluation import MetricsReport, evaluate, write_metrics_csv
 from .labeling import GroupLabeling, build_labeling, save_labeling
-from .training import (TrainHyper, VerifierSample, collect_verifier_dataset, finetune,
+from .training import (TrainHyper, VerifierData, collect_verifier_dataset, finetune,
                        pretrain_backbone, pretrain_verifiers)
 from .verifiers import VerifierBank, check_bank_shape, make_bank
 
@@ -93,24 +93,17 @@ def _labeling_arrays(labelings: list[GroupLabeling]) -> dict[str, np.ndarray]:
 
 
 def run_collection(backbone: Backbone, split: Split, labelings: list[GroupLabeling],
-                   out_dir: str | Path | None = None) -> list[VerifierSample]:
+                   out_dir: str | Path | None = None) -> VerifierData:
     """Stage 1 data: greedy-decoded train traces, saved with their labelings."""
-    cfg = backbone.cfg
-    dataset = collect_verifier_dataset(backbone, split.train, labelings, m=cfg.m)
+    dataset = collect_verifier_dataset(backbone, split.train, labelings, m=backbone.cfg.m)
     if out_dir:
-        labels = np.full((len(dataset), len(labelings)), -1, dtype=np.int64)
-        for i, sample in enumerate(dataset):
-            if sample.labels is not None:
-                labels[i] = sample.labels
-        r_steps = np.stack([s.r_steps for s in dataset]) if dataset else \
-            np.zeros((0, cfg.m, cfg.d_m))
-        np.savez(Path(out_dir) / VERIFIER_DATA, r_steps=r_steps, labels=labels,
+        np.savez(Path(out_dir) / VERIFIER_DATA, r_steps=dataset.r_steps, labels=dataset.labels,
                  **_labeling_arrays(labelings))
     return dataset
 
 
 def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
-                       model_cfg: ModelConfig) -> list[VerifierSample]:
+                       model_cfg: ModelConfig) -> VerifierData:
     """Read verifier data, refusing data of other labelings or backbone shape."""
     path = Path(path)
     if not path.exists():
@@ -125,22 +118,20 @@ def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
     if stored["r_steps"].shape[1:] != (model_cfg.m, model_cfg.d_m):
         raise ValueError(f"{path} is stale: r_steps has shape {stored['r_steps'].shape}, but "
                          f"stage0.ckpt has m={model_cfg.m}, d_m={model_cfg.d_m}")
-    return [VerifierSample(r_steps=r, labels=None if lab.size == 0 or lab[0] < 0 else lab)
-            for r, lab in zip(stored["r_steps"], stored["labels"])]
+    return VerifierData(r_steps=stored["r_steps"], labels=stored["labels"])
 
 
-def run_stage1(backbone: Backbone, dataset: list[VerifierSample] | None,
-               labelings: list[GroupLabeling], hyper: TrainHyper, epochs: int | None = None,
-               uniform_router: bool = False, bank_width: int = 0, bank_depth: int = 1,
-               out_dir: str | Path | None = None
+def run_stage1(backbone: Backbone, dataset: VerifierData, labelings: list[GroupLabeling],
+               hyper: TrainHyper, epochs: int | None = None, uniform_router: bool = False,
+               bank_width: int = 0, bank_depth: int = 1, out_dir: str | Path | None = None
                ) -> tuple[VerifierBank, list[tuple[float, float]]]:
-    """Stage 1: a fresh verifier bank fitted on ``dataset`` (None: unfitted)
-    with the backbone frozen, and its per-epoch (accuracy, negative entropy)."""
+    """Stage 1: a fresh verifier bank fitted on ``dataset`` with the backbone
+    frozen, and its per-epoch (accuracy, negative entropy)."""
     bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings], d_m=backbone.cfg.d_m,
                      seed=hyper.seed, hidden_width=bank_width, hidden_depth=bank_depth)
     bank.uniform_router = uniform_router
-    history = [] if dataset is None else pretrain_verifiers(
-        bank, dataset, _with_epochs(hyper, epochs), log_path=_out(out_dir, "stage1_log.csv"))
+    history = pretrain_verifiers(bank, dataset, _with_epochs(hyper, epochs),
+                                 log_path=_out(out_dir, "stage1_log.csv"))
     if out_dir:
         save_model(Path(out_dir) / "stage1.ckpt", backbone, bank)
     return bank, history
@@ -253,16 +244,22 @@ def _hyper(key: str):
     return lambda run, value: {**run, "hyper": replace(run["hyper"], **{key: float(value)})}
 
 
+def _whole(param: str, value) -> int:
+    if value != int(value):
+        raise ValueError(f"sweep parameter {param!r} takes whole numbers, got {value}")
+    return int(value)
+
+
 # each sweep parameter as an edit of one run by one value; width only shows
 # from depth 3 on, since a depth-2 verifier's one hidden layer maps d_m to d_m
 SWEEPS = {
     "beta": _hyper("beta"), "gamma": _hyper("gamma"), "alpha": _hyper("alpha"),
-    "d_i": lambda run, value: {**run, "dimensions": [(name, int(value))
+    "d_i": lambda run, value: {**run, "dimensions": [(name, _whole("d_i", value))
                                                      for name, _ in run["dimensions"]]},
-    "verifier-width": lambda run, value: {**run, "bank_width": int(value),
+    "verifier-width": lambda run, value: {**run, "bank_width": _whole("verifier-width", value),
                                           "bank_depth": max(run.get("bank_depth", 1), 3)},
-    "verifier-depth": lambda run, value: {**run, "bank_depth": int(value)},
-    "m": lambda run, value: {**run, "model_cfg": replace(run["model_cfg"], m=int(value))},
+    "verifier-depth": lambda run, value: {**run, "bank_depth": _whole("verifier-depth", value)},
+    "m": lambda run, value: {**run, "model_cfg": replace(run["model_cfg"], m=_whole("m", value))},
 }
 
 
@@ -292,15 +289,18 @@ def ablate(run: dict, variants: list[str] | None = None,
     return rows
 
 
+def _seeded(run: dict, seed: int) -> dict:
+    return {**run, "synth_cfg": replace(run["synth_cfg"], seed=seed),
+            "model_cfg": replace(run["model_cfg"], seed=seed),
+            "hyper": replace(run["hyper"], seed=seed)}
+
+
 def step_scalability(run: dict, steps: list[int], seeds: list[int] | None = None,
                      out_dir: str | Path | None = None) -> list[dict]:
-    """Per-m metrics of ``run``, median over seeds; m=0 runs without a bank."""
+    """Per-m metrics of ``run``, median over seeds. Each run is the ``m``
+    sweep's edit, so at m=0 the bank stays and stage 1 fits nothing."""
     seeds = seeds or [run["hyper"].seed]
-    runs = [{**run, "dimensions": run["dimensions"] if m > 0 else [],
-             "synth_cfg": replace(run["synth_cfg"], seed=seed),
-             "model_cfg": replace(run["model_cfg"], m=m, seed=seed),
-             "hyper": replace(run["hyper"], seed=seed)}
-            for m in steps for seed in seeds]
+    runs = [_seeded(SWEEPS["m"](run, m), seed) for m in steps for seed in seeds]
     reports = _run_all(runs)
     rows = []
     for i, m in enumerate(steps):

@@ -20,7 +20,7 @@ from .verifiers import VerifierBank, verify_and_adjust
 __all__ = [
     "Adam",
     "TrainHyper",
-    "VerifierSample",
+    "VerifierData",
     "collect_verifier_dataset",
     "finetune",
     "monotonicity_loss",
@@ -51,11 +51,19 @@ class TrainHyper:
 
 
 @dataclass
-class VerifierSample:
-    """One collected trace: adjusted step vectors plus labels (None = negative)."""
+class VerifierData:
+    """Collected traces: each trace's adjusted step vectors and its target's
+    class per dimension; a row of -1 labels marks a miss, i.e. a negative."""
 
-    r_steps: np.ndarray  # (m, d_m)
-    labels: np.ndarray | None  # per-dimension target classes, or None
+    r_steps: np.ndarray  # (N, m, d_m) float64
+    labels: np.ndarray  # (N, n) int64
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def positive(self) -> np.ndarray:
+        return self.labels[:, 0] >= 0
 
 
 class Adam:
@@ -107,7 +115,7 @@ def _mean(losses: list[Tensor]) -> Tensor:
 def _write_log_row(path: str | Path | None, row: list, mode: str) -> None:
     if path:
         with Path(path).open(mode, encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(row)
+            csv.writer(fh, lineterminator="\n").writerow(row)
 
 
 def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, stream: int,
@@ -174,25 +182,23 @@ def pretrain_backbone(backbone: Backbone, samples: list[Sample], hyper: TrainHyp
 
 
 def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
-                             labelings: list[GroupLabeling], m: int) -> list[VerifierSample]:
+                             labelings: list[GroupLabeling], m: int) -> VerifierData:
     """Stage 1 data: greedy-decode each sample; hits become positives labeled
     with the target's class in every dimension, misses become negatives."""
-    out: list[VerifierSample] = []
-    for s in samples:
+    if not labelings:
+        raise ValueError("verifier data needs at least one labeling dimension")
+    data = VerifierData(r_steps=np.zeros((len(samples), m, backbone.cfg.d_m)),
+                        labels=np.full((len(samples), len(labelings)), -1, dtype=np.int64))
+    for i, s in enumerate(samples):
         trace, hidden = run_reasoning(backbone, None, s.history, m)
-        y_hat = greedy_recommend(backbone, hidden)
-        r_steps = np.stack([r.data for r in trace.adjusted()]) if trace.steps else \
-            np.zeros((0, backbone.cfg.d_m))
-        if y_hat == s.target:
-            labels = np.zeros(len(labelings), dtype=np.int64)
-            for i, lab in enumerate(labelings):
+        for t, r in enumerate(trace.adjusted()):
+            data.r_steps[i, t] = r.data
+        if greedy_recommend(backbone, hidden) == s.target:
+            for j, lab in enumerate(labelings):
                 if s.target >= len(lab.labels):
                     raise ValueError(f"item {s.target} missing from labeling {lab.dimension!r}")
-                labels[i] = lab.labels[s.target]
-            out.append(VerifierSample(r_steps=r_steps, labels=labels))
-        else:
-            out.append(VerifierSample(r_steps=r_steps, labels=None))
-    return out
+                data.labels[i, j] = lab.labels[s.target]
+    return data
 
 
 def _step_rows(trace) -> Tensor:
@@ -221,45 +227,43 @@ def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
     return verdict.label_nll(np.asarray(labels, dtype=np.int64))
 
 
-def verifier_stats(bank: VerifierBank, dataset: list[VerifierSample]) -> tuple[float, float]:
-    """(positive class accuracy, negative mean entropy) over a collected dataset."""
-    hits = total = 0
-    neg_entropies: list[np.ndarray] = []
-    for sample in dataset:
-        if not len(sample.r_steps):
-            continue
-        verdict = verify_and_adjust(bank, Tensor(sample.r_steps))
-        if sample.labels is None:
-            neg_entropies.append(verdict.f.data.ravel())
+def verifier_stats(bank: VerifierBank, data: VerifierData) -> tuple[float, float]:
+    """(positive class accuracy, negative mean entropy) over collected traces,
+    scored one trace at a time."""
+    matches, neg_entropies = [], []
+    for r_steps, labels, positive in zip(data.r_steps, data.labels, data.positive):
+        verdict = verify_and_adjust(bank, Tensor(r_steps))
+        if positive:
+            matches.append((np.array(verdict.j_star) == labels).ravel())
         else:
-            hits += int((np.array(verdict.j_star) == sample.labels).sum())
-            total += sample.r_steps.shape[0] * bank.n
-    acc = hits / total if total else float("nan")
+            neg_entropies.append(verdict.f.data.ravel())
+    acc = float(np.mean(np.concatenate(matches))) if matches else float("nan")
     neg_h = float(np.mean(np.concatenate(neg_entropies))) if neg_entropies else float("nan")
     return acc, neg_h
 
 
-def pretrain_verifiers(bank: VerifierBank, dataset: list[VerifierSample],
+def pretrain_verifiers(bank: VerifierBank, dataset: VerifierData,
                        hyper: TrainHyper, log_path: str | Path | None = None
                        ) -> list[tuple[float, float]]:
     """Stage 1 training: fit the bank on collected traces, backbone frozen.
 
     Returns per-epoch (positive accuracy, negative mean entropy); empty when
-    no trace has a latent step.
+    the traces have no latent step.
     """
-    if not dataset:
+    if not len(dataset):
         raise ValueError("verifier dataset is empty")
-    usable = [s for s in dataset if len(s.r_steps)]
-    if not usable:  # with m=0 no trace has a latent step: there is nothing to fit
+    if not dataset.r_steps.shape[1]:  # with m=0 there is nothing to fit
         hyper = replace(hyper, epochs=0)
+    positive = dataset.positive
 
     def batch_losses(idx):
-        loss = _mean([verifier_loss(bank, usable[j].r_steps, usable[j].labels, hyper.alpha)
+        loss = _mean([verifier_loss(bank, dataset.r_steps[j],
+                                    dataset.labels[j] if positive[j] else None, hyper.alpha)
                       for j in idx])
         return {"L_v": loss, "total": loss}
 
-    rows = _fit("pretrain_verifiers", bank.params(), len(usable), hyper, 31, batch_losses,
-                log_path, epoch_end=lambda: {"stats": verifier_stats(bank, usable)})
+    rows = _fit("pretrain_verifiers", bank.params(), len(dataset), hyper, 31, batch_losses,
+                log_path, epoch_end=lambda: {"stats": verifier_stats(bank, dataset)})
     return [row["stats"] for row in rows]
 
 

@@ -202,6 +202,8 @@ BAD_STUDY_VALUES = [
     ("d_i", "3,1", "d_i must be an integer >= 2"),
     ("verifier-depth", "1,0", "depth >= 1"),
     ("verifier-width", "4,-4", "width >= 0"),
+    ("d_i", "3,2.5", "'d_i' takes whole numbers, got 2.5"),
+    ("m", "1,1.5", "'m' takes whole numbers, got 1.5"),
 ]
 
 
@@ -310,6 +312,14 @@ def test_verifier_data_format(pipeline):
     assert (m, d_m) == (CONFIG["model"]["m"], CONFIG["model"]["d_m"])
     assert data["labels"].shape == (n, len(CONFIG["dimensions"]))
     assert ((data["labels"] >= -1).all())
+
+
+def test_collect_refuses_no_dimensions(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(CONFIG, model=dict(CONFIG["model"], m=0), dimensions=[]))
+    assert main(["pretrain-backbone", "--config", str(cfg)]) == 0
+    assert main(["collect-verifier-data", "--config", str(cfg)]) == 1
+    assert "at least one labeling dimension" in capsys.readouterr().err
+    assert not (tmp_path / "out" / VERIFIER_DATA).exists()
 
 
 @pytest.mark.parametrize("dimensions", [

@@ -209,6 +209,14 @@ def test_step_scalability_m_zero(tmp_path):
     assert (tmp_path / "steps.csv").exists()
 
 
+def test_step_scalability_matches_m_sweep():
+    steps = step_scalability(MICRO_RUN, [0, 1])
+    swept = sweep(MICRO_RUN, "m", [0, 1])
+    for row, swept_row in zip(steps, swept):
+        assert row["m"] == swept_row["value"]
+        assert (row["recall@5"], row["ndcg@5"]) == (swept_row["recall@5"], swept_row["ndcg@5"])
+
+
 def test_sweep_unknown_param():
     with pytest.raises(ValueError, match="unknown sweep parameter"):
         sweep(MICRO_RUN, "dropout", [0.1])

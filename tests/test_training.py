@@ -15,7 +15,7 @@ from vrec.reasoning import greedy_recommend, run_reasoning
 from vrec.training import (
     Adam,
     TrainHyper,
-    VerifierSample,
+    VerifierData,
     _fit,
     collect_verifier_dataset,
     finetune,
@@ -267,7 +267,9 @@ def test_training_log_csv(tmp_path, corpus):
     bb = Backbone(small_model())
     path = tmp_path / "log.csv"
     pretrain_backbone(bb, split.train[:20], TrainHyper(epochs=2, batch=10, seed=0), log_path=path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_bytes().decode("utf-8")
+    assert "\r" not in text
+    lines = text.splitlines()
     assert lines[0] == "epoch,L_r,L_v,L_m,total,val_recall@5,wall_seconds"
     assert len(lines) == 3
 
@@ -284,10 +286,10 @@ def test_collect_all_positive_when_targets_match_greedy(corpus):
         samples.append(Sample(user=s.user, history=s.history,
                               target=greedy_recommend(bb, hidden)))
     ds = collect_verifier_dataset(bb, samples, labelings, m=2)
-    assert all(d.labels is not None for d in ds)
-    for d, s in zip(ds, samples):
+    assert ds.positive.all()
+    for labels, s in zip(ds.labels, samples):
         expected = [lab.labels[s.target] for lab in labelings]
-        assert d.labels.tolist() == expected
+        assert labels.tolist() == expected
 
 
 def test_collect_all_negative_when_targets_never_match(corpus):
@@ -299,7 +301,7 @@ def test_collect_all_negative_when_targets_never_match(corpus):
         samples.append(Sample(user=s.user, history=s.history,
                               target=(greedy_recommend(bb, hidden) + 1) % 24))
     ds = collect_verifier_dataset(bb, samples, labelings, m=2)
-    assert all(d.labels is None for d in ds)
+    assert (ds.labels == -1).all()
 
 
 def test_collect_partition_matches_replay(corpus):
@@ -307,20 +309,20 @@ def test_collect_partition_matches_replay(corpus):
     bb = Backbone(small_model())
     pretrain_backbone(bb, split.train, TrainHyper(lr=3e-3, epochs=1, batch=16, seed=42))
     ds = collect_verifier_dataset(bb, split.train, labelings, m=2)
-    for d, s in zip(ds, split.train):
+    for positive, s in zip(ds.positive, split.train):
         _, hidden = run_reasoning(bb, None, s.history, 2)
         hit = greedy_recommend(bb, hidden) == s.target
-        assert (d.labels is not None) == hit
+        assert positive == hit
 
 
 def test_collect_stores_adjusted_steps(corpus):
     _, split, labelings = corpus
     bb = Backbone(small_model())
     ds = collect_verifier_dataset(bb, split.train[:4], labelings, m=3)
-    for d, s in zip(ds, split.train[:4]):
+    for r_steps, s in zip(ds.r_steps, split.train[:4]):
         trace, _ = run_reasoning(bb, None, s.history, 3)
-        assert d.r_steps.shape == (3, 24)
-        assert np.array_equal(d.r_steps, np.stack([r.data for r in trace.adjusted()]))
+        assert r_steps.shape == (3, 24)
+        assert np.array_equal(r_steps, np.stack([r.data for r in trace.adjusted()]))
 
 
 def test_pretrain_verifiers_fits_planted_structure(corpus):
@@ -328,7 +330,7 @@ def test_pretrain_verifiers_fits_planted_structure(corpus):
     bb = Backbone(small_model())
     pretrain_backbone(bb, split.train, TrainHyper(lr=3e-3, epochs=3, batch=16, seed=42))
     ds = collect_verifier_dataset(bb, split.train, labelings, m=2)
-    assert sum(d.labels is not None for d in ds) > 0
+    assert ds.positive.sum() > 0
     bank = make_bank([(l.dimension, l.d_i) for l in labelings], d_m=24, seed=42)
     history = pretrain_verifiers(bank, ds, TrainHyper(lr=3e-3, epochs=5, batch=16, seed=42))
     acc, neg_h = history[-1]
@@ -352,14 +354,15 @@ def test_pretrain_verifiers_deterministic(corpus):
 def test_pretrain_verifiers_empty_dataset():
     bank = make_bank([("a", 3)], d_m=8, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        pretrain_verifiers(bank, [], TrainHyper())
+        pretrain_verifiers(bank, VerifierData(r_steps=np.zeros((0, 2, 8)),
+                                              labels=np.zeros((0, 1), dtype=np.int64)),
+                           TrainHyper())
 
 
 def test_pretrain_verifiers_without_latent_steps():
     bank = make_bank([("a", 3)], d_m=8, seed=0)
     before = {k: v.data.copy() for k, v in bank.params().items()}
-    ds = [VerifierSample(r_steps=np.zeros((0, 8)), labels=None),
-          VerifierSample(r_steps=np.zeros((0, 8)), labels=np.array([1]))]
+    ds = VerifierData(r_steps=np.zeros((2, 0, 8)), labels=np.array([[-1], [1]]))
     assert pretrain_verifiers(bank, ds, TrainHyper(epochs=2)) == []
     for k, v in bank.params().items():
         assert np.array_equal(v.data, before[k])
