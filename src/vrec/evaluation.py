@@ -13,7 +13,7 @@ import numpy as np
 
 from .backbone import Backbone
 from .datasets import Sample
-from .reasoning import recommend, run_reasoning
+from .reasoning import CHUNK, recommend, run_reasoning
 from .verifiers import VerifierBank
 
 __all__ = [
@@ -70,17 +70,19 @@ def config_fingerprint(parts: dict) -> str:
 
 def evaluate(backbone: Backbone, bank: VerifierBank | None, samples: list[Sample],
              m: int | None = None, ks: tuple[int, ...] = (5, 10)) -> MetricsReport:
-    """Full-ranking evaluation over samples; deterministic apart from wall time."""
+    """Full-ranking evaluation over samples, reasoning over ``CHUNK`` of them
+    at a time; deterministic apart from wall time."""
     m = backbone.cfg.m if m is None else m
     t0 = time.monotonic()
     recalls = {k: 0.0 for k in ks}
     ndcgs = {k: 0.0 for k in ks}
-    for s in samples:
-        _, hidden = run_reasoning(backbone, bank, s.history, m)
-        ranked = recommend(backbone, hidden)
-        for k in ks:
-            recalls[k] += recall_at_k(ranked, s.target, k)
-            ndcgs[k] += ndcg_at_k(ranked, s.target, k)
+    for start in range(0, len(samples), CHUNK):
+        chunk = samples[start:start + CHUNK]
+        _, final = run_reasoning(backbone, bank, [s.history for s in chunk], m)
+        for s, ranked in zip(chunk, backbone.rank_items(final, None)):
+            for k in ks:
+                recalls[k] += recall_at_k(ranked, s.target, k)
+                ndcgs[k] += ndcg_at_k(ranked, s.target, k)
     n = max(len(samples), 1)
     fp = config_fingerprint({"m": m, "n_items": backbone.cfg.n_items,
                              "bank": bank.n if bank else 0, "ks": list(ks)})

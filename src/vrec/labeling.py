@@ -21,6 +21,7 @@ __all__ = [
     "CfModel",
     "GroupLabeling",
     "build_labeling",
+    "class_table",
     "embed_titles",
     "kmeans",
     "kmeans_objective",
@@ -45,6 +46,26 @@ class GroupLabeling:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.d_i):
             raise ValueError(f"labels out of range for d_i={self.d_i}")
+
+
+def class_table(labelings: list[GroupLabeling], n_items: int) -> np.ndarray:
+    """The (n_items, n) class of every item in each labeling's dimension.
+
+    Refuses labelings that do not give each of the model's ``n_items`` items
+    a class in 0..d_i-1, before anything trains on them.
+    """
+    sizes = np.array([len(lab.labels) for lab in labelings], dtype=np.int64)
+    if (sizes != n_items).any():
+        lab = labelings[int(np.argmax(sizes != n_items))]
+        raise ValueError(f"labeling {lab.dimension!r} covers {len(lab.labels)} items, "
+                         f"but the model has {n_items}")
+    table = (np.stack([lab.labels for lab in labelings], axis=1) if labelings
+             else np.zeros((n_items, 0), dtype=np.int64))
+    bad = ((table < 0) | (table >= [lab.d_i for lab in labelings])).any(axis=0)
+    if bad.any():
+        lab = labelings[int(np.argmax(bad))]
+        raise ValueError(f"labeling {lab.dimension!r} has classes outside 0..{lab.d_i - 1}")
+    return table
 
 
 @dataclass

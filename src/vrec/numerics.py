@@ -43,11 +43,9 @@ __all__ = [
     "grad_check",
     "layer_norm",
     "log",
-    "exp",
     "log_softmax",
     "matmul",
     "relu",
-    "softmax",
     "tracking",
 ]
 
@@ -344,11 +342,6 @@ def log(x: Tensor) -> Tensor:
     return _node(np.log(xd), (x,), "log", lambda g: (g / xd,))
 
 
-def exp(x: Tensor) -> Tensor:
-    od = np.exp(x.data)
-    return _node(od, (x,), "exp", lambda g: (g * od,))
-
-
 def relu(x: Tensor) -> Tensor:
     xd = x.data
     return _node(np.maximum(xd, 0.0), (x,), "relu",
@@ -381,15 +374,6 @@ def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    s = _softmax_np(x.data, axis)
-
-    def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
-    return _node(s, (x,), "softmax", vjp)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     xd = x.data
     m = xd.max(axis=axis, keepdims=True)
@@ -404,41 +388,53 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled-dot-product attention of n query rows over T key rows.
+              mask: np.ndarray | None = None, batch: int = 1) -> Tensor:
+    """Multi-head scaled-dot-product attention of n query rows over T key
+    rows, for each of ``batch`` sequences.
 
-    ``q`` is (n, d) and ``k``, ``v`` are (T, d); head h owns columns
-    [h*d/heads, (h+1)*d/heads) of each. Head h computes
-    softmax(q_h k_h^T / sqrt(d/heads) + mask) v_h, and the heads' outputs sit
-    side by side in the (n, d) result. ``mask`` is an additive (n, T) array
-    (a large negative value hides a key) or None. One node; the gradient
+    Rows are position-major: row c*batch + b holds column c of sequence b, so
+    ``q`` is (n*batch, d) and ``k``, ``v`` are (T*batch, d); with one
+    sequence they are plain (n, d) and (T, d) rows. Head h owns columns
+    [h*d/heads, (h+1)*d/heads) of each and computes
+    softmax(q_h k_h^T / sqrt(d/heads) + mask) v_h per sequence; the heads'
+    outputs sit side by side in the (n*batch, d) result. ``mask`` is
+    additive (a large negative value hides a key): (n, T) for every
+    sequence, (batch, n, T) per sequence, or None. One node; the gradient
     flows to ``q``, ``k`` and ``v``.
     """
-    n, d = q.data.shape
-    T = k.data.shape[0]
-    if k.data.shape != (T, d) or v.data.shape != (T, d) or d % heads:
+    rows, d = q.data.shape
+    keys = k.data.shape[0]
+    n, T = rows // batch, keys // batch
+    if rows % batch or keys % batch or k.data.shape[1] != d or v.data.shape != k.data.shape \
+            or d % heads:
         raise ValueError(f"attention: shapes q {q.data.shape}, k {k.data.shape}, "
-                         f"v {v.data.shape} with {heads} heads")
-    if mask is not None and mask.shape != (n, T):
-        raise ValueError(f"attention: mask shape {mask.shape}, expected {(n, T)}")
+                         f"v {v.data.shape} with {heads} heads, batch {batch}")
+    if mask is not None and (mask.shape[-2:] != (n, T) or mask.ndim == 3 and len(mask) != batch):
+        raise ValueError(f"attention: mask shape {mask.shape}, expected {(n, T)} "
+                         f"or {(batch, n, T)}")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    # one contiguous matrix per head: each batched product then makes the
-    # BLAS call, and gets the bits, of that head's product on its own
-    qh = np.ascontiguousarray(q.data.reshape(n, heads, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k.data.reshape(T, heads, dh).transpose(1, 2, 0))  # k_h^T
-    vh = np.ascontiguousarray(v.data.reshape(T, heads, dh).transpose(1, 0, 2))
+    # one contiguous matrix per sequence and head: each batched product then
+    # makes the BLAS call, and gets the bits, of that product on its own
+    bh = batch * heads
+    qh = np.ascontiguousarray(q.data.reshape(n, bh, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.data.reshape(T, bh, dh).transpose(1, 2, 0))  # k_h^T
+    vh = np.ascontiguousarray(v.data.reshape(T, bh, dh).transpose(1, 0, 2))
     logits = (qh @ kt) * scale
-    att = _softmax_np(logits if mask is None else logits + mask)
+    if mask is not None and mask.ndim == 3:  # one mask per sequence, for all its heads
+        logits = (logits.reshape(batch, heads, n, T) + mask[:, None]).reshape(bh, n, T)
+    elif mask is not None:
+        logits = logits + mask
+    att = _softmax_np(logits)
 
     def vjp(g):
-        gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
+        gh = g.reshape(n, bh, dh).transpose(1, 0, 2)
         ga = gh @ vh.transpose(0, 2, 1)
         gl = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * scale
-        return tuple(x.transpose(1, 0, 2).reshape(rows, d) for x, rows in (
-            (gl @ kt.transpose(0, 2, 1), n), (gl.transpose(0, 2, 1) @ qh, T),
-            (att.transpose(0, 2, 1) @ gh, T)))
-    return _node((att @ vh).transpose(1, 0, 2).reshape(n, d), (q, k, v), "attention", vjp)
+        return tuple(x.transpose(1, 0, 2).reshape(-1, d) for x in (
+            gl @ kt.transpose(0, 2, 1), gl.transpose(0, 2, 1) @ qh,
+            att.transpose(0, 2, 1) @ gh))
+    return _node((att @ vh).transpose(1, 0, 2).reshape(rows, d), (q, k, v), "attention", vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -18,7 +18,7 @@ from .checkpoint import save_model
 from .config import DIMENSION_NAMES, check_d_i, check_max_positions
 from .datasets import Item, Split, SynthConfig, chronological_split, generate_synthetic, ingest
 from .evaluation import MetricsReport, evaluate, write_metrics_csv
-from .labeling import GroupLabeling, build_labeling, save_labeling
+from .labeling import GroupLabeling, build_labeling, class_table, save_labeling
 from .training import (TrainHyper, VerifierData, collect_verifier_dataset, finetune,
                        pretrain_backbone, pretrain_verifiers)
 from .verifiers import VerifierBank, check_bank_shape, make_bank
@@ -204,6 +204,7 @@ def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tupl
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     items, split = load_corpus(synth_cfg, out_dir=out_dir)
     labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir)
+    class_table(labelings, model_cfg.n_items)
     backbone = Backbone(model_cfg)
     run_stage0(backbone, split, hyper, stage0_epochs, out_dir)
     bank = None

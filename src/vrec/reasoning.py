@@ -5,6 +5,11 @@ the last position's hidden state as the new reasoning representation,
 replaces it (when a verifier bank is present) with its confidence-adjusted
 version, and injects that as the next position, so the backbone computes
 one new row per step and every position exactly once.
+
+A batch of histories runs the same loop on all of them at once: one padded
+pass over the histories, then one (B, d_m) pass per step. Training,
+collection and evaluation run that way, in minibatches or in chunks of
+``CHUNK`` samples; a single request is the batch of one.
 """
 
 from __future__ import annotations
@@ -15,17 +20,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, KVCache
-from .numerics import Tensor, concat
+from .backbone import Backbone, KVCache, is_batch
+from .numerics import Tensor, concat, embedding_lookup
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
-__all__ = ["ReasoningTrace", "homogeneity", "pca_project", "recommend",
+__all__ = ["CHUNK", "ReasoningTrace", "homogeneity", "pca_project", "recommend",
            "run_reasoning", "export_traces"]
+
+# samples per batched pass where nothing is fitted (collection, evaluation,
+# verifier statistics): at 32, a chunk's arrays take no more memory than a
+# training minibatch's graph, so peak RSS does not grow with the chunk
+CHUNK = 32
 
 
 @dataclass
 class ReasoningTrace:
-    steps: list[tuple[Tensor, Tensor, StepVerdict | None]]  # (raw r_t, adjusted r*_t, verdict)
+    # (raw r_t, adjusted r*_t, verdict); for a batch, r_t and r*_t are (B, d_m) rows
+    steps: list[tuple[Tensor, Tensor, StepVerdict | None]]
     m: int
 
     def adjusted(self) -> list[Tensor]:
@@ -33,21 +44,29 @@ class ReasoningTrace:
 
 
 def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
-                  history: list[int], m: int) -> tuple[ReasoningTrace, Tensor]:
+                  history, m: int) -> tuple[ReasoningTrace, Tensor]:
     """Produce m adjusted latent steps, then the final encoding.
 
-    Returns the trace and the (L + m, d_m) hidden states of the history
-    plus all m adjusted latents; the recommendation reads the last position.
+    For one history (a list of item ids), returns the trace and the
+    (L + m, d_m) hidden states of the history plus all m adjusted latents;
+    the recommendation reads the last position. For a batch of B histories
+    (a list of such lists), each step of the trace holds (B, d_m) rows, and
+    the second value is the (B, d_m) final state of each history, at its
+    own last position L_b + m - 1.
     """
-    L = len(history)
+    batch = is_batch(history)
+    L = max(map(len, history)) if batch else len(history)
     if L + m > backbone.cfg.max_positions:
         raise ValueError(f"sequence length {L + m} exceeds max_positions "
                          f"{backbone.cfg.max_positions}")
     cache = KVCache()
     rows = [backbone.encode(history, cache=cache)]
+    if batch:  # each history's last row; the rows are position-major
+        B = len(history)
+        last = embedding_lookup(rows[0], (np.array(cache.lengths) - 1) * B + np.arange(B))
     steps: list[tuple[Tensor, Tensor, StepVerdict | None]] = []
     for t in range(m):
-        r_t = rows[-1][-1]
+        r_t = last if batch else rows[-1][-1]
         if bank is not None:
             verdict = verify_and_adjust(bank, r_t)
             r_adj = verdict.r_star
@@ -55,9 +74,14 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
             verdict = None
             r_adj = r_t
         steps.append((r_t, r_adj, verdict))
-        rows.append(backbone.encode([], [(L + t, r_adj)], cache=cache))
-    final_hidden = concat(rows, axis=0) if len(rows) > 1 else rows[0]
-    return ReasoningTrace(steps=steps, m=m), final_hidden
+        if batch:
+            last = backbone.encode([[]] * B, [(cache.lengths, r_adj)], cache=cache)
+        else:
+            rows.append(backbone.encode([], [(L + t, r_adj)], cache=cache))
+    trace = ReasoningTrace(steps=steps, m=m)
+    if batch:
+        return trace, last
+    return trace, concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
 def recommend(backbone: Backbone, final_hidden: Tensor, k: int | None = None) -> np.ndarray:

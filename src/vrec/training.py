@@ -1,5 +1,8 @@
 """Three-stage training: backbone pre-training, verifier dataset collection
-and pre-training, then joint verifiable fine-tuning."""
+and pre-training, then joint verifiable fine-tuning.
+
+Every stage works on a whole minibatch or chunk at once: one batched
+reasoning pass, and one loss Tensor per term over all of its samples."""
 
 from __future__ import annotations
 
@@ -12,9 +15,9 @@ import numpy as np
 
 from .backbone import Backbone
 from .datasets import Sample
-from .labeling import GroupLabeling
+from .labeling import GroupLabeling, class_table
 from .numerics import Rng, Tensor, concat, log_softmax, relu, tracking
-from .reasoning import ReasoningTrace, greedy_recommend, run_reasoning
+from .reasoning import CHUNK, ReasoningTrace, run_reasoning
 from .verifiers import VerifierBank, verify_and_adjust
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "monotonicity_loss",
     "pretrain_backbone",
     "pretrain_verifiers",
+    "reasoning_losses",
     "recommendation_loss",
     "verifier_loss",
 ]
@@ -99,17 +103,21 @@ class Adam:
 LOG_COLUMNS = ["epoch", "L_r", "L_v", "L_m", "total", "val_recall@5", "wall_seconds"]
 
 
-def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target: int) -> Tensor:
-    """Negative log-probability of the target item at the final position."""
-    scores = backbone.next_item_scores(final_hidden, final_hidden.data.shape[0] - 1)
-    return -log_softmax(scores)[target]
+def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target) -> Tensor:
+    """Negative log-probability of the target item at the final position.
 
-
-def _mean(losses: list[Tensor]) -> Tensor:
-    acc = losses[0]
-    for l in losses[1:]:
-        acc = acc + l
-    return acc * (1.0 / len(losses))
+    ``target`` is one item id, for one history's final encoding, or one id
+    per history of a batch, whose (B, d_m) final states ``final_hidden``
+    then holds; the loss is then the mean over the batch, from one
+    log-softmax over the (B, n_items) scores.
+    """
+    if np.ndim(target) == 0:
+        scores = backbone.next_item_scores(final_hidden, final_hidden.data.shape[0] - 1)
+        return -log_softmax(scores)[target]
+    scores = backbone.next_item_scores(final_hidden, None)
+    pick = np.zeros(scores.shape)
+    pick[np.arange(len(pick)), target] = -1.0
+    return (log_softmax(scores) * pick).sum() * (1.0 / len(pick))
 
 
 def _write_log_row(path: str | Path | None, row: list, mode: str) -> None:
@@ -162,53 +170,87 @@ def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, strea
     return rows
 
 
+def reasoning_losses(backbone: Backbone, bank: VerifierBank | None, histories: list,
+                     targets: np.ndarray, hyper: TrainHyper,
+                     classes: np.ndarray | None = None) -> dict[str, Tensor]:
+    """The losses of one minibatch from one batched reasoning pass.
+
+    Without a bank, stage 0's: L_r alone. With one, stage 2's L_r, L_v, L_m
+    and total = L_r + beta L_v + gamma L_m, where ``classes`` maps each
+    item to its class per dimension and every sample is supervised with
+    its target's classes.
+    """
+    m = backbone.cfg.m
+    trace, final = run_reasoning(backbone, bank, histories, m)
+    l_r = recommendation_loss(backbone, final, targets)
+    if bank is None:
+        return {"L_r": l_r, "total": l_r}
+    if m > 0:
+        l_v = verifier_loss(bank, trace, classes[targets], hyper.alpha)
+        l_m = monotonicity_loss(trace)
+    else:
+        l_v = l_m = Tensor(0.0)
+    total = l_r + hyper.beta * l_v + hyper.gamma * l_m
+    return {"L_r": l_r, "L_v": l_v, "L_m": l_m, "total": total}
+
+
+def _inputs(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's history (an object array of lists) and target, so
+    that those of a minibatch are one index away."""
+    histories = np.fromiter((s.history for s in samples), dtype=object, count=len(samples))
+    return histories, np.array([s.target for s in samples], dtype=np.int64)
+
+
 def pretrain_backbone(backbone: Backbone, samples: list[Sample], hyper: TrainHyper,
                       log_path: str | Path | None = None) -> list[float]:
     """Stage 0: reason-then-recommend training with the recommendation loss only."""
-    m = backbone.cfg.m
+    histories, targets = _inputs(samples)
 
     def batch_losses(idx):
-        losses = []
-        for j in idx:
-            s = samples[j]
-            _, hidden = run_reasoning(backbone, None, s.history, m)
-            losses.append(recommendation_loss(backbone, hidden, s.target))
-        loss = _mean(losses)
-        return {"L_r": loss, "total": loss}
+        return reasoning_losses(backbone, None, histories[idx].tolist(), targets[idx], hyper)
 
-    rows = _fit("pretrain_backbone", backbone.params(), len(samples), hyper, 30,
-                batch_losses, log_path, epoch_end=lambda: {"L_v": 0.0, "L_m": 0.0})
+    rows = _fit("pretrain_backbone", backbone.params(), len(samples), hyper, 30, batch_losses,
+                log_path, epoch_end=lambda: {"L_v": 0.0, "L_m": 0.0})
     return [row["total"] for row in rows]
 
 
 def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
                              labelings: list[GroupLabeling], m: int) -> VerifierData:
     """Stage 1 data: greedy-decode each sample; hits become positives labeled
-    with the target's class in every dimension, misses become negatives."""
+    with the target's class in every dimension, misses become negatives.
+    Samples are decoded ``CHUNK`` at a time."""
     if not labelings:
         raise ValueError("verifier data needs at least one labeling dimension")
+    classes = class_table(labelings, backbone.cfg.n_items)
     data = VerifierData(r_steps=np.zeros((len(samples), m, backbone.cfg.d_m)),
                         labels=np.full((len(samples), len(labelings)), -1, dtype=np.int64))
-    for i, s in enumerate(samples):
-        trace, hidden = run_reasoning(backbone, None, s.history, m)
-        for t, r in enumerate(trace.adjusted()):
-            data.r_steps[i, t] = r.data
-        if greedy_recommend(backbone, hidden) == s.target:
-            for j, lab in enumerate(labelings):
-                if s.target >= len(lab.labels):
-                    raise ValueError(f"item {s.target} missing from labeling {lab.dimension!r}")
-                data.labels[i, j] = lab.labels[s.target]
+    histories, targets = _inputs(samples)
+    for start in range(0, len(samples), CHUNK):
+        rows = slice(start, start + CHUNK)
+        trace, final = run_reasoning(backbone, None, histories[rows].tolist(), m)
+        if m:
+            data.r_steps[rows] = np.stack([r.data for r in trace.adjusted()], axis=1)
+        hit = backbone.rank_items(final, None, 1)[:, 0] == targets[rows]
+        data.labels[rows][hit] = classes[targets[rows][hit]]
     return data
 
 
-def _step_rows(trace) -> Tensor:
-    """A trace's adjusted step vectors as the rows of one (m, d_m) Tensor."""
+def _step_rows(trace) -> tuple[Tensor, np.ndarray]:
+    """The adjusted step vectors of one trace or a batch of them as the rows
+    of one Tensor, and the index of the trace each row belongs to.
+
+    ``trace`` is a ReasoningTrace, whose rows come step after step, or an
+    array of step vectors: (m, d_m) for one trace or (B, m, d_m) for B,
+    whose rows come trace after trace."""
     if isinstance(trace, ReasoningTrace):
-        rows = [r.reshape(1, -1) for r in trace.adjusted()]
-        if rows:
-            return concat(rows)
-    elif len(trace):
-        return Tensor(np.asarray(trace, dtype=np.float64).reshape(len(trace), -1))
+        steps = [r if r.data.ndim == 2 else r.reshape(1, -1) for r in trace.adjusted()]
+        if steps:
+            return concat(steps), np.tile(np.arange(steps[0].shape[0]), len(steps))
+    else:
+        arr = np.asarray(trace, dtype=np.float64)
+        if arr.size:
+            B, m = (1, len(arr)) if arr.ndim == 2 else arr.shape[:2]
+            return Tensor(arr.reshape(B * m, -1)), np.repeat(np.arange(B), m)
     raise ValueError("verifier_loss requires a non-empty trace")
 
 
@@ -216,29 +258,49 @@ def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
                   alpha: float = 1.0) -> Tensor:
     """Mean per-step, per-dimension loss: -log p[label] on positives,
     -alpha * H(p) on negatives (minimizing pushes negative entropy up).
-    One fused bank step covers every step of the trace."""
-    verdict = verify_and_adjust(bank, _step_rows(trace))
-    if labels is None:
-        return (verdict.f * -alpha).mean()
-    for cls, verifier in zip(labels, bank.verifiers):
-        if not 0 <= cls < verifier.d_i:
-            raise ValueError(f"label {cls} out of range for dimension "
-                             f"{verifier.dimension!r} (d_i={verifier.d_i})")
-    return verdict.label_nll(np.asarray(labels, dtype=np.int64))
+
+    ``trace`` is one trace or a batch (see ``_step_rows``); ``labels`` holds
+    one class per dimension for each trace, (n,) or (B, n). A trace whose
+    labels are -1, or every trace when ``labels`` is None, is a negative.
+    One fused bank step covers every step of every trace. Labels are not
+    range-checked here: ``class_table`` checks the labelings they come from.
+    """
+    rows, owner = _step_rows(trace)
+    verdict = verify_and_adjust(bank, rows)
+    per_row = np.full(bank.n, -1) if labels is None else np.asarray(labels, dtype=np.int64)
+    if per_row.ndim == 2:
+        per_row = per_row[owner]
+    else:
+        per_row = np.broadcast_to(per_row, (len(owner), bank.n))
+    positive = per_row[:, 0] >= 0
+    parts = []
+    if positive.any():
+        parts.append(verdict.label_nll(per_row))
+    if not positive.all():
+        weights = np.repeat(np.where(positive, 0.0, -alpha)[:, None], bank.n, axis=1)
+        parts.append((verdict.f * weights).sum())
+    total = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    return total * (1.0 / per_row.size)
 
 
 def verifier_stats(bank: VerifierBank, data: VerifierData) -> tuple[float, float]:
-    """(positive class accuracy, negative mean entropy) over collected traces,
-    scored one trace at a time."""
-    matches, neg_entropies = [], []
-    for r_steps, labels, positive in zip(data.r_steps, data.labels, data.positive):
-        verdict = verify_and_adjust(bank, Tensor(r_steps))
-        if positive:
-            matches.append((np.array(verdict.j_star) == labels).ravel())
-        else:
-            neg_entropies.append(verdict.f.data.ravel())
-    acc = float(np.mean(np.concatenate(matches))) if matches else float("nan")
-    neg_h = float(np.mean(np.concatenate(neg_entropies))) if neg_entropies else float("nan")
+    """(positive class accuracy, negative mean entropy) over collected traces.
+
+    The (N*m, d_m) step rows are scored ``CHUNK`` rows per fused bank step;
+    each row's verdict has the same bits in any chunk."""
+    m = data.r_steps.shape[1]
+    rows = data.r_steps.reshape(-1, bank.d_m)
+    j_star = np.empty((len(rows), bank.n), dtype=np.int64)
+    f = np.empty((len(rows), bank.n))
+    for start in range(0, len(rows), CHUNK):
+        verdict = verify_and_adjust(bank, Tensor(rows[start:start + CHUNK]))
+        j_star[start:start + CHUNK] = verdict.j_star
+        f[start:start + CHUNK] = verdict.f.data
+    positive = np.repeat(data.positive, m)
+    labels = np.repeat(data.labels, m, axis=0)
+    acc = float(np.mean((j_star[positive] == labels[positive]).ravel())) \
+        if positive.any() else float("nan")
+    neg_h = float(np.mean(f[~positive].ravel())) if (~positive).any() else float("nan")
     return acc, neg_h
 
 
@@ -254,12 +316,9 @@ def pretrain_verifiers(bank: VerifierBank, dataset: VerifierData,
         raise ValueError("verifier dataset is empty")
     if not dataset.r_steps.shape[1]:  # with m=0 there is nothing to fit
         hyper = replace(hyper, epochs=0)
-    positive = dataset.positive
 
     def batch_losses(idx):
-        loss = _mean([verifier_loss(bank, dataset.r_steps[j],
-                                    dataset.labels[j] if positive[j] else None, hyper.alpha)
-                      for j in idx])
+        loss = verifier_loss(bank, dataset.r_steps[idx], dataset.labels[idx], hyper.alpha)
         return {"L_v": loss, "total": loss}
 
     rows = _fit("pretrain_verifiers", bank.params(), len(dataset), hyper, 31, batch_losses,
@@ -269,16 +328,17 @@ def pretrain_verifiers(bank: VerifierBank, dataset: VerifierData,
 
 def monotonicity_loss(trace) -> Tensor:
     """Hinge on entropy increases between consecutive steps, averaged over
-    dimensions and step pairs; zero when fewer than two steps."""
+    dimensions, step pairs and (for a batch) traces; zero when fewer than
+    two steps."""
     if isinstance(trace, ReasoningTrace):
         f_rows = [v.f for _, _, v in trace.steps if v is not None]
     else:
         f_rows = [Tensor(step) for step in np.asarray(trace, dtype=np.float64)]
     if len(f_rows) < 2:
         return Tensor(0.0)
-    n = f_rows[0].shape[0]
+    k = f_rows[0].shape[0]  # entries of one step: n, or B rows of n
     f = concat(f_rows)  # step after step
-    return relu(f[n:] - f[:-n]).mean()
+    return relu(f[k:] - f[:-k]).mean()
 
 
 def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
@@ -289,29 +349,17 @@ def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
     full reason-verify loop, every sample supervised with its target's labels."""
     from .evaluation import evaluate
 
+    classes = class_table(labelings, backbone.cfg.n_items)
     params = {f"backbone.{k}": v for k, v in backbone.params().items()}
     params.update({f"bank.{k}": v for k, v in bank.params().items()})
-    m = backbone.cfg.m
-    target_labels = np.stack([lab.labels for lab in labelings], axis=1)  # item -> per-dim classes
+    histories, targets = _inputs(samples)
 
     def batch_losses(idx):
-        l_r_parts, l_v_parts, l_m_parts = [], [], []
-        for j in idx:
-            s = samples[j]
-            trace, hidden = run_reasoning(backbone, bank, s.history, m)
-            l_r_parts.append(recommendation_loss(backbone, hidden, s.target))
-            if m > 0:
-                l_v_parts.append(verifier_loss(bank, trace, target_labels[s.target],
-                                               hyper.alpha))
-                l_m_parts.append(monotonicity_loss(trace))
-        l_r = _mean(l_r_parts)
-        l_v = _mean(l_v_parts) if l_v_parts else Tensor(0.0)
-        l_m = _mean(l_m_parts) if l_m_parts else Tensor(0.0)
-        total = l_r + hyper.beta * l_v + hyper.gamma * l_m
-        return {"L_r": l_r, "L_v": l_v, "L_m": l_m, "total": total}
+        return reasoning_losses(backbone, bank, histories[idx].tolist(), targets[idx], hyper,
+                                classes)
 
     def val_recall():
-        return {"val_recall@5": evaluate(backbone, bank, valid_samples, m=m, ks=(5,)).recall[5]}
+        return {"val_recall@5": evaluate(backbone, bank, valid_samples, ks=(5,)).recall[5]}
 
     return _fit("finetune", params, len(samples), hyper, 32, batch_losses, log_path,
                 epoch_end=val_recall if valid_samples else None)

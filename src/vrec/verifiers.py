@@ -152,13 +152,15 @@ class StepVerdict:
         return [v.w_last[:, j] for v, j in zip(self._bank.verifiers, self.j_star)]
 
     def label_nll(self, labels: np.ndarray) -> Tensor:
-        """Mean over rows and verifiers of -log p_i[labels[i]], the terms
-        added row by row and, within a row, verifier by verifier."""
+        """Sum over rows and verifiers of -log p_i[labels[row, i]], the terms
+        added row by row and, within a row, verifier by verifier; a row whose
+        labels are -1 adds nothing. ``labels`` is (B, n), one row per row."""
         p_lo = self._bank.d_m + self._bank.n
         p = self._cols(p_lo, p_lo + self._bank.n_classes)
+        rows = np.flatnonzero(labels[:, 0] >= 0)
         pick = np.zeros(p.shape)
-        pick[..., np.add(self._bank.class_offsets(), labels)] = -1.0
-        return (log(p) * pick).sum() * (1.0 / (p.size // self._bank.n_classes * self._bank.n))
+        pick[rows[:, None], np.add(self._bank.class_offsets(), labels[rows])] = -1.0
+        return (log(p) * pick).sum()
 
 
 def check_bank_shape(hidden_width: int, hidden_depth: int) -> None:

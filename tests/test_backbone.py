@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vrec.backbone import Backbone, KVCache, ModelConfig
-from vrec.numerics import Rng, Tensor, softmax
+from oracles import softmax
+from vrec.numerics import Rng, Tensor
 from vrec.reasoning import greedy_recommend
 
 

@@ -150,6 +150,15 @@ def test_run_pipeline_without_bank(tmp_path):
     assert (out / "final.ckpt").exists()
 
 
+def test_run_pipeline_refuses_labeling_of_other_items_before_stage0(tmp_path):
+    # a model of 14 items over a 12-item corpus: its labelings miss items 12, 13
+    out = tmp_path / "short"
+    with pytest.raises(ValueError, match="'category' covers 12 items, but the model has 14"):
+        run_pipeline(MICRO_SYNTH, replace(MICRO_MODEL, n_items=14), MICRO_HYPER, MICRO_DIMS,
+                     out_dir=out)
+    assert not (out / "stage0.ckpt").exists()
+
+
 # -- ablation --------------------------------------------------------------
 
 

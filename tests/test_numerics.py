@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import exp, softmax
 from vrec.numerics import (
     Rng,
     Tensor,
@@ -14,7 +15,6 @@ from vrec.numerics import (
     confidence,
     embedding_lookup,
     entropy,
-    exp,
     gelu,
     grad_check,
     layer_norm,
@@ -22,7 +22,6 @@ from vrec.numerics import (
     log_softmax,
     matmul,
     relu,
-    softmax,
     tracking,
 )
 
@@ -459,3 +458,35 @@ def test_attention_builds_one_tensor(monkeypatch):
     with tracking([q, k, v]):
         attention(q, k, v, 2, np.triu(np.full((3, 5), -1e30), k=3))
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("rows,start", [(1, 5), (4, 0)],
+                         ids=["row_after_cache", "chunk_from_empty"])
+def test_batched_attention_matches_each_sequence(rows, start):
+    # three sequences, position-major, whose keys past their own length are
+    # padding: each one's real rows and their gradients are the chain's over
+    # its own keys
+    rng = Rng(21, rows)
+    heads, batch, T = 2, 3, start + rows
+    q, k, v = (Tensor(rng.normal((n * batch, 6))) for n in (rows, T, T))
+    valid = np.array([T, T - 1, 2])  # keys each sequence holds
+    real = np.full(batch, rows) if start else valid  # query rows that are not padding
+    causal = np.triu(np.full((rows, T), -1e30), k=start + 1)
+    mask = causal + np.where(np.arange(T) >= valid[:, None], -1e30, 0.0)[:, None, :]
+    coef = rng.normal((rows, batch, 6))
+    coef[np.arange(rows)[:, None] >= real] = 0.0  # padded rows feed no loss
+    coef = coef.reshape(rows * batch, 6)
+    with tracking([q, k, v]):
+        out = attention(q, k, v, heads, mask, batch=batch)
+        (out * coef).sum().backward()
+    for b in range(batch):
+        n, keep = real[b], valid[b]
+        own = [Tensor(t.data[b::batch][:size]) for t, size in ((q, n), (k, keep), (v, keep))]
+        with tracking(own):
+            ref = attention_oracle(*own, heads, causal[:n, :keep] if n > 1 else None)
+            (ref * coef[b::batch][:n]).sum().backward()
+        assert np.abs(out.data[b::batch][:n] - ref.data).max() <= 1e-12
+        for t, t_own in zip((q, k, v), own):
+            grad = t.grad[b::batch]
+            assert np.abs(grad[:len(t_own.data)] - t_own.grad).max() <= 1e-12
+            assert not grad[len(t_own.data):].any()  # nothing flows to padding

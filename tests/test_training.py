@@ -108,16 +108,18 @@ def test_recommendation_loss_two_way_tie():
 
 
 def test_batch_loss_is_mean(corpus):
-    from vrec.training import _mean
-
+    # one log-softmax over the minibatch's scores, mixed history lengths
     _, split, _ = corpus
     bb = Backbone(small_model())
+    samples = [s for s in split.train if len(s.history) in (1, 3, 10)][:6]
+    assert len({len(s.history) for s in samples}) > 1
     losses = []
-    for s in split.train[:3]:
+    for s in samples:
         _, hidden = run_reasoning(bb, None, s.history, 2)
-        losses.append(recommendation_loss(bb, hidden, s.target))
-    assert _mean(losses).item() == pytest.approx(
-        np.mean([l.item() for l in losses]), abs=1e-12)
+        losses.append(recommendation_loss(bb, hidden, s.target).item())
+    _, final = run_reasoning(bb, None, [s.history for s in samples], 2)
+    batched = recommendation_loss(bb, final, np.array([s.target for s in samples]))
+    assert batched.item() == pytest.approx(np.mean(losses), abs=1e-12)
 
 
 def test_monotonicity_loss_examples():
@@ -173,10 +175,31 @@ def test_verifier_loss_adds_terms_step_by_step():
     assert verifier_loss(bank, rows, None, alpha=0.7).item() == neg * (1.0 / 12)
 
 
-def test_verifier_loss_label_out_of_range():
-    bank = make_bank([("a", 3)], d_m=8, seed=0)
-    with pytest.raises(ValueError, match="out of range"):
-        verifier_loss(bank, [np.ones(8)], np.array([7]))
+def test_collect_refuses_labeling_missing_items(corpus):
+    # a labeling of 4 items on a 6-item model would record target 5 as a miss
+    items, split, _ = corpus
+    bb = Backbone(small_model(n_items=6, d_m=8, layers=1))
+    short = build_labeling("title", items[:4], d_i=2, seed=0)
+    samples = [Sample(user=0, history=[0, 1], target=5)]
+    with pytest.raises(ValueError, match="'title' covers 4 items, but the model has 6"):
+        collect_verifier_dataset(bb, samples, [short], m=2)
+    full = build_labeling("title", items[:6], d_i=2, seed=0)
+    full.labels[2] = 2  # a class outside 0..d_i-1, set after construction
+    with pytest.raises(ValueError, match="'title' has classes outside 0..1"):
+        collect_verifier_dataset(bb, samples, [full], m=2)
+
+
+def test_finetune_refuses_labeling_missing_items(corpus):
+    items, _, _ = corpus
+    bb = Backbone(small_model(n_items=6, d_m=8, layers=1))
+    short = build_labeling("title", items[:4], d_i=2, seed=0)
+    bank = make_bank([("title", 2)], d_m=8, seed=0)
+    before = [p.data.copy() for p in list(bb.params().values()) + list(bank.params().values())]
+    samples = [Sample(user=0, history=[0, 1], target=5)]
+    with pytest.raises(ValueError, match="'title' covers 4 items, but the model has 6"):
+        finetune(bb, bank, samples, [short], TrainHyper(epochs=1))
+    after = [p.data for p in list(bb.params().values()) + list(bank.params().values())]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_verifier_loss_empty_trace():
@@ -322,7 +345,9 @@ def test_collect_stores_adjusted_steps(corpus):
     for r_steps, s in zip(ds.r_steps, split.train[:4]):
         trace, _ = run_reasoning(bb, None, s.history, 3)
         assert r_steps.shape == (3, 24)
-        assert np.array_equal(r_steps, np.stack([r.data for r in trace.adjusted()]))
+        # collected in one padded batch: equal to the request's steps up to
+        # the grouping of sums
+        assert np.abs(r_steps - np.stack([r.data for r in trace.adjusted()])).max() <= 1e-12
 
 
 def test_pretrain_verifiers_fits_planted_structure(corpus):

@@ -4,8 +4,9 @@ and the fused bank step against the per-verifier chain it replaced."""
 import numpy as np
 import pytest
 
+from oracles import softmax
 from vrec.numerics import (Rng, Tensor, confidence, entropy, gelu, grad_check, matmul,
-                           softmax, tracking)
+                           tracking)
 from vrec.verifiers import Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
