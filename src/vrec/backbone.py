@@ -10,10 +10,12 @@ computed. ``encode`` can therefore extend a sequence through a per-request
 ``KVCache``: each call computes only the positions it is given, attending
 to the keys and values the cache kept from earlier calls.
 
-``encode`` also takes a batch of sequences, padded on the right to the
-longest. Their rows are position-major (row c*B + b is column c of
-sequence b), so every linear layer is one matmul over all of them and
-extending the cache is one concat; a padded slot's key is masked in every
+``encode`` takes a batch of sequences, padded on the right to the longest;
+one sequence is the batch of one. Their rows are position-major (row
+c*B + b is column c of sequence b), so every linear layer is one matmul
+over all of them and extending the cache is one concat. Only a call whose
+sequences differ in length builds a padding mask, a token grid and a
+per-row position gather; a padded slot's key is masked in every
 attention, so each sequence's states are those it has alone, up to the
 grouping of sums.
 """
@@ -27,8 +29,11 @@ import numpy as np
 from .numerics import (
     Rng,
     Tensor,
+    add_rows,
     add_rowvec,
     attention,
+    check_int,
+    check_seed,
     concat,
     embedding_lookup,
     gelu,
@@ -53,13 +58,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("d_m", "heads"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("d_m", "layers", "heads", "n_items", "max_positions"):
+            check_int(key, getattr(self, key), least=1)
+        check_int("m", self.m)
+        check_seed(self.seed)
         if self.d_m % self.heads != 0:
             raise ValueError(f"d_m ({self.d_m}) not divisible by heads ({self.heads})")
-        if self.m < 0:
-            raise ValueError(f"m must be non-negative, got {self.m}")
 
     @property
     def vocab(self) -> int:
@@ -68,13 +72,13 @@ class ModelConfig:
 
 @dataclass
 class KVCache:
-    """One request's or one batch's attention keys and values, one
-    position-major (columns * B, d_m) Tensor per layer.
+    """A batch's attention keys and values, one position-major
+    (columns * B, d_m) Tensor per layer; a single request's is a batch of one.
 
     They are ordinary graph Tensors, so a loss back-propagates through every
     position the cache holds. ``lengths`` counts the positions each sequence
     holds and ``pad`` marks the columns that are padding, per sequence
-    (None while there are none, as always for one sequence).
+    (None while there are none, so every sequence holds every column).
     """
 
     keys: list[Tensor] = field(default_factory=list)
@@ -87,9 +91,9 @@ class KVCache:
         return self.keys[0].shape[0] // len(self.lengths) if self.keys else 0
 
 
-def is_batch(history) -> bool:
-    """Whether ``history`` is a batch of histories rather than one."""
-    return len(history) > 0 and not isinstance(history[0], (int, np.integer))
+def as_batch(history) -> list:
+    """A batch of histories as given; one history (a list of item ids) as the batch of one."""
+    return [history] if len(history) and isinstance(history[0], (int, np.integer)) else history
 
 
 class Backbone:
@@ -154,86 +158,76 @@ class Backbone:
                cache: KVCache | None = None) -> Tensor:
         """Hidden states for history tokens plus injected latent vectors.
 
-        ``history`` is one sequence's item ids, or a batch of B such lists.
-        Injected latents occupy the positions immediately after the history,
-        in order; each replaces the token lookup at its position (positional
-        embedding still added). An injected entry is (position, (d_m,)
-        vector) for one sequence, and (positions (B,), (B, d_m) rows), one
-        new position per sequence, for a batch. Returns the last layer's
-        states of the positions given: (n, d_m) for one sequence; for a
-        batch, (n*B, d_m) position-major rows over the n new columns, where
-        the histories are padded on the right to the longest.
+        ``history`` is a batch of B histories (lists of item ids), padded on
+        the right to the longest; one history is the batch of one. Injected
+        latents occupy the positions immediately after each history, in
+        order; each replaces the token lookup at its position (positional
+        embedding still added). An injected entry is (positions (B,), rows
+        (B, d_m)), one new position per sequence. Returns the last layer's
+        states of the n new columns as (n*B, d_m) position-major rows.
 
         With a ``cache``, ``history`` and ``injected`` are only the new
         positions, which start at each sequence's ``cache.lengths``; they
-        attend to every cached position, and the cache grows by them.
-        ``history`` may then be empty. Without one, the sequences start at
-        position 0.
+        attend to every cached position, and the cache grows by them. An
+        empty ``history`` then means no new tokens for any sequence. Without
+        one, the sequences start at position 0.
         """
-        batch = is_batch(history)
-        seqs = history if batch else (history,)
-        B, d = len(seqs), self.cfg.d_m
+        seqs = as_batch(history)
         cache = KVCache() if cache is None else cache
-        lengths = cache.lengths or [0] * B
-        if len(lengths) != B:
-            raise ValueError(f"{B} sequences given to a cache of {len(lengths)}")
+        lengths = cache.lengths or [0] * len(seqs)
+        B, d = len(lengths), self.cfg.d_m
+        counts = list(map(len, seqs)) or [0] * B
+        if len(counts) != B:
+            raise ValueError(f"{len(counts)} sequences given to a cache of {B}")
         injected = injected or []
         k = len(injected)
-        if batch:
-            width = max(map(len, seqs))  # token columns; shorter histories are padded
-            ends = [a + len(s) + k for a, s in zip(lengths, seqs)]
-            top, bottom = max(ends), min(ends)
-        else:
-            width = len(history)
-            top = bottom = lengths[0] + width + k
-            ends = [top]
-        if top > self.cfg.max_positions:
-            raise ValueError(f"sequence length {top} exceeds max_positions "
+        width = max(counts, default=0)  # token columns; shorter histories are padded
+        ends = [a + c + k for a, c in zip(lengths, counts)]
+        if max(ends, default=0) > self.cfg.max_positions:
+            raise ValueError(f"sequence length {max(ends)} exceeds max_positions "
                              f"{self.cfg.max_positions}")
-        if bottom == k:
+        if min(ends, default=k) == k:  # also no sequence at all
             raise ValueError("encode requires a non-empty history")
         n = width + k
         if n == 0:
             raise ValueError("encode requires at least one new position")
-        shape = (B, d) if batch else (d,)
-        for offset, (pos, vec) in enumerate(injected):
-            expected = [e - k + offset for e in ends] if batch else top - k + offset
-            if (list(pos) if batch else pos) != expected:
-                raise ValueError(f"injected latent at position {pos}, expected {expected}")
-            if vec.data.shape != shape:
-                raise ValueError(f"latent vector shape {vec.data.shape}, expected {shape}")
+        for offset, (pos, rows) in enumerate(injected):
+            expected = [e - k + offset for e in ends]
+            if list(pos) != expected:
+                raise ValueError(f"injected latents at positions {', '.join(map(str, pos))}, "
+                                 f"expected {', '.join(map(str, expected))}")
+            if rows.data.shape != (B, d):
+                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)}")
 
         p = self._params
         start = len(cache)
         pad = cache.pad
-        if batch:
-            counts = np.array([len(s) for s in seqs])
-            new_pad = np.arange(width) >= counts[:, None]  # (B, width)
-            if new_pad.any() or pad is not None:
-                old = np.zeros((B, start), bool) if pad is None else pad
-                pad = np.concatenate([old, new_pad, np.zeros((B, len(injected)), bool)], axis=1)
-            parts = []
+        ragged = pad is not None or min(counts) < width
+        if ragged:  # pad the shorter histories' columns with the non-item token
+            new_pad = np.arange(width) >= np.array(counts)[:, None]  # (B, width)
+            old = np.zeros((B, start), bool) if pad is None else pad
+            pad = np.concatenate([old, new_pad, np.zeros((B, k), bool)], axis=1)
+            tokens = np.full((B, width), self.cfg.n_items)
             if width:
-                tokens = np.full((B, width), self.cfg.n_items)  # padding: the non-item token
                 tokens[~new_pad] = np.concatenate(seqs)
-                parts.append(embedding_lookup(p["tok_emb"], tokens.T.reshape(-1)))
-            parts.extend(vec for _, vec in injected)
         else:
-            parts = [embedding_lookup(p["tok_emb"], history)] if history else []
-            parts.extend(vec.reshape(1, d) for _, vec in injected)
+            tokens = seqs
+        parts = [embedding_lookup(p["tok_emb"], np.array(tokens).ravel("F"))] if width else []
+        parts.extend(rows for _, rows in injected)
         x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
-        if B == 1:
-            x = x + p["pos_emb"][start:start + n]
-        else:  # a sequence's tokens, then its latents, from its own length on
+        if ragged:  # a sequence's tokens, then its latents, from its own length on
             columns = np.arange(n)[:, None]
             latent = columns >= width
             pos = np.add(lengths, np.where(latent, columns - width + counts, columns))
             pos = np.where(latent | (columns < counts), pos, 0)  # padding reads position 0
             x = x + embedding_lookup(p["pos_emb"], pos.reshape(-1))
+        else:  # column c of every sequence is at position start + c
+            x = add_rows(x, p["pos_emb"][start:start + n])
 
         # new column c sees columns 0..start + c, except padding
         T = start + n
-        mask = np.triu(np.full((n, T), MASK_VALUE), k=start + 1) if n > 1 else None
+        mask = None if n == 1 else \
+            np.where(np.arange(T) > np.arange(start, T)[:, None], MASK_VALUE, 0.0)
         if pad is not None:
             keys = np.where(pad, MASK_VALUE, 0.0)[:, None, :]
             mask = keys if mask is None else mask + keys
@@ -247,19 +241,13 @@ class Backbone:
             x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
         return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
 
-    def next_item_scores(self, hidden: Tensor, position: int | None) -> Tensor:
-        """Logits over item tokens from one position, tied to the embedding
-        table; with ``position`` None, (R, n_items) logits for every row."""
-        item_rows = self._params["tok_emb"][:self.cfg.n_items]
-        if position is None:
-            return matmul(hidden, item_rows.transpose())
-        if position >= hidden.data.shape[0]:
-            raise ValueError(f"position {position} out of range for {hidden.data.shape[0]} states")
-        return matmul(item_rows, hidden[position])
+    def next_item_scores(self, hidden: Tensor) -> Tensor:
+        """(R, n_items) logits of every row of ``hidden``, tied to the
+        embedding table."""
+        return matmul(hidden, self._params["tok_emb"][:self.cfg.n_items].transpose())
 
-    def rank_items(self, hidden: Tensor, position: int | None, k: int | None = None) -> np.ndarray:
-        """Top-k item ids by descending score, of one position or (position
-        None) of every row; ties go to the lower id."""
-        scores = self.next_item_scores(hidden, position).data
-        k = self.cfg.n_items if k is None else k
-        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    def rank_items(self, hidden: Tensor, k: int | None = None) -> np.ndarray:
+        """Each row's top-k item ids by descending score, ties to the lower
+        id. The scores are ``next_item_scores``', computed without a Tensor."""
+        items = self._params["tok_emb"].data[:self.cfg.n_items].T.copy()
+        return np.argsort(-(hidden.data @ items), axis=1, kind="stable")[:, :k]

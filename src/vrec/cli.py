@@ -38,11 +38,14 @@ class UsageError(Exception):
 
 def _resolved(args) -> RunConfig:
     cfg = load_config(args.config)
-    seed = getattr(args, "seed", None)
+    seed, source = getattr(args, "seed", None), "--seed"
     if seed is None and SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
+        seed, source = os.environ[SEED_ENV_VAR], SEED_ENV_VAR
     if seed is not None:
-        cfg = cfg.with_seed(seed)
+        try:
+            cfg = cfg.with_seed(int(seed))
+        except ValueError as e:
+            raise ConfigError(f"{source}: {e}")
     if getattr(args, "out", None):
         cfg = replace(cfg, out=Path(args.out))
     if getattr(args, "m", None) is not None:

@@ -28,11 +28,13 @@ the master seed and every sub-seed so one knob re-runs the whole pipeline.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .backbone import ModelConfig
 from .datasets import MAX_HISTORY, SynthConfig
+from .numerics import check_int, check_seed
 from .training import TrainHyper
 
 __all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
@@ -48,6 +50,15 @@ _SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
+
+
+@contextmanager
+def _refused(prefix: str):
+    """Raise a rejected value's TypeError or ValueError as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{prefix}{e}")
 
 
 def _model_default(key: str):
@@ -83,10 +94,19 @@ class RunConfig:
     eval_ks: tuple[int, ...] = (5, 10)
 
     def __post_init__(self):  # also runs on every dataclasses.replace, e.g. with_m
-        try:
+        with _refused(""):
+            check_seed(self.seed)
+            for key in ("stage0_epochs", "stage1_epochs"):
+                if getattr(self, key) is not None:
+                    check_int(key, getattr(self, key))
+        ks = self.eval_ks
+        if not (isinstance(ks, tuple) and ks and all(not isinstance(k, bool) and isinstance(k, int)
+                                                     and k >= 1 for k in ks)
+                and len(set(ks)) == len(ks)):
+            raise ConfigError(f"eval_ks must be a non-empty list of distinct positive integers, "
+                              f"got {ks!r}")
+        with _refused("model: "):
             model = ModelConfig(**self.model)  # n_items is checked when the data loads
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"model: {e}")
         check_max_positions(model.max_positions, [self.m])
         if self.m > 0 and not self.dimensions:
             raise ConfigError("at least one labeling dimension is required when "
@@ -156,7 +176,9 @@ def load_config(path: str | Path) -> RunConfig:
                                    "dimensions", "stage0_epochs", "stage1_epochs",
                                    "eval_ks"))
 
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    with _refused(f"{path}: "):  # the sub-configs' default seed, so checked first
+        check_seed(seed)
 
     data = raw.get("data")
     if not isinstance(data, dict):
@@ -170,10 +192,8 @@ def load_config(path: str | Path) -> RunConfig:
         synth_kwargs.setdefault("seed", seed)
         if "seq_len_range" in synth_kwargs:
             synth_kwargs["seq_len_range"] = tuple(synth_kwargs["seq_len_range"])
-        try:
+        with _refused("data.synth: "):
             synth = SynthConfig(**synth_kwargs)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"data.synth: {e}")
     else:
         _require_keys("data", data, ("items", "interactions"))
         if "items" not in data or "interactions" not in data:
@@ -188,21 +208,12 @@ def load_config(path: str | Path) -> RunConfig:
     hyper_kwargs = dict(raw.get("hyper", {}))
     _require_keys("hyper", hyper_kwargs, _HYPER_KEYS)
     hyper_kwargs.setdefault("seed", seed)
-    try:
+    with _refused("hyper: "):
         hyper = TrainHyper(**hyper_kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"hyper: {e}")
 
     dims = _parse_dimensions(raw.get("dimensions", []))
 
-    eval_ks = tuple(int(k) for k in raw.get("eval_ks", (5, 10)))
-    if not eval_ks or min(eval_ks) < 1:
-        raise ConfigError("eval_ks must be a non-empty list of positive integers")
-
-    for key in ("stage0_epochs", "stage1_epochs"):
-        if raw.get(key) is not None and int(raw[key]) < 0:
-            raise ConfigError(f"{key} must be non-negative")
-
+    eval_ks = raw.get("eval_ks", [5, 10])
     return RunConfig(
         seed=seed,
         out=path.parent / Path(raw["out"]) if raw.get("out") else None,
@@ -214,5 +225,5 @@ def load_config(path: str | Path) -> RunConfig:
         dimensions=dims,
         stage0_epochs=raw.get("stage0_epochs"),
         stage1_epochs=raw.get("stage1_epochs"),
-        eval_ks=eval_ks,
+        eval_ks=tuple(eval_ks) if isinstance(eval_ks, list) else eval_ks,
     )

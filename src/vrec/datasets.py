@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .labeling import GroupLabeling
-from .numerics import Rng
+from .numerics import Rng, check_int, check_seed
 
 __all__ = [
     "Item",
@@ -76,6 +76,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_users", "n_items", "n_groups"):
+            check_int(key, getattr(self, key), least=1)
+        check_seed(self.seed)
         if self.n_groups > self.n_items:
             raise ValueError(f"n_groups ({self.n_groups}) exceeds n_items ({self.n_items})")
         if not 0.0 <= self.stickiness <= 1.0:

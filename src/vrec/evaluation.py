@@ -72,6 +72,8 @@ def evaluate(backbone: Backbone, bank: VerifierBank | None, samples: list[Sample
              m: int | None = None, ks: tuple[int, ...] = (5, 10)) -> MetricsReport:
     """Full-ranking evaluation over samples, reasoning over ``CHUNK`` of them
     at a time; deterministic apart from wall time."""
+    if len(set(ks)) != len(ks):  # each hit would count once per copy
+        raise ValueError(f"evaluate: duplicate ks in {ks}")
     m = backbone.cfg.m if m is None else m
     t0 = time.monotonic()
     recalls = {k: 0.0 for k in ks}
@@ -79,7 +81,7 @@ def evaluate(backbone: Backbone, bank: VerifierBank | None, samples: list[Sample
     for start in range(0, len(samples), CHUNK):
         chunk = samples[start:start + CHUNK]
         _, final = run_reasoning(backbone, bank, [s.history for s in chunk], m)
-        for s, ranked in zip(chunk, backbone.rank_items(final, None)):
+        for s, ranked in zip(chunk, backbone.rank_items(final)):
             for k in ks:
                 recalls[k] += recall_at_k(ranked, s.target, k)
                 ndcgs[k] += ndcg_at_k(ranked, s.target, k)

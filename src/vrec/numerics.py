@@ -33,8 +33,11 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Rng",
+    "add_rows",
     "add_rowvec",
     "attention",
+    "check_int",
+    "check_seed",
     "concat",
     "confidence",
     "embedding_lookup",
@@ -119,10 +122,6 @@ class Tensor:
         if self.data.ndim != 2:
             raise ValueError(f"transpose expects a matrix, got shape {self.data.shape}")
         return _node(self.data.T.copy(), (self,), "transpose", lambda g: (g.T,))
-
-    def reshape(self, *shape) -> "Tensor":
-        old = self.data.shape
-        return _node(self.data.reshape(shape), (self,), "reshape", lambda g: (g.reshape(old),))
 
     def __getitem__(self, key) -> "Tensor":
         """Basic indexing: an int, numpy integer or slice, or a tuple of them.
@@ -286,6 +285,17 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"add_rowvec: shape mismatch {x.data.shape} + {b.data.shape}")
     return _node(x.data + b.data[None, :], (x, b), "add_rowvec", lambda g: (g, g.sum(axis=0)))
+
+
+def add_rows(x: Tensor, rows: Tensor) -> Tensor:
+    """Add row c of an (n, d) matrix to the c-th of n equal runs of a (T, d)
+    matrix's rows (explicit, not broadcast): a position-major batch's positions."""
+    (T, d), n = x.data.shape, rows.data.shape[0]
+    if rows.data.shape != (n, d) or T % n:
+        raise ValueError(f"add_rows: shape mismatch {x.data.shape} + {rows.data.shape}")
+    run = (n, T // n, d)
+    return _node((x.data.reshape(run) + rows.data[:, None]).reshape(T, d), (x, rows), "add_rows",
+                 lambda g: (g, g.reshape(run).sum(axis=1)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -521,6 +531,20 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
     for p in params:
         p.zero_grad()
     return worst
+
+
+def check_int(name: str, value, least: int = 0) -> None:
+    """Reject a setting that is not an integer >= ``least``: also a bool, or a float like 1.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """A seed keys ``Rng``'s Philox stream as a uint64."""
+    check_int("seed", seed)
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
 
 
 class Rng:

@@ -6,10 +6,10 @@ replaces it (when a verifier bank is present) with its confidence-adjusted
 version, and injects that as the next position, so the backbone computes
 one new row per step and every position exactly once.
 
-A batch of histories runs the same loop on all of them at once: one padded
-pass over the histories, then one (B, d_m) pass per step. Training,
-collection and evaluation run that way, in minibatches or in chunks of
-``CHUNK`` samples; a single request is the batch of one.
+The loop runs on a batch of histories at once: one padded pass over the
+histories, then one (B, d_m) pass per step. Training, collection and
+evaluation run it on minibatches or on chunks of ``CHUNK`` samples; a
+single request is the batch of one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, KVCache, is_batch
-from .numerics import Tensor, concat, embedding_lookup
+from .backbone import Backbone, KVCache, as_batch
+from .numerics import Tensor, embedding_lookup
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
 __all__ = ["CHUNK", "ReasoningTrace", "homogeneity", "pca_project", "recommend",
@@ -35,7 +35,7 @@ CHUNK = 32
 
 @dataclass
 class ReasoningTrace:
-    # (raw r_t, adjusted r*_t, verdict); for a batch, r_t and r*_t are (B, d_m) rows
+    # (raw r_t, adjusted r*_t, verdict), r_t and r*_t as (B, d_m) rows
     steps: list[tuple[Tensor, Tensor, StepVerdict | None]]
     m: int
 
@@ -45,48 +45,36 @@ class ReasoningTrace:
 
 def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
                   history, m: int) -> tuple[ReasoningTrace, Tensor]:
-    """Produce m adjusted latent steps, then the final encoding.
+    """Produce m adjusted latent steps, then the final states.
 
-    For one history (a list of item ids), returns the trace and the
-    (L + m, d_m) hidden states of the history plus all m adjusted latents;
-    the recommendation reads the last position. For a batch of B histories
-    (a list of such lists), each step of the trace holds (B, d_m) rows, and
-    the second value is the (B, d_m) final state of each history, at its
-    own last position L_b + m - 1.
+    ``history`` is a batch of B histories (lists of item ids), or one
+    history, the batch of one. Each step of the trace holds (B, d_m) rows,
+    and the second value is the (B, d_m) final state of each history, at
+    its own last position L_b + m - 1, which the recommendation reads.
     """
-    batch = is_batch(history)
-    L = max(map(len, history)) if batch else len(history)
+    L = max(map(len, as_batch(history)), default=0)
     if L + m > backbone.cfg.max_positions:
         raise ValueError(f"sequence length {L + m} exceeds max_positions "
                          f"{backbone.cfg.max_positions}")
     cache = KVCache()
-    rows = [backbone.encode(history, cache=cache)]
-    if batch:  # each history's last row; the rows are position-major
-        B = len(history)
-        last = embedding_lookup(rows[0], (np.array(cache.lengths) - 1) * B + np.arange(B))
+    rows = backbone.encode(history, cache=cache)
+    B = len(cache.lengths)  # each history's last row; the rows are position-major
+    last = rows[-B:] if cache.pad is None else \
+        embedding_lookup(rows, (np.array(cache.lengths) - 1) * B + np.arange(B))
     steps: list[tuple[Tensor, Tensor, StepVerdict | None]] = []
-    for t in range(m):
-        r_t = last if batch else rows[-1][-1]
-        if bank is not None:
-            verdict = verify_and_adjust(bank, r_t)
-            r_adj = verdict.r_star
-        else:
-            verdict = None
-            r_adj = r_t
-        steps.append((r_t, r_adj, verdict))
-        if batch:
-            last = backbone.encode([[]] * B, [(cache.lengths, r_adj)], cache=cache)
-        else:
-            rows.append(backbone.encode([], [(L + t, r_adj)], cache=cache))
-    trace = ReasoningTrace(steps=steps, m=m)
-    if batch:
-        return trace, last
-    return trace, concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    for _ in range(m):
+        verdict = None if bank is None else verify_and_adjust(bank, last)
+        r_adj = last if verdict is None else verdict.r_star
+        steps.append((last, r_adj, verdict))
+        last = backbone.encode([], [(cache.lengths, r_adj)], cache=cache)
+    return ReasoningTrace(steps=steps, m=m), last
 
 
 def recommend(backbone: Backbone, final_hidden: Tensor, k: int | None = None) -> np.ndarray:
-    """Ranked item ids from the last position of the final encoding."""
-    return backbone.rank_items(final_hidden, final_hidden.data.shape[0] - 1, k)
+    """Ranked item ids of one request, from its (1, d_m) final state."""
+    if final_hidden.shape[0] != 1:
+        raise ValueError(f"recommend ranks one request, got {final_hidden.shape[0]} rows")
+    return backbone.rank_items(final_hidden, k)[0]
 
 
 def greedy_recommend(backbone: Backbone, final_hidden: Tensor) -> int:
@@ -101,35 +89,35 @@ def pca_project(vectors: np.ndarray) -> np.ndarray:
 
 
 def homogeneity(traces: list[ReasoningTrace], t: int) -> tuple[float, np.ndarray]:
-    """Mean pairwise cosine of step-t adjusted representations, plus 2-D projection.
+    """Mean pairwise cosine of step-t adjusted rows of every trace, plus 2-D projection.
 
     A value near 1 means the latent steps have collapsed to one direction.
     """
     if len(traces) < 2:
         raise ValueError(f"homogeneity requires at least 2 traces, got {len(traces)}")
-    vecs = np.stack([tr.steps[t][1].data for tr in traces])
+    vecs = np.concatenate([tr.steps[t][1].data for tr in traces])
     norms = np.linalg.norm(vecs, axis=1)
     unit = vecs / np.maximum(norms, 1e-12)[:, None]
     sims = unit @ unit.T
-    n = len(traces)
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(len(vecs), k=1)
     return float(sims[iu].mean()), pca_project(vecs)
 
 
 def export_traces(traces: list[ReasoningTrace], path: str | Path,
                   include_vectors: bool = False) -> None:
-    """One JSON line per trace: per-step entropies, router weights, classes."""
+    """One JSON line per trace, each a single request's (a batch of one):
+    per-step entropies, router weights, classes."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for idx, tr in enumerate(traces):
             steps = []
             for raw, adj, verdict in tr.steps:
                 entry: dict = {}
                 if verdict is not None:
-                    entry["f"] = verdict.f.data.tolist()
-                    entry["w"] = verdict.w.data.tolist()
-                    entry["classes"] = list(verdict.j_star)
+                    entry["f"] = verdict.f.data[0].tolist()
+                    entry["w"] = verdict.w.data[0].tolist()
+                    entry["classes"] = verdict.j_star[0]
                 if include_vectors:
-                    entry["r"] = raw.data.tolist()
-                    entry["r_star"] = adj.data.tolist()
+                    entry["r"] = raw.data[0].tolist()
+                    entry["r_star"] = adj.data[0].tolist()
                 steps.append(entry)
             fh.write(json.dumps({"trace": idx, "m": tr.m, "steps": steps}) + "\n")

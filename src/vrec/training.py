@@ -7,6 +7,7 @@ reasoning pass, and one loss Tensor per term over all of its samples."""
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,7 +17,8 @@ import numpy as np
 from .backbone import Backbone
 from .datasets import Sample
 from .labeling import GroupLabeling, class_table
-from .numerics import Rng, Tensor, concat, log_softmax, relu, tracking
+from .numerics import (Rng, Tensor, check_int, check_seed, concat, log_softmax, relu,
+                       tracking)
 from .reasoning import CHUNK, ReasoningTrace, run_reasoning
 from .verifiers import VerifierBank, verify_and_adjust
 
@@ -46,12 +48,13 @@ class TrainHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("alpha, beta, gamma must be non-negative")
-        if self.batch < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        for key in ("lr", "alpha", "beta", "gamma"):
+            value = getattr(self, key)  # NaN fails every comparison
+            if isinstance(value, bool) or not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be non-negative and finite, got {value!r}")
+        check_int("batch", self.batch, least=1)
+        check_int("epochs", self.epochs)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -104,17 +107,11 @@ LOG_COLUMNS = ["epoch", "L_r", "L_v", "L_m", "total", "val_recall@5", "wall_seco
 
 
 def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target) -> Tensor:
-    """Negative log-probability of the target item at the final position.
-
-    ``target`` is one item id, for one history's final encoding, or one id
-    per history of a batch, whose (B, d_m) final states ``final_hidden``
-    then holds; the loss is then the mean over the batch, from one
-    log-softmax over the (B, n_items) scores.
+    """Mean over a batch of the negative log-probability of each history's
+    target item, from one log-softmax over the (B, n_items) scores of its
+    (B, d_m) final states; ``target`` holds one item id per history.
     """
-    if np.ndim(target) == 0:
-        scores = backbone.next_item_scores(final_hidden, final_hidden.data.shape[0] - 1)
-        return -log_softmax(scores)[target]
-    scores = backbone.next_item_scores(final_hidden, None)
+    scores = backbone.next_item_scores(final_hidden)
     pick = np.zeros(scores.shape)
     pick[np.arange(len(pick)), target] = -1.0
     return (log_softmax(scores) * pick).sum() * (1.0 / len(pick))
@@ -230,48 +227,42 @@ def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
         trace, final = run_reasoning(backbone, None, histories[rows].tolist(), m)
         if m:
             data.r_steps[rows] = np.stack([r.data for r in trace.adjusted()], axis=1)
-        hit = backbone.rank_items(final, None, 1)[:, 0] == targets[rows]
+        hit = backbone.rank_items(final, 1)[:, 0] == targets[rows]
         data.labels[rows][hit] = classes[targets[rows][hit]]
     return data
 
 
 def _step_rows(trace) -> tuple[Tensor, np.ndarray]:
-    """The adjusted step vectors of one trace or a batch of them as the rows
-    of one Tensor, and the index of the trace each row belongs to.
+    """The adjusted step rows of a batch of traces as the rows of one
+    Tensor, and the index of the trace each row belongs to.
 
-    ``trace`` is a ReasoningTrace, whose rows come step after step, or an
-    array of step vectors: (m, d_m) for one trace or (B, m, d_m) for B,
-    whose rows come trace after trace."""
+    ``trace`` is a ReasoningTrace, whose rows come step after step, or a
+    (B, m, d_m) array of step vectors, whose rows come trace after trace."""
     if isinstance(trace, ReasoningTrace):
-        steps = [r if r.data.ndim == 2 else r.reshape(1, -1) for r in trace.adjusted()]
+        steps = trace.adjusted()
         if steps:
             return concat(steps), np.tile(np.arange(steps[0].shape[0]), len(steps))
     else:
         arr = np.asarray(trace, dtype=np.float64)
         if arr.size:
-            B, m = (1, len(arr)) if arr.ndim == 2 else arr.shape[:2]
-            return Tensor(arr.reshape(B * m, -1)), np.repeat(np.arange(B), m)
+            B, m, d = arr.shape
+            return Tensor(arr.reshape(B * m, d)), np.repeat(np.arange(B), m)
     raise ValueError("verifier_loss requires a non-empty trace")
 
 
-def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray | None,
-                  alpha: float = 1.0) -> Tensor:
+def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray, alpha: float = 1.0) -> Tensor:
     """Mean per-step, per-dimension loss: -log p[label] on positives,
     -alpha * H(p) on negatives (minimizing pushes negative entropy up).
 
-    ``trace`` is one trace or a batch (see ``_step_rows``); ``labels`` holds
-    one class per dimension for each trace, (n,) or (B, n). A trace whose
-    labels are -1, or every trace when ``labels`` is None, is a negative.
-    One fused bank step covers every step of every trace. Labels are not
-    range-checked here: ``class_table`` checks the labelings they come from.
+    ``trace`` is a batch of B traces (see ``_step_rows``); ``labels`` holds
+    one class per dimension for each, (B, n), and a trace whose labels are
+    -1 is a negative. One fused bank step covers every step of every trace.
+    Labels are not range-checked here: ``class_table`` checks the labelings
+    they come from.
     """
     rows, owner = _step_rows(trace)
     verdict = verify_and_adjust(bank, rows)
-    per_row = np.full(bank.n, -1) if labels is None else np.asarray(labels, dtype=np.int64)
-    if per_row.ndim == 2:
-        per_row = per_row[owner]
-    else:
-        per_row = np.broadcast_to(per_row, (len(owner), bank.n))
+    per_row = np.asarray(labels, dtype=np.int64)[owner]
     positive = per_row[:, 0] >= 0
     parts = []
     if positive.any():

@@ -6,8 +6,8 @@ distribution, and the prediction entropy is turned into a confidence that
 interpolates between the raw representation and the predicted class
 prototype (a column of the verifier's last layer).
 
-One step through the whole bank, over one representation or a batch of them
-as rows, is one graph node with a hand-written vector-Jacobian product
+One step through the whole bank, over a batch of representations as rows,
+is one graph node with a hand-written vector-Jacobian product
 (``verify_and_adjust``). Its output packs [r* | w | p_1 .. p_n | f | c]
 along the last axis, and ``StepVerdict`` reads each field as a view of it.
 """
@@ -19,7 +19,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log
+from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, embedding_lookup,
+                       log)
 
 __all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "check_bank_shape",
            "make_bank", "verify_and_adjust"]
@@ -92,71 +93,66 @@ class VerifierBank:
 
 
 class StepVerdict:
-    """Everything the bank computed for one reasoning step, or for each of B rows.
+    """Everything the bank computed for one reasoning step, for each of B rows.
 
-    ``packed`` is the fused step's output, [r* | w | p_1 .. p_n | f | c] along
-    its last axis (shape (P,) for one representation, (B, P) for rows). The
-    fields are basic-index views of it, built each time they are read, so a
-    served step that reads only ``r_star`` builds two Tensors.
+    ``packed`` is the fused step's (B, P) output, [r* | w | p_1 .. p_n | f | c]
+    along its last axis. The fields are basic-index views of its columns,
+    built each time they are read, so a served step that reads only
+    ``r_star`` builds two Tensors.
     """
 
     def __init__(self, bank: "VerifierBank", packed: Tensor, j_star: np.ndarray):
         self.packed = packed
         self._bank = bank
-        self._j = j_star  # (n,) or (B, n) argmax classes
-
-    def _cols(self, start: int, stop: int) -> Tensor:
-        cols = slice(start, stop)
-        return self.packed[cols] if self.packed.data.ndim == 1 else self.packed[:, cols]
+        self._j = j_star  # (B, n) argmax classes
 
     @property
     def r_star(self) -> Tensor:
-        """Adjusted representation(s), R^{d_m}."""
-        return self._cols(0, self._bank.d_m)
+        """Adjusted representations, (B, d_m)."""
+        return self.packed[:, :self._bank.d_m]
 
     @property
     def w(self) -> Tensor:
-        """Router weights, R^n."""
+        """Router weights, (B, n)."""
         d, n = self._bank.d_m, self._bank.n
-        return self._cols(d, d + n)
+        return self.packed[:, d:d + n]
 
     @property
     def p(self) -> list[Tensor]:
-        """Per-verifier class distributions."""
+        """Per-verifier class distributions, (B, d_i) each."""
         lo = self._bank.d_m + self._bank.n
-        return [self._cols(lo + a, lo + a + v.d_i)
+        return [self.packed[:, lo + a:lo + a + v.d_i]
                 for a, v in zip(self._bank.class_offsets(), self._bank.verifiers)]
 
     @property
     def f(self) -> Tensor:
-        """Per-verifier prediction entropies, R^n."""
+        """Per-verifier prediction entropies, (B, n)."""
         lo = self._bank.d_m + self._bank.n + self._bank.n_classes
-        return self._cols(lo, lo + self._bank.n)
+        return self.packed[:, lo:lo + self._bank.n]
 
     @property
     def c(self) -> Tensor:
-        """Per-verifier confidences, R^n."""
+        """Per-verifier confidences, (B, n)."""
         lo = self._bank.d_m + 2 * self._bank.n + self._bank.n_classes
-        return self._cols(lo, lo + self._bank.n)
+        return self.packed[:, lo:lo + self._bank.n]
 
     @property
     def j_star(self) -> list:
-        """Per-verifier argmax classes (for rows, one such list per row)."""
+        """Per-verifier argmax classes, one list per row."""
         return self._j.tolist()
 
     @property
     def g(self) -> list[Tensor]:
-        """Per-verifier guidance prototypes W_last[:, j*], of one representation."""
-        if self._j.ndim != 1:
-            raise ValueError("StepVerdict.g is defined for a single representation")
-        return [v.w_last[:, j] for v, j in zip(self._bank.verifiers, self.j_star)]
+        """Per-verifier guidance prototypes W_last[:, j*], (B, d_m) rows each."""
+        return [embedding_lookup(v.w_last.transpose(), j)
+                for v, j in zip(self._bank.verifiers, self._j.T)]
 
     def label_nll(self, labels: np.ndarray) -> Tensor:
         """Sum over rows and verifiers of -log p_i[labels[row, i]], the terms
         added row by row and, within a row, verifier by verifier; a row whose
         labels are -1 adds nothing. ``labels`` is (B, n), one row per row."""
         p_lo = self._bank.d_m + self._bank.n
-        p = self._cols(p_lo, p_lo + self._bank.n_classes)
+        p = self.packed[:, p_lo:p_lo + self._bank.n_classes]
         rows = np.flatnonzero(labels[:, 0] >= 0)
         pick = np.zeros(p.shape)
         pick[rows[:, None], np.add(self._bank.class_offsets(), labels[rows])] = -1.0
@@ -215,8 +211,8 @@ def _segment_sums(a: np.ndarray, segments: list[slice]) -> np.ndarray:
 def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     """Route, predict, and confidence-adjust reasoning representations.
 
-    ``r`` is one representation (d_m,) or B of them as rows (B, d_m); each
-    row is handled on its own. Per row: w = softmax(A r + bias) (1/n each
+    ``r`` holds B representations as (B, d_m) rows; each row is handled on
+    its own. Per row: w = softmax(A r + bias) (1/n each
     with ``uniform_router``); p_i = softmax(head_i(trunk_i(w_i r))); entropy
     f_i = H(p_i); confidence c_i = min(1, 1 / max(f_i, epsilon)); class
     j*_i = argmax p_i (the lowest index on a tie); and r* averages the
@@ -227,10 +223,9 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     """
     vs = bank.verifiers
     n = len(vs)
-    x = r.data if r.data.ndim == 2 else r.data.reshape(1, -1)
-    if r.data.ndim > 2 or x.shape[1] != bank.d_m:
-        raise ValueError(f"verify_and_adjust: expected ({bank.d_m},) or (B, {bank.d_m}) rows, "
-                         f"got shape {r.data.shape}")
+    x = r.data
+    if x.ndim != 2 or x.shape[1] != bank.d_m:
+        raise ValueError(f"verify_and_adjust: expected (B, {bank.d_m}) rows, got shape {x.shape}")
     if bank.uniform_router:
         w = np.full((len(x), n), 1.0 / n)
     else:
@@ -266,7 +261,6 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     packed = np.concatenate([r_star, w, p, f, c], axis=1)
 
     def vjp(g_out):
-        g_out = g_out.reshape(len(x), -1)
         d = x.shape[1]
         g_r, g_w, g_p, g_f, g_c = np.split(g_out, np.cumsum([d, n, p.shape[1], n]), axis=1)
         g_acc = g_r * (1.0 / n)
@@ -295,11 +289,9 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
             g_a = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
             g_x += g_a @ bank.router.a.data
             router = [g_a.T @ x, g_a.sum(axis=0)]
-        return (g_x.reshape(r.data.shape), *router, *grads)
+        return (g_x, *router, *grads)
 
     children = [r, bank.router.a, bank.router.bias]  # in the order vjp returns gradients
     for v in vs:
         children += [t for pair in v.hidden for t in pair] + [v.w_last, v.b_last]
-    out = _node(packed if r.data.ndim == 2 else packed[0], tuple(children), "verify_and_adjust",
-                vjp)
-    return StepVerdict(bank, out, j if r.data.ndim == 2 else j[0])
+    return StepVerdict(bank, _node(packed, tuple(children), "verify_and_adjust", vjp), j)

@@ -3,8 +3,8 @@
 Run ``pytest tests/test_acceptance.py -v -s`` to see the report lines inline;
 every line is also asserted, so any FAIL fails the suite. The directional
 benchmark behind AC7/AC8 trains twelve small pipelines and dominates the
-runtime (about ten minutes on one CPU core); everything else finishes in
-seconds to a couple of minutes.
+runtime: the whole file took 58 s on one core of a 2-core host (numpy
+2.4.6), 49 s of it in that fixture; every other test takes seconds.
 """
 
 import math
@@ -41,18 +41,18 @@ def test_ac01_gradient_fidelity():
                               max_positions=16, m=2, seed=5))
     bank = make_bank([("a", 4), ("b", 4)], d_m=8, seed=5)
     history = [0, 3, 5, 1]
-    labels = np.array([1, 3])
+    labels = np.array([[1, 3]])
 
     def composite():
         trace, final_hidden = run_reasoning(bb, bank, history, m=2)
-        return (recommendation_loss(bb, final_hidden, target=2)
+        return (recommendation_loss(bb, final_hidden, target=[2])
                 + 0.5 * verifier_loss(bank, trace, labels)
                 + 0.5 * monotonicity_loss(trace))
 
     # the check point must sit away from the confidence clamp (kink at f=1)
     # and the hinge kink, or central differences straddle a non-smooth point
     trace, _ = run_reasoning(bb, bank, history, m=2)
-    fs = np.array([[float(f.data) for f in v.f] for _, _, v in trace.steps])
+    fs = np.array([[float(f.data) for f in v.f[0]] for _, _, v in trace.steps])
     assert fs.min() > 1.05
 
     params = list(bb.params().values()) + list(bank.params().values())
@@ -119,7 +119,7 @@ def test_ac03_adjustment_contract():
                          hidden_width=6 if deep else 0,
                          hidden_depth=3 if deep else 1)
         r = rng.normal(size=d_m) * rng.uniform(0.1, 2.0)
-        verdict = verify_and_adjust(bank, Tensor(r))
+        verdict = verify_and_adjust(bank, Tensor(r[None]))
 
         w = _softmax_np(bank.router.a.data @ r + bank.router.bias.data)
         acc = np.zeros(d_m)
@@ -132,10 +132,10 @@ def test_ac03_adjustment_contract():
             c = min(1.0, 1.0 / max(f, 1e-6))
             j = int(np.argmax(p))
             col = np.ascontiguousarray(v.w_last.data[:, j])
-            guidance_ok &= verdict.j_star[i] == j
-            guidance_ok &= np.ascontiguousarray(verdict.g[i].data).tobytes() == col.tobytes()
+            guidance_ok &= verdict.j_star[0][i] == j
+            guidance_ok &= np.ascontiguousarray(verdict.g[i].data[0]).tobytes() == col.tobytes()
             acc += (1.0 - c) * r + c * col
-        max_err = max(max_err, float(np.abs(acc / n - verdict.r_star.data).max()))
+        max_err = max(max_err, float(np.abs(acc / n - verdict.r_star.data[0]).max()))
     _check("AC3 adjustment contract",
            max_err <= 1e-12 and guidance_ok,
            f"1000 instances, max |r* - oracle| {max_err:.2e} vs 1e-12, "

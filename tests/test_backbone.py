@@ -67,8 +67,8 @@ def test_causality_all_prefixes():
 def test_injected_latents_replace_lookup():
     bb = Backbone(small_cfg())
     plain = bb.encode([0, 3, 5])
-    lat = Tensor(np.full(16, 0.1))
-    with_lat = bb.encode([0, 3, 5], [(3, lat)])
+    lat = Tensor(np.full((1, 16), 0.1))
+    with_lat = bb.encode([0, 3, 5], [([3], lat)])
     assert with_lat.shape == (4, 16)
     assert np.array_equal(with_lat.data[:3], plain.data[:3])
 
@@ -76,7 +76,7 @@ def test_injected_latents_replace_lookup():
 def test_cached_encode_in_chunks_matches_one_pass():
     bb = Backbone(small_cfg())
     hist = [1, 4, 2, 8, 6, 0]
-    latents = [(6, Tensor(Rng(1).normal((16,)))), (7, Tensor(Rng(2).normal((16,))))]
+    latents = [([6], Tensor(Rng(1).normal((1, 16)))), ([7], Tensor(Rng(2).normal((1, 16))))]
     full = bb.encode(hist, latents)
     for cut in range(1, len(hist) + 1):
         cache = KVCache()
@@ -95,11 +95,11 @@ def test_cached_encode_errors():
     with pytest.raises(ValueError, match="at least one new position"):
         bb.encode([], cache=cache)
     with pytest.raises(ValueError, match="expected 2"):
-        bb.encode([], [(0, Tensor(np.zeros(16)))], cache=cache)
+        bb.encode([], [([0], Tensor(np.zeros((1, 16))))], cache=cache)
     with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
         bb.encode([3, 4, 5], cache=cache)
     assert len(cache) == 2  # a refused call leaves the cache as it was
-    assert bb.encode([3], [(3, Tensor(np.zeros(16)))], cache=cache).shape == (2, 16)
+    assert bb.encode([3], [([3], Tensor(np.zeros((1, 16))))], cache=cache).shape == (2, 16)
     assert len(cache) == 4
 
 
@@ -110,14 +110,14 @@ def test_encode_errors():
     with pytest.raises(ValueError, match="non-empty"):
         bb.encode([])
     with pytest.raises(ValueError, match="position"):
-        bb.encode([0, 1], [(5, Tensor(np.zeros(16)))])
+        bb.encode([0, 1], [([5], Tensor(np.zeros((1, 16))))])
     with pytest.raises(ValueError, match="shape"):
-        bb.encode([0, 1], [(2, Tensor(np.zeros(7)))])
+        bb.encode([0, 1], [([2], Tensor(np.zeros((1, 7))))])
 
 
 def test_scores_softmax_normalized():
     bb = Backbone(small_cfg())
-    scores = bb.next_item_scores(bb.encode([0, 3, 5]), 2)
+    scores = bb.next_item_scores(bb.encode([0, 3, 5]))[2]
     assert scores.shape == (12,)
     assert abs(softmax(scores).data.sum() - 1.0) < 1e-12
 
@@ -125,20 +125,20 @@ def test_scores_softmax_normalized():
 def test_greedy_is_top_of_scores():
     bb = Backbone(small_cfg())
     hidden = bb.encode([0, 3, 5])
-    scores = bb.next_item_scores(hidden, 2).data
-    assert greedy_recommend(bb, hidden) == int(scores.argmax())
+    scores = bb.next_item_scores(hidden).data[2]
+    assert greedy_recommend(bb, hidden[2:]) == int(scores.argmax())
 
 
 def test_rank_full_permutation_and_oracle():
     bb = Backbone(small_cfg())
     hidden = bb.encode([2, 7])
-    ranked = bb.rank_items(hidden, 1)
+    ranked = bb.rank_items(hidden)[1]
     assert sorted(ranked.tolist()) == list(range(12))
-    scores = bb.next_item_scores(hidden, 1).data
+    scores = bb.next_item_scores(hidden).data[1]
     # brute-force oracle: stable sort on (-score, id)
     oracle = sorted(range(12), key=lambda i: (-scores[i], i))
     assert ranked.tolist() == oracle
-    assert bb.rank_items(hidden, 1, 5).tolist() == oracle[:5]
+    assert bb.rank_items(hidden, 5)[1].tolist() == oracle[:5]
 
 
 def test_rank_ties_break_to_lower_id():
@@ -146,7 +146,7 @@ def test_rank_ties_break_to_lower_id():
     emb = bb.params()["tok_emb"]
     emb.data[7] = emb.data[3]  # force an exact score tie between items 3 and 7
     hidden = bb.encode([0, 1])
-    ranked = bb.rank_items(hidden, 1).tolist()
+    ranked = bb.rank_items(hidden)[1].tolist()
     assert ranked.index(3) < ranked.index(7)
 
 
@@ -154,9 +154,9 @@ def test_output_projection_weight_tied():
     bb = Backbone(small_cfg())
     assert not any("out" in k for k in bb.params())
     hidden = bb.encode([0, 1])
-    before = bb.next_item_scores(hidden, 1).data.copy()
+    before = bb.next_item_scores(hidden).data[1].copy()
     bb.params()["tok_emb"].data[5] += 1.0
-    after = bb.next_item_scores(hidden, 1).data
+    after = bb.next_item_scores(hidden).data[1]
     assert after[5] != before[5]
     mask = np.arange(12) != 5
     assert np.array_equal(after[mask], before[mask])
@@ -165,6 +165,6 @@ def test_output_projection_weight_tied():
 def test_scores_reproducible():
     bb = Backbone(small_cfg())
     h = bb.encode([4, 9, 1])
-    a = bb.next_item_scores(h, 2).data
-    b = bb.next_item_scores(bb.encode([4, 9, 1]), 2).data
+    a = bb.next_item_scores(h).data[2]
+    b = bb.next_item_scores(bb.encode([4, 9, 1])).data[2]
     assert np.array_equal(a, b)

@@ -437,3 +437,19 @@ def test_seed_env_overrides_config(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "cfg7")]) == 0
     assert (tmp_path / "env7" / "stage0.ckpt").read_bytes() == \
         (tmp_path / "cfg7" / "stage0.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    ("-1", None, "--seed: seed must be non-negative and an integer, got -1"),
+    (None, "-1", f"{SEED_ENV_VAR}: seed must be non-negative and an integer, got -1"),
+    (None, "abc", f"{SEED_ENV_VAR}: invalid literal for int"),
+    (None, "1.5", f"{SEED_ENV_VAR}: invalid literal for int"),
+])
+def test_bad_seed_override_names_its_source(tmp_path, monkeypatch, capsys, flag, env, message):
+    cfg = write_config(tmp_path)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    argv = ["pretrain-backbone", "--config", str(cfg)] + (["--seed", flag] if flag else [])
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stage0.ckpt").exists()

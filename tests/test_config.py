@@ -1,8 +1,11 @@
 """Run-configuration schema tests."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrec.config import ConfigError, load_config
 
@@ -170,3 +173,71 @@ def test_max_positions_must_hold_history_and_steps(tmp_path):
         load_config(write(tmp_path, obj))
     with pytest.raises(ConfigError, match="max_positions 12 is too small for m=4"):
         cfg.with_m(4)
+
+
+@pytest.mark.parametrize("eval_ks", [[5, 5], "55", [2.5], [True], [], [5, "10"]])
+def test_eval_ks_must_be_distinct_positive_integers(tmp_path, eval_ks):
+    # [5, 5] and "55" used to load as (5, 5) and count every hit twice
+    with pytest.raises(ConfigError, match="eval_ks must be a non-empty list of distinct"):
+        load_config(write(tmp_path, dict(MINI, eval_ks=eval_ks)))
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("seed", -1, "run.json: seed must be non-negative"),
+    ("seed", 1.5, "run.json: seed must be non-negative and an integer, got 1.5"),
+    ("seed", 2**64, "seed must be below 2\\*\\*64"),
+    ("stage0_epochs", 1.5, "stage0_epochs must be non-negative and an integer"),
+    ("stage1_epochs", -1, "stage1_epochs must be non-negative"),
+    ("model.layers", -1, "model: layers must be at least 1"),
+    ("model.seed", True, "model: seed must be non-negative and an integer, got True"),
+    ("hyper.lr", float("nan"), "hyper: lr must be non-negative and finite, got nan"),
+    ("hyper.lr", -0.001, "hyper: lr must be non-negative"),
+    ("hyper.epochs", 1.5, "hyper: epochs must be non-negative and an integer"),
+    ("data.synth.n_users", -3, "data.synth: n_users must be at least 1"),
+])
+def test_values_that_fail_later_are_refused_at_load(tmp_path, where, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, with_value(where, value)))
+
+
+def with_value(where: str, value) -> dict:
+    """MINI with the field at the dotted path ``where`` set to ``value``."""
+    obj = json.loads(json.dumps(MINI))
+    *sections, key = where.split(".")
+    node = obj
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    return obj
+
+
+def _integer(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+VALID = {  # the rule each field is checked against at load
+    "seed": lambda v: _integer(v, 0) and v < 2**64,
+    "stage0_epochs": lambda v: v is None or _integer(v, 0),
+    "eval_ks": lambda v: isinstance(v, list) and len(v) > 0
+    and all(_integer(k, 1) for k in v) and len(set(v)) == len(v),
+    "model.layers": lambda v: _integer(v, 1),
+    "hyper.lr": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and 0 <= v < math.inf,
+    "hyper.batch": lambda v: _integer(v, 1),
+    "data.synth.n_users": lambda v: _integer(v, 1),
+}
+VALUES = st.one_of(st.integers(-3, 6), st.integers(2**64 - 2, 2**64 + 1),
+                   st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none(),
+                   st.text(max_size=3), st.lists(st.integers(-1, 12), max_size=4))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(sorted(VALID)), value=VALUES)
+def test_config_fields_load_exactly_when_valid(tmp_path, where, value):
+    path = write(tmp_path, with_value(where, value))
+    if VALID[where](value):
+        load_config(path)
+    else:
+        with pytest.raises(ConfigError):
+            load_config(path)

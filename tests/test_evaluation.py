@@ -268,6 +268,17 @@ def test_timing_identical_conditions_near_zero():
     assert abs(result["rows"][0]["overhead_pct"]) < 75.0
 
 
+def test_evaluate_refuses_duplicate_ks():
+    # duplicates used to add every hit once per copy: recall@5 read 2.0
+    _, logs, _ = generate_synthetic(MICRO_SYNTH)
+    samples = chronological_split(logs).test
+    bb = Backbone(MICRO_MODEL)
+    with pytest.raises(ValueError, match="duplicate ks"):
+        evaluate(bb, None, samples, m=0, ks=(5, 5))
+    report = evaluate(bb, None, samples, m=0, ks=(5,))
+    assert 0.0 <= report.recall[5] <= 1.0 and 0.0 <= report.ndcg[5] <= 1.0
+
+
 def test_timing_overhead_times_whole_requests_alternately(monkeypatch):
     _, logs, _ = generate_synthetic(MICRO_SYNTH)
     samples = chronological_split(logs).test[:3]

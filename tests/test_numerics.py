@@ -9,6 +9,7 @@ from oracles import exp, softmax
 from vrec.numerics import (
     Rng,
     Tensor,
+    add_rows,
     add_rowvec,
     attention,
     concat,
@@ -235,7 +236,7 @@ def test_softmax_cross_entropy_analytic_identity():
 @pytest.mark.parametrize("op_name", [
     "matmul", "add_rowvec", "embedding", "layer_norm", "gelu", "relu",
     "softmax", "log_softmax", "log", "exp", "mean_axis", "concat",
-    "row_slices", "entropy", "confidence", "transpose_reshape",
+    "row_slices", "entropy", "confidence", "transpose", "add_rows",
 ])
 def test_op_gradients_match_finite_differences(op_name):
     rng = Rng(hash(op_name) % (2**31))
@@ -300,9 +301,15 @@ def test_op_gradients_match_finite_differences(op_name):
         w = Tensor(rng.normal((8,)) * 0.1, requires_grad=True)
         f = lambda: confidence(entropy(softmax(w)))
         assert entropy(softmax(w)).item() > 1.1
-    elif op_name == "transpose_reshape":
+    elif op_name == "transpose":
         w = Tensor(rng.normal((3, 4)), requires_grad=True)
-        f = lambda: (w.transpose().reshape(2, 6) * w.transpose().reshape(2, 6)).sum()
+        t = Tensor(rng.normal((4, 3)))
+        f = lambda: (w.transpose() * t).sum() + (w.transpose() * w.transpose()).sum()
+    elif op_name == "add_rows":
+        w = Tensor(rng.normal((2, 3)), requires_grad=True)
+        x = Tensor(rng.normal((6, 3)), requires_grad=True)
+        f = lambda: (add_rows(x, w) * add_rows(x, w) * x).sum()
+        assert np.abs(backward_grad(f, x) - fd_grad(f, x)).max() < 1e-6
     assert np.abs(backward_grad(f, w) - fd_grad(f, w)).max() < 1e-6
 
 

@@ -29,8 +29,8 @@ def test_m0_empty_trace_equals_plain_backbone():
     trace, hidden = run_reasoning(bb, None, [0, 3, 5], 0)
     assert trace.steps == [] and trace.m == 0
     plain = bb.encode([0, 3, 5])
-    assert np.array_equal(hidden.data, plain.data)
-    assert recommend(bb, hidden).tolist() == bb.rank_items(plain, 2).tolist()
+    assert np.array_equal(hidden.data, plain.data[-1:])
+    assert recommend(bb, hidden).tolist() == bb.rank_items(plain)[2].tolist()
 
 
 def test_no_bank_adjusted_equals_raw():
@@ -57,8 +57,8 @@ def test_confident_bank_injects_prototype_columns():
     trace, _ = run_reasoning(bb, bank, [0, 5], 2)
     for raw, adj, verdict in trace.steps:
         assert verdict.c[0].item() == 1.0
-        col = bank.verifiers[0].w_last.data[:, verdict.j_star[0]]
-        assert np.array_equal(adj.data, col)
+        col = bank.verifiers[0].w_last.data[:, verdict.j_star[0][0]]
+        assert np.array_equal(adj.data[0], col)
 
 
 def test_trace_determinism():
@@ -118,12 +118,12 @@ def reencode_reasoning(bb, bank, history, m):
     L = len(history)
     steps, latents = [], []
     for t in range(m):
-        r_t = bb.encode(history, latents)[L + t - 1]
+        r_t = bb.encode(history, latents)[L + t - 1:L + t]
         verdict = verify_and_adjust(bank, r_t) if bank is not None else None
         r_adj = r_t if verdict is None else verdict.r_star
         steps.append((r_t, r_adj, verdict))
-        latents.append((L + t, r_adj))
-    return steps, bb.encode(history, latents)
+        latents.append(([L + t], r_adj))
+    return steps, bb.encode(history, latents)[-1:]
 
 
 @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
@@ -136,7 +136,7 @@ def test_cached_reasoning_matches_full_reencode(layers, heads, m, with_bank):
     for history in ([5], [0, 3, 5, 9, 2], [7, 1, 4, 4, 0, 11, 2, 8, 6, 3]):
         trace, hidden = run_reasoning(bb, bank, history, m)
         ref_steps, ref_hidden = reencode_reasoning(bb, bank, history, m)
-        assert hidden.shape == ref_hidden.shape == (len(history) + m, 12)
+        assert hidden.shape == ref_hidden.shape == (1, 12)
         assert np.abs(hidden.data - ref_hidden.data).max() <= 1e-12
         assert len(trace.steps) == len(ref_steps) == m
         for (raw, adj, verdict), (ref_raw, ref_adj, ref_verdict) in zip(trace.steps, ref_steps):
@@ -155,7 +155,7 @@ def test_each_position_encoded_once(monkeypatch):
         for m in (0, 1, 3, 8):
             counts.clear()
             _, hidden = run_reasoning(bb, bank, history, m)
-            assert sum(counts) == len(history) + m == hidden.shape[0]
+            assert sum(counts) == len(history) + m and hidden.shape == (1, 16)
             assert counts == [len(history)] + [1] * m
 
 
@@ -164,11 +164,11 @@ def test_grad_check_through_cached_rollout():
     bb = Backbone(ModelConfig(d_m=8, layers=1, heads=2, n_items=6, max_positions=16,
                               m=3, seed=5))
     bank = make_bank([("a", 4), ("b", 4)], d_m=8, seed=5)
-    history, labels = [0, 3, 5, 1], np.array([1, 3])
+    history, labels = [0, 3, 5, 1], np.array([[1, 3]])
 
     def loss(reasoning=run_reasoning):
         trace, hidden = reasoning(bb, bank, history, 3)
-        return (recommendation_loss(bb, hidden, 2) + 0.5 * verifier_loss(bank, trace, labels)
+        return (recommendation_loss(bb, hidden, [2]) + 0.5 * verifier_loss(bank, trace, labels)
                 + 0.5 * monotonicity_loss(trace))
 
     def reencoded(*args):
@@ -177,7 +177,7 @@ def test_grad_check_through_cached_rollout():
 
     # keep the check point off the confidence clamp at f=1
     trace, _ = run_reasoning(bb, bank, history, 3)
-    assert min(float(f.data) for _, _, v in trace.steps for f in v.f) > 1.05
+    assert min(float(f.data) for _, _, v in trace.steps for f in v.f[0]) > 1.05
     params = list(bb.params().values()) + list(bank.params().values())
     grads = []
     for reasoning in (run_reasoning, reencoded):
@@ -199,7 +199,7 @@ def test_greedy_matches_rank_one():
 
 
 def fake_trace(vectors):
-    steps = [(Tensor(v), Tensor(v), None) for v in vectors]
+    steps = [(Tensor(v[None]), Tensor(v[None]), None) for v in vectors]
     return ReasoningTrace(steps=steps, m=len(steps))
 
 

@@ -90,8 +90,8 @@ def test_recommendation_loss_certain_prediction():
     h_last = hidden.data[-1]
     emb.data[3] = 50.0 * h_last / np.linalg.norm(h_last) ** 2  # scores[3] = 50
     hidden = bb.encode([0, 1])
-    assert greedy_recommend(bb, hidden) == 3
-    assert recommendation_loss(bb, hidden, 3).item() < 1e-6
+    assert greedy_recommend(bb, hidden[-1:]) == 3
+    assert recommendation_loss(bb, hidden[-1:], [3]).item() < 1e-6
 
 
 def test_recommendation_loss_two_way_tie():
@@ -103,7 +103,7 @@ def test_recommendation_loss_two_way_tie():
     emb.data[2] = 40.0 * h_last / np.linalg.norm(h_last) ** 2
     emb.data[4] = emb.data[2]  # two items tie at probability ~0.5 each
     hidden = bb.encode([0, 1])
-    loss = recommendation_loss(bb, hidden, 2)
+    loss = recommendation_loss(bb, hidden[-1:], [2])
     assert loss.item() == pytest.approx(np.log(2), abs=1e-6)
 
 
@@ -116,7 +116,7 @@ def test_batch_loss_is_mean(corpus):
     losses = []
     for s in samples:
         _, hidden = run_reasoning(bb, None, s.history, 2)
-        losses.append(recommendation_loss(bb, hidden, s.target).item())
+        losses.append(recommendation_loss(bb, hidden, [s.target]).item())
     _, final = run_reasoning(bb, None, [s.history for s in samples], 2)
     batched = recommendation_loss(bb, final, np.array([s.target for s in samples]))
     assert batched.item() == pytest.approx(np.mean(losses), abs=1e-12)
@@ -148,14 +148,14 @@ def test_verifier_loss_reference_values():
     v.w_last.data[:] = 0.0
     v.b_last.data[:] = 0.0  # uniform prediction
     bank.router.a.data[:] = 0.0
-    r = [np.ones(8)]
-    pos = verifier_loss(bank, r, np.array([2]), alpha=1.0)
+    r = [[np.ones(8)]]
+    pos = verifier_loss(bank, r, np.array([[2]]), alpha=1.0)
     assert pos.item() == pytest.approx(np.log(4), abs=1e-12)
-    neg = verifier_loss(bank, r, None, alpha=1.0)
+    neg = verifier_loss(bank, r, np.array([[-1]]), alpha=1.0)
     assert neg.item() == pytest.approx(-np.log(4), abs=1e-12)
 
     v.b_last.data[:] = [0.0, 0.0, 60.0, 0.0]  # certain correct prediction
-    assert verifier_loss(bank, r, np.array([2])).item() < 1e-9
+    assert verifier_loss(bank, r, np.array([[2]])).item() < 1e-9
 
 
 def test_verifier_loss_adds_terms_step_by_step():
@@ -167,12 +167,13 @@ def test_verifier_loss_adds_terms_step_by_step():
     rows, labels = Rng(5).normal((4, 8)), np.array([1, 2, 0])
     pos = neg = 0.0
     for row in rows:
-        verdict = verify_and_adjust(bank, Tensor(row))
+        verdict = verify_and_adjust(bank, Tensor(row[None]))
         for i, p in enumerate(verdict.p):
-            pos += -np.log(p.data[labels[i]])
-            neg += verdict.f.data[i] * -0.7
-    assert verifier_loss(bank, rows, labels).item() == pos * (1.0 / 12)
-    assert verifier_loss(bank, rows, None, alpha=0.7).item() == neg * (1.0 / 12)
+            pos += -np.log(p.data[0, labels[i]])
+            neg += verdict.f.data[0, i] * -0.7
+    assert verifier_loss(bank, rows[None], labels[None]).item() == pos * (1.0 / 12)
+    assert verifier_loss(bank, rows[None], np.full((1, 3), -1), alpha=0.7).item() \
+        == neg * (1.0 / 12)
 
 
 def test_collect_refuses_labeling_missing_items(corpus):
@@ -271,7 +272,7 @@ def test_stages_leave_nothing_tracked(corpus):
     trace, hidden = run_reasoning(bb, bank, split.test[0].history, 2)
     outputs = [hidden] + [t for raw, adj, v in trace.steps for t in [raw, adj, v.w, *v.p, *v.f]]
     assert all(t._vjp is None and t._children == () for t in outputs)
-    assert recommendation_loss(bb, hidden, 0)._vjp is None
+    assert recommendation_loss(bb, hidden, [0])._vjp is None
 
 
 def test_stages_without_samples_raise(corpus):
@@ -347,7 +348,7 @@ def test_collect_stores_adjusted_steps(corpus):
         assert r_steps.shape == (3, 24)
         # collected in one padded batch: equal to the request's steps up to
         # the grouping of sums
-        assert np.abs(r_steps - np.stack([r.data for r in trace.adjusted()])).max() <= 1e-12
+        assert np.abs(r_steps - np.stack([r.data[0] for r in trace.adjusted()])).max() <= 1e-12
 
 
 def test_pretrain_verifiers_fits_planted_structure(corpus):

@@ -51,20 +51,20 @@ def test_route_zero_logits_uniform():
     bank = bank_of([("a", 3), ("b", 3), ("c", 3)])
     bank.router.a.data[:] = 0.0
     bank.router.bias.data[:] = 0.0
-    w = verify_and_adjust(bank, Tensor(np.ones(8))).w
+    w = verify_and_adjust(bank, Tensor(np.ones((1, 8)))).w[0]
     assert np.allclose(w.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_route_single_verifier():
     bank = bank_of([("a", 4)])
-    w = verify_and_adjust(bank, Tensor(Rng(1).normal((8,)))).w
+    w = verify_and_adjust(bank, Tensor(Rng(1).normal((1, 8)))).w[0]
     assert w.data.shape == (1,) and w.data[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_route_sums_to_one():
     bank = bank_of([("a", 2), ("b", 5)])
     for seed in range(5):
-        w = verify_and_adjust(bank, Tensor(Rng(seed).normal((8,)))).w
+        w = verify_and_adjust(bank, Tensor(Rng(seed).normal((1, 8)))).w[0]
         assert abs(w.data.sum() - 1.0) < 1e-12
         assert np.all(w.data > 0)
 
@@ -72,7 +72,7 @@ def test_route_sums_to_one():
 def test_route_uniform_router_flag():
     bank = bank_of([("a", 2), ("b", 2)])
     bank.uniform_router = True
-    w = verify_and_adjust(bank, Tensor(Rng(2).normal((8,)))).w
+    w = verify_and_adjust(bank, Tensor(Rng(2).normal((1, 8)))).w[0]
     assert np.array_equal(w.data, [0.5, 0.5])
 
 
@@ -81,7 +81,7 @@ def test_predict_zero_weights_uniform():
     v = bank.verifiers[0]
     v.w_last.data[:] = 0.0
     v.b_last.data[:] = 0.0
-    p = verify_and_adjust(bank, Tensor(np.ones(8))).p[0]
+    p = verify_and_adjust(bank, Tensor(np.ones((1, 8)))).p[0][0]
     assert np.allclose(p.data, 0.25, atol=1e-15)
 
 
@@ -91,7 +91,7 @@ def test_predict_hand_2x2():
                  w_last=Tensor(np.array([[2.0, 0.0], [1.0, 5.0]])),
                  b_last=Tensor(np.zeros(2)))
     # a one-verifier router weighs it exactly 1, so the head sees r itself
-    p = verify_and_adjust(one_verifier_bank(v), Tensor(np.array([1.0, 0.0]))).p[0]
+    p = verify_and_adjust(one_verifier_bank(v), Tensor(np.array([[1.0, 0.0]]))).p[0][0]
     # logits = [2, 0]; softmax by hand
     assert p.data == pytest.approx([0.8807970779778823, 0.11920292202211755], abs=1e-15)
     assert abs(p.data.sum() - 1.0) < 1e-12
@@ -109,19 +109,19 @@ def test_guidance_argmax_column():
     # r = 0 leaves the logits at b_last, so p = [0.2, 0.7, 0.1]
     v = Verifier(dimension="g", d_i=3, hidden=[],
                  w_last=Tensor(Rng(3).normal((8, 3))), b_last=Tensor(np.log([0.2, 0.7, 0.1])))
-    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros(8)))
-    assert verdict.p[0].data == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
-    assert verdict.j_star == [1]
-    assert np.array_equal(verdict.g[0].data, v.w_last.data[:, 1])
+    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
+    assert verdict.p[0].data[0] == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
+    assert verdict.j_star[0] == [1]
+    assert np.array_equal(verdict.g[0].data[0], v.w_last.data[:, 1])
 
 
 def test_guidance_tie_lowest_index():
     v = Verifier(dimension="g", d_i=2, hidden=[],
                  w_last=Tensor(Rng(4).normal((8, 2))), b_last=Tensor(np.zeros(2)))
-    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros(8)))
-    assert np.array_equal(verdict.p[0].data, [0.5, 0.5])
-    assert verdict.j_star == [0]
-    assert np.array_equal(verdict.g[0].data, v.w_last.data[:, 0])
+    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
+    assert np.array_equal(verdict.p[0].data[0], [0.5, 0.5])
+    assert verdict.j_star[0] == [0]
+    assert np.array_equal(verdict.g[0].data[0], v.w_last.data[:, 0])
 
 
 def test_confidence_cases():
@@ -140,29 +140,29 @@ def peaked_bank(d_m=8, d_i=2):
 
 def test_adjust_full_replacement_when_confident():
     bank = peaked_bank()
-    r = Tensor(Rng(5).normal((8,)))
+    r = Tensor(Rng(5).normal((1, 8)))
     verdict = verify_and_adjust(bank, r)
-    assert verdict.c[0].item() == 1.0
-    assert np.array_equal(verdict.r_star.data, bank.verifiers[0].w_last.data[:, 0])
+    assert verdict.c[0, 0].item() == 1.0
+    assert np.array_equal(verdict.r_star.data[0], bank.verifiers[0].w_last.data[:, 0])
 
 
 def test_adjust_hand_expansion_two_verifiers():
     bank = bank_of([("a", 4), ("b", 5)], seed=7)
-    r = Tensor(Rng(6).normal((8,)))
+    r = Tensor(Rng(6).normal((1, 8)))
     verdict = verify_and_adjust(bank, r)
     terms = []
     for i in range(2):
-        c = verdict.c[i].item()
-        terms.append((1 - c) * r.data + c * verdict.g[i].data)
+        c = verdict.c[0, i].item()
+        terms.append((1 - c) * r.data[0] + c * verdict.g[i].data[0])
     hand = (terms[0] + terms[1]) / 2
-    assert np.abs(hand - verdict.r_star.data).max() < 1e-12
+    assert np.abs(hand - verdict.r_star.data[0]).max() < 1e-12
 
 
 def test_adjust_guidance_bitwise_columns():
     bank = bank_of([("a", 3), ("b", 4)], seed=8)
-    verdict = verify_and_adjust(bank, Tensor(Rng(7).normal((8,))))
+    verdict = verify_and_adjust(bank, Tensor(Rng(7).normal((1, 8))))
     for i, v in enumerate(bank.verifiers):
-        assert np.array_equal(verdict.g[i].data, v.w_last.data[:, verdict.j_star[i]])
+        assert np.array_equal(verdict.g[i].data[0], v.w_last.data[:, verdict.j_star[0][i]])
 
 
 def test_adjust_invariants_random_instances():
@@ -170,13 +170,13 @@ def test_adjust_invariants_random_instances():
     for trial in range(50):
         n = 1 + trial % 3
         bank = bank_of([(f"d{i}", 2 + (trial + i) % 4) for i in range(n)], seed=trial)
-        r = Tensor(rng.normal((8,), std=1.0 + trial % 5))
+        r = Tensor(rng.normal((1, 8), std=1.0 + trial % 5))
         verdict = verify_and_adjust(bank, r)
         assert abs(verdict.w.data.sum() - 1.0) < 1e-12 and np.all(verdict.w.data > 0)
         for i, v in enumerate(bank.verifiers):
-            f = verdict.f[i].item()
+            f = verdict.f[0, i].item()
             assert 0.0 <= f <= np.log(v.d_i) + 1e-12
-            assert 0.0 < verdict.c[i].item() <= 1.0
+            assert 0.0 < verdict.c[0, i].item() <= 1.0
         norm_bound = max(np.linalg.norm(r.data),
                          max(np.linalg.norm(g.data) for g in verdict.g))
         assert np.linalg.norm(verdict.r_star.data) <= norm_bound + 1e-9
@@ -189,8 +189,8 @@ def test_confidence_non_increasing_in_f():
 
 def test_verify_and_adjust_differentiable():
     bank = bank_of([("a", 4), ("b", 4)], seed=11)
-    r = Tensor(Rng(12).normal((8,)), requires_grad=True)
-    target = Tensor(Rng(13).normal((8,)))
+    r = Tensor(Rng(12).normal((1, 8)), requires_grad=True)
+    target = Tensor(Rng(13).normal((1, 8)))
 
     def loss():
         verdict = verify_and_adjust(bank, r)
@@ -219,7 +219,7 @@ def test_mlp_verifier_shapes():
     v = bank.verifiers[0]
     assert [tuple(w.shape) for w, _ in v.hidden] == [(8, 16), (16, 8)]
     assert tuple(v.w_last.shape) == (8, 4)
-    p = verify_and_adjust(bank, Tensor(Rng(14).normal((8,)))).p[0]
+    p = verify_and_adjust(bank, Tensor(Rng(14).normal((1, 8)))).p[0]
     assert abs(p.data.sum() - 1.0) < 1e-12
 
 
@@ -291,13 +291,13 @@ def test_fused_step_single_row_guidance(depth, uniform):
     for seed in range(6):
         bank = randomized_bank(1 + seed % 4, depth, uniform, seed)
         r = Tensor(Rng(seed, 2).normal(6, std=1.5))
-        verdict, ref = verify_and_adjust(bank, r), oracle_step(bank, r)
-        assert verdict.r_star.shape == (6,) and verdict.f.shape == (bank.n,)
-        assert np.array_equal(verdict.r_star.data, ref["r_star"].data)
-        assert verdict.j_star == ref["j_star"]
+        verdict, ref = verify_and_adjust(bank, Tensor(r.data[None])), oracle_step(bank, r)
+        assert verdict.r_star.shape == (1, 6) and verdict.f.shape == (1, bank.n)
+        assert np.array_equal(verdict.r_star.data[0], ref["r_star"].data)
+        assert verdict.j_star[0] == ref["j_star"]
         for i, v in enumerate(bank.verifiers):
-            col = np.ascontiguousarray(v.w_last.data[:, verdict.j_star[i]])
-            assert verdict.g[i].data.tobytes() == col.tobytes()
+            col = np.ascontiguousarray(v.w_last.data[:, verdict.j_star[0][i]])
+            assert verdict.g[i].data[0].tobytes() == col.tobytes()
 
 
 def count_tensors(monkeypatch) -> list:
@@ -313,7 +313,7 @@ def count_tensors(monkeypatch) -> list:
 
 def test_served_step_builds_at_most_five_tensors(monkeypatch):
     bank = bank_of([("a", 4), ("b", 3), ("c", 5)], hidden_width=6, hidden_depth=3)
-    r = Tensor(Rng(15).normal((8,)))
+    r = Tensor(Rng(15).normal((1, 8)))
     made = count_tensors(monkeypatch)
     verify_and_adjust(bank, r).r_star
     assert 0 < len(made) <= 5
