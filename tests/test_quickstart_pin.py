@@ -1,0 +1,50 @@
+"""The README quick-start run, pinned by digest.
+
+Refactors that must keep every artifact's bits compare against these
+sha256 digests: the three checkpoints and metrics.csv as files, and the
+two arrays of verifier_data.npz (an npz is a zip, whose bytes depend on
+more than the arrays). The digests were taken with numpy 2.4.6 on x86-64;
+another BLAS may round the same run differently."""
+
+import hashlib
+import json
+
+import numpy as np
+
+from vrec.config import load_config
+from vrec.pipeline import VERIFIER_DATA, run_pipeline
+
+QUICK_START = {
+    "seed": 7,
+    "out": "runs/demo",
+    "data": {"synth": {"n_users": 50, "n_items": 40, "n_groups": 4,
+                       "stickiness": 0.9, "seq_len_range": [12, 20]}},
+    "model": {"d_m": 24, "layers": 1, "heads": 2, "max_positions": 32, "m": 2},
+    "hyper": {"lr": 0.003, "epochs": 3, "batch": 16},
+    "dimensions": [{"name": "category"}, {"name": "title", "d_i": 4}],
+    "eval_ks": [5, 10],
+}
+
+DIGESTS = {
+    "stage0.ckpt": "c64883035ac38a517ef09ef0eb860c56c06a2d8f734cc1edb4c9a0f57515564f",
+    "stage1.ckpt": "fc7e05de9e3c07e97182f14e6d5e85bbcab985450fdbfc1b94c49f6df6b398bf",
+    "final.ckpt": "717418ca937b589fbbbe4115a487d2c2d1a20db53dc0d151d15054c4b7322bcb",
+    "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
+    "r_steps": "afd2906d6ef3b240eb6dae411843f87d6b8dc16a9f3f466a6020724bdfae7d3e",
+    "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",
+}
+
+
+def test_quick_start_artifacts_pinned(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(QUICK_START), encoding="utf-8")
+    cfg = load_config(path)
+    run_pipeline(cfg.synth, cfg.model_config(cfg.synth.n_items), cfg.hyper, cfg.dimensions,
+                 stage0_epochs=cfg.stage0_epochs, stage1_epochs=cfg.stage1_epochs,
+                 out_dir=tmp_path, eval_ks=cfg.eval_ks)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("stage0.ckpt", "stage1.ckpt", "final.ckpt", "metrics.csv")}
+    with np.load(tmp_path / VERIFIER_DATA) as data:
+        for key in ("r_steps", "labels"):
+            got[key] = hashlib.sha256(np.ascontiguousarray(data[key]).tobytes()).hexdigest()
+    assert got == DIGESTS
