@@ -39,6 +39,7 @@ from .numerics import (
     gelu,
     layer_norm,
     matmul,
+    parameter_vectors,
 )
 
 __all__ = ["Backbone", "KVCache", "ModelConfig"]
@@ -97,6 +98,9 @@ def as_batch(history) -> list:
 
 
 class Backbone:
+    """The transformer. Every parameter's ``.data`` and ``.grad`` are views
+    of the ``values`` and ``grads`` vectors (``numerics.parameter_vectors``)."""
+
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = Rng(cfg.seed, 10)
@@ -130,12 +134,10 @@ class Backbone:
         p["ln_f.gain"] = ones(d)
         p["ln_f.bias"] = zeros(d)
         self._params = p
+        self.values, self.grads = parameter_vectors(p)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def _attend(self, x: Tensor, i: int, mask: np.ndarray | None, cache: KVCache) -> Tensor:
         """Attention of the new rows ``x`` over the cached and new keys;
@@ -158,13 +160,14 @@ class Backbone:
                cache: KVCache | None = None) -> Tensor:
         """Hidden states for history tokens plus injected latent vectors.
 
-        ``history`` is a batch of B histories (lists of item ids), padded on
-        the right to the longest; one history is the batch of one. Injected
-        latents occupy the positions immediately after each history, in
-        order; each replaces the token lookup at its position (positional
-        embedding still added). An injected entry is (positions (B,), rows
-        (B, d_m)), one new position per sequence. Returns the last layer's
-        states of the n new columns as (n*B, d_m) position-major rows.
+        ``history`` is a batch of B histories (lists of item ids from 0 to
+        n_items - 1), padded on the right to the longest; one history is the
+        batch of one. Injected latents occupy the positions immediately
+        after each history, in order; each replaces the token lookup at its
+        position (positional embedding still added). An injected entry is
+        (positions (B,), rows (B, d_m)), one new position per sequence.
+        Returns the last layer's states of the n new columns as (n*B, d_m)
+        position-major rows.
 
         With a ``cache``, ``history`` and ``injected`` are only the new
         positions, which start at each sequence's ``cache.lengths``; they
@@ -203,16 +206,21 @@ class Backbone:
         start = len(cache)
         pad = cache.pad
         ragged = pad is not None or min(counts) < width
-        if ragged:  # pad the shorter histories' columns with the non-item token
+        if ragged:
             new_pad = np.arange(width) >= np.array(counts)[:, None]  # (B, width)
             old = np.zeros((B, start), bool) if pad is None else pad
             pad = np.concatenate([old, new_pad, np.zeros((B, k), bool)], axis=1)
-            tokens = np.full((B, width), self.cfg.n_items)
-            if width:
-                tokens[~new_pad] = np.concatenate(seqs)
-        else:
-            tokens = seqs
-        parts = [embedding_lookup(p["tok_emb"], np.array(tokens).ravel("F"))] if width else []
+        parts = []
+        if width:  # the one place where item ids enter the model
+            ids = np.concatenate(seqs) if ragged else np.array(seqs)
+            if ids.min() < 0 or ids.max() >= self.cfg.n_items:
+                bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
+                raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
+            if ragged:  # the shorter histories' columns hold the non-item token
+                grid = np.full((B, width), self.cfg.n_items)
+                grid[~new_pad] = ids
+                ids = grid
+            parts.append(embedding_lookup(p["tok_emb"], ids.ravel("F")))
         parts.extend(rows for _, rows in injected)
         x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
         if ragged:  # a sequence's tokens, then its latents, from its own length on

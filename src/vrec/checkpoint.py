@@ -3,8 +3,12 @@
 Layout: magic "VRECCKPT1", a 4-byte little-endian header length, a canonical
 UTF-8 JSON header (model config, verifier-bank structure, and one
 {name, shape, offset} entry per parameter in sorted name order), then the
-parameters' float64 values concatenated little-endian. Canonical JSON plus
-sorted order makes save -> load -> save byte-identical.
+parameters' float64 values concatenated little-endian in that order. A
+model's parameters are laid out in its value vector in the same order, so
+the body of a model checkpoint is the backbone's value vector followed by
+the bank's. Canonical JSON plus sorted order makes save -> load -> save
+byte-identical. Loading copies each stored parameter into the model's
+vector in place.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ def save_model(path: str | Path, backbone: Backbone, bank: VerifierBank | None =
 
 def _fill(path: str | Path, stored: dict[str, np.ndarray], prefix: str,
           params: dict[str, Tensor]) -> None:
-    """Move ``stored[prefix + name]`` into each model parameter, checking its shape."""
+    """Copy ``stored[prefix + name]`` into each model parameter's values in
+    place, checking its shape; the stored entries are consumed."""
     for name, tensor in params.items():
         key = prefix + name
         data = stored.pop(key, None)
@@ -114,7 +119,7 @@ def _fill(path: str | Path, stored: dict[str, np.ndarray], prefix: str,
         if data.shape != tensor.shape:
             raise ValueError(f"{path}: parameter {key} has shape {data.shape}, "
                              f"expected {tensor.shape}")
-        tensor.data = data
+        tensor.data[...] = data
 
 
 def load_model(path: str | Path) -> tuple[Backbone, VerifierBank | None]:

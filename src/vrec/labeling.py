@@ -134,20 +134,6 @@ def train_cf(samples, n_items: int, n_users: int, d_cf: int = 16,
     return CfModel(item_emb=item_emb, user_emb=user_emb)
 
 
-def cf_pair_loss(model: CfModel, samples, seed: int = 0) -> float:
-    """Mean logistic pairwise loss over samples with one sampled negative each."""
-    rng = Rng(seed, 2)
-    n_items = model.item_emb.shape[0]
-    total = 0.0
-    for s in samples:
-        neg_id = int(rng.integers(0, n_items))
-        if neg_id == s.target:
-            neg_id = (neg_id + 1) % n_items
-        x = float(model.user_emb[s.user] @ (model.item_emb[s.target] - model.item_emb[neg_id]))
-        total += float(np.log1p(np.exp(-x)))
-    return total / max(len(samples), 1)
-
-
 def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # squared distances; ties go to the lowest center index via argmin
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

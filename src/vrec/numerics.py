@@ -5,7 +5,7 @@ operator set in this module. Arrays are row-major float64 throughout;
 there is no broadcasting except scalar-with-tensor, so shape mismatches
 fail loudly instead of silently expanding.
 
-Three rules keep the core small:
+Four rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - Every op builds its output through ``_node``, which links the output into
@@ -14,6 +14,10 @@ Three rules keep the core small:
 - Model parameters are created untracked. Only the tensors being fitted or
   grad-checked are tracked, and only inside ``tracking(tensors)``, so
   inference and evaluation build no graph at all.
+- A model's parameters live in one value vector and one gradient vector
+  (``parameter_vectors``): each parameter's ``.data`` and ``.grad`` are
+  views of its run of them, so an optimizer step or a gradient reset is one
+  array operation per model.
 
 Composites that every latent step runs are single nodes with hand-written
 vector-Jacobian products: ``attention`` here (causal multi-head
@@ -39,15 +43,14 @@ __all__ = [
     "check_int",
     "check_seed",
     "concat",
-    "confidence",
     "embedding_lookup",
-    "entropy",
     "gelu",
     "grad_check",
     "layer_norm",
     "log",
     "log_softmax",
     "matmul",
+    "parameter_vectors",
     "relu",
     "tracking",
 ]
@@ -87,7 +90,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Drop the gradient; a model parameter's, a view of its model's
+        gradient vector, is zeroed in place instead."""
+        if self.grad is not None and self.grad.base is not None:
+            self.grad.fill(0.0)
+        else:
+            self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -195,6 +203,28 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
             t.requires_grad = was
 
 
+def parameter_vectors(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """One value vector and one gradient vector for a model's new parameters.
+
+    The parameters are laid out in sorted name order, a checkpoint's order.
+    Each one's values are copied into its run of the value vector, and its
+    ``.data`` and ``.grad`` become views of its runs of the two vectors, for
+    the life of the model: writes go through them in place, and this is the
+    only code that binds them or knows the layout. Gradients start at zero.
+    """
+    names = sorted(params)
+    values = np.concatenate([params[k].data.ravel() for k in names])
+    grads = np.zeros_like(values)
+    start = 0
+    for k in names:
+        t = params[k]
+        stop = start + t.size
+        t.data = values[start:stop].reshape(t.shape)
+        t.grad = grads[start:stop].reshape(t.shape)
+        start = stop
+    return values, grads
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS; graphs from unrolled reasoning loops overflow Python's
     # recursion limit. Here, in backward and in _node the test of
@@ -265,19 +295,13 @@ def _mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2D@2D, 2D@1D and 1D@2D operands."""
+    """Matrix product of two matrices."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        vjp = lambda g: (g @ bd.T, ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        vjp = lambda g: (np.outer(g, bd), ad.T @ g)
-    elif ad.ndim == 1 and bd.ndim == 2:
-        vjp = lambda g: (bd @ g, np.outer(ad, g))
-    else:
+    if ad.ndim != 2 or bd.ndim != 2:
         raise ValueError(f"matmul: unsupported ranks {ad.ndim} @ {bd.ndim}")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
-    return _node(ad @ bd, (a, b), "matmul", vjp)
+    return _node(ad @ bd, (a, b), "matmul", lambda g: (g @ bd.T, ad.T @ g))
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -299,14 +323,16 @@ def add_rows(x: Tensor, rows: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a (V, d) table by integer index; gradient scatters back."""
+    """Gather rows of a (V, d) table by integer index; gradient scatters back.
+
+    The ids are not range-checked: a negative one would wrap around, so
+    callers pass ids from 0 to V-1 (``Backbone.encode`` checks the
+    histories that enter the model)."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError(f"embedding_lookup: ids must be 1-D, got shape {idx.shape}")
     if table.data.ndim != 2:
         raise ValueError(f"embedding_lookup: table must be 2-D, got shape {table.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ValueError(f"embedding_lookup: index out of range for table of {table.data.shape[0]} rows")
 
     def vjp(g):
         gt = np.zeros_like(table.data)
@@ -471,34 +497,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(xhat * gd + bias.data, (x, gain, bias), "layer_norm", vjp)
 
 
-def entropy(p: Tensor) -> Tensor:
-    """Shannon entropy of a 1-D distribution in nats; 0*log(0) counts as 0."""
-    pd = p.data
-    if pd.ndim != 1:
-        raise ValueError(f"entropy: expected 1-D distribution, got shape {pd.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pd > 0.0, pd * np.log(np.where(pd > 0.0, pd, 1.0)), 0.0)
-
-    def vjp(g):
-        # gradient -(log p + 1); softmax upstream keeps p strictly positive
-        safe = np.maximum(pd, 1e-300)
-        return (float(g) * -(np.log(safe) + 1.0),)
-    return _node(np.asarray(-terms.sum()), (p,), "entropy", vjp)
-
-
-def confidence(f: Tensor, eps: float = 1e-6) -> Tensor:
-    """Confidence c = min(1, 1 / max(f, eps)) for a scalar entropy value f."""
-    if f.data.size != 1:
-        raise ValueError("confidence: expected a scalar")
-    fv = float(f.data)
-    c = min(1.0, 1.0 / max(fv, eps))
-
-    def vjp(g):
-        deriv = -1.0 / (fv * fv) if fv > 1.0 else 0.0
-        return (np.asarray(float(g) * deriv).reshape(f.data.shape),)
-    return _node(np.asarray(np.float64(c)), (f,), "confidence", vjp)
-
-
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
@@ -559,10 +557,6 @@ class Rng:
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, stream_id: int) -> "Rng":
-        """Fresh independent stream under the same seed."""
-        return Rng(self.seed, stream_id)
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
         return self._gen.standard_normal(shape) * std

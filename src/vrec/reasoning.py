@@ -77,10 +77,6 @@ def recommend(backbone: Backbone, final_hidden: Tensor, k: int | None = None) ->
     return backbone.rank_items(final_hidden, k)[0]
 
 
-def greedy_recommend(backbone: Backbone, final_hidden: Tensor) -> int:
-    return int(recommend(backbone, final_hidden, 1)[0])
-
-
 def pca_project(vectors: np.ndarray) -> np.ndarray:
     """Project row vectors onto their top-2 principal components."""
     centered = vectors - vectors.mean(axis=0, keepdims=True)

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .datasets import Sample
 from .labeling import GroupLabeling, class_table
 from .numerics import (Rng, Tensor, check_int, check_seed, concat, log_softmax, relu,
                        tracking)
-from .reasoning import CHUNK, ReasoningTrace, run_reasoning
+from .reasoning import CHUNK, run_reasoning
 from .verifiers import VerifierBank, verify_and_adjust
 
 __all__ = [
@@ -74,32 +75,40 @@ class VerifierData:
 
 
 class Adam:
-    """Adam over a named parameter dict. lr=0 leaves parameters bit-identical."""
+    """Adam over whole models: anything with a ``values`` and a ``grads``
+    vector, as ``Backbone`` and ``VerifierBank`` have. A parameter outside
+    the graph has a zero gradient, so its moments and its step stay zero.
+    lr=0 leaves parameters bit-identical."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
+    def __init__(self, models: Sequence, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        self.models = list(models)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.moments = [(np.zeros_like(mdl.values), np.zeros_like(mdl.values))
+                        for mdl in self.models]
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        for mdl in self.models:
+            mdl.grads.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad**2
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for mdl, (m, v) in zip(self.models, self.moments):
+            g = mdl.grads
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g**2
+            step = m / (1 - b1**self.t)  # lr * mhat / (sqrt(vhat) + eps), in place
+            step *= self.lr
+            den = v / (1 - b2**self.t)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            mdl.values -= step
 
 
 # per-epoch CSV log columns; a stage leaves blank the ones it does not compute
@@ -123,22 +132,23 @@ def _write_log_row(path: str | Path | None, row: list, mode: str) -> None:
             csv.writer(fh, lineterminator="\n").writerow(row)
 
 
-def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, stream: int,
+def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
          batch_losses, log_path: str | Path | None, epoch_end=None) -> list[dict]:
-    """The epoch loop of every stage: Adam on ``params`` over minibatches of
+    """The epoch loop of every stage: Adam on ``models`` over minibatches of
     sample indices ``range(n)``, shuffled by RNG stream ``stream``.
 
     ``batch_losses(idx)`` returns an ordered dict of loss Tensors for one
     minibatch; its ``"total"`` is optimised. Each epoch's row holds their
     sample-weighted means, then the entries of ``epoch_end()``, ``epoch``
     and ``wall_seconds``; it is appended to the CSV log at ``log_path``.
-    ``params`` are tracked only while a batch's losses are built and
-    back-propagated, so ``epoch_end`` and everything after ``_fit`` build
-    no graph.
+    The models' parameters are tracked only while a batch's losses are
+    built and back-propagated, so ``epoch_end`` and everything after
+    ``_fit`` build no graph.
     """
     if n == 0 and hyper.epochs:
         raise ValueError(f"{stage}: no samples to fit")
-    opt = Adam(params, lr=hyper.lr)
+    opt = Adam(models, lr=hyper.lr)
+    params = [t for mdl in models for t in mdl.params().values()]
     rng = Rng(hyper.seed, stream)
     _write_log_row(log_path, LOG_COLUMNS, "w")
     rows: list[dict] = []
@@ -148,7 +158,7 @@ def _fit(stage: str, params: dict[str, Tensor], n: int, hyper: TrainHyper, strea
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch):
             idx = order[start:start + hyper.batch]
-            with tracking(params.values()):
+            with tracking(params):
                 losses = batch_losses(idx)
                 total = losses["total"].item()
                 if not np.isfinite(total):
@@ -182,9 +192,11 @@ def reasoning_losses(backbone: Backbone, bank: VerifierBank | None, histories: l
     l_r = recommendation_loss(backbone, final, targets)
     if bank is None:
         return {"L_r": l_r, "total": l_r}
-    if m > 0:
-        l_v = verifier_loss(bank, trace, classes[targets], hyper.alpha)
-        l_m = monotonicity_loss(trace)
+    if m > 0:  # the step rows and entropies come step after step, B rows per step
+        B = len(targets)
+        l_v = verifier_loss(bank, concat(trace.adjusted()), np.tile(np.arange(B), m),
+                            classes[targets], hyper.alpha)
+        l_m = monotonicity_loss(concat([v.f for _, _, v in trace.steps]), B)
     else:
         l_v = l_m = Tensor(0.0)
     total = l_r + hyper.beta * l_v + hyper.gamma * l_m
@@ -206,7 +218,7 @@ def pretrain_backbone(backbone: Backbone, samples: list[Sample], hyper: TrainHyp
     def batch_losses(idx):
         return reasoning_losses(backbone, None, histories[idx].tolist(), targets[idx], hyper)
 
-    rows = _fit("pretrain_backbone", backbone.params(), len(samples), hyper, 30, batch_losses,
+    rows = _fit("pretrain_backbone", [backbone], len(samples), hyper, 30, batch_losses,
                 log_path, epoch_end=lambda: {"L_v": 0.0, "L_m": 0.0})
     return [row["total"] for row in rows]
 
@@ -232,35 +244,20 @@ def collect_verifier_dataset(backbone: Backbone, samples: list[Sample],
     return data
 
 
-def _step_rows(trace) -> tuple[Tensor, np.ndarray]:
-    """The adjusted step rows of a batch of traces as the rows of one
-    Tensor, and the index of the trace each row belongs to.
-
-    ``trace`` is a ReasoningTrace, whose rows come step after step, or a
-    (B, m, d_m) array of step vectors, whose rows come trace after trace."""
-    if isinstance(trace, ReasoningTrace):
-        steps = trace.adjusted()
-        if steps:
-            return concat(steps), np.tile(np.arange(steps[0].shape[0]), len(steps))
-    else:
-        arr = np.asarray(trace, dtype=np.float64)
-        if arr.size:
-            B, m, d = arr.shape
-            return Tensor(arr.reshape(B * m, d)), np.repeat(np.arange(B), m)
-    raise ValueError("verifier_loss requires a non-empty trace")
-
-
-def verifier_loss(bank: VerifierBank, trace, labels: np.ndarray, alpha: float = 1.0) -> Tensor:
+def verifier_loss(bank: VerifierBank, rows: Tensor, owner: np.ndarray, labels: np.ndarray,
+                  alpha: float = 1.0) -> Tensor:
     """Mean per-step, per-dimension loss: -log p[label] on positives,
     -alpha * H(p) on negatives (minimizing pushes negative entropy up).
 
-    ``trace`` is a batch of B traces (see ``_step_rows``); ``labels`` holds
-    one class per dimension for each, (B, n), and a trace whose labels are
-    -1 is a negative. One fused bank step covers every step of every trace.
-    Labels are not range-checked here: ``class_table`` checks the labelings
-    they come from.
+    ``rows`` holds the adjusted step vectors of a batch of B traces as
+    (R, d_m) rows, and ``owner`` the index of the trace each row belongs
+    to; ``labels`` holds one class per dimension for each trace, (B, n),
+    and a trace whose labels are -1 is a negative. One fused bank step
+    covers every row. Labels are not range-checked here: ``class_table``
+    checks the labelings they come from.
     """
-    rows, owner = _step_rows(trace)
+    if not rows.shape[0]:
+        raise ValueError("verifier_loss requires non-empty step rows")
     verdict = verify_and_adjust(bank, rows)
     per_row = np.asarray(labels, dtype=np.int64)[owner]
     positive = per_row[:, 0] >= 0
@@ -308,28 +305,27 @@ def pretrain_verifiers(bank: VerifierBank, dataset: VerifierData,
     if not dataset.r_steps.shape[1]:  # with m=0 there is nothing to fit
         hyper = replace(hyper, epochs=0)
 
-    def batch_losses(idx):
-        loss = verifier_loss(bank, dataset.r_steps[idx], dataset.labels[idx], hyper.alpha)
+    def batch_losses(idx):  # each trace's step rows, trace after trace
+        steps = dataset.r_steps[idx]
+        B, m, d = steps.shape
+        loss = verifier_loss(bank, Tensor(steps.reshape(B * m, d)), np.repeat(np.arange(B), m),
+                             dataset.labels[idx], hyper.alpha)
         return {"L_v": loss, "total": loss}
 
-    rows = _fit("pretrain_verifiers", bank.params(), len(dataset), hyper, 31, batch_losses,
+    rows = _fit("pretrain_verifiers", [bank], len(dataset), hyper, 31, batch_losses,
                 log_path, epoch_end=lambda: {"stats": verifier_stats(bank, dataset)})
     return [row["stats"] for row in rows]
 
 
-def monotonicity_loss(trace) -> Tensor:
+def monotonicity_loss(f: Tensor, batch: int = 1) -> Tensor:
     """Hinge on entropy increases between consecutive steps, averaged over
-    dimensions, step pairs and (for a batch) traces; zero when fewer than
-    two steps."""
-    if isinstance(trace, ReasoningTrace):
-        f_rows = [v.f for _, _, v in trace.steps if v is not None]
-    else:
-        f_rows = [Tensor(step) for step in np.asarray(trace, dtype=np.float64)]
-    if len(f_rows) < 2:
+    dimensions, step pairs and traces; zero when fewer than two steps.
+
+    ``f`` holds the per-dimension entropies of a batch of ``batch`` traces
+    as rows, step after step: (m * batch, n)."""
+    if f.shape[0] <= batch:
         return Tensor(0.0)
-    k = f_rows[0].shape[0]  # entries of one step: n, or B rows of n
-    f = concat(f_rows)  # step after step
-    return relu(f[k:] - f[:-k]).mean()
+    return relu(f[batch:] - f[:-batch]).mean()
 
 
 def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
@@ -341,8 +337,6 @@ def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
     from .evaluation import evaluate
 
     classes = class_table(labelings, backbone.cfg.n_items)
-    params = {f"backbone.{k}": v for k, v in backbone.params().items()}
-    params.update({f"bank.{k}": v for k, v in bank.params().items()})
     histories, targets = _inputs(samples)
 
     def batch_losses(idx):
@@ -352,5 +346,5 @@ def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
     def val_recall():
         return {"val_recall@5": evaluate(backbone, bank, valid_samples, ks=(5,)).recall[5]}
 
-    return _fit("finetune", params, len(samples), hyper, 32, batch_losses, log_path,
+    return _fit("finetune", [backbone, bank], len(samples), hyper, 32, batch_losses, log_path,
                 epoch_end=val_recall if valid_samples else None)

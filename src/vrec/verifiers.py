@@ -14,13 +14,13 @@ along the last axis, and ``StepVerdict`` reads each field as a view of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, embedding_lookup,
-                       log)
+                       log, parameter_vectors)
 
 __all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "check_bank_shape",
            "make_bank", "verify_and_adjust"]
@@ -52,10 +52,15 @@ class Router:
 
 @dataclass
 class VerifierBank:
+    """The verifiers and their router. Every parameter's ``.data`` and
+    ``.grad`` are views of the ``values`` and ``grads`` vectors."""
+
     verifiers: list[Verifier]
     router: Router
     epsilon: float = EPSILON
     uniform_router: bool = False  # ablation switch: bypass the learned router
+    values: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.verifiers:
@@ -63,6 +68,7 @@ class VerifierBank:
         if self.router.a.shape[0] != len(self.verifiers):
             raise ValueError(f"router rows ({self.router.a.shape[0]}) != "
                              f"verifier count ({len(self.verifiers)})")
+        self.values, self.grads = parameter_vectors(self.params())
 
     @property
     def n(self) -> int:

@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from oracles import confidence, entropy, greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import REFERENCE_OVERHEAD_PCT, ndcg_at_k, recall_at_k, timing_overhead
 from vrec.labeling import build_labeling, kmeans
-from vrec.numerics import Tensor, confidence, entropy, grad_check
+from vrec.numerics import Tensor, concat, grad_check
 from vrec.pipeline import run_pipeline
-from vrec.reasoning import greedy_recommend, run_reasoning
+from vrec.reasoning import run_reasoning
 from vrec.training import (TrainHyper, collect_verifier_dataset,
                            monotonicity_loss, pretrain_backbone,
                            pretrain_verifiers, recommendation_loss,
@@ -45,9 +46,10 @@ def test_ac01_gradient_fidelity():
 
     def composite():
         trace, final_hidden = run_reasoning(bb, bank, history, m=2)
+        rows, f = concat(trace.adjusted()), concat([v.f for _, _, v in trace.steps])
         return (recommendation_loss(bb, final_hidden, target=[2])
-                + 0.5 * verifier_loss(bank, trace, labels)
-                + 0.5 * monotonicity_loss(trace))
+                + 0.5 * verifier_loss(bank, rows, np.zeros(2, dtype=int), labels)
+                + 0.5 * monotonicity_loss(f))
 
     # the check point must sit away from the confidence clamp (kink at f=1)
     # and the hinge kink, or central differences straddle a non-smooth point
@@ -156,7 +158,7 @@ def test_ac04_monotonicity_loss_property():
         fs = rng.uniform(0.0, 3.0, size=(m, n))
         if idx % 4 == 0:
             fs = np.sort(fs, axis=0)[::-1].copy()
-        loss = float(monotonicity_loss(fs).data)
+        loss = float(monotonicity_loss(Tensor(fs)).data)
         nonincreasing = m < 2 or bool((np.diff(fs, axis=0) <= 0.0).all())
         ok &= loss >= 0.0
         ok &= (loss == 0.0) == nonincreasing

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from vrec.backbone import Backbone, KVCache, ModelConfig
-from oracles import softmax
+from oracles import greedy_recommend, softmax
 from vrec.numerics import Rng, Tensor
-from vrec.reasoning import greedy_recommend
 
 
 def small_cfg(**kw):
@@ -25,7 +24,7 @@ def test_param_count_formula():
     cfg = small_cfg(d_m=24, layers=3, heads=3, n_items=20, max_positions=40)
     d, L = cfg.d_m, cfg.layers
     expected = cfg.vocab * d + cfg.max_positions * d + L * (12 * d * d + 13 * d) + 2 * d
-    assert Backbone(cfg).param_count() == expected
+    assert Backbone(cfg).values.size == expected
 
 
 def test_head_divisibility_enforced():
@@ -113,6 +112,20 @@ def test_encode_errors():
         bb.encode([0, 1], [([5], Tensor(np.zeros((1, 16))))])
     with pytest.raises(ValueError, match="shape"):
         bb.encode([0, 1], [([2], Tensor(np.zeros((1, 7))))])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["negative", "non_item_token", "beyond"])
+def test_encode_refuses_ids_outside_the_items(offset):
+    # n_items itself is the reserved padding token, not an item
+    bb = Backbone(small_cfg())
+    bad = -1 if offset < 0 else bb.cfg.n_items + offset
+    for history in ([3, bad], [[0, 1, 2], [bad]]):  # one history; a padded batch
+        with pytest.raises(ValueError, match=rf"history item id {bad} outside 0\.\.11"):
+            bb.encode(history)
+    cache = KVCache()
+    bb.encode([0, 1], cache=cache)
+    with pytest.raises(ValueError, match=f"history item id {bad}"):
+        bb.encode([bad], cache=cache)
 
 
 def test_scores_softmax_normalized():

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Tensor, tracking
+from vrec.numerics import Tensor, concat, tracking
 from vrec.reasoning import CHUNK, recommend, run_reasoning
 from vrec.training import (TrainHyper, VerifierData, monotonicity_loss, reasoning_losses,
                            recommendation_loss, verifier_loss, verifier_stats)
@@ -119,7 +119,7 @@ def _losses_and_grads(build, params) -> tuple[dict, list]:
     with tracking(params):
         losses = build()
         losses["total"].backward()
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     for p in params:
         p.zero_grad()
     return {k: v.item() for k, v in losses.items()}, grads
@@ -190,12 +190,15 @@ def test_batched_rows_and_losses_match_batches_of_one(s):
         r_steps = np.stack([r.data for r in trace.adjusted()], axis=1)
         labels = np.where(np.array(s["negatives"])[:, None], -1, classes[targets])
         bank_params = list(bank.params().values())
+        rows = Tensor(r_steps.reshape(-1, s["cfg"].d_m))  # trace after trace
+        owner = np.repeat(np.arange(len(r_steps)), m)
         batched = _losses_and_grads(
-            lambda: {"total": verifier_loss(bank, r_steps, labels, hyper.alpha)}, bank_params)
+            lambda: {"total": verifier_loss(bank, rows, owner, labels, hyper.alpha)}, bank_params)
 
         def stage1_per_sample():
             return _per_sample_mean([
-                {"total": verifier_loss(bank, steps[None], lab[None], hyper.alpha)}
+                {"total": verifier_loss(bank, Tensor(steps), np.zeros(m, dtype=int), lab[None],
+                                        hyper.alpha)}
                 for steps, lab in zip(r_steps, labels)])
         _assert_match(batched, _losses_and_grads(stage1_per_sample, bank_params))
 
@@ -211,8 +214,9 @@ def test_batched_rows_and_losses_match_batches_of_one(s):
             loss = {"L_r": recommendation_loss(bb, hidden, np.array([target])),
                     "L_v": Tensor(0.0), "L_m": Tensor(0.0)}
             if m > 0:
-                loss["L_v"] = verifier_loss(bank, one, classes[target][None], hyper.alpha)
-                loss["L_m"] = monotonicity_loss(one)
+                loss["L_v"] = verifier_loss(bank, concat(one.adjusted()), np.zeros(m, dtype=int),
+                                            classes[target][None], hyper.alpha)
+                loss["L_m"] = monotonicity_loss(concat([v.f for _, _, v in one.steps]))
             losses.append(loss)
         out = _per_sample_mean(losses)
         out["total"] = out["L_r"] + hyper.beta * out["L_v"] + hyper.gamma * out["L_m"]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cf_pair_loss
 from vrec.datasets import Item, Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import (
     build_labeling,
-    cf_pair_loss,
     embed_titles,
     kmeans,
     kmeans_objective,

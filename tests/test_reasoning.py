@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from oracles import greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Rng, Tensor, grad_check, tracking
+from vrec.numerics import Rng, Tensor, concat, grad_check, tracking
 from vrec.reasoning import (
     ReasoningTrace,
     export_traces,
-    greedy_recommend,
     homogeneity,
     recommend,
     run_reasoning,
@@ -168,8 +168,10 @@ def test_grad_check_through_cached_rollout():
 
     def loss(reasoning=run_reasoning):
         trace, hidden = reasoning(bb, bank, history, 3)
-        return (recommendation_loss(bb, hidden, [2]) + 0.5 * verifier_loss(bank, trace, labels)
-                + 0.5 * monotonicity_loss(trace))
+        rows, f = concat(trace.adjusted()), concat([v.f for _, _, v in trace.steps])
+        return (recommendation_loss(bb, hidden, [2])
+                + 0.5 * verifier_loss(bank, rows, np.zeros(3, dtype=int), labels)
+                + 0.5 * monotonicity_loss(f))
 
     def reencoded(*args):
         steps, hidden = reencode_reasoning(*args)
@@ -183,7 +185,7 @@ def test_grad_check_through_cached_rollout():
     for reasoning in (run_reasoning, reencoded):
         with tracking(params):
             loss(reasoning).backward()
-        grads.append([p.grad for p in params])
+        grads.append([p.grad.copy() for p in params])
         for p in params:
             p.zero_grad()
     assert max(np.abs(a - b).max() for a, b in zip(*grads)) <= 1e-12

@@ -4,14 +4,16 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
+from vrec.checkpoint import load_model, save_model
 from vrec.datasets import Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import build_labeling
-from vrec.numerics import Rng, Tensor
-from vrec.reasoning import greedy_recommend, run_reasoning
+from vrec.numerics import Rng, Tensor, grad_check, parameter_vectors
+from vrec.reasoning import run_reasoning
 from vrec.training import (
     Adam,
     TrainHyper,
@@ -51,10 +53,52 @@ def corpus():
 # -- optimizer -----------------------------------------------------------
 
 
+class Bare:
+    """Bare tensors as one model, with the value and gradient vectors that
+    Backbone and VerifierBank have."""
+
+    def __init__(self, params):
+        self._params = params
+        self.values, self.grads = parameter_vectors(params)
+
+    def params(self):
+        return self._params
+
+
+def test_parameters_stay_views_of_their_model_vectors(corpus, tmp_path):
+    _, split, _ = corpus
+
+    def check(model):
+        params = model.params()
+        for t in params.values():
+            assert np.shares_memory(t.data, model.values)
+            assert np.shares_memory(t.grad, model.grads)
+        # laid out in sorted name order, each parameter once
+        flat = np.concatenate([params[k].data.ravel() for k in sorted(params)])
+        assert np.array_equal(flat, model.values) and model.grads.size == flat.size
+
+    bb = Backbone(small_model(d_m=8, layers=1))
+    bank = make_bank([("a", 3), ("b", 4)], d_m=8, hidden_depth=2)
+    check(bb)
+    check(bank)
+    save_model(tmp_path / "m.ckpt", bb, bank)
+    bb, bank = load_model(tmp_path / "m.ckpt")
+    check(bb)
+    check(bank)
+    r, coef = Tensor(Rng(1).normal((2, 8))), Rng(2).normal((2, 8))
+    grad_check(lambda: (verify_and_adjust(bank, r).r_star * coef).sum(),
+               list(bank.params().values()))
+    check(bank)
+    assert not bank.grads.any()
+    pretrain_backbone(bb, split.train[:16], TrainHyper(epochs=1, batch=8))
+    check(bb)
+    assert bb.grads.any()
+
+
 def test_adam_lr_zero_keeps_params_bit_identical():
     p = {"w": Tensor(Rng(0).normal((4, 3)), requires_grad=True)}
     before = p["w"].data.copy()
-    opt = Adam(p, lr=0.0)
+    opt = Adam([Bare(p)], lr=0.0)
     (p["w"] * p["w"]).sum().backward()
     opt.step()
     assert np.array_equal(p["w"].data, before)
@@ -62,7 +106,7 @@ def test_adam_lr_zero_keeps_params_bit_identical():
 
 def test_adam_descends_quadratic():
     p = {"w": Tensor(np.array([3.0, -2.0]), requires_grad=True)}
-    opt = Adam(p, lr=0.1)
+    opt = Adam([Bare(p)], lr=0.1)
     for _ in range(200):
         opt.zero_grad()
         (p["w"] * p["w"]).sum().backward()
@@ -73,7 +117,7 @@ def test_adam_descends_quadratic():
 def test_adam_skips_gradless_params():
     p = {"w": Tensor(np.ones(3), requires_grad=True),
          "frozen": Tensor(np.ones(3), requires_grad=True)}
-    opt = Adam(p, lr=0.5)
+    opt = Adam([Bare(p)], lr=0.5)
     (p["w"].sum()).backward()
     opt.step()
     assert np.array_equal(p["frozen"].data, np.ones(3))
@@ -123,23 +167,25 @@ def test_batch_loss_is_mean(corpus):
 
 
 def test_monotonicity_loss_examples():
-    assert monotonicity_loss(np.array([[0.7], [0.4]])).item() == 0.0
-    assert monotonicity_loss(np.array([[0.4], [0.9]])).item() == pytest.approx(0.5, abs=1e-15)
-    assert monotonicity_loss(np.array([[0.3, 0.2]])).item() == 0.0  # single step
+    assert monotonicity_loss(Tensor([[0.7], [0.4]])).item() == 0.0
+    assert monotonicity_loss(Tensor([[0.4], [0.9]])).item() == pytest.approx(0.5, abs=1e-15)
+    assert monotonicity_loss(Tensor([[0.3, 0.2]])).item() == 0.0  # single step
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=2),
                 min_size=1, max_size=6))
+@example([[0.0, 0.0], [0.0, 5e-324]])  # an increase whose mean hinge underflows to 0
 def test_monotonicity_loss_property(f_rows):
+    # the mean of the hinge terms, against numpy's own; "zero iff
+    # non-increasing" cannot hold in float64, where a mean can underflow
     arr = np.array(f_rows)
-    val = monotonicity_loss(arr).item()
+    val = monotonicity_loss(Tensor(arr)).item()
+    hinge = np.maximum(arr[1:] - arr[:-1], 0.0)
     assert val >= 0.0
-    non_increasing = np.all(arr[1:] <= arr[:-1]) if len(arr) > 1 else True
-    if non_increasing:
+    assert val == pytest.approx(hinge.mean() if hinge.size else 0.0, rel=1e-12, abs=1e-300)
+    if np.all(arr[1:] <= arr[:-1]):
         assert val == 0.0
-    else:
-        assert val > 0.0
 
 
 def test_verifier_loss_reference_values():
@@ -148,14 +194,14 @@ def test_verifier_loss_reference_values():
     v.w_last.data[:] = 0.0
     v.b_last.data[:] = 0.0  # uniform prediction
     bank.router.a.data[:] = 0.0
-    r = [[np.ones(8)]]
-    pos = verifier_loss(bank, r, np.array([[2]]), alpha=1.0)
+    r, owner = Tensor(np.ones((1, 8))), np.zeros(1, dtype=int)
+    pos = verifier_loss(bank, r, owner, np.array([[2]]), alpha=1.0)
     assert pos.item() == pytest.approx(np.log(4), abs=1e-12)
-    neg = verifier_loss(bank, r, np.array([[-1]]), alpha=1.0)
+    neg = verifier_loss(bank, r, owner, np.array([[-1]]), alpha=1.0)
     assert neg.item() == pytest.approx(-np.log(4), abs=1e-12)
 
     v.b_last.data[:] = [0.0, 0.0, 60.0, 0.0]  # certain correct prediction
-    assert verifier_loss(bank, r, np.array([[2]])).item() < 1e-9
+    assert verifier_loss(bank, r, owner, np.array([[2]])).item() < 1e-9
 
 
 def test_verifier_loss_adds_terms_step_by_step():
@@ -171,8 +217,9 @@ def test_verifier_loss_adds_terms_step_by_step():
         for i, p in enumerate(verdict.p):
             pos += -np.log(p.data[0, labels[i]])
             neg += verdict.f.data[0, i] * -0.7
-    assert verifier_loss(bank, rows[None], labels[None]).item() == pos * (1.0 / 12)
-    assert verifier_loss(bank, rows[None], np.full((1, 3), -1), alpha=0.7).item() \
+    owner = np.zeros(4, dtype=int)  # one trace of four steps
+    assert verifier_loss(bank, Tensor(rows), owner, labels[None]).item() == pos * (1.0 / 12)
+    assert verifier_loss(bank, Tensor(rows), owner, np.full((1, 3), -1), alpha=0.7).item() \
         == neg * (1.0 / 12)
 
 
@@ -206,7 +253,7 @@ def test_finetune_refuses_labeling_missing_items(corpus):
 def test_verifier_loss_empty_trace():
     bank = make_bank([("a", 3)], d_m=8, seed=0)
     with pytest.raises(ValueError, match="non-empty"):
-        verifier_loss(bank, [], np.array([0]))
+        verifier_loss(bank, Tensor(np.zeros((0, 8))), np.zeros(0, dtype=int), np.array([[0]]))
 
 
 # -- stage 0 -------------------------------------------------------------
@@ -253,8 +300,8 @@ def test_fit_restores_tracking_after_non_finite_loss():
         return {"total": (was_tracked * np.nan).sum() + untracked.sum()}
 
     with pytest.raises(FloatingPointError, match="probe: loss became nan at epoch 0"):
-        _fit("probe", {"a": was_tracked, "b": untracked}, 4, TrainHyper(epochs=1, batch=2),
-             99, batch_losses, None)
+        _fit("probe", [Bare({"a": was_tracked, "b": untracked})], 4,
+             TrainHyper(epochs=1, batch=2), 99, batch_losses, None)
     assert was_tracked.requires_grad and not untracked.requires_grad
 
 

@@ -4,9 +4,8 @@ and the fused bank step against the per-verifier chain it replaced."""
 import numpy as np
 import pytest
 
-from oracles import softmax
-from vrec.numerics import (Rng, Tensor, confidence, entropy, gelu, grad_check, matmul,
-                           tracking)
+from oracles import confidence, entropy, matvec, softmax
+from vrec.numerics import Rng, Tensor, gelu, grad_check, tracking
 from vrec.verifiers import Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
@@ -27,14 +26,14 @@ def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
     if bank.uniform_router:
         w = Tensor(np.full(bank.n, 1.0 / bank.n))
     else:
-        w = softmax(matmul(bank.router.a, r) + bank.router.bias)
+        w = softmax(matvec(bank.router.a, r) + bank.router.bias)
     out = {"w": w, "p": [], "f": [], "c": [], "j_star": [], "g": []}
     acc = None
     for i, v in enumerate(bank.verifiers):
         h = w[i] * r
         for wt, b in v.hidden:
-            h = gelu(matmul(h, wt) + b)
-        p = softmax(matmul(h, v.w_last) + v.b_last)
+            h = gelu(matvec(h, wt) + b)
+        p = softmax(matvec(h, v.w_last) + v.b_last)
         f = entropy(p)
         c = confidence(f, eps=bank.epsilon)
         j_star = int(np.argmax(p.data))
@@ -236,7 +235,7 @@ def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBan
 
 
 def take_grads(tensors: list[Tensor]) -> list[np.ndarray]:
-    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
     for t in tensors:
         t.zero_grad()
     return grads
