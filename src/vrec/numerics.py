@@ -50,6 +50,7 @@ __all__ = [
     "log",
     "log_softmax",
     "matmul",
+    "parameter_layout",
     "parameter_vectors",
     "relu",
     "tracking",
@@ -203,25 +204,30 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
             t.requires_grad = was
 
 
+def parameter_layout(params: dict[str, Tensor]) -> Iterator[tuple[str, Tensor, int]]:
+    """Each parameter's name, tensor and start in its model's vectors, in
+    sorted name order (a checkpoint's order): the one statement of the layout."""
+    start = 0
+    for name in sorted(params):
+        yield name, params[name], start
+        start += params[name].size
+
+
 def parameter_vectors(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
     """One value vector and one gradient vector for a model's new parameters.
 
-    The parameters are laid out in sorted name order, a checkpoint's order.
-    Each one's values are copied into its run of the value vector, and its
-    ``.data`` and ``.grad`` become views of its runs of the two vectors, for
-    the life of the model: writes go through them in place, and this is the
-    only code that binds them or knows the layout. Gradients start at zero.
+    Each parameter's values are copied into its run (``parameter_layout``)
+    of the value vector, and its ``.data`` and ``.grad`` become views of its
+    runs of the two vectors for the life of the model, so writes go through
+    them in place. Gradients start at zero.
     """
-    names = sorted(params)
-    values = np.concatenate([params[k].data.ravel() for k in names])
+    layout = list(parameter_layout(params))
+    values = np.concatenate([t.data.ravel() for _, t, _ in layout])
     grads = np.zeros_like(values)
-    start = 0
-    for k in names:
-        t = params[k]
-        stop = start + t.size
-        t.data = values[start:stop].reshape(t.shape)
-        t.grad = grads[start:stop].reshape(t.shape)
-        start = stop
+    for _, t, start in layout:
+        run = slice(start, start + t.size)
+        t.data = values[run].reshape(t.shape)
+        t.grad = grads[run].reshape(t.shape)
     return values, grads
 
 

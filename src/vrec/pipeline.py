@@ -115,10 +115,21 @@ def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
            for key, value in expected.items()):
         raise ValueError(f"{path} is stale: it was collected under other labelings "
                          "than the configured dimensions")
-    if stored["r_steps"].shape[1:] != (model_cfg.m, model_cfg.d_m):
-        raise ValueError(f"{path} is stale: r_steps has shape {stored['r_steps'].shape}, but "
+    r_steps, labels = stored.get("r_steps"), stored.get("labels")
+    if r_steps is None or labels is None:
+        raise ValueError(f"{path}: no r_steps or no labels array")
+    if r_steps.shape[1:] != (model_cfg.m, model_cfg.d_m):
+        raise ValueError(f"{path} is stale: r_steps has shape {r_steps.shape}, but "
                          f"stage0.ckpt has m={model_cfg.m}, d_m={model_cfg.d_m}")
-    return VerifierData(r_steps=stored["r_steps"], labels=stored["labels"])
+    if labels.shape != (len(r_steps), len(labelings)) or labels.dtype.kind not in "iu":
+        raise ValueError(f"{path}: labels are {labels.dtype} of shape {labels.shape}, expected "
+                         f"integers of shape {(len(r_steps), len(labelings))}, a row per trace")
+    bad = np.flatnonzero(((labels < 0) | (labels >= expected["d_i"])).any(axis=1)
+                         & (labels != -1).any(axis=1))  # neither all -1 nor all classes
+    if bad.size:
+        raise ValueError(f"{path}: labels row {bad[0]} is {labels[bad[0]].tolist()}; a row is "
+                         f"all -1 (a miss) or one class below d_i {expected['d_i'].tolist()} each")
+    return VerifierData(r_steps=r_steps, labels=labels)
 
 
 def run_stage1(backbone: Backbone, dataset: VerifierData, labelings: list[GroupLabeling],

@@ -57,7 +57,6 @@ class VerifierBank:
 
     verifiers: list[Verifier]
     router: Router
-    epsilon: float = EPSILON
     uniform_router: bool = False  # ablation switch: bypass the learned router
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -220,7 +219,7 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     ``r`` holds B representations as (B, d_m) rows; each row is handled on
     its own. Per row: w = softmax(A r + bias) (1/n each
     with ``uniform_router``); p_i = softmax(head_i(trunk_i(w_i r))); entropy
-    f_i = H(p_i); confidence c_i = min(1, 1 / max(f_i, epsilon)); class
+    f_i = H(p_i); confidence c_i = min(1, 1 / max(f_i, EPSILON)); class
     j*_i = argmax p_i (the lowest index on a tie); and r* averages the
     per-verifier interpolation (1 - c_i) r + c_i W_last_i[:, j*_i], so each
     term is a convex combination of the raw representation and the chosen
@@ -257,7 +256,7 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     e = np.exp(z - np.maximum.reduceat(z, starts, axis=1).repeat(sizes, axis=1))
     p = e / _segment_sums(e, segments).repeat(sizes, axis=1)
     f = -_segment_sums(p * np.log(np.where(p > 0.0, p, 1.0)), segments)  # 0 log 0 is 0
-    c = np.minimum(1.0, 1.0 / np.maximum(f, bank.epsilon))
+    c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
     j = np.empty((len(x), n), dtype=np.intp)
     for i, seg in enumerate(segments):
         j[:, i] = p[:, seg].argmax(axis=1)

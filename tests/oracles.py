@@ -5,10 +5,14 @@ replaced chains of elementary ops; the chains stay in the tests as their
 oracles, and the first ops here are the ones the chains need that the
 library no longer does. They are built on ``numerics._node`` like every
 library op. The rest are small references the tests check the library
-against."""
+against, and a checkpoint writer for tests that edit a saved header."""
+
+import json
+import struct
 
 import numpy as np
 
+from vrec.checkpoint import MAGIC
 from vrec.numerics import Rng, Tensor, _node, _softmax_np
 from vrec.reasoning import recommend
 
@@ -87,3 +91,10 @@ def cf_pair_loss(model, samples, seed: int = 0) -> float:
         x = float(model.user_emb[s.user] @ (model.item_emb[s.target] - model.item_emb[neg_id]))
         total += float(np.log1p(np.exp(-x)))
     return total / max(len(samples), 1)
+
+
+def write_checkpoint(path, header: dict, body: bytes) -> None:
+    """A file in the checkpoint format: magic, header length, ``header`` as
+    canonical JSON, then ``body``, whatever they hold."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + body)

@@ -1,5 +1,7 @@
 """Checkpoint format tests: byte identity, validation, model reconstruction."""
 
+import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,27 +10,52 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import write_checkpoint
 from vrec.backbone import Backbone, ModelConfig
-from vrec.checkpoint import MAGIC, load_checkpoint, load_model, save_checkpoint, save_model
-from vrec.numerics import Rng, Tensor
+from vrec.checkpoint import MAGIC, load_model, save_model
 from vrec.reasoning import run_reasoning
 from vrec.verifiers import make_bank
 
 
-def test_roundtrip_values_and_bytes(tmp_path):
-    rng = Rng(5)
-    params = {"b": Tensor(rng.normal((3, 4))), "a": Tensor(rng.normal((7,))),
-              "c.nested": Tensor(np.array(2.5))}
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, params, config={"k": 1}, verifiers=None)
-    loaded, config, verifiers = load_checkpoint(p1)
-    assert config == {"k": 1} and verifiers is None
-    assert set(loaded) == set(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k].data)
-        assert loaded[k].shape == params[k].data.shape
-    save_checkpoint(p2, loaded, config={"k": 1}, verifiers=None)
-    assert p1.read_bytes() == p2.read_bytes()
+@st.composite
+def model_pairs(draw):
+    """A backbone, with or without a bank, whose values include draws of
+    every float class (NaN, infinities, signed zeros, subnormals)."""
+    heads = draw(st.sampled_from([1, 2]))
+    d_m = heads * draw(st.integers(1, 3))
+    backbone = Backbone(ModelConfig(
+        d_m=d_m, layers=draw(st.integers(1, 3)), heads=heads, n_items=draw(st.integers(1, 6)),
+        max_positions=draw(st.integers(1, 10)), m=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**64 - 1))))
+    bank = None
+    if draw(st.booleans()):
+        dims = [(f"d{i}", draw(st.integers(2, 5))) for i in range(draw(st.integers(1, 3)))]
+        bank = make_bank(dims, d_m=d_m, seed=draw(st.integers(0, 99)),
+                         hidden_width=draw(st.integers(0, 4)), hidden_depth=draw(st.integers(1, 3)))
+        bank.uniform_router = draw(st.booleans())
+    for model in (backbone, bank) if bank else (backbone,):
+        for value in draw(st.lists(st.floats(width=64), max_size=4)):
+            model.values[draw(st.integers(0, model.values.size - 1))] = value
+    return backbone, bank
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=model_pairs())
+def test_roundtrip_over_model_shapes(pair):
+    backbone, bank = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_model(first, backbone, bank)
+        loaded = load_model(first)
+        save_model(second, *loaded)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded[0].cfg == backbone.cfg and (loaded[1] is None) == (bank is None)
+    for model, copy in zip((backbone, bank), loaded):
+        if model is None:
+            continue
+        assert copy.values.tobytes() == model.values.tobytes()  # bit-equal, NaN too
+        for t in copy.params().values():
+            assert t.data.base is copy.values and t.grad.base is copy.grads
 
 
 def test_model_parameters_created_untracked(tmp_path):
@@ -40,32 +67,16 @@ def test_model_parameters_created_untracked(tmp_path):
         assert not any(p.requires_grad for p in model.params().values())
 
 
-def test_bytes_independent_of_dict_order(tmp_path):
-    arrs = {"x": np.arange(6.0).reshape(2, 3), "y": np.ones(2)}
-    p1, p2 = tmp_path / "fwd.ckpt", tmp_path / "rev.ckpt"
-    save_checkpoint(p1, dict(sorted(arrs.items())))
-    save_checkpoint(p2, dict(sorted(arrs.items(), reverse=True)))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_non_contiguous_array(tmp_path):
-    arr = np.arange(12.0).reshape(3, 4).T  # transposed view, not C-contiguous
-    path = tmp_path / "t.ckpt"
-    save_checkpoint(path, {"w": arr})
-    loaded, _, _ = load_checkpoint(path)
-    assert np.array_equal(loaded["w"], arr)
-
-
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "not.ckpt"
     path.write_bytes(b"GARBAGE89" + b"\x00" * 16)
     with pytest.raises(ValueError, match="bad magic"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_magic_literal_leads_file(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, {"w": np.zeros(1)})
+    save_model(path, Backbone(ModelConfig(d_m=4, layers=1, heads=1, n_items=3, max_positions=4)))
     assert path.read_bytes()[: len(MAGIC)] == MAGIC
 
 
@@ -73,7 +84,6 @@ def test_model_roundtrip_reproduces_reasoning(tmp_path):
     cfg = ModelConfig(d_m=16, layers=2, heads=2, n_items=12, max_positions=24, m=2, seed=9)
     bb = Backbone(cfg)
     bank = make_bank([("a", 3), ("b", 5)], d_m=16, seed=9)
-    bank.epsilon = 1e-5
     path = tmp_path / "model.ckpt"
     save_model(path, bb, bank)
     bb2, bank2 = load_model(path)
@@ -81,7 +91,6 @@ def test_model_roundtrip_reproduces_reasoning(tmp_path):
     assert bb2.cfg == cfg
     for k in bb.params():
         assert np.array_equal(bb.params()[k].data, bb2.params()[k].data)
-    assert bank2.epsilon == 1e-5
     assert [v.dimension for v in bank2.verifiers] == ["a", "b"]
     assert [v.d_i for v in bank2.verifiers] == [3, 5]
     for k in bank.params():
@@ -126,11 +135,16 @@ def test_model_without_bank(tmp_path):
     assert np.array_equal(bb.params()["tok_emb"].data, bb2.params()["tok_emb"].data)
 
 
-def test_config_missing_rejected(tmp_path):
-    path = tmp_path / "raw.ckpt"
-    save_checkpoint(path, {"w": np.zeros(2)})
-    with pytest.raises(ValueError, match="config"):
-        load_model(path)
+@pytest.mark.parametrize("model,name", [("backbone", "ln_f.gain"), ("bank", "router.a")])
+def test_save_refuses_detached_parameter(tmp_path, model, name):
+    bb = Backbone(ModelConfig(d_m=8, layers=1, heads=1, n_items=6, max_positions=16, m=1))
+    bank = make_bank([("a", 2)], d_m=8)
+    t = {"backbone": bb, "bank": bank}[model].params()[name]
+    t.data = t.data.copy()  # rebound: the model's value vector no longer holds it
+    path = tmp_path / "stale.ckpt"
+    with pytest.raises(ValueError, match=f"parameter {model}.{name} is detached"):
+        save_model(path, bb, bank)
+    assert not path.exists()
 
 
 def _saved_model_bytes() -> bytes:
@@ -142,6 +156,21 @@ def _saved_model_bytes() -> bytes:
 
 
 SAVED = _saved_model_bytes()
+HEADER_START = len(MAGIC) + 4
+BODY_START = HEADER_START + struct.unpack("<I", SAVED[len(MAGIC):HEADER_START])[0]
+
+
+def _rewritten(path: Path, edit) -> Path:
+    """SAVED with ``edit`` applied to {"header": parsed header, "body": bytearray}."""
+    parts = {"header": json.loads(SAVED[HEADER_START:BODY_START]),
+             "body": bytearray(SAVED[BODY_START:])}
+    edit(parts)
+    write_checkpoint(path, parts["header"], bytes(parts["body"]))
+    return path
+
+
+def test_helper_rewrites_saved_bytes(tmp_path):
+    assert _rewritten(tmp_path / "same.ckpt", lambda parts: None).read_bytes() == SAVED
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,14 +187,12 @@ def test_every_strict_prefix_names_the_path(cut):
     assert str(path) in str(err.value)
 
 
-HEADER_START = len(MAGIC) + 4
-
-
 @pytest.mark.parametrize("corrupt", [
     lambda b: b[:HEADER_START + 1] + b"!" + b[HEADER_START + 2:],  # JSON syntax
     lambda b: b[:HEADER_START + 1] + b"\xff" + b[HEADER_START + 2:],  # not UTF-8
     lambda b: b.replace(b'"params"', b'"qarams"', 1),  # no parameter table
-], ids=["json", "utf8", "no_params"])
+    lambda b: b.replace(b'"offset"', b'"offsat"', 1),  # an entry without an offset
+], ids=["json", "utf8", "no_params", "no_offset"])
 def test_corrupt_header_names_the_path(tmp_path, corrupt):
     path = tmp_path / "bad.ckpt"
     data = corrupt(SAVED)
@@ -176,20 +203,68 @@ def test_corrupt_header_names_the_path(tmp_path, corrupt):
     assert str(path) in str(err.value)
 
 
+def test_config_missing_rejected(tmp_path):
+    path = _rewritten(tmp_path / "raw.ckpt", lambda parts: parts["header"].update(config=None))
+    with pytest.raises(ValueError, match="config") as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+def _entry(parts, name):
+    return next(e for e in parts["header"]["params"] if e["name"] == name)
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda p: p.pop("backbone.ln_f.bias"), "parameter backbone.ln_f.bias missing"),
-    (lambda p: p.update({"backbone.pos_emb": np.zeros((4, 8))}),
+    (lambda p: p["header"]["params"].remove(_entry(p, "backbone.ln_f.bias")),
+     "parameter backbone.ln_f.bias missing"),
+    (lambda p: _entry(p, "backbone.pos_emb").update(shape=[4, 8]),
      r"parameter backbone.pos_emb has shape \(4, 8\), expected \(16, 8\)"),
-    (lambda p: p.update({"bank.verifiers.1.w_last": np.zeros((8, 2))}),
+    (lambda p: (p["header"]["params"].append(
+        {"name": "bank.verifiers.1.w_last", "shape": [8, 2], "offset": len(p["body"])}),
+        p["body"].extend(bytes(8 * 16))),
      "unexpected parameter bank.verifiers.1.w_last"),
-], ids=["missing", "wrong_shape", "unexpected"])
+    (lambda p: _entry(p, "backbone.blocks.0.attn.bk").update(offset=-8),
+     r"parameter backbone.blocks.0.attn.bk has offset -8, expected \d+"),
+    (lambda p: _entry(p, "backbone.ln_f.gain").update(
+        offset=_entry(p, "backbone.ln_f.bias")["offset"]),
+     r"parameter backbone.ln_f.gain has offset \d+, expected \d+"),
+    (lambda p: p["header"]["params"].reverse(), "out of body order"),
+    (lambda p: p["header"]["params"].append(_entry(p, "bank.router.a")), "a parameter repeated"),
+    (lambda p: p["body"].extend(bytes(8)), r"trailing bytes \(\d+ bytes, parameters end at \d+\)"),
+], ids=["missing", "wrong_shape", "unexpected", "negative_offset", "overlapping_offset",
+        "out_of_order", "repeated", "trailing_bytes"])
 def test_parameters_must_match_the_header_model(tmp_path, edit, message):
-    good = tmp_path / "good.ckpt"
-    good.write_bytes(SAVED)
-    params, config, verifiers = load_checkpoint(good)
-    edit(params)
-    path = tmp_path / "edited.ckpt"
-    save_checkpoint(path, params, config=config, verifiers=verifiers)
+    path = _rewritten(tmp_path / "edited.ckpt", edit)
     with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["config"].update(dropout=0.1), "unexpected keyword argument 'dropout'"),
+    (lambda h: h["config"].pop("seed"), "header config .* is not the model's .*'seed': 0"),
+    (lambda h: h["config"].update(heads=3), "not divisible by heads"),
+    (lambda h: h["verifiers"].update(dimensions=[]), "describe no model"),
+    (lambda h: h.update(verifiers=[h["verifiers"]]), "describe no model"),
+    (lambda h: h.update(verifiers="bank"), "describe no model"),
+    (lambda h: h["verifiers"].update(epsilon=1e-5),
+     "header verifiers .*'epsilon': 1e-05.* is not the model's .*'epsilon': 1e-06"),
+    (lambda h: h["verifiers"].update(uniform_router=1),
+     "header verifiers .*'uniform_router': 1.* is not the model's .*'uniform_router': True"),
+    (lambda h: h["verifiers"].update(n=2), "header verifiers .*'n': 2.* is not the model's"),
+], ids=["unknown_config_key", "missing_config_key", "bad_config_value", "no_dimensions",
+        "verifiers_list", "verifiers_string", "epsilon", "uniform_router_int", "wrong_n"])
+def test_header_must_describe_the_model(tmp_path, edit, message):
+    path = _rewritten(tmp_path / "edited.ckpt", lambda parts: edit(parts["header"]))
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+def test_header_in_another_json_form_refused(tmp_path):
+    header = json.dumps(json.loads(SAVED[HEADER_START:BODY_START]), indent=1).encode("utf-8")
+    path = tmp_path / "spaced.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + SAVED[BODY_START:])
+    with pytest.raises(ValueError, match="JSON in another form") as err:
         load_model(path)
     assert str(path) in str(err.value)

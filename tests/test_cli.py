@@ -344,6 +344,42 @@ def test_verifier_data_shape_must_match_backbone(pipeline):
         load_verifier_data(out / VERIFIER_DATA, labelings, replace(backbone.cfg, m=2))
 
 
+def _relabel(row_kind, column, value):
+    """Set one label of the first hit (or miss) row."""
+    def edit(arrays):
+        labels = arrays["labels"]
+        row = np.flatnonzero((labels[:, 0] >= 0) == (row_kind == "hit"))[0]
+        labels[row, column] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda a: a.pop("r_steps"), "no r_steps or no labels"),
+    (lambda a: a.pop("labels"), "no r_steps or no labels"),
+    (lambda a: a.update(labels=a["labels"][:-1]), "labels are int64 of shape"),
+    (lambda a: a.update(labels=np.hstack([a["labels"], a["labels"][:, :1]])),
+     r"expected integers of shape \(\d+, 2\)"),
+    (lambda a: a.update(labels=a["labels"].astype(np.float64)), "labels are float64"),
+    (_relabel("hit", 1, 3), "labels row .* below d_i"),  # title has d_i 3
+    (_relabel("hit", 0, -2), "labels row"),
+    (_relabel("hit", 1, -1), "labels row"),
+    (_relabel("miss", 0, 0), "labels row"),
+], ids=["no_r_steps", "no_labels", "row_count", "width", "float", "class_too_big",
+        "below_minus_one", "hit_with_miss", "miss_with_class"])
+def test_bad_verifier_data_names_the_path(pipeline, tmp_path, edit, message):
+    _, out = pipeline
+    labelings = [load_labeling(out / f"labeling_{d['name']}.jsonl") for d in CONFIG["dimensions"]]
+    backbone, _ = load_model(out / "stage0.ckpt")
+    with np.load(out / VERIFIER_DATA) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    path = tmp_path / VERIFIER_DATA
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message) as err:
+        load_verifier_data(path, labelings, backbone.cfg)
+    assert str(path) in str(err.value)
+
+
 def test_report_json(pipeline):
     _, out = pipeline
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))

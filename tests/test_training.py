@@ -209,7 +209,7 @@ def test_verifier_loss_adds_terms_step_by_step():
     # per-step, per-dimension terms one by one and scaling by 1/count
     bank = make_bank([("a", 4), ("b", 3), ("c", 5)], d_m=8, seed=3)
     for t in bank.params().values():
-        t.data = Rng(4).normal(t.shape)
+        t.data[...] = Rng(4).normal(t.shape)
     rows, labels = Rng(5).normal((4, 8)), np.array([1, 2, 0])
     pos = neg = 0.0
     for row in rows:

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import confidence, entropy, matvec, softmax
 from vrec.numerics import Rng, Tensor, gelu, grad_check, tracking
-from vrec.verifiers import Router, Verifier, VerifierBank, make_bank, verify_and_adjust
+from vrec.verifiers import EPSILON, Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
 def bank_of(dims, d_m=8, seed=0, **kw):
@@ -35,7 +35,7 @@ def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
             h = gelu(matvec(h, wt) + b)
         p = softmax(matvec(h, v.w_last) + v.b_last)
         f = entropy(p)
-        c = confidence(f, eps=bank.epsilon)
+        c = confidence(f, eps=EPSILON)
         j_star = int(np.argmax(p.data))
         g = v.w_last[:, j_star]
         for key, value in zip(("p", "f", "c", "j_star", "g"), (p, f, c, j_star, g)):
@@ -229,7 +229,7 @@ def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBan
                    hidden_width=5 if depth > 1 else 0, hidden_depth=depth)
     rng = Rng(seed, 1)
     for t in bank.params().values():
-        t.data = rng.normal(t.shape, std=0.8)
+        t.data[...] = rng.normal(t.shape, std=0.8)
     bank.uniform_router = uniform
     return bank
 
