@@ -77,18 +77,14 @@ def _parse_list(text: str, flag: str, parse=int) -> list:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
-def _require_synth(cfg: RunConfig, command: str) -> None:
-    if cfg.synth is None:
-        raise ConfigError(f"{command} requires a data.synth section")
-
-
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
     cfg = _resolved(args)
-    _require_synth(cfg, "gen-data")
-    items, _ = load_corpus(cfg.synth, out_dir=cfg.out)
+    if cfg.synth is None:
+        raise ConfigError("gen-data requires a data.synth section")
+    items, _ = load_corpus(cfg, out_dir=cfg.out)
     print(f"wrote {len(items)} items and {cfg.synth.n_users} interaction logs to {cfg.out}")
     return 0
 
@@ -97,17 +93,17 @@ def cmd_label(args) -> int:
     cfg = _resolved(args)
     if not cfg.dimensions:
         raise ConfigError("label requires at least one entry in 'dimensions'")
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
-    for lab in build_labelings(cfg.dimensions, items, split, cfg.data_seed(), cfg.out):
+    items, split = load_corpus(cfg)
+    for lab in build_labelings(cfg, items, split, out_dir=cfg.out):
         print(f"{lab.dimension}: {lab.d_i} classes -> {cfg.out}/labeling_{lab.dimension}.jsonl")
     return 0
 
 
 def cmd_pretrain_backbone(args) -> int:
     cfg = _resolved(args)
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    items, split = load_corpus(cfg)
     backbone = Backbone(cfg.model_config(len(items)))
-    losses = run_stage0(backbone, split, cfg.hyper, cfg.stage0_epochs, cfg.out)
+    losses = run_stage0(backbone, split, cfg)
     final = f", final loss {losses[-1]:.4f}" if losses else ""
     print(f"stage 0: {len(split.train)} samples, {len(losses)} epochs{final} "
           f"-> {cfg.out / 'stage0.ckpt'}")
@@ -116,10 +112,10 @@ def cmd_pretrain_backbone(args) -> int:
 
 def cmd_collect(args) -> int:
     cfg = _resolved(args)
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    items, split = load_corpus(cfg)
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
-    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
-    dataset = run_collection(backbone, split, labelings, cfg.out)
+    labelings = build_labelings(cfg, items, split)
+    dataset = run_collection(backbone, split, labelings, cfg)
     positives = int(dataset.positive.sum())
     print(f"collected {len(dataset)} traces ({positives} positive) "
           f"-> {cfg.out / VERIFIER_DATA}")
@@ -130,12 +126,11 @@ def cmd_pretrain_verifiers(args) -> int:
     cfg = _resolved(args)
     if not cfg.dimensions:
         raise ConfigError("pretrain-verifiers requires at least one entry in 'dimensions'")
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    items, split = load_corpus(cfg)
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
-    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+    labelings = build_labelings(cfg, items, split)
     dataset = load_verifier_data(cfg.out / VERIFIER_DATA, labelings, backbone.cfg)
-    _, history = run_stage1(backbone, dataset, labelings, cfg.hyper, cfg.stage1_epochs,
-                            out_dir=cfg.out)
+    _, history = run_stage1(backbone, dataset, labelings, cfg)
     summary = "0 epochs"
     if not dataset.r_steps.shape[1]:
         summary = "no trace has a latent step, nothing to fit"
@@ -148,12 +143,12 @@ def cmd_pretrain_verifiers(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _resolved(args)
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    items, split = load_corpus(cfg)
     backbone, bank = _load_stage(cfg, "stage1.ckpt")
     if bank is None:
         raise ValueError("stage1.ckpt holds no verifier bank; run pretrain-verifiers first")
-    labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
-    rows = run_stage2(backbone, bank, split, labelings, cfg.hyper, cfg.out)
+    labelings = build_labelings(cfg, items, split)
+    rows = run_stage2(backbone, bank, split, labelings, cfg)
     summary = "0 epochs"
     if rows:
         last = rows[-1]
@@ -165,57 +160,48 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolved(args)
-    _, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    _, split = load_corpus(cfg)
     backbone, bank = _load_stage(cfg, "final.ckpt")
-    report = run_eval(backbone, bank, split, args.m, cfg.eval_ks, cfg.out)
+    report = run_eval(backbone, bank, split, cfg, args.m)
     for k in cfg.eval_ks:
         print(f"recall@{k} {report.recall[k]:.4f}  ndcg@{k} {report.ndcg[k]:.4f}  "
               f"({report.n_samples} samples)")
     return 0
 
 
-def _study_run(args, command: str) -> tuple[RunConfig, dict]:
-    """The resolved config and its run, as ``run_pipeline`` arguments."""
-    cfg = _resolved(args)
-    _require_synth(cfg, command)
-    return cfg, {"synth_cfg": cfg.synth, "model_cfg": cfg.model_config(cfg.synth.n_items),
-                 "hyper": cfg.hyper, "dimensions": cfg.dimensions,
-                 "stage0_epochs": cfg.stage0_epochs, "stage1_epochs": cfg.stage1_epochs}
-
-
 def cmd_ablate(args) -> int:
-    cfg, run = _study_run(args, "ablate")
+    cfg = _resolved(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()] \
         if args.variants else None
-    for row in ablate(run, variants=variants, out_dir=cfg.out):
+    for row in ablate(cfg, variants=variants):
         print(f"{row['variant']}: recall@5 {row['recall@5']:.4f} "
               f"ndcg@5 {row['ndcg@5']:.4f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg, run = _study_run(args, "sweep")
+    cfg = _resolved(args)
     values = _parse_list(args.values, "--values", _number)
     if not values:
         raise UsageError("--values must list at least one value")
-    for row in sweep(run, args.param, values, out_dir=cfg.out):
+    for row in sweep(cfg, args.param, values):
         print(f"{args.param}={row['value']}: recall@5 {row['recall@5']:.4f}")
     return 0
 
 
 def cmd_step_scan(args) -> int:
-    cfg, run = _study_run(args, "step-scan")
+    cfg = _resolved(args)
     steps = _parse_list(args.steps, "--steps")
     if not steps:
         raise UsageError("--steps must list at least one step count")
-    for row in step_scalability(run, steps=steps, out_dir=cfg.out):
+    for row in step_scalability(cfg, steps=steps):
         print(f"m={row['m']}: recall@5 {row['recall@5']:.4f}")
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = _resolved(args)
-    items, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    items, split = load_corpus(cfg)
     final = cfg.out / "final.ckpt"
     if final.exists():
         backbone, bank = load_model(final)
@@ -225,7 +211,7 @@ def cmd_bench(args) -> int:
         if not cfg.dimensions:
             raise ConfigError("bench requires at least one labeling dimension")
         backbone = Backbone(cfg.model_config(len(items)))
-        labelings = build_labelings(cfg.dimensions, items, split, cfg.data_seed())
+        labelings = build_labelings(cfg, items, split)
         bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
                          d_m=backbone.cfg.d_m, seed=cfg.hyper.seed)  # untrained
     steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
@@ -240,7 +226,7 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg = _resolved(args)
-    _, split = load_corpus(cfg.synth, cfg.items_path, cfg.interactions_path)
+    _, split = load_corpus(cfg)
     backbone, bank = _load_stage(cfg, "final.ckpt")
     m = args.m if args.m is not None else backbone.cfg.m
     samples = split.test or split.valid or split.train

@@ -1,6 +1,8 @@
-"""JSON run configuration shared by every CLI subcommand.
+"""The run configuration: one ``RunConfig`` describes a run, whether a CLI
+subcommand loads it from a JSON file, library code builds it, or a study
+edits it with ``dataclasses.replace``. Building one checks it.
 
-Schema (all sections optional unless noted):
+Schema of the JSON file (all sections optional unless noted):
 
     {
       "seed": 0,                       // master seed, default for every stage
@@ -23,6 +25,9 @@ Schema (all sections optional unless noted):
 Sub-section seeds default to the master seed; an explicit override (the
 --seed flag or the VREC_SEED environment variable, flag winning) replaces
 the master seed and every sub-seed so one knob re-runs the whole pipeline.
+A file with ``m`` above 0 must name a dimension. The verifier bank's shape
+and router (``uniform_router``, ``bank_width``, ``bank_depth``) have no key:
+only the ablation variants and sweeps in pipeline.py set them.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from .backbone import ModelConfig
 from .datasets import MAX_HISTORY, SynthConfig
 from .numerics import check_int, check_seed
 from .training import TrainHyper
+from .verifiers import check_bank_shape
 
 __all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
-           "check_d_i", "check_max_positions", "load_config"]
+           "check_max_positions", "load_config"]
 
 SEED_ENV_VAR = "VREC_SEED"
 DIMENSION_NAMES = ("category", "title", "cf")
@@ -73,12 +79,6 @@ def check_max_positions(max_positions: int, steps) -> None:
                           f"it needs MAX_HISTORY + m = {MAX_HISTORY + m} positions")
 
 
-def check_d_i(where: str, d_i) -> None:
-    """A dimension's class count is unset (None) or an integer of at least 2."""
-    if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
-        raise ConfigError(f"{where}: d_i must be an integer >= 2, got {d_i!r}")
-
-
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -92,13 +92,20 @@ class RunConfig:
     stage0_epochs: int | None = None
     stage1_epochs: int | None = None
     eval_ks: tuple[int, ...] = (5, 10)
+    # the verifier bank's shape and router, which only study edits set
+    uniform_router: bool = False
+    bank_width: int = 0
+    bank_depth: int = 1
 
     def __post_init__(self):  # also runs on every dataclasses.replace, e.g. with_m
+        if self.out is not None:
+            self.out = Path(self.out)
         with _refused(""):
             check_seed(self.seed)
             for key in ("stage0_epochs", "stage1_epochs"):
                 if getattr(self, key) is not None:
                     check_int(key, getattr(self, key))
+            check_bank_shape(self.bank_width, self.bank_depth)
         ks = self.eval_ks
         if not (isinstance(ks, tuple) and ks and all(not isinstance(k, bool) and isinstance(k, int)
                                                      and k >= 1 for k in ks)
@@ -108,9 +115,9 @@ class RunConfig:
         with _refused("model: "):
             model = ModelConfig(**self.model)  # n_items is checked when the data loads
         check_max_positions(model.max_positions, [self.m])
-        if self.m > 0 and not self.dimensions:
-            raise ConfigError("at least one labeling dimension is required when "
-                              "reasoning steps use verifiers (model.m > 0)")
+        for i, (_, d_i) in enumerate(self.dimensions):  # a class count is unset or >= 2
+            if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
+                raise ConfigError(f"dimensions[{i}]: d_i must be an integer >= 2, got {d_i!r}")
 
     def model_config(self, n_items: int) -> ModelConfig:
         kwargs = dict(self.model)
@@ -126,11 +133,9 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Replace the master seed and every stage seed."""
-        cfg = replace(self, seed=seed, hyper=replace(self.hyper, seed=seed),
-                      model={**self.model, "seed": seed})
-        if cfg.synth is not None:
-            cfg.synth = replace(cfg.synth, seed=seed)
-        return cfg
+        return replace(self, seed=seed, hyper=replace(self.hyper, seed=seed),
+                       model={**self.model, "seed": seed},
+                       synth=replace(self.synth, seed=seed) if self.synth else None)
 
     def with_m(self, m: int) -> "RunConfig":
         return replace(self, model={**self.model, "m": int(m)})
@@ -157,7 +162,6 @@ def _parse_dimensions(raw) -> list[tuple[str, int | None]]:
         if name in seen:
             raise ConfigError(f"dimensions[{i}]: duplicate dimension {name!r}")
         seen.add(name)
-        check_d_i(f"dimensions[{i}]", entry.get("d_i"))
         dims.append((name, entry.get("d_i")))
     return dims
 
@@ -214,7 +218,7 @@ def load_config(path: str | Path) -> RunConfig:
     dims = _parse_dimensions(raw.get("dimensions", []))
 
     eval_ks = raw.get("eval_ks", [5, 10])
-    return RunConfig(
+    cfg = RunConfig(
         seed=seed,
         out=path.parent / Path(raw["out"]) if raw.get("out") else None,
         synth=synth,
@@ -227,3 +231,7 @@ def load_config(path: str | Path) -> RunConfig:
         stage1_epochs=raw.get("stage1_epochs"),
         eval_ks=tuple(eval_ks) if isinstance(eval_ks, list) else eval_ks,
     )
+    if cfg.m > 0 and not cfg.dimensions:
+        raise ConfigError("at least one labeling dimension is required when "
+                          "reasoning steps use verifiers (model.m > 0)")
+    return cfg

@@ -1,9 +1,11 @@
 """The three-stage pipeline, one function per stage, and the ablations, sweeps
-and step scans built on it. Given ``out_dir``, a stage writes its artifacts there.
+and step scans built on it.
 
-A run is a dict of ``run_pipeline`` arguments; a study is a list of them. An
-ablation variant or a sweep value is an edit of one run, and every run of a
-study is checked before the first one starts."""
+A run is a ``RunConfig``: the one a config file loads, or one built in code.
+Each stage takes it and, given ``cfg.out``, writes its artifacts there. An
+ablation variant or a sweep value is an edit of a ``RunConfig`` made with
+``dataclasses.replace``, which checks it, so every run of a study is checked
+before the first one starts."""
 
 from __future__ import annotations
 
@@ -15,13 +17,13 @@ import numpy as np
 
 from .backbone import Backbone, ModelConfig
 from .checkpoint import save_model
-from .config import DIMENSION_NAMES, check_d_i, check_max_positions
-from .datasets import Item, Split, SynthConfig, chronological_split, generate_synthetic, ingest
+from .config import DIMENSION_NAMES, RunConfig
+from .datasets import Item, Split, chronological_split, generate_synthetic, ingest
 from .evaluation import MetricsReport, evaluate, write_metrics_csv
-from .labeling import GroupLabeling, build_labeling, class_table, save_labeling
+from .labeling import GroupLabeling, build_labeling, save_labeling
 from .training import (TrainHyper, VerifierData, collect_verifier_dataset, finetune,
                        pretrain_backbone, pretrain_verifiers)
-from .verifiers import VerifierBank, check_bank_shape, make_bank
+from .verifiers import VerifierBank, make_bank
 
 __all__ = ["PipelineResult", "SWEEPS", "VARIANTS", "VERIFIER_DATA", "ablate",
            "build_labelings", "load_corpus", "load_verifier_data", "run_collection",
@@ -31,8 +33,8 @@ __all__ = ["PipelineResult", "SWEEPS", "VARIANTS", "VERIFIER_DATA", "ablate",
 VERIFIER_DATA = "verifier_data.npz"
 
 
-def _out(out_dir: str | Path | None, name: str) -> Path | None:
-    return Path(out_dir) / name if out_dir else None
+def _out(cfg: RunConfig, name: str) -> Path | None:
+    return cfg.out / name if cfg.out else None
 
 
 def _with_epochs(hyper: TrainHyper, epochs: int | None) -> TrainHyper:
@@ -42,14 +44,13 @@ def _with_epochs(hyper: TrainHyper, epochs: int | None) -> TrainHyper:
 # -- stages ------------------------------------------------------------------
 
 
-def load_corpus(synth: SynthConfig | None, items_path: str | Path | None = None,
-                interactions_path: str | Path | None = None,
-                out_dir: str | Path | None = None) -> tuple[list[Item], Split]:
-    """The synthetic corpus, or the ingested one when ``synth`` is None, split."""
-    if synth is None:
-        items, logs = ingest(items_path, interactions_path)
+def load_corpus(cfg: RunConfig, out_dir: str | Path | None = None) -> tuple[list[Item], Split]:
+    """The synthetic corpus, or the ingested one when ``cfg.synth`` is None,
+    split. Given ``out_dir``, a synthetic corpus is written there as JSON lines."""
+    if cfg.synth is None:
+        items, logs = ingest(cfg.items_path, cfg.interactions_path)
     else:
-        items, logs, planted = generate_synthetic(synth)
+        items, logs, planted = generate_synthetic(cfg.synth)
         if out_dir:
             out_dir = Path(out_dir)
             with (out_dir / "items.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
@@ -64,25 +65,25 @@ def load_corpus(synth: SynthConfig | None, items_path: str | Path | None = None,
     return items, chronological_split(logs)
 
 
-def build_labelings(dimensions: list[tuple[str, int | None]], items: list[Item], split: Split,
-                    seed: int, out_dir: str | Path | None = None) -> list[GroupLabeling]:
-    """One labeling per (dimension, d_i); written as labeling_<dimension>.jsonl."""
+def build_labelings(cfg: RunConfig, items: list[Item], split: Split,
+                    out_dir: str | Path | None = None) -> list[GroupLabeling]:
+    """One labeling per configured (dimension, d_i); given ``out_dir``,
+    written there as labeling_<dimension>.jsonl."""
     labelings = [build_labeling(name, items, samples=split.train, n_users=split.n_users,
-                                d_i=d_i, seed=seed)
-                 for name, d_i in dimensions]
+                                d_i=d_i, seed=cfg.data_seed())
+                 for name, d_i in cfg.dimensions]
     if out_dir:
         for lab in labelings:
             save_labeling(lab, Path(out_dir) / f"labeling_{lab.dimension}.jsonl")
     return labelings
 
 
-def run_stage0(backbone: Backbone, split: Split, hyper: TrainHyper, epochs: int | None = None,
-               out_dir: str | Path | None = None) -> list[float]:
+def run_stage0(backbone: Backbone, split: Split, cfg: RunConfig) -> list[float]:
     """Stage 0: recommendation-only training of ``backbone`` in place."""
-    losses = pretrain_backbone(backbone, split.train, _with_epochs(hyper, epochs),
-                               log_path=_out(out_dir, "stage0_log.csv"))
-    if out_dir:
-        save_model(Path(out_dir) / "stage0.ckpt", backbone)
+    losses = pretrain_backbone(backbone, split.train, _with_epochs(cfg.hyper, cfg.stage0_epochs),
+                               log_path=_out(cfg, "stage0_log.csv"))
+    if cfg.out:
+        save_model(cfg.out / "stage0.ckpt", backbone)
     return losses
 
 
@@ -93,17 +94,17 @@ def _labeling_arrays(labelings: list[GroupLabeling]) -> dict[str, np.ndarray]:
 
 
 def run_collection(backbone: Backbone, split: Split, labelings: list[GroupLabeling],
-                   out_dir: str | Path | None = None) -> VerifierData:
+                   cfg: RunConfig) -> VerifierData:
     """Stage 1 data: greedy-decoded train traces, saved with their labelings."""
     dataset = collect_verifier_dataset(backbone, split.train, labelings, m=backbone.cfg.m)
-    if out_dir:
-        np.savez(Path(out_dir) / VERIFIER_DATA, r_steps=dataset.r_steps, labels=dataset.labels,
+    if cfg.out:
+        np.savez(cfg.out / VERIFIER_DATA, r_steps=dataset.r_steps, labels=dataset.labels,
                  **_labeling_arrays(labelings))
     return dataset
 
 
 def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
-                       model_cfg: ModelConfig) -> VerifierData:
+                       backbone_cfg: ModelConfig) -> VerifierData:
     """Read verifier data, refusing data of other labelings or backbone shape."""
     path = Path(path)
     if not path.exists():
@@ -118,9 +119,9 @@ def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
     r_steps, labels = stored.get("r_steps"), stored.get("labels")
     if r_steps is None or labels is None:
         raise ValueError(f"{path}: no r_steps or no labels array")
-    if r_steps.shape[1:] != (model_cfg.m, model_cfg.d_m):
+    if r_steps.shape[1:] != (backbone_cfg.m, backbone_cfg.d_m):
         raise ValueError(f"{path} is stale: r_steps has shape {r_steps.shape}, but "
-                         f"stage0.ckpt has m={model_cfg.m}, d_m={model_cfg.d_m}")
+                         f"stage0.ckpt has m={backbone_cfg.m}, d_m={backbone_cfg.d_m}")
     if labels.shape != (len(r_steps), len(labelings)) or labels.dtype.kind not in "iu":
         raise ValueError(f"{path}: labels are {labels.dtype} of shape {labels.shape}, expected "
                          f"integers of shape {(len(r_steps), len(labelings))}, a row per trace")
@@ -133,34 +134,32 @@ def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
 
 
 def run_stage1(backbone: Backbone, dataset: VerifierData, labelings: list[GroupLabeling],
-               hyper: TrainHyper, epochs: int | None = None, uniform_router: bool = False,
-               bank_width: int = 0, bank_depth: int = 1, out_dir: str | Path | None = None
-               ) -> tuple[VerifierBank, list[tuple[float, float]]]:
+               cfg: RunConfig) -> tuple[VerifierBank, list[tuple[float, float]]]:
     """Stage 1: a fresh verifier bank fitted on ``dataset`` with the backbone
     frozen, and its per-epoch (accuracy, negative entropy)."""
     bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings], d_m=backbone.cfg.d_m,
-                     seed=hyper.seed, hidden_width=bank_width, hidden_depth=bank_depth)
-    bank.uniform_router = uniform_router
-    history = pretrain_verifiers(bank, dataset, _with_epochs(hyper, epochs),
-                                 log_path=_out(out_dir, "stage1_log.csv"))
-    if out_dir:
-        save_model(Path(out_dir) / "stage1.ckpt", backbone, bank)
+                     seed=cfg.hyper.seed, hidden_width=cfg.bank_width,
+                     hidden_depth=cfg.bank_depth)
+    bank.uniform_router = cfg.uniform_router
+    history = pretrain_verifiers(bank, dataset, _with_epochs(cfg.hyper, cfg.stage1_epochs),
+                                 log_path=_out(cfg, "stage1_log.csv"))
+    if cfg.out:
+        save_model(cfg.out / "stage1.ckpt", backbone, bank)
     return bank, history
 
 
 def run_stage2(backbone: Backbone, bank: VerifierBank | None, split: Split,
-               labelings: list[GroupLabeling], hyper: TrainHyper,
-               out_dir: str | Path | None = None) -> list:
+               labelings: list[GroupLabeling], cfg: RunConfig) -> list:
     """Stage 2: joint fine-tuning, or without a bank the equal-compute baseline:
     recommendation-only training for the same epochs."""
-    log_path = _out(out_dir, "stage2_log.csv")
+    log_path = _out(cfg, "stage2_log.csv")
     if bank is None:
-        history = pretrain_backbone(backbone, split.train, hyper, log_path=log_path)
+        history = pretrain_backbone(backbone, split.train, cfg.hyper, log_path=log_path)
     else:
-        history = finetune(backbone, bank, split.train, labelings, hyper,
+        history = finetune(backbone, bank, split.train, labelings, cfg.hyper,
                            valid_samples=split.valid, log_path=log_path)
-    if out_dir:
-        save_model(Path(out_dir) / "final.ckpt", backbone, bank)
+    if cfg.out:
+        save_model(cfg.out / "final.ckpt", backbone, bank)
     return history
 
 
@@ -180,14 +179,14 @@ def _report_row(lead: dict, report: MetricsReport, ks: tuple[int, ...]) -> dict:
     return row
 
 
-def run_eval(backbone: Backbone, bank: VerifierBank | None, split: Split, m: int | None,
-             ks: tuple[int, ...], out_dir: str | Path | None = None) -> MetricsReport:
-    """Evaluate the test split with ``m`` steps (None: the backbone's)."""
-    report = evaluate(backbone, bank, split.test, m=m, ks=ks)
-    if out_dir:
-        out_dir = Path(out_dir)
-        _write_rows(out_dir, "metrics.csv", [_report_row({"variant": "final"}, report, ks)])
-        (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n",
+def run_eval(backbone: Backbone, bank: VerifierBank | None, split: Split, cfg: RunConfig,
+             m: int | None = None) -> MetricsReport:
+    """Evaluate the test split at ``cfg.eval_ks`` with ``m`` steps (None: the backbone's)."""
+    report = evaluate(backbone, bank, split.test, m=m, ks=cfg.eval_ks)
+    if cfg.out:
+        _write_rows(cfg.out, "metrics.csv",
+                    [_report_row({"variant": "final"}, report, cfg.eval_ks)])
+        (cfg.out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n",
                                              encoding="utf-8")
     return report
 
@@ -204,27 +203,21 @@ class PipelineResult:
     labelings: list[GroupLabeling] = field(default_factory=list)
 
 
-def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tuple[str, int]],
-                 stage0_epochs: int | None = None, stage1_epochs: int | None = None,
-                 uniform_router: bool = False, bank_width: int = 0, bank_depth: int = 1,
-                 out_dir: str | Path | None = None, eval_ks: tuple[int, ...] = (5, 10)
-                 ) -> PipelineResult:
-    """All stages end to end on a synthetic corpus. Without ``dimensions`` it
-    is the equal-compute baseline: no labeling and no verifier stage."""
-    if out_dir:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    items, split = load_corpus(synth_cfg, out_dir=out_dir)
-    labelings = build_labelings(dimensions, items, split, synth_cfg.seed, out_dir)
-    class_table(labelings, model_cfg.n_items)
-    backbone = Backbone(model_cfg)
-    run_stage0(backbone, split, hyper, stage0_epochs, out_dir)
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
+    """All stages end to end. Without ``cfg.dimensions`` it is the
+    equal-compute baseline: no labeling and no verifier stage."""
+    if cfg.out:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    items, split = load_corpus(cfg, out_dir=cfg.out)
+    labelings = build_labelings(cfg, items, split, out_dir=cfg.out)
+    backbone = Backbone(cfg.model_config(len(items)))
+    run_stage0(backbone, split, cfg)
     bank = None
     if labelings:
-        dataset = run_collection(backbone, split, labelings, out_dir)
-        bank, _ = run_stage1(backbone, dataset, labelings, hyper, stage1_epochs,
-                             uniform_router, bank_width, bank_depth, out_dir)
-    run_stage2(backbone, bank, split, labelings, hyper, out_dir)
-    report = run_eval(backbone, bank, split, model_cfg.m, eval_ks, out_dir)
+        dataset = run_collection(backbone, split, labelings, cfg)
+        bank, _ = run_stage1(backbone, dataset, labelings, cfg)
+    run_stage2(backbone, bank, split, labelings, cfg)
+    report = run_eval(backbone, bank, split, cfg)
     return PipelineResult(backbone=backbone, bank=bank, report=report,
                           split=split, labelings=labelings)
 
@@ -233,27 +226,27 @@ def run_pipeline(synth_cfg, model_cfg: ModelConfig, hyper, dimensions: list[tupl
 
 
 def _single(name: str):
-    def edit(run: dict) -> dict:
-        dims = [d for d in run["dimensions"] if d[0] == name]
+    def edit(cfg: RunConfig) -> RunConfig:
+        dims = [d for d in cfg.dimensions if d[0] == name]
         if not dims:
             raise ValueError(f"variant 'single-{name}': dimension {name!r} not configured")
-        return {**run, "dimensions": dims}
+        return replace(cfg, dimensions=dims)
     return edit
 
 
 # each ablation variant as an edit of one run
 VARIANTS = {
-    "full": lambda run: run,
-    "no-verifier": lambda run: {**run, "dimensions": []},
-    "no-monotonicity": lambda run: {**run, "hyper": replace(run["hyper"], gamma=0.0)},
-    "no-router": lambda run: {**run, "uniform_router": True},
-    "no-pretrain": lambda run: {**run, "stage1_epochs": 0},
+    "full": lambda cfg: cfg,
+    "no-verifier": lambda cfg: replace(cfg, dimensions=[]),
+    "no-monotonicity": lambda cfg: replace(cfg, hyper=replace(cfg.hyper, gamma=0.0)),
+    "no-router": lambda cfg: replace(cfg, uniform_router=True),
+    "no-pretrain": lambda cfg: replace(cfg, stage1_epochs=0),
     **{f"single-{name}": _single(name) for name in DIMENSION_NAMES},
 }
 
 
 def _hyper(key: str):
-    return lambda run, value: {**run, "hyper": replace(run["hyper"], **{key: float(value)})}
+    return lambda cfg, value: replace(cfg, hyper=replace(cfg.hyper, **{key: float(value)}))
 
 
 def _whole(param: str, value) -> int:
@@ -266,12 +259,12 @@ def _whole(param: str, value) -> int:
 # from depth 3 on, since a depth-2 verifier's one hidden layer maps d_m to d_m
 SWEEPS = {
     "beta": _hyper("beta"), "gamma": _hyper("gamma"), "alpha": _hyper("alpha"),
-    "d_i": lambda run, value: {**run, "dimensions": [(name, _whole("d_i", value))
-                                                     for name, _ in run["dimensions"]]},
-    "verifier-width": lambda run, value: {**run, "bank_width": _whole("verifier-width", value),
-                                          "bank_depth": max(run.get("bank_depth", 1), 3)},
-    "verifier-depth": lambda run, value: {**run, "bank_depth": _whole("verifier-depth", value)},
-    "m": lambda run, value: {**run, "model_cfg": replace(run["model_cfg"], m=_whole("m", value))},
+    "d_i": lambda cfg, value: replace(cfg, dimensions=[(name, _whole("d_i", value))
+                                                      for name, _ in cfg.dimensions]),
+    "verifier-width": lambda cfg, value: replace(
+        cfg, bank_width=_whole("verifier-width", value), bank_depth=max(cfg.bank_depth, 3)),
+    "verifier-depth": lambda cfg, value: replace(cfg, bank_depth=_whole("verifier-depth", value)),
+    "m": lambda cfg, value: cfg.with_m(_whole("m", value)),
 }
 
 
@@ -281,39 +274,27 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _run_all(runs: list[dict]) -> list[MetricsReport]:
-    """Check every run, then run their pipelines in order; their reports."""
-    for run in runs:
-        check_max_positions(run["model_cfg"].max_positions, [run["model_cfg"].m])
-        for name, d_i in run["dimensions"]:
-            check_d_i(f"dimension {name!r}", d_i)
-        check_bank_shape(run.get("bank_width", 0), run.get("bank_depth", 1))
-    return [run_pipeline(**run).report for run in runs]
+def _run_all(cfgs: list[RunConfig]) -> list[MetricsReport]:
+    """The reports of each run's pipeline, run in order and writing nothing."""
+    return [run_pipeline(replace(cfg, out=None, eval_ks=(5, 10))).report for cfg in cfgs]
 
 
-def ablate(run: dict, variants: list[str] | None = None,
-           out_dir: str | Path | None = None) -> list[dict]:
-    """Train and evaluate each variant of ``run``; one row each."""
+def ablate(cfg: RunConfig, variants: list[str] | None = None) -> list[dict]:
+    """Train and evaluate each variant of ``cfg``; one row each, written
+    to ablation.csv under ``cfg.out`` when it is set."""
     variants = list(variants) if variants else ["full"]
-    reports = _run_all([_lookup(VARIANTS, v, "ablation variant")(run) for v in variants])
+    reports = _run_all([_lookup(VARIANTS, v, "ablation variant")(cfg) for v in variants])
     rows = [_report_row({"variant": v}, r, (5, 10)) for v, r in zip(variants, reports)]
-    _write_rows(out_dir, "ablation.csv", rows)
+    _write_rows(cfg.out, "ablation.csv", rows)
     return rows
 
 
-def _seeded(run: dict, seed: int) -> dict:
-    return {**run, "synth_cfg": replace(run["synth_cfg"], seed=seed),
-            "model_cfg": replace(run["model_cfg"], seed=seed),
-            "hyper": replace(run["hyper"], seed=seed)}
-
-
-def step_scalability(run: dict, steps: list[int], seeds: list[int] | None = None,
-                     out_dir: str | Path | None = None) -> list[dict]:
-    """Per-m metrics of ``run``, median over seeds. Each run is the ``m``
-    sweep's edit, so at m=0 the bank stays and stage 1 fits nothing."""
-    seeds = seeds or [run["hyper"].seed]
-    runs = [_seeded(SWEEPS["m"](run, m), seed) for m in steps for seed in seeds]
-    reports = _run_all(runs)
+def step_scalability(cfg: RunConfig, steps: list[int],
+                     seeds: list[int] | None = None) -> list[dict]:
+    """Per-m metrics of ``cfg``, median over seeds, written to steps.csv. Each
+    run is the ``m`` sweep's edit, so at m=0 the bank stays and stage 1 fits nothing."""
+    seeds = seeds or [cfg.hyper.seed]
+    reports = _run_all([SWEEPS["m"](cfg, m).with_seed(seed) for m in steps for seed in seeds])
     rows = []
     for i, m in enumerate(steps):
         per_seed = reports[i * len(seeds):(i + 1) * len(seeds)]
@@ -322,16 +303,15 @@ def step_scalability(run: dict, steps: list[int], seeds: list[int] | None = None
                      "ndcg@5": float(np.median([r.ndcg[5] for r in per_seed])),
                      "n_samples": per_seed[0].n_samples,
                      "seeds": ";".join(str(s) for s in seeds)})
-    _write_rows(out_dir, "steps.csv", rows)
+    _write_rows(cfg.out, "steps.csv", rows)
     return rows
 
 
-def sweep(run: dict, param: str, values: list,
-          out_dir: str | Path | None = None) -> list[dict]:
-    """One train/eval of ``run`` per value of ``param``."""
+def sweep(cfg: RunConfig, param: str, values: list) -> list[dict]:
+    """One train/eval of ``cfg`` per value of ``param``, written to sweep_<param>.csv."""
     edit = _lookup(SWEEPS, param, "sweep parameter")
-    reports = _run_all([edit(run, value) for value in values])
+    reports = _run_all([edit(cfg, value) for value in values])
     rows = [_report_row({"param": param, "value": v}, r, (5, 10))
             for v, r in zip(values, reports)]
-    _write_rows(out_dir, f"sweep_{param}.csv", rows)
+    _write_rows(cfg.out, f"sweep_{param}.csv", rows)
     return rows

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import confidence, entropy, greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
+from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import REFERENCE_OVERHEAD_PCT, ndcg_at_k, recall_at_k, timing_overhead
 from vrec.labeling import build_labeling, kmeans
@@ -257,16 +258,16 @@ def bench_runs():
     walls = {}
     for seed in BENCH_SEEDS:
         for m, bank in ((4, False), (1, True), (2, True), (4, True)):
-            mc = ModelConfig(d_m=BENCH_D_M, layers=1, heads=2,
-                             n_items=BENCH_SYNTH.n_items,
-                             max_positions=BENCH_SYNTH.seq_len_range[1] + 8,
-                             m=m, seed=seed)
-            hyper = TrainHyper(lr=3e-3, epochs=BENCH_STAGE2, batch=16,
-                               beta=BENCH_BETA, gamma=BENCH_GAMMA, seed=seed)
+            cfg = RunConfig(
+                seed=seed, synth=BENCH_SYNTH,
+                model={"d_m": BENCH_D_M, "layers": 1, "heads": 2,
+                       "max_positions": BENCH_SYNTH.seq_len_range[1] + 8, "m": m},
+                hyper=TrainHyper(lr=3e-3, epochs=BENCH_STAGE2, batch=16,
+                                 beta=BENCH_BETA, gamma=BENCH_GAMMA, seed=seed),
+                dimensions=BENCH_DIMS if bank else [],
+                stage0_epochs=BENCH_STAGE0, stage1_epochs=BENCH_STAGE1)
             t0 = time.monotonic()
-            res = run_pipeline(BENCH_SYNTH, mc, hyper, BENCH_DIMS if bank else [],
-                               stage0_epochs=BENCH_STAGE0,
-                               stage1_epochs=BENCH_STAGE1)
+            res = run_pipeline(cfg)
             walls[(seed, m, bank)] = time.monotonic() - t0
             results[(seed, m, bank)] = res.report.recall[5]
             print(f"  bench seed={seed} m={m} bank={int(bank)}: "
@@ -411,11 +412,11 @@ def test_ac12_reproducibility(tmp_path):
                         seq_len_range=(10, 14), seed=11)
 
     def once(out):
-        mc = ModelConfig(d_m=8, layers=1, heads=1, n_items=12,
-                         max_positions=24, m=2, seed=11)
-        hyper = TrainHyper(lr=3e-3, epochs=2, batch=8, seed=11)
-        run_pipeline(synth, mc, hyper, [("category", 3), ("title", 3)],
-                     stage0_epochs=2, stage1_epochs=2, out_dir=out)
+        run_pipeline(RunConfig(
+            seed=11, out=out, synth=synth,
+            model={"d_m": 8, "layers": 1, "heads": 1, "max_positions": 24, "m": 2},
+            hyper=TrainHyper(lr=3e-3, epochs=2, batch=8, seed=11),
+            dimensions=[("category", 3), ("title", 3)], stage0_epochs=2, stage1_epochs=2))
 
     once(tmp_path / "a")
     once(tmp_path / "b")

@@ -188,10 +188,9 @@ def test_one_class_labeling_rejected_before_training(tmp_path, monkeypatch):
     trained = []
     monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
     cfg = load_config(write_config(tmp_path))
-    synth = replace(cfg.synth, n_groups=1)
     with pytest.raises(ValueError, match="'category'"):
-        run_pipeline(synth, cfg.model_config(synth.n_items), cfg.hyper, [("category", None)],
-                     out_dir=tmp_path / "run")
+        run_pipeline(replace(cfg, synth=replace(cfg.synth, n_groups=1),
+                             dimensions=[("category", None)], out=tmp_path / "run"))
     assert not trained
     assert not (tmp_path / "run" / "stage0.ckpt").exists()
 
@@ -212,10 +211,9 @@ def test_bad_study_value_rejected_before_training(tmp_path, monkeypatch, param, 
     trained = []
     monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
     cfg = load_config(write_config(tmp_path))
-    run = {"synth_cfg": cfg.synth, "model_cfg": cfg.model_config(cfg.synth.n_items),
-           "hyper": cfg.hyper, "dimensions": cfg.dimensions, "bank_depth": 2}
     with pytest.raises(ValueError, match=message):
-        sweep(run, param, [float(v) for v in values.split(",")], out_dir=tmp_path / "lib")
+        sweep(replace(cfg, bank_depth=2, out=tmp_path / "lib"), param,
+              [float(v) for v in values.split(",")])
     assert not trained
     assert main(["sweep", "--config", str(write_config(tmp_path)),
                  "--param", param, "--values", values]) == 1
@@ -281,9 +279,7 @@ def test_cli_stages_match_run_pipeline(pipeline, tmp_path):
     """The stage-by-stage CLI and the in-memory pipeline write the same bytes."""
     cfg_path, out = pipeline
     cfg = load_config(cfg_path)
-    run_pipeline(cfg.synth, cfg.model_config(cfg.synth.n_items), cfg.hyper,
-                 cfg.dimensions, stage0_epochs=cfg.stage0_epochs,
-                 stage1_epochs=cfg.stage1_epochs, out_dir=tmp_path, eval_ks=cfg.eval_ks)
+    run_pipeline(replace(cfg, out=tmp_path))
     for name in ("stage0.ckpt", "stage1.ckpt", "final.ckpt", "metrics.csv"):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -129,6 +130,25 @@ def test_dimensions_required_with_reasoning_steps(tmp_path):
     obj["dimensions"] = []
     with pytest.raises(ConfigError, match="labeling dimension"):
         load_config(write(tmp_path, obj))
+
+
+def test_run_config_without_dimensions_builds_with_steps(tmp_path):
+    # the file rule above is not a RunConfig rule: the no-verifier variant
+    # and the equal-compute baseline reason without a bank
+    cfg = replace(load_config(write(tmp_path, MINI)), dimensions=[])
+    assert cfg.m == 1 and cfg.dimensions == []
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"dimensions": [("title", 1)]}, "dimensions\\[0\\]: d_i must be an integer >= 2, got 1"),
+    ({"dimensions": [("category", None), ("cf", 2.5)]}, "dimensions\\[1\\]: d_i must be an"),
+    ({"bank_depth": 0}, "depth >= 1"),
+    ({"bank_width": -1}, "width >= 0"),
+])
+def test_run_config_edits_are_checked(tmp_path, edit, message):
+    cfg = load_config(write(tmp_path, MINI))
+    with pytest.raises(ConfigError, match=message):
+        replace(cfg, **edit)
 
 
 def test_no_dimensions_fine_without_steps(tmp_path):

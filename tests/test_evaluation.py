@@ -10,6 +10,7 @@ import pytest
 
 from vrec import evaluation as evaluation_module
 from vrec.backbone import Backbone, ModelConfig
+from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import (
     REFERENCE_OVERHEAD_PCT,
@@ -20,9 +21,10 @@ from vrec.evaluation import (
     timing_overhead,
     write_metrics_csv,
 )
+from vrec.labeling import build_labeling, class_table
 from vrec.pipeline import ablate, run_pipeline, step_scalability, sweep
 from vrec.reasoning import run_reasoning
-from vrec.training import TrainHyper
+from vrec.training import TrainHyper, collect_verifier_dataset
 from vrec.verifiers import make_bank
 
 MICRO_SYNTH = SynthConfig(n_users=8, n_items=12, n_groups=3, stickiness=0.9,
@@ -31,8 +33,8 @@ MICRO_MODEL = ModelConfig(d_m=8, layers=1, heads=1, n_items=12, max_positions=16
                           m=1, seed=1)
 MICRO_HYPER = TrainHyper(lr=1e-3, epochs=1, batch=8, seed=1)
 MICRO_DIMS = [("category", 3)]
-MICRO_RUN = {"synth_cfg": MICRO_SYNTH, "model_cfg": MICRO_MODEL, "hyper": MICRO_HYPER,
-             "dimensions": MICRO_DIMS}
+MICRO_RUN = RunConfig(seed=1, synth=MICRO_SYNTH, hyper=MICRO_HYPER, dimensions=MICRO_DIMS,
+                      model={"d_m": 8, "layers": 1, "heads": 1, "max_positions": 16, "m": 1})
 
 
 # -- metric definitions ----------------------------------------------------
@@ -125,7 +127,7 @@ def test_metrics_csv_exact_bytes(tmp_path):
 
 def test_run_pipeline_writes_artifacts(tmp_path):
     out = tmp_path / "run"
-    result = run_pipeline(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, MICRO_DIMS, out_dir=out)
+    result = run_pipeline(replace(MICRO_RUN, out=out))
     for name in ("stage0.ckpt", "stage1.ckpt", "final.ckpt", "stage0_log.csv",
                  "stage1_log.csv", "stage2_log.csv", "metrics.csv", "report.json"):
         assert (out / name).exists(), name
@@ -144,19 +146,22 @@ def test_run_pipeline_writes_artifacts(tmp_path):
 
 def test_run_pipeline_without_bank(tmp_path):
     out = tmp_path / "nb"
-    result = run_pipeline(MICRO_SYNTH, MICRO_MODEL, MICRO_HYPER, [], out_dir=out)
+    result = run_pipeline(replace(MICRO_RUN, dimensions=[], out=out))
     assert result.bank is None
     assert not (out / "stage1.ckpt").exists()
     assert (out / "final.ckpt").exists()
 
 
-def test_run_pipeline_refuses_labeling_of_other_items_before_stage0(tmp_path):
+def test_labeling_of_other_items_refused_before_collection():
     # a model of 14 items over a 12-item corpus: its labelings miss items 12, 13
-    out = tmp_path / "short"
-    with pytest.raises(ValueError, match="'category' covers 12 items, but the model has 14"):
-        run_pipeline(MICRO_SYNTH, replace(MICRO_MODEL, n_items=14), MICRO_HYPER, MICRO_DIMS,
-                     out_dir=out)
-    assert not (out / "stage0.ckpt").exists()
+    items, logs, _ = generate_synthetic(MICRO_SYNTH)
+    labelings = [build_labeling("category", items)]
+    message = "'category' covers 12 items, but the model has 14"
+    with pytest.raises(ValueError, match=message):
+        class_table(labelings, 14)
+    backbone = Backbone(replace(MICRO_MODEL, n_items=14))
+    with pytest.raises(ValueError, match=message):
+        collect_verifier_dataset(backbone, chronological_split(logs).train, labelings, m=1)
 
 
 # -- ablation --------------------------------------------------------------
@@ -173,13 +178,13 @@ def test_ablate_single_dimension_not_configured():
 
 
 def test_ablate_default_is_full(tmp_path):
-    rows = ablate(MICRO_RUN, out_dir=tmp_path)
+    rows = ablate(replace(MICRO_RUN, out=tmp_path))
     assert [r["variant"] for r in rows] == ["full"]
     assert (tmp_path / "ablation.csv").exists()
 
 
 def test_ablate_rows_per_variant(tmp_path):
-    rows = ablate(MICRO_RUN, variants=["full", "no-verifier"], out_dir=tmp_path)
+    rows = ablate(replace(MICRO_RUN, out=tmp_path), variants=["full", "no-verifier"])
     assert [r["variant"] for r in rows] == ["full", "no-verifier"]
     for row in rows:
         assert 0.0 <= row["recall@5"] <= 1.0
@@ -190,8 +195,8 @@ def test_ablate_rows_per_variant(tmp_path):
 
 # a run on which each variant below changes the row
 VARIANT_HYPER = replace(MICRO_HYPER, lr=1e-2, epochs=2)
-VARIANT_RUN = {**MICRO_RUN, "model_cfg": replace(MICRO_MODEL, d_m=16, heads=2, m=2),
-               "hyper": VARIANT_HYPER, "dimensions": [("category", 3), ("title", 3)]}
+VARIANT_RUN = replace(MICRO_RUN, model={**MICRO_RUN.model, "d_m": 16, "heads": 2, "m": 2},
+                      hyper=VARIANT_HYPER, dimensions=[("category", 3), ("title", 3)])
 
 
 @pytest.mark.parametrize("variant, explicit", [
@@ -202,7 +207,7 @@ VARIANT_RUN = {**MICRO_RUN, "model_cfg": replace(MICRO_MODEL, d_m=16, heads=2, m
 ])
 def test_variant_is_its_explicit_run(variant, explicit):
     [row] = ablate(VARIANT_RUN, variants=[variant])
-    report = run_pipeline(**{**VARIANT_RUN, **explicit}).report
+    report = run_pipeline(replace(VARIANT_RUN, **explicit)).report
     assert row == {"variant": variant, "recall@5": report.recall[5], "ndcg@5": report.ndcg[5],
                    "recall@10": report.recall[10], "ndcg@10": report.ndcg[10],
                    "n_samples": report.n_samples}
@@ -212,7 +217,7 @@ def test_variant_is_its_explicit_run(variant, explicit):
 
 
 def test_step_scalability_m_zero(tmp_path):
-    rows = step_scalability(MICRO_RUN, steps=[0], out_dir=tmp_path)
+    rows = step_scalability(replace(MICRO_RUN, out=tmp_path), steps=[0])
     assert rows[0]["m"] == 0
     assert 0.0 <= rows[0]["recall@5"] <= 1.0
     assert (tmp_path / "steps.csv").exists()
@@ -232,7 +237,7 @@ def test_sweep_unknown_param():
 
 
 def test_sweep_single_value(tmp_path):
-    rows = sweep(MICRO_RUN, "beta", [0.0], out_dir=tmp_path)
+    rows = sweep(replace(MICRO_RUN, out=tmp_path), "beta", [0.0])
     assert rows[0]["param"] == "beta"
     assert rows[0]["value"] == 0.0
     assert 0.0 <= rows[0]["recall@5"] <= 1.0

@@ -8,6 +8,7 @@ another BLAS may round the same run differently."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,10 +39,7 @@ DIGESTS = {
 def test_quick_start_artifacts_pinned(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(QUICK_START), encoding="utf-8")
-    cfg = load_config(path)
-    run_pipeline(cfg.synth, cfg.model_config(cfg.synth.n_items), cfg.hyper, cfg.dimensions,
-                 stage0_epochs=cfg.stage0_epochs, stage1_epochs=cfg.stage1_epochs,
-                 out_dir=tmp_path, eval_ks=cfg.eval_ks)
+    run_pipeline(replace(load_config(path), out=tmp_path))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("stage0.ckpt", "stage1.ckpt", "final.ckpt", "metrics.csv")}
     with np.load(tmp_path / VERIFIER_DATA) as data:

@@ -11,19 +11,20 @@ import hashlib
 
 import pytest
 
-from vrec.backbone import ModelConfig
+from dataclasses import replace
+
+from vrec.config import RunConfig
 from vrec.datasets import SynthConfig
 from vrec.pipeline import SWEEPS, VARIANTS, ablate, step_scalability, sweep
 from vrec.training import TrainHyper
 
 SYNTH = SynthConfig(n_users=16, n_items=12, n_groups=3, stickiness=0.9,
                     seq_len_range=(12, 16), seed=1)
-RUN = {"synth_cfg": SYNTH,
-       "model_cfg": ModelConfig(d_m=16, layers=1, heads=2, n_items=12, max_positions=16,
-                                m=2, seed=1),
-       "hyper": TrainHyper(lr=1e-2, epochs=1, batch=8, seed=1),
-       "dimensions": [("category", 3), ("title", 3), ("cf", 3)],
-       "stage0_epochs": 2, "stage1_epochs": 2}
+RUN = RunConfig(seed=1, synth=SYNTH,
+                model={"d_m": 16, "layers": 1, "heads": 2, "max_positions": 16, "m": 2},
+                hyper=TrainHyper(lr=1e-2, epochs=1, batch=8, seed=1),
+                dimensions=[("category", 3), ("title", 3), ("cf", 3)],
+                stage0_epochs=2, stage1_epochs=2)
 
 SWEEP_VALUES = {"beta": [0.0, 0.5], "gamma": [0.0, 0.5], "alpha": [0.5, 1.0],
                 "d_i": [2, 4], "verifier-width": [2, 8], "verifier-depth": [1, 2],
@@ -51,17 +52,17 @@ def test_sweep_values_cover_every_parameter():
 
 
 def test_ablation_pinned(tmp_path):
-    ablate(RUN, variants=list(VARIANTS), out_dir=tmp_path)
+    ablate(replace(RUN, out=tmp_path), variants=list(VARIANTS))
     assert _digest(tmp_path / "ablation.csv") == DIGESTS["ablation.csv"]
 
 
 @pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
 def test_sweep_pinned(tmp_path, param):
-    sweep(RUN, param, SWEEP_VALUES[param], out_dir=tmp_path)
+    sweep(replace(RUN, out=tmp_path), param, SWEEP_VALUES[param])
     name = f"sweep_{param}.csv"
     assert _digest(tmp_path / name) == DIGESTS[name]
 
 
 def test_step_scan_pinned(tmp_path):
-    step_scalability(RUN, steps=[0, 1, 2], seeds=[1, 2], out_dir=tmp_path)
+    step_scalability(replace(RUN, out=tmp_path), steps=[0, 1, 2], seeds=[1, 2])
     assert _digest(tmp_path / "steps.csv") == DIGESTS["steps.csv"]
