@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,57 +134,71 @@ def _fail(path: Path, lineno: int, msg: str) -> None:
     raise ValueError(f"{path}:{lineno}: {msg}")
 
 
+def _integer(path: Path, lineno: int, what: str, value) -> int:
+    """An int, or a string of decimal digits; floats, bools and other strings
+    are refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    _fail(path, lineno, f"{what} must be an integer, got {json.dumps(value)}")
+
+
+def _objects(path: Path):
+    """(line number, object) for each non-blank line of a JSON-lines file."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as e:
+                _fail(path, lineno, f"malformed JSON ({e.msg})")
+            if not isinstance(obj, dict):
+                _fail(path, lineno, f"expected a JSON object, got {raw.strip()[:40]}")
+            yield lineno, obj
+
+
 def ingest(items_path: str | Path, interactions_path: str | Path) -> tuple[list[Item], list[InteractionLog]]:
     """Load item and interaction JSON-lines files.
 
     Item ids are re-indexed densely in file order; interaction logs are
-    re-mapped to the dense ids and sorted by timestamp.
+    re-mapped to the dense ids and sorted by timestamp. Ids and timestamps
+    are integers or strings of decimal digits; any other value is refused
+    with the file and line it is on.
     """
     items_path = Path(items_path)
     interactions_path = Path(interactions_path)
 
     items: list[Item] = []
     id_map: dict[int, int] = {}
-    with items_path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                _fail(items_path, lineno, f"malformed JSON ({e.msg})")
-            if "id" not in obj:
-                _fail(items_path, lineno, "item object missing 'id'")
-            orig = int(obj["id"])
-            if orig in id_map:
-                _fail(items_path, lineno, f"duplicate item id {orig}")
-            id_map[orig] = len(items)
-            items.append(Item(id=len(items), title=obj.get("title"), category=obj.get("category")))
+    for lineno, obj in _objects(items_path):
+        if "id" not in obj:
+            _fail(items_path, lineno, "item object missing 'id'")
+        orig = _integer(items_path, lineno, "item id", obj["id"])
+        if orig in id_map:
+            _fail(items_path, lineno, f"duplicate item id {orig}")
+        id_map[orig] = len(items)
+        items.append(Item(id=len(items), title=obj.get("title"), category=obj.get("category")))
 
     logs: list[InteractionLog] = []
-    with interactions_path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                _fail(interactions_path, lineno, f"malformed JSON ({e.msg})")
-            for key in ("user", "items", "timestamps"):
-                if key not in obj:
-                    _fail(interactions_path, lineno, f"interaction object missing '{key}'")
-            raw_items, ts = obj["items"], obj["timestamps"]
-            if len(raw_items) != len(ts):
-                _fail(interactions_path, lineno, f"items/timestamps length mismatch ({len(raw_items)} vs {len(ts)})")
-            for it in raw_items:
-                if int(it) not in id_map:
-                    _fail(interactions_path, lineno, f"unknown item id {it}")
-            order = sorted(range(len(ts)), key=lambda j: int(ts[j]))
-            logs.append(InteractionLog(
-                user=str(obj["user"]),
-                items=[id_map[int(raw_items[j])] for j in order],
-                timestamps=[int(ts[j]) for j in order],
-            ))
+    for lineno, obj in _objects(interactions_path):
+        for key in ("user", "items", "timestamps"):
+            if key not in obj:
+                _fail(interactions_path, lineno, f"interaction object missing '{key}'")
+        raw_items, ts = obj["items"], obj["timestamps"]
+        if not (isinstance(raw_items, list) and isinstance(ts, list)):
+            _fail(interactions_path, lineno, "'items' and 'timestamps' must be lists")
+        if len(raw_items) != len(ts):
+            _fail(interactions_path, lineno, f"items/timestamps length mismatch ({len(raw_items)} vs {len(ts)})")
+        ids = [_integer(interactions_path, lineno, "item id", it) for it in raw_items]
+        times = [_integer(interactions_path, lineno, "timestamp", t) for t in ts]
+        for it in ids:
+            if it not in id_map:
+                _fail(interactions_path, lineno, f"unknown item id {it}")
+        order = sorted(range(len(times)), key=times.__getitem__)
+        logs.append(InteractionLog(user=str(obj["user"]), items=[id_map[ids[j]] for j in order],
+                                   timestamps=[times[j] for j in order]))
     return items, logs
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrec.datasets import (
     InteractionLog,
@@ -74,6 +76,97 @@ def test_ingest_malformed_line_reports_lineno(tmp_path):
     write_jsonl(inter, [])
     with pytest.raises(ValueError, match=r"items\.jsonl:2.*malformed"):
         ingest(items, inter)
+
+
+@pytest.mark.parametrize("item_lines, interaction, message", [
+    (['{"id": 1}', '{"id": 1.5}'], None, r"items\.jsonl:2: item id must be an integer, got 1\.5"),
+    (['{"id": true}'], None, r"items\.jsonl:1: item id must be an integer, got true"),
+    (['{"id": "x"}'], None, r"items\.jsonl:1: item id must be an integer, got \"x\""),
+    (['5'], None, r"items\.jsonl:1: expected a JSON object, got 5"),
+    (['{"id": 1}', '{"id": 2}'], '{"user": "u", "items": [1, 2.9], "timestamps": [0, 1]}',
+     r"interactions\.jsonl:1: item id must be an integer, got 2\.9"),
+    (['{"id": 1}'], '{"user": "u", "items": [1], "timestamps": [1.5]}',
+     r"interactions\.jsonl:1: timestamp must be an integer, got 1\.5"),
+    (['{"id": 1}'], '{"user": "u", "items": [1], "timestamps": ["t"]}',
+     r"interactions\.jsonl:1: timestamp must be an integer, got \"t\""),
+    (['{"id": 1}'], '5', r"interactions\.jsonl:1: expected a JSON object, got 5"),
+    (['{"id": 1}'], '{"user": "u", "items": "1", "timestamps": "0"}',
+     r"interactions\.jsonl:1: 'items' and 'timestamps' must be lists"),
+])
+def test_ingest_refuses_non_integer_ids_and_non_object_lines(tmp_path, item_lines,
+                                                             interaction, message):
+    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    items.write_text("\n".join(item_lines) + "\n", encoding="utf-8")
+    inter.write_text(f"{interaction}\n" if interaction else "", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        ingest(items, inter)
+
+
+def test_ingest_keeps_integer_strings(tmp_path):
+    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    write_jsonl(items, [{"id": "7"}, {"id": -2}])
+    write_jsonl(inter, [{"user": 3, "items": ["-2", 7], "timestamps": [5, "-1"]}])
+    _, [log] = ingest(items, inter)
+    assert (log.user, log.items, log.timestamps) == ("3", [0, 1], [-1, 5])
+
+
+def _is_integer(value) -> bool:
+    """The rule ingest reads ids and timestamps by: an int or decimal digits."""
+    if isinstance(value, str):
+        body = value[1:] if value[:1] in ("+", "-") else value
+        return body != "" and all(c in "0123456789" for c in body)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+ID_VALUES = st.one_of(st.integers(-3, 9), st.integers(-3, 9).map(str),
+                      st.floats(allow_nan=False), st.booleans(), st.none(),
+                      st.text("0123456789+-. x", max_size=3), st.lists(st.integers(0, 3), max_size=2))
+LINES = st.one_of(ID_VALUES.map(lambda v: {"id": v}), ID_VALUES)  # an object or a bare value
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(LINES, min_size=1, max_size=4))
+def test_items_load_exactly_when_every_line_is_an_object_with_a_new_integer_id(tmp_path, lines):
+    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    write_jsonl(items, lines)
+    inter.write_text("", encoding="utf-8")
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not isinstance(line, dict) or not _is_integer(line["id"]):
+            expected = "expected a JSON object" if not isinstance(line, dict) else "must be an integer"
+            break
+        if int(line["id"]) in seen:
+            expected = "duplicate item id"
+            break
+        seen.add(int(line["id"]))
+    else:
+        loaded, _ = ingest(items, inter)
+        assert [it.id for it in loaded] == list(range(len(lines)))
+        return
+    with pytest.raises(ValueError, match=rf"items\.jsonl:{lineno}: .*{expected}"):
+        ingest(items, inter)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(ID_VALUES, ID_VALUES), max_size=4))
+def test_interactions_load_exactly_when_ids_and_timestamps_are_integers(tmp_path, pairs):
+    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    write_jsonl(items, [{"id": i} for i in range(-3, 10)])  # dense id = id + 3
+    ids, times = [p[0] for p in pairs], [p[1] for p in pairs]
+    write_jsonl(inter, [{"user": "u", "items": ids, "timestamps": times}])
+    if not all(_is_integer(v) for v in ids + times):
+        with pytest.raises(ValueError, match=r"interactions\.jsonl:1: .* must be an integer"):
+            ingest(items, inter)
+    elif not all(-3 <= int(v) < 10 for v in ids):
+        with pytest.raises(ValueError, match=r"interactions\.jsonl:1: unknown item id"):
+            ingest(items, inter)
+    else:
+        _, [log] = ingest(items, inter)
+        order = sorted(range(len(pairs)), key=lambda j: int(times[j]))
+        assert log.items == [int(ids[j]) + 3 for j in order]
+        assert log.timestamps == sorted(int(t) for t in times)
 
 
 def test_synthetic_stickiness_one_stays_in_one_group():
