@@ -141,21 +141,24 @@ class RunConfig:
         return replace(self, model={**self.model, "m": int(m)})
 
 
-def _require_keys(section: str, obj: dict, allowed: tuple[str, ...]) -> None:
+def _section(name: str, obj, allowed: tuple[str, ...]) -> dict:
+    """A copy of the section ``obj``, refused unless a JSON object of allowed keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {json.dumps(obj)[:40]}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {', '.join(unknown)}; "
+        raise ConfigError(f"{name}: unknown key(s) {', '.join(unknown)}; "
                           f"allowed: {', '.join(allowed)}")
+    return dict(obj)
 
 
 def _parse_dimensions(raw) -> list[tuple[str, int | None]]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"dimensions: expected a list of objects, got {json.dumps(raw)[:40]}")
     dims: list[tuple[str, int | None]] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"dimensions[{i}]: expected an object with 'name'")
-        _require_keys(f"dimensions[{i}]", entry, ("name", "d_i"))
-        name = entry.get("name")
+        name = _section(f"dimensions[{i}]", entry, ("name", "d_i")).get("name")
         if name not in DIMENSION_NAMES:
             raise ConfigError(f"dimensions[{i}]: unknown dimension {name!r}; "
                               f"allowed: {', '.join(DIMENSION_NAMES)}")
@@ -174,32 +177,27 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON ({e.msg} at line {e.lineno})")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _require_keys(str(path), raw, ("seed", "out", "data", "model", "hyper",
-                                   "dimensions", "stage0_epochs", "stage1_epochs",
-                                   "eval_ks"))
+    raw = _section(str(path), raw, ("seed", "out", "data", "model", "hyper", "dimensions",
+                                    "stage0_epochs", "stage1_epochs", "eval_ks"))
 
     seed = raw.get("seed", 0)
     with _refused(f"{path}: "):  # the sub-configs' default seed, so checked first
         check_seed(seed)
 
-    data = raw.get("data")
-    if not isinstance(data, dict):
+    if "data" not in raw:
         raise ConfigError(f"{path}: 'data' section is required")
+    data = _section("data", raw["data"], ("synth", "items", "interactions"))
     synth = None
     items_path = interactions_path = None
     if "synth" in data:
-        _require_keys("data", data, ("synth",))
-        _require_keys("data.synth", data["synth"], _SYNTH_KEYS)
-        synth_kwargs = dict(data["synth"])
+        _section("data", data, ("synth",))
+        synth_kwargs = _section("data.synth", data["synth"], _SYNTH_KEYS)
         synth_kwargs.setdefault("seed", seed)
-        if "seq_len_range" in synth_kwargs:
-            synth_kwargs["seq_len_range"] = tuple(synth_kwargs["seq_len_range"])
         with _refused("data.synth: "):
+            if "seq_len_range" in synth_kwargs:
+                synth_kwargs["seq_len_range"] = tuple(synth_kwargs["seq_len_range"])
             synth = SynthConfig(**synth_kwargs)
     else:
-        _require_keys("data", data, ("items", "interactions"))
         if "items" not in data or "interactions" not in data:
             raise ConfigError("data: provide either 'synth' or both "
                               "'items' and 'interactions' paths")
@@ -207,10 +205,8 @@ def load_config(path: str | Path) -> RunConfig:
         items_path = path.parent / Path(data["items"])
         interactions_path = path.parent / Path(data["interactions"])
 
-    model = dict(raw.get("model", {}))
-    _require_keys("model", model, _MODEL_KEYS)
-    hyper_kwargs = dict(raw.get("hyper", {}))
-    _require_keys("hyper", hyper_kwargs, _HYPER_KEYS)
+    model = _section("model", raw.get("model", {}), _MODEL_KEYS)
+    hyper_kwargs = _section("hyper", raw.get("hyper", {}), _HYPER_KEYS)
     hyper_kwargs.setdefault("seed", seed)
     with _refused("hyper: "):
         hyper = TrainHyper(**hyper_kwargs)

@@ -87,6 +87,25 @@ def test_data_section_required(tmp_path):
         load_config(write(tmp_path, obj))
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("model", [["d_m", 8]], r'model: expected a JSON object, got \[\["d_m", 8\]\]'),
+    ("model", None, "model: expected a JSON object, got null"),
+    ("hyper", "ab", 'hyper: expected a JSON object, got "ab"'),
+    ("data", 5, "data: expected a JSON object, got 5"),
+    ("data.synth", [], r"data.synth: expected a JSON object, got \[\]"),
+    ("dimensions", {"name": "title"}, "dimensions: expected a list of objects"),
+    ("dimensions", [{"name": "title"}, "cf"], 'dimensions\\[1\\]: expected a JSON object, got "cf"'),
+])
+def test_section_that_is_not_an_object_refused(tmp_path, where, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, with_value(where, value)))
+
+
+def test_top_level_that_is_not_an_object_refused(tmp_path):
+    with pytest.raises(ConfigError, match=r"run.json: expected a JSON object, got \[\]"):
+        load_config(write(tmp_path, []))
+
+
 def test_data_paths_resolve_against_config_dir(tmp_path):
     obj = json.loads(json.dumps(MINI))
     obj["data"] = {"items": "corpus/items.jsonl",
@@ -214,6 +233,7 @@ def test_eval_ks_must_be_distinct_positive_integers(tmp_path, eval_ks):
     ("hyper.lr", -0.001, "hyper: lr must be non-negative"),
     ("hyper.epochs", 1.5, "hyper: epochs must be non-negative and an integer"),
     ("data.synth.n_users", -3, "data.synth: n_users must be at least 1"),
+    ("data.synth.seq_len_range", 5, "data.synth: 'int' object is not iterable"),
 ])
 def test_values_that_fail_later_are_refused_at_load(tmp_path, where, value, message):
     with pytest.raises(ConfigError, match=message):
