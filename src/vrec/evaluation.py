@@ -74,6 +74,8 @@ def evaluate(backbone: Backbone, bank: VerifierBank | None, samples: list[Sample
     at a time; deterministic apart from wall time."""
     if len(set(ks)) != len(ks):  # each hit would count once per copy
         raise ValueError(f"evaluate: duplicate ks in {ks}")
+    if not samples:  # a mean over no samples would read as a model that never hits
+        raise ValueError("evaluate: no samples to rank")
     m = backbone.cfg.m if m is None else m
     t0 = time.monotonic()
     recalls = {k: 0.0 for k in ks}
@@ -85,7 +87,7 @@ def evaluate(backbone: Backbone, bank: VerifierBank | None, samples: list[Sample
             for k in ks:
                 recalls[k] += recall_at_k(ranked, s.target, k)
                 ndcgs[k] += ndcg_at_k(ranked, s.target, k)
-    n = max(len(samples), 1)
+    n = len(samples)
     fp = config_fingerprint({"m": m, "n_items": backbone.cfg.n_items,
                              "bank": bank.n if bank else 0, "ks": list(ks)})
     return MetricsReport(recall={k: v / n for k, v in recalls.items()},

@@ -209,6 +209,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     if cfg.out:
         cfg.out.mkdir(parents=True, exist_ok=True)
     items, split = load_corpus(cfg, out_dir=cfg.out)
+    if not split.test:  # 8:1:1 holds out a test point from 11 interactions on
+        raise ValueError("the test split is empty: no log has 11 interactions, so every "
+                         "stage would train and evaluate would rank nothing")
     labelings = build_labelings(cfg, items, split, out_dir=cfg.out)
     backbone = Backbone(cfg.model_config(len(items)))
     run_stage0(backbone, split, cfg)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vrec.pipeline
 from vrec import evaluation as evaluation_module
 from vrec.backbone import Backbone, ModelConfig
 from vrec.config import RunConfig
@@ -99,10 +100,10 @@ def test_evaluate_deterministic():
 
 
 def test_evaluate_empty_samples():
+    # a report of 0.0 over no samples reads as a model that never hits
     bb = Backbone(MICRO_MODEL)
-    report = evaluate(bb, None, [], m=0)
-    assert report.n_samples == 0
-    assert report.recall[5] == 0.0
+    with pytest.raises(ValueError, match="evaluate: no samples to rank"):
+        evaluate(bb, None, [], m=0)
 
 
 def test_fingerprint_order_independent():
@@ -142,6 +143,15 @@ def test_run_pipeline_writes_artifacts(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["variant"] == "final"
     assert float(rows[0]["recall@5"]) == result.report.recall[5]
+
+
+def test_run_pipeline_refuses_empty_test_split_before_stage0(tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
+    short = replace(MICRO_RUN, synth=replace(MICRO_SYNTH, seq_len_range=(3, 10)))
+    with pytest.raises(ValueError, match="the test split is empty: no log has 11 interactions"):
+        run_pipeline(short)
+    assert not trained
 
 
 def test_run_pipeline_without_bank(tmp_path):
