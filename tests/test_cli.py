@@ -284,6 +284,25 @@ def test_cli_stages_match_run_pipeline(pipeline, tmp_path):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
+STUDIES = (["ablate", "--variants", "full,no-router"], ["sweep", "--param", "beta", "--values", "0,0.5"],
+           ["step-scan", "--steps", "0,1"])
+
+
+def test_studies_on_ingested_corpus_match_synthetic(pipeline, tmp_path):
+    """gen-data's files, ingested, give every study the synthetic corpus's rows."""
+    _, out = pipeline
+    ingested = dict(CONFIG, out="ingested", data={"items": str(out / "items.jsonl"),
+                                                  "interactions": str(out / "interactions.jsonl")})
+    for obj in (dict(CONFIG, out="synth"), ingested):
+        cfg = tmp_path / f"{obj['out']}.json"
+        cfg.write_text(json.dumps(obj), encoding="utf-8")
+        for command, *flags in STUDIES:
+            assert main([command, "--config", str(cfg), *flags]) == 0, command
+    for name in ("ablation.csv", "sweep_beta.csv", "steps.csv"):
+        assert (tmp_path / "ingested" / name).read_bytes() == \
+            (tmp_path / "synth" / name).read_bytes(), name
+
+
 def test_gen_data_roundtrips_through_ingest(pipeline):
     _, out = pipeline
     items, logs = ingest(out / "items.jsonl", out / "interactions.jsonl")
