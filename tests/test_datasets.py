@@ -102,14 +102,6 @@ def test_ingest_refuses_non_integer_ids_and_non_object_lines(tmp_path, item_line
         ingest(items, inter)
 
 
-def test_ingest_keeps_integer_strings(tmp_path):
-    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
-    write_jsonl(items, [{"id": "7"}, {"id": -2}])
-    write_jsonl(inter, [{"user": 3, "items": ["-2", 7], "timestamps": [5, "-1"]}])
-    _, [log] = ingest(items, inter)
-    assert (log.user, log.items, log.timestamps) == ("3", [0, 1], [-1, 5])
-
-
 def _is_integer(value) -> bool:
     """The rule ingest reads ids and timestamps by: an int or decimal digits."""
     if isinstance(value, str):
@@ -124,7 +116,7 @@ ID_VALUES = st.one_of(st.integers(-3, 9), st.integers(-3, 9).map(str),
 LINES = st.one_of(ID_VALUES.map(lambda v: {"id": v}), ID_VALUES)  # an object or a bare value
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(LINES, min_size=1, max_size=4))
 def test_items_load_exactly_when_every_line_is_an_object_with_a_new_integer_id(tmp_path, lines):
@@ -148,7 +140,7 @@ def test_items_load_exactly_when_every_line_is_an_object_with_a_new_integer_id(t
         ingest(items, inter)
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pairs=st.lists(st.tuples(ID_VALUES, ID_VALUES), max_size=4))
 def test_interactions_load_exactly_when_ids_and_timestamps_are_integers(tmp_path, pairs):
