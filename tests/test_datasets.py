@@ -116,7 +116,7 @@ ID_VALUES = st.one_of(st.integers(-3, 9), st.integers(-3, 9).map(str),
 LINES = st.one_of(ID_VALUES.map(lambda v: {"id": v}), ID_VALUES)  # an object or a bare value
 
 
-@settings(max_examples=100, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(LINES, min_size=1, max_size=4))
 def test_items_load_exactly_when_every_line_is_an_object_with_a_new_integer_id(tmp_path, lines):
@@ -140,7 +140,7 @@ def test_items_load_exactly_when_every_line_is_an_object_with_a_new_integer_id(t
         ingest(items, inter)
 
 
-@settings(max_examples=100, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pairs=st.lists(st.tuples(ID_VALUES, ID_VALUES), max_size=4))
 def test_interactions_load_exactly_when_ids_and_timestamps_are_integers(tmp_path, pairs):
