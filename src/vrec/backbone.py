@@ -156,7 +156,7 @@ class Backbone:
         joined = attention(q, k, v, self.cfg.heads, mask, batch=len(cache.lengths))
         return add_rowvec(matmul(joined, p[pre + "wo"]), p[pre + "bo"])
 
-    def encode(self, history, injected: list[tuple] | None = None,
+    def encode(self, history, injected: list[Tensor] | None = None,
                cache: KVCache | None = None) -> Tensor:
         """Hidden states for history tokens plus injected latent vectors.
 
@@ -164,8 +164,8 @@ class Backbone:
         n_items - 1), padded on the right to the longest; one history is the
         batch of one. Injected latents occupy the positions immediately
         after each history, in order; each replaces the token lookup at its
-        position (positional embedding still added). An injected entry is
-        (positions (B,), rows (B, d_m)), one new position per sequence.
+        position (positional embedding still added). An injected entry is a
+        (B, d_m) Tensor: row b is the next position of sequence b.
         Returns the last layer's states of the n new columns as (n*B, d_m)
         position-major rows.
 
@@ -194,11 +194,7 @@ class Backbone:
         n = width + k
         if n == 0:
             raise ValueError("encode requires at least one new position")
-        for offset, (pos, rows) in enumerate(injected):
-            expected = [e - k + offset for e in ends]
-            if list(pos) != expected:
-                raise ValueError(f"injected latents at positions {', '.join(map(str, pos))}, "
-                                 f"expected {', '.join(map(str, expected))}")
+        for rows in injected:
             if rows.data.shape != (B, d):
                 raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)}")
 
@@ -221,7 +217,7 @@ class Backbone:
                 grid[~new_pad] = ids
                 ids = grid
             parts.append(embedding_lookup(p["tok_emb"], ids.ravel("F")))
-        parts.extend(rows for _, rows in injected)
+        parts.extend(injected)
         x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
         if ragged:  # a sequence's tokens, then its latents, from its own length on
             columns = np.arange(n)[:, None]

@@ -202,27 +202,26 @@ def ingest(items_path: str | Path, interactions_path: str | Path) -> tuple[list[
     return items, logs
 
 
-def chronological_split(logs: list[InteractionLog], max_history: int = MAX_HISTORY,
-                        min_length: int = MIN_LOG_LENGTH) -> Split:
+def chronological_split(logs: list[InteractionLog]) -> Split:
     """Per-user 8:1:1 split over next-item prediction points.
 
     A log of length L yields n = L-1 prediction points in chronological
     order; the last floor(0.1*n) go to test, the floor(0.1*n) before those
     to valid, and the remainder (earliest) to train. Histories keep the
-    most recent ``max_history`` items. Logs shorter than ``min_length``
+    most recent ``MAX_HISTORY`` items. Logs shorter than ``MIN_LOG_LENGTH``
     are skipped and counted.
     """
     split = Split(train=[], valid=[], test=[])
     user_idx = 0
     for log in logs:
-        if len(log.items) < min_length:
+        if len(log.items) < MIN_LOG_LENGTH:
             split.skipped_users += 1
             continue
         n = len(log.items) - 1
         n_hold = n // 10
         points = [
             Sample(user=user_idx,
-                   history=log.items[max(0, t - max_history):t],
+                   history=log.items[max(0, t - MAX_HISTORY):t],
                    target=log.items[t])
             for t in range(1, len(log.items))
         ]

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_COUNT = 20
+# fixed settings of the title and cf labelings, which no run tunes: the title
+# trigram hash width, the CF embedding width, learning rate and epochs, and
+# k-means' Lloyd-iteration cap and restart count
+TITLE_DIM = 64
+CF_DIM, CF_LR, CF_EPOCHS = 16, 0.05, 10
+KMEANS_MAX_ITERS, KMEANS_RESTARTS = 100, 4
 
 
 @dataclass
@@ -70,8 +76,8 @@ def class_table(labelings: list[GroupLabeling], n_items: int) -> np.ndarray:
 
 @dataclass
 class CfModel:
-    item_emb: np.ndarray  # |I| x d_cf
-    user_emb: np.ndarray  # |U| x d_cf
+    item_emb: np.ndarray  # |I| x CF_DIM
+    user_emb: np.ndarray  # |U| x CF_DIM
 
 
 def label_by_category(items) -> GroupLabeling:
@@ -85,26 +91,26 @@ def label_by_category(items) -> GroupLabeling:
     return GroupLabeling(dimension="category", d_i=len(classes), labels=labels)
 
 
-def embed_titles(items, dim: int = 64) -> np.ndarray:
+def embed_titles(items) -> np.ndarray:
     """Hashed character-trigram counts per title, L2-normalized.
 
     Empty or missing titles produce zero rows.
     """
-    out = np.zeros((len(items), dim), dtype=np.float64)
+    out = np.zeros((len(items), TITLE_DIM), dtype=np.float64)
     for i, item in enumerate(items):
         title = item.title or ""
         text = title.lower()
         for j in range(len(text) - 2):
             tri = text[j:j + 3]
-            out[i, zlib.crc32(tri.encode("utf-8")) % dim] += 1.0
+            out[i, zlib.crc32(tri.encode("utf-8")) % TITLE_DIM] += 1.0
         norm = np.linalg.norm(out[i])
         if norm > 0:
             out[i] /= norm
     return out
 
 
-def train_cf(samples, n_items: int, n_users: int, d_cf: int = 16,
-             epochs: int = 10, lr: float = 0.05, seed: int = 0) -> CfModel:
+def train_cf(samples, n_items: int, n_users: int, epochs: int = CF_EPOCHS,
+             seed: int = 0) -> CfModel:
     """Matrix factorization with a pairwise ranking loss.
 
     For each training sample the observed target is scored against one
@@ -112,8 +118,8 @@ def train_cf(samples, n_items: int, n_users: int, d_cf: int = 16,
     user and item embeddings descend the gradient.
     """
     rng = Rng(seed, 1)
-    user_emb = rng.normal((n_users, d_cf), std=0.1)
-    item_emb = rng.normal((n_items, d_cf), std=0.1)
+    user_emb = rng.normal((n_users, CF_DIM), std=0.1)
+    item_emb = rng.normal((n_items, CF_DIM), std=0.1)
     for _ in range(epochs):
         for s in samples:
             u = user_emb[s.user]
@@ -128,9 +134,9 @@ def train_cf(samples, n_items: int, n_users: int, d_cf: int = 16,
             grad_u = g * (pos - neg)
             grad_pos = g * u
             grad_neg = -g * u
-            user_emb[s.user] -= lr * grad_u
-            item_emb[s.target] -= lr * grad_pos
-            item_emb[neg_id] -= lr * grad_neg
+            user_emb[s.user] -= CF_LR * grad_u
+            item_emb[s.target] -= CF_LR * grad_pos
+            item_emb[neg_id] -= CF_LR * grad_neg
     return CfModel(item_emb=item_emb, user_emb=user_emb)
 
 
@@ -144,7 +150,7 @@ def kmeans_objective(points: np.ndarray, assign: np.ndarray, centers: np.ndarray
     return float(((points - centers[assign]) ** 2).sum())
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: Rng, max_iters: int,
+def _kmeans_once(points: np.ndarray, k: int, rng: Rng,
                  trace: list | None) -> tuple[np.ndarray, np.ndarray]:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
@@ -160,7 +166,7 @@ def _kmeans_once(points: np.ndarray, k: int, rng: Rng, max_iters: int,
     assign = _nearest_center(points, centers)
     if trace is not None:
         trace.append(kmeans_objective(points, assign, centers))
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         for j in range(k):
             members = points[assign == j]
             if len(members) == 0:
@@ -177,11 +183,11 @@ def _kmeans_once(points: np.ndarray, k: int, rng: Rng, max_iters: int,
     return assign, centers
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100,
-           n_init: int = 4, objective_trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ initialization plus Lloyd iterations, best of ``n_init`` restarts.
+def kmeans(points: np.ndarray, k: int, seed: int = 0,
+           objective_trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Best of ``KMEANS_RESTARTS`` seeded k-means++ restarts with Lloyd iterations.
 
-    Each restart runs until assignments stabilize or ``max_iters``; the run
+    Each restart runs until assignments stabilize or ``KMEANS_MAX_ITERS``; the run
     with the lowest final objective wins (ties to the earliest restart). An
     empty cluster is re-seeded to the point farthest from its assigned
     center. Nearest-center ties resolve to the lowest center index. Pass a
@@ -193,9 +199,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100,
         raise ValueError(f"kmeans: k={k} exceeds point count {n}")
     best: tuple[np.ndarray, np.ndarray] | None = None
     best_obj = np.inf
-    for r in range(n_init):
+    for r in range(KMEANS_RESTARTS):
         trace: list | None = [] if objective_trace is not None else None
-        assign, centers = _kmeans_once(points, k, Rng(seed, 3 + r), max_iters, trace)
+        assign, centers = _kmeans_once(points, k, Rng(seed, 3 + r), trace)
         if objective_trace is not None:
             objective_trace.append(trace)
         obj = kmeans_objective(points, assign, centers)
@@ -206,8 +212,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100,
 
 
 def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
-                   d_i: int | None = None, seed: int = 0,
-                   cf_epochs: int = 10) -> GroupLabeling:
+                   d_i: int | None = None, seed: int = 0) -> GroupLabeling:
     """Compose a labeling for one dimension: category, title, or cf.
 
     A labeling with fewer than 2 classes is refused: its verifier's entropy
@@ -222,9 +227,7 @@ def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
         elif dimension == "cf":
             if samples is None:
                 raise ValueError("cf labeling requires train samples")
-            model = train_cf(samples, n_items=len(items), n_users=n_users,
-                             epochs=cf_epochs, seed=seed)
-            emb = model.item_emb
+            emb = train_cf(samples, n_items=len(items), n_users=n_users, seed=seed).item_emb
         else:
             raise ValueError(f"unknown labeling dimension {dimension!r}")
         assign, _ = kmeans(emb, k, seed=seed)

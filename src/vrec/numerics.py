@@ -3,7 +3,9 @@
 Everything downstream (backbone, verifiers, training) is built from the
 operator set in this module. Arrays are row-major float64 throughout;
 there is no broadcasting except scalar-with-tensor, so shape mismatches
-fail loudly instead of silently expanding.
+fail loudly instead of silently expanding. ``Tensor.sum`` and
+``Tensor.mean`` reduce the whole tensor to a scalar; ``log_softmax`` and
+``layer_norm`` work over the last axis.
 
 Four rules keep the core small:
 
@@ -150,11 +152,11 @@ class Tensor:
             return (gx,)
         return _node(self.data[key].copy(), (self,), "getitem", vjp)
 
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return _reduce(self, axis, mean=False)
+    def sum(self) -> "Tensor":
+        return _reduce(self, mean=False)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return _reduce(self, axis, mean=True)
+    def mean(self) -> "Tensor":
+        return _reduce(self, mean=True)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every tracked leaf's ``.grad``.
@@ -358,25 +360,19 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), parts, "concat", vjp)
 
 
-def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:
-    """Sum or mean over ``axis``, or over every element in index order.
+def _reduce(x: Tensor, mean: bool) -> Tensor:
+    """Sum or mean over every element, in index order.
 
     Terms are added first to last and a mean multiplies by 1/count, so the
     result has the bits of adding scalar terms one by one and scaling.
     """
     shape = x.data.shape
-    xd = x.data.reshape(-1) if axis is None else x.data
-    ax = 0 if axis is None else axis
-    scale = 1.0 / xd.shape[ax] if mean else 1.0
-    data = np.take(np.add.accumulate(xd, axis=ax), -1, axis=ax)
+    scale = 1.0 / x.data.size if mean else 1.0
+    data = np.add.accumulate(x.data.reshape(-1))[-1]
     if mean:
         data = data * scale
-
-    def vjp(g):
-        if axis is None:
-            return (np.full(shape, float(g) * scale),)
-        return (np.broadcast_to(np.expand_dims(g, axis) * scale, shape).copy(),)
-    return _node(np.asarray(data), (x,), "mean" if mean else "sum", vjp)
+    return _node(np.asarray(data), (x,), "mean" if mean else "sum",
+                 lambda g: (np.full(shape, float(g) * scale),))
 
 
 def log(x: Tensor) -> Tensor:
@@ -416,16 +412,17 @@ def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
     xd = x.data
-    m = xd.max(axis=axis, keepdims=True)
+    m = xd.max(axis=-1, keepdims=True)
     shifted = xd - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     ld = shifted - lse
 
     def vjp(g):
         s = np.exp(ld)
-        return (g - s * g.sum(axis=axis, keepdims=True),)
+        return (g - s * g.sum(axis=-1, keepdims=True),)
     return _node(ld, (x,), "log_softmax", vjp)
 
 
@@ -479,7 +476,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return _node((att @ vh).transpose(1, 0, 2).reshape(rows, d), (q, k, v), "attention", vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     xd = x.data
     d = xd.shape[-1]
@@ -487,7 +487,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
     # np.mean and np.var's arithmetic, without their per-call overhead
     centered = xd - xd.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
     xhat = centered * inv
     gd = gain.data
 

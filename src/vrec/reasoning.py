@@ -66,7 +66,7 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
         verdict = None if bank is None else verify_and_adjust(bank, last)
         r_adj = last if verdict is None else verdict.r_star
         steps.append((last, r_adj, verdict))
-        last = backbone.encode([], [(cache.lengths, r_adj)], cache=cache)
+        last = backbone.encode([], [r_adj], cache=cache)
     return ReasoningTrace(steps=steps, m=m), last
 
 

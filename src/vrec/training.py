@@ -74,17 +74,18 @@ class VerifierData:
         return self.labels[:, 0] >= 0
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam over whole models: anything with a ``values`` and a ``grads``
     vector, as ``Backbone`` and ``VerifierBank`` have. A parameter outside
     the graph has a zero gradient, so its moments and its step stay zero.
     lr=0 leaves parameters bit-identical."""
 
-    def __init__(self, models: Sequence, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, models: Sequence, lr: float = 1e-3):
         self.models = list(models)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.moments = [(np.zeros_like(mdl.values), np.zeros_like(mdl.values))
                         for mdl in self.models]
@@ -95,7 +96,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for mdl, (m, v) in zip(self.models, self.moments):
             g = mdl.grads
             m *= b1
@@ -106,7 +107,7 @@ class Adam:
             step *= self.lr
             den = v / (1 - b2**self.t)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPS
             step /= den
             mdl.values -= step
 

@@ -67,7 +67,7 @@ def test_injected_latents_replace_lookup():
     bb = Backbone(small_cfg())
     plain = bb.encode([0, 3, 5])
     lat = Tensor(np.full((1, 16), 0.1))
-    with_lat = bb.encode([0, 3, 5], [([3], lat)])
+    with_lat = bb.encode([0, 3, 5], [lat])
     assert with_lat.shape == (4, 16)
     assert np.array_equal(with_lat.data[:3], plain.data[:3])
 
@@ -75,7 +75,7 @@ def test_injected_latents_replace_lookup():
 def test_cached_encode_in_chunks_matches_one_pass():
     bb = Backbone(small_cfg())
     hist = [1, 4, 2, 8, 6, 0]
-    latents = [([6], Tensor(Rng(1).normal((1, 16)))), ([7], Tensor(Rng(2).normal((1, 16))))]
+    latents = [Tensor(Rng(1).normal((1, 16))), Tensor(Rng(2).normal((1, 16)))]
     full = bb.encode(hist, latents)
     for cut in range(1, len(hist) + 1):
         cache = KVCache()
@@ -93,12 +93,10 @@ def test_cached_encode_errors():
     bb.encode([0, 1], cache=cache)
     with pytest.raises(ValueError, match="at least one new position"):
         bb.encode([], cache=cache)
-    with pytest.raises(ValueError, match="expected 2"):
-        bb.encode([], [([0], Tensor(np.zeros((1, 16))))], cache=cache)
     with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
         bb.encode([3, 4, 5], cache=cache)
     assert len(cache) == 2  # a refused call leaves the cache as it was
-    assert bb.encode([3], [([3], Tensor(np.zeros((1, 16))))], cache=cache).shape == (2, 16)
+    assert bb.encode([3], [Tensor(np.zeros((1, 16)))], cache=cache).shape == (2, 16)
     assert len(cache) == 4
 
 
@@ -108,10 +106,8 @@ def test_encode_errors():
         bb.encode([0, 1, 2, 3, 4])
     with pytest.raises(ValueError, match="non-empty"):
         bb.encode([])
-    with pytest.raises(ValueError, match="position"):
-        bb.encode([0, 1], [([5], Tensor(np.zeros((1, 16))))])
     with pytest.raises(ValueError, match="shape"):
-        bb.encode([0, 1], [([2], Tensor(np.zeros((1, 7))))])
+        bb.encode([0, 1], [Tensor(np.zeros((1, 7)))])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["negative", "non_item_token", "beyond"])

@@ -190,11 +190,6 @@ def test_sum_and_mean_add_in_index_order():
     x = Tensor(values)
     assert x.sum().item() == total
     assert x.mean().item() == total * (1.0 / values.size)
-    rows = [0.0, 0.0, 0.0]
-    for i in range(3):
-        for v in values[i]:
-            rows[i] += v
-    assert x.sum(axis=1).data.tolist() == rows
 
 
 def test_half_norm_squared_gradient_is_x():
@@ -231,7 +226,7 @@ def test_softmax_cross_entropy_analytic_identity():
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "add_rowvec", "embedding", "layer_norm", "gelu", "relu",
-    "softmax", "log_softmax", "log", "exp", "mean_axis", "concat",
+    "softmax", "log_softmax", "log", "exp", "concat",
     "row_slices", "entropy", "confidence", "transpose", "add_rows",
 ])
 def test_op_gradients_match_finite_differences(op_name):
@@ -278,9 +273,6 @@ def test_op_gradients_match_finite_differences(op_name):
     elif op_name == "exp":
         w = Tensor(rng.normal((6,)), requires_grad=True)
         f = lambda: (exp(w) * exp(w)).mean()
-    elif op_name == "mean_axis":
-        w = Tensor(rng.normal((4, 5)), requires_grad=True)
-        f = lambda: (w.mean(axis=0) * w.mean(axis=0)).sum() + w.sum(axis=1).mean()
     elif op_name == "concat":
         w = Tensor(rng.normal((3,)), requires_grad=True)
         t = Tensor(rng.normal((4,)))

@@ -122,7 +122,7 @@ def reencode_reasoning(bb, bank, history, m):
         verdict = verify_and_adjust(bank, r_t) if bank is not None else None
         r_adj = r_t if verdict is None else verdict.r_star
         steps.append((r_t, r_adj, verdict))
-        latents.append(([L + t], r_adj))
+        latents.append(r_adj)
     return steps, bb.encode(history, latents)[-1:]
 
 
