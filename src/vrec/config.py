@@ -152,6 +152,13 @@ def _section(name: str, obj, allowed: tuple[str, ...]) -> dict:
     return dict(obj)
 
 
+def _path(base: Path, key: str, value) -> Path:
+    """The path string ``value`` under ``base``; refused unless a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path string, got {json.dumps(value)[:40]}")
+    return base / value
+
+
 def _parse_dimensions(raw) -> list[tuple[str, int | None]]:
     if not isinstance(raw, list):
         raise ConfigError(f"dimensions: expected a list of objects, got {json.dumps(raw)[:40]}")
@@ -202,8 +209,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError("data: provide either 'synth' or both "
                               "'items' and 'interactions' paths")
         # relative paths resolve against the config file, not the process cwd
-        items_path = path.parent / Path(data["items"])
-        interactions_path = path.parent / Path(data["interactions"])
+        items_path = _path(path.parent, "data.items", data["items"])
+        interactions_path = _path(path.parent, "data.interactions", data["interactions"])
 
     model = _section("model", raw.get("model", {}), _MODEL_KEYS)
     hyper_kwargs = _section("hyper", raw.get("hyper", {}), _HYPER_KEYS)
@@ -214,9 +221,10 @@ def load_config(path: str | Path) -> RunConfig:
     dims = _parse_dimensions(raw.get("dimensions", []))
 
     eval_ks = raw.get("eval_ks", [5, 10])
+    out = raw.get("out")
     cfg = RunConfig(
         seed=seed,
-        out=path.parent / Path(raw["out"]) if raw.get("out") else None,
+        out=None if out is None or out == "" else _path(path.parent, "out", out),
         synth=synth,
         items_path=items_path,
         interactions_path=interactions_path,

@@ -84,6 +84,11 @@ class SynthConfig:
             raise ValueError(f"n_groups ({self.n_groups}) exceeds n_items ({self.n_items})")
         if not 0.0 <= self.stickiness <= 1.0:
             raise ValueError(f"stickiness must lie in [0,1], got {self.stickiness}")
+        if not (isinstance(self.seq_len_range, (tuple, list)) and len(self.seq_len_range) == 2):
+            raise ValueError(f"seq_len_range must be two integers, got {self.seq_len_range!r}")
+        low, high = self.seq_len_range
+        check_int("seq_len_range low", low, least=1)
+        check_int("seq_len_range high", high, least=low)
 
 
 def group_word(g: int) -> str:

@@ -217,19 +217,23 @@ def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
 
     A labeling with fewer than 2 classes is refused: its verifier's entropy
     is always 0, so confidence is full and every step becomes the prototype.
+    So is a title or cf ``d_i`` above the item count, before any training.
     """
     if dimension == "category":
         labeling = label_by_category(items)
     else:
+        if dimension not in ("title", "cf"):
+            raise ValueError(f"unknown labeling dimension {dimension!r}")
         k = DEFAULT_CLASS_COUNT if d_i is None else d_i
+        if k > len(items):
+            raise ValueError(f"labeling {dimension!r}: d_i={k} exceeds the item count "
+                             f"{len(items)}")
         if dimension == "title":
             emb = embed_titles(items)
-        elif dimension == "cf":
+        else:
             if samples is None:
                 raise ValueError("cf labeling requires train samples")
             emb = train_cf(samples, n_items=len(items), n_users=n_users, seed=seed).item_emb
-        else:
-            raise ValueError(f"unknown labeling dimension {dimension!r}")
         assign, _ = kmeans(emb, k, seed=seed)
         labeling = GroupLabeling(dimension=dimension, d_i=k, labels=assign)
     if labeling.d_i < 2:

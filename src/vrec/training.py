@@ -6,7 +6,6 @@ reasoning pass, and one loss Tensor per term over all of its samples."""
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, replace
@@ -17,6 +16,7 @@ import numpy as np
 
 from .backbone import Backbone
 from .datasets import Sample
+from .evaluation import evaluate, write_metrics_csv
 from .labeling import GroupLabeling, class_table
 from .numerics import (Rng, Tensor, check_int, check_seed, concat, log_softmax, relu,
                        tracking)
@@ -127,12 +127,6 @@ def recommendation_loss(backbone: Backbone, final_hidden: Tensor, target) -> Ten
     return (log_softmax(scores) * pick).sum() * (1.0 / len(pick))
 
 
-def _write_log_row(path: str | Path | None, row: list, mode: str) -> None:
-    if path:
-        with Path(path).open(mode, encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(row)
-
-
 def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
          batch_losses, log_path: str | Path | None, epoch_end=None) -> list[dict]:
     """The epoch loop of every stage: Adam on ``models`` over minibatches of
@@ -141,7 +135,8 @@ def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
     ``batch_losses(idx)`` returns an ordered dict of loss Tensors for one
     minibatch; its ``"total"`` is optimised. Each epoch's row holds their
     sample-weighted means, then the entries of ``epoch_end()``, ``epoch``
-    and ``wall_seconds``; it is appended to the CSV log at ``log_path``.
+    and ``wall_seconds``; the CSV log at ``log_path`` is rewritten with
+    every row so far after each epoch.
     The models' parameters are tracked only while a batch's losses are
     built and back-propagated, so ``epoch_end`` and everything after
     ``_fit`` build no graph.
@@ -151,7 +146,8 @@ def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
     opt = Adam(models, lr=hyper.lr)
     params = [t for mdl in models for t in mdl.params().values()]
     rng = Rng(hyper.seed, stream)
-    _write_log_row(log_path, LOG_COLUMNS, "w")
+    if log_path:
+        write_metrics_csv(log_path, [], LOG_COLUMNS)
     rows: list[dict] = []
     for epoch in range(hyper.epochs):
         t0 = time.monotonic()
@@ -174,7 +170,8 @@ def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
         row["epoch"] = epoch
         row["wall_seconds"] = round(time.monotonic() - t0, 3)
         rows.append(row)
-        _write_log_row(log_path, [row.get(c, "") for c in LOG_COLUMNS], "a")
+        if log_path:
+            write_metrics_csv(log_path, rows, LOG_COLUMNS)
     return rows
 
 
@@ -335,8 +332,6 @@ def finetune(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
              log_path: str | Path | None = None) -> list[dict]:
     """Stage 2: joint optimization of L_r + beta L_v + gamma L_m through the
     full reason-verify loop, every sample supervised with its target's labels."""
-    from .evaluation import evaluate
-
     classes = class_table(labelings, backbone.cfg.n_items)
     histories, targets = _inputs(samples)
 

@@ -108,6 +108,8 @@ def test_encode_errors():
         bb.encode([])
     with pytest.raises(ValueError, match="shape"):
         bb.encode([0, 1], [Tensor(np.zeros((1, 7)))])
+    with pytest.raises(ValueError, match=r"shape \(1, 16\), expected \(2, 16\)"):
+        bb.encode([[0, 1], [2, 3]], [Tensor(np.zeros((1, 16)))])  # one row for two histories
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["negative", "non_item_token", "beyond"])

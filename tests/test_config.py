@@ -234,6 +234,17 @@ def test_eval_ks_must_be_distinct_positive_integers(tmp_path, eval_ks):
     ("hyper.epochs", 1.5, "hyper: epochs must be non-negative and an integer"),
     ("data.synth.n_users", -3, "data.synth: n_users must be at least 1"),
     ("data.synth.seq_len_range", 5, "data.synth: 'int' object is not iterable"),
+    ("data.synth.seq_len_range", [20, 12],
+     "data.synth: seq_len_range high must be at least 20 and an integer, got 12"),
+    ("data.synth.seq_len_range", [-3, 2], "seq_len_range low must be at least 1 .*, got -3"),
+    ("data.synth.seq_len_range", [0, 0], "seq_len_range low must be at least 1 .*, got 0"),
+    ("data.synth.seq_len_range", [2.5, 4], "seq_len_range low must be .* an integer, got 2.5"),
+    ("data.synth.seq_len_range", [True, 3], "seq_len_range low must be .* an integer, got True"),
+    ("data.synth.seq_len_range", [3], r"seq_len_range must be two integers, got \(3,\)"),
+    ("out", 5, "out: expected a path string, got 5"),
+    ("data", {"items": 5, "interactions": "i.jsonl"}, "data.items: expected a path string"),
+    ("data", {"items": "i.jsonl", "interactions": ["x"]},
+     r'data.interactions: expected a path string, got \["x"\]'),
 ])
 def test_values_that_fail_later_are_refused_at_load(tmp_path, where, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -265,6 +276,9 @@ VALID = {  # the rule each field is checked against at load
     and 0 <= v < math.inf,
     "hyper.batch": lambda v: _integer(v, 1),
     "data.synth.n_users": lambda v: _integer(v, 1),
+    "data.synth.seq_len_range": lambda v: isinstance(v, list) and len(v) == 2
+    and all(_integer(x, 1) for x in v) and v[0] <= v[1],
+    "out": lambda v: v is None or isinstance(v, str),
 }
 VALUES = st.one_of(st.integers(-3, 6), st.integers(2**64 - 2, 2**64 + 1),
                    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none(),

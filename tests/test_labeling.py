@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrec.labeling
 from oracles import cf_pair_loss
 from vrec.datasets import Item, Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import (
@@ -180,6 +181,16 @@ def test_build_labeling_rejects_one_class(dimension):
     items = items_with_categories(["x"] * 5)
     with pytest.raises(ValueError, match=f"'{dimension}'.*at least 2"):
         build_labeling(dimension, items, d_i=1)
+
+
+@pytest.mark.parametrize("dimension", ["title", "cf"])
+def test_build_labeling_refuses_more_classes_than_items(dimension, monkeypatch):
+    for name in ("embed_titles", "train_cf", "kmeans"):
+        monkeypatch.setattr(vrec.labeling, name, lambda *a, **kw: pytest.fail("labeling began"))
+    items = items_with_categories(["x"] * 8)
+    with pytest.raises(ValueError, match=f"'{dimension}': d_i=9 exceeds the item count 8"):
+        build_labeling(dimension, items, samples=[Sample(user=0, history=[0], target=1)],
+                       n_users=1, d_i=9)
 
 
 def test_planted_labeling_with_one_group_allowed():
