@@ -30,22 +30,24 @@ from .numerics import (
     Rng,
     Tensor,
     add_rows,
-    add_rowvec,
-    attention,
     check_int,
     check_seed,
     concat,
     embedding_lookup,
-    gelu,
     layer_norm,
     matmul,
     parameter_vectors,
+    transformer_block,
 )
 
 __all__ = ["Backbone", "KVCache", "ModelConfig"]
 
 N_SPECIAL_TOKENS = 1  # one reserved non-item token keeps item-row restriction honest
 MASK_VALUE = -1e30
+# a block's parameters in the order numerics.transformer_block takes them
+BLOCK_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
+                "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1",
+                "mlp.w2", "mlp.b2")
 
 
 @dataclass
@@ -73,23 +75,25 @@ class ModelConfig:
 
 @dataclass
 class KVCache:
-    """A batch's attention keys and values, one position-major
-    (columns * B, d_m) Tensor per layer; a single request's is a batch of one.
+    """A batch's attention state; a single request's is a batch of one.
 
-    They are ordinary graph Tensors, so a loss back-propagates through every
-    position the cache holds. ``lengths`` counts the positions each sequence
-    holds and ``pad`` marks the columns that are padding, per sequence
-    (None while there are none, so every sequence holds every column).
+    Per layer, ``layers`` holds its block's outputs on each call so far
+    (position-major rows packing [x | k | v]) and their k and v columns
+    concatenated, (columns * B, d_m) each: the keys and values the next call
+    attends to. The outputs are ordinary graph Tensors, so a loss
+    back-propagates through every position the cache holds. ``lengths``
+    counts the positions each sequence holds and ``pad`` marks the columns
+    that are padding, per sequence (None while there are none, so every
+    sequence holds every column).
     """
 
-    keys: list[Tensor] = field(default_factory=list)
-    values: list[Tensor] = field(default_factory=list)
+    layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(default_factory=list)
     lengths: list[int] | None = None  # per sequence
     pad: np.ndarray | None = None  # (B, columns) bool
 
     def __len__(self) -> int:
         """Columns held: for one sequence, its positions."""
-        return self.keys[0].shape[0] // len(self.lengths) if self.keys else 0
+        return len(self.layers[0][1]) // len(self.lengths) if self.layers else 0
 
 
 def as_batch(history) -> list:
@@ -135,26 +139,11 @@ class Backbone:
         p["ln_f.bias"] = zeros(d)
         self._params = p
         self.values, self.grads = parameter_vectors(p)
+        self._blocks = [[p[f"blocks.{i}.{name}"] for name in BLOCK_PARAMS]
+                        for i in range(cfg.layers)]
 
     def params(self) -> dict[str, Tensor]:
         return self._params
-
-    def _attend(self, x: Tensor, i: int, mask: np.ndarray | None, cache: KVCache) -> Tensor:
-        """Attention of the new rows ``x`` over the cached and new keys;
-        appends the new keys and values to layer ``i`` of ``cache``."""
-        p = self._params
-        pre = f"blocks.{i}.attn."
-        q = add_rowvec(matmul(x, p[pre + "wq"]), p[pre + "bq"])
-        k = add_rowvec(matmul(x, p[pre + "wk"]), p[pre + "bk"])
-        v = add_rowvec(matmul(x, p[pre + "wv"]), p[pre + "bv"])
-        if i < len(cache.keys):
-            k = cache.keys[i] = concat([cache.keys[i], k], axis=0)
-            v = cache.values[i] = concat([cache.values[i], v], axis=0)
-        else:
-            cache.keys.append(k)
-            cache.values.append(v)
-        joined = attention(q, k, v, self.cfg.heads, mask, batch=len(cache.lengths))
-        return add_rowvec(matmul(joined, p[pre + "wo"]), p[pre + "bo"])
 
     def encode(self, history, injected: list[Tensor] | None = None,
                cache: KVCache | None = None) -> Tensor:
@@ -175,14 +164,29 @@ class Backbone:
         empty ``history`` then means no new tokens for any sequence. Without
         one, the sequences start at position 0.
         """
-        seqs = as_batch(history)
         cache = KVCache() if cache is None else cache
+        x, mask = self._embed(history, injected or [], cache)
+        layers = cache.layers or [((), None, None)] * self.cfg.layers
+        for i, params in enumerate(self._blocks):
+            past, keys, values = layers[i]
+            x, keys, values = transformer_block(x, params, self.cfg.heads, mask,
+                                                len(cache.lengths), past, keys, values)
+            layers[i] = ((*past, x), keys, values)
+        cache.layers = layers
+        return layer_norm(x[:, :self.cfg.d_m], self._params["ln_f.gain"],
+                          self._params["ln_f.bias"])
+
+    def _embed(self, history, injected: list[Tensor],
+               cache: KVCache) -> tuple[Tensor, np.ndarray | None]:
+        """``encode``'s new rows before the first block, token or latent plus
+        position embeddings, and the mask of what they attend to. Checks the
+        call, then records the sequences' new lengths in ``cache``."""
+        seqs = as_batch(history)
         lengths = cache.lengths or [0] * len(seqs)
         B, d = len(lengths), self.cfg.d_m
         counts = list(map(len, seqs)) or [0] * B
         if len(counts) != B:
             raise ValueError(f"{len(counts)} sequences given to a cache of {B}")
-        injected = injected or []
         k = len(injected)
         width = max(counts, default=0)  # token columns; shorter histories are padded
         ends = [a + c + k for a, c in zip(lengths, counts)]
@@ -236,14 +240,7 @@ class Backbone:
             keys = np.where(pad, MASK_VALUE, 0.0)[:, None, :]
             mask = keys if mask is None else mask + keys
         cache.lengths, cache.pad = ends, pad
-        for i in range(self.cfg.layers):
-            pre = f"blocks.{i}."
-            normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-            x = x + self._attend(normed, i, mask, cache)
-            normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-            h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
-            x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
-        return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
+        return x, mask
 
     def next_item_scores(self, hidden: Tensor) -> Tensor:
         """(R, n_items) logits of every row of ``hidden``, tied to the

@@ -217,10 +217,15 @@ def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
 
     A labeling with fewer than 2 classes is refused: its verifier's entropy
     is always 0, so confidence is full and every step becomes the prototype.
-    So is a title or cf ``d_i`` above the item count, before any training.
+    So is a title or cf ``d_i`` above the item count, and a category ``d_i``
+    other than the corpus's category count (one class per category), before
+    any training.
     """
     if dimension == "category":
         labeling = label_by_category(items)
+        if d_i is not None and d_i != labeling.d_i:
+            raise ValueError(f"labeling 'category': d_i={d_i}, but the corpus has "
+                             f"{labeling.d_i} categories (one class each)")
     else:
         if dimension not in ("title", "cf"):
             raise ValueError(f"unknown labeling dimension {dimension!r}")

@@ -40,13 +40,10 @@ __all__ = [
     "Tensor",
     "Rng",
     "add_rows",
-    "add_rowvec",
-    "attention",
     "check_int",
     "check_seed",
     "concat",
     "embedding_lookup",
-    "gelu",
     "grad_check",
     "layer_norm",
     "log",
@@ -56,6 +53,7 @@ __all__ = [
     "parameter_vectors",
     "relu",
     "tracking",
+    "transformer_block",
 ]
 
 
@@ -312,13 +310,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(ad @ bd, (a, b), "matmul", lambda g: (g @ bd.T, ad.T @ g))
 
 
-def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-d vector to every row of a (T, d) matrix (explicit, not broadcast)."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"add_rowvec: shape mismatch {x.data.shape} + {b.data.shape}")
-    return _node(x.data + b.data[None, :], (x, b), "add_rowvec", lambda g: (g, g.sum(axis=0)))
-
-
 def add_rows(x: Tensor, rows: Tensor) -> Tensor:
     """Add row c of an (n, d) matrix to the c-th of n equal runs of a (T, d)
     matrix's rows (explicit, not broadcast): a position-major batch's positions."""
@@ -400,13 +391,6 @@ def _gelu_deriv(xd: np.ndarray, tanh: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU."""
-    xd = x.data
-    out, tanh = _gelu_np(xd)
-    return _node(out, (x,), "gelu", lambda g: (g * _gelu_deriv(xd, tanh),))
-
-
 def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(xd - xd.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
@@ -426,39 +410,30 @@ def log_softmax(x: Tensor) -> Tensor:
     return _node(ld, (x,), "log_softmax", vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None, batch: int = 1) -> Tensor:
+def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                  mask: np.ndarray | None, batch: int) -> tuple[np.ndarray, Callable]:
     """Multi-head scaled-dot-product attention of n query rows over T key
-    rows, for each of ``batch`` sequences.
+    rows, for each of ``batch`` sequences, and its vector-Jacobian product.
 
     Rows are position-major: row c*batch + b holds column c of sequence b, so
-    ``q`` is (n*batch, d) and ``k``, ``v`` are (T*batch, d); with one
-    sequence they are plain (n, d) and (T, d) rows. Head h owns columns
-    [h*d/heads, (h+1)*d/heads) of each and computes
+    ``q`` is (n*batch, d) and ``k``, ``v`` are (T*batch, d). Head h owns
+    columns [h*d/heads, (h+1)*d/heads) of each and computes
     softmax(q_h k_h^T / sqrt(d/heads) + mask) v_h per sequence; the heads'
     outputs sit side by side in the (n*batch, d) result. ``mask`` is
     additive (a large negative value hides a key): (n, T) for every
-    sequence, (batch, n, T) per sequence, or None. One node; the gradient
-    flows to ``q``, ``k`` and ``v``.
+    sequence, (batch, n, T) per sequence, or None. The product maps the
+    output's gradient to those of ``q``, ``k`` and ``v``.
     """
-    rows, d = q.data.shape
-    keys = k.data.shape[0]
-    n, T = rows // batch, keys // batch
-    if rows % batch or keys % batch or k.data.shape[1] != d or v.data.shape != k.data.shape \
-            or d % heads:
-        raise ValueError(f"attention: shapes q {q.data.shape}, k {k.data.shape}, "
-                         f"v {v.data.shape} with {heads} heads, batch {batch}")
-    if mask is not None and (mask.shape[-2:] != (n, T) or mask.ndim == 3 and len(mask) != batch):
-        raise ValueError(f"attention: mask shape {mask.shape}, expected {(n, T)} "
-                         f"or {(batch, n, T)}")
+    rows, d = q.shape
+    n, T = rows // batch, k.shape[0] // batch
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     # one contiguous matrix per sequence and head: each batched product then
     # makes the BLAS call, and gets the bits, of that product on its own
     bh = batch * heads
-    qh = np.ascontiguousarray(q.data.reshape(n, bh, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k.data.reshape(T, bh, dh).transpose(1, 2, 0))  # k_h^T
-    vh = np.ascontiguousarray(v.data.reshape(T, bh, dh).transpose(1, 0, 2))
+    qh = np.ascontiguousarray(q.reshape(n, bh, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.reshape(T, bh, dh).transpose(1, 2, 0))  # k_h^T
+    vh = np.ascontiguousarray(v.reshape(T, bh, dh).transpose(1, 0, 2))
     logits = (qh @ kt) * scale
     if mask is not None and mask.ndim == 3:  # one mask per sequence, for all its heads
         logits = (logits.reshape(batch, heads, n, T) + mask[:, None]).reshape(bh, n, T)
@@ -473,23 +448,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return tuple(x.transpose(1, 0, 2).reshape(-1, d) for x in (
             gl @ kt.transpose(0, 2, 1), gl.transpose(0, 2, 1) @ qh,
             att.transpose(0, 2, 1) @ gh))
-    return _node((att @ vh).transpose(1, 0, 2).reshape(rows, d), (q, k, v), "attention", vjp)
+    return (att @ vh).transpose(1, 0, 2).reshape(rows, d), vjp
 
 
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    xd = x.data
+def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Normalize rows over the last axis, then scale and shift; and the
+    vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
     # np.mean and np.var's arithmetic, without their per-call overhead
     centered = xd - xd.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
     xhat = centered * inv
-    gd = gain.data
 
     def vjp(g):
         gxhat = g * gd
@@ -500,7 +472,87 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         ggain = (g * xhat).sum(axis=axes) if axes else g * xhat
         gbias = g.sum(axis=axes) if axes else g.copy()
         return (dx, ggain, gbias)
-    return _node(xhat * gd + bias.data, (x, gain, bias), "layer_norm", vjp)
+    return xhat * gd + bd, vjp
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
+    out, vjp = _layer_norm_np(x.data, gain.data, bias.data)
+    return _node(out, (x, gain, bias), "layer_norm", vjp)
+
+
+def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
+                      mask: np.ndarray | None = None, batch: int = 1,
+                      past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
+                      values: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One pre-LN transformer block over new position-major rows, as one node.
+
+    The first d columns of ``x`` are the block's n*batch input rows (``x``
+    is the embedded rows, or the block below's output). ``params`` are
+    ln1 gain and bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain and bias,
+    w1, b1, w2 and b2, and with u = LN1(x) the block computes
+
+        a = x + attention(u Wq + bq, [keys; u Wk + bk], [values; u Wv + bv]) Wo + bo
+        out = a + gelu(LN2(a) W1 + b1) W2 + b2
+
+    (``_attention_np`` with ``heads``, ``mask`` and ``batch``). ``past`` are
+    this layer's outputs from earlier calls; ``keys`` and ``values`` are
+    their k and v columns concatenated, which the new rows attend to after
+    (None with no ``past``). The gradient flows to ``past`` too. Returns
+    the node, whose (n*batch, 3d) rows pack [out | k | v], and the keys and
+    values the next call attends to. The node's values have the bits of the
+    chain of elementary ops it replaces, and its gradient adds terms in
+    that chain's order.
+    """
+    (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
+     gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
+    d = wq.shape[0]
+    rows, width = x.data.shape
+    xd = x.data if width == d else np.ascontiguousarray(x.data[:, :d])
+    u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
+    q, k, v = u @ wq + bq, u @ wk + bk, u @ wv + bv
+    if keys is not None:
+        keys, values = np.concatenate([keys, k]), np.concatenate([values, v])
+    else:
+        keys, values = k, v
+    joined, attention_vjp = _attention_np(q, keys, values, heads, mask, batch)
+    a = xd + (joined @ wo + bo)
+    u2, ln2_vjp = _layer_norm_np(a, gain2, bias2)
+    pre = u2 @ w1 + b1
+    h, tanh = _gelu_np(pre)
+    out = a + (h @ w2 + b2)
+
+    def vjp(g):
+        g_out = np.ascontiguousarray(g[:, :d])
+        g_pre = (g_out @ w2.T) * _gelu_deriv(pre, tanh)
+        g_a, g_gain2, g_bias2 = ln2_vjp(g_pre @ w1.T)
+        g_a = g_out + g_a
+        g_q, g_keys, g_values = attention_vjp(g_a @ wo.T)
+        # the new rows' keys and values, plus what later calls sent them
+        new = len(g_keys) - rows
+        g_k, g_v = g_keys[new:] + g[:, d:2 * d], g_values[new:] + g[:, 2 * d:]
+        g_x, g_gain1, g_bias1 = ln1_vjp((g_q @ wq.T + g_k @ wk.T) + g_v @ wv.T)
+        g_x = g_a + g_x
+        if width != d:
+            g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
+        g_past, lo = [], 0
+        for t in past:
+            g_t = np.zeros_like(t.data)
+            hi = lo + len(g_t)
+            g_t[:, d:2 * d], g_t[:, 2 * d:] = g_keys[lo:hi], g_values[lo:hi]
+            g_past.append(g_t)
+            lo = hi
+        return (*g_past, g_gain1, g_bias1, u.T @ g_q, g_q.sum(axis=0), u.T @ g_k,
+                g_k.sum(axis=0), u.T @ g_v, g_v.sum(axis=0), joined.T @ g_a, g_a.sum(axis=0),
+                g_gain2, g_bias2, u2.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out,
+                g_out.sum(axis=0), g_x)
+    # x last: backward's depth-first search then reaches this call's inputs
+    # before the earlier calls, in the order the chain of ops did
+    node = _node(np.concatenate([out, k, v], axis=1), (*past, *params, x), "transformer_block", vjp)
+    return node, keys, values
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:

@@ -262,8 +262,9 @@ def _whole(param: str, value) -> int:
 # from depth 3 on, since a depth-2 verifier's one hidden layer maps d_m to d_m
 SWEEPS = {
     "beta": _hyper("beta"), "gamma": _hyper("gamma"), "alpha": _hyper("alpha"),
-    "d_i": lambda cfg, value: replace(cfg, dimensions=[(name, _whole("d_i", value))
-                                                      for name, _ in cfg.dimensions]),
+    "d_i": lambda cfg, value: replace(cfg, dimensions=[  # a category's classes are the corpus's
+        (name, d_i if name == "category" else _whole("d_i", value))
+        for name, d_i in cfg.dimensions]),
     "verifier-width": lambda cfg, value: replace(
         cfg, bank_width=_whole("verifier-width", value), bank_depth=max(cfg.bank_depth, 3)),
     "verifier-depth": lambda cfg, value: replace(cfg, bank_depth=_whole("verifier-depth", value)),

@@ -19,8 +19,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, embedding_lookup,
-                       log, parameter_vectors)
+from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log,
+                       parameter_vectors)
 
 __all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "check_bank_shape",
            "make_bank", "verify_and_adjust"]
@@ -60,6 +60,7 @@ class VerifierBank:
     uniform_router: bool = False  # ablation switch: bypass the learned router
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    class_groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.verifiers:
@@ -67,7 +68,18 @@ class VerifierBank:
         if self.router.a.shape[0] != len(self.verifiers):
             raise ValueError(f"router rows ({self.router.a.shape[0]}) != "
                              f"verifier count ({len(self.verifiers)})")
+        trunks = {tuple(w.shape for w, _ in v.hidden) for v in self.verifiers}
+        if len(trunks) > 1:
+            raise ValueError(f"a bank's verifiers share one trunk shape, got {sorted(trunks)}")
         self.values, self.grads = parameter_vectors(self.params())
+        # by class count k, the verifiers with k classes and their columns
+        # within p_1 .. p_n; when every verifier has k, slices over all
+        sizes, offsets = [v.d_i for v in self.verifiers], self.class_offsets()
+        self.class_groups = [([i for i in range(self.n) if sizes[i] == k],
+                              [offsets[i] + a for i in range(self.n) if sizes[i] == k
+                               for a in range(k)]) for k in sorted(set(sizes))]
+        if len(self.class_groups) == 1:
+            self.class_groups = [(slice(None), slice(None))]
 
     @property
     def n(self) -> int:
@@ -146,12 +158,6 @@ class StepVerdict:
         """Per-verifier argmax classes, one list per row."""
         return self._j.tolist()
 
-    @property
-    def g(self) -> list[Tensor]:
-        """Per-verifier guidance prototypes W_last[:, j*], (B, d_m) rows each."""
-        return [embedding_lookup(v.w_last.transpose(), j)
-                for v, j in zip(self._bank.verifiers, self._j.T)]
-
     def label_nll(self, labels: np.ndarray) -> Tensor:
         """Sum over rows and verifiers of -log p_i[labels[row, i]], the terms
         added row by row and, within a row, verifier by verifier; a row whose
@@ -204,15 +210,6 @@ def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ w)[:, 0]
 
 
-def _segment_sums(a: np.ndarray, segments: list[slice]) -> np.ndarray:
-    """Row sums of each segment of columns. Each is summed on its own, with
-    the grouping of terms, hence the bits, of a sum over that segment alone."""
-    out = np.empty((len(a), len(segments)))
-    for i, seg in enumerate(segments):
-        np.add.reduce(a[:, seg], axis=1, out=out[:, i])
-    return out
-
-
 def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     """Route, predict, and confidence-adjust reasoning representations.
 
@@ -238,28 +235,29 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     starts = bank.class_offsets()
     sizes = [v.d_i for v in vs]
     segments = [slice(a, a + k) for a, k in zip(starts, sizes)]
-    inputs = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
-    trunks, heads_in, logits = [], [], []
-    for i, v in enumerate(vs):
-        h = inputs[:, i]
-        trunk = []
-        for wt, b in v.hidden:
-            u = _rowwise(h, wt.data) + b.data
-            out, tanh = _gelu_np(u)
-            trunk.append((h, u, tanh))
-            h = out
-        trunks.append(trunk)
-        heads_in.append(h)
-        logits.append(_rowwise(h, v.w_last.data) + v.b_last.data)
-    z = np.concatenate(logits, axis=1)
-    # softmax and entropy per segment of classes; a max is exact in any order
-    e = np.exp(z - np.maximum.reduceat(z, starts, axis=1).repeat(sizes, axis=1))
-    p = e / _segment_sums(e, segments).repeat(sizes, axis=1)
-    f = -_segment_sums(p * np.log(np.where(p > 0.0, p, 1.0)), segments)  # 0 log 0 is 0
-    c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
+    # every verifier at once: trunks and heads stacked over verifiers, so
+    # each batched product makes one row's and one verifier's BLAS call
+    h = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
+    trunk = []
+    for layer in zip(*(v.hidden for v in vs)):
+        u = (h[:, :, None] @ np.stack([wt.data for wt, _ in layer]))[:, :, 0] \
+            + np.stack([b.data for _, b in layer])
+        out, tanh = _gelu_np(u)
+        trunk.append((h, u, tanh))
+        h = out
+    p = np.empty((len(x), bank.n_classes))
+    f = np.empty((len(x), n))
     j = np.empty((len(x), n), dtype=np.intp)
-    for i, seg in enumerate(segments):
-        j[:, i] = p[:, seg].argmax(axis=1)
+    for idx, cols in bank.class_groups:  # softmax, entropy and argmax on (B, n_k, k)
+        heads = vs[idx] if isinstance(idx, slice) else [vs[i] for i in idx]
+        z = (h[:, idx, None] @ np.stack([v.w_last.data for v in heads]))[:, :, 0] \
+            + np.stack([v.b_last.data for v in heads])
+        e = np.exp(z - z.max(axis=2, keepdims=True))  # a max is exact in any order
+        p_k = e / e.sum(axis=2, keepdims=True)
+        f[:, idx] = -(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0))).sum(axis=2)  # 0 log 0 is 0
+        j[:, idx] = p_k.argmax(axis=2)
+        p[:, cols] = p_k.reshape(len(x), -1)
+    c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
     protos = np.concatenate([v.w_last.data for v in vs], axis=1).T[j + starts]  # W_last_i[:, j*_i]
     terms = (1.0 - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
     r_star = np.add.accumulate(terms, axis=1)[:, -1] * (1.0 / n)  # summed verifier by verifier
@@ -278,12 +276,12 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         g_w = g_w.copy()  # a view of g_out until now
         for i, (v, seg) in enumerate(zip(vs, segments)):
             g_zi = g_z[:, seg]
-            g_wlast = heads_in[i].T @ g_zi + g_acc.T @ (c[:, i, None] * np.eye(v.d_i)[j[:, i]])
+            g_wlast = h[:, i].T @ g_zi + g_acc.T @ (c[:, i, None] * np.eye(v.d_i)[j[:, i]])
             g_h = g_zi @ v.w_last.data.T
             layer_grads = []
-            for (h_in, u, tanh), (wt, _) in zip(reversed(trunks[i]), reversed(v.hidden)):
-                g_u = g_h * _gelu_deriv(u, tanh)
-                layer_grads[:0] = [h_in.T @ g_u, g_u.sum(axis=0)]
+            for (h_in, u, tanh), (wt, _) in zip(reversed(trunk), reversed(v.hidden)):
+                g_u = g_h * _gelu_deriv(u[:, i], tanh[:, i])
+                layer_grads[:0] = [h_in[:, i].T @ g_u, g_u.sum(axis=0)]
                 g_h = g_u @ wt.data.T
             g_x += w[:, i, None] * g_h
             g_w[:, i] += (g_h * x).sum(axis=1)

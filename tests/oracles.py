@@ -1,20 +1,100 @@
 """Code that only the tests use.
 
-The fused ops in ``vrec`` (``numerics.attention``, the verifier bank step)
-replaced chains of elementary ops; the chains stay in the tests as their
-oracles, and the first ops here are the ones the chains need that the
-library no longer does. They are built on ``numerics._node`` like every
-library op. The rest are small references the tests check the library
-against, and a checkpoint writer for tests that edit a saved header."""
+The fused ops in ``vrec`` (``numerics.transformer_block``, the verifier
+bank step) replaced chains of elementary ops; the chains stay in the tests
+as their oracles (``encode_chain`` is the backbone's), and the first ops
+here are the ones the chains need that the library no longer does. They
+are built on ``numerics._node`` like every library op. The rest are small
+references the tests check the library against, and a checkpoint writer
+for tests that edit a saved header."""
 
 import json
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from vrec.backbone import KVCache
 from vrec.checkpoint import MAGIC
-from vrec.numerics import Rng, Tensor, _node, _softmax_np
+from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
+                           _softmax_np, concat, embedding_lookup, layer_norm, matmul)
 from vrec.reasoning import recommend
+
+
+def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
+    """Add a length-d vector to every row of a (T, d) matrix (explicit, not broadcast)."""
+    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"add_rowvec: shape mismatch {x.data.shape} + {b.data.shape}")
+    return _node(x.data + b.data[None, :], (x, b), "add_rowvec", lambda g: (g, g.sum(axis=0)))
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-approximation GELU."""
+    xd = x.data
+    out, tanh = _gelu_np(xd)
+    return _node(out, (x,), "gelu", lambda g: (g * _gelu_deriv(xd, tanh),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None, batch: int = 1) -> Tensor:
+    """``numerics._attention_np`` as one node; the gradient flows to ``q``,
+    ``k`` and ``v``."""
+    rows, d = q.data.shape
+    keys = k.data.shape[0]
+    n, T = rows // batch, keys // batch
+    if rows % batch or keys % batch or k.data.shape[1] != d or v.data.shape != k.data.shape \
+            or d % heads:
+        raise ValueError(f"attention: shapes q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape} with {heads} heads, batch {batch}")
+    if mask is not None and (mask.shape[-2:] != (n, T) or mask.ndim == 3 and len(mask) != batch):
+        raise ValueError(f"attention: mask shape {mask.shape}, expected {(n, T)} "
+                         f"or {(batch, n, T)}")
+    out, vjp = _attention_np(q.data, k.data, v.data, heads, mask, batch)
+    return _node(out, (q, k, v), "attention", vjp)
+
+
+@dataclass
+class ChainCache(KVCache):
+    """``encode_chain``'s cache: each layer's keys and values as graph
+    Tensors, grown by one concat per call."""
+
+    keys: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return self.keys[0].shape[0] // len(self.lengths) if self.keys else 0
+
+
+def encode_chain(model, history, injected=None, cache=None) -> Tensor:
+    """``Backbone.encode`` with each block as the chain of elementary ops
+    that ``numerics.transformer_block`` fuses; its cache is a ``ChainCache``."""
+    cache = ChainCache() if cache is None else cache
+    x, mask = model._embed(history, injected or [], cache)
+    p = model.params()
+    for i in range(model.cfg.layers):
+        pre = f"blocks.{i}."
+        normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        q, k, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
+                   for c in "qkv")
+        if i < len(cache.keys):
+            k = cache.keys[i] = concat([cache.keys[i], k], axis=0)
+            v = cache.values[i] = concat([cache.values[i], v], axis=0)
+        else:
+            cache.keys.append(k)
+            cache.values.append(v)
+        joined = attention(q, k, v, model.cfg.heads, mask, batch=len(cache.lengths))
+        x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
+        normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
+        x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
+    return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
+
+
+def guidance(verdict) -> list[Tensor]:
+    """Per-verifier guidance prototypes W_last[:, j*] of a ``StepVerdict``,
+    (B, d_m) rows each."""
+    return [embedding_lookup(v.w_last.transpose(), j)
+            for v, j in zip(verdict._bank.verifiers, verdict._j.T)]
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

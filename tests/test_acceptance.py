@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, greedy_recommend
+from oracles import confidence, entropy, greedy_recommend, guidance
 from vrec.backbone import Backbone, ModelConfig
 from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
@@ -136,7 +136,8 @@ def test_ac03_adjustment_contract():
             j = int(np.argmax(p))
             col = np.ascontiguousarray(v.w_last.data[:, j])
             guidance_ok &= verdict.j_star[0][i] == j
-            guidance_ok &= np.ascontiguousarray(verdict.g[i].data[0]).tobytes() == col.tobytes()
+            guidance_ok &= (np.ascontiguousarray(guidance(verdict)[i].data[0]).tobytes()
+                            == col.tobytes())
             acc += (1.0 - c) * r + c * col
         max_err = max(max_err, float(np.abs(acc / n - verdict.r_star.data[0]).max()))
     _check("AC3 adjustment contract",

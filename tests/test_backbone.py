@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vrec.backbone import Backbone, KVCache, ModelConfig
-from oracles import greedy_recommend, softmax
-from vrec.numerics import Rng, Tensor
+from oracles import ChainCache, encode_chain, greedy_recommend, softmax
+from vrec.numerics import Rng, Tensor, tracking
 
 
 def small_cfg(**kw):
@@ -179,3 +179,53 @@ def test_scores_reproducible():
     a = bb.next_item_scores(h).data[2]
     b = bb.next_item_scores(bb.encode([4, 9, 1])).data[2]
     assert np.array_equal(a, b)
+
+
+# -- the fused blocks against the chain of ops they replaced ----------------
+
+
+def _rollout(encode, cache, histories: list, coef: list) -> Tensor:
+    """A scalar over every output of a cached rollout: the histories in two
+    chunks (the second with a latent column), then three one-column latent
+    steps, each latent a function of the previous output."""
+    cut = min(map(len, histories)) // 2
+    B = len(histories)
+    outs = [encode([h[:cut] for h in histories], None, cache)]
+    outs.append(encode([h[cut:] for h in histories], [outs[-1][-B:] * 0.5], cache))
+    for _ in range(3):
+        outs.append(encode([], [outs[-1][-B:] * 0.5], cache))
+    loss = None
+    for out, k in zip(outs, coef):
+        term = (out * k[:len(out.data)]).sum()
+        loss = term if loss is None else loss + term
+    return loss
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_fused_blocks_match_oracle_chain(layers, heads, padded):
+    bb = Backbone(small_cfg(d_m=12, layers=layers, heads=heads, max_positions=20))
+    rng = Rng(layers, heads)
+    for t in bb.params().values():  # unit scale: attention far from uniform
+        t.data[...] = rng.normal(t.shape, std=0.6)
+    histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
+        [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
+    coef = [rng.normal((8 * len(histories), 12)) for _ in range(5)]
+    params = list(bb.params().values())
+    results = []
+    for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
+                          (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
+        # uncached: histories and two latents in one pass
+        whole = encode(histories, [Tensor(coef[0][:len(histories)])] * 2, None)
+        with tracking(params):
+            loss = _rollout(encode, cache, histories, coef)
+            loss.backward()
+        results.append((whole.data, loss.data, [t.grad.copy() for t in params]))
+        for t in params:
+            t.zero_grad()
+    (whole, loss, grads), (chain_whole, chain_loss, chain_grads) = results
+    assert np.array_equal(whole, chain_whole)
+    assert loss.tobytes() == chain_loss.tobytes()
+    for got, want in zip(grads, chain_grads):
+        assert np.array_equal(got, want)

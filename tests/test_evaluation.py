@@ -23,7 +23,7 @@ from vrec.evaluation import (
     write_metrics_csv,
 )
 from vrec.labeling import build_labeling, class_table
-from vrec.pipeline import ablate, run_pipeline, step_scalability, sweep
+from vrec.pipeline import SWEEPS, ablate, run_pipeline, step_scalability, sweep
 from vrec.reasoning import run_reasoning
 from vrec.training import TrainHyper, collect_verifier_dataset
 from vrec.verifiers import make_bank
@@ -152,6 +152,21 @@ def test_run_pipeline_refuses_empty_test_split_before_stage0(tmp_path, monkeypat
     with pytest.raises(ValueError, match="the test split is empty: no log has 11 interactions"):
         run_pipeline(short)
     assert not trained
+
+
+def test_run_pipeline_refuses_category_d_i_other_than_the_corpus_before_stage0(monkeypatch):
+    # the 3-group corpus labels by category into 3 classes, whatever d_i says
+    trained = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
+    with pytest.raises(ValueError, match="'category': d_i=5, but the corpus has 3 categories"):
+        run_pipeline(replace(MICRO_RUN, dimensions=[("category", 5)]))
+    assert not trained
+
+
+def test_d_i_sweep_leaves_the_category_count():
+    edited = SWEEPS["d_i"](replace(MICRO_RUN, dimensions=[("category", 3), ("title", 3),
+                                                           ("cf", None)]), 5)
+    assert edited.dimensions == [("category", 3), ("title", 5), ("cf", 5)]
 
 
 def test_run_pipeline_without_bank(tmp_path):

@@ -183,6 +183,15 @@ def test_build_labeling_rejects_one_class(dimension):
         build_labeling(dimension, items, d_i=1)
 
 
+def test_build_labeling_refuses_category_d_i_other_than_its_categories():
+    items = items_with_categories(["jazz", "rock", "pop", "jazz"])
+    for d_i in (2, 7):
+        with pytest.raises(ValueError, match=f"'category': d_i={d_i}, but the corpus has 3 "):
+            build_labeling("category", items, d_i=d_i)
+    assert build_labeling("category", items, d_i=3).d_i == 3
+    assert build_labeling("category", items).d_i == 3
+
+
 @pytest.mark.parametrize("dimension", ["title", "cf"])
 def test_build_labeling_refuses_more_classes_than_items(dimension, monkeypatch):
     for name in ("embed_titles", "train_cf", "kmeans"):

@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, exp, matvec, softmax
+from oracles import add_rowvec, attention, confidence, entropy, exp, gelu, matvec, softmax
 from vrec.numerics import (
     Rng,
     Tensor,
     add_rows,
-    add_rowvec,
-    attention,
     concat,
     embedding_lookup,
-    gelu,
     grad_check,
     layer_norm,
     log,

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import greedy_recommend
+import vrec.reasoning
+from oracles import ChainCache, encode_chain, greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
 from vrec.numerics import Rng, Tensor, concat, grad_check, tracking
 from vrec.reasoning import (
@@ -15,7 +16,8 @@ from vrec.reasoning import (
     recommend,
     run_reasoning,
 )
-from vrec.training import monotonicity_loss, recommendation_loss, verifier_loss
+from vrec.training import (TrainHyper, monotonicity_loss, reasoning_losses,
+                           recommendation_loss, verifier_loss)
 from vrec.verifiers import make_bank, verify_and_adjust
 
 
@@ -256,3 +258,35 @@ def test_export_traces_jsonl(tmp_path):
     first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert len(first["steps"][0]["r"]) == 16
     assert len(first["steps"][0]["r_star"]) == 16
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m):
+    # stage 2's losses through fused blocks and the fused bank step, against
+    # the same batch with every block as its chain of ops: values and the
+    # gradient of every parameter of both models keep their bits
+    bb = Backbone(ModelConfig(d_m=12, layers=layers, heads=3, n_items=12, max_positions=20,
+                              m=m, seed=layers))
+    bank = make_bank([("a", 3), ("b", 9), ("c", 3)], d_m=12, seed=m, hidden_depth=2)
+    rng = Rng(layers, m)
+    params = list(bb.params().values()) + list(bank.params().values())
+    for t in params:
+        t.data[...] = rng.normal(t.shape, std=0.5)
+    histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]]
+    targets = np.array([2, 9, 4])
+    classes = rng.integers(0, 3, (12, 3))
+    hyper = TrainHyper(beta=0.5, gamma=0.3)
+    results = []
+    for chain in (False, True):
+        if chain:
+            monkeypatch.setattr(Backbone, "encode", encode_chain)
+            monkeypatch.setattr(vrec.reasoning, "KVCache", ChainCache)
+        with tracking(params):
+            losses = reasoning_losses(bb, bank, histories, targets, hyper, classes)
+            losses["total"].backward()
+        results.append(([v.data.tobytes() for v in losses.values()],
+                        bb.grads.tobytes(), bank.grads.tobytes()))
+        bb.grads.fill(0.0)
+        bank.grads.fill(0.0)
+    assert results[0] == results[1]

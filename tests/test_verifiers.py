@@ -4,8 +4,8 @@ and the fused bank step against the per-verifier chain it replaced."""
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, matvec, softmax
-from vrec.numerics import Rng, Tensor, gelu, grad_check, tracking
+from oracles import confidence, entropy, gelu, guidance, matvec, softmax
+from vrec.numerics import Rng, Tensor, grad_check, tracking
 from vrec.verifiers import EPSILON, Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
@@ -111,7 +111,7 @@ def test_guidance_argmax_column():
     verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
     assert verdict.p[0].data[0] == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
     assert verdict.j_star[0] == [1]
-    assert np.array_equal(verdict.g[0].data[0], v.w_last.data[:, 1])
+    assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 1])
 
 
 def test_guidance_tie_lowest_index():
@@ -120,7 +120,7 @@ def test_guidance_tie_lowest_index():
     verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
     assert np.array_equal(verdict.p[0].data[0], [0.5, 0.5])
     assert verdict.j_star[0] == [0]
-    assert np.array_equal(verdict.g[0].data[0], v.w_last.data[:, 0])
+    assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 0])
 
 
 def test_confidence_cases():
@@ -152,7 +152,7 @@ def test_adjust_hand_expansion_two_verifiers():
     terms = []
     for i in range(2):
         c = verdict.c[0, i].item()
-        terms.append((1 - c) * r.data[0] + c * verdict.g[i].data[0])
+        terms.append((1 - c) * r.data[0] + c * guidance(verdict)[i].data[0])
     hand = (terms[0] + terms[1]) / 2
     assert np.abs(hand - verdict.r_star.data[0]).max() < 1e-12
 
@@ -161,7 +161,7 @@ def test_adjust_guidance_bitwise_columns():
     bank = bank_of([("a", 3), ("b", 4)], seed=8)
     verdict = verify_and_adjust(bank, Tensor(Rng(7).normal((1, 8))))
     for i, v in enumerate(bank.verifiers):
-        assert np.array_equal(verdict.g[i].data[0], v.w_last.data[:, verdict.j_star[0][i]])
+        assert np.array_equal(guidance(verdict)[i].data[0], v.w_last.data[:, verdict.j_star[0][i]])
 
 
 def test_adjust_invariants_random_instances():
@@ -177,7 +177,7 @@ def test_adjust_invariants_random_instances():
             assert 0.0 <= f <= np.log(v.d_i) + 1e-12
             assert 0.0 < verdict.c[0, i].item() <= 1.0
         norm_bound = max(np.linalg.norm(r.data),
-                         max(np.linalg.norm(g.data) for g in verdict.g))
+                         max(np.linalg.norm(g.data) for g in guidance(verdict)))
         assert np.linalg.norm(verdict.r_star.data) <= norm_bound + 1e-9
 
 
@@ -211,6 +211,10 @@ def test_bank_validation():
     for width, depth in ((0, 0), (-1, 3)):
         with pytest.raises(ValueError, match="depth >= 1 and width >= 0"):
             make_bank([("a", 3)], d_m=8, hidden_width=width, hidden_depth=depth)
+    deep, flat = make_bank([("a", 3)], d_m=8, hidden_depth=2), make_bank([("b", 3)], d_m=8)
+    with pytest.raises(ValueError, match="share one trunk shape"):
+        VerifierBank(verifiers=deep.verifiers + flat.verifiers,
+                     router=Router(a=Tensor(np.zeros((2, 8))), bias=Tensor(np.zeros(2))))
 
 
 def test_mlp_verifier_shapes():
@@ -224,8 +228,10 @@ def test_mlp_verifier_shapes():
 
 def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBank:
     """A bank whose parameters are drawn at unit scale, so predictions range
-    from near-uniform (f > 1, c < 1) to peaked (c = 1)."""
-    bank = bank_of([(f"d{i}", 2 + (seed + i) % 4) for i in range(n)], d_m=6, seed=seed,
+    from near-uniform (f > 1, c < 1) to peaked (c = 1). Class counts run
+    from 2 to 12, past the 8 terms from which numpy's pairwise sum regroups
+    them; a bank of four has two verifiers of one count and one of another."""
+    bank = bank_of([(f"d{i}", 2 + (seed + 5 * (i % 3)) % 11) for i in range(n)], d_m=6, seed=seed,
                    hidden_width=5 if depth > 1 else 0, hidden_depth=depth)
     rng = Rng(seed, 1)
     for t in bank.params().values():
@@ -296,7 +302,7 @@ def test_fused_step_single_row_guidance(depth, uniform):
         assert verdict.j_star[0] == ref["j_star"]
         for i, v in enumerate(bank.verifiers):
             col = np.ascontiguousarray(v.w_last.data[:, verdict.j_star[0][i]])
-            assert verdict.g[i].data[0].tobytes() == col.tobytes()
+            assert guidance(verdict)[i].data[0].tobytes() == col.tobytes()
 
 
 def count_tensors(monkeypatch) -> list:
