@@ -72,14 +72,15 @@ class VerifierBank:
         if len(trunks) > 1:
             raise ValueError(f"a bank's verifiers share one trunk shape, got {sorted(trunks)}")
         self.values, self.grads = parameter_vectors(self.params())
-        # by class count k, the verifiers with k classes and their columns
-        # within p_1 .. p_n; when every verifier has k, slices over all
+        # by class count k: the verifiers with k classes, their indices and
+        # their columns within p_1 .. p_n (slices when every verifier has k)
         sizes, offsets = [v.d_i for v in self.verifiers], self.class_offsets()
-        self.class_groups = [([i for i in range(self.n) if sizes[i] == k],
-                              [offsets[i] + a for i in range(self.n) if sizes[i] == k
-                               for a in range(k)]) for k in sorted(set(sizes))]
+        self.class_groups = [
+            ([v for v in self.verifiers if v.d_i == k], [i for i in range(self.n) if sizes[i] == k],
+             [offsets[i] + a for i in range(self.n) if sizes[i] == k for a in range(k)])
+            for k in sorted(set(sizes))]
         if len(self.class_groups) == 1:
-            self.class_groups = [(slice(None), slice(None))]
+            self.class_groups = [(self.verifiers, slice(None), slice(None))]
 
     @property
     def n(self) -> int:
@@ -232,39 +233,36 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         w = np.full((len(x), n), 1.0 / n)
     else:
         w = _softmax_np(_rowwise(x, bank.router.a.data.T) + bank.router.bias.data)
-    starts = bank.class_offsets()
-    sizes = [v.d_i for v in vs]
-    segments = [slice(a, a + k) for a, k in zip(starts, sizes)]
     # every verifier at once: trunks and heads stacked over verifiers, so
     # each batched product makes one row's and one verifier's BLAS call
     h = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
     trunk = []
     for layer in zip(*(v.hidden for v in vs)):
-        u = (h[:, :, None] @ np.stack([wt.data for wt, _ in layer]))[:, :, 0] \
-            + np.stack([b.data for _, b in layer])
+        u = (h[:, :, None] @ np.array([wt.data for wt, _ in layer]))[:, :, 0] \
+            + np.array([b.data for _, b in layer])
         out, tanh = _gelu_np(u)
         trunk.append((h, u, tanh))
         h = out
-    p = np.empty((len(x), bank.n_classes))
-    f = np.empty((len(x), n))
-    j = np.empty((len(x), n), dtype=np.intp)
-    for idx, cols in bank.class_groups:  # softmax, entropy and argmax on (B, n_k, k)
-        heads = vs[idx] if isinstance(idx, slice) else [vs[i] for i in idx]
-        z = (h[:, idx, None] @ np.stack([v.w_last.data for v in heads]))[:, :, 0] \
-            + np.stack([v.b_last.data for v in heads])
+    B = len(x)
+    p, f = np.empty((B, bank.n_classes)), np.empty((B, n))
+    j, protos = np.empty((B, n), dtype=np.intp), np.empty((B, n, x.shape[1]))
+    for heads, idx, cols in bank.class_groups:  # softmax, entropy, argmax on (B, n_k, k)
+        w_last = np.array([v.w_last.data for v in heads])
+        z = (h[:, idx, None] @ w_last)[:, :, 0] + np.array([v.b_last.data for v in heads])
         e = np.exp(z - z.max(axis=2, keepdims=True))  # a max is exact in any order
         p_k = e / e.sum(axis=2, keepdims=True)
+        p[:, cols] = p_k.reshape(B, -1)
         f[:, idx] = -(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0))).sum(axis=2)  # 0 log 0 is 0
-        j[:, idx] = p_k.argmax(axis=2)
-        p[:, cols] = p_k.reshape(len(x), -1)
+        j[:, idx] = j_k = p_k.argmax(axis=2)
+        protos[:, idx] = w_last[np.arange(len(heads)), :, j_k]  # W_last_i[:, j*_i]
     c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
-    protos = np.concatenate([v.w_last.data for v in vs], axis=1).T[j + starts]  # W_last_i[:, j*_i]
     terms = (1.0 - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
     r_star = np.add.accumulate(terms, axis=1)[:, -1] * (1.0 / n)  # summed verifier by verifier
     packed = np.concatenate([r_star, w, p, f, c], axis=1)
 
     def vjp(g_out):
         d = x.shape[1]
+        starts, sizes = bank.class_offsets(), [v.d_i for v in vs]
         g_r, g_w, g_p, g_f, g_c = np.split(g_out, np.cumsum([d, n, p.shape[1], n]), axis=1)
         g_acc = g_r * (1.0 / n)
         g_x = g_acc * (1.0 - c).sum(axis=1, keepdims=True)
@@ -274,8 +272,8 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         g_z = p * (g_p - np.add.reduceat(g_p * p, starts, axis=1).repeat(sizes, axis=1))
         grads = []
         g_w = g_w.copy()  # a view of g_out until now
-        for i, (v, seg) in enumerate(zip(vs, segments)):
-            g_zi = g_z[:, seg]
+        for i, (v, a) in enumerate(zip(vs, starts)):
+            g_zi = g_z[:, a:a + v.d_i]
             g_wlast = h[:, i].T @ g_zi + g_acc.T @ (c[:, i, None] * np.eye(v.d_i)[j[:, i]])
             g_h = g_zi @ v.w_last.data.T
             layer_grads = []
