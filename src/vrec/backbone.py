@@ -13,7 +13,9 @@ to the keys and values the cache kept from earlier calls.
 ``encode`` takes a batch of sequences, padded on the right to the longest;
 one sequence is the batch of one. Their rows are position-major (row
 c*B + b is column c of sequence b), so every linear layer is one matmul
-over all of them and extending the cache is one concat. Only a call whose
+over all of them, each block is one graph node
+(``numerics.transformer_block``) and extending the cache is one
+concatenation of keys and of values per layer. Only a call whose
 sequences differ in length builds a padding mask, a token grid and a
 per-row position gather; a padded slot's key is masked in every
 attention, so each sequence's states are those it has alone, up to the

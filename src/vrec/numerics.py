@@ -22,10 +22,12 @@ Four rules keep the core small:
   array operation per model.
 
 Composites that every latent step runs are single nodes with hand-written
-vector-Jacobian products: ``attention`` here (causal multi-head
-scaled-dot-product attention) and the verifier bank's step in
-``verifiers``. Their outputs have the bits of the chains of elementary ops
-they replace, which stay in the tests as their oracles.
+vector-Jacobian products: ``transformer_block`` here (a pre-LN block:
+layer norm, causal multi-head attention over cached and new keys, the
+output projection, layer norm and a gelu MLP, each with its residual) and
+the verifier bank's step in ``verifiers``. Their outputs have the bits of
+the chains of elementary ops they replace, which stay in the tests as
+their oracles, and their gradients add terms in those chains' order.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ One step through the whole bank, over a batch of representations as rows,
 is one graph node with a hand-written vector-Jacobian product
 (``verify_and_adjust``). Its output packs [r* | w | p_1 .. p_n | f | c]
 along the last axis, and ``StepVerdict`` reads each field as a view of it.
+The step runs the verifiers' trunks and heads as batched products over
+their weights stacked per call, one per trunk layer and per class count.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ class VerifierBank:
         self.values, self.grads = parameter_vectors(self.params())
         # by class count k: the verifiers with k classes, their indices and
         # their columns within p_1 .. p_n (slices when every verifier has k)
-        sizes, offsets = [v.d_i for v in self.verifiers], self.class_offsets()
-        self.class_groups = [
-            ([v for v in self.verifiers if v.d_i == k], [i for i in range(self.n) if sizes[i] == k],
-             [offsets[i] + a for i in range(self.n) if sizes[i] == k for a in range(k)])
-            for k in sorted(set(sizes))]
-        if len(self.class_groups) == 1:
+        offsets, groups = self.class_offsets(), {}
+        for i, v in enumerate(self.verifiers):
+            groups.setdefault(v.d_i, []).append(i)
+        self.class_groups = [([self.verifiers[i] for i in idx], idx,
+                              [offsets[i] + a for i in idx for a in range(k)])
+                             for k, idx in sorted(groups.items())]
+        if len(groups) == 1:
             self.class_groups = [(self.verifiers, slice(None), slice(None))]
 
     @property
