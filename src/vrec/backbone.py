@@ -15,11 +15,13 @@ one sequence is the batch of one. Their rows are position-major (row
 c*B + b is column c of sequence b), so every linear layer is one matmul
 over all of them, each block is one graph node
 (``numerics.transformer_block``) and extending the cache is one
-concatenation of keys and of values per layer. Only a call whose
-sequences differ in length builds a padding mask, a token grid and a
-per-row position gather; a padded slot's key is masked in every
-attention, so each sequence's states are those it has alone, up to the
-grouping of sums.
+concatenation of keys and of values per layer. The first block adds the
+position rows, and the final norm reads the last block's packed output,
+so a call builds the token lookup (or takes the latents as they are), one
+node per block and the final norm. Only a call whose sequences differ in
+length builds a padding mask, a token grid and a per-row position gather
+node; a padded slot's key is masked in every attention, so each
+sequence's states are those it has alone, up to the grouping of sums.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from .numerics import (
     Rng,
     Tensor,
-    add_rows,
     check_int,
     check_seed,
     concat,
@@ -81,21 +82,28 @@ class KVCache:
 
     Per layer, ``layers`` holds its block's outputs on each call so far
     (position-major rows packing [x | k | v]) and their k and v columns
-    concatenated, (columns * B, d_m) each: the keys and values the next call
-    attends to. The outputs are ordinary graph Tensors, so a loss
-    back-propagates through every position the cache holds. ``lengths``
-    counts the positions each sequence holds and ``pad`` marks the columns
-    that are padding, per sequence (None while there are none, so every
-    sequence holds every column).
+    concatenated, (columns * batch, d_m) each: the keys and values the next
+    call attends to. The outputs are ordinary graph Tensors, so a loss
+    back-propagates through every position the cache holds. ``batch``
+    counts the sequences (0 before the first call) and ``pad`` marks the
+    columns that are padding, per sequence (None while there are none, so
+    every sequence holds every column).
     """
 
     layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(default_factory=list)
-    lengths: list[int] | None = None  # per sequence
-    pad: np.ndarray | None = None  # (B, columns) bool
+    batch: int = 0
+    pad: np.ndarray | None = None  # (batch, columns) bool
 
     def __len__(self) -> int:
         """Columns held: for one sequence, its positions."""
-        return len(self.layers[0][1]) // len(self.lengths) if self.layers else 0
+        return len(self.layers[0][1]) // self.batch if self.layers else 0
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The positions each sequence holds."""
+        if self.pad is None:
+            return np.full(self.batch, len(self))
+        return len(self) - self.pad.sum(axis=1)
 
 
 def as_batch(history) -> list:
@@ -156,9 +164,10 @@ class Backbone:
         batch of one. Injected latents occupy the positions immediately
         after each history, in order; each replaces the token lookup at its
         position (positional embedding still added). An injected entry is a
-        (B, d_m) Tensor: row b is the next position of sequence b.
-        Returns the last layer's states of the n new columns as (n*B, d_m)
-        position-major rows.
+        (B, d_m) Tensor, row b the next position of sequence b, or a wider
+        one whose first d_m columns those are (a verifier step's packed
+        output). Returns the last layer's states of the n new columns as
+        (n*B, d_m) position-major rows.
 
         With a ``cache``, ``history`` and ``injected`` are only the new
         positions, which start at each sequence's ``cache.lengths``; they
@@ -167,25 +176,29 @@ class Backbone:
         one, the sequences start at position 0.
         """
         cache = KVCache() if cache is None else cache
-        x, mask = self._embed(history, injected or [], cache)
+        if cache.batch and cache.pad is None and injected and not len(history):
+            x, pos, at, mask = self._latent_rows(injected, cache)
+        else:
+            x, pos, at, mask = self._embed(history, injected or [], cache)
         layers = cache.layers or [((), None, None)] * self.cfg.layers
         for i, params in enumerate(self._blocks):
             past, keys, values = layers[i]
-            x, keys, values = transformer_block(x, params, self.cfg.heads, mask,
-                                                len(cache.lengths), past, keys, values)
+            x, keys, values = transformer_block(x, params, self.cfg.heads, mask, cache.batch,
+                                                past, keys, values, pos, at)
             layers[i] = ((*past, x), keys, values)
+            pos = None  # the first block adds the position rows
         cache.layers = layers
-        return layer_norm(x[:, :self.cfg.d_m], self._params["ln_f.gain"],
-                          self._params["ln_f.bias"])
+        return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
 
-    def _embed(self, history, injected: list[Tensor],
-               cache: KVCache) -> tuple[Tensor, np.ndarray | None]:
-        """``encode``'s new rows before the first block, token or latent plus
-        position embeddings, and the mask of what they attend to. Checks the
-        call, then records the sequences' new lengths in ``cache``."""
+    def _embed(self, history, injected: list[Tensor], cache: KVCache):
+        """``encode``'s new rows before the first block, token embeddings or
+        latents; the position rows the first block adds to them (``pos`` and
+        ``at`` of ``numerics.transformer_block``); and the mask of what they
+        attend to. Checks the call, then records the batch and its padding
+        in ``cache``."""
         seqs = as_batch(history)
-        lengths = cache.lengths or [0] * len(seqs)
-        B, d = len(lengths), self.cfg.d_m
+        B, d = cache.batch or len(seqs), self.cfg.d_m
+        lengths = cache.lengths.tolist() if cache.batch else [0] * B
         counts = list(map(len, seqs)) or [0] * B
         if len(counts) != B:
             raise ValueError(f"{len(counts)} sequences given to a cache of {B}")
@@ -201,8 +214,9 @@ class Backbone:
         if n == 0:
             raise ValueError("encode requires at least one new position")
         for rows in injected:
-            if rows.data.shape != (B, d):
-                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)}")
+            if rows.data.ndim != 2 or len(rows.data) != B or rows.data.shape[1] < d:
+                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)} "
+                                 f"(or wider, of which the first {d} columns are read)")
 
         p = self._params
         start = len(cache)
@@ -224,25 +238,54 @@ class Backbone:
                 ids = grid
             parts.append(embedding_lookup(p["tok_emb"], ids.ravel("F")))
         parts.extend(injected)
-        x = concat(parts, axis=0) if len(parts) > 1 else parts[0]
         if ragged:  # a sequence's tokens, then its latents, from its own length on
             columns = np.arange(n)[:, None]
             latent = columns >= width
             pos = np.add(lengths, np.where(latent, columns - width + counts, columns))
             pos = np.where(latent | (columns < counts), pos, 0)  # padding reads position 0
-            x = x + embedding_lookup(p["pos_emb"], pos.reshape(-1))
+            pos, at = embedding_lookup(p["pos_emb"], pos.reshape(-1)), None
         else:  # column c of every sequence is at position start + c
-            x = add_rows(x, p["pos_emb"][start:start + n])
+            pos, at = p["pos_emb"], slice(start, start + n)
+        return self._rows(parts), pos, at, self._commit(cache, B, start, n, pad)
 
-        # new column c sees columns 0..start + c, except padding
+    def _latent_rows(self, injected: list[Tensor], cache: KVCache):
+        """``_embed`` for a latent step of sequences that hold one length (a
+        served request's): latents alone, step c of every sequence at
+        position len(cache) + c. The histories were checked when they
+        entered the cache, so this checks only the rows and positions a
+        step adds."""
+        k, B, start = len(injected), cache.batch, len(cache)
+        x = self._rows(injected)
+        if x.data.ndim != 2 or len(x.data) != k * B or x.data.shape[1] < self.cfg.d_m:
+            raise ValueError(f"latent rows of shape {x.data.shape}, expected "
+                             f"{(k * B, self.cfg.d_m)}")
+        if start + k > self.cfg.max_positions:
+            raise ValueError(f"sequence length {start + k} exceeds max_positions "
+                             f"{self.cfg.max_positions}")
+        mask = self._commit(cache, B, start, k, None)
+        return x, self._params["pos_emb"], slice(start, start + k), mask
+
+    def _rows(self, parts: list[Tensor]) -> Tensor:
+        """New rows, stacked: one part as it is, more cut to their first
+        d_m columns and concatenated."""
+        if len(parts) == 1:
+            return parts[0]
+        d = self.cfg.d_m
+        return concat([t if t.data.shape[1] == d else t[:, :d] for t in parts], axis=0)
+
+    def _commit(self, cache: KVCache, B: int, start: int, n: int,
+                pad: np.ndarray | None) -> np.ndarray | None:
+        """Record the call's batch and padding in ``cache``, and return the
+        mask of what its n new columns attend to: column c sees columns
+        0..start + c, except padding."""
         T = start + n
         mask = None if n == 1 else \
             np.where(np.arange(T) > np.arange(start, T)[:, None], MASK_VALUE, 0.0)
         if pad is not None:
             keys = np.where(pad, MASK_VALUE, 0.0)[:, None, :]
             mask = keys if mask is None else mask + keys
-        cache.lengths, cache.pad = ends, pad
-        return x, mask
+        cache.batch, cache.pad = B, pad
+        return mask
 
     def next_item_scores(self, hidden: Tensor) -> Tensor:
         """(R, n_items) logits of every row of ``hidden``, tied to the

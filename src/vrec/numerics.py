@@ -27,7 +27,12 @@ layer norm, causal multi-head attention over cached and new keys, the
 output projection, layer norm and a gelu MLP, each with its residual) and
 the verifier bank's step in ``verifiers``. Their outputs have the bits of
 the chains of elementary ops they replace, which stay in the tests as
-their oracles, and their gradients add terms in those chains' order.
+their oracles, and their gradients add terms in those chains' order. A
+block reads the first d columns of a wider input, a bank step's packed
+output, and the first block adds the position rows itself; ``layer_norm``
+reads the first columns of a block's packed output. So a latent step
+builds the bank step, one node per block and the final norm, and no
+slicing or position node between them.
 """
 
 from __future__ import annotations
@@ -41,12 +46,10 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Rng",
-    "add_rows",
     "check_int",
     "check_seed",
     "concat",
     "embedding_lookup",
-    "grad_check",
     "layer_norm",
     "log",
     "log_softmax",
@@ -312,17 +315,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(ad @ bd, (a, b), "matmul", lambda g: (g @ bd.T, ad.T @ g))
 
 
-def add_rows(x: Tensor, rows: Tensor) -> Tensor:
-    """Add row c of an (n, d) matrix to the c-th of n equal runs of a (T, d)
-    matrix's rows (explicit, not broadcast): a position-major batch's positions."""
-    (T, d), n = x.data.shape, rows.data.shape[0]
-    if rows.data.shape != (n, d) or T % n:
-        raise ValueError(f"add_rows: shape mismatch {x.data.shape} + {rows.data.shape}")
-    run = (n, T // n, d)
-    return _node((x.data.reshape(run) + rows.data[:, None]).reshape(T, d), (x, rows), "add_rows",
-                 lambda g: (g, g.reshape(run).sum(axis=1)))
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of a (V, d) table by integer index; gradient scatters back.
 
@@ -478,24 +470,42 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    out, vjp = _layer_norm_np(x.data, gain.data, bias.data)
+    """Normalize over the last axis, then scale and shift.
+
+    Of a matrix wider than ``gain``, such as ``transformer_block``'s packed
+    output, the first len(gain) columns are normalized and the rest are
+    ignored."""
+    width, d = x.data.shape[-1], gain.data.size
+    if gain.data.shape != (d,) or bias.data.shape != (d,) or width < d \
+            or width > d and x.data.ndim != 2:
+        raise ValueError(f"layer_norm: gain/bias of shape {gain.data.shape} and "
+                         f"{bias.data.shape} for rows of width {width}")
+    if width == d:
+        out, vjp = _layer_norm_np(x.data, gain.data, bias.data)
+        return _node(out, (x, gain, bias), "layer_norm", vjp)
+    out, cols_vjp = _layer_norm_np(np.ascontiguousarray(x.data[:, :d]), gain.data, bias.data)
+
+    def vjp(g):
+        g_x, g_gain, g_bias = cols_vjp(g)
+        return (np.concatenate([g_x, np.zeros((len(g_x), width - d))], axis=1), g_gain, g_bias)
     return _node(out, (x, gain, bias), "layer_norm", vjp)
 
 
 def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
                       past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
-                      values: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      values: np.ndarray | None = None, pos: Tensor | None = None,
+                      at: slice | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
-    is the embedded rows, or the block below's output). ``params`` are
-    ln1 gain and bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain and bias,
-    w1, b1, w2 and b2, and with u = LN1(x) the block computes
+    is the embedded rows, a verifier step's packed output, or the block
+    below's output). The first block also takes the position rows ``pos``
+    and adds them to its input rows: with ``at`` a slice of the position
+    table ``pos``, its row c to column c of every sequence; with ``at``
+    None, ``pos`` holds one row per input row (a ragged batch's gather).
+    ``params`` are ln1 gain and bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2
+    gain and bias, w1, b1, w2 and b2, and with u = LN1(x) the block computes
 
         a = x + attention(u Wq + bq, [keys; u Wk + bk], [values; u Wv + bv]) Wo + bo
         out = a + gelu(LN2(a) W1 + b1) W2 + b2
@@ -503,17 +513,23 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     (``_attention_np`` with ``heads``, ``mask`` and ``batch``). ``past`` are
     this layer's outputs from earlier calls; ``keys`` and ``values`` are
     their k and v columns concatenated, which the new rows attend to after
-    (None with no ``past``). The gradient flows to ``past`` too. Returns
-    the node, whose (n*batch, 3d) rows pack [out | k | v], and the keys and
-    values the next call attends to. The node's values have the bits of the
-    chain of elementary ops it replaces, and its gradient adds terms in
-    that chain's order.
+    (None with no ``past``). The gradient flows to ``past`` and ``pos`` too.
+    Returns the node, whose (n*batch, 3d) rows pack [out | k | v], and the
+    keys and values the next call attends to. The node's values have the
+    bits of the chain of elementary ops it replaces, and its gradient adds
+    terms in that chain's order.
     """
     (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
      gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
     d = wq.shape[0]
     rows, width = x.data.shape
-    xd = x.data if width == d else np.ascontiguousarray(x.data[:, :d])
+    xd = x.data if width == d else x.data[:, :d]
+    if pos is not None and at is None:
+        xd = xd + pos.data
+    elif pos is not None:  # column c of every sequence is at position at.start + c
+        xd = (xd.reshape(-1, batch, d) + pos.data[at][:, None]).reshape(rows, d)
+    elif width != d:
+        xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
     q, k, v = u @ wq + bq, u @ wk + bk, u @ wv + bv
     if keys is not None:
@@ -538,6 +554,13 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_k, g_v = g_keys[new:] + g[:, d:2 * d], g_values[new:] + g[:, 2 * d:]
         g_x, g_gain1, g_bias1 = ln1_vjp((g_q @ wq.T + g_k @ wk.T) + g_v @ wv.T)
         g_x = g_a + g_x
+        g_pos = ()
+        if pos is not None and at is None:
+            g_pos = (g_x,)
+        elif pos is not None:
+            g_table = np.zeros_like(pos.data)
+            g_table[at] = g_x.reshape(-1, batch, d).sum(axis=1)
+            g_pos = (g_table,)
         if width != d:
             g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
         g_past, lo = [], 0
@@ -550,45 +573,13 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         return (*g_past, g_gain1, g_bias1, u.T @ g_q, g_q.sum(axis=0), u.T @ g_k,
                 g_k.sum(axis=0), u.T @ g_v, g_v.sum(axis=0), joined.T @ g_a, g_a.sum(axis=0),
                 g_gain2, g_bias2, u2.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out,
-                g_out.sum(axis=0), g_x)
-    # x last: backward's depth-first search then reaches this call's inputs
-    # before the earlier calls, in the order the chain of ops did
-    node = _node(np.concatenate([out, k, v], axis=1), (*past, *params, x), "transformer_block", vjp)
+                g_out.sum(axis=0), g_x, *g_pos)
+    # x and pos last: backward's depth-first search then reaches this call's
+    # inputs before the earlier calls, in the order the chain of ops did
+    inputs = (x,) if pos is None else (x, pos)
+    node = _node(np.concatenate([out, k, v], axis=1), (*past, *params, *inputs),
+                 "transformer_block", vjp)
     return node, keys, values
-
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``f`` must be a deterministic closure over ``params`` returning a scalar
-    tensor. Only the analytic pass tracks ``params``. Relative error is
-    |ad - fd| / (|fd| + 1e-12), maximized over every element of every
-    parameter.
-    """
-    for p in params:
-        p.zero_grad()
-    with tracking(params):
-        f().backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    worst = 0.0
-    for p, ad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ad_flat = ad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f().item()
-            flat[i] = orig - h
-            down = f().item()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            err = abs(ad_flat[i] - fd) / (abs(fd) + 1e-12)
-            if err > worst:
-                worst = err
-    for p in params:
-        p.zero_grad()
-    return worst
 
 
 def check_int(name: str, value, least: int = 0) -> None:

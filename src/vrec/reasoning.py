@@ -9,7 +9,10 @@ one new row per step and every position exactly once.
 The loop runs on a batch of histories at once: one padded pass over the
 histories, then one (B, d_m) pass per step. Training, collection and
 evaluation run it on minibatches or on chunks of ``CHUNK`` samples; a
-single request is the batch of one.
+single request is the batch of one. A step injects the bank step's packed
+output, whose first d_m columns are r*, so it builds three kinds of graph
+node: the bank step, one node per block and the final norm (and, in a
+batch of unequal histories, a position gather).
 """
 
 from __future__ import annotations
@@ -35,12 +38,25 @@ CHUNK = 32
 
 @dataclass
 class ReasoningTrace:
-    # (raw r_t, adjusted r*_t, verdict), r_t and r*_t as (B, d_m) rows
-    steps: list[tuple[Tensor, Tensor, StepVerdict | None]]
-    m: int
+    """A rollout's latent steps: each step's raw r_t, (B, d_m) rows, and the
+    bank's verdict on them (None without a bank)."""
+
+    raw: list[Tensor]
+    verdicts: list[StepVerdict | None]
+
+    @property
+    def m(self) -> int:
+        return len(self.raw)
+
+    @property
+    def steps(self) -> list[tuple[Tensor, Tensor, StepVerdict | None]]:
+        """(raw r_t, adjusted r*_t, verdict) per step. r*_t is r_t without a
+        bank; with one, a view of the verdict's columns built on each read,
+        since the loop itself injects the packed verdict."""
+        return [(r, r if v is None else v.r_star, v) for r, v in zip(self.raw, self.verdicts)]
 
     def adjusted(self) -> list[Tensor]:
-        return [s[1] for s in self.steps]
+        return [adj for _, adj, _ in self.steps]
 
 
 def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
@@ -51,6 +67,7 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
     history, the batch of one. Each step of the trace holds (B, d_m) rows,
     and the second value is the (B, d_m) final state of each history, at
     its own last position L_b + m - 1, which the recommendation reads.
+    The rollout's length is checked here, once, before anything is encoded.
     """
     L = max(map(len, as_batch(history)), default=0)
     if L + m > backbone.cfg.max_positions:
@@ -58,16 +75,17 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
                          f"{backbone.cfg.max_positions}")
     cache = KVCache()
     rows = backbone.encode(history, cache=cache)
-    B = len(cache.lengths)  # each history's last row; the rows are position-major
+    B = cache.batch  # each history's last row; the rows are position-major
     last = rows[-B:] if cache.pad is None else \
-        embedding_lookup(rows, (np.array(cache.lengths) - 1) * B + np.arange(B))
-    steps: list[tuple[Tensor, Tensor, StepVerdict | None]] = []
+        embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
+    raw, verdicts = [], []
     for _ in range(m):
         verdict = None if bank is None else verify_and_adjust(bank, last)
-        r_adj = last if verdict is None else verdict.r_star
-        steps.append((last, r_adj, verdict))
-        last = backbone.encode([], [r_adj], cache=cache)
-    return ReasoningTrace(steps=steps, m=m), last
+        raw.append(last)
+        verdicts.append(verdict)
+        # the packed verdict's first d_m columns are r*, which the block reads
+        last = backbone.encode([], [last if verdict is None else verdict.packed], cache=cache)
+    return ReasoningTrace(raw, verdicts), last
 
 
 def recommend(backbone: Backbone, final_hidden: Tensor, k: int | None = None) -> np.ndarray:
@@ -91,7 +109,7 @@ def homogeneity(traces: list[ReasoningTrace], t: int) -> tuple[float, np.ndarray
     """
     if len(traces) < 2:
         raise ValueError(f"homogeneity requires at least 2 traces, got {len(traces)}")
-    vecs = np.concatenate([tr.steps[t][1].data for tr in traces])
+    vecs = np.concatenate([tr.adjusted()[t].data for tr in traces])
     norms = np.linalg.norm(vecs, axis=1)
     unit = vecs / np.maximum(norms, 1e-12)[:, None]
     sims = unit @ unit.T

@@ -194,7 +194,7 @@ def reasoning_losses(backbone: Backbone, bank: VerifierBank | None, histories: l
         B = len(targets)
         l_v = verifier_loss(bank, concat(trace.adjusted()), np.tile(np.arange(B), m),
                             classes[targets], hyper.alpha)
-        l_m = monotonicity_loss(concat([v.f for _, _, v in trace.steps]), B)
+        l_m = monotonicity_loss(concat([v.f for v in trace.verdicts]), B)
     else:
         l_v = l_m = Tensor(0.0)
     total = l_r + hyper.beta * l_v + hyper.gamma * l_m

@@ -9,7 +9,7 @@ prototype (a column of the verifier's last layer).
 One step through the whole bank, over a batch of representations as rows,
 is one graph node with a hand-written vector-Jacobian product
 (``verify_and_adjust``). Its output packs [r* | w | p_1 .. p_n | f | c]
-along the last axis, and ``StepVerdict`` reads each field as a view of it.
+along the last axis, and ``StepVerdict`` reads r*, w and f as views of it.
 The step runs the verifiers' trunks and heads as batched products over
 their weights stacked per call, one per trunk layer and per class count.
 """
@@ -118,8 +118,8 @@ class StepVerdict:
 
     ``packed`` is the fused step's (B, P) output, [r* | w | p_1 .. p_n | f | c]
     along its last axis. The fields are basic-index views of its columns,
-    built each time they are read, so a served step that reads only
-    ``r_star`` builds two Tensors.
+    built each time they are read. A latent step reads none of them: the
+    next block reads r* as ``packed``'s first d_m columns.
     """
 
     def __init__(self, bank: "VerifierBank", packed: Tensor, j_star: np.ndarray):
@@ -139,22 +139,9 @@ class StepVerdict:
         return self.packed[:, d:d + n]
 
     @property
-    def p(self) -> list[Tensor]:
-        """Per-verifier class distributions, (B, d_i) each."""
-        lo = self._bank.d_m + self._bank.n
-        return [self.packed[:, lo + a:lo + a + v.d_i]
-                for a, v in zip(self._bank.class_offsets(), self._bank.verifiers)]
-
-    @property
     def f(self) -> Tensor:
         """Per-verifier prediction entropies, (B, n)."""
         lo = self._bank.d_m + self._bank.n + self._bank.n_classes
-        return self.packed[:, lo:lo + self._bank.n]
-
-    @property
-    def c(self) -> Tensor:
-        """Per-verifier confidences, (B, n)."""
-        lo = self._bank.d_m + 2 * self._bank.n + self._bank.n_classes
         return self.packed[:, lo:lo + self._bank.n]
 
     @property

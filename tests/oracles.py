@@ -5,20 +5,33 @@ bank step) replaced chains of elementary ops; the chains stay in the tests
 as their oracles (``encode_chain`` is the backbone's), and the first ops
 here are the ones the chains need that the library no longer does. They
 are built on ``numerics._node`` like every library op. The rest are small
-references the tests check the library against, and a checkpoint writer
-for tests that edit a saved header."""
+references the tests check the library against, the finite-difference
+gradient check, readers of verdict fields that only tests read, and a
+checkpoint writer for tests that edit a saved header."""
 
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from vrec.backbone import KVCache
 from vrec.checkpoint import MAGIC
 from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
-                           _softmax_np, concat, embedding_lookup, layer_norm, matmul)
+                           _softmax_np, concat, embedding_lookup, layer_norm, matmul, tracking)
 from vrec.reasoning import recommend
+
+
+def add_rows(x: Tensor, rows: Tensor) -> Tensor:
+    """Add row c of an (n, d) matrix to the c-th of n equal runs of a (T, d)
+    matrix's rows (explicit, not broadcast): a position-major batch's positions."""
+    (T, d), n = x.data.shape, rows.data.shape[0]
+    if rows.data.shape != (n, d) or T % n:
+        raise ValueError(f"add_rows: shape mismatch {x.data.shape} + {rows.data.shape}")
+    run = (n, T // n, d)
+    return _node((x.data.reshape(run) + rows.data[:, None]).reshape(T, d), (x, rows), "add_rows",
+                 lambda g: (g, g.reshape(run).sum(axis=1)))
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -62,15 +75,21 @@ class ChainCache(KVCache):
     values: list = field(default_factory=list)
 
     def __len__(self) -> int:
-        return self.keys[0].shape[0] // len(self.lengths) if self.keys else 0
+        return self.keys[0].shape[0] // self.batch if self.keys else 0
 
 
 def encode_chain(model, history, injected=None, cache=None) -> Tensor:
-    """``Backbone.encode`` with each block as the chain of elementary ops
-    that ``numerics.transformer_block`` fuses; its cache is a ``ChainCache``."""
+    """``Backbone.encode`` with the position rows added before the first
+    block, as a slice and ``add_rows`` or a gather and an add, a packed
+    verdict cut to its first d_m columns, and each block as the chain of
+    elementary ops that ``numerics.transformer_block`` fuses; its cache is a
+    ``ChainCache``."""
     cache = ChainCache() if cache is None else cache
-    x, mask = model._embed(history, injected or [], cache)
-    p = model.params()
+    x, pos, at, mask = model._embed(history, injected or [], cache)
+    p, d = model.params(), model.cfg.d_m
+    if x.shape[1] != d:
+        x = x[:, :d]
+    x = x + pos if at is None else add_rows(x, pos[at])
     for i in range(model.cfg.layers):
         pre = f"blocks.{i}."
         normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
@@ -82,7 +101,7 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        joined = attention(q, k, v, model.cfg.heads, mask, batch=len(cache.lengths))
+        joined = attention(q, k, v, model.cfg.heads, mask, batch=cache.batch)
         x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
@@ -95,6 +114,23 @@ def guidance(verdict) -> list[Tensor]:
     (B, d_m) rows each."""
     return [embedding_lookup(v.w_last.transpose(), j)
             for v, j in zip(verdict._bank.verifiers, verdict._j.T)]
+
+
+def probabilities(verdict) -> list[Tensor]:
+    """Per-verifier class distributions p_i of a ``StepVerdict``, (B, d_i)
+    each: views of its packed columns after r* and w."""
+    bank = verdict._bank
+    lo = bank.d_m + bank.n
+    return [verdict.packed[:, lo + a:lo + a + v.d_i]
+            for a, v in zip(bank.class_offsets(), bank.verifiers)]
+
+
+def confidences(verdict) -> Tensor:
+    """Per-verifier confidences c_i of a ``StepVerdict``, (B, n): its last
+    packed columns, after f."""
+    bank = verdict._bank
+    lo = bank.d_m + 2 * bank.n + bank.n_classes
+    return verdict.packed[:, lo:lo + bank.n]
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -151,6 +187,40 @@ def confidence(f: Tensor, eps: float = 1e-6) -> Tensor:
         deriv = -1.0 / (fv * fv) if fv > 1.0 else 0.0
         return (np.asarray(float(g) * deriv).reshape(f.data.shape),)
     return _node(np.asarray(np.float64(c)), (f,), "confidence", vjp)
+
+
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:
+    """Max relative error between reverse-mode and central-difference gradients.
+
+    ``f`` must be a deterministic closure over ``params`` returning a scalar
+    tensor. Only the analytic pass tracks ``params``. Relative error is
+    |ad - fd| / (|fd| + 1e-12), maximized over every element of every
+    parameter.
+    """
+    for p in params:
+        p.zero_grad()
+    with tracking(params):
+        f().backward()
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+
+    worst = 0.0
+    for p, ad in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        ad_flat = ad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = f().item()
+            flat[i] = orig - h
+            down = f().item()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * h)
+            err = abs(ad_flat[i] - fd) / (abs(fd) + 1e-12)
+            if err > worst:
+                worst = err
+    for p in params:
+        p.zero_grad()
+    return worst
 
 
 def greedy_recommend(backbone, final_hidden: Tensor) -> int:

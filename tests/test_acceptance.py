@@ -13,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, greedy_recommend, guidance
+from oracles import confidence, entropy, grad_check, greedy_recommend, guidance
 from vrec.backbone import Backbone, ModelConfig
 from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import REFERENCE_OVERHEAD_PCT, ndcg_at_k, recall_at_k, timing_overhead
 from vrec.labeling import build_labeling, kmeans
-from vrec.numerics import Tensor, concat, grad_check
+from vrec.numerics import Tensor, concat
 from vrec.pipeline import run_pipeline
 from vrec.reasoning import run_reasoning
 from vrec.training import (TrainHyper, collect_verifier_dataset,

@@ -6,6 +6,7 @@ import pytest
 from vrec.backbone import Backbone, KVCache, ModelConfig
 from oracles import ChainCache, encode_chain, greedy_recommend, softmax
 from vrec.numerics import Rng, Tensor, tracking
+from vrec.verifiers import make_bank, verify_and_adjust
 
 
 def small_cfg(**kw):
@@ -97,6 +98,24 @@ def test_cached_encode_errors():
         bb.encode([3, 4, 5], cache=cache)
     assert len(cache) == 2  # a refused call leaves the cache as it was
     assert bb.encode([3], [Tensor(np.zeros((1, 16)))], cache=cache).shape == (2, 16)
+    assert len(cache) == 4
+
+
+def test_latent_step_errors():
+    # a latent step after a cached history checks only the rows it adds
+    bb = Backbone(small_cfg(max_positions=4))
+    cache = KVCache()
+    bb.encode([0, 1, 2], cache=cache)
+    for rows in (np.zeros((2, 16)), np.zeros((1, 15)), np.zeros(16)):
+        with pytest.raises(ValueError, match="latent rows of shape"):
+            bb.encode([], [Tensor(rows)], cache=cache)
+    assert len(cache) == 3
+    wide = Tensor(np.arange(20.0)[None])  # the first 16 columns are the latent
+    step = bb.encode([], [wide], cache=cache).data
+    whole = bb.encode([0, 1, 2], [Tensor(wide.data[:, :16])]).data
+    assert np.abs(step - whole[-1:]).max() <= 1e-12
+    with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
+        bb.encode([], [wide], cache=cache)
     assert len(cache) == 4
 
 
@@ -229,3 +248,62 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
     assert loss.tobytes() == chain_loss.tobytes()
     for got, want in zip(grads, chain_grads):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
+    # latents injected as the bank step's packed output, whose first d_m
+    # columns the first block reads, with the position rows added inside
+    # that block: against the chain that cuts r* out and adds the positions
+    # before it, in uncached and cached calls, with one and two latents
+    bb = Backbone(small_cfg(d_m=12, layers=layers, heads=3, max_positions=20))
+    bank = make_bank([("a", 3), ("b", 4), ("c", 3)], d_m=12, seed=layers, hidden_depth=2)
+    rng = Rng(layers, 12)
+    params = list(bb.params().values()) + list(bank.params().values())
+    for t in params:  # unit scale: attention and predictions far from uniform
+        t.data[...] = rng.normal(t.shape, std=0.6)
+    histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
+        [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
+    B, cut = len(histories), 2
+
+    def packed(rows, scale=1.0):
+        return verify_and_adjust(bank, rows * scale).packed
+
+    def rollout(encode, cache):
+        outs = [encode([h[:cut] for h in histories], None, cache)]
+        outs.append(encode([h[cut:] for h in histories], [packed(outs[-1][-B:])], cache))
+        for k in (1, 2, 1):
+            last = outs[-1][-B:]
+            outs.append(encode([], [packed(last, 1.0 - 0.5 * j) for j in range(k)], cache))
+        return outs
+
+    latents = [packed(Tensor(rng.normal((B, 12)))) for _ in range(2)]
+    results = []
+    for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
+                          (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
+        whole = encode(histories, latents, None)
+        with tracking(params):
+            outs = rollout(encode, cache)
+            loss = None
+            for j, out in enumerate(outs):
+                term = (out * Tensor(np.cos(np.arange(out.size) + j).reshape(out.shape))).sum()
+                loss = term if loss is None else loss + term
+            loss.backward()
+        results.append(([whole.data] + [out.data for out in outs], loss.data,
+                        {name: t.grad.copy() for name, t in
+                         [*bb.params().items(), *bank.params().items()]}))
+        for t in params:
+            t.zero_grad()
+    (rows, loss, grads), (chain_rows, chain_loss, chain_grads) = results
+    assert len(rows) == len(chain_rows) == 6
+    for got, want in zip(rows, chain_rows):
+        assert np.array_equal(got, want)
+    assert loss.tobytes() == chain_loss.tobytes()
+    checked = [name for name in grads
+               if name == "pos_emb" or name.startswith(("ln_f.", "blocks.", "router.",
+                                                        "verifiers."))]
+    assert len(checked) == 3 + 16 * layers + 2 + 3 * 4
+    assert grads["pos_emb"].any()
+    for name in checked:
+        assert np.abs(grads[name] - chain_grads[name]).max() <= 1e-12, name

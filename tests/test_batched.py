@@ -76,16 +76,18 @@ def _served_tensors(monkeypatch, m: int, with_bank: bool) -> int:
 
 def test_deep_request_tensor_bound(monkeypatch):
     # m=8 with three verifiers built 223 Tensors when each block was a chain
-    # of ops and each bank step looped over its verifiers
-    assert _served_tensors(monkeypatch, 8, True) <= 80
+    # of ops and each bank step looped over its verifiers, and 63 with one
+    # node per block and per bank step but position and view nodes around them
+    assert _served_tensors(monkeypatch, 8, True) == 28
 
 
-@pytest.mark.parametrize("m,with_bank,tensors", [(2, True, 21), (0, False, 7)])
+@pytest.mark.parametrize("m,with_bank,tensors", [(2, True, 10), (0, False, 4)])
 def test_single_request_tensor_count(monkeypatch, m, with_bank, tensors):
-    # the history's pass: token and position lookups, one node per block,
-    # the final norm and the last row; each latent step: the bank step and
-    # its r* view, a position slice and add, one node per block, the final
-    # norm. The chains of ops before built 73 and 23
+    # the history's pass: the token lookup, one node per block (the first
+    # adds the position rows), the final norm and the last row; each latent
+    # step: the bank step, one node per block (the first reads r* from the
+    # packed verdict) and the final norm. The chains of ops before built 73
+    # and 23, and the blocks with position and view nodes around them 21 and 7
     assert _served_tensors(monkeypatch, m, with_bank) == tensors
 
 

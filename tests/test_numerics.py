@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import add_rowvec, attention, confidence, entropy, exp, gelu, matvec, softmax
+from oracles import (add_rows, add_rowvec, attention, confidence, entropy, exp, gelu, grad_check,
+                     matvec, softmax)
 from vrec.numerics import (
     Rng,
     Tensor,
-    add_rows,
     concat,
     embedding_lookup,
-    grad_check,
     layer_norm,
     log,
     log_softmax,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import vrec.reasoning
-from oracles import ChainCache, encode_chain, greedy_recommend
+from oracles import ChainCache, confidences, encode_chain, grad_check, greedy_recommend
 from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Rng, Tensor, concat, grad_check, tracking
+from vrec.numerics import Rng, Tensor, concat, tracking
 from vrec.reasoning import (
     ReasoningTrace,
     export_traces,
@@ -58,7 +58,7 @@ def test_confident_bank_injects_prototype_columns():
     bank.verifiers[0].b_last.data[:] = [40.0, 0.0, 0.0]
     trace, _ = run_reasoning(bb, bank, [0, 5], 2)
     for raw, adj, verdict in trace.steps:
-        assert verdict.c[0].item() == 1.0
+        assert confidences(verdict)[0].item() == 1.0
         col = bank.verifiers[0].w_last.data[:, verdict.j_star[0][0]]
         assert np.array_equal(adj.data[0], col)
 
@@ -177,7 +177,7 @@ def test_grad_check_through_cached_rollout():
 
     def reencoded(*args):
         steps, hidden = reencode_reasoning(*args)
-        return ReasoningTrace(steps=steps, m=len(steps)), hidden
+        return ReasoningTrace([s[0] for s in steps], [s[2] for s in steps]), hidden
 
     # keep the check point off the confidence clamp at f=1
     trace, _ = run_reasoning(bb, bank, history, 3)
@@ -203,8 +203,7 @@ def test_greedy_matches_rank_one():
 
 
 def fake_trace(vectors):
-    steps = [(Tensor(v[None]), Tensor(v[None]), None) for v in vectors]
-    return ReasoningTrace(steps=steps, m=len(steps))
+    return ReasoningTrace([Tensor(v[None]) for v in vectors], [None] * len(vectors))
 
 
 def test_homogeneity_identical_vectors():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_recommend
+from oracles import grad_check, greedy_recommend, probabilities
 from vrec.backbone import Backbone, ModelConfig
 from vrec.checkpoint import load_model, save_model
 from vrec.datasets import Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import build_labeling
-from vrec.numerics import Rng, Tensor, grad_check, parameter_vectors
+from vrec.numerics import Rng, Tensor, parameter_vectors
 from vrec.reasoning import run_reasoning
 from vrec.training import (
     Adam,
@@ -214,7 +214,7 @@ def test_verifier_loss_adds_terms_step_by_step():
     pos = neg = 0.0
     for row in rows:
         verdict = verify_and_adjust(bank, Tensor(row[None]))
-        for i, p in enumerate(verdict.p):
+        for i, p in enumerate(probabilities(verdict)):
             pos += -np.log(p.data[0, labels[i]])
             neg += verdict.f.data[0, i] * -0.7
     owner = np.zeros(4, dtype=int)  # one trace of four steps
@@ -317,7 +317,7 @@ def test_stages_leave_nothing_tracked(corpus):
     params = list(bb.params().values()) + list(bank.params().values())
     assert not any(p.requires_grad for p in params)
     trace, hidden = run_reasoning(bb, bank, split.test[0].history, 2)
-    outputs = [hidden] + [t for raw, adj, v in trace.steps for t in [raw, adj, v.w, *v.p, *v.f]]
+    outputs = [hidden] + [t for raw, adj, v in trace.steps for t in [raw, adj, v.w, *probabilities(v), *v.f]]
     assert all(t._vjp is None and t._children == () for t in outputs)
     assert recommendation_loss(bb, hidden, [0])._vjp is None
 

@@ -4,8 +4,9 @@ and the fused bank step against the per-verifier chain it replaced."""
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, gelu, guidance, matvec, softmax
-from vrec.numerics import Rng, Tensor, grad_check, tracking
+from oracles import (confidence, confidences, entropy, gelu, grad_check, guidance, matvec,
+                     probabilities, softmax)
+from vrec.numerics import Rng, Tensor, tracking
 from vrec.verifiers import EPSILON, Router, Verifier, VerifierBank, make_bank, verify_and_adjust
 
 
@@ -80,7 +81,7 @@ def test_predict_zero_weights_uniform():
     v = bank.verifiers[0]
     v.w_last.data[:] = 0.0
     v.b_last.data[:] = 0.0
-    p = verify_and_adjust(bank, Tensor(np.ones((1, 8)))).p[0][0]
+    p = probabilities(verify_and_adjust(bank, Tensor(np.ones((1, 8)))))[0][0]
     assert np.allclose(p.data, 0.25, atol=1e-15)
 
 
@@ -90,7 +91,7 @@ def test_predict_hand_2x2():
                  w_last=Tensor(np.array([[2.0, 0.0], [1.0, 5.0]])),
                  b_last=Tensor(np.zeros(2)))
     # a one-verifier router weighs it exactly 1, so the head sees r itself
-    p = verify_and_adjust(one_verifier_bank(v), Tensor(np.array([[1.0, 0.0]]))).p[0][0]
+    p = probabilities(verify_and_adjust(one_verifier_bank(v), Tensor(np.array([[1.0, 0.0]]))))[0][0]
     # logits = [2, 0]; softmax by hand
     assert p.data == pytest.approx([0.8807970779778823, 0.11920292202211755], abs=1e-15)
     assert abs(p.data.sum() - 1.0) < 1e-12
@@ -109,7 +110,7 @@ def test_guidance_argmax_column():
     v = Verifier(dimension="g", d_i=3, hidden=[],
                  w_last=Tensor(Rng(3).normal((8, 3))), b_last=Tensor(np.log([0.2, 0.7, 0.1])))
     verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
-    assert verdict.p[0].data[0] == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
+    assert probabilities(verdict)[0].data[0] == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
     assert verdict.j_star[0] == [1]
     assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 1])
 
@@ -118,7 +119,7 @@ def test_guidance_tie_lowest_index():
     v = Verifier(dimension="g", d_i=2, hidden=[],
                  w_last=Tensor(Rng(4).normal((8, 2))), b_last=Tensor(np.zeros(2)))
     verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
-    assert np.array_equal(verdict.p[0].data[0], [0.5, 0.5])
+    assert np.array_equal(probabilities(verdict)[0].data[0], [0.5, 0.5])
     assert verdict.j_star[0] == [0]
     assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 0])
 
@@ -141,7 +142,7 @@ def test_adjust_full_replacement_when_confident():
     bank = peaked_bank()
     r = Tensor(Rng(5).normal((1, 8)))
     verdict = verify_and_adjust(bank, r)
-    assert verdict.c[0, 0].item() == 1.0
+    assert confidences(verdict)[0, 0].item() == 1.0
     assert np.array_equal(verdict.r_star.data[0], bank.verifiers[0].w_last.data[:, 0])
 
 
@@ -151,7 +152,7 @@ def test_adjust_hand_expansion_two_verifiers():
     verdict = verify_and_adjust(bank, r)
     terms = []
     for i in range(2):
-        c = verdict.c[0, i].item()
+        c = confidences(verdict)[0, i].item()
         terms.append((1 - c) * r.data[0] + c * guidance(verdict)[i].data[0])
     hand = (terms[0] + terms[1]) / 2
     assert np.abs(hand - verdict.r_star.data[0]).max() < 1e-12
@@ -175,7 +176,7 @@ def test_adjust_invariants_random_instances():
         for i, v in enumerate(bank.verifiers):
             f = verdict.f[0, i].item()
             assert 0.0 <= f <= np.log(v.d_i) + 1e-12
-            assert 0.0 < verdict.c[0, i].item() <= 1.0
+            assert 0.0 < confidences(verdict)[0, i].item() <= 1.0
         norm_bound = max(np.linalg.norm(r.data),
                          max(np.linalg.norm(g.data) for g in guidance(verdict)))
         assert np.linalg.norm(verdict.r_star.data) <= norm_bound + 1e-9
@@ -222,7 +223,7 @@ def test_mlp_verifier_shapes():
     v = bank.verifiers[0]
     assert [tuple(w.shape) for w, _ in v.hidden] == [(8, 16), (16, 8)]
     assert tuple(v.w_last.shape) == (8, 4)
-    p = verify_and_adjust(bank, Tensor(Rng(14).normal((1, 8)))).p[0]
+    p = probabilities(verify_and_adjust(bank, Tensor(Rng(14).normal((1, 8)))))[0]
     assert abs(p.data.sum() - 1.0) < 1e-12
 
 
@@ -263,8 +264,8 @@ def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
     with tracking(tracked):
         verdict = verify_and_adjust(bank, r)
         loss = ((verdict.r_star * coef_r).sum() + (verdict.w * coef_w).sum()
-                + (verdict.f * coef_f).sum() + (verdict.c * coef_c).sum())
-        for p, k in zip(verdict.p, coef_p):
+                + (verdict.f * coef_f).sum() + (confidences(verdict) * coef_c).sum())
+        for p, k in zip(probabilities(verdict), coef_p):
             loss = loss + (p * k).sum()
         loss.backward()
         fused_grads = take_grads(tracked)
@@ -278,9 +279,9 @@ def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
             assert np.array_equal(verdict.w.data[b], ref["w"].data)
             term = (ref["r_star"] * coef_r[b]).sum() + (ref["w"] * coef_w[b]).sum()
             for i in range(n):
-                assert np.array_equal(verdict.p[i].data[b], ref["p"][i].data)
+                assert np.array_equal(probabilities(verdict)[i].data[b], ref["p"][i].data)
                 assert verdict.f.data[b, i] == ref["f"][i].item()
-                assert verdict.c.data[b, i] == ref["c"][i].item()
+                assert confidences(verdict).data[b, i] == ref["c"][i].item()
                 term = (term + (ref["p"][i] * coef_p[i][b]).sum()
                         + ref["f"][i] * coef_f[b, i] + ref["c"][i] * coef_c[b, i])
             ref_loss = term if ref_loss is None else ref_loss + term
