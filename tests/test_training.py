@@ -317,7 +317,8 @@ def test_stages_leave_nothing_tracked(corpus):
     params = list(bb.params().values()) + list(bank.params().values())
     assert not any(p.requires_grad for p in params)
     trace, hidden = run_reasoning(bb, bank, split.test[0].history, 2)
-    outputs = [hidden] + [t for raw, adj, v in trace.steps for t in [raw, adj, v.w, *probabilities(v), *v.f]]
+    outputs = [hidden] + [t for raw, adj, v in trace.steps
+                          for t in [raw, adj, v.w, *probabilities(v), *v.f]]
     assert all(t._vjp is None and t._children == () for t in outputs)
     assert recommendation_loss(bb, hidden, [0])._vjp is None
 
