@@ -213,10 +213,7 @@ class Backbone:
         n = width + k
         if n == 0:
             raise ValueError("encode requires at least one new position")
-        for rows in injected:
-            if rows.data.ndim != 2 or len(rows.data) != B or rows.data.shape[1] < d:
-                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)} "
-                                 f"(or wider, of which the first {d} columns are read)")
+        self._check_latents(injected, B)
 
         p = self._params
         start = len(cache)
@@ -255,15 +252,20 @@ class Backbone:
         entered the cache, so this checks only the rows and positions a
         step adds."""
         k, B, start = len(injected), cache.batch, len(cache)
-        x = self._rows(injected)
-        if x.data.ndim != 2 or len(x.data) != k * B or x.data.shape[1] < self.cfg.d_m:
-            raise ValueError(f"latent rows of shape {x.data.shape}, expected "
-                             f"{(k * B, self.cfg.d_m)}")
+        self._check_latents(injected, B)
         if start + k > self.cfg.max_positions:
             raise ValueError(f"sequence length {start + k} exceeds max_positions "
                              f"{self.cfg.max_positions}")
         mask = self._commit(cache, B, start, k, None)
-        return x, self._params["pos_emb"], slice(start, start + k), mask
+        return self._rows(injected), self._params["pos_emb"], slice(start, start + k), mask
+
+    def _check_latents(self, injected: list[Tensor], B: int) -> None:
+        """Refuse an injected entry that is not B rows of at least d_m columns."""
+        d = self.cfg.d_m
+        for rows in injected:
+            if rows.data.ndim != 2 or len(rows.data) != B or rows.data.shape[1] < d:
+                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)} "
+                                 f"(or wider, of which the first {d} columns are read)")
 
     def _rows(self, parts: list[Tensor]) -> Tensor:
         """New rows, stacked: one part as it is, more cut to their first

@@ -386,8 +386,9 @@ def _gelu_deriv(xd: np.ndarray, tanh: np.ndarray) -> np.ndarray:
 
 
 def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(xd - xd.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    # the ufuncs' reductions, which ndarray.max and .sum call through Python
+    e = np.exp(xd - np.maximum.reduce(xd, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -453,8 +454,9 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
     # np.mean and np.var's arithmetic, without their per-call overhead
-    centered = xd - xd.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+                        + LAYER_NORM_EPS)
     xhat = centered * inv
 
     def vjp(g):

@@ -239,10 +239,9 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     for heads, idx, cols in bank.class_groups:  # softmax, entropy, argmax on (B, n_k, k)
         w_last = np.array([v.w_last.data for v in heads])
         z = (h[:, idx, None] @ w_last)[:, :, 0] + np.array([v.b_last.data for v in heads])
-        e = np.exp(z - z.max(axis=2, keepdims=True))  # a max is exact in any order
-        p_k = e / e.sum(axis=2, keepdims=True)
+        p_k = _softmax_np(z, axis=2)
         p[:, cols] = p_k.reshape(B, -1)
-        f[:, idx] = -(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0))).sum(axis=2)  # 0 log 0 is 0
+        f[:, idx] = -np.add.reduce(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0)), axis=2)  # 0 log 0 is 0
         j[:, idx] = j_k = p_k.argmax(axis=2)
         protos[:, idx] = w_last[np.arange(len(heads)), :, j_k]  # W_last_i[:, j*_i]
     c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))

@@ -117,6 +117,14 @@ def test_latent_step_errors():
     with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
         bb.encode([], [wide], cache=cache)
     assert len(cache) == 4
+    # of several steps at once each is checked, not only the rows they stack to
+    bb = Backbone(small_cfg())
+    cache = KVCache()
+    bb.encode([[0, 1], [2, 3]], cache=cache)
+    for shapes in (((3, 16), (1, 16)), ((2, 16), (2, 15)), ((2, 16), (32,))):
+        with pytest.raises(ValueError, match="latent rows of shape"):
+            bb.encode([], [Tensor(np.zeros(s)) for s in shapes], cache=cache)
+    assert len(cache) == 2
 
 
 def test_encode_errors():
