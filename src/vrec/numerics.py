@@ -453,9 +453,12 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     """Normalize rows over the last axis, then scale and shift; and the
     vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
-    # np.mean and np.var's arithmetic, without their per-call overhead
-    centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    # np.mean and np.var's arithmetic, without their per-call overhead. One
+    # row's mean and scale are numpy scalars: they round as (1, 1) arrays
+    # would, and each step on them costs a fraction of an array op
+    axis, keep = (None, False) if xd.size == d else (-1, True)
+    centered = xd - np.add.reduce(xd, axis=axis, keepdims=keep) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=axis, keepdims=keep) / d
                         + LAYER_NORM_EPS)
     xhat = centered * inv
 

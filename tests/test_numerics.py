@@ -83,6 +83,25 @@ def test_forward_bit_identical_across_calls():
     assert np.array_equal(first, second)
 
 
+def test_layer_norm_of_one_row_has_its_bits_in_a_batch():
+    # one row's mean and scale are numpy scalars, a batch's (R, 1) arrays
+    rng = Rng(6)
+    x, g = rng.normal((5, 24)) * 7.0 + 3.0, rng.normal((5, 24))
+    gain, bias = Tensor(1.0 + 0.1 * rng.normal((24,))), Tensor(0.1 * rng.normal((24,)))
+    whole = Tensor(x)
+    with tracking([whole]):
+        out = layer_norm(whole, gain, bias)
+        (out * Tensor(g)).sum().backward()
+    for i in range(5):
+        for row in (x[i:i + 1], x[i]):
+            alone = Tensor(row.copy())
+            with tracking([alone]):
+                o = layer_norm(alone, gain, bias)
+                (o * Tensor(g[i].reshape(row.shape))).sum().backward()
+            assert np.array_equal(o.data.reshape(-1), out.data[i])
+            assert np.array_equal(alone.grad.reshape(-1), whole.grad[i])
+
+
 def test_log_softmax_matches_log_of_softmax():
     x = Tensor(Rng(4).normal((3, 7)))
     assert np.allclose(log_softmax(x).data, np.log(softmax(x).data), atol=1e-12)
