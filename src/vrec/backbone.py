@@ -197,7 +197,7 @@ class Backbone:
         attend to. Checks the call, then records the batch and its padding
         in ``cache``."""
         seqs = as_batch(history)
-        B, d = cache.batch or len(seqs), self.cfg.d_m
+        B = cache.batch or len(seqs)
         lengths = cache.lengths.tolist() if cache.batch else [0] * B
         counts = list(map(len, seqs)) or [0] * B
         if len(counts) != B:
