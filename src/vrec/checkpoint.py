@@ -1,11 +1,12 @@
 """Binary checkpoint format shared by every training stage.
 
 Layout: magic "VRECCKPT1", a 4-byte little-endian header length, a canonical
-UTF-8 JSON header (model config, verifier-bank structure, and the models'
-``numerics.parameter_layout`` as {name, shape, offset} entries, offsets in
-body bytes), then the body: the backbone's value vector and the bank's,
-float64 little-endian. Save -> load -> save is byte-identical, and loading
-refuses a header other than the one saving the models it describes writes.
+UTF-8 JSON header (model config, verifier-bank structure with one entry per
+verifier, and the models' ``numerics.parameter_layout`` as {name, shape,
+offset} entries, offsets in body bytes, a bank's entries being its stacks),
+then the body: the backbone's value vector and the bank's, float64
+little-endian. Save -> load -> save is byte-identical, and loading refuses a
+header other than the one saving the models it describes writes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .backbone import Backbone, ModelConfig
 from .numerics import parameter_layout
-from .verifiers import EPSILON, VerifierBank, make_bank
+from .verifiers import EPSILON, VerifierBank
 
 __all__ = ["MAGIC", "load_model", "save_model"]
 
@@ -32,9 +33,9 @@ def _canonical(obj) -> bytes:
 def _bank_meta(bank: VerifierBank | None) -> dict | None:
     return None if bank is None else {
         "n": bank.n, "epsilon": EPSILON, "uniform_router": bool(bank.uniform_router),
-        "dimensions": [{"dimension": v.dimension, "d_i": v.d_i,
-                        "hidden_shapes": [list(w.shape) for w, _ in v.hidden]}
-                       for v in bank.verifiers]}
+        "dimensions": [{"dimension": name, "d_i": d_i,
+                        "hidden_shapes": [list(w.shape[1:]) for w, _ in bank.trunk]}
+                       for name, d_i in bank.dimensions]}
 
 
 def _header(backbone: Backbone, bank: VerifierBank | None) -> tuple[dict, list]:
@@ -70,9 +71,9 @@ def _build(path: str | Path, config, verifiers) -> tuple[Backbone, VerifierBank 
         if verifiers is None:
             return backbone, None
         shapes = verifiers["dimensions"][0]["hidden_shapes"]
-        bank = make_bank([(d["dimension"], d["d_i"]) for d in verifiers["dimensions"]],
-                         d_m=backbone.cfg.d_m, hidden_width=shapes[0][1] if shapes else 0,
-                         hidden_depth=len(shapes) + 1)
+        bank = VerifierBank([(d["dimension"], d["d_i"]) for d in verifiers["dimensions"]],
+                            d_m=backbone.cfg.d_m, hidden_width=shapes[0][1] if shapes else 0,
+                            hidden_depth=len(shapes) + 1)
         bank.uniform_router = verifiers["uniform_router"]
         return backbone, bank
     except (LookupError, TypeError, ValueError) as e:

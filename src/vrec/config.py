@@ -41,7 +41,7 @@ from .backbone import ModelConfig
 from .datasets import MAX_HISTORY, SynthConfig
 from .numerics import check_int, check_seed
 from .training import TrainHyper
-from .verifiers import check_bank_shape
+from .verifiers import check_bank_shape, check_class_count
 
 __all__ = ["ConfigError", "DIMENSION_NAMES", "RunConfig", "SEED_ENV_VAR",
            "check_max_positions", "load_config"]
@@ -115,9 +115,10 @@ class RunConfig:
         with _refused("model: "):
             model = ModelConfig(**self.model)  # n_items is checked when the data loads
         check_max_positions(model.max_positions, [self.m])
-        for i, (_, d_i) in enumerate(self.dimensions):  # a class count is unset or >= 2
-            if d_i is not None and (not isinstance(d_i, int) or d_i < 2):
-                raise ConfigError(f"dimensions[{i}]: d_i must be an integer >= 2, got {d_i!r}")
+        for i, (_, d_i) in enumerate(self.dimensions):  # a class count may be unset
+            if d_i is not None:
+                with _refused(f"dimensions[{i}]: "):
+                    check_class_count(d_i)
 
     def model_config(self, n_items: int) -> ModelConfig:
         kwargs = dict(self.model)

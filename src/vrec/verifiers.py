@@ -4,46 +4,32 @@ Each verifier scores a reasoning representation against one group-preference
 dimension: a router weights the dimensions, each verifier predicts a class
 distribution, and the prediction entropy is turned into a confidence that
 interpolates between the raw representation and the predicted class
-prototype (a column of the verifier's last layer).
+prototype (a column of the verifier's head).
 
-One step through the whole bank, over a batch of representations as rows,
-is one graph node with a hand-written vector-Jacobian product
-(``verify_and_adjust``). Its output packs [r* | w | p_1 .. p_n | f | c]
-along the last axis, and ``StepVerdict`` reads r*, w and f as views of it.
-The step runs the verifiers' trunks and heads as batched products over
-their weights stacked per call, one per trunk layer and per class count.
+A bank stores its weights stacked over verifiers, as a dense mixture of
+experts does: each trunk layer as one (n, a, b) weight, and the heads of
+the n_k verifiers with k classes as one (n_k, d_m, k) weight. One step
+through the whole bank, over a batch of representations as rows, is one
+graph node (``verify_and_adjust``) whose hand-written vector-Jacobian
+product runs each of those stacks as one batched product. Its output packs
+[r* | w | p_1 .. p_n | f | c] along the last axis, and ``StepVerdict``
+reads r*, w and f as views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log,
                        parameter_vectors)
 
-__all__ = ["Router", "StepVerdict", "Verifier", "VerifierBank", "check_bank_shape",
+__all__ = ["Router", "StepVerdict", "VerifierBank", "check_bank_shape", "check_class_count",
            "make_bank", "verify_and_adjust"]
 
 EPSILON = 1e-6
-
-
-@dataclass
-class Verifier:
-    """One verification dimension: optional gelu MLP trunk, then a d_m x d_i head."""
-
-    dimension: str
-    d_i: int
-    hidden: list[tuple[Tensor, Tensor]]  # (weight, bias) pairs, may be empty
-    w_last: Tensor  # d_m x d_i; columns act as class prototypes
-    b_last: Tensor  # d_i
-
-    def __post_init__(self):
-        if self.w_last.shape[1] != self.d_i:
-            raise ValueError(f"verifier {self.dimension!r}: last layer has "
-                             f"{self.w_last.shape[1]} columns, d_i={self.d_i}")
 
 
 @dataclass
@@ -52,42 +38,56 @@ class Router:
     bias: Tensor  # n
 
 
-@dataclass
 class VerifierBank:
-    """The verifiers and their router. Every parameter's ``.data`` and
-    ``.grad`` are views of the ``values`` and ``grads`` vectors."""
+    """One verifier per (dimension name, class count d_i) pair, and their
+    router, all weights zero until set (``make_bank`` draws them).
 
-    verifiers: list[Verifier]
-    router: Router
-    uniform_router: bool = False  # ablation switch: bypass the learned router
-    values: np.ndarray = field(init=False, repr=False)
-    grads: np.ndarray = field(init=False, repr=False)
-    class_groups: list = field(init=False, repr=False)
+    ``hidden_depth`` counts layers including the classifier head: depth 1
+    is a linear verifier, depth k adds a trunk of k-1 gelu layers whose
+    inner widths are ``hidden_width`` (0: d_m). The trunk maps back to d_m
+    before the head, so prototype columns stay in representation space.
+    ``trunk`` holds each layer's stacked (weight, bias) and ``heads`` each
+    class count's; every parameter's ``.data`` and ``.grad`` are views of
+    the ``values`` and ``grads`` vectors.
+    """
 
-    def __post_init__(self):
-        if not self.verifiers:
+    def __init__(self, dimensions: list[tuple[str, int]], d_m: int, hidden_width: int = 0,
+                 hidden_depth: int = 1):
+        check_bank_shape(hidden_width, hidden_depth)
+        if not dimensions:
             raise ValueError("bank requires at least one verifier")
-        if self.router.a.shape[0] != len(self.verifiers):
-            raise ValueError(f"router rows ({self.router.a.shape[0]}) != "
-                             f"verifier count ({len(self.verifiers)})")
-        trunks = {tuple(w.shape for w, _ in v.hidden) for v in self.verifiers}
-        if len(trunks) > 1:
-            raise ValueError(f"a bank's verifiers share one trunk shape, got {sorted(trunks)}")
+        for _, d_i in dimensions:
+            check_class_count(d_i)
+        self.dimensions = [(name, d_i) for name, d_i in dimensions]
+        self.uniform_router = False  # ablation switch: bypass the learned router
+        self.sizes = [d_i for _, d_i in dimensions]
+        self.offsets = list(accumulate(self.sizes[:-1], initial=0))  # of each p_i in p_1 .. p_n
+        n = len(self.sizes)
+        self.router = Router(a=Tensor(np.zeros((n, d_m))), bias=Tensor(np.zeros(n)))
+        inner = [hidden_width or d_m] * (hidden_depth - 2)
+        widths = [d_m, *inner, d_m] if hidden_depth > 1 else []
+        self.trunk = [(Tensor(np.zeros((n, a, b))), Tensor(np.zeros((n, b))))
+                      for a, b in zip(widths, widths[1:])]
+        members: dict[int, list[int]] = {}
+        for i, k in enumerate(self.sizes):
+            members.setdefault(k, []).append(i)
+        self.heads = {k: (Tensor(np.zeros((len(idx), d_m, k))), Tensor(np.zeros((len(idx), k))))
+                      for k, idx in sorted(members.items())}
+        # by class count k: its verifiers and their columns within p_1 .. p_n
+        # (slices when every verifier has k classes)
+        self.groups = [(k, np.array(idx), np.array([self.offsets[i] + a for i in idx
+                                                   for a in range(k)]))
+                       for k, idx in sorted(members.items())]
+        if len(members) == 1:
+            self.groups = [(self.sizes[0], slice(None), slice(None))]
         self.values, self.grads = parameter_vectors(self.params())
-        # by class count k: the verifiers with k classes, their indices and
-        # their columns within p_1 .. p_n (slices when every verifier has k)
-        offsets, groups = self.class_offsets(), {}
-        for i, v in enumerate(self.verifiers):
-            groups.setdefault(v.d_i, []).append(i)
-        self.class_groups = [([self.verifiers[i] for i in idx], idx,
-                              [offsets[i] + a for i in idx for a in range(k)])
-                             for k, idx in sorted(groups.items())]
-        if len(groups) == 1:
-            self.class_groups = [(self.verifiers, slice(None), slice(None))]
+        # the step's children after r, in the order its VJP returns gradients
+        self.leaves = (self.router.a, self.router.bias,
+                       *(t for layer in self.trunk + list(self.heads.values()) for t in layer))
 
     @property
     def n(self) -> int:
-        return len(self.verifiers)
+        return len(self.sizes)
 
     @property
     def d_m(self) -> int:
@@ -96,20 +96,14 @@ class VerifierBank:
     @property
     def n_classes(self) -> int:
         """Classes of all verifiers together, the length of p_1 .. p_n."""
-        return sum(v.d_i for v in self.verifiers)
-
-    def class_offsets(self) -> list[int]:
-        """Where each verifier's classes start within p_1 .. p_n."""
-        return list(accumulate((v.d_i for v in self.verifiers[:-1]), initial=0))
+        return sum(self.sizes)
 
     def params(self) -> dict[str, Tensor]:
         p: dict[str, Tensor] = {"router.a": self.router.a, "router.bias": self.router.bias}
-        for i, v in enumerate(self.verifiers):
-            for j, (w, b) in enumerate(v.hidden):
-                p[f"verifiers.{i}.hidden.{j}.w"] = w
-                p[f"verifiers.{i}.hidden.{j}.b"] = b
-            p[f"verifiers.{i}.w_last"] = v.w_last
-            p[f"verifiers.{i}.b_last"] = v.b_last
+        for j, (w, b) in enumerate(self.trunk):
+            p[f"trunk.{j}.w"], p[f"trunk.{j}.b"] = w, b
+        for k, (w, b) in self.heads.items():
+            p[f"heads.{k}.w"], p[f"heads.{k}.b"] = w, b
         return p
 
 
@@ -157,42 +151,38 @@ class StepVerdict:
         p = self.packed[:, p_lo:p_lo + self._bank.n_classes]
         rows = np.flatnonzero(labels[:, 0] >= 0)
         pick = np.zeros(p.shape)
-        pick[rows[:, None], np.add(self._bank.class_offsets(), labels[rows])] = -1.0
+        pick[rows[:, None], np.add(self._bank.offsets, labels[rows])] = -1.0
         return (log(p) * pick).sum()
 
 
 def check_bank_shape(hidden_width: int, hidden_depth: int) -> None:
-    """Reject a verifier shape ``make_bank`` cannot build."""
+    """Reject a verifier shape a bank cannot have."""
     if hidden_depth < 1 or hidden_width < 0:
         raise ValueError(f"a verifier needs depth >= 1 and width >= 0, "
                          f"got depth {hidden_depth}, width {hidden_width}")
 
 
+def check_class_count(d_i) -> None:
+    """Reject a verifier class count: a verifier chooses among 2 or more."""
+    if not isinstance(d_i, int) or d_i < 2:
+        raise ValueError(f"d_i must be an integer >= 2, got {d_i!r}")
+
+
 def make_bank(dimensions: list[tuple[str, int]], d_m: int, seed: int = 0,
               hidden_width: int = 0, hidden_depth: int = 1) -> VerifierBank:
-    """Build a bank with one verifier per (dimension-name, d_i) pair.
-
-    ``hidden_depth`` counts layers including the classifier head: depth 1 is
-    the default linear verifier, depth k adds a trunk of k-1 gelu layers
-    whose inner widths are ``hidden_width`` (0: d_m). The trunk maps back to
-    d_m before the head so prototype columns stay in representation space;
-    so at depth 2 its one layer is d_m x d_m whatever the width.
-    """
-    check_bank_shape(hidden_width, hidden_depth)
+    """A ``VerifierBank`` with its weights drawn from RNG stream 20 of
+    ``seed``: verifier by verifier, its trunk layers and then its head,
+    each into its slot of the stacks; the router last. Biases stay zero."""
+    bank = VerifierBank(dimensions, d_m, hidden_width, hidden_depth)
     rng = Rng(seed, 20)
-    verifiers = []
-    for name, d_i in dimensions:
-        hidden: list[tuple[Tensor, Tensor]] = []
-        if hidden_depth > 1:
-            widths = [d_m] + [hidden_width or d_m] * (hidden_depth - 2) + [d_m]
-            for a, b in zip(widths, widths[1:]):
-                hidden.append((Tensor(rng.normal((a, b), std=0.02)), Tensor(np.zeros(b))))
-        verifiers.append(Verifier(
-            dimension=name, d_i=d_i, hidden=hidden,
-            w_last=Tensor(rng.normal((d_m, d_i), std=0.02)), b_last=Tensor(np.zeros(d_i))))
-    router = Router(a=Tensor(rng.normal((len(dimensions), d_m), std=0.02)),
-                    bias=Tensor(np.zeros(len(dimensions))))
-    return VerifierBank(verifiers=verifiers, router=router)
+    slots = dict.fromkeys(bank.heads, 0)
+    for i, k in enumerate(bank.sizes):
+        for w, _ in bank.trunk:
+            w.data[i] = rng.normal(w.shape[1:], std=0.02)
+        bank.heads[k][0].data[slots[k]] = rng.normal((d_m, k), std=0.02)
+        slots[k] += 1
+    bank.router.a.data[:] = rng.normal(bank.router.a.shape, std=0.02)
+    return bank
 
 
 def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -212,76 +202,71 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     per-verifier interpolation (1 - c_i) r + c_i W_last_i[:, j*_i], so each
     term is a convex combination of the raw representation and the chosen
     prototype. All of it is one graph node, whose values have the bits of
-    the same ops applied one verifier and one row at a time.
+    the same ops applied one verifier and one row at a time: each batched
+    product makes one row's and one verifier's BLAS call.
     """
-    vs = bank.verifiers
-    n = len(vs)
-    x = r.data
+    n, x = bank.n, r.data
     if x.ndim != 2 or x.shape[1] != bank.d_m:
         raise ValueError(f"verify_and_adjust: expected (B, {bank.d_m}) rows, got shape {x.shape}")
     if bank.uniform_router:
         w = np.full((len(x), n), 1.0 / n)
     else:
         w = _softmax_np(_rowwise(x, bank.router.a.data.T) + bank.router.bias.data)
-    # every verifier at once: trunks and heads stacked over verifiers, so
-    # each batched product makes one row's and one verifier's BLAS call
     h = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
     trunk = []
-    for layer in zip(*(v.hidden for v in vs)):
-        u = (h[:, :, None] @ np.array([wt.data for wt, _ in layer]))[:, :, 0] \
-            + np.array([b.data for _, b in layer])
+    for wt, b in bank.trunk:
+        u = (h[:, :, None] @ wt.data)[:, :, 0] + b.data
         out, tanh = _gelu_np(u)
         trunk.append((h, u, tanh))
         h = out
-    B = len(x)
+    B, d = x.shape
     p, f = np.empty((B, bank.n_classes)), np.empty((B, n))
-    j, protos = np.empty((B, n), dtype=np.intp), np.empty((B, n, x.shape[1]))
-    for heads, idx, cols in bank.class_groups:  # softmax, entropy, argmax on (B, n_k, k)
-        w_last = np.array([v.w_last.data for v in heads])
-        z = (h[:, idx, None] @ w_last)[:, :, 0] + np.array([v.b_last.data for v in heads])
-        p_k = _softmax_np(z, axis=2)
+    j, protos = np.empty((B, n), dtype=np.intp), np.empty((B, n, d))
+    for k, idx, cols in bank.groups:  # softmax, entropy, argmax on (B, n_k, k)
+        w_k, b_k = (t.data for t in bank.heads[k])
+        p_k = _softmax_np((h[:, idx, None] @ w_k)[:, :, 0] + b_k, axis=2)
         p[:, cols] = p_k.reshape(B, -1)
         f[:, idx] = -np.add.reduce(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0)), axis=2)  # 0 log 0 is 0
         j[:, idx] = j_k = p_k.argmax(axis=2)
-        protos[:, idx] = w_last[np.arange(len(heads)), :, j_k]  # W_last_i[:, j*_i]
+        protos[:, idx] = w_k[np.arange(len(w_k)), :, j_k]  # W_last_i[:, j*_i]
     c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
     terms = (1.0 - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
     r_star = np.add.accumulate(terms, axis=1)[:, -1] * (1.0 / n)  # summed verifier by verifier
     packed = np.concatenate([r_star, w, p, f, c], axis=1)
 
     def vjp(g_out):
-        d = x.shape[1]
-        starts, sizes = bank.class_offsets(), [v.d_i for v in vs]
-        g_r, g_w, g_p, g_f, g_c = np.split(g_out, np.cumsum([d, n, p.shape[1], n]), axis=1)
+        cuts = accumulate((d, n, p.shape[1], n, n), initial=0)
+        g_r, g_w, g_p, g_f, g_c = (g_out[:, a:b] for a, b in pairwise(cuts))
         g_acc = g_r * (1.0 / n)
-        g_x = g_acc * (1.0 - c).sum(axis=1, keepdims=True)
         g_c = g_c + ((protos - x[:, None, :]) * g_acc[:, None, :]).sum(axis=2)
         g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)
-        g_p = g_p - g_f.repeat(sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)
-        g_z = p * (g_p - np.add.reduceat(g_p * p, starts, axis=1).repeat(sizes, axis=1))
-        grads = []
-        g_w = g_w.copy()  # a view of g_out until now
-        for i, (v, a) in enumerate(zip(vs, starts)):
-            g_zi = g_z[:, a:a + v.d_i]
-            g_wlast = h[:, i].T @ g_zi + g_acc.T @ (c[:, i, None] * np.eye(v.d_i)[j[:, i]])
-            g_h = g_zi @ v.w_last.data.T
-            layer_grads = []
-            for (h_in, u, tanh), (wt, _) in zip(reversed(trunk), reversed(v.hidden)):
-                g_u = g_h * _gelu_deriv(u[:, i], tanh[:, i])
-                layer_grads[:0] = [h_in[:, i].T @ g_u, g_u.sum(axis=0)]
-                g_h = g_u @ wt.data.T
-            g_x += w[:, i, None] * g_h
-            g_w[:, i] += (g_h * x).sum(axis=1)
-            grads.extend(layer_grads + [g_wlast, g_zi.sum(axis=0)])
+        g_p = g_p - g_f.repeat(bank.sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)
+        g_z = p * (g_p - np.add.reduceat(g_p * p, bank.offsets, axis=1).repeat(bank.sizes, axis=1))
+        # verifiers lead the batched products below: (n_k, d, B) @ (n_k, B, k) and back
+        g_b, g_h, heads = np.add.reduce(g_z, axis=0), np.empty((B, n, d)), []
+        for k, idx, cols in bank.groups:
+            w_k = bank.heads[k][0].data
+            g_zk = g_z[:, cols].reshape(B, -1, k).transpose(1, 0, 2)
+            chosen = c[:, idx].T[:, :, None] * np.eye(k)[j[:, idx].T]
+            heads += [h[:, idx].transpose(1, 2, 0) @ g_zk + g_acc.T @ chosen,
+                      g_b[cols].reshape(-1, k)]
+            g_h[:, idx] = (g_zk @ w_k.transpose(0, 2, 1)).transpose(1, 0, 2)
+        layers = []
+        for (h_in, u, tanh), (wt, _) in zip(reversed(trunk), reversed(bank.trunk)):
+            g_u = (g_h * _gelu_deriv(u, tanh)).transpose(1, 0, 2)
+            layers[:0] = [h_in.transpose(1, 2, 0) @ g_u, g_u.sum(axis=1)]
+            g_h = (g_u @ wt.data.transpose(0, 2, 1)).transpose(1, 0, 2)
+        g_w = g_w + (g_h * x[:, None, :]).sum(axis=2)
+        # g_x gathers the verifiers' terms one by one, in the chain's order
+        g_x = np.concatenate([(g_acc * (1.0 - c).sum(axis=1, keepdims=True))[:, None],
+                              w[:, :, None] * g_h], axis=1)
+        g_x = np.add.accumulate(g_x, axis=1)[:, -1]
         if bank.uniform_router:
             router = [None, None]
         else:
             g_a = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
             g_x += g_a @ bank.router.a.data
             router = [g_a.T @ x, g_a.sum(axis=0)]
-        return (g_x, *router, *grads)
+        return (g_x, *router, *layers, *heads)
 
-    children = [r, bank.router.a, bank.router.bias]  # in the order vjp returns gradients
-    for v in vs:
-        children += [t for pair in v.hidden for t in pair] + [v.w_last, v.b_last]
-    return StepVerdict(bank, _node(packed, tuple(children), "verify_and_adjust", vjp), j)
+    return StepVerdict(bank, _node(packed, (r, *bank.leaves), "verify_and_adjust", vjp), j)

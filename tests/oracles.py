@@ -6,8 +6,9 @@ as their oracles (``encode_chain`` is the backbone's), and the first ops
 here are the ones the chains need that the library no longer does. They
 are built on ``numerics._node`` like every library op. The rest are small
 references the tests check the library against, the finite-difference
-gradient check, readers of verdict fields that only tests read, and a
-checkpoint writer for tests that edit a saved header."""
+gradient check, readers of a verifier's slices of the bank's stacks and of
+verdict fields that only tests read, and a checkpoint writer for tests that
+edit a saved header."""
 
 import json
 import struct
@@ -109,11 +110,38 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
 
 
+def verifier_weights(bank, i) -> tuple[list[tuple[Tensor, Tensor]], Tensor, Tensor]:
+    """Verifier i of a ``VerifierBank``: its trunk layers as (weight, bias)
+    pairs, then its head's weight and bias, each a basic-index slice of the
+    bank's stacks, so a chain built on them sends its gradients to them."""
+    k = bank.sizes[i]
+    w, b = bank.heads[k]
+    slot = bank.sizes[:i].count(k)  # its row among the verifiers with k classes
+    return [(wt[i], bt[i]) for wt, bt in bank.trunk], w[slot], b[slot]
+
+
+def per_verifier_views(bank) -> dict:
+    """The bank's values under the names, and in the order, of a store of
+    one parameter set per verifier (``router.a``, ``router.bias``, then
+    each verifier's ``verifiers.{i}.hidden.{j}.w`` and ``.b``, ``w_last``
+    and ``b_last``), as writable views of its slices of the stacks."""
+    views = {"router.a": bank.router.a.data, "router.bias": bank.router.bias.data}
+    for i, k in enumerate(bank.sizes):
+        for j, (w, b) in enumerate(bank.trunk):
+            views[f"verifiers.{i}.hidden.{j}.w"], views[f"verifiers.{i}.hidden.{j}.b"] = \
+                w.data[i], b.data[i]
+        slot = bank.sizes[:i].count(k)
+        views[f"verifiers.{i}.w_last"], views[f"verifiers.{i}.b_last"] = \
+            (t.data[slot] for t in bank.heads[k])
+    return views
+
+
 def guidance(verdict) -> list[Tensor]:
     """Per-verifier guidance prototypes W_last[:, j*] of a ``StepVerdict``,
     (B, d_m) rows each."""
-    return [embedding_lookup(v.w_last.transpose(), j)
-            for v, j in zip(verdict._bank.verifiers, verdict._j.T)]
+    bank = verdict._bank
+    return [embedding_lookup(verifier_weights(bank, i)[1].transpose(), j)
+            for i, j in enumerate(verdict._j.T)]
 
 
 def probabilities(verdict) -> list[Tensor]:
@@ -121,8 +149,7 @@ def probabilities(verdict) -> list[Tensor]:
     each: views of its packed columns after r* and w."""
     bank = verdict._bank
     lo = bank.d_m + bank.n
-    return [verdict.packed[:, lo + a:lo + a + v.d_i]
-            for a, v in zip(bank.class_offsets(), bank.verifiers)]
+    return [verdict.packed[:, lo + a:lo + a + k] for a, k in zip(bank.offsets, bank.sizes)]
 
 
 def confidences(verdict) -> Tensor:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import confidence, entropy, grad_check, greedy_recommend, guidance
+from oracles import confidence, entropy, grad_check, greedy_recommend, guidance, verifier_weights
 from vrec.backbone import Backbone, ModelConfig
 from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
@@ -126,15 +126,16 @@ def test_ac03_adjustment_contract():
 
         w = _softmax_np(bank.router.a.data @ r + bank.router.bias.data)
         acc = np.zeros(d_m)
-        for i, v in enumerate(bank.verifiers):
+        for i in range(n):
+            hidden, w_last, b_last = verifier_weights(bank, i)
             x = w[i] * r
-            for wt, bh in v.hidden:
+            for wt, bh in hidden:
                 x = _gelu_np(x @ wt.data + bh.data)
-            p = _softmax_np(x @ v.w_last.data + v.b_last.data)
+            p = _softmax_np(x @ w_last.data + b_last.data)
             f = float(-(p * np.log(p)).sum())
             c = min(1.0, 1.0 / max(f, 1e-6))
             j = int(np.argmax(p))
-            col = np.ascontiguousarray(v.w_last.data[:, j])
+            col = np.ascontiguousarray(w_last.data[:, j])
             guidance_ok &= verdict.j_star[0][i] == j
             guidance_ok &= (np.ascontiguousarray(guidance(verdict)[i].data[0]).tobytes()
                             == col.tobytes())

@@ -310,8 +310,8 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
     assert loss.tobytes() == chain_loss.tobytes()
     checked = [name for name in grads
                if name == "pos_emb" or name.startswith(("ln_f.", "blocks.", "router.",
-                                                        "verifiers."))]
-    assert len(checked) == 3 + 16 * layers + 2 + 3 * 4
+                                                        "trunk.", "heads."))]
+    assert len(checked) == 3 + 16 * layers + 2 + 2 + 2 * 2
     assert grads["pos_emb"].any()
     for name in checked:
         assert np.abs(grads[name] - chain_grads[name]).max() <= 1e-12, name

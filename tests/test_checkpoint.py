@@ -20,7 +20,9 @@ from vrec.verifiers import make_bank
 @st.composite
 def model_pairs(draw):
     """A backbone, with or without a bank, whose values include draws of
-    every float class (NaN, infinities, signed zeros, subnormals)."""
+    every float class (NaN, infinities, signed zeros, subnormals). A bank's
+    class counts may repeat apart, so a head stack's members need not be
+    neighbours, and may sum to 9 or more."""
     heads = draw(st.sampled_from([1, 2]))
     d_m = heads * draw(st.integers(1, 3))
     backbone = Backbone(ModelConfig(
@@ -29,7 +31,7 @@ def model_pairs(draw):
         seed=draw(st.integers(0, 2**64 - 1))))
     bank = None
     if draw(st.booleans()):
-        dims = [(f"d{i}", draw(st.integers(2, 5))) for i in range(draw(st.integers(1, 3)))]
+        dims = [(f"d{i}", draw(st.integers(2, 12))) for i in range(draw(st.integers(1, 4)))]
         bank = make_bank(dims, d_m=d_m, seed=draw(st.integers(0, 99)),
                          hidden_width=draw(st.integers(0, 4)), hidden_depth=draw(st.integers(1, 3)))
         bank.uniform_router = draw(st.booleans())
@@ -91,8 +93,7 @@ def test_model_roundtrip_reproduces_reasoning(tmp_path):
     assert bb2.cfg == cfg
     for k in bb.params():
         assert np.array_equal(bb.params()[k].data, bb2.params()[k].data)
-    assert [v.dimension for v in bank2.verifiers] == ["a", "b"]
-    assert [v.d_i for v in bank2.verifiers] == [3, 5]
+    assert bank2.dimensions == [("a", 3), ("b", 5)]
     for k in bank.params():
         assert np.array_equal(bank.params()[k].data, bank2.params()[k].data)
 
@@ -110,8 +111,8 @@ def test_model_roundtrip_preserves_mlp_shapes(tmp_path):
     path = tmp_path / "mlp.ckpt"
     save_model(path, bb, bank)
     _, bank2 = load_model(path)
-    shapes = [w.data.shape for w, _ in bank2.verifiers[0].hidden]
-    assert shapes == [(8, 10), (10, 8)]
+    shapes = [w.data.shape for w, _ in bank2.trunk]
+    assert shapes == [(1, 8, 10), (1, 10, 8)]
     for k in bank.params():
         assert np.array_equal(bank.params()[k].data, bank2.params()[k].data)
 
@@ -214,15 +215,43 @@ def _entry(parts, name):
     return next(e for e in parts["header"]["params"] if e["name"] == name)
 
 
+def _per_verifier_layout(parts):
+    """SAVED's parameter table in the layout of a bank that stored one
+    parameter set per verifier: its one verifier's ``w_last`` and
+    ``b_last`` in place of the ``heads.2`` stacks, over the same body bytes."""
+    table = [e for e in parts["header"]["params"] if not e["name"].startswith("bank.")]
+    start = _entry(parts, "bank.heads.2.b")["offset"]
+    for name, shape in (("router.a", [1, 8]), ("router.bias", [1]),
+                        ("verifiers.0.b_last", [2]), ("verifiers.0.w_last", [8, 2])):
+        table.append({"name": "bank." + name, "shape": shape, "offset": start})
+        start += 8 * int(np.prod(shape))
+    parts["header"]["params"] = table
+
+
+def _without_classes(parts):
+    """SAVED as a bank whose one verifier has no classes would be saved:
+    d_i 0, empty head stacks and no head values in the body."""
+    parts["header"]["verifiers"]["dimensions"][0]["d_i"] = 0
+    head = [_entry(parts, f"bank.heads.2.{x}") for x in "bw"]
+    start, cut = head[0]["offset"], sum(8 * int(np.prod(e["shape"])) for e in head)
+    del parts["body"][start:start + cut]
+    for e in head:
+        e.update(name=e["name"].replace(".2.", ".0."), shape=e["shape"][:-1] + [0], offset=start)
+    for e in parts["header"]["params"]:
+        if e["name"].startswith("bank.router."):
+            e["offset"] -= cut
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda p: p["header"]["params"].remove(_entry(p, "backbone.ln_f.bias")),
      "parameter backbone.ln_f.bias missing"),
     (lambda p: _entry(p, "backbone.pos_emb").update(shape=[4, 8]),
      r"parameter backbone.pos_emb has shape \(4, 8\), expected \(16, 8\)"),
     (lambda p: (p["header"]["params"].append(
-        {"name": "bank.verifiers.1.w_last", "shape": [8, 2], "offset": len(p["body"])}),
-        p["body"].extend(bytes(8 * 16))),
-     "unexpected parameter bank.verifiers.1.w_last"),
+        {"name": "bank.heads.3.w", "shape": [1, 8, 3], "offset": len(p["body"])}),
+        p["body"].extend(bytes(8 * 24))),
+     "unexpected parameter bank.heads.3.w"),
+    (_per_verifier_layout, "parameter bank.heads.2.b missing"),
     (lambda p: _entry(p, "backbone.blocks.0.attn.bk").update(offset=-8),
      r"parameter backbone.blocks.0.attn.bk has offset -8, expected \d+"),
     (lambda p: _entry(p, "backbone.ln_f.gain").update(
@@ -231,8 +260,8 @@ def _entry(parts, name):
     (lambda p: p["header"]["params"].reverse(), "out of body order"),
     (lambda p: p["header"]["params"].append(_entry(p, "bank.router.a")), "a parameter repeated"),
     (lambda p: p["body"].extend(bytes(8)), r"trailing bytes \(\d+ bytes, parameters end at \d+\)"),
-], ids=["missing", "wrong_shape", "unexpected", "negative_offset", "overlapping_offset",
-        "out_of_order", "repeated", "trailing_bytes"])
+], ids=["missing", "wrong_shape", "unexpected", "per_verifier_layout", "negative_offset",
+        "overlapping_offset", "out_of_order", "repeated", "trailing_bytes"])
 def test_parameters_must_match_the_header_model(tmp_path, edit, message):
     path = _rewritten(tmp_path / "edited.ckpt", edit)
     with pytest.raises(ValueError, match=message) as err:
@@ -257,6 +286,15 @@ def test_parameters_must_match_the_header_model(tmp_path, edit, message):
 def test_header_must_describe_the_model(tmp_path, edit, message):
     path = _rewritten(tmp_path / "edited.ckpt", lambda parts: edit(parts["header"]))
     with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+def test_bank_without_classes_refused(tmp_path):
+    # a bank of no classes would load, then fail on its first step
+    path = _rewritten(tmp_path / "no_classes.ckpt", _without_classes)
+    with pytest.raises(ValueError, match="describe no model .*d_i must be an integer >= 2, "
+                                         "got 0") as err:
         load_model(path)
     assert str(path) in str(err.value)
 

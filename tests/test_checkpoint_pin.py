@@ -4,7 +4,9 @@ A refactor of the checkpoint code must keep the file format: each case
 saves a freshly built backbone, with or without a verifier bank, and
 compares the file's sha256 digest with one recorded before the refactor.
 A model's values come from its seeded RNG streams, so the digests hold
-on any platform whose numpy draws the same normals."""
+on any platform whose numpy draws the same normals. The bank cases pin the
+stacked layout (``trunk.{j}.*`` and ``heads.{k}.*``), whose body holds the
+values of the one-set-per-verifier layout before it, in another order."""
 
 import hashlib
 
@@ -22,26 +24,26 @@ DIGESTS = {
     "no_bank-1-2": "e270117c0649778a87217de9465f5578b9e65afad3a4bfe01e24dbc168d60670",
     "no_bank-3-1": "f8f6f26815503377f18fed41aacc52442707d61416c7ec34f30dfadb54e568ca",
     "no_bank-3-2": "5123262eb00d3f4e6c83a563717fb64df0e13bc36b29d07ef948fc6f6202e63f",
-    "depth1-1-1": "166d5bcc725b848ca534c6d44c293bb1800c6b2b7a4517fe2bf2c074df1a505d",
-    "depth1-1-2": "a15ae73e70fea73648597b004133f733e1172e9df51c03a3e1c06e8f2944088b",
-    "depth1-3-1": "b79c770faac6c9a476b65931f6ce9910cc507e5d8976d06e226789488a5388fa",
-    "depth1-3-2": "e2a1ad75406cb48b8ed1c3468d11028c844e4906715b7f99fbf61393d984e793",
-    "depth2-1-1": "b7623ebcfc91fc355080b78875c6be83039ced79f309d495d243739df18ae0eb",
-    "depth2-1-2": "248fe2507165e303a9b47979894d0b5004d33bda8d0655d701d1616b03490a11",
-    "depth2-3-1": "ee399fc6f4dca51012462b648a8d49b9fecd052bf76386869a5fb0c9c940bf5b",
-    "depth2-3-2": "1afbf66204a19f203b842adb40c0b6975e5c382f1ee71e1b699b2a5ae81e0cd5",
-    "depth2_w10-1-1": "b7623ebcfc91fc355080b78875c6be83039ced79f309d495d243739df18ae0eb",
-    "depth2_w10-1-2": "248fe2507165e303a9b47979894d0b5004d33bda8d0655d701d1616b03490a11",
-    "depth2_w10-3-1": "ee399fc6f4dca51012462b648a8d49b9fecd052bf76386869a5fb0c9c940bf5b",
-    "depth2_w10-3-2": "1afbf66204a19f203b842adb40c0b6975e5c382f1ee71e1b699b2a5ae81e0cd5",
-    "depth3-1-1": "5267df83e15a4954e3ba426288bb170abda2baf8fe8b406d6e89ae982a16c969",
-    "depth3-1-2": "f439f654a0768ac81c7c99ceda9fc38c9a715cbb69537f5708fb84fe1ac61c20",
-    "depth3-3-1": "1214d7d3d0bdfcbc96255cf4eeb1c67a4cb2ae8f380716816e3af9659a720507",
-    "depth3-3-2": "18ae7a35b5324350aae7d9e17690f222e43abeb55a5341a88f9ed86d54fa6338",
-    "depth3_w10-1-1": "fac39f52d1b855641a4f75a68f24fd927e1453d8913918acbb195f7245d896d3",
-    "depth3_w10-1-2": "c11164a047ee4804d1d6ab0515de9cc61d98a3c75a61f2fff42435f46480e870",
-    "depth3_w10-3-1": "d6c6686195a481dcc1d7b1284669023e449e134aa6677639dded1d7dcfe2048b",
-    "depth3_w10-3-2": "6a6de70b6ae5bbb8f3d1c5a5c98180946c52da291a294bf185eb83bc5b42e7b7",
+    "depth1-1-1": "1adf6ea55ecac2f1023e020f200227952e0544b81cf1be81d6f70a34592ce58d",
+    "depth1-1-2": "0b3ab4d61d2a46b5b5d06236f40348cf07ab37b354468b6e171e3f15607f60fa",
+    "depth1-3-1": "fcfe72db9f667c29824502533bc3697e8b134b00c2150d27d0ccd69c4ab2f739",
+    "depth1-3-2": "af4da75dc9b464285b7bff0607767ebd73736b645f00a3b449658f3cb645da00",
+    "depth2-1-1": "a7b938f91e50f2a0ae53f7a97e0598eb24a64ff1bd7c396547191b1c37a06ce8",
+    "depth2-1-2": "d4a5d290ec516a6bf06149dceba62c2cdad224fb9bab52b509757e51b0c97f7a",
+    "depth2-3-1": "f04247ec76b96bb08c65f528ab6c5f0fd7622cdad682a5a2f039784b11f9fa69",
+    "depth2-3-2": "032f6d010fc9c77eb965eea381a6a9f36715740c956c81c892d918af52a992b2",
+    "depth2_w10-1-1": "a7b938f91e50f2a0ae53f7a97e0598eb24a64ff1bd7c396547191b1c37a06ce8",
+    "depth2_w10-1-2": "d4a5d290ec516a6bf06149dceba62c2cdad224fb9bab52b509757e51b0c97f7a",
+    "depth2_w10-3-1": "f04247ec76b96bb08c65f528ab6c5f0fd7622cdad682a5a2f039784b11f9fa69",
+    "depth2_w10-3-2": "032f6d010fc9c77eb965eea381a6a9f36715740c956c81c892d918af52a992b2",
+    "depth3-1-1": "f454ac66736b02f3c4f480558c440464fb04cde4457af827653b41ceefaf040f",
+    "depth3-1-2": "5eeebaabc17c744e277d39db9049408770f8b24a89558c756424ba22e4dadd33",
+    "depth3-3-1": "bb4997cad6c1026b81026f1c904b44d3632e6d20b95ff5ae57d7795f084b9152",
+    "depth3-3-2": "fbe990934193985bd39482954a72dcbf6b67d2d9beded25faecb590418fcf8a9",
+    "depth3_w10-1-1": "cdb5a6654a2664a69bb224081f7f7d14fbda3dad1e8e05cbc20f3c4b1a33ce78",
+    "depth3_w10-1-2": "11ee39f08dcd1743d896b5c0bcaa8e9281ea09c080887aa31aeaf008f6f9a14a",
+    "depth3_w10-3-1": "6d468eaf0fa45fe3bb7dba1882dc1839ca9f5b19cee2ba82845c7ccf0432896e",
+    "depth3_w10-3-2": "1570f80cb2eccea890f2afe814ed3ba86b5825b38f820af4d369da805d85d224",
 }
 
 

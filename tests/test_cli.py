@@ -228,7 +228,7 @@ def _built_banks(tmp_path, monkeypatch, param, values):
 
     def recording_make_bank(*args, **kwargs):
         bank = make_bank(*args, **kwargs)
-        shapes.append([[w.shape for w, _ in v.hidden] for v in bank.verifiers])
+        shapes.append([[w.shape[1:] for w, _ in bank.trunk]] * bank.n)
         return bank
 
     monkeypatch.setattr(vrec.pipeline, "make_bank", recording_make_bank)

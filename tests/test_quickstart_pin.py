@@ -28,8 +28,8 @@ QUICK_START = {
 
 DIGESTS = {
     "stage0.ckpt": "c64883035ac38a517ef09ef0eb860c56c06a2d8f734cc1edb4c9a0f57515564f",
-    "stage1.ckpt": "fc7e05de9e3c07e97182f14e6d5e85bbcab985450fdbfc1b94c49f6df6b398bf",
-    "final.ckpt": "717418ca937b589fbbbe4115a487d2c2d1a20db53dc0d151d15054c4b7322bcb",
+    "stage1.ckpt": "9a5d733aef24b741ab68ab52cf3e0acec6c0a058dd7d643228b1d02e16859cf0",
+    "final.ckpt": "40ae255f869ce96365865da1bc2f2af5a9f0ce2ae67ec48a468cb259e9af1fb0",
     "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
     "r_steps": "afd2906d6ef3b240eb6dae411843f87d6b8dc16a9f3f466a6020724bdfae7d3e",
     "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",

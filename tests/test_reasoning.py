@@ -55,11 +55,12 @@ def test_bank_absent_independent_of_verifier_state():
 def test_confident_bank_injects_prototype_columns():
     bb = small_backbone()
     bank = make_bank([("sharp", 3)], d_m=16, seed=1)
-    bank.verifiers[0].b_last.data[:] = [40.0, 0.0, 0.0]
+    w_last, b_last = (t.data[0] for t in bank.heads[3])
+    b_last[:] = [40.0, 0.0, 0.0]
     trace, _ = run_reasoning(bb, bank, [0, 5], 2)
     for raw, adj, verdict in trace.steps:
         assert confidences(verdict)[0].item() == 1.0
-        col = bank.verifiers[0].w_last.data[:, verdict.j_star[0][0]]
+        col = w_last[:, verdict.j_star[0][0]]
         assert np.array_equal(adj.data[0], col)
 
 
@@ -79,7 +80,7 @@ def test_steps_feed_forward():
     # verified and unverified runs diverge after the first adjusted step
     bb = small_backbone()
     bank = make_bank([("a", 4)], d_m=16, seed=3)
-    bank.verifiers[0].b_last.data[:] = [25.0, 0.0, 0.0, 0.0]
+    bank.heads[4][1].data[0] = [25.0, 0.0, 0.0, 0.0]
     t_plain, h_plain = run_reasoning(bb, None, [0, 5], 2)
     t_bank, h_bank = run_reasoning(bb, bank, [0, 5], 2)
     assert np.array_equal(t_plain.steps[0][0].data, t_bank.steps[0][0].data)

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from oracles import per_verifier_views
 from vrec.backbone import Backbone, ModelConfig
 from vrec.numerics import Rng
 from vrec.reasoning import recommend, run_reasoning
@@ -85,8 +86,8 @@ def _served(case: str, m: int, batch: str) -> str:
     bank = None
     if dims:
         bank = make_bank(dims, d_m=d_m, seed=seed, hidden_width=width, hidden_depth=depth)
-        for t in bank.params().values():
-            t.data[...] = rng.normal(t.shape, std=0.9)
+        for view in per_verifier_views(bank).values():  # the order the digests were taken in
+            view[...] = rng.normal(view.shape, std=0.9)
         bank.uniform_router = uniform
     trace, final = run_reasoning(model, bank, BATCHES[batch], m)
     h = hashlib.sha256(final.data.tobytes())

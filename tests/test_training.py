@@ -190,9 +190,9 @@ def test_monotonicity_loss_property(f_rows):
 
 def test_verifier_loss_reference_values():
     bank = make_bank([("a", 4)], d_m=8, seed=0)
-    v = bank.verifiers[0]
-    v.w_last.data[:] = 0.0
-    v.b_last.data[:] = 0.0  # uniform prediction
+    w_last, b_last = bank.heads[4]
+    w_last.data[:] = 0.0
+    b_last.data[:] = 0.0  # uniform prediction
     bank.router.a.data[:] = 0.0
     r, owner = Tensor(np.ones((1, 8))), np.zeros(1, dtype=int)
     pos = verifier_loss(bank, r, owner, np.array([[2]]), alpha=1.0)
@@ -200,7 +200,7 @@ def test_verifier_loss_reference_values():
     neg = verifier_loss(bank, r, owner, np.array([[-1]]), alpha=1.0)
     assert neg.item() == pytest.approx(-np.log(4), abs=1e-12)
 
-    v.b_last.data[:] = [0.0, 0.0, 60.0, 0.0]  # certain correct prediction
+    b_last.data[0] = [0.0, 0.0, 60.0, 0.0]  # certain correct prediction
     assert verifier_loss(bank, r, owner, np.array([[2]])).item() < 1e-9
 
 

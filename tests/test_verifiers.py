@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from oracles import (confidence, confidences, entropy, gelu, grad_check, guidance, matvec,
-                     probabilities, softmax)
+                     per_verifier_views, probabilities, softmax, verifier_weights)
 from vrec.numerics import Rng, Tensor, tracking
-from vrec.verifiers import EPSILON, Router, Verifier, VerifierBank, make_bank, verify_and_adjust
+from vrec.verifiers import EPSILON, VerifierBank, make_bank, verify_and_adjust
 
 
 def bank_of(dims, d_m=8, seed=0, **kw):
     return make_bank(dims, d_m=d_m, seed=seed, **kw)
 
 
-def one_verifier_bank(verifier: Verifier) -> VerifierBank:
-    d_m = verifier.w_last.shape[0]
-    return VerifierBank(verifiers=[verifier],
-                        router=Router(a=Tensor(np.zeros((1, d_m))), bias=Tensor(np.zeros(1))))
+def one_verifier_bank(w_last: np.ndarray, b_last: np.ndarray) -> VerifierBank:
+    """A linear verifier with this (d_m, d_i) head, under a zero router."""
+    bank = VerifierBank([("hand", len(b_last))], d_m=len(w_last))
+    w, b = bank.heads[len(b_last)]
+    w.data[0], b.data[0] = w_last, b_last
+    return bank
 
 
 def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
@@ -30,15 +32,16 @@ def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
         w = softmax(matvec(bank.router.a, r) + bank.router.bias)
     out = {"w": w, "p": [], "f": [], "c": [], "j_star": [], "g": []}
     acc = None
-    for i, v in enumerate(bank.verifiers):
+    for i in range(bank.n):
+        hidden, w_last, b_last = verifier_weights(bank, i)
         h = w[i] * r
-        for wt, b in v.hidden:
+        for wt, b in hidden:
             h = gelu(matvec(h, wt) + b)
-        p = softmax(matvec(h, v.w_last) + v.b_last)
+        p = softmax(matvec(h, w_last) + b_last)
         f = entropy(p)
         c = confidence(f, eps=EPSILON)
         j_star = int(np.argmax(p.data))
-        g = v.w_last[:, j_star]
+        g = w_last[:, j_star]
         for key, value in zip(("p", "f", "c", "j_star", "g"), (p, f, c, j_star, g)):
             out[key].append(value)
         term = (1.0 - c) * r + c * g
@@ -78,20 +81,16 @@ def test_route_uniform_router_flag():
 
 def test_predict_zero_weights_uniform():
     bank = bank_of([("a", 4)])
-    v = bank.verifiers[0]
-    v.w_last.data[:] = 0.0
-    v.b_last.data[:] = 0.0
+    for t in bank.heads[4]:
+        t.data[:] = 0.0
     p = probabilities(verify_and_adjust(bank, Tensor(np.ones((1, 8)))))[0][0]
     assert np.allclose(p.data, 0.25, atol=1e-15)
 
 
 def test_predict_hand_2x2():
-    v = Verifier(dimension="hand", d_i=2,
-                 hidden=[],
-                 w_last=Tensor(np.array([[2.0, 0.0], [1.0, 5.0]])),
-                 b_last=Tensor(np.zeros(2)))
+    bank = one_verifier_bank(np.array([[2.0, 0.0], [1.0, 5.0]]), np.zeros(2))
     # a one-verifier router weighs it exactly 1, so the head sees r itself
-    p = probabilities(verify_and_adjust(one_verifier_bank(v), Tensor(np.array([[1.0, 0.0]]))))[0][0]
+    p = probabilities(verify_and_adjust(bank, Tensor(np.array([[1.0, 0.0]]))))[0][0]
     # logits = [2, 0]; softmax by hand
     assert p.data == pytest.approx([0.8807970779778823, 0.11920292202211755], abs=1e-15)
     assert abs(p.data.sum() - 1.0) < 1e-12
@@ -107,21 +106,20 @@ def test_entropy_reference_values():
 
 def test_guidance_argmax_column():
     # r = 0 leaves the logits at b_last, so p = [0.2, 0.7, 0.1]
-    v = Verifier(dimension="g", d_i=3, hidden=[],
-                 w_last=Tensor(Rng(3).normal((8, 3))), b_last=Tensor(np.log([0.2, 0.7, 0.1])))
-    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
+    w_last = Rng(3).normal((8, 3))
+    verdict = verify_and_adjust(one_verifier_bank(w_last, np.log([0.2, 0.7, 0.1])),
+                                Tensor(np.zeros((1, 8))))
     assert probabilities(verdict)[0].data[0] == pytest.approx([0.2, 0.7, 0.1], abs=1e-15)
     assert verdict.j_star[0] == [1]
-    assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 1])
+    assert np.array_equal(guidance(verdict)[0].data[0], w_last[:, 1])
 
 
 def test_guidance_tie_lowest_index():
-    v = Verifier(dimension="g", d_i=2, hidden=[],
-                 w_last=Tensor(Rng(4).normal((8, 2))), b_last=Tensor(np.zeros(2)))
-    verdict = verify_and_adjust(one_verifier_bank(v), Tensor(np.zeros((1, 8))))
+    w_last = Rng(4).normal((8, 2))
+    verdict = verify_and_adjust(one_verifier_bank(w_last, np.zeros(2)), Tensor(np.zeros((1, 8))))
     assert np.array_equal(probabilities(verdict)[0].data[0], [0.5, 0.5])
     assert verdict.j_star[0] == [0]
-    assert np.array_equal(guidance(verdict)[0].data[0], v.w_last.data[:, 0])
+    assert np.array_equal(guidance(verdict)[0].data[0], w_last[:, 0])
 
 
 def test_confidence_cases():
@@ -133,8 +131,9 @@ def test_confidence_cases():
 def peaked_bank(d_m=8, d_i=2):
     """Single-verifier bank whose prediction is near one-hot (f << 1, c = 1)."""
     bank = bank_of([("sharp", d_i)], d_m=d_m)
-    bank.verifiers[0].b_last.data[:] = 0.0
-    bank.verifiers[0].b_last.data[0] = 30.0
+    b_last = bank.heads[d_i][1].data[0]
+    b_last[:] = 0.0
+    b_last[0] = 30.0
     return bank
 
 
@@ -143,7 +142,7 @@ def test_adjust_full_replacement_when_confident():
     r = Tensor(Rng(5).normal((1, 8)))
     verdict = verify_and_adjust(bank, r)
     assert confidences(verdict)[0, 0].item() == 1.0
-    assert np.array_equal(verdict.r_star.data[0], bank.verifiers[0].w_last.data[:, 0])
+    assert np.array_equal(verdict.r_star.data[0], bank.heads[2][0].data[0, :, 0])
 
 
 def test_adjust_hand_expansion_two_verifiers():
@@ -161,8 +160,9 @@ def test_adjust_hand_expansion_two_verifiers():
 def test_adjust_guidance_bitwise_columns():
     bank = bank_of([("a", 3), ("b", 4)], seed=8)
     verdict = verify_and_adjust(bank, Tensor(Rng(7).normal((1, 8))))
-    for i, v in enumerate(bank.verifiers):
-        assert np.array_equal(guidance(verdict)[i].data[0], v.w_last.data[:, verdict.j_star[0][i]])
+    for i in range(bank.n):
+        w_last = verifier_weights(bank, i)[1].data
+        assert np.array_equal(guidance(verdict)[i].data[0], w_last[:, verdict.j_star[0][i]])
 
 
 def test_adjust_invariants_random_instances():
@@ -173,9 +173,9 @@ def test_adjust_invariants_random_instances():
         r = Tensor(rng.normal((1, 8), std=1.0 + trial % 5))
         verdict = verify_and_adjust(bank, r)
         assert abs(verdict.w.data.sum() - 1.0) < 1e-12 and np.all(verdict.w.data > 0)
-        for i, v in enumerate(bank.verifiers):
+        for i, d_i in enumerate(bank.sizes):
             f = verdict.f[0, i].item()
-            assert 0.0 <= f <= np.log(v.d_i) + 1e-12
+            assert 0.0 <= f <= np.log(d_i) + 1e-12
             assert 0.0 < confidences(verdict)[0, i].item() <= 1.0
         norm_bound = max(np.linalg.norm(r.data),
                          max(np.linalg.norm(g.data) for g in guidance(verdict)))
@@ -197,32 +197,30 @@ def test_verify_and_adjust_differentiable():
         diff = verdict.r_star - target
         return (diff * diff).sum()
 
-    params = [r, bank.router.a, bank.verifiers[0].w_last, bank.verifiers[1].w_last,
-              bank.verifiers[0].b_last]
+    params = [r, bank.router.a, *bank.heads[4]]
     assert grad_check(loss, params) < 1e-5
 
 
 def test_bank_validation():
     with pytest.raises(ValueError, match="at least one"):
-        VerifierBank(verifiers=[], router=Router(a=Tensor(np.zeros((0, 8))),
-                                                 bias=Tensor(np.zeros(0))))
-    with pytest.raises(ValueError, match="columns"):
-        Verifier(dimension="bad", d_i=3, hidden=[],
-                 w_last=Tensor(np.zeros((8, 2))), b_last=Tensor(np.zeros(3)))
+        VerifierBank([], d_m=8)
     for width, depth in ((0, 0), (-1, 3)):
         with pytest.raises(ValueError, match="depth >= 1 and width >= 0"):
             make_bank([("a", 3)], d_m=8, hidden_width=width, hidden_depth=depth)
-    deep, flat = make_bank([("a", 3)], d_m=8, hidden_depth=2), make_bank([("b", 3)], d_m=8)
-    with pytest.raises(ValueError, match="share one trunk shape"):
-        VerifierBank(verifiers=deep.verifiers + flat.verifiers,
-                     router=Router(a=Tensor(np.zeros((2, 8))), bias=Tensor(np.zeros(2))))
+
+
+@pytest.mark.parametrize("d_i", [0, 1])
+def test_bank_refuses_fewer_than_two_classes(d_i):
+    # a bank of one class or none would build, then fail on its first step
+    with pytest.raises(ValueError, match=f"d_i must be an integer >= 2, got {d_i}"):
+        make_bank([("a", 3), ("b", d_i)], d_m=8)
 
 
 def test_mlp_verifier_shapes():
     bank = bank_of([("deep", 4)], d_m=8, hidden_width=16, hidden_depth=3)
-    v = bank.verifiers[0]
-    assert [tuple(w.shape) for w, _ in v.hidden] == [(8, 16), (16, 8)]
-    assert tuple(v.w_last.shape) == (8, 4)
+    assert [(w.shape, b.shape) for w, b in bank.trunk] == [((1, 8, 16), (1, 16)),
+                                                           ((1, 16, 8), (1, 8))]
+    assert [(w.shape, b.shape) for w, b in bank.heads.values()] == [((1, 8, 4), (1, 4))]
     p = probabilities(verify_and_adjust(bank, Tensor(Rng(14).normal((1, 8)))))[0]
     assert abs(p.data.sum() - 1.0) < 1e-12
 
@@ -235,8 +233,8 @@ def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBan
     bank = bank_of([(f"d{i}", 2 + (seed + 5 * (i % 3)) % 11) for i in range(n)], d_m=6, seed=seed,
                    hidden_width=5 if depth > 1 else 0, hidden_depth=depth)
     rng = Rng(seed, 1)
-    for t in bank.params().values():
-        t.data[...] = rng.normal(t.shape, std=0.8)
+    for view in per_verifier_views(bank).values():
+        view[...] = rng.normal(view.shape, std=0.8)
     bank.uniform_router = uniform
     return bank
 
@@ -259,7 +257,7 @@ def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
     # a scalar that depends on every output: r*, w, p, f and c
     rng = Rng(n + depth, rows)
     coef_r, coef_w, coef_f, coef_c = (rng.normal((rows, k)) for k in (6, n, n, n))
-    coef_p = [rng.normal((rows, v.d_i)) for v in bank.verifiers]
+    coef_p = [rng.normal((rows, d_i)) for d_i in bank.sizes]
 
     with tracking(tracked):
         verdict = verify_and_adjust(bank, r)
@@ -301,8 +299,8 @@ def test_fused_step_single_row_guidance(depth, uniform):
         assert verdict.r_star.shape == (1, 6) and verdict.f.shape == (1, bank.n)
         assert np.array_equal(verdict.r_star.data[0], ref["r_star"].data)
         assert verdict.j_star[0] == ref["j_star"]
-        for i, v in enumerate(bank.verifiers):
-            col = np.ascontiguousarray(v.w_last.data[:, verdict.j_star[0][i]])
+        for i in range(bank.n):
+            col = np.ascontiguousarray(verifier_weights(bank, i)[1].data[:, verdict.j_star[0][i]])
             assert guidance(verdict)[i].data[0].tobytes() == col.tobytes()
 
 
