@@ -1,27 +1,29 @@
 """Causal-transformer sequence model over item tokens.
 
 Items are single tokens; the model encodes an interaction history, accepts
-latent reasoning vectors injected at reserved trailing positions, and ranks
-the item vocabulary from any position's hidden state. The output projection
-is weight-tied to the token embedding table, restricted to item rows.
+latent reasoning vectors injected at trailing positions, and ranks the item
+vocabulary from any position's hidden state. The output projection is
+weight-tied to the token embedding table, restricted to item rows.
 
-The model is causal, so a position's hidden state never changes once
-computed. ``encode`` can therefore extend a sequence through a per-request
-``KVCache``: each call computes only the positions it is given, attending
-to the keys and values the cache kept from earlier calls.
+``encode`` takes the two inputs of the reasoning loop, one kind per call:
+a batch of histories, into an empty ``KVCache``, then one latent step, a
+row per sequence, at a time. The model is causal, so a position's hidden
+state never changes once computed: each call computes only the positions
+it is given, attending to the keys and values the cache kept from earlier
+calls.
 
-``encode`` takes a batch of sequences, padded on the right to the longest;
-one sequence is the batch of one. Their rows are position-major (row
-c*B + b is column c of sequence b), so every linear layer is one matmul
-over all of them, each block is one graph node
-(``numerics.transformer_block``) and extending the cache is one
-concatenation of keys and of values per layer. The first block adds the
-position rows, and the final norm reads the last block's packed output,
-so a call builds the token lookup (or takes the latents as they are), one
-node per block and the final norm. Only a call whose sequences differ in
-length builds a padding mask, a token grid and a per-row position gather
-node; a padded slot's key is masked in every attention, so each
-sequence's states are those it has alone, up to the grouping of sums.
+The histories are padded on the right to the longest; one history is the
+batch of one. Rows are position-major (row c*B + b is column c of
+sequence b), so every linear layer is one matmul over all of them, each
+block is one graph node (``numerics.transformer_block``) and a step grows
+the cache by one concatenation of keys and of values per layer. The first
+block adds the position rows, and the final norm reads the last block's
+packed output, so a call builds the token lookup (a step takes its rows as
+they are), one node per block and the final norm. Only a batch whose
+histories differ in length has a token grid, and in each call a padding
+mask and a per-row position gather node; a padded slot's key is masked in
+every attention, so each sequence's states are those it has alone, up to
+the grouping of sums.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .numerics import (
     Tensor,
     check_int,
     check_seed,
-    concat,
     embedding_lookup,
     layer_norm,
     matmul,
@@ -157,29 +158,29 @@ class Backbone:
 
     def encode(self, history, injected: list[Tensor] | None = None,
                cache: KVCache | None = None) -> Tensor:
-        """Hidden states for history tokens plus injected latent vectors.
+        """Hidden states of one of the two inputs the reasoning loop gives.
 
-        ``history`` is a batch of B histories (lists of item ids from 0 to
-        n_items - 1), padded on the right to the longest; one history is the
-        batch of one. Injected latents occupy the positions immediately
-        after each history, in order; each replaces the token lookup at its
-        position (positional embedding still added). An injected entry is a
+        Histories: ``history`` is a batch of B histories (lists of item ids
+        from 0 to n_items - 1), padded on the right to the longest, one
+        history being the batch of one, and ``injected`` is None or empty.
+        They start at position 0, in ``cache`` if one is given, which must
+        be empty.
+
+        One latent step: ``history`` is empty, ``injected`` holds one
         (B, d_m) Tensor, row b the next position of sequence b, or a wider
         one whose first d_m columns those are (a verifier step's packed
-        output). Returns the last layer's states of the n new columns as
-        (n*B, d_m) position-major rows.
+        output), and ``cache`` holds the B histories and the steps so far.
+        The row takes the place of a token lookup at each sequence's next
+        position (the positional embedding is still added) and attends to
+        every position the cache holds.
 
-        With a ``cache``, ``history`` and ``injected`` are only the new
-        positions, which start at each sequence's ``cache.lengths``; they
-        attend to every cached position, and the cache grows by them. An
-        empty ``history`` then means no new tokens for any sequence. Without
-        one, the sequences start at position 0.
+        Returns the last layer's states of the n new columns as (n*B, d_m)
+        position-major rows, and the cache grows by them. Any other call
+        is refused with the cache left as it was.
         """
         cache = KVCache() if cache is None else cache
-        if cache.batch and cache.pad is None and injected and not len(history):
-            x, pos, at, mask = self._latent_rows(injected, cache)
-        else:
-            x, pos, at, mask = self._embed(history, injected or [], cache)
+        x, pos, at, mask = self._latent_rows(history, injected, cache) if injected else \
+            self._embed(history, cache)
         layers = cache.layers or [((), None, None)] * self.cfg.layers
         for i, params in enumerate(self._blocks):
             past, keys, values = layers[i]
@@ -190,99 +191,75 @@ class Backbone:
         cache.layers = layers
         return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
 
-    def _embed(self, history, injected: list[Tensor], cache: KVCache):
-        """``encode``'s new rows before the first block, token embeddings or
-        latents; the position rows the first block adds to them (``pos`` and
-        ``at`` of ``numerics.transformer_block``); and the mask of what they
-        attend to. Checks the call, then records the batch and its padding
-        in ``cache``."""
+    def _embed(self, history, cache: KVCache):
+        """``encode``'s histories: their token embeddings, the position rows
+        the first block adds to them (``pos`` and ``at`` of
+        ``numerics.transformer_block``) and the mask of what they attend
+        to. Checks the call, then records the batch and its padding in
+        ``cache``."""
+        if cache.batch:
+            raise ValueError("a cache that holds histories takes only latent steps, "
+                             "one entry per call")
         seqs = as_batch(history)
-        B = cache.batch or len(seqs)
-        lengths = cache.lengths.tolist() if cache.batch else [0] * B
-        counts = list(map(len, seqs)) or [0] * B
-        if len(counts) != B:
-            raise ValueError(f"{len(counts)} sequences given to a cache of {B}")
-        k = len(injected)
-        width = max(counts, default=0)  # token columns; shorter histories are padded
-        ends = [a + c + k for a, c in zip(lengths, counts)]
-        if max(ends, default=0) > self.cfg.max_positions:
-            raise ValueError(f"sequence length {max(ends)} exceeds max_positions "
+        counts = list(map(len, seqs))
+        width = max(counts, default=0)  # shorter histories are padded to it
+        if width > self.cfg.max_positions:
+            raise ValueError(f"sequence length {width} exceeds max_positions "
                              f"{self.cfg.max_positions}")
-        if min(ends, default=k) == k:  # also no sequence at all
+        if min(counts, default=0) == 0:  # also no sequence at all
             raise ValueError("encode requires a non-empty history")
-        n = width + k
-        if n == 0:
-            raise ValueError("encode requires at least one new position")
-        self._check_latents(injected, B)
+        B, p = len(seqs), self._params
+        ragged = min(counts) < width
+        pad = np.arange(width) >= np.array(counts)[:, None] if ragged else None  # (B, width)
+        # the one place where item ids enter the model
+        ids = np.concatenate(seqs) if ragged else np.array(seqs)
+        if ids.min() < 0 or ids.max() >= self.cfg.n_items:
+            bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
+            raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
+        if ragged:  # the shorter histories' columns hold the non-item token, at position 0
+            grid = np.full((B, width), self.cfg.n_items)
+            grid[~pad] = ids
+            ids = grid
+            pos = np.where(pad.T, 0, np.arange(width)[:, None]).reshape(-1)
+            pos, at = embedding_lookup(p["pos_emb"], pos), None
+        else:  # column c of every sequence is at position c
+            pos, at = p["pos_emb"], slice(0, width)
+        x = embedding_lookup(p["tok_emb"], ids.ravel("F"))
+        return x, pos, at, self._commit(cache, B, width, pad)
 
-        p = self._params
-        start = len(cache)
-        pad = cache.pad
-        ragged = pad is not None or min(counts) < width
-        if ragged:
-            new_pad = np.arange(width) >= np.array(counts)[:, None]  # (B, width)
-            old = np.zeros((B, start), bool) if pad is None else pad
-            pad = np.concatenate([old, new_pad, np.zeros((B, k), bool)], axis=1)
-        parts = []
-        if width:  # the one place where item ids enter the model
-            ids = np.concatenate(seqs) if ragged else np.array(seqs)
-            if ids.min() < 0 or ids.max() >= self.cfg.n_items:
-                bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
-                raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
-            if ragged:  # the shorter histories' columns hold the non-item token
-                grid = np.full((B, width), self.cfg.n_items)
-                grid[~new_pad] = ids
-                ids = grid
-            parts.append(embedding_lookup(p["tok_emb"], ids.ravel("F")))
-        parts.extend(injected)
-        if ragged:  # a sequence's tokens, then its latents, from its own length on
-            columns = np.arange(n)[:, None]
-            latent = columns >= width
-            pos = np.add(lengths, np.where(latent, columns - width + counts, columns))
-            pos = np.where(latent | (columns < counts), pos, 0)  # padding reads position 0
-            pos, at = embedding_lookup(p["pos_emb"], pos.reshape(-1)), None
-        else:  # column c of every sequence is at position start + c
-            pos, at = p["pos_emb"], slice(start, start + n)
-        return self._rows(parts), pos, at, self._commit(cache, B, start, n, pad)
-
-    def _latent_rows(self, injected: list[Tensor], cache: KVCache):
-        """``_embed`` for a latent step of sequences that hold one length (a
-        served request's): latents alone, step c of every sequence at
-        position len(cache) + c. The histories were checked when they
-        entered the cache, so this checks only the rows and positions a
-        step adds."""
-        k, B, start = len(injected), cache.batch, len(cache)
-        self._check_latents(injected, B)
-        if start + k > self.cfg.max_positions:
-            raise ValueError(f"sequence length {start + k} exceeds max_positions "
+    def _latent_rows(self, history, injected: list[Tensor], cache: KVCache):
+        """``_embed`` for a latent step: one row per sequence, at its next
+        position, len(cache) for sequences of one length and ``lengths``
+        (a gather node) in a padded batch. The histories were checked when
+        they entered the cache, so this checks only the call and the rows
+        and position it adds."""
+        if len(history):
+            raise ValueError("encode takes histories or one latent step, not both")
+        if len(injected) != 1:
+            raise ValueError(f"a latent step injects one entry, got {len(injected)}")
+        if not cache.batch:
+            raise ValueError("a latent step needs the cache that holds its histories")
+        rows, B, start, d = injected[0], cache.batch, len(cache), self.cfg.d_m
+        if rows.data.ndim != 2 or len(rows.data) != B or rows.data.shape[1] < d:
+            raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)} "
+                             f"(or wider, of which the first {d} columns are read)")
+        # the longest history holds no padding, so no sequence is longer than the cache
+        if start + 1 > self.cfg.max_positions:
+            raise ValueError(f"sequence length {start + 1} exceeds max_positions "
                              f"{self.cfg.max_positions}")
-        mask = self._commit(cache, B, start, k, None)
-        return self._rows(injected), self._params["pos_emb"], slice(start, start + k), mask
+        pos, at, pad = self._params["pos_emb"], slice(start, start + 1), cache.pad
+        if pad is not None:
+            pos, at = embedding_lookup(pos, cache.lengths), None
+            pad = np.concatenate([pad, np.zeros((B, 1), bool)], axis=1)
+        return rows, pos, at, self._commit(cache, B, 1, pad)
 
-    def _check_latents(self, injected: list[Tensor], B: int) -> None:
-        """Refuse an injected entry that is not B rows of at least d_m columns."""
-        d = self.cfg.d_m
-        for rows in injected:
-            if rows.data.ndim != 2 or len(rows.data) != B or rows.data.shape[1] < d:
-                raise ValueError(f"latent rows of shape {rows.data.shape}, expected {(B, d)} "
-                                 f"(or wider, of which the first {d} columns are read)")
-
-    def _rows(self, parts: list[Tensor]) -> Tensor:
-        """New rows, stacked: one part as it is, more cut to their first
-        d_m columns and concatenated."""
-        if len(parts) == 1:
-            return parts[0]
-        d = self.cfg.d_m
-        return concat([t if t.data.shape[1] == d else t[:, :d] for t in parts], axis=0)
-
-    def _commit(self, cache: KVCache, B: int, start: int, n: int,
+    def _commit(self, cache: KVCache, B: int, n: int,
                 pad: np.ndarray | None) -> np.ndarray | None:
         """Record the call's batch and padding in ``cache``, and return the
-        mask of what its n new columns attend to: column c sees columns
-        0..start + c, except padding."""
-        T = start + n
-        mask = None if n == 1 else \
-            np.where(np.arange(T) > np.arange(start, T)[:, None], MASK_VALUE, 0.0)
+        mask of what its n new columns attend to: histories (an empty cache)
+        column c sees columns 0..c, a latent step (n = 1) every column,
+        except padding."""
+        mask = None if n == 1 else np.where(np.arange(n) > np.arange(n)[:, None], MASK_VALUE, 0.0)
         if pad is not None:
             keys = np.where(pad, MASK_VALUE, 0.0)[:, None, :]
             mask = keys if mask is None else mask + keys

@@ -201,6 +201,9 @@ def cmd_step_scan(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolved(args)
+    steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
+    if min(steps, default=0) < 0:
+        raise UsageError(f"--steps must be non-negative step counts, got {args.steps!r}")
     items, split = load_corpus(cfg)
     final = cfg.out / "final.ckpt"
     if final.exists():
@@ -214,7 +217,6 @@ def cmd_bench(args) -> int:
         labelings = build_labelings(cfg, items, split)
         bank = make_bank([(lab.dimension, lab.d_i) for lab in labelings],
                          d_m=backbone.cfg.d_m, seed=cfg.hyper.seed)  # untrained
-    steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
     check_max_positions(backbone.cfg.max_positions, steps)
     result = timing_overhead(backbone, bank, split.test or split.train,
                              steps=steps, out_dir=cfg.out)

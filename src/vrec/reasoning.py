@@ -1,10 +1,12 @@
 """Interleaved reason-verify loop over latent steps.
 
-The history is encoded once into a per-request KV cache. Each step reads
-the last position's hidden state as the new reasoning representation,
-replaces it (when a verifier bank is present) with its confidence-adjusted
-version, and injects that as the next position, so the backbone computes
-one new row per step and every position exactly once.
+The loop makes the two kinds of ``Backbone.encode`` call: the histories,
+once, into an empty KV cache, then one latent step at a time. Each step
+reads the last position's hidden state as the new reasoning
+representation, replaces it (when a verifier bank is present) with its
+confidence-adjusted version, and injects that as the next position, so
+the backbone computes one new row per step and every position exactly
+once.
 
 The loop runs on a batch of histories at once: one padded pass over the
 histories, then one (B, d_m) pass per step. Training, collection and
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Backbone, KVCache, as_batch
-from .numerics import Tensor, embedding_lookup
+from .numerics import Tensor, check_int, embedding_lookup
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
 __all__ = ["CHUNK", "ReasoningTrace", "homogeneity", "pca_project", "recommend",
@@ -67,8 +69,10 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
     history, the batch of one. Each step of the trace holds (B, d_m) rows,
     and the second value is the (B, d_m) final state of each history, at
     its own last position L_b + m - 1, which the recommendation reads.
-    The rollout's length is checked here, once, before anything is encoded.
+    The rollout's length and m are checked here, once, before anything is
+    encoded.
     """
+    check_int("m", m)
     L = max(map(len, as_batch(history)), default=0)
     if L + m > backbone.cfg.max_positions:
         raise ValueError(f"sequence length {L + m} exceeds max_positions "

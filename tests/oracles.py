@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from vrec.backbone import KVCache
 from vrec.checkpoint import MAGIC
 from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
                            _softmax_np, concat, embedding_lookup, layer_norm, matmul, tracking)
@@ -67,31 +66,75 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return _node(out, (q, k, v), "attention", vjp)
 
 
+MASKED = -1e30  # an additive attention mask's value for a hidden key
+
+
 @dataclass
-class ChainCache(KVCache):
+class ChainCache:
     """``encode_chain``'s cache: each layer's keys and values as graph
-    Tensors, grown by one concat per call."""
+    Tensors, grown by one concat per call; the positions each sequence
+    holds; and which columns are padding, per sequence (None while none
+    are). Like a ``KVCache``, it has ``batch``, ``pad`` and ``lengths``."""
 
     keys: list = field(default_factory=list)
     values: list = field(default_factory=list)
+    batch: int = 0
+    pad: np.ndarray | None = None  # (batch, columns) bool
+    lengths: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.keys[0].shape[0] // self.batch if self.keys else 0
 
 
 def encode_chain(model, history, injected=None, cache=None) -> Tensor:
-    """``Backbone.encode`` with the position rows added before the first
-    block, as a slice and ``add_rows`` or a gather and an add, a packed
-    verdict cut to its first d_m columns, and each block as the chain of
-    elementary ops that ``numerics.transformer_block`` fuses; its cache is a
+    """``Backbone.encode``'s reference, built apart from it: each sequence's
+    tokens, then its latents (a packed verdict cut to its first d_m
+    columns), from its own length in ``cache`` on. It places the token and
+    position rows, tracks the padding and masks the attention itself; adds
+    the position rows before the first block, a slice and ``add_rows``
+    while no sequence is padded, a gather and an add once one is; and runs
+    each block as the chain of elementary ops that
+    ``numerics.transformer_block`` fuses. Unlike ``encode`` it takes any mix
+    in one call, so histories and several latents in one uncached call are
+    the re-encode reference of a cached rollout. Its cache is a
     ``ChainCache``."""
     cache = ChainCache() if cache is None else cache
-    x, pos, at, mask = model._embed(history, injected or [], cache)
-    p, d = model.params(), model.cfg.d_m
-    if x.shape[1] != d:
-        x = x[:, :d]
-    x = x + pos if at is None else add_rows(x, pos[at])
-    for i in range(model.cfg.layers):
+    p, cfg = model.params(), model.cfg
+    d = cfg.d_m
+    seqs = [history] if len(history) and np.ndim(history[0]) == 0 else list(history)
+    B = cache.batch or len(seqs)
+    counts = np.array([len(s) for s in seqs] or [0] * B)
+    latents = [t if t.shape[1] == d else t[:, :d] for t in injected or []]
+    width = int(counts.max())
+    n, old = width + len(latents), len(cache)
+    starts = cache.lengths if cache.batch else np.zeros(B, int)
+
+    # column c of sequence b: token c, padding (the non-item token at
+    # position 0), or latent c - width
+    column = np.arange(n)[:, None]
+    padding = (column >= counts) & (column < width)  # (n, B)
+    position = starts + np.where(column < width, column, column - width + counts)
+    position[padding] = 0
+    grid = np.full((width, B), cfg.n_items)
+    for b, s in enumerate(seqs):
+        grid[:len(s), b] = s
+    parts = [embedding_lookup(p["tok_emb"], grid.reshape(-1))] if width else []
+    parts += latents
+    x = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    if cache.pad is None and not padding.any():
+        x = add_rows(x, p["pos_emb"][old:old + n])
+    else:
+        x = x + embedding_lookup(p["pos_emb"], position.reshape(-1))
+        held = np.zeros((B, old), bool) if cache.pad is None else cache.pad
+        cache.pad = np.concatenate([held, padding.T], axis=1)
+    cache.batch, cache.lengths = B, starts + counts + len(latents)
+
+    # column old + c sees columns 0..old + c of its sequence, except padding
+    seen = np.arange(old + n) <= np.arange(old, old + n)[:, None]
+    if cache.pad is not None:
+        seen = seen & ~cache.pad[:, None, :]
+    mask = None if seen.all() else np.where(seen, 0.0, MASKED)
+    for i in range(cfg.layers):
         pre = f"blocks.{i}."
         normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         q, k, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
@@ -102,7 +145,7 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        joined = attention(q, k, v, model.cfg.heads, mask, batch=cache.batch)
+        joined = attention(q, k, v, cfg.heads, mask, batch=B)
         x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))

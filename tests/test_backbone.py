@@ -65,78 +65,88 @@ def test_causality_all_prefixes():
 
 
 def test_injected_latents_replace_lookup():
+    # a latent step takes the place of a token lookup at the next position
     bb = Backbone(small_cfg())
     plain = bb.encode([0, 3, 5])
     lat = Tensor(np.full((1, 16), 0.1))
-    with_lat = bb.encode([0, 3, 5], [lat])
-    assert with_lat.shape == (4, 16)
-    assert np.array_equal(with_lat.data[:3], plain.data[:3])
+    cache = KVCache()
+    head = bb.encode([0, 3, 5], cache=cache)
+    step = bb.encode([], [lat], cache=cache)
+    assert step.shape == (1, 16) and len(cache) == 4
+    assert np.array_equal(head.data, plain.data)
+    assert np.abs(step.data - encode_chain(bb, [0, 3, 5], [lat]).data[3:]).max() <= 1e-12
 
 
 def test_cached_encode_in_chunks_matches_one_pass():
+    # the histories, then one latent step per call, against the reference's
+    # one pass over both
     bb = Backbone(small_cfg())
-    hist = [1, 4, 2, 8, 6, 0]
-    latents = [Tensor(Rng(1).normal((1, 16))), Tensor(Rng(2).normal((1, 16)))]
-    full = bb.encode(hist, latents)
-    for cut in range(1, len(hist) + 1):
+    for histories in ([1], [1, 4, 2], [1, 4, 2, 8, 6, 0], [[1, 4, 2, 8], [3, 5]],
+                      [[6], [0, 2, 9]]):
+        B = 1 if np.ndim(histories[0]) == 0 else len(histories)
+        latents = [Tensor(Rng(1).normal((B, 16))), Tensor(Rng(2).normal((B, 16)))]
+        full = encode_chain(bb, histories, latents).data
         cache = KVCache()
-        head = bb.encode(hist[:cut], cache=cache)
-        tail = bb.encode(hist[cut:], latents[:1], cache=cache)
-        last = bb.encode([], latents[1:], cache=cache)
-        assert len(cache) == len(full.data)
-        chunks = np.concatenate([head.data, tail.data, last.data])
-        assert np.abs(chunks - full.data).max() <= 1e-12
+        chunks = [bb.encode(histories, cache=cache)]
+        chunks += [bb.encode([], [lat], cache=cache) for lat in latents]
+        assert len(cache) * B == len(full)
+        assert np.abs(np.concatenate([c.data for c in chunks]) - full).max() <= 1e-12
 
 
 def test_cached_encode_errors():
+    # a filled cache takes latent steps, one entry per call, up to max_positions
     bb = Backbone(small_cfg(max_positions=4))
     cache = KVCache()
     bb.encode([0, 1], cache=cache)
-    with pytest.raises(ValueError, match="at least one new position"):
-        bb.encode([], cache=cache)
-    with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
-        bb.encode([3, 4, 5], cache=cache)
+    for history in ([3], [[3], [4]], []):
+        with pytest.raises(ValueError, match="takes only latent steps"):
+            bb.encode(history, cache=cache)
+    step = Tensor(np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="one entry, got 2"):
+        bb.encode([], [step, step], cache=cache)
     assert len(cache) == 2  # a refused call leaves the cache as it was
-    assert bb.encode([3], [Tensor(np.zeros((1, 16)))], cache=cache).shape == (2, 16)
+    assert bb.encode([], [step], cache=cache).shape == (1, 16)
+    bb.encode([], [step], cache=cache)
+    with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
+        bb.encode([], [step], cache=cache)
     assert len(cache) == 4
 
 
 def test_latent_step_errors():
-    # a latent step after a cached history checks only the rows it adds
+    # a latent step after cached histories, unpadded or padded, checks only
+    # the rows it adds: (B, d_m), or wider with the latent in the first d_m
+    # columns
     bb = Backbone(small_cfg(max_positions=4))
-    cache = KVCache()
-    bb.encode([0, 1, 2], cache=cache)
-    for rows in (np.zeros((2, 16)), np.zeros((1, 15)), np.zeros(16)):
-        with pytest.raises(ValueError, match="latent rows of shape"):
-            bb.encode([], [Tensor(rows)], cache=cache)
-    assert len(cache) == 3
-    wide = Tensor(np.arange(20.0)[None])  # the first 16 columns are the latent
-    step = bb.encode([], [wide], cache=cache).data
-    whole = bb.encode([0, 1, 2], [Tensor(wide.data[:, :16])]).data
-    assert np.abs(step - whole[-1:]).max() <= 1e-12
-    with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
-        bb.encode([], [wide], cache=cache)
-    assert len(cache) == 4
-    # of several steps at once each is checked, not only the rows they stack to
-    bb = Backbone(small_cfg())
-    cache = KVCache()
-    bb.encode([[0, 1], [2, 3]], cache=cache)
-    for shapes in (((3, 16), (1, 16)), ((2, 16), (2, 15)), ((2, 16), (32,))):
-        with pytest.raises(ValueError, match="latent rows of shape"):
-            bb.encode([], [Tensor(np.zeros(s)) for s in shapes], cache=cache)
-    assert len(cache) == 2
+    for histories in ([[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3]]):
+        cache = KVCache()
+        bb.encode(histories, cache=cache)
+        for shape in ((3, 16), (1, 16), (2, 15), (32,), (2, 16, 1)):
+            with pytest.raises(ValueError, match="latent rows of shape"):
+                bb.encode([], [Tensor(np.zeros(shape))], cache=cache)
+        assert len(cache) == 3
+        wide = Tensor(np.arange(40.0).reshape(2, 20) / 40.0)
+        step = bb.encode([], [wide], cache=cache).data
+        whole = encode_chain(bb, histories, [wide]).data
+        assert np.abs(step - whole[-2:]).max() <= 1e-12
+        with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
+            bb.encode([], [wide], cache=cache)
+        assert len(cache) == 4
 
 
 def test_encode_errors():
     bb = Backbone(small_cfg(max_positions=4))
     with pytest.raises(ValueError, match="max_positions"):
         bb.encode([0, 1, 2, 3, 4])
-    with pytest.raises(ValueError, match="non-empty"):
-        bb.encode([])
-    with pytest.raises(ValueError, match="shape"):
-        bb.encode([0, 1], [Tensor(np.zeros((1, 7)))])
-    with pytest.raises(ValueError, match=r"shape \(1, 16\), expected \(2, 16\)"):
-        bb.encode([[0, 1], [2, 3]], [Tensor(np.zeros((1, 16)))])  # one row for two histories
+    for history in ([], [[0, 1], []]):
+        with pytest.raises(ValueError, match="non-empty"):
+            bb.encode(history)
+    row = Tensor(np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="histories or one latent step, not both"):
+        bb.encode([0, 1], [row])
+    with pytest.raises(ValueError, match="histories or one latent step, not both"):
+        bb.encode([[0, 1], [2, 3]], [Tensor(np.zeros((2, 16)))])
+    with pytest.raises(ValueError, match="needs the cache that holds its histories"):
+        bb.encode([], [row])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["negative", "non_item_token", "beyond"])
@@ -144,13 +154,49 @@ def test_encode_refuses_ids_outside_the_items(offset):
     # n_items itself is the reserved padding token, not an item
     bb = Backbone(small_cfg())
     bad = -1 if offset < 0 else bb.cfg.n_items + offset
-    for history in ([3, bad], [[0, 1, 2], [bad]]):  # one history; a padded batch
+    for history in ([3, bad], [[0, 1, 2], [bad]], [[bad, 0], [1, 2]]):
+        cache = KVCache()  # one history; a padded batch; an unpadded one
         with pytest.raises(ValueError, match=rf"history item id {bad} outside 0\.\.11"):
-            bb.encode(history)
-    cache = KVCache()
-    bb.encode([0, 1], cache=cache)
-    with pytest.raises(ValueError, match=f"history item id {bad}"):
-        bb.encode([bad], cache=cache)
+            bb.encode(history, cache=cache)
+        assert (len(cache), cache.batch, cache.pad) == (0, 0, None)
+
+
+@pytest.mark.parametrize("histories", [[[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [3]]],
+                         ids=["unpadded", "padded"])
+def test_each_refused_call_leaves_the_cache_as_it_was(histories):
+    bb = Backbone(small_cfg())
+    rows = Tensor(Rng(3).normal((2, 16)))
+    caches = KVCache(), KVCache()
+    for cache in caches:  # one sees every refusal, the other none
+        bb.encode(histories, cache=cache)
+        bb.encode([], [rows], cache=cache)
+    cache = caches[0]
+
+    def state(c):
+        return len(c), c.batch, None if c.pad is None else c.pad.tolist()
+    pad = None if histories[1] == [3, 4, 5] else [[False] * 4, [False, True, True, False]]
+    assert state(cache) == (4, 2, pad)
+    refused = [
+        ("takes only latent steps", lambda c: bb.encode([[5], [6]], cache=c)),
+        ("takes only latent steps", lambda c: bb.encode([], cache=c)),
+        ("not both", lambda c: bb.encode(histories, [rows], cache=c)),
+        ("not both", lambda c: bb.encode([[5], [6]], [rows], cache=c)),
+        ("one entry, got 2", lambda c: bb.encode([], [rows, rows], cache=c)),
+        ("takes only latent steps", lambda c: bb.encode([], [], cache=c)),
+    ]
+    for match, call in refused:
+        with pytest.raises(ValueError, match=match):
+            call(cache)
+        assert state(cache) == (4, 2, pad), match
+    # with no cache, or an empty one, a step has no histories to follow
+    empty = KVCache()
+    for c in (None, empty):
+        with pytest.raises(ValueError, match="needs the cache that holds its histories"):
+            bb.encode([], [rows], cache=c)
+    assert state(empty) == (0, 0, None) and empty.layers == []
+    # the refused calls built nothing the next step reads
+    steps = [bb.encode([], [rows * 0.5], cache=c).data for c in caches]
+    assert np.array_equal(steps[0], steps[1])
 
 
 def test_scores_softmax_normalized():
@@ -211,21 +257,20 @@ def test_scores_reproducible():
 # -- the fused blocks against the chain of ops they replaced ----------------
 
 
-def _rollout(encode, cache, histories: list, coef: list) -> Tensor:
-    """A scalar over every output of a cached rollout: the histories in two
-    chunks (the second with a latent column), then three one-column latent
-    steps, each latent a function of the previous output."""
-    cut = min(map(len, histories)) // 2
+def _rollout(encode, cache, histories: list, coef: list):
+    """A cached rollout: the histories, then three latent steps, each latent
+    a function of the previous output. Returns each call's output, the
+    latents, and a scalar over every output."""
     B = len(histories)
-    outs = [encode([h[:cut] for h in histories], None, cache)]
-    outs.append(encode([h[cut:] for h in histories], [outs[-1][-B:] * 0.5], cache))
+    outs, latents = [encode(histories, None, cache)], []
     for _ in range(3):
-        outs.append(encode([], [outs[-1][-B:] * 0.5], cache))
+        latents.append(outs[-1][-B:] * 0.5)
+        outs.append(encode([], [latents[-1]], cache))
     loss = None
     for out, k in zip(outs, coef):
         term = (out * k[:len(out.data)]).sum()
         loss = term if loss is None else loss + term
-    return loss
+    return outs, latents, loss
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
@@ -238,24 +283,27 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
         t.data[...] = rng.normal(t.shape, std=0.6)
     histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
         [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
-    coef = [rng.normal((8 * len(histories), 12)) for _ in range(5)]
+    coef = [rng.normal((7 * len(histories), 12)) for _ in range(4)]
     params = list(bb.params().values())
     results = []
     for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
                           (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
-        # uncached: histories and two latents in one pass
-        whole = encode(histories, [Tensor(coef[0][:len(histories)])] * 2, None)
         with tracking(params):
-            loss = _rollout(encode, cache, histories, coef)
+            outs, latents, loss = _rollout(encode, cache, histories, coef)
             loss.backward()
-        results.append((whole.data, loss.data, [t.grad.copy() for t in params]))
+        results.append(([out.data for out in outs], latents, loss.data,
+                        [t.grad.copy() for t in params]))
         for t in params:
             t.zero_grad()
-    (whole, loss, grads), (chain_whole, chain_loss, chain_grads) = results
-    assert np.array_equal(whole, chain_whole)
+    (rows, latents, loss, grads), (chain_rows, _, chain_loss, chain_grads) = results
+    for got, want in zip(rows, chain_rows, strict=True):
+        assert np.array_equal(got, want)
     assert loss.tobytes() == chain_loss.tobytes()
     for got, want in zip(grads, chain_grads):
         assert np.array_equal(got, want)
+    # and the steps against one pass over the histories and the same latents
+    whole = encode_chain(bb, histories, [Tensor(t.data) for t in latents]).data
+    assert np.abs(np.concatenate(rows) - whole).max() <= 1e-12
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
@@ -264,7 +312,7 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
     # latents injected as the bank step's packed output, whose first d_m
     # columns the first block reads, with the position rows added inside
     # that block: against the chain that cuts r* out and adds the positions
-    # before it, in uncached and cached calls, with one and two latents
+    # before it, step by step and in one pass
     bb = Backbone(small_cfg(d_m=12, layers=layers, heads=3, max_positions=20))
     bank = make_bank([("a", 3), ("b", 4), ("c", 3)], d_m=12, seed=layers, hidden_depth=2)
     rng = Rng(layers, 12)
@@ -273,38 +321,32 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
         t.data[...] = rng.normal(t.shape, std=0.6)
     histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
         [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
-    B, cut = len(histories), 2
-
-    def packed(rows, scale=1.0):
-        return verify_and_adjust(bank, rows * scale).packed
+    B = len(histories)
 
     def rollout(encode, cache):
-        outs = [encode([h[:cut] for h in histories], None, cache)]
-        outs.append(encode([h[cut:] for h in histories], [packed(outs[-1][-B:])], cache))
-        for k in (1, 2, 1):
-            last = outs[-1][-B:]
-            outs.append(encode([], [packed(last, 1.0 - 0.5 * j) for j in range(k)], cache))
-        return outs
+        outs, latents = [encode(histories, None, cache)], []
+        for scale in (1.0, 0.5, 1.0, 0.75):
+            latents.append(verify_and_adjust(bank, outs[-1][-B:] * scale).packed)
+            outs.append(encode([], [latents[-1]], cache))
+        return outs, latents
 
-    latents = [packed(Tensor(rng.normal((B, 12)))) for _ in range(2)]
     results = []
     for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
                           (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
-        whole = encode(histories, latents, None)
         with tracking(params):
-            outs = rollout(encode, cache)
+            outs, latents = rollout(encode, cache)
             loss = None
             for j, out in enumerate(outs):
                 term = (out * Tensor(np.cos(np.arange(out.size) + j).reshape(out.shape))).sum()
                 loss = term if loss is None else loss + term
             loss.backward()
-        results.append(([whole.data] + [out.data for out in outs], loss.data,
+        results.append(([out.data for out in outs], latents, loss.data,
                         {name: t.grad.copy() for name, t in
                          [*bb.params().items(), *bank.params().items()]}))
         for t in params:
             t.zero_grad()
-    (rows, loss, grads), (chain_rows, chain_loss, chain_grads) = results
-    assert len(rows) == len(chain_rows) == 6
+    (rows, latents, loss, grads), (chain_rows, _, chain_loss, chain_grads) = results
+    assert len(rows) == len(chain_rows) == 5
     for got, want in zip(rows, chain_rows):
         assert np.array_equal(got, want)
     assert loss.tobytes() == chain_loss.tobytes()
@@ -315,3 +357,5 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
     assert grads["pos_emb"].any()
     for name in checked:
         assert np.abs(grads[name] - chain_grads[name]).max() <= 1e-12, name
+    whole = encode_chain(bb, histories, [Tensor(t.data) for t in latents]).data
+    assert np.abs(np.concatenate(rows) - whole).max() <= 1e-12

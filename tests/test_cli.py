@@ -81,6 +81,13 @@ def test_bad_steps_flag_exits_two(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_negative_bench_step_exits_two_before_timing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["bench", "--config", str(cfg), "--steps=-3,1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bench.csv").exists()
+
+
 def test_unknown_sweep_param_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--param", "dropout",

@@ -95,6 +95,11 @@ def test_sequence_budget_enforced():
         run_reasoning(bb, None, [0, 1, 2, 3], 2)
 
 
+def test_negative_step_count_rejected():
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        run_reasoning(small_backbone(), None, [1, 2, 3], -4)
+
+
 def counting_encode(monkeypatch):
     """Wrap Backbone.encode; returns the list of positions each call computed."""
     counts = []
@@ -117,16 +122,18 @@ def test_over_long_sequence_rejected_before_encoding(monkeypatch):
 
 
 def reencode_reasoning(bb, bank, history, m):
-    """The loop the KV cache replaced: every step re-encodes the whole prefix."""
+    """The loop the KV cache replaced: every step re-encodes the whole
+    prefix, the history and the latents so far, in one pass of the
+    reference ``encode_chain``."""
     L = len(history)
     steps, latents = [], []
     for t in range(m):
-        r_t = bb.encode(history, latents)[L + t - 1:L + t]
+        r_t = encode_chain(bb, history, latents)[L + t - 1:L + t]
         verdict = verify_and_adjust(bank, r_t) if bank is not None else None
         r_adj = r_t if verdict is None else verdict.r_star
         steps.append((r_t, r_adj, verdict))
         latents.append(r_adj)
-    return steps, bb.encode(history, latents)[-1:]
+    return steps, encode_chain(bb, history, latents)[-1:]
 
 
 @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
