@@ -5,12 +5,12 @@ latent reasoning vectors injected at trailing positions, and ranks the item
 vocabulary from any position's hidden state. The output projection is
 weight-tied to the token embedding table, restricted to item rows.
 
-``encode`` takes the two inputs of the reasoning loop, one kind per call:
-a batch of histories, into an empty ``KVCache``, then one latent step, a
-row per sequence, at a time. The model is causal, so a position's hidden
-state never changes once computed: each call computes only the positions
-it is given, attending to the keys and values the cache kept from earlier
-calls.
+``encode`` takes the two inputs of the reasoning loop, one kind per call,
+into the ``KVCache`` its caller makes: a batch of histories, into the empty
+cache, then one latent step, a row per sequence, at a time. The model is
+causal, so a position's hidden state never changes once computed: each
+call computes only the positions it is given, attending to the keys and
+values the cache kept from earlier calls.
 
 The histories are padded on the right to the longest; one history is the
 batch of one. Rows are position-major (row c*B + b is column c of
@@ -91,9 +91,10 @@ class KVCache:
     every sequence holds every column).
     """
 
-    layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(default_factory=list)
-    batch: int = 0
-    pad: np.ndarray | None = None  # (batch, columns) bool
+    layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=list)
+    batch: int = field(init=False, default=0)
+    pad: np.ndarray | None = field(init=False, default=None)  # (batch, columns) bool
 
     def __len__(self) -> int:
         """Columns held: for one sequence, its positions."""
@@ -156,15 +157,14 @@ class Backbone:
     def params(self) -> dict[str, Tensor]:
         return self._params
 
-    def encode(self, history, injected: list[Tensor] | None = None,
-               cache: KVCache | None = None) -> Tensor:
+    def encode(self, history, injected: list[Tensor] | None = None, *,
+               cache: KVCache) -> Tensor:
         """Hidden states of one of the two inputs the reasoning loop gives.
 
         Histories: ``history`` is a batch of B histories (lists of item ids
         from 0 to n_items - 1), padded on the right to the longest, one
         history being the batch of one, and ``injected`` is None or empty.
-        They start at position 0, in ``cache`` if one is given, which must
-        be empty.
+        They start at position 0, in ``cache``, which must be empty.
 
         One latent step: ``history`` is empty, ``injected`` holds one
         (B, d_m) Tensor, row b the next position of sequence b, or a wider
@@ -178,7 +178,6 @@ class Backbone:
         position-major rows, and the cache grows by them. Any other call
         is refused with the cache left as it was.
         """
-        cache = KVCache() if cache is None else cache
         x, pos, at, mask = self._latent_rows(history, injected, cache) if injected else \
             self._embed(history, cache)
         layers = cache.layers or [((), None, None)] * self.cfg.layers

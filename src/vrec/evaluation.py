@@ -1,4 +1,6 @@
-"""Ranking metrics, full-ranking evaluation, and verification timing overhead."""
+"""Ranking metrics, full-ranking evaluation, and verification timing
+overhead: per m, ``WARMUP_REQUESTS`` untimed requests, then at least
+``MIN_TIMED_REQUESTS`` timed ones, in each condition."""
 
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ __all__ = [
 # average verification overhead reported by the reference efficiency table;
 # not reproducible at this scale, carried as metadata only
 REFERENCE_OVERHEAD_PCT = 0.59
+WARMUP_REQUESTS = 10
+MIN_TIMED_REQUESTS = 100
 
 
 def recall_at_k(ranked, target: int, k: int) -> float:
@@ -112,21 +116,22 @@ def _fmt(value) -> str:
 
 
 def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample],
-                    steps: list[int], warmup: int = 10, min_samples: int = 100,
-                    out_dir: str | Path | None = None) -> dict:
+                    steps: list[int], out_dir: str | Path | None = None) -> dict:
     """Median per-request inference time with and without verification, per m.
 
     A request is ``run_reasoning`` plus ``recommend``, what serving one
-    costs. The two conditions alternate sample by sample, and which goes
-    first alternates too, so a change of host speed during the run falls
-    on both alike. overhead% = (t_with - t_without) / t_without. The
+    costs. The samples, repeated to at least ``MIN_TIMED_REQUESTS``, are
+    each timed in both conditions after ``WARMUP_REQUESTS`` untimed ones.
+    The conditions alternate sample by sample, and which goes first
+    alternates too, so a change of host speed during the run falls on
+    both alike. overhead% = (t_with - t_without) / t_without. The
     reference average from the source efficiency table is attached as
     metadata, not asserted.
     """
     if not samples:
         raise ValueError("timing_overhead needs at least one sample to time")
     pool = list(samples)
-    while len(pool) < min_samples:
+    while len(pool) < MIN_TIMED_REQUESTS:
         pool = pool + list(samples)
 
     def request(cond_bank, history, m):
@@ -136,7 +141,7 @@ def timing_overhead(backbone: Backbone, bank: VerifierBank, samples: list[Sample
     rows = []
     for m in steps:
         for cond_bank in (None, bank):
-            for s in pool[:warmup]:
+            for s in pool[:WARMUP_REQUESTS]:
                 request(cond_bank, s.history, m)
         durations = {True: [], False: []}
         for i, s in enumerate(pool):

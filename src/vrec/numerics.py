@@ -4,8 +4,10 @@ Everything downstream (backbone, verifiers, training) is built from the
 operator set in this module. Arrays are row-major float64 throughout;
 there is no broadcasting except scalar-with-tensor, so shape mismatches
 fail loudly instead of silently expanding. ``Tensor.sum`` and
-``Tensor.mean`` reduce the whole tensor to a scalar; ``log_softmax`` and
-``layer_norm`` work over the last axis.
+``Tensor.mean`` reduce the whole tensor to a scalar; ``log_softmax`` works
+over the last axis, and ``layer_norm`` normalizes the first columns of 2-D
+rows, refusing a 1-D vector. ``Rng``'s ``uniform`` and ``integers`` draw
+one number per call.
 
 Four rules keep the core small:
 
@@ -467,27 +469,18 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
         # standard layernorm backward over the last axis
         dx = inv / d * (d * gxhat - gxhat.sum(axis=-1, keepdims=True)
                         - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
-        axes = tuple(range(xd.ndim - 1))
-        ggain = (g * xhat).sum(axis=axes) if axes else g * xhat
-        gbias = g.sum(axis=axes) if axes else g.copy()
-        return (dx, ggain, gbias)
+        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
     return xhat * gd + bd, vjp
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
-
-    Of a matrix wider than ``gain``, such as ``transformer_block``'s packed
-    output, the first len(gain) columns are normalized and the rest are
-    ignored."""
+    """Normalize the first len(gain) columns of 2-D rows, then scale and
+    shift; the rest of a wider matrix, such as ``transformer_block``'s
+    packed output, is ignored."""
     width, d = x.data.shape[-1], gain.data.size
-    if gain.data.shape != (d,) or bias.data.shape != (d,) or width < d \
-            or width > d and x.data.ndim != 2:
-        raise ValueError(f"layer_norm: gain/bias of shape {gain.data.shape} and "
-                         f"{bias.data.shape} for rows of width {width}")
-    if width == d:
-        out, vjp = _layer_norm_np(x.data, gain.data, bias.data)
-        return _node(out, (x, gain, bias), "layer_norm", vjp)
+    if x.data.ndim != 2 or gain.data.shape != (d,) or bias.data.shape != (d,) or width < d:
+        raise ValueError(f"layer_norm: rows of shape {x.data.shape} for gain/bias of shape "
+                         f"{gain.data.shape} and {bias.data.shape}; it takes 2-D rows that wide")
     out, cols_vjp = _layer_norm_np(np.ascontiguousarray(x.data[:, :d]), gain.data, bias.data)
 
     def vjp(g):
@@ -617,11 +610,11 @@ class Rng:
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
         return self._gen.standard_normal(shape) * std
 
-    def uniform(self, shape=None) -> np.ndarray:
-        return self._gen.random(shape)
+    def uniform(self) -> float:
+        return self._gen.random()
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int):
+        return self._gen.integers(low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

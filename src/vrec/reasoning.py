@@ -1,12 +1,12 @@
 """Interleaved reason-verify loop over latent steps.
 
-The loop makes the two kinds of ``Backbone.encode`` call: the histories,
-once, into an empty KV cache, then one latent step at a time. Each step
-reads the last position's hidden state as the new reasoning
-representation, replaces it (when a verifier bank is present) with its
-confidence-adjusted version, and injects that as the next position, so
-the backbone computes one new row per step and every position exactly
-once.
+The loop makes the two kinds of ``Backbone.encode`` call into the KV cache
+it makes: the histories, once, into the empty cache, then one latent step
+at a time. Each step reads the last position's hidden state as the new
+reasoning representation, replaces it (when a verifier bank is present)
+with its confidence-adjusted version, and injects that as the next
+position, so the backbone computes one new row per step and every
+position exactly once.
 
 The loop runs on a batch of histories at once: one padded pass over the
 histories, then one (B, d_m) pass per step. Training, collection and
@@ -14,7 +14,8 @@ evaluation run it on minibatches or on chunks of ``CHUNK`` samples; a
 single request is the batch of one. A step injects the bank step's packed
 output, whose first d_m columns are r*, so it builds three kinds of graph
 node: the bank step, one node per block and the final norm (and, in a
-batch of unequal histories, a position gather).
+batch of unequal histories, a position gather). ``recommend`` returns a
+request's full ranking, every item once.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
     return ReasoningTrace(raw, verdicts), last
 
 
-def recommend(backbone: Backbone, final_hidden: Tensor, k: int | None = None) -> np.ndarray:
-    """Ranked item ids of one request, from its (1, d_m) final state."""
+def recommend(backbone: Backbone, final_hidden: Tensor) -> np.ndarray:
+    """Every item id of one request, ranked, from its (1, d_m) final state."""
     if final_hidden.shape[0] != 1:
         raise ValueError(f"recommend ranks one request, got {final_hidden.shape[0]} rows")
-    return backbone.rank_items(final_hidden, k)[0]
+    return backbone.rank_items(final_hidden)[0]
 
 
 def pca_project(vectors: np.ndarray) -> np.ndarray:

@@ -295,7 +295,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
 
 def greedy_recommend(backbone, final_hidden: Tensor) -> int:
     """The top-ranked item of one request."""
-    return int(recommend(backbone, final_hidden, 1)[0])
+    return int(recommend(backbone, final_hidden)[0])
 
 
 def cf_pair_loss(model, samples, seed: int = 0) -> float:

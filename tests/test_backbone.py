@@ -40,13 +40,13 @@ def test_negative_m_rejected():
 
 def test_encode_shape():
     bb = Backbone(small_cfg())
-    assert bb.encode([0, 3, 5]).shape == (3, 16)
+    assert bb.encode([0, 3, 5], cache=KVCache()).shape == (3, 16)
 
 
 def test_causality_exact():
     bb = Backbone(small_cfg())
-    a = bb.encode([0, 3, 5, 7])
-    b = bb.encode([0, 3, 5, 9])  # change only the last token
+    a = bb.encode([0, 3, 5, 7], cache=KVCache())
+    b = bb.encode([0, 3, 5, 9], cache=KVCache())  # change only the last token
     assert np.array_equal(a.data[:3], b.data[:3])
     assert not np.array_equal(a.data[3], b.data[3])
 
@@ -56,18 +56,18 @@ def test_causality_all_prefixes():
     # agree to float precision (reduction order differs with sequence length)
     bb = Backbone(small_cfg())
     hist = [1, 4, 2, 8, 6]
-    full = bb.encode(hist)
+    full = bb.encode(hist, cache=KVCache())
     for t in range(1, len(hist)):
-        edited = bb.encode(hist[:t] + [11] * (len(hist) - t))
+        edited = bb.encode(hist[:t] + [11] * (len(hist) - t), cache=KVCache())
         assert np.array_equal(edited.data[:t], full.data[:t])
-        prefix = bb.encode(hist[:t])
+        prefix = bb.encode(hist[:t], cache=KVCache())
         assert np.allclose(prefix.data, full.data[:t], atol=1e-12)
 
 
 def test_injected_latents_replace_lookup():
     # a latent step takes the place of a token lookup at the next position
     bb = Backbone(small_cfg())
-    plain = bb.encode([0, 3, 5])
+    plain = bb.encode([0, 3, 5], cache=KVCache())
     lat = Tensor(np.full((1, 16), 0.1))
     cache = KVCache()
     head = bb.encode([0, 3, 5], cache=cache)
@@ -136,17 +136,17 @@ def test_latent_step_errors():
 def test_encode_errors():
     bb = Backbone(small_cfg(max_positions=4))
     with pytest.raises(ValueError, match="max_positions"):
-        bb.encode([0, 1, 2, 3, 4])
+        bb.encode([0, 1, 2, 3, 4], cache=KVCache())
     for history in ([], [[0, 1], []]):
         with pytest.raises(ValueError, match="non-empty"):
-            bb.encode(history)
+            bb.encode(history, cache=KVCache())
     row = Tensor(np.zeros((1, 16)))
     with pytest.raises(ValueError, match="histories or one latent step, not both"):
-        bb.encode([0, 1], [row])
+        bb.encode([0, 1], [row], cache=KVCache())
     with pytest.raises(ValueError, match="histories or one latent step, not both"):
-        bb.encode([[0, 1], [2, 3]], [Tensor(np.zeros((2, 16)))])
+        bb.encode([[0, 1], [2, 3]], [Tensor(np.zeros((2, 16)))], cache=KVCache())
     with pytest.raises(ValueError, match="needs the cache that holds its histories"):
-        bb.encode([], [row])
+        bb.encode([], [row], cache=KVCache())
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["negative", "non_item_token", "beyond"])
@@ -188,34 +188,48 @@ def test_each_refused_call_leaves_the_cache_as_it_was(histories):
         with pytest.raises(ValueError, match=match):
             call(cache)
         assert state(cache) == (4, 2, pad), match
-    # with no cache, or an empty one, a step has no histories to follow
+    # with an empty cache, a step has no histories to follow
     empty = KVCache()
-    for c in (None, empty):
-        with pytest.raises(ValueError, match="needs the cache that holds its histories"):
-            bb.encode([], [rows], cache=c)
+    with pytest.raises(ValueError, match="needs the cache that holds its histories"):
+        bb.encode([], [rows], cache=empty)
     assert state(empty) == (0, 0, None) and empty.layers == []
     # the refused calls built nothing the next step reads
     steps = [bb.encode([], [rows * 0.5], cache=c).data for c in caches]
     assert np.array_equal(steps[0], steps[1])
 
 
+def test_cache_is_made_empty_and_always_given():
+    # a cache starts empty, only encode fills it, and encode has no cache of
+    # its own to fall back on
+    for kwargs in ({"layers": []}, {"batch": 2}, {"pad": None}):
+        with pytest.raises(TypeError):
+            KVCache(**kwargs)
+    bb = Backbone(small_cfg())
+    for call in (lambda: bb.encode([0, 1]), lambda: bb.encode([0, 1], None),
+                 lambda: bb.encode([0, 1], None, KVCache())):
+        with pytest.raises(TypeError):
+            call()
+    cache = KVCache()
+    assert (len(cache), cache.batch, cache.pad, cache.layers) == (0, 0, None, [])
+
+
 def test_scores_softmax_normalized():
     bb = Backbone(small_cfg())
-    scores = bb.next_item_scores(bb.encode([0, 3, 5]))[2]
+    scores = bb.next_item_scores(bb.encode([0, 3, 5], cache=KVCache()))[2]
     assert scores.shape == (12,)
     assert abs(softmax(scores).data.sum() - 1.0) < 1e-12
 
 
 def test_greedy_is_top_of_scores():
     bb = Backbone(small_cfg())
-    hidden = bb.encode([0, 3, 5])
+    hidden = bb.encode([0, 3, 5], cache=KVCache())
     scores = bb.next_item_scores(hidden).data[2]
     assert greedy_recommend(bb, hidden[2:]) == int(scores.argmax())
 
 
 def test_rank_full_permutation_and_oracle():
     bb = Backbone(small_cfg())
-    hidden = bb.encode([2, 7])
+    hidden = bb.encode([2, 7], cache=KVCache())
     ranked = bb.rank_items(hidden)[1]
     assert sorted(ranked.tolist()) == list(range(12))
     scores = bb.next_item_scores(hidden).data[1]
@@ -229,7 +243,7 @@ def test_rank_ties_break_to_lower_id():
     bb = Backbone(small_cfg())
     emb = bb.params()["tok_emb"]
     emb.data[7] = emb.data[3]  # force an exact score tie between items 3 and 7
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     ranked = bb.rank_items(hidden)[1].tolist()
     assert ranked.index(3) < ranked.index(7)
 
@@ -237,7 +251,7 @@ def test_rank_ties_break_to_lower_id():
 def test_output_projection_weight_tied():
     bb = Backbone(small_cfg())
     assert not any("out" in k for k in bb.params())
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     before = bb.next_item_scores(hidden).data[1].copy()
     bb.params()["tok_emb"].data[5] += 1.0
     after = bb.next_item_scores(hidden).data[1]
@@ -248,9 +262,9 @@ def test_output_projection_weight_tied():
 
 def test_scores_reproducible():
     bb = Backbone(small_cfg())
-    h = bb.encode([4, 9, 1])
+    h = bb.encode([4, 9, 1], cache=KVCache())
     a = bb.next_item_scores(h).data[2]
-    b = bb.next_item_scores(bb.encode([4, 9, 1])).data[2]
+    b = bb.next_item_scores(bb.encode([4, 9, 1], cache=KVCache())).data[2]
     assert np.array_equal(a, b)
 
 
@@ -286,7 +300,7 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
     coef = [rng.normal((7 * len(histories), 12)) for _ in range(4)]
     params = list(bb.params().values())
     results = []
-    for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
+    for encode, cache in ((lambda h, i, c: bb.encode(h, i, cache=c), KVCache()),
                           (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
         with tracking(params):
             outs, latents, loss = _rollout(encode, cache, histories, coef)
@@ -331,7 +345,7 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
         return outs, latents
 
     results = []
-    for encode, cache in ((lambda h, i, c: bb.encode(h, i, c), KVCache()),
+    for encode, cache in ((lambda h, i, c: bb.encode(h, i, cache=c), KVCache()),
                           (lambda h, i, c: encode_chain(bb, h, i, c), ChainCache())):
         with tracking(params):
             outs, latents = rollout(encode, cache)

@@ -53,9 +53,9 @@ def test_serving_contract_of_one_request(monkeypatch):
     positions = []
     encode = Backbone.encode
 
-    def counting(self, history, injected=None, cache=None):
+    def counting(self, history, injected=None, *, cache):
         positions.append(len(history) + len(injected or ()))
-        return encode(self, history, injected, cache)
+        return encode(self, history, injected, cache=cache)
     monkeypatch.setattr(Backbone, "encode", counting)
     for history in ([5], [0, 3, 5, 9, 2, 11, 7]):
         for m in (0, 1, 3):

@@ -3,6 +3,7 @@
 import csv
 import json
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 
 import vrec.pipeline
 from vrec import evaluation as evaluation_module
-from vrec.backbone import Backbone, ModelConfig
+from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.config import RunConfig
 from vrec.datasets import SynthConfig, chronological_split, generate_synthetic
 from vrec.evaluation import (
+    MIN_TIMED_REQUESTS,
     REFERENCE_OVERHEAD_PCT,
+    WARMUP_REQUESTS,
     config_fingerprint,
     evaluate,
     ndcg_at_k,
@@ -73,7 +76,7 @@ def test_evaluate_matches_direct_ranking():
     exp_recall = {1: 0.0, 5: 0.0}
     exp_ndcg = {1: 0.0, 5: 0.0}
     for s in split.test:
-        hidden = bb.encode(s.history)
+        hidden = bb.encode(s.history, cache=KVCache())
         scores = emb[: MICRO_MODEL.n_items] @ hidden.data[-1]
         order = np.lexsort((np.arange(len(scores)), -scores))
         for k in (1, 5):
@@ -277,8 +280,7 @@ def test_timing_overhead_smoke(tmp_path):
     split = chronological_split(logs)
     bb = Backbone(MICRO_MODEL)
     bank = make_bank([("a", 3)], d_m=8, seed=1)
-    result = timing_overhead(bb, bank, split.test, steps=[1], warmup=2,
-                             min_samples=20, out_dir=tmp_path)
+    result = timing_overhead(bb, bank, split.test, steps=[1], out_dir=tmp_path)
     row = result["rows"][0]
     assert row["m"] == 1
     assert row["t_without_s"] > 0 and row["t_with_s"] > 0
@@ -294,7 +296,7 @@ def test_timing_identical_conditions_near_zero():
     split = chronological_split(logs)
     bb = Backbone(MICRO_MODEL)
     bank = make_bank([("a", 3)], d_m=8, seed=1)
-    result = timing_overhead(bb, bank, split.test, steps=[0], warmup=5, min_samples=60)
+    result = timing_overhead(bb, bank, split.test, steps=[0])
     assert abs(result["rows"][0]["overhead_pct"]) < 75.0
 
 
@@ -321,16 +323,30 @@ def test_timing_overhead_times_whole_requests_alternately(monkeypatch):
         calls.append("with" if cond_bank is bank else "without")
         return real_run(backbone, cond_bank, history, m)
 
-    def recommend(backbone, hidden, k=None):
+    def recommend(backbone, hidden):
         calls.append("recommend")
-        return real_recommend(backbone, hidden, k)
+        return real_recommend(backbone, hidden)
+
+    reads = []
+    real_clock = time.perf_counter
+
+    def clock():
+        reads.append(len(calls))
+        return real_clock()
 
     monkeypatch.setattr(evaluation_module, "run_reasoning", run)
     monkeypatch.setattr(evaluation_module, "recommend", recommend)
-    timing_overhead(bb, bank, samples, steps=[1], warmup=0, min_samples=4)
+    monkeypatch.setattr(time, "perf_counter", clock)
+    timing_overhead(bb, bank, samples, steps=[1])
+    assert (WARMUP_REQUESTS, MIN_TIMED_REQUESTS) == (10, 100)
     assert calls[1::2] == ["recommend"] * (len(calls) // 2)
-    # 3 samples fill a pool of 6; the first condition alternates sample by sample
-    assert calls[0::2] == ["without", "with", "with", "without"] * 3
+    served = calls[0::2]
+    # 10 untimed requests per condition, then 3 samples repeated to a pool of
+    # 102, each served in both conditions, which goes first alternating
+    assert served[:20] == ["without"] * 10 + ["with"] * 10
+    assert served[20:] == ["without", "with", "with", "without"] * 51
+    # the clock brackets each of the 204 timed requests, and only those
+    assert reads == [n for i in range(20, 224) for n in (2 * i, 2 * i + 2)]
 
 
 def test_timing_overhead_rejects_empty_samples():

@@ -3,7 +3,8 @@
 Refactors that must keep every artifact's bits compare against these
 sha256 digests: the three checkpoints and metrics.csv as files, and the
 two arrays of verifier_data.npz (an npz is a zip, whose bytes depend on
-more than the arrays). The digests were taken with numpy 2.4.6 on x86-64;
+more than the arrays). The same run driven through the CLI, one command
+at a time, also pins the text files it writes. The digests were taken with numpy 2.4.6 on x86-64;
 another BLAS may round the same run differently."""
 
 import hashlib
@@ -12,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from vrec.config import load_config
+from vrec.cli import main
+from vrec.config import SEED_ENV_VAR, load_config
 from vrec.pipeline import VERIFIER_DATA, run_pipeline
 
 QUICK_START = {
@@ -46,3 +48,31 @@ def test_quick_start_artifacts_pinned(tmp_path):
         for key in ("r_steps", "labels"):
             got[key] = hashlib.sha256(np.ascontiguousarray(data[key]).tobytes()).hexdigest()
     assert got == DIGESTS
+
+
+# the README's stage commands, then inspect; the run's text files, written
+# the same way on every run
+CLI_COMMANDS = ("gen-data", "label", "pretrain-backbone", "collect-verifier-data",
+                "pretrain-verifiers", "finetune", "eval", "inspect")
+CLI_DIGESTS = {
+    "items.jsonl": "d955b19e2d62ba91f58cc29a37fd81b26cfe6a398afd95e8e613737bbe5deb99",
+    "interactions.jsonl": "7827abadc2fa0a778730e90f9d793635c81e8cf1b4fd832d843b9fabff34f7f9",
+    "planted_labels.jsonl": "5ac2e404058a0e3013a98c2ce0c6ac42ac4b086693af7175e98eb17221595446",
+    "labeling_category.jsonl": "4fa46965160d42def88a8d4eae1733b7a8c6aa835543298df2ab5a2d716796bf",
+    "labeling_title.jsonl": "82970f99e51fa8a1902773c3e86305fc348825daf32b7dfb910a60946f29c219",
+    "traces.jsonl": "4f1a98e8f067f513ad9e254a95a913cd857f50c555e5037cf7b602e511742cf4",
+    "inspect.json": "5d0653d6d0004a16e2e8d17dfefb955b0b6058679dddccb24249505249b169bc",
+}
+
+
+def test_quick_start_through_the_cli_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(QUICK_START), encoding="utf-8")
+    for command in CLI_COMMANDS:
+        assert main([command, "--config", str(path)]) == 0, command
+    out = tmp_path / QUICK_START["out"]
+    want = {**CLI_DIGESTS, "final.ckpt": DIGESTS["final.ckpt"],
+            "metrics.csv": DIGESTS["metrics.csv"]}
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

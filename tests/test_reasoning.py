@@ -7,7 +7,7 @@ import pytest
 
 import vrec.reasoning
 from oracles import ChainCache, confidences, encode_chain, grad_check, greedy_recommend
-from vrec.backbone import Backbone, ModelConfig
+from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.numerics import Rng, Tensor, concat, tracking
 from vrec.reasoning import (
     ReasoningTrace,
@@ -30,7 +30,7 @@ def test_m0_empty_trace_equals_plain_backbone():
     bb = small_backbone()
     trace, hidden = run_reasoning(bb, None, [0, 3, 5], 0)
     assert trace.steps == [] and trace.m == 0
-    plain = bb.encode([0, 3, 5])
+    plain = bb.encode([0, 3, 5], cache=KVCache())
     assert np.array_equal(hidden.data, plain.data[-1:])
     assert recommend(bb, hidden).tolist() == bb.rank_items(plain)[2].tolist()
 
@@ -105,9 +105,9 @@ def counting_encode(monkeypatch):
     counts = []
     real = Backbone.encode
 
-    def encode(self, history, injected=None, cache=None):
+    def encode(self, history, injected=None, *, cache):
         counts.append(len(history) + len(injected or ()))
-        return real(self, history, injected, cache)
+        return real(self, history, injected, cache=cache)
     monkeypatch.setattr(Backbone, "encode", encode)
     return counts
 
@@ -203,10 +203,19 @@ def test_grad_check_through_cached_rollout():
     assert not any(p.requires_grad for p in params)
 
 
+def test_recommend_ranks_every_item_once():
+    bb = small_backbone()
+    for m in (0, 2):
+        _, hidden = run_reasoning(bb, None, [4, 8], m)
+        ranked = recommend(bb, hidden)
+        assert sorted(ranked.tolist()) == list(range(bb.cfg.n_items))
+        assert ranked.tolist() == bb.rank_items(hidden)[0].tolist()
+
+
 def test_greedy_matches_rank_one():
     bb = small_backbone()
     _, hidden = run_reasoning(bb, None, [4, 8], 2)
-    assert greedy_recommend(bb, hidden) == recommend(bb, hidden, 1)[0]
+    assert greedy_recommend(bb, hidden) == bb.rank_items(hidden, 1)[0, 0]
     assert greedy_recommend(bb, hidden) == recommend(bb, hidden)[0]
 
 
@@ -282,7 +291,7 @@ def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m)
         t.data[...] = rng.normal(t.shape, std=0.5)
     histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]]
     targets = np.array([2, 9, 4])
-    classes = rng.integers(0, 3, (12, 3))
+    classes = np.array([[rng.integers(0, 3) for _ in range(3)] for _ in range(12)])
     hyper = TrainHyper(beta=0.5, gamma=0.3)
     results = []
     for chain in (False, True):

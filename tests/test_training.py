@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grad_check, greedy_recommend, probabilities
-from vrec.backbone import Backbone, ModelConfig
+from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.checkpoint import load_model, save_model
 from vrec.datasets import Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import build_labeling
@@ -130,10 +130,10 @@ def test_adam_skips_gradless_params():
 def test_recommendation_loss_certain_prediction():
     bb = Backbone(small_model(n_items=6, d_m=8, heads=2, layers=1))
     emb = bb.params()["tok_emb"]
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     h_last = hidden.data[-1]
     emb.data[3] = 50.0 * h_last / np.linalg.norm(h_last) ** 2  # scores[3] = 50
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     assert greedy_recommend(bb, hidden[-1:]) == 3
     assert recommendation_loss(bb, hidden[-1:], [3]).item() < 1e-6
 
@@ -142,11 +142,11 @@ def test_recommendation_loss_two_way_tie():
     bb = Backbone(small_model(n_items=6, d_m=8, heads=2, layers=1))
     emb = bb.params()["tok_emb"]
     emb.data[:] = 0.0
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     h_last = hidden.data[-1]
     emb.data[2] = 40.0 * h_last / np.linalg.norm(h_last) ** 2
     emb.data[4] = emb.data[2]  # two items tie at probability ~0.5 each
-    hidden = bb.encode([0, 1])
+    hidden = bb.encode([0, 1], cache=KVCache())
     loss = recommendation_loss(bb, hidden[-1:], [2])
     assert loss.item() == pytest.approx(np.log(2), abs=1e-6)
 
