@@ -169,8 +169,9 @@ def ingest(items_path: str | Path, interactions_path: str | Path) -> tuple[list[
 
     Item ids are re-indexed densely in file order; interaction logs are
     re-mapped to the dense ids and sorted by timestamp. Ids and timestamps
-    are integers or strings of decimal digits; any other value is refused
-    with the file and line it is on.
+    are integers or strings of decimal digits, and a title or category is a
+    string, null or absent; any other value is refused with the file and
+    line it is on.
     """
     items_path = Path(items_path)
     interactions_path = Path(interactions_path)
@@ -184,6 +185,10 @@ def ingest(items_path: str | Path, interactions_path: str | Path) -> tuple[list[
         if orig in id_map:
             _fail(items_path, lineno, f"duplicate item id {orig}")
         id_map[orig] = len(items)
+        for key in ("title", "category"):
+            if not isinstance(obj.get(key), (str, type(None))):
+                _fail(items_path, lineno, f"item {key} must be a string or null, "
+                      f"got {json.dumps(obj[key])}")
         items.append(Item(id=len(items), title=obj.get("title"), category=obj.get("category")))
 
     logs: list[InteractionLog] = []

@@ -15,13 +15,14 @@ Four rules keep the core small:
 - Every op builds its output through ``_node``, which links the output into
   the graph only when some child is tracked; an op on untracked inputs
   builds no graph and runs no gradient-only work.
-- Model parameters are created untracked. Only the tensors being fitted or
+- Every tensor is created untracked. Only the tensors being fitted or
   grad-checked are tracked, and only inside ``tracking(tensors)``, so
-  inference and evaluation build no graph at all.
+  inference and evaluation build no graph. Entering the block zeroes
+  their gradients; ``backward`` only adds to them.
 - A model's parameters live in one value vector and one gradient vector
   (``parameter_vectors``): each parameter's ``.data`` and ``.grad`` are
-  views of its run of them, so an optimizer step or a gradient reset is one
-  array operation per model.
+  views of its run of them, so an optimizer step is one array operation
+  per model.
 
 Composites that every latent step runs are single nodes with hand-written
 vector-Jacobian products: ``transformer_block`` here (a pre-LN block:
@@ -67,18 +68,18 @@ __all__ = [
 class Tensor:
     """A float64 array plus an optional reverse-mode graph node.
 
-    ``requires_grad=True`` marks a leaf to differentiate (``tracking`` sets
-    it for a block): ``backward`` accumulates d(loss)/d(leaf) into
-    ``.grad``. Tensors produced by operators on tracked inputs carry a
-    vector-Jacobian closure and propagate instead of accumulating.
+    Inside ``tracking`` a tensor is a leaf to differentiate: ``backward``
+    adds d(loss)/d(leaf) to the ``.grad`` that the block zeroed. Tensors
+    produced by operators on tracked inputs carry a vector-Jacobian closure
+    and propagate instead of accumulating.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_children", "_vjp", "_op")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+        self.requires_grad = False
         self._children: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
         self._op = ""
@@ -91,19 +92,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def tracked(self) -> bool:
-        return self.requires_grad or self._vjp is not None
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        """Drop the gradient; a model parameter's, a view of its model's
-        gradient vector, is zeroed in place instead."""
-        if self.grad is not None and self.grad.base is not None:
-            self.grad.fill(0.0)
-        else:
-            self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -111,9 +101,6 @@ class Tensor:
     # -- operator sugar ---------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, other)
-
-    def __radd__(self, other):
         return _add(self, other)
 
     def __mul__(self, other):
@@ -127,12 +114,6 @@ class Tensor:
 
     def __sub__(self, other):
         return _add(self, -_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _add(-self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
@@ -164,14 +145,14 @@ class Tensor:
         return _reduce(self, mean=True)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every tracked leaf's ``.grad``.
+        """Add d(self)/d(leaf) to each tracked leaf's ``.grad`` (zeroed by ``tracking``).
 
         ``self`` must be a scalar (size 1) that depends on a tracked tensor.
-        Repeated calls without a grad reset keep accumulating.
+        A second call in one ``tracking`` block adds to the first's.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        if not self.tracked():
+        if not (self.requires_grad or self._vjp is not None):
             raise ValueError("backward: the loss depends on no tracked tensor; build it "
                              "inside numerics.tracking(params)")
         topo = _topo_order(self)
@@ -181,8 +162,6 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
                 node.grad += g
             if node._vjp is None:
                 continue
@@ -195,14 +174,21 @@ class Tensor:
 
 @contextmanager
 def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
-    """Mark ``tensors`` as leaves to differentiate for the length of the block.
-
-    Ops on them build a graph only inside the block; on exit, also by an
-    exception, each tensor's previous ``requires_grad`` comes back.
+    """Mark ``tensors`` as leaves to differentiate for the length of the
+    block, each with a zero gradient: the one place a gradient is reset or,
+    but for a model's vectors (``parameter_vectors``), made. A parameter's
+    ``.grad``, a view of its model's vector, is zeroed in place; any other
+    tensor gets a new zero array. Ops on them build a graph only inside the
+    block; on exit, also by an exception, each tensor's previous
+    ``requires_grad`` comes back, and its ``.grad`` keeps the block's gradient.
     """
     tensors = list(tensors)
     saved = [t.requires_grad for t in tensors]
     for t in tensors:
+        if t.grad is not None and t.grad.base is not None:
+            t.grad.fill(0.0)
+        else:
+            t.grad = np.zeros_like(t.data)
         t.requires_grad = True
     try:
         yield
@@ -226,7 +212,8 @@ def parameter_vectors(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray
     Each parameter's values are copied into its run (``parameter_layout``)
     of the value vector, and its ``.data`` and ``.grad`` become views of its
     runs of the two vectors for the life of the model, so writes go through
-    them in place. Gradients start at zero.
+    them in place. ``tracking`` zeroes the gradient views; ``Adam`` steps
+    the whole vectors.
     """
     layout = list(parameter_layout(params))
     values = np.concatenate([t.data.ravel() for _, t, _ in layout])
@@ -240,8 +227,8 @@ def parameter_vectors(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS; graphs from unrolled reasoning loops overflow Python's
-    # recursion limit. Here, in backward and in _node the test of
-    # Tensor.tracked is written out: they run once per graph edge.
+    # recursion limit. Here, in backward and in _node the test of being
+    # tracked is written out: they run once per graph edge.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -336,15 +323,15 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node(table.data[idx].copy(), (table,), "embedding_lookup", vjp)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors' rows (their first axis)."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("concat: empty input")
 
     def vjp(g):
-        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-        return tuple(np.split(g, splits, axis=axis))
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, "concat", vjp)
+        return tuple(np.split(g, np.cumsum([len(p.data) for p in parts])[:-1]))
+    return _node(np.concatenate([p.data for p in parts]), parts, "concat", vjp)
 
 
 def _reduce(x: Tensor, mean: bool) -> Tensor:

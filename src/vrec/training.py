@@ -79,8 +79,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adam over whole models: anything with a ``values`` and a ``grads``
-    vector, as ``Backbone`` and ``VerifierBank`` have. A parameter outside
-    the graph has a zero gradient, so its moments and its step stay zero.
+    vector, as ``Backbone`` and ``VerifierBank`` have, whose gradients a
+    ``tracking`` block zeroed and ``backward`` filled. A parameter outside
+    the graph keeps a zero gradient, so its moments and its step stay zero.
     lr=0 leaves parameters bit-identical."""
 
     def __init__(self, models: Sequence, lr: float = 1e-3):
@@ -89,10 +90,6 @@ class Adam:
         self.t = 0
         self.moments = [(np.zeros_like(mdl.values), np.zeros_like(mdl.values))
                         for mdl in self.models]
-
-    def zero_grad(self) -> None:
-        for mdl in self.models:
-            mdl.grads.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
@@ -139,7 +136,7 @@ def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
     every row so far after each epoch.
     The models' parameters are tracked only while a batch's losses are
     built and back-propagated, so ``epoch_end`` and everything after
-    ``_fit`` build no graph.
+    ``_fit`` build no graph; entering that block zeroes their gradients.
     """
     if n == 0 and hyper.epochs:
         raise ValueError(f"{stage}: no samples to fit")
@@ -160,7 +157,6 @@ def _fit(stage: str, models: Sequence, n: int, hyper: TrainHyper, stream: int,
                 total = losses["total"].item()
                 if not np.isfinite(total):
                     raise FloatingPointError(f"{stage}: loss became {total} at epoch {epoch}")
-                opt.zero_grad()
                 losses["total"].backward()
             opt.step()
             for key, value in losses.items():

@@ -41,6 +41,15 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     return _node(x.data + b.data[None, :], (x, b), "add_rowvec", lambda g: (g, g.sum(axis=0)))
 
 
+def concat_columns(parts: Sequence[Tensor]) -> Tensor:
+    """Join matrices side by side (``numerics.concat`` joins rows only)."""
+    parts = tuple(parts)
+
+    def vjp(g):
+        return tuple(np.split(g, np.cumsum([p.data.shape[1] for p in parts])[:-1], axis=1))
+    return _node(np.concatenate([p.data for p in parts], axis=1), parts, "concat_columns", vjp)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU."""
     xd = x.data
@@ -120,7 +129,7 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
         grid[:len(s), b] = s
     parts = [embedding_lookup(p["tok_emb"], grid.reshape(-1))] if width else []
     parts += latents
-    x = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    x = parts[0] if len(parts) == 1 else concat(parts)
     if cache.pad is None and not padding.any():
         x = add_rows(x, p["pos_emb"][old:old + n])
     else:
@@ -140,8 +149,8 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
         q, k, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
                    for c in "qkv")
         if i < len(cache.keys):
-            k = cache.keys[i] = concat([cache.keys[i], k], axis=0)
-            v = cache.values[i] = concat([cache.values[i], v], axis=0)
+            k = cache.keys[i] = concat([cache.keys[i], k])
+            v = cache.values[i] = concat([cache.values[i], v])
         else:
             cache.keys.append(k)
             cache.values.append(v)
@@ -263,15 +272,14 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
     """Max relative error between reverse-mode and central-difference gradients.
 
     ``f`` must be a deterministic closure over ``params`` returning a scalar
-    tensor. Only the analytic pass tracks ``params``. Relative error is
+    tensor. Only the analytic pass tracks ``params``, and it leaves its
+    gradient in each parameter's ``.grad``. Relative error is
     |ad - fd| / (|fd| + 1e-12), maximized over every element of every
     parameter.
     """
-    for p in params:
-        p.zero_grad()
     with tracking(params):
         f().backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
     for p, ad in zip(params, analytic):
@@ -288,8 +296,6 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
             err = abs(ad_flat[i] - fd) / (abs(fd) + 1e-12)
             if err > worst:
                 worst = err
-    for p in params:
-        p.zero_grad()
     return worst
 
 

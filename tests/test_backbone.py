@@ -307,8 +307,6 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
             loss.backward()
         results.append(([out.data for out in outs], latents, loss.data,
                         [t.grad.copy() for t in params]))
-        for t in params:
-            t.zero_grad()
     (rows, latents, loss, grads), (chain_rows, _, chain_loss, chain_grads) = results
     for got, want in zip(rows, chain_rows, strict=True):
         assert np.array_equal(got, want)
@@ -357,8 +355,6 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
         results.append(([out.data for out in outs], latents, loss.data,
                         {name: t.grad.copy() for name, t in
                          [*bb.params().items(), *bank.params().items()]}))
-        for t in params:
-            t.zero_grad()
     (rows, latents, loss, grads), (chain_rows, _, chain_loss, chain_grads) = results
     assert len(rows) == len(chain_rows) == 5
     for got, want in zip(rows, chain_rows):

@@ -130,14 +130,10 @@ def _close(got, want) -> bool:
 
 def _losses_and_grads(build, params) -> tuple[dict, list]:
     """The loss values of ``build()`` and the gradients of its total."""
-    for p in params:
-        p.zero_grad()
     with tracking(params):
         losses = build()
         losses["total"].backward()
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
+    grads = [p.grad.copy() for p in params]
     return {k: v.item() for k, v in losses.items()}, grads
 
 

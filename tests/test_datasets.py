@@ -43,6 +43,15 @@ def test_ingest_tiny_fixture(tiny_corpus):
     assert [it.id for it in items] == [0, 1, 2]
 
 
+def test_ingest_takes_a_string_null_or_absent_title_and_category(tmp_path):
+    items, inter = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    write_jsonl(items, [{"id": 1, "title": "x", "category": "c"},
+                        {"id": 2, "title": None, "category": None}, {"id": 3}])
+    write_jsonl(inter, [])
+    loaded, _ = ingest(items, inter)
+    assert [(it.title, it.category) for it in loaded] == [("x", "c"), (None, None), (None, None)]
+
+
 def test_ingest_sorts_timestamps(tiny_corpus):
     _, logs = ingest(*tiny_corpus)
     assert logs[0].timestamps == [1, 5, 9]
@@ -92,6 +101,14 @@ def test_ingest_malformed_line_reports_lineno(tmp_path):
     (['{"id": 1}'], '5', r"interactions\.jsonl:1: expected a JSON object, got 5"),
     (['{"id": 1}'], '{"user": "u", "items": "1", "timestamps": "0"}',
      r"interactions\.jsonl:1: 'items' and 'timestamps' must be lists"),
+    (['{"id": 3, "title": "x"}', '{"id": 4, "title": 5, "category": "a"}'], None,
+     r"items\.jsonl:2: item title must be a string or null, got 5"),
+    (['{"id": 3, "title": "x", "category": 7}'], None,
+     r"items\.jsonl:1: item category must be a string or null, got 7"),
+    (['{"id": 3, "title": ["x"]}'], None,
+     r"items\.jsonl:1: item title must be a string or null, got \[\"x\"\]"),
+    (['{"id": 3, "category": true}'], None,
+     r"items\.jsonl:1: item category must be a string or null, got true"),
 ])
 def test_ingest_refuses_non_integer_ids_and_non_object_lines(tmp_path, item_lines,
                                                              interaction, message):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (add_rows, add_rowvec, attention, confidence, entropy, exp, gelu, grad_check,
-                     matvec, softmax)
+from oracles import (add_rows, add_rowvec, attention, concat_columns, confidence, entropy, exp,
+                     gelu, grad_check, matvec, softmax)
 from vrec.numerics import (
     Rng,
     Tensor,
@@ -16,6 +16,7 @@ from vrec.numerics import (
     log,
     log_softmax,
     matmul,
+    parameter_vectors,
     relu,
     tracking,
 )
@@ -42,8 +43,8 @@ def fd_grad(f, param: Tensor, h: float = 1e-6) -> np.ndarray:
 
 
 def backward_grad(f, param: Tensor) -> np.ndarray:
-    param.zero_grad()
-    f().backward()
+    with tracking([param]):
+        f().backward()
     return param.grad.copy()
 
 
@@ -153,11 +154,13 @@ def test_backward_rejects_loss_without_tracked_input():
 
 
 def test_tracking_scopes_and_restores():
-    a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0), requires_grad=True)
-    with tracking([a, b]):
-        assert a.requires_grad and b.requires_grad
-        (a * b).sum().backward()
-    assert not a.requires_grad and b.requires_grad
+    a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
+    with tracking([b]):
+        with tracking([a, b]):
+            assert a.requires_grad and b.requires_grad
+            (a * b).sum().backward()
+        assert not a.requires_grad and b.requires_grad
+    assert not b.requires_grad
     assert np.array_equal(a.grad, np.full(3, 2.0)) and np.array_equal(b.grad, np.ones(3))
     with pytest.raises(RuntimeError):
         with tracking([a]):
@@ -166,15 +169,63 @@ def test_tracking_scopes_and_restores():
     assert (a * a).sum()._vjp is None
 
 
+def test_tracking_gives_each_tensor_a_zero_gradient():
+    # a free tensor gets a new zero array; a model parameter keeps its view
+    # of the model's gradient vector, zeroed in place
+    free = Tensor(np.ones(3))
+    params = {"a": Tensor(np.ones((2, 2))), "b": Tensor(np.ones(3))}
+    _, grads = parameter_vectors(params)
+    grads[:] = 5.0
+    views = [t.grad for t in params.values()]
+    with tracking([free, *params.values()]):
+        assert np.array_equal(free.grad, np.zeros(3))
+        assert not grads.any()
+        for t, view in zip(params.values(), views):
+            assert t.grad is view and np.shares_memory(t.grad, grads)
+
+
+def test_a_tensor_left_out_of_tracking_gets_no_gradient():
+    x, y = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
+    with tracking([x]):
+        (x * y).sum().backward()
+    assert y.grad is None and not y.requires_grad
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_each_tracking_block_has_its_own_gradient():
+    # the second block's gradients, not the sum of both blocks'
+    free = Tensor(np.ones(3))
+    params = {"w": Tensor(np.full(2, 3.0))}
+    _, grads = parameter_vectors(params)
+    w = params["w"]
+    for scale in (1.0, 2.0):
+        with tracking([free, w]):
+            ((free * free).sum() * scale + (w * w).sum() * scale).backward()
+        assert np.array_equal(free.grad, np.full(3, 2.0 * scale))
+        assert np.array_equal(grads, np.full(2, 6.0 * scale))
+
+
+def test_tensor_takes_only_its_data_and_concat_joins_rows_only():
+    with pytest.raises(TypeError):
+        Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(TypeError):
+        concat([Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))], axis=1)
+    assert concat([Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2)))]).shape == (3, 2)
+    for name in ("zero_grad", "tracked", "__radd__", "__rsub__", "__matmul__"):
+        assert not hasattr(Tensor, name), name
+
+
 def test_grad_check_tracks_untracked_params_only_while_checking():
+    # and leaves its analytic gradient in .grad
     x = Tensor(Rng(3).normal((4,)))
     assert grad_check(lambda: (x * x * x).sum(), [x]) < 1e-6
-    assert not x.requires_grad and x.grad is None
+    assert not x.requires_grad
+    assert np.allclose(x.grad, 3.0 * x.data**2, rtol=1e-14, atol=0.0)
 
 
 def test_backward_requires_scalar():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ValueError, match="scalar"):
+    x = Tensor(np.ones(3))
+    with tracking([x]), pytest.raises(ValueError, match="scalar"):
         (x * 2.0).backward()
 
 
@@ -182,8 +233,8 @@ def test_backward_requires_scalar():
                          ids=["list", "array", "tensor", "bool", "tuple_with_list"])
 def test_getitem_rejects_non_basic_keys(key):
     # a gather key may repeat an index, which a scatter-back VJP would undercount
-    x = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
-    with pytest.raises(TypeError, match="indices"):
+    x = Tensor(np.arange(9.0).reshape(3, 3))
+    with tracking([x]), pytest.raises(TypeError, match="indices"):
         x[key]
 
 
@@ -201,8 +252,9 @@ def test_untracked_inputs_build_no_graph():
 
 
 def test_sum_gradient_is_ones():
-    x = Tensor(np.array([1.0, -2.0, 3.0, 0.5]), requires_grad=True)
-    x.sum().backward()
+    x = Tensor(np.array([1.0, -2.0, 3.0, 0.5]))
+    with tracking([x]):
+        x.sum().backward()
     assert np.array_equal(x.grad, np.ones(4))
 
 
@@ -219,16 +271,19 @@ def test_sum_and_mean_add_in_index_order():
 
 def test_half_norm_squared_gradient_is_x():
     xv = Rng(5).normal((6,))
-    x = Tensor(xv, requires_grad=True)
-    (0.5 * (x * x).sum()).backward()
+    x = Tensor(xv)
+    with tracking([x]):
+        (0.5 * (x * x).sum()).backward()
     assert np.allclose(x.grad, xv, atol=1e-15)
 
 
 def test_repeated_backward_accumulates():
-    x = Tensor(np.ones(3), requires_grad=True)
-    loss = (x * x).sum()
-    loss.backward()
-    loss.backward()
+    # within one block; the next block starts from zero again
+    x = Tensor(np.ones(3))
+    with tracking([x]):
+        loss = (x * x).sum()
+        loss.backward()
+        loss.backward()
     assert np.array_equal(x.grad, 4.0 * np.ones(3))
 
 
@@ -236,9 +291,9 @@ def test_softmax_cross_entropy_analytic_identity():
     rng = Rng(6)
     logits_v = rng.normal((5,))
     target = 2
-    logits = Tensor(logits_v, requires_grad=True)
-    loss = -log_softmax(logits)[target]
-    loss.backward()
+    logits = Tensor(logits_v)
+    with tracking([logits]):
+        (-log_softmax(logits)[target]).backward()
     p = np.exp(logits_v - logits_v.max())
     p /= p.sum()
     onehot = np.zeros(5)
@@ -257,70 +312,70 @@ def test_softmax_cross_entropy_analytic_identity():
 def test_op_gradients_match_finite_differences(op_name):
     rng = Rng(hash(op_name) % (2**31))
     if op_name == "matmul":
-        w = Tensor(rng.normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.normal((4, 3)))
         x = Tensor(rng.normal((3, 2)))
         v = Tensor(rng.normal((4,)))
         u = Tensor(rng.normal((3,)))
         f = lambda: (matmul(matmul(w, x).transpose(), matmul(w, x))).sum() \
             + (matvec(v, w) * u).sum() + (matvec(w, u) * v).sum()
     elif op_name == "add_rowvec":
-        w = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Tensor(rng.normal((3,)))
         x = Tensor(rng.normal((4, 3)))
         f = lambda: (add_rowvec(x, w) * add_rowvec(x, w)).sum()
     elif op_name == "embedding":
-        w = Tensor(rng.normal((5, 3)), requires_grad=True)
+        w = Tensor(rng.normal((5, 3)))
         ids = [0, 2, 2, 4]
         f = lambda: (embedding_lookup(w, ids) * embedding_lookup(w, ids)).sum()
     elif op_name == "layer_norm":
-        w = Tensor(rng.normal((4, 6)), requires_grad=True)
-        gain = Tensor(1.0 + 0.1 * rng.normal((6,)), requires_grad=True)
-        bias = Tensor(0.1 * rng.normal((6,)), requires_grad=True)
+        w = Tensor(rng.normal((4, 6)))
+        gain = Tensor(1.0 + 0.1 * rng.normal((6,)))
+        bias = Tensor(0.1 * rng.normal((6,)))
         f = lambda: (layer_norm(w, gain, bias) * layer_norm(w, gain, bias)).sum()
         for p in (gain, bias):
             assert np.abs(backward_grad(f, p) - fd_grad(f, p)).max() < 1e-6
     elif op_name == "gelu":
-        w = Tensor(rng.normal((7,)), requires_grad=True)
+        w = Tensor(rng.normal((7,)))
         f = lambda: (gelu(w) * gelu(w)).sum()
     elif op_name == "relu":
-        w = Tensor(rng.normal((7,)) + 0.3, requires_grad=True)
+        w = Tensor(rng.normal((7,)) + 0.3)
         f = lambda: (relu(w) * relu(w)).sum()
     elif op_name == "softmax":
-        w = Tensor(rng.normal((5,)), requires_grad=True)
+        w = Tensor(rng.normal((5,)))
         t = Tensor(rng.normal((5,)))
         f = lambda: (softmax(w) * t).sum()
     elif op_name == "log_softmax":
-        w = Tensor(rng.normal((5,)), requires_grad=True)
+        w = Tensor(rng.normal((5,)))
         t = Tensor(rng.normal((5,)))
         f = lambda: (log_softmax(w) * t).sum()
     elif op_name == "log":
-        w = Tensor(np.array([rng.uniform() for _ in range(6)]) + 0.5, requires_grad=True)
+        w = Tensor(np.array([rng.uniform() for _ in range(6)]) + 0.5)
         f = lambda: log(w).sum()
     elif op_name == "exp":
-        w = Tensor(rng.normal((6,)), requires_grad=True)
+        w = Tensor(rng.normal((6,)))
         f = lambda: (exp(w) * exp(w)).mean()
     elif op_name == "concat":
-        w = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Tensor(rng.normal((3,)))
         t = Tensor(rng.normal((4,)))
         f = lambda: (concat([w, t]) * concat([w, t])).sum()
     elif op_name == "row_slices":
-        w = Tensor(rng.normal((5, 4)), requires_grad=True)
+        w = Tensor(rng.normal((5, 4)))
         f = lambda: (w[1] * w[3]).sum() + (w[:, 2] * w[:, 0]).sum() \
             + (w[1:4] * w[1:4]).sum() + w[0][3]
     elif op_name == "entropy":
-        w = Tensor(rng.normal((5,)), requires_grad=True)
+        w = Tensor(rng.normal((5,)))
         f = lambda: entropy(softmax(w))
     elif op_name == "confidence":
         # keep f beyond the kink at 1 so derivative is smooth
-        w = Tensor(rng.normal((8,)) * 0.1, requires_grad=True)
+        w = Tensor(rng.normal((8,)) * 0.1)
         f = lambda: confidence(entropy(softmax(w)))
         assert entropy(softmax(w)).item() > 1.1
     elif op_name == "transpose":
-        w = Tensor(rng.normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.normal((3, 4)))
         t = Tensor(rng.normal((4, 3)))
         f = lambda: (w.transpose() * t).sum() + (w.transpose() * w.transpose()).sum()
     elif op_name == "add_rows":
-        w = Tensor(rng.normal((2, 3)), requires_grad=True)
-        x = Tensor(rng.normal((6, 3)), requires_grad=True)
+        w = Tensor(rng.normal((2, 3)))
+        x = Tensor(rng.normal((6, 3)))
         f = lambda: (add_rows(x, w) * add_rows(x, w) * x).sum()
         assert np.abs(backward_grad(f, x) - fd_grad(f, x)).max() < 1e-6
     assert np.abs(backward_grad(f, w) - fd_grad(f, w)).max() < 1e-6
@@ -328,9 +383,9 @@ def test_op_gradients_match_finite_differences(op_name):
 
 def test_two_layer_net_matches_finite_differences():
     rng = Rng(7)
-    w1 = Tensor(rng.normal((6, 8), std=0.5), requires_grad=True)
-    b1 = Tensor(np.zeros(8), requires_grad=True)
-    w2 = Tensor(rng.normal((8, 3), std=0.5), requires_grad=True)
+    w1 = Tensor(rng.normal((6, 8), std=0.5))
+    b1 = Tensor(np.zeros(8))
+    w2 = Tensor(rng.normal((8, 3), std=0.5))
     x = Tensor(rng.normal((4, 6)))
     target = 1
 
@@ -352,7 +407,7 @@ def test_two_layer_net_matches_finite_differences():
 def test_grad_check_quadratic_form():
     rng = Rng(8)
     a = rng.normal((4, 4))
-    x = Tensor(rng.normal((4,)), requires_grad=True)
+    x = Tensor(rng.normal((4,)))
     err = grad_check(lambda: (x * matvec(Tensor(a + a.T), x)).sum(), [x])
     assert err < 1e-8
 
@@ -361,9 +416,9 @@ def test_grad_check_three_layer_net():
     rng = Rng(9)
     d = 16
     params = [
-        Tensor(rng.normal((d, d), std=0.3), requires_grad=True),
-        Tensor(rng.normal((d, d), std=0.3), requires_grad=True),
-        Tensor(rng.normal((d, d), std=0.3), requires_grad=True),
+        Tensor(rng.normal((d, d), std=0.3)),
+        Tensor(rng.normal((d, d), std=0.3)),
+        Tensor(rng.normal((d, d), std=0.3)),
     ]
     x = Tensor(rng.normal((d,)))
 
@@ -383,15 +438,9 @@ def test_grad_check_flags_wrong_gradient():
     def bad_double(t):
         return N._node(t.data * 2.0, (t,), "bad_double", lambda g: (g * 3.0,))
 
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     err = grad_check(lambda: bad_double(x).sum(), [x])
     assert err > 0.1
-
-
-def test_grad_check_leaves_grads_cleared():
-    x = Tensor(np.ones(3), requires_grad=True)
-    grad_check(lambda: (x * x).sum(), [x])
-    assert x.grad is None
 
 
 # -- Rng -----------------------------------------------------------------
@@ -438,7 +487,7 @@ def attention_oracle(q: Tensor, k: Tensor, v: Tensor, heads: int, mask) -> Tenso
         logits = matmul(q[:, cols], k[:, cols].transpose()) * scale
         att = softmax(logits if mask is None else logits + Tensor(mask))
         outs.append(matmul(att, v[:, cols]))
-    return concat(outs, axis=1)
+    return concat_columns(outs)
 
 
 @pytest.mark.parametrize("rows,start", [(1, 5), (3, 4), (4, 0)],
@@ -453,13 +502,11 @@ def test_attention_matches_per_head_chain(heads, rows, start):
     mask = np.triu(np.full((rows, T), -1e30), k=start + 1) if rows > 1 else None
     coef = rng.normal((rows, 6))
     grads = []
-    with tracking([q, k, v]):
-        for op in (attention, attention_oracle):
+    for op in (attention, attention_oracle):
+        with tracking([q, k, v]):
             out = op(q, k, v, heads, mask)
             (out * coef).sum().backward()
-            grads.append((out.data, [t.grad for t in (q, k, v)]))
-            for t in (q, k, v):
-                t.zero_grad()
+        grads.append((out.data, [t.grad for t in (q, k, v)]))
     (fused, fused_grads), (chain, chain_grads) = grads
     assert np.array_equal(fused, chain)  # the chain's bits, head by head
     for got, want in zip(fused_grads, chain_grads):

@@ -196,8 +196,6 @@ def test_grad_check_through_cached_rollout():
         with tracking(params):
             loss(reasoning).backward()
         grads.append([p.grad.copy() for p in params])
-        for p in params:
-            p.zero_grad()
     assert max(np.abs(a - b).max() for a, b in zip(*grads)) <= 1e-12
     assert grad_check(loss, params, h=3e-5) < 1e-5
     assert not any(p.requires_grad for p in params)
@@ -303,6 +301,4 @@ def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m)
             losses["total"].backward()
         results.append(([v.data.tobytes() for v in losses.values()],
                         bb.grads.tobytes(), bank.grads.tobytes()))
-        bb.grads.fill(0.0)
-        bank.grads.fill(0.0)
     assert results[0] == results[1]

@@ -12,7 +12,7 @@ from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.checkpoint import load_model, save_model
 from vrec.datasets import Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import build_labeling
-from vrec.numerics import Rng, Tensor, parameter_vectors
+from vrec.numerics import Rng, Tensor, parameter_vectors, tracking
 from vrec.reasoning import run_reasoning
 from vrec.training import (
     Adam,
@@ -89,36 +89,37 @@ def test_parameters_stay_views_of_their_model_vectors(corpus, tmp_path):
     grad_check(lambda: (verify_and_adjust(bank, r).r_star * coef).sum(),
                list(bank.params().values()))
     check(bank)
-    assert not bank.grads.any()
+    assert bank.grads.any()  # the analytic gradient, written through the views
     pretrain_backbone(bb, split.train[:16], TrainHyper(epochs=1, batch=8))
     check(bb)
     assert bb.grads.any()
 
 
 def test_adam_lr_zero_keeps_params_bit_identical():
-    p = {"w": Tensor(Rng(0).normal((4, 3)), requires_grad=True)}
+    p = {"w": Tensor(Rng(0).normal((4, 3)))}
     before = p["w"].data.copy()
     opt = Adam([Bare(p)], lr=0.0)
-    (p["w"] * p["w"]).sum().backward()
+    with tracking(p.values()):
+        (p["w"] * p["w"]).sum().backward()
     opt.step()
     assert np.array_equal(p["w"].data, before)
 
 
 def test_adam_descends_quadratic():
-    p = {"w": Tensor(np.array([3.0, -2.0]), requires_grad=True)}
+    p = {"w": Tensor(np.array([3.0, -2.0]))}
     opt = Adam([Bare(p)], lr=0.1)
     for _ in range(200):
-        opt.zero_grad()
-        (p["w"] * p["w"]).sum().backward()
+        with tracking(p.values()):
+            (p["w"] * p["w"]).sum().backward()
         opt.step()
     assert np.abs(p["w"].data).max() < 0.05
 
 
 def test_adam_skips_gradless_params():
-    p = {"w": Tensor(np.ones(3), requires_grad=True),
-         "frozen": Tensor(np.ones(3), requires_grad=True)}
+    p = {"w": Tensor(np.ones(3)), "frozen": Tensor(np.ones(3))}
     opt = Adam([Bare(p)], lr=0.5)
-    (p["w"].sum()).backward()
+    with tracking(p.values()):
+        p["w"].sum().backward()
     opt.step()
     assert np.array_equal(p["frozen"].data, np.ones(3))
     assert not np.array_equal(p["w"].data, np.ones(3))
@@ -292,17 +293,17 @@ def test_pretrain_nan_failure_names_epoch(corpus):
 
 
 def test_fit_restores_tracking_after_non_finite_loss():
-    was_tracked = Tensor(np.ones(2), requires_grad=True)
-    untracked = Tensor(np.ones(2))
+    was_tracked, untracked = Tensor(np.ones(2)), Tensor(np.ones(2))
 
     def batch_losses(idx):
         assert was_tracked.requires_grad and untracked.requires_grad
         return {"total": (was_tracked * np.nan).sum() + untracked.sum()}
 
-    with pytest.raises(FloatingPointError, match="probe: loss became nan at epoch 0"):
-        _fit("probe", [Bare({"a": was_tracked, "b": untracked})], 4,
-             TrainHyper(epochs=1, batch=2), 99, batch_losses, None)
-    assert was_tracked.requires_grad and not untracked.requires_grad
+    with tracking([was_tracked]):
+        with pytest.raises(FloatingPointError, match="probe: loss became nan at epoch 0"):
+            _fit("probe", [Bare({"a": was_tracked, "b": untracked})], 4,
+                 TrainHyper(epochs=1, batch=2), 99, batch_losses, None)
+        assert was_tracked.requires_grad and not untracked.requires_grad
 
 
 def test_stages_leave_nothing_tracked(corpus):

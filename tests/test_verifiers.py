@@ -44,7 +44,7 @@ def oracle_step(bank: VerifierBank, r: Tensor) -> dict:
         g = w_last[:, j_star]
         for key, value in zip(("p", "f", "c", "j_star", "g"), (p, f, c, j_star, g)):
             out[key].append(value)
-        term = (1.0 - c) * r + c * g
+        term = (-c + 1.0) * r + c * g
         acc = term if acc is None else acc + term
     out["r_star"] = acc * (1.0 / bank.n)
     return out
@@ -189,7 +189,7 @@ def test_confidence_non_increasing_in_f():
 
 def test_verify_and_adjust_differentiable():
     bank = bank_of([("a", 4), ("b", 4)], seed=11)
-    r = Tensor(Rng(12).normal((1, 8)), requires_grad=True)
+    r = Tensor(Rng(12).normal((1, 8)))
     target = Tensor(Rng(13).normal((1, 8)))
 
     def loss():
@@ -239,13 +239,6 @@ def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBan
     return bank
 
 
-def take_grads(tensors: list[Tensor]) -> list[np.ndarray]:
-    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
-    for t in tensors:
-        t.zero_grad()
-    return grads
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
 @pytest.mark.parametrize("uniform", [False, True], ids=["learned", "uniform"])
 @pytest.mark.parametrize("depth", [1, 3])
@@ -266,8 +259,9 @@ def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
         for p, k in zip(probabilities(verdict), coef_p):
             loss = loss + (p * k).sum()
         loss.backward()
-        fused_grads = take_grads(tracked)
+    fused_grads = [t.grad.copy() for t in tracked]
 
+    with tracking(tracked):
         ref_loss = None
         for b in range(rows):
             ref = oracle_step(bank, r[b])
@@ -284,8 +278,7 @@ def test_fused_step_matches_oracle_chain(n, depth, uniform, rows):
                         + ref["f"][i] * coef_f[b, i] + ref["c"][i] * coef_c[b, i])
             ref_loss = term if ref_loss is None else ref_loss + term
         ref_loss.backward()
-        ref_grads = take_grads(tracked)
-    for got, want in zip(fused_grads, ref_grads):
+    for got, want in zip(fused_grads, (t.grad for t in tracked)):
         assert np.abs(got - want).max() <= 1e-12
 
 
