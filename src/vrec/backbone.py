@@ -114,8 +114,8 @@ def as_batch(history) -> list:
 
 
 class Backbone:
-    """The transformer. Every parameter's ``.data`` and ``.grad`` are views
-    of the ``values`` and ``grads`` vectors (``numerics.parameter_vectors``)."""
+    """The transformer. Every parameter's ``.data`` is a view of the
+    ``values`` vector (``numerics.parameter_vectors``); gradients are not its own."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -150,7 +150,7 @@ class Backbone:
         p["ln_f.gain"] = ones(d)
         p["ln_f.bias"] = zeros(d)
         self._params = p
-        self.values, self.grads = parameter_vectors(p)
+        self.values = parameter_vectors(p)
         self._blocks = [[p[f"blocks.{i}.{name}"] for name in BLOCK_PARAMS]
                         for i in range(cfg.layers)]
 

@@ -129,7 +129,7 @@ def cmd_pretrain_verifiers(args) -> int:
     items, split = load_corpus(cfg)
     backbone, _ = _load_stage(cfg, "stage0.ckpt")
     labelings = build_labelings(cfg, items, split)
-    dataset = load_verifier_data(cfg.out / VERIFIER_DATA, labelings, backbone.cfg)
+    dataset = load_verifier_data(cfg.out / VERIFIER_DATA, labelings, backbone)
     _, history = run_stage1(backbone, dataset, labelings, cfg)
     summary = "0 epochs"
     if not dataset.r_steps.shape[1]:
@@ -147,6 +147,10 @@ def cmd_finetune(args) -> int:
     backbone, bank = _load_stage(cfg, "stage1.ckpt")
     if bank is None:
         raise ValueError("stage1.ckpt holds no verifier bank; run pretrain-verifiers first")
+    stage0, _ = _load_stage(cfg, "stage0.ckpt")  # stage 1 leaves the backbone as it found it
+    if stage0.values.tobytes() != backbone.values.tobytes():
+        raise ValueError(f"{cfg.out / 'stage1.ckpt'} is stale: its backbone is not the one in "
+                         f"{cfg.out / 'stage0.ckpt'}; run pretrain-verifiers again")
     labelings = build_labelings(cfg, items, split)
     rows = run_stage2(backbone, bank, split, labelings, cfg)
     summary = "0 epochs"

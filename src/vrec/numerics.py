@@ -19,10 +19,10 @@ Four rules keep the core small:
   grad-checked are tracked, and only inside ``tracking(tensors)``, so
   inference and evaluation build no graph. Entering the block zeroes
   their gradients; ``backward`` only adds to them.
-- A model's parameters live in one value vector and one gradient vector
-  (``parameter_vectors``): each parameter's ``.data`` and ``.grad`` are
-  views of its run of them, so an optimizer step is one array operation
-  per model.
+- A model's parameters live in one value vector (``parameter_vectors``),
+  each one's ``.data`` a view of its run. An optimizer owns the gradient
+  vectors and binds each ``.grad`` to its run, so a step is one array
+  operation per model; a model holds no gradient.
 
 Composites that every latent step runs are single nodes with hand-written
 vector-Jacobian products: ``transformer_block`` here (a pre-LN block:
@@ -156,9 +156,9 @@ class Tensor:
             raise ValueError("backward: the loss depends on no tracked tensor; build it "
                              "inside numerics.tracking(params)")
         topo = _topo_order(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = pending.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
@@ -168,16 +168,16 @@ class Tensor:
             for child, cg in zip(node._children, node._vjp(g)):
                 if cg is None or not (child.requires_grad or child._vjp is not None):
                     continue
-                prev = grads.get(id(child))
-                grads[id(child)] = cg if prev is None else prev + cg
+                prev = pending.get(id(child))
+                pending[id(child)] = cg if prev is None else prev + cg
 
 
 @contextmanager
 def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
     """Mark ``tensors`` as leaves to differentiate for the length of the
     block, each with a zero gradient: the one place a gradient is reset or,
-    but for a model's vectors (``parameter_vectors``), made. A parameter's
-    ``.grad``, a view of its model's vector, is zeroed in place; any other
+    but for an optimizer's vectors (``training.Adam``), made. A ``.grad``
+    that is a view of an optimizer's vector is zeroed in place; any other
     tensor gets a new zero array. Ops on them build a graph only inside the
     block; on exit, also by an exception, each tensor's previous
     ``requires_grad`` comes back, and its ``.grad`` keeps the block's gradient.
@@ -206,23 +206,19 @@ def parameter_layout(params: dict[str, Tensor]) -> Iterator[tuple[str, Tensor, i
         start += params[name].size
 
 
-def parameter_vectors(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
-    """One value vector and one gradient vector for a model's new parameters.
+def parameter_vectors(params: dict[str, Tensor]) -> np.ndarray:
+    """One value vector for a model's new parameters.
 
     Each parameter's values are copied into its run (``parameter_layout``)
-    of the value vector, and its ``.data`` and ``.grad`` become views of its
-    runs of the two vectors for the life of the model, so writes go through
-    them in place. ``tracking`` zeroes the gradient views; ``Adam`` steps
-    the whole vectors.
+    of the vector, and its ``.data`` becomes a view of that run for the life
+    of the model, so writes go through it in place. Its ``.grad`` stays None
+    until ``tracking`` or an optimizer gives it one.
     """
     layout = list(parameter_layout(params))
     values = np.concatenate([t.data.ravel() for _, t, _ in layout])
-    grads = np.zeros_like(values)
     for _, t, start in layout:
-        run = slice(start, start + t.size)
-        t.data = values[run].reshape(t.shape)
-        t.grad = grads[run].reshape(t.shape)
-    return values, grads
+        t.data = values[start:start + t.size].reshape(t.shape)
+    return values
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

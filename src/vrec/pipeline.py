@@ -9,13 +9,14 @@ before the first one starts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import Backbone, ModelConfig
+from .backbone import Backbone
 from .checkpoint import save_model
 from .config import DIMENSION_NAMES, RunConfig
 from .datasets import Item, Split, chronological_split, generate_synthetic, ingest
@@ -93,19 +94,24 @@ def _labeling_arrays(labelings: list[GroupLabeling]) -> dict[str, np.ndarray]:
             "item_labels": np.array([lab.labels for lab in labelings], dtype=np.int64)}
 
 
+def _values_digest(backbone: Backbone) -> str:
+    return hashlib.sha256(backbone.values.tobytes()).hexdigest()
+
+
 def run_collection(backbone: Backbone, split: Split, labelings: list[GroupLabeling],
                    cfg: RunConfig) -> VerifierData:
-    """Stage 1 data: greedy-decoded train traces, saved with their labelings."""
+    """Stage 1 data: greedy-decoded train traces, saved with their labelings
+    and the sha256 of the backbone's values."""
     dataset = collect_verifier_dataset(backbone, split.train, labelings, m=backbone.cfg.m)
     if cfg.out:
         np.savez(cfg.out / VERIFIER_DATA, r_steps=dataset.r_steps, labels=dataset.labels,
-                 **_labeling_arrays(labelings))
+                 backbone_sha256=_values_digest(backbone), **_labeling_arrays(labelings))
     return dataset
 
 
 def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
-                       backbone_cfg: ModelConfig) -> VerifierData:
-    """Read verifier data, refusing data of other labelings or backbone shape."""
+                       backbone: Backbone) -> VerifierData:
+    """Read verifier data, refusing data of other labelings or of another backbone."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run collect-verifier-data first")
@@ -116,12 +122,15 @@ def load_verifier_data(path: str | Path, labelings: list[GroupLabeling],
            for key, value in expected.items()):
         raise ValueError(f"{path} is stale: it was collected under other labelings "
                          "than the configured dimensions")
+    if str(stored.get("backbone_sha256")) != _values_digest(backbone):
+        raise ValueError(f"{path} is stale: it was collected from another stage-0 backbone "
+                         "than stage0.ckpt; run collect-verifier-data again")
     r_steps, labels = stored.get("r_steps"), stored.get("labels")
     if r_steps is None or labels is None:
         raise ValueError(f"{path}: no r_steps or no labels array")
-    if r_steps.shape[1:] != (backbone_cfg.m, backbone_cfg.d_m):
+    if r_steps.shape[1:] != (backbone.cfg.m, backbone.cfg.d_m):
         raise ValueError(f"{path} is stale: r_steps has shape {r_steps.shape}, but "
-                         f"stage0.ckpt has m={backbone_cfg.m}, d_m={backbone_cfg.d_m}")
+                         f"stage0.ckpt has m={backbone.cfg.m}, d_m={backbone.cfg.d_m}")
     if labels.shape != (len(r_steps), len(labelings)) or labels.dtype.kind not in "iu":
         raise ValueError(f"{path}: labels are {labels.dtype} of shape {labels.shape}, expected "
                          f"integers of shape {(len(r_steps), len(labelings))}, a row per trace")

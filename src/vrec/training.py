@@ -18,8 +18,8 @@ from .backbone import Backbone
 from .datasets import Sample
 from .evaluation import evaluate, write_metrics_csv
 from .labeling import GroupLabeling, class_table
-from .numerics import (Rng, Tensor, check_int, check_seed, concat, log_softmax, relu,
-                       tracking)
+from .numerics import (Rng, Tensor, check_int, check_seed, concat, log_softmax,
+                       parameter_layout, relu, tracking)
 from .reasoning import CHUNK, run_reasoning
 from .verifiers import VerifierBank, verify_and_adjust
 
@@ -78,24 +78,28 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over whole models: anything with a ``values`` and a ``grads``
-    vector, as ``Backbone`` and ``VerifierBank`` have, whose gradients a
-    ``tracking`` block zeroed and ``backward`` filled. A parameter outside
-    the graph keeps a zero gradient, so its moments and its step stay zero.
-    lr=0 leaves parameters bit-identical."""
+    """Adam over whole models (``Backbone``, ``VerifierBank``). It owns one
+    gradient vector per model and, once, binds each parameter's ``.grad``
+    to its run (``parameter_layout``), taking it from any earlier optimizer.
+    ``tracking`` zeroes these views and ``backward`` fills them; a parameter
+    outside the graph keeps a zero gradient, so its moments and its step
+    stay zero. lr=0 leaves parameters bit-identical."""
 
     def __init__(self, models: Sequence, lr: float = 1e-3):
         self.models = list(models)
         self.lr = lr
         self.t = 0
+        self.grads = [np.zeros_like(mdl.values) for mdl in self.models]
+        for mdl, grads in zip(self.models, self.grads):
+            for _, t, start in parameter_layout(mdl.params()):
+                t.grad = grads[start:start + t.size].reshape(t.shape)
         self.moments = [(np.zeros_like(mdl.values), np.zeros_like(mdl.values))
                         for mdl in self.models]
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for mdl, (m, v) in zip(self.models, self.moments):
-            g = mdl.grads
+        for mdl, g, (m, v) in zip(self.models, self.grads, self.moments):
             m *= b1
             m += (1 - b1) * g
             v *= b2

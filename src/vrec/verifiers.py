@@ -47,8 +47,8 @@ class VerifierBank:
     inner widths are ``hidden_width`` (0: d_m). The trunk maps back to d_m
     before the head, so prototype columns stay in representation space.
     ``trunk`` holds each layer's stacked (weight, bias) and ``heads`` each
-    class count's; every parameter's ``.data`` and ``.grad`` are views of
-    the ``values`` and ``grads`` vectors.
+    class count's; every parameter's ``.data`` is a view of the ``values``
+    vector, and gradients are not the bank's own.
     """
 
     def __init__(self, dimensions: list[tuple[str, int]], d_m: int, hidden_width: int = 0,
@@ -80,7 +80,7 @@ class VerifierBank:
                        for k, idx in sorted(members.items())]
         if len(members) == 1:
             self.groups = [(self.sizes[0], slice(None), slice(None))]
-        self.values, self.grads = parameter_vectors(self.params())
+        self.values = parameter_vectors(self.params())
         # the step's children after r, in the order its VJP returns gradients
         self.leaves = (self.router.a, self.router.bias,
                        *(t for layer in self.trunk + list(self.heads.values()) for t in layer))

@@ -7,8 +7,9 @@ here are the ones the chains need that the library no longer does. They
 are built on ``numerics._node`` like every library op. The rest are small
 references the tests check the library against, the finite-difference
 gradient check, readers of a verifier's slices of the bank's stacks and of
-verdict fields that only tests read, and a checkpoint writer for tests that
-edit a saved header."""
+verdict fields that only tests read, bare tensors as one model and a
+reader of a model's parameter gradients in layout order, and a checkpoint
+writer for tests that edit a saved header."""
 
 import json
 import struct
@@ -19,7 +20,8 @@ import numpy as np
 
 from vrec.checkpoint import MAGIC
 from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
-                           _softmax_np, concat, embedding_lookup, layer_norm, matmul, tracking)
+                           _softmax_np, concat, embedding_lookup, layer_norm, matmul,
+                           parameter_layout, parameter_vectors, tracking)
 from vrec.reasoning import recommend
 
 
@@ -297,6 +299,24 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
             if err > worst:
                 worst = err
     return worst
+
+
+class Bare:
+    """Bare tensors as one model, with the value vector that Backbone and
+    VerifierBank have."""
+
+    def __init__(self, params):
+        self._params = params
+        self.values = parameter_vectors(params)
+
+    def params(self):
+        return self._params
+
+
+def layout_grads(model) -> np.ndarray:
+    """A model's parameter gradients as one vector, in ``parameter_layout``
+    order: the bytes an optimizer's gradient vector for it would hold."""
+    return np.concatenate([t.grad.ravel() for _, t, _ in parameter_layout(model.params())])
 
 
 def greedy_recommend(backbone, final_hidden: Tensor) -> int:

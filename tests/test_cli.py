@@ -357,13 +357,32 @@ def test_stale_verifier_data_rejected(pipeline, tmp_path, capsys, dimensions):
     assert str(tmp_path / "out" / VERIFIER_DATA) in err and "stale" in err
 
 
+def test_stage_files_of_another_stage0_rejected(pipeline, tmp_path, capsys, monkeypatch):
+    # the run's stage 0 retrained with another seed: the collected traces and
+    # stage1.ckpt belong to the old backbone, and both later stages say so
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, out = pipeline
+    shutil.copytree(out, tmp_path / "out")
+    cfg = str(write_config(tmp_path))
+    assert main(["pretrain-backbone", "--config", cfg, "--seed", "8"]) == 0
+    capsys.readouterr()
+    assert main(["pretrain-verifiers", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / VERIFIER_DATA) in err and "stale" in err
+    assert main(["finetune", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / "stage1.ckpt") in err and "stale" in err
+    assert str(tmp_path / "out" / "stage0.ckpt") in err
+
+
 def test_verifier_data_shape_must_match_backbone(pipeline):
     _, out = pipeline
     labelings = [load_labeling(out / f"labeling_{d['name']}.jsonl") for d in CONFIG["dimensions"]]
     backbone, _ = load_model(out / "stage0.ckpt")
-    assert load_verifier_data(out / VERIFIER_DATA, labelings, backbone.cfg)
+    assert load_verifier_data(out / VERIFIER_DATA, labelings, backbone)
+    backbone.cfg = replace(backbone.cfg, m=2)  # the same values, another shape of trace
     with pytest.raises(ValueError, match="verifier_data.npz is stale"):
-        load_verifier_data(out / VERIFIER_DATA, labelings, replace(backbone.cfg, m=2))
+        load_verifier_data(out / VERIFIER_DATA, labelings, backbone)
 
 
 def _relabel(row_kind, column, value):
@@ -398,7 +417,7 @@ def test_bad_verifier_data_names_the_path(pipeline, tmp_path, edit, message):
     path = tmp_path / VERIFIER_DATA
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=message) as err:
-        load_verifier_data(path, labelings, backbone.cfg)
+        load_verifier_data(path, labelings, backbone)
     assert str(path) in str(err.value)
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (add_rows, add_rowvec, attention, concat_columns, confidence, entropy, exp,
-                     gelu, grad_check, matvec, softmax)
+from oracles import (Bare, add_rows, add_rowvec, attention, concat_columns, confidence, entropy,
+                     exp, gelu, grad_check, matvec, softmax)
 from vrec.numerics import (
     Rng,
     Tensor,
@@ -16,10 +16,10 @@ from vrec.numerics import (
     log,
     log_softmax,
     matmul,
-    parameter_vectors,
     relu,
     tracking,
 )
+from vrec.training import Adam
 
 
 def fd_grad(f, param: Tensor, h: float = 1e-6) -> np.ndarray:
@@ -171,10 +171,10 @@ def test_tracking_scopes_and_restores():
 
 def test_tracking_gives_each_tensor_a_zero_gradient():
     # a free tensor gets a new zero array; a model parameter keeps its view
-    # of the model's gradient vector, zeroed in place
+    # of its optimizer's gradient vector, zeroed in place
     free = Tensor(np.ones(3))
     params = {"a": Tensor(np.ones((2, 2))), "b": Tensor(np.ones(3))}
-    _, grads = parameter_vectors(params)
+    grads = Adam([Bare(params)]).grads[0]
     grads[:] = 5.0
     views = [t.grad for t in params.values()]
     with tracking([free, *params.values()]):
@@ -196,7 +196,7 @@ def test_each_tracking_block_has_its_own_gradient():
     # the second block's gradients, not the sum of both blocks'
     free = Tensor(np.ones(3))
     params = {"w": Tensor(np.full(2, 3.0))}
-    _, grads = parameter_vectors(params)
+    grads = Adam([Bare(params)]).grads[0]
     w = params["w"]
     for scale in (1.0, 2.0):
         with tracking([free, w]):

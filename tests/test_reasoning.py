@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import vrec.reasoning
-from oracles import ChainCache, confidences, encode_chain, grad_check, greedy_recommend
+from oracles import (ChainCache, confidences, encode_chain, grad_check, greedy_recommend,
+                     layout_grads)
 from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.numerics import Rng, Tensor, concat, tracking
 from vrec.reasoning import (
@@ -300,5 +301,5 @@ def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m)
             losses = reasoning_losses(bb, bank, histories, targets, hyper, classes)
             losses["total"].backward()
         results.append(([v.data.tobytes() for v in losses.values()],
-                        bb.grads.tobytes(), bank.grads.tobytes()))
+                        layout_grads(bb).tobytes(), layout_grads(bank).tobytes()))
     assert results[0] == results[1]

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check, greedy_recommend, probabilities
+from oracles import Bare, grad_check, greedy_recommend, layout_grads, probabilities
 from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.checkpoint import load_model, save_model
 from vrec.datasets import Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import build_labeling
-from vrec.numerics import Rng, Tensor, parameter_vectors, tracking
+from vrec.numerics import Rng, Tensor, tracking
 from vrec.reasoning import run_reasoning
 from vrec.training import (
     Adam,
@@ -27,7 +27,7 @@ from vrec.training import (
     recommendation_loss,
     verifier_loss,
 )
-from vrec.verifiers import make_bank, verify_and_adjust
+from vrec.verifiers import VerifierBank, make_bank, verify_and_adjust
 
 
 def small_model(**kw):
@@ -53,18 +53,6 @@ def corpus():
 # -- optimizer -----------------------------------------------------------
 
 
-class Bare:
-    """Bare tensors as one model, with the value and gradient vectors that
-    Backbone and VerifierBank have."""
-
-    def __init__(self, params):
-        self._params = params
-        self.values, self.grads = parameter_vectors(params)
-
-    def params(self):
-        return self._params
-
-
 def test_parameters_stay_views_of_their_model_vectors(corpus, tmp_path):
     _, split, _ = corpus
 
@@ -72,10 +60,9 @@ def test_parameters_stay_views_of_their_model_vectors(corpus, tmp_path):
         params = model.params()
         for t in params.values():
             assert np.shares_memory(t.data, model.values)
-            assert np.shares_memory(t.grad, model.grads)
         # laid out in sorted name order, each parameter once
         flat = np.concatenate([params[k].data.ravel() for k in sorted(params)])
-        assert np.array_equal(flat, model.values) and model.grads.size == flat.size
+        assert np.array_equal(flat, model.values)
 
     bb = Backbone(small_model(d_m=8, layers=1))
     bank = make_bank([("a", 3), ("b", 4)], d_m=8, hidden_depth=2)
@@ -89,10 +76,56 @@ def test_parameters_stay_views_of_their_model_vectors(corpus, tmp_path):
     grad_check(lambda: (verify_and_adjust(bank, r).r_star * coef).sum(),
                list(bank.params().values()))
     check(bank)
-    assert bank.grads.any()  # the analytic gradient, written through the views
+    assert layout_grads(bank).any()  # the analytic gradient, in each parameter's .grad
     pretrain_backbone(bb, split.train[:16], TrainHyper(epochs=1, batch=8))
     check(bb)
-    assert bb.grads.any()
+    # the stage's optimizer vector, one run per parameter in layout order
+    vector = bb.params()["tok_emb"].grad.base
+    assert all(t.grad.base is vector for t in bb.params().values())
+    assert layout_grads(bb).tobytes() == vector.tobytes() and vector.any()
+
+
+def test_models_hold_no_gradient(tmp_path):
+    # built, drawn or loaded, a model has values only; gradients come from
+    # tracking or an optimizer
+    bb = Backbone(small_model(d_m=8, layers=1))
+    bank = make_bank([("a", 3), ("b", 4)], d_m=8, hidden_depth=2)
+    save_model(tmp_path / "m.ckpt", bb, bank)
+    models = [bb, bank, VerifierBank([("a", 3)], d_m=8), *load_model(tmp_path / "m.ckpt")]
+    for model in models:
+        assert not hasattr(model, "grads")
+        assert all(t.grad is None for t in model.params().values())
+
+
+def test_adam_binds_each_gradient_to_its_vector():
+    bb = Backbone(small_model(d_m=8, layers=1))
+    bank = make_bank([("a", 3), ("b", 4)], d_m=8, hidden_depth=2)
+    opt = Adam([bb, bank])
+    for model, vector in zip((bb, bank), opt.grads):
+        assert vector.size == model.values.size
+        for t in model.params().values():
+            assert np.shares_memory(t.grad, vector)
+        vector[:] = np.arange(vector.size)  # each parameter's run, in layout order
+        assert np.array_equal(layout_grads(model), np.arange(vector.size))
+
+
+def test_a_second_adam_rebinds_the_backbone():
+    # stage 0's optimizer over the backbone, then stage 2's over both models
+    bb = Backbone(small_model(d_m=8, layers=1))
+    bank = make_bank([("a", 3)], d_m=8)
+    stage0 = Adam([bb])
+    stage2 = Adam([bb, bank])
+    for t in bb.params().values():
+        assert np.shares_memory(t.grad, stage2.grads[0])
+        assert not np.shares_memory(t.grad, stage0.grads[0])
+    params = list(bb.params().values())
+    with tracking(params):
+        hidden = bb.encode([1, 2, 3], cache=KVCache())
+        recommendation_loss(bb, hidden[-1:], [4]).backward()
+    assert stage2.grads[0].any() and not stage0.grads[0].any()
+    before = bb.values.copy()
+    stage2.step()
+    assert not np.array_equal(bb.values, before)
 
 
 def test_adam_lr_zero_keeps_params_bit_identical():
