@@ -102,9 +102,7 @@ class KVCache:
 
     @property
     def lengths(self) -> np.ndarray:
-        """The positions each sequence holds."""
-        if self.pad is None:
-            return np.full(self.batch, len(self))
+        """The positions each sequence of a padded batch holds."""
         return len(self) - self.pad.sum(axis=1)
 
 
@@ -189,6 +187,14 @@ class Backbone:
             pos = None  # the first block adds the position rows
         cache.layers = layers
         return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
+
+    @staticmethod
+    def last_rows(rows: Tensor, cache: KVCache) -> Tensor:
+        """Each sequence's row at its own last position, of the position-major
+        ``rows`` that ``encode`` returned for the histories in ``cache``."""
+        B = cache.batch
+        return rows[-B:] if cache.pad is None else \
+            embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
 
     def _embed(self, history, cache: KVCache):
         """``encode``'s histories: their token embeddings, the position rows

@@ -70,11 +70,21 @@ def _number(tok: str) -> int | float:
         return float(tok)
 
 
+def _step_count(text: str) -> int:
+    """A latent step count (``--m``, each of ``--steps``): a whole number of 0 or more."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(
+            f"step counts are non-negative whole numbers, got {text.strip()!r}")
+    return int(text)
+
+
 def _parse_list(text: str, flag: str, parse=int) -> list:
     try:
         return [parse(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"{flag}: {e}")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -195,7 +205,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_step_scan(args) -> int:
     cfg = _resolved(args)
-    steps = _parse_list(args.steps, "--steps")
+    steps = _parse_list(args.steps, "--steps", _step_count)
     if not steps:
         raise UsageError("--steps must list at least one step count")
     for row in step_scalability(cfg, steps=steps):
@@ -205,9 +215,8 @@ def cmd_step_scan(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolved(args)
-    steps = _parse_list(args.steps, "--steps") if args.steps else [1, 2, 4, 6, 8, 10]
-    if min(steps, default=0) < 0:
-        raise UsageError(f"--steps must be non-negative step counts, got {args.steps!r}")
+    steps = _parse_list(args.steps, "--steps", _step_count) if args.steps \
+        else [1, 2, 4, 6, 8, 10]
     items, split = load_corpus(cfg)
     final = cfg.out / "final.ckpt"
     if final.exists():
@@ -254,40 +263,29 @@ def cmd_inspect(args) -> int:
 
 # -- plot-data: long-form (x, y, series) tables from existing reports -------
 
-_PLOT_SOURCES = {
-    "ablation.csv": ("variant", "plot_ablation.csv"),
-    "steps.csv": ("m", "plot_steps.csv"),
-}
 
-
-def _plot_rows(path: Path, x_column: str) -> list[dict]:
+def _plot_rows(path: Path) -> list[dict]:
+    """Each metric of each row as a point, at x the column before recall@5."""
     with path.open(encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    out = []
-    for row in rows:
-        for column, value in row.items():
-            if column.startswith(("recall@", "ndcg@")) and value != "":
-                out.append({"x": row[x_column], "y": float(value), "series": column})
-    return out
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    x_column = reader.fieldnames[reader.fieldnames.index("recall@5") - 1]
+    return [{"x": row[x_column], "y": float(value), "series": column}
+            for row in rows for column, value in row.items()
+            if column.startswith(("recall@", "ndcg@")) and value != ""]
 
 
 def cmd_plot_data(args) -> int:
     cfg = _resolved(args)
-    sources = dict(_PLOT_SOURCES)
-    for path in sorted(cfg.out.glob("sweep_*.csv")):
-        sources[path.name] = ("value", f"plot_{path.name}")
-    written = 0
-    for name, (x_column, out_name) in sources.items():
-        src = cfg.out / name
-        if not src.exists():
-            continue
-        rows = _plot_rows(src, x_column)
-        write_metrics_csv(cfg.out / out_name, rows, ["x", "y", "series"])
-        print(f"{src.name} -> {out_name} ({len(rows)} points)")
-        written += 1
-    if not written:
+    sources = [cfg.out / name for name in ("ablation.csv", "steps.csv")
+               if (cfg.out / name).exists()] + sorted(cfg.out.glob("sweep_*.csv"))
+    if not sources:
         raise FileNotFoundError(f"nothing to plot under {cfg.out}: expected "
                                 "ablation.csv, steps.csv, or sweep_*.csv")
+    for src in sources:
+        rows = _plot_rows(src)
+        write_metrics_csv(cfg.out / f"plot_{src.name}", rows, ["x", "y", "series"])
+        print(f"{src.name} -> plot_{src.name} ({len(rows)} points)")
     return 0
 
 
@@ -309,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"override every seed (also {SEED_ENV_VAR} env var)")
         sub.add_argument("--out", default=None, help="override the output directory")
         if with_m:
-            sub.add_argument("--m", type=int, default=None,
+            sub.add_argument("--m", type=_step_count, default=None,
                              help="override the reasoning step count")
         return sub
 

@@ -3,9 +3,10 @@ and step scans built on it.
 
 A run is a ``RunConfig``: the one a config file loads, or one built in code.
 Each stage takes it and, given ``cfg.out``, writes its artifacts there. An
-ablation variant or a sweep value is an edit of a ``RunConfig`` made with
-``dataclasses.replace``, which checks it, so every run of a study is checked
-before the first one starts."""
+ablation variant, a sweep value or a step count is an edit of a ``RunConfig``
+made with ``dataclasses.replace``, which checks it. A study builds all its
+runs, so every one is checked before the first one starts, then runs them
+in one loop, ``_study``."""
 
 from __future__ import annotations
 
@@ -287,44 +288,34 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _run_all(cfgs: list[RunConfig]) -> list[MetricsReport]:
-    """The reports of each run's pipeline, run in order and writing nothing."""
-    return [run_pipeline(replace(cfg, out=None, eval_ks=(5, 10))).report for cfg in cfgs]
+def _study(cfg: RunConfig, name: str, leads: list[dict], runs: list[RunConfig]) -> list[dict]:
+    """Run each of ``runs`` end to end, writing nothing, in order. Each run's
+    row is its lead columns, then recall@k and ndcg@k for k in (5, 10), then
+    n_samples; the rows are written to ``name`` under ``cfg.out`` when it is set."""
+    rows = [_report_row(lead, run_pipeline(replace(run, out=None, eval_ks=(5, 10))).report,
+                        (5, 10))
+            for lead, run in zip(leads, runs)]
+    _write_rows(cfg.out, name, rows)
+    return rows
 
 
 def ablate(cfg: RunConfig, variants: list[str] | None = None) -> list[dict]:
-    """Train and evaluate each variant of ``cfg``; one row each, written
-    to ablation.csv under ``cfg.out`` when it is set."""
+    """Each variant of ``cfg`` (default: full), a row led by its name, in ablation.csv."""
     variants = list(variants) if variants else ["full"]
-    reports = _run_all([_lookup(VARIANTS, v, "ablation variant")(cfg) for v in variants])
-    rows = [_report_row({"variant": v}, r, (5, 10)) for v, r in zip(variants, reports)]
-    _write_rows(cfg.out, "ablation.csv", rows)
-    return rows
+    runs = [_lookup(VARIANTS, v, "ablation variant")(cfg) for v in variants]
+    return _study(cfg, "ablation.csv", [{"variant": v} for v in variants], runs)
 
 
-def step_scalability(cfg: RunConfig, steps: list[int],
-                     seeds: list[int] | None = None) -> list[dict]:
-    """Per-m metrics of ``cfg``, median over seeds, written to steps.csv. Each
-    run is the ``m`` sweep's edit, so at m=0 the bank stays and stage 1 fits nothing."""
-    seeds = seeds or [cfg.hyper.seed]
-    reports = _run_all([SWEEPS["m"](cfg, m).with_seed(seed) for m in steps for seed in seeds])
-    rows = []
-    for i, m in enumerate(steps):
-        per_seed = reports[i * len(seeds):(i + 1) * len(seeds)]
-        rows.append({"m": m,
-                     "recall@5": float(np.median([r.recall[5] for r in per_seed])),
-                     "ndcg@5": float(np.median([r.ndcg[5] for r in per_seed])),
-                     "n_samples": per_seed[0].n_samples,
-                     "seeds": ";".join(str(s) for s in seeds)})
-    _write_rows(cfg.out, "steps.csv", rows)
-    return rows
+def step_scalability(cfg: RunConfig, steps: list[int]) -> list[dict]:
+    """The ``m`` sweep of ``cfg``, a row led by m, in steps.csv: at every m the
+    run of ``sweep(cfg, "m", steps)``, every seed of ``cfg`` kept. At m=0 the
+    bank stays and stage 1 fits nothing."""
+    runs = [SWEEPS["m"](cfg, m) for m in steps]
+    return _study(cfg, "steps.csv", [{"m": m} for m in steps], runs)
 
 
 def sweep(cfg: RunConfig, param: str, values: list) -> list[dict]:
-    """One train/eval of ``cfg`` per value of ``param``, written to sweep_<param>.csv."""
+    """``cfg`` at each value of ``param``, a row led by both, in sweep_<param>.csv."""
     edit = _lookup(SWEEPS, param, "sweep parameter")
-    reports = _run_all([edit(cfg, value) for value in values])
-    rows = [_report_row({"param": param, "value": v}, r, (5, 10))
-            for v, r in zip(values, reports)]
-    _write_rows(cfg.out, f"sweep_{param}.csv", rows)
-    return rows
+    runs = [edit(cfg, value) for value in values]
+    return _study(cfg, f"sweep_{param}.csv", [{"param": param, "value": v} for v in values], runs)

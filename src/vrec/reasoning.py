@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Backbone, KVCache, as_batch
-from .numerics import Tensor, check_int, embedding_lookup
+from .numerics import Tensor, check_int
 from .verifiers import StepVerdict, VerifierBank, verify_and_adjust
 
 __all__ = ["CHUNK", "ReasoningTrace", "homogeneity", "pca_project", "recommend",
@@ -79,10 +79,7 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
         raise ValueError(f"sequence length {L + m} exceeds max_positions "
                          f"{backbone.cfg.max_positions}")
     cache = KVCache()
-    rows = backbone.encode(history, cache=cache)
-    B = cache.batch  # each history's last row; the rows are position-major
-    last = rows[-B:] if cache.pad is None else \
-        embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
+    last = backbone.last_rows(backbone.encode(history, cache=cache), cache)
     raw, verdicts = [], []
     for _ in range(m):
         verdict = None if bank is None else verify_and_adjust(bank, last)

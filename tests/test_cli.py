@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vrec.cli
 import vrec.pipeline
 from vrec.checkpoint import load_model
 from vrec.cli import main
@@ -86,6 +87,18 @@ def test_negative_bench_step_exits_two_before_timing(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--steps=-3,1"]) == 2
     assert "non-negative" in capsys.readouterr().err
     assert not (tmp_path / "out" / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--m", "-1"], ["inspect", "--m", "-1"],
+                                  ["step-scan", "--steps", "-1"], ["bench", "--steps", "-1"]])
+def test_negative_step_count_exits_two(tmp_path, capsys, monkeypatch, argv):
+    ran = []
+    monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(vrec.cli, "timing_overhead", lambda *a, **k: ran.append(a))
+    cfg = write_config(tmp_path)
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert not ran
 
 
 def test_unknown_sweep_param_exits_one(tmp_path, capsys):

@@ -251,12 +251,33 @@ def test_step_scalability_m_zero(tmp_path):
     assert (tmp_path / "steps.csv").exists()
 
 
+STUDY_METRICS = ("recall@5", "ndcg@5", "recall@10", "ndcg@10", "n_samples")
+
+
+def _metrics(row: dict) -> tuple:
+    return tuple(row[key] for key in STUDY_METRICS)
+
+
 def test_step_scalability_matches_m_sweep():
     steps = step_scalability(MICRO_RUN, [0, 1])
     swept = sweep(MICRO_RUN, "m", [0, 1])
     for row, swept_row in zip(steps, swept):
         assert row["m"] == swept_row["value"]
-        assert (row["recall@5"], row["ndcg@5"]) == (swept_row["recall@5"], swept_row["ndcg@5"])
+        assert _metrics(row) == _metrics(swept_row)
+
+
+def test_step_scan_runs_the_config_it_is_given():
+    # a model seed and a corpus seed other than the master seed: at every m
+    # the step-scan row is the m sweep's row and the report of the run itself
+    cfg = replace(MICRO_RUN, synth=replace(MICRO_SYNTH, seed=11),
+                  model={**MICRO_RUN.model, "seed": 3})
+    steps = [0, 1, 2]
+    for m, row, swept_row in zip(steps, step_scalability(cfg, steps), sweep(cfg, "m", steps)):
+        report = run_pipeline(cfg.with_m(m)).report
+        assert row["m"] == m
+        assert _metrics(row) == _metrics(swept_row) == (
+            report.recall[5], report.ndcg[5], report.recall[10], report.ndcg[10],
+            report.n_samples)
 
 
 def test_sweep_unknown_param():

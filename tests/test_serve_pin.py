@@ -7,18 +7,23 @@ every step's packed verdict and the rankings, with one recorded before the
 refactor. The cases cover 1-3 layers, no bank, three linear d_i=6
 verifiers (the benchmark's bank), an unequal bank with a d_i of 9 or more
 (where numpy's pairwise sum regroups its terms), trunks of depth 2 and 3,
-the uniform router, m in {0, 2, 8}, and a batch of one and a padded batch.
-The digests were taken with numpy 2.4.6 on x86-64; another BLAS may round
-the same run differently."""
+the uniform router, a depth-3 trunk of width 1 (where the stacked bank
+adds some terms in another order than a per-verifier loop), m in {0, 2, 8},
+and a batch of one and a padded batch. One more digest pins the
+backbone's and the bank's gradients after a stage-2 backward at the width-1
+shape. The digests were taken with numpy 2.4.6 on x86-64; another BLAS may
+round the same run differently."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from oracles import per_verifier_views
+from oracles import layout_grads, per_verifier_views
 from vrec.backbone import Backbone, ModelConfig
-from vrec.numerics import Rng
+from vrec.numerics import Rng, tracking
 from vrec.reasoning import recommend, run_reasoning
+from vrec.training import TrainHyper, reasoning_losses
 from vrec.verifiers import make_bank
 
 N_ITEMS = 20
@@ -30,6 +35,7 @@ CASES = {
     "trunk2": (8, 3, 2, [("a", 5), ("b", 9)], 2, 0, False),
     "trunk3": (12, 2, 1, [("a", 3), ("b", 12), ("c", 6)], 3, 7, False),
     "uniform": (12, 3, 4, [("a", 6), ("b", 10)], 1, 0, True),
+    "width1": (12, 2, 2, [("a", 5), ("b", 7)], 3, 1, False),
 }
 BATCHES = {"one": [3, 17, 5, 5, 0, 12, 9],
            "padded": [[1, 2, 3, 4, 5], [19, 0, 7, 7, 3, 11, 2, 8, 6], [4, 4, 13]]}
@@ -71,10 +77,17 @@ DIGESTS = {
     "uniform-m2-padded": "67d1a51b74080328f4d6ea935befc69df11a8d71174d7b4a21418eeece91f0a7",
     "uniform-m8-one": "b762edfe29ada02236efde143d4276559e7cdba82a41b96c461c4641e07c7a9e",
     "uniform-m8-padded": "f471f09ac0e699b05eda1bdc66fde0bc3cd1c472a363e05aa27cf041d9750aea",
+    "width1-m0-one": "03a0fb814858c90c391f15cabbdf97bc6a52dcd2c4b0e4cd6af86d0393b0abce",
+    "width1-m0-padded": "661f90c916f32a825a55213a22e77cacf0e31126ca53fa57450ff2cc7e922b30",
+    "width1-m2-one": "c0d5a2ace60c11fbedac18688590635e7578f01a9657f48a1f322dd449ff560a",
+    "width1-m2-padded": "c7dc8b776f0ecff4f71e7bc139233855e44d3a7e7afa7868a5a47a6e5043895f",
+    "width1-m8-one": "312132e9ee389706707c8e1406879f8e11e8a3ed2af1f875935cbb415d4272c7",
+    "width1-m8-padded": "21abf3110d68426f868eb5e2e98b96cc72c9a5cedfc4622f3aa50120be53cc5c",
 }
+GRADS_DIGEST = "26853a963c830c2705e06ea57758b3be8dd886a036bf21ae5610e5b013dd9a4d"
 
 
-def _served(case: str, m: int, batch: str) -> str:
+def _models(case: str, m: int):
     d_m, layers, heads, dims, depth, width, uniform = CASES[case]
     seed = sorted(CASES).index(case)
     model = Backbone(ModelConfig(d_m=d_m, layers=layers, heads=heads, n_items=N_ITEMS,
@@ -89,6 +102,11 @@ def _served(case: str, m: int, batch: str) -> str:
         for view in per_verifier_views(bank).values():  # the order the digests were taken in
             view[...] = rng.normal(view.shape, std=0.9)
         bank.uniform_router = uniform
+    return model, bank
+
+
+def _served(case: str, m: int, batch: str) -> str:
+    model, bank = _models(case, m)
     trace, final = run_reasoning(model, bank, BATCHES[batch], m)
     h = hashlib.sha256(final.data.tobytes())
     for _, _, verdict in trace.steps:
@@ -104,3 +122,20 @@ def _served(case: str, m: int, batch: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_served_outputs_pinned(case, m, batch):
     assert _served(case, m, batch) == DIGESTS[f"{case}-m{m}-{batch}"]
+
+
+def test_stage2_gradients_pinned():
+    # one stage-2 backward at the width-1 shape: both models' gradients, in
+    # parameter_layout order, keep their bits
+    model, bank = _models("width1", 2)
+    histories = BATCHES["padded"]
+    targets = np.array([9, 3, 14])
+    classes = np.stack([np.arange(N_ITEMS) % 5, np.arange(N_ITEMS) % 7], axis=1)
+    params = list(model.params().values()) + list(bank.params().values())
+    with tracking(params):
+        losses = reasoning_losses(model, bank, histories, targets,
+                                  TrainHyper(beta=0.5, gamma=0.3), classes)
+        losses["total"].backward()
+    h = hashlib.sha256(layout_grads(model).tobytes())
+    h.update(layout_grads(bank).tobytes())
+    assert h.hexdigest() == GRADS_DIGEST

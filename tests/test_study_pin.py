@@ -2,9 +2,9 @@
 
 Refactors of how a study describes its runs must keep every row's bits:
 each case runs one study on a micro config (every ablation variant, each
-sweep parameter at two values, a step scan over two seeds) and compares
-the sha256 digest of the CSV it writes with one recorded before the
-refactor. The digests were taken with numpy 2.4.6 on x86-64; another
+sweep parameter at two values, a step scan over three step counts) and
+compares the sha256 digest of the CSV it writes with one recorded before
+the refactor. The digests were taken with numpy 2.4.6 on x86-64; another
 BLAS may round the same run differently."""
 
 import hashlib
@@ -39,7 +39,7 @@ DIGESTS = {
     "sweep_m.csv": "57d70a66cf7cbfaaa6043c66d7259dbba09aa7d84f56fbd5a23ab15c9e41d2e4",
     "sweep_verifier-depth.csv": "d4ee1e1cf1952c3e99f62dda83d7ab2b23425474bc2928b3a22f5f1d308ad5ad",
     "sweep_verifier-width.csv": "1575d46b23048fdd5cb7479799cf0508d0b60344f1208ae51344b4279bfdc1ab",
-    "steps.csv": "680348e67ae8ed98f5a74764e6945b7a854f54b191a625dae86140d27a905051",
+    "steps.csv": "1c1d0405c9c58de91686f9b6ee0d5a570135c28c8133427879e52f671b561ae3",
 }
 
 
@@ -64,5 +64,5 @@ def test_sweep_pinned(tmp_path, param):
 
 
 def test_step_scan_pinned(tmp_path):
-    step_scalability(replace(RUN, out=tmp_path), steps=[0, 1, 2], seeds=[1, 2])
+    step_scalability(replace(RUN, out=tmp_path), steps=[0, 1, 2])
     assert _digest(tmp_path / "steps.csv") == DIGESTS["steps.csv"]
