@@ -361,7 +361,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def _gelu_np(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximation GELU of an array, and the tanh its derivative reuses."""
-    tanh = np.tanh(_GELU_C * (xd + 0.044715 * xd**3))
+    # xd*xd*xd, not xd**3: numpy sends a cube through libm pow, many times slower
+    tanh = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
     return 0.5 * xd * (1.0 + tanh), tanh
 
 

@@ -10,6 +10,8 @@ from oracles import (Bare, add_rows, add_rowvec, attention, concat_columns, conf
 from vrec.numerics import (
     Rng,
     Tensor,
+    _gelu_deriv,
+    _gelu_np,
     concat,
     embedding_lookup,
     layer_norm,
@@ -82,6 +84,33 @@ def test_forward_bit_identical_across_calls():
     first = gelu(softmax(matmul(x, x))).data
     second = gelu(softmax(matmul(x, x))).data
     assert np.array_equal(first, second)
+
+
+def _gelu_formula(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tanh-approximation GELU written out with ``x**3``, not the library's cube."""
+    tanh = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + tanh), tanh
+
+
+def test_gelu_matches_the_formula_to_two_ulps():
+    tiny_to_large = np.logspace(-300, 3, 3000)
+    huge = np.array([1e102, 1e200, 1e300])  # the cube overflows to inf
+    x = np.concatenate([np.linspace(-10.0, 10.0, 40001), tiny_to_large, -tiny_to_large,
+                        huge, -huge, [0.0, -0.0]])
+    with np.errstate(over="ignore"):
+        out, tanh = _gelu_np(x)
+        want, want_tanh = _gelu_formula(x)
+    assert not np.isnan(out).any() and not np.isnan(tanh).any()
+    assert (np.abs(out - want) <= 2 * np.spacing(np.abs(x))).all()
+    assert (np.abs(tanh - want_tanh) <= 2 * np.spacing(np.abs(want_tanh))).all()
+
+
+def test_gelu_derivative_matches_central_differences():
+    # element-wise, out to |x| = 8, where the cube term dominates the tanh's argument
+    x, h = np.linspace(-8.0, 8.0, 3201), 1e-5
+    ad = _gelu_deriv(x, _gelu_np(x)[1])
+    fd = (_gelu_formula(x + h)[0] - _gelu_formula(x - h)[0]) / (2 * h)
+    assert np.abs(ad - fd).max() < 1e-8
 
 
 def test_layer_norm_of_one_row_has_its_bits_in_a_batch():

@@ -29,11 +29,11 @@ QUICK_START = {
 }
 
 DIGESTS = {
-    "stage0.ckpt": "c64883035ac38a517ef09ef0eb860c56c06a2d8f734cc1edb4c9a0f57515564f",
-    "stage1.ckpt": "9a5d733aef24b741ab68ab52cf3e0acec6c0a058dd7d643228b1d02e16859cf0",
-    "final.ckpt": "40ae255f869ce96365865da1bc2f2af5a9f0ce2ae67ec48a468cb259e9af1fb0",
+    "stage0.ckpt": "8cc96fad0f1973d3d62b4d7bbff96455105ac0a8ec64cde4be30831d3aedb3fd",
+    "stage1.ckpt": "7617b54e8fc434a74766f512708c5bf09147ce7fef1dea4f3a102bbba0ceb3e0",
+    "final.ckpt": "99596a211a4861608dee240cc022af81da8553b7079e3e95a7b98f683ff1f495",
     "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
-    "r_steps": "afd2906d6ef3b240eb6dae411843f87d6b8dc16a9f3f466a6020724bdfae7d3e",
+    "r_steps": "5546905a3d0516463f3e61b4ce180bb335c31a4151ad243d8018ba7f2bd43d4f",
     "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",
 }
 
@@ -60,8 +60,8 @@ CLI_DIGESTS = {
     "planted_labels.jsonl": "5ac2e404058a0e3013a98c2ce0c6ac42ac4b086693af7175e98eb17221595446",
     "labeling_category.jsonl": "4fa46965160d42def88a8d4eae1733b7a8c6aa835543298df2ab5a2d716796bf",
     "labeling_title.jsonl": "82970f99e51fa8a1902773c3e86305fc348825daf32b7dfb910a60946f29c219",
-    "traces.jsonl": "4f1a98e8f067f513ad9e254a95a913cd857f50c555e5037cf7b602e511742cf4",
-    "inspect.json": "5d0653d6d0004a16e2e8d17dfefb955b0b6058679dddccb24249505249b169bc",
+    "traces.jsonl": "fd1a65b717d6409285fba66d358540a2559168bdbe18bcee670bb49bd6d0e48b",
+    "inspect.json": "27f66250fd95bec285365e67a46fab0002842f6ee412063407c0f44eba43cc2b",
 }
 
 

@@ -45,46 +45,46 @@ DIGESTS = {
     "bench-m0-padded": "4549d1e09e8682679d49bb6492872c73d8e2913ccf6bf4b8155d091eaebe148f",
     "bench-m2-one": "2577ecd85a98ff6c95f7fa28e4a0059e796e38f583bef858c58f633850b4aade",
     "bench-m2-padded": "e4342ec71859e9ac8b0e73665735782a6cb4dc48b11d25e2924ab1faebdace0e",
-    "bench-m8-one": "75dc887e7f8fa6348fdaf0172db8540a032931fc5213a874cef8e9622a9df843",
+    "bench-m8-one": "c91dc3824e58666f41140b4635185ead58f308bfaf0f87cc8f5f1e8bd721da00",
     "bench-m8-padded": "e7c9438a91ecd9e9ed0df220a840e09ff1ea24de854143c7ff09f837682ecc57",
     "plain-m0-one": "ac678fb448b6e35cb416896ff6e8b955a5b7f36e4b09fb528f370597b46dec7c",
     "plain-m0-padded": "6bb5abe9d89068fde62b92f28ed683f2cfd162fdd4f2e6531ae904099ce525b3",
     "plain-m2-one": "5b4fff11f2c2ccc76045ee907ecee6c885d6dff758fc6382ccd28ee9fd2dca50",
     "plain-m2-padded": "41d5f1108aab5d9d3701bd01fa55fd52cb50a185c14fd6ca2f83665d029384fc",
     "plain-m8-one": "39914e0f1eab60b69b1936b3c337ee5183c854a682a7aaf519188c88dcf32e6c",
-    "plain-m8-padded": "b765b25957cb0e84c940307e48a8a228201b01d0222a2e7ce9e1daea06f9a4a8",
-    "trunk2-m0-one": "71f68a821487973249eb6444410be243ce05bc0ae2dd94b3379be37c439c508a",
-    "trunk2-m0-padded": "61320718e1dfc66f56b680344e5639ba52fd3cbcbdaa591fe23c3ed8c65fb3b5",
-    "trunk2-m2-one": "6c18f59bbb98c6643f681cce3f87ae53299f843a6876cc3f7e62223171befecc",
-    "trunk2-m2-padded": "1db351445b0697573221a6e8a6c01a2b70aef213b1e3e48e53b72f1ea634638e",
-    "trunk2-m8-one": "b3cda21039fba95f696bc35f274b534ef4db578fa83916e5999c1c031d1f6f48",
-    "trunk2-m8-padded": "07c11bdf34cd401458ba79be0e5460718c884d3084b5acc826bc08bcfce703c8",
+    "plain-m8-padded": "725f933b725ea3752b7dc61502aca920d54f8d3722c1f4de573c421a33397470",
+    "trunk2-m0-one": "81c06d9023dd07360a79319c297cbd7542a4b287f21205a0af35fee44257fb53",
+    "trunk2-m0-padded": "300282f5438800599fb639fb285274632f1e3cabd621e447cabb247be42d7970",
+    "trunk2-m2-one": "016f2ea0e8e0f4489dc54d5fa946790517160384f6b452463c2a3a5c1b4205bd",
+    "trunk2-m2-padded": "87f5290eb1ea27edf57dde82216e529fbc5419eadaefc475214100ab699e29f3",
+    "trunk2-m8-one": "d622f657595ec39ea38ee9ef9dc48486dd67aa24361fdd72979908a200ac9957",
+    "trunk2-m8-padded": "dcec5517a2a96e3392c4f9992071986c56f8f99a93020659028c03e9c143033e",
     "trunk3-m0-one": "fdfb984ca20b43140dd41f0821f35ac604d628a51bd9fda6e16b4b596a698e6c",
     "trunk3-m0-padded": "43c483df7064e3e8247ede893a178d3997139f7018bcb0113c435ebb4ac4ab3e",
     "trunk3-m2-one": "3379cc642bc96045e917a756ad59143ec252bb9a6fbdc13f663bd3765015a494",
-    "trunk3-m2-padded": "69cf53b130817e70503f2bd3292f545a26cdb375093c0ddb7b31f0e125f31b34",
-    "trunk3-m8-one": "78064bbd5beffab4e989052f69978adef7389c6c96c4b592c8f71d103fde0d0e",
-    "trunk3-m8-padded": "572e9a65f02bdee7b3361a0aec6204b523a973c6792eb11dc5ad09aa1acb8b13",
-    "unequal-m0-one": "39dbe621ddbc85fe1d75ad2b24c0fa2e1ca7c230cb35da743983eb09b08b5925",
+    "trunk3-m2-padded": "764fcfd3bf9d29619dbf24e5c77f94f39104936b295020b9b68933dfdecb3000",
+    "trunk3-m8-one": "fbd28e3cd74a036e5616f8ce32b5d1ea53c56c667c5b5eff554663b4804a8f3c",
+    "trunk3-m8-padded": "ce63a5726193091febc0d58883ebb4dcaebbbc98b7bf657ddf751d4d8226ef7a",
+    "unequal-m0-one": "1e64c7267fe63847434bd45dfb56e77f9bd9504dceba5e5c55d39e24fa91ace5",
     "unequal-m0-padded": "43e9acae6f98345ba64a1845d8549737c77a5f36530b4ffdc04a668a9d76e6c6",
-    "unequal-m2-one": "ce6efdac6005aac3e5830cb95da80233dc4534690a87ed9e2e4e930b57fe29ee",
+    "unequal-m2-one": "a109a4d7248bdd0305f3df55e947f4f2424fb4d4828701ed1376534e12378670",
     "unequal-m2-padded": "e60f97456927004524af22d1fc5b2a098b493b58e6df92ac84186e307ac340c2",
-    "unequal-m8-one": "49477060b6489c3e91950432f190097e7a2ecee8190e2e5c53407159cc1f61b1",
-    "unequal-m8-padded": "c067d539e36c87d4e217ea4bb8276cbee044ee982203d977f75bb4009509aa58",
-    "uniform-m0-one": "bd27dc766a43851317be3fe4d37a37d7529d029b65361a39de7ff7b3cad92be8",
+    "unequal-m8-one": "cba7417ac25afc1d9407e0d8f27c2059d8b43abb855681e747451529295bcafa",
+    "unequal-m8-padded": "9fd63b2a411474868ba5d91ace4c7e04e2e18968b1cc1cdace103cc045d98fb5",
+    "uniform-m0-one": "d2d4c0b726afef71e9b153d22391950d5ce799b78f592f9bac3501c4a16c9de9",
     "uniform-m0-padded": "6cf2899bf38788e69c3f37b1949e611ea50b69f66d2e97c44da3206ad4cb63c7",
-    "uniform-m2-one": "11b6e821056bcac052be178e344150893cf9c86fa96caad30ca6858e83ef2c9f",
-    "uniform-m2-padded": "67d1a51b74080328f4d6ea935befc69df11a8d71174d7b4a21418eeece91f0a7",
-    "uniform-m8-one": "b762edfe29ada02236efde143d4276559e7cdba82a41b96c461c4641e07c7a9e",
-    "uniform-m8-padded": "f471f09ac0e699b05eda1bdc66fde0bc3cd1c472a363e05aa27cf041d9750aea",
-    "width1-m0-one": "03a0fb814858c90c391f15cabbdf97bc6a52dcd2c4b0e4cd6af86d0393b0abce",
+    "uniform-m2-one": "3c77409a519613139897f19105118a6231df9f958954d857b860b08daf858d15",
+    "uniform-m2-padded": "0725ca246139574f15ae159cad52844caf685a95b75213cb7623197ad731291a",
+    "uniform-m8-one": "e66c394dac01641cb8e3c8baac962e8126ed60dbe1891e15cce0d4febb1772d8",
+    "uniform-m8-padded": "a27a03057c858bd482bdac61898f1a06d04b2ab15ce48949505c914d55b37f80",
+    "width1-m0-one": "70b2f7b7752081bbd3429693ee616a087696300ab9295091b63934e4387173b4",
     "width1-m0-padded": "661f90c916f32a825a55213a22e77cacf0e31126ca53fa57450ff2cc7e922b30",
-    "width1-m2-one": "c0d5a2ace60c11fbedac18688590635e7578f01a9657f48a1f322dd449ff560a",
-    "width1-m2-padded": "c7dc8b776f0ecff4f71e7bc139233855e44d3a7e7afa7868a5a47a6e5043895f",
-    "width1-m8-one": "312132e9ee389706707c8e1406879f8e11e8a3ed2af1f875935cbb415d4272c7",
-    "width1-m8-padded": "21abf3110d68426f868eb5e2e98b96cc72c9a5cedfc4622f3aa50120be53cc5c",
+    "width1-m2-one": "0360f478c56b2f28e4e1c88d7bf628ab2c01fa5b7a18f22e0634c1e690c9caec",
+    "width1-m2-padded": "d2aa6d6f70929103b46fa38f398e1b8af15d06c3a18d2d9b08f5719988dea9a6",
+    "width1-m8-one": "5b2b3a06be932d09a576f1b0fffcf728543330493d31af56af2a21aac9e97ca0",
+    "width1-m8-padded": "72e8da86d8c28374c916379519aa82f810db733822cf44216ba5e66586e034c4",
 }
-GRADS_DIGEST = "26853a963c830c2705e06ea57758b3be8dd886a036bf21ae5610e5b013dd9a4d"
+GRADS_DIGEST = "152555e3ac0302c1d3cf5d50df02849ba960a9a058c8e5800e4e4caf1e22b8fb"
 
 
 def _models(case: str, m: int):
