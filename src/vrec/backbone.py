@@ -17,13 +17,14 @@ batch of one. Rows are position-major (row c*B + b is column c of
 sequence b), so every linear layer is one matmul over all of them, each
 block is one graph node (``numerics.transformer_block``) and a step grows
 the cache by one concatenation of keys and of values per layer. The first
-block adds the position rows, and the final norm reads the last block's
-packed output, so a call builds the token lookup (a step takes its rows as
-they are), one node per block and the final norm. Only a batch whose
-histories differ in length has a token grid, and in each call a padding
-mask and a per-row position gather node; a padded slot's key is masked in
-every attention, so each sequence's states are those it has alone, up to
-the grouping of sums.
+block adds each row's position from the table by id, and the final norm
+reads the last block's packed output, so a call builds the token lookup (a
+step takes its rows as they are), one node per block and the final norm,
+whether or not the histories differ in length. Only a batch whose
+histories differ has a token grid and, in each call, a padding mask; a
+padded slot sits at position 0 and its key is masked in every attention,
+so each sequence's states are those it has alone, up to the grouping of
+sums.
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ class Backbone:
         position-major rows, and the cache grows by them. Any other call
         is refused with the cache left as it was.
         """
-        x, pos, at, mask = self._latent_rows(history, injected, cache) if injected else \
+        x, at, mask = self._latent_rows(history, injected, cache) if injected else \
             self._embed(history, cache)
         layers = cache.layers or [((), None, None)] * self.cfg.layers
+        pos = self._params["pos_emb"]
         for i, params in enumerate(self._blocks):
             past, keys, values = layers[i]
             x, keys, values = transformer_block(x, params, self.cfg.heads, mask, cache.batch,
@@ -197,11 +199,10 @@ class Backbone:
             embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
 
     def _embed(self, history, cache: KVCache):
-        """``encode``'s histories: their token embeddings, the position rows
-        the first block adds to them (``pos`` and ``at`` of
-        ``numerics.transformer_block``) and the mask of what they attend
-        to. Checks the call, then records the batch and its padding in
-        ``cache``."""
+        """``encode``'s histories: their token embeddings, each row's position
+        (``at`` of ``numerics.transformer_block``, 0 for padding) and the
+        mask of what they attend to. Checks the call, then records the
+        batch and its padding in ``cache``."""
         if cache.batch:
             raise ValueError("a cache that holds histories takes only latent steps, "
                              "one entry per call")
@@ -213,7 +214,7 @@ class Backbone:
                              f"{self.cfg.max_positions}")
         if min(counts, default=0) == 0:  # also no sequence at all
             raise ValueError("encode requires a non-empty history")
-        B, p = len(seqs), self._params
+        B = len(seqs)
         ragged = min(counts) < width
         pad = np.arange(width) >= np.array(counts)[:, None] if ragged else None  # (B, width)
         # the one place where item ids enter the model
@@ -221,23 +222,21 @@ class Backbone:
         if ids.min() < 0 or ids.max() >= self.cfg.n_items:
             bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
             raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
+        at = np.repeat(np.arange(width), B)  # column c of every sequence is at position c
         if ragged:  # the shorter histories' columns hold the non-item token, at position 0
             grid = np.full((B, width), self.cfg.n_items)
             grid[~pad] = ids
             ids = grid
-            pos = np.where(pad.T, 0, np.arange(width)[:, None]).reshape(-1)
-            pos, at = embedding_lookup(p["pos_emb"], pos), None
-        else:  # column c of every sequence is at position c
-            pos, at = p["pos_emb"], slice(0, width)
-        x = embedding_lookup(p["tok_emb"], ids.ravel("F"))
-        return x, pos, at, self._commit(cache, B, width, pad)
+            at[pad.T.ravel()] = 0
+        x = embedding_lookup(self._params["tok_emb"], ids.ravel("F"))
+        return x, at, self._commit(cache, B, width, pad)
 
     def _latent_rows(self, history, injected: list[Tensor], cache: KVCache):
         """``_embed`` for a latent step: one row per sequence, at its next
-        position, len(cache) for sequences of one length and ``lengths``
-        (a gather node) in a padded batch. The histories were checked when
-        they entered the cache, so this checks only the call and the rows
-        and position it adds."""
+        position, len(cache) for sequences of one length and ``lengths`` in
+        a padded batch. The histories were checked when they entered the
+        cache, so this checks only the call and the rows and position it
+        adds."""
         if len(history):
             raise ValueError("encode takes histories or one latent step, not both")
         if len(injected) != 1:
@@ -252,11 +251,10 @@ class Backbone:
         if start + 1 > self.cfg.max_positions:
             raise ValueError(f"sequence length {start + 1} exceeds max_positions "
                              f"{self.cfg.max_positions}")
-        pos, at, pad = self._params["pos_emb"], slice(start, start + 1), cache.pad
+        at, pad = np.full(B, start), cache.pad
         if pad is not None:
-            pos, at = embedding_lookup(pos, cache.lengths), None
-            pad = np.concatenate([pad, np.zeros((B, 1), bool)], axis=1)
-        return rows, pos, at, self._commit(cache, B, 1, pad)
+            at, pad = cache.lengths, np.concatenate([pad, np.zeros((B, 1), bool)], axis=1)
+        return rows, at, self._commit(cache, B, 1, pad)
 
     def _commit(self, cache: KVCache, B: int, n: int,
                 pad: np.ndarray | None) -> np.ndarray | None:

@@ -32,7 +32,7 @@ the verifier bank's step in ``verifiers``. Their outputs have the bits of
 the chains of elementary ops they replace, which stay in the tests as
 their oracles, and their gradients add terms in those chains' order. A
 block reads the first d columns of a wider input, a bank step's packed
-output, and the first block adds the position rows itself; ``layer_norm``
+output, and the first block adds each row's position itself; ``layer_norm``
 reads the first columns of a block's packed output. So a latent step
 builds the bank step, one node per block and the final norm, and no
 slicing or position node between them.
@@ -477,15 +477,14 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
                       past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
                       values: np.ndarray | None = None, pos: Tensor | None = None,
-                      at: slice | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      at: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
     is the embedded rows, a verifier step's packed output, or the block
-    below's output). The first block also takes the position rows ``pos``
-    and adds them to its input rows: with ``at`` a slice of the position
-    table ``pos``, its row c to column c of every sequence; with ``at``
-    None, ``pos`` holds one row per input row (a ragged batch's gather).
+    below's output). The first block also takes the position table ``pos``
+    and ``at``, one position per input row, and adds row ``at[r]`` of the
+    table to input row r.
     ``params`` are ln1 gain and bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2
     gain and bias, w1, b1, w2 and b2, and with u = LN1(x) the block computes
 
@@ -506,10 +505,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     d = wq.shape[0]
     rows, width = x.data.shape
     xd = x.data if width == d else x.data[:, :d]
-    if pos is not None and at is None:
-        xd = xd + pos.data
-    elif pos is not None:  # column c of every sequence is at position at.start + c
-        xd = (xd.reshape(-1, batch, d) + pos.data[at][:, None]).reshape(rows, d)
+    if pos is not None:
+        xd = xd + pos.data[at]
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
@@ -537,12 +534,9 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_x, g_gain1, g_bias1 = ln1_vjp((g_q @ wq.T + g_k @ wk.T) + g_v @ wv.T)
         g_x = g_a + g_x
         g_pos = ()
-        if pos is not None and at is None:
-            g_pos = (g_x,)
-        elif pos is not None:
-            g_table = np.zeros_like(pos.data)
-            g_table[at] = g_x.reshape(-1, batch, d).sum(axis=1)
-            g_pos = (g_table,)
+        if pos is not None:
+            g_pos = (np.zeros_like(pos.data),)
+            np.add.at(g_pos[0], at, g_x)
         if width != d:
             g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
         g_past, lo = [], 0

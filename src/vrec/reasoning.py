@@ -13,9 +13,9 @@ histories, then one (B, d_m) pass per step. Training, collection and
 evaluation run it on minibatches or on chunks of ``CHUNK`` samples; a
 single request is the batch of one. A step injects the bank step's packed
 output, whose first d_m columns are r*, so it builds three kinds of graph
-node: the bank step, one node per block and the final norm (and, in a
-batch of unequal histories, a position gather). ``recommend`` returns a
-request's full ranking, every item once.
+node, in a batch of unequal histories too: the bank step, one node per
+block and the final norm. ``recommend`` returns a request's full ranking,
+every item once.
 """
 
 from __future__ import annotations

@@ -25,15 +25,20 @@ from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _n
 from vrec.reasoning import recommend
 
 
-def add_rows(x: Tensor, rows: Tensor) -> Tensor:
-    """Add row c of an (n, d) matrix to the c-th of n equal runs of a (T, d)
-    matrix's rows (explicit, not broadcast): a position-major batch's positions."""
-    (T, d), n = x.data.shape, rows.data.shape[0]
-    if rows.data.shape != (n, d) or T % n:
-        raise ValueError(f"add_rows: shape mismatch {x.data.shape} + {rows.data.shape}")
-    run = (n, T // n, d)
-    return _node((x.data.reshape(run) + rows.data[:, None]).reshape(T, d), (x, rows), "add_rows",
-                 lambda g: (g, g.reshape(run).sum(axis=1)))
+def add_positions(x: Tensor, table: Tensor, ids) -> Tensor:
+    """Add row ids[r] of a (V, d) table to row r of a (T, d) matrix: each
+    row's position. The table's gradient scatters back, repeated ids adding."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if x.data.ndim != 2 or table.data.ndim != 2 or ids.shape != (len(x.data),) \
+            or x.data.shape[1] != table.data.shape[1]:
+        raise ValueError(f"add_positions: shapes {x.data.shape} + {table.data.shape} "
+                         f"at {ids.shape} ids")
+
+    def vjp(g):
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, ids, g)
+        return g, g_table
+    return _node(x.data + table.data[ids], (x, table), "add_positions", vjp)
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
@@ -102,9 +107,8 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     tokens, then its latents (a packed verdict cut to its first d_m
     columns), from its own length in ``cache`` on. It places the token and
     position rows, tracks the padding and masks the attention itself; adds
-    the position rows before the first block, a slice and ``add_rows``
-    while no sequence is padded, a gather and an add once one is; and runs
-    each block as the chain of elementary ops that
+    each row's position before the first block, as one ``add_positions``
+    node by position id; and runs each block as the chain of elementary ops that
     ``numerics.transformer_block`` fuses. Unlike ``encode`` it takes any mix
     in one call, so histories and several latents in one uncached call are
     the re-encode reference of a cached rollout. Its cache is a
@@ -132,10 +136,8 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     parts = [embedding_lookup(p["tok_emb"], grid.reshape(-1))] if width else []
     parts += latents
     x = parts[0] if len(parts) == 1 else concat(parts)
-    if cache.pad is None and not padding.any():
-        x = add_rows(x, p["pos_emb"][old:old + n])
-    else:
-        x = x + embedding_lookup(p["pos_emb"], position.reshape(-1))
+    x = add_positions(x, p["pos_emb"], position.reshape(-1))
+    if cache.pad is not None or padding.any():
         held = np.zeros((B, old), bool) if cache.pad is None else cache.pad
         cache.pad = np.concatenate([held, padding.T], axis=1)
     cache.batch, cache.lengths = B, starts + counts + len(latents)

@@ -56,9 +56,10 @@ def test_single_request_bits_unchanged(with_bank, depth):
     assert _single_request_digest(with_bank, depth) == PINNED[with_bank, depth]
 
 
-def _served_tensors(monkeypatch, m: int, with_bank: bool) -> int:
+def _served_tensors(monkeypatch, m: int, with_bank: bool, batch=None) -> int:
     """Tensors built by one request, the batch of one at the serving
-    benchmark's shapes, counted here rather than by a hook in the library."""
+    benchmark's shapes, or by serving and ranking ``batch`` (histories),
+    counted here rather than by a hook in the library."""
     bb = Backbone(ModelConfig(d_m=24, layers=1, heads=2, n_items=96, max_positions=32, m=m,
                               seed=1))
     bank = make_bank([("a", 6), ("b", 6), ("c", 6)], d_m=24, seed=1) if with_bank else None
@@ -69,8 +70,12 @@ def _served_tensors(monkeypatch, m: int, with_bank: bool) -> int:
         made.append(1)
         init(self, *args, **kwargs)
     monkeypatch.setattr(Tensor, "__init__", counting)
-    _, hidden = run_reasoning(bb, bank, list(range(1, 11)), m)
-    recommend(bb, hidden)
+    if batch is None:
+        _, hidden = run_reasoning(bb, bank, list(range(1, 11)), m)
+        recommend(bb, hidden)
+    else:
+        _, hidden = run_reasoning(bb, bank, batch, m)
+        bb.rank_items(hidden)
     return len(made)
 
 
@@ -89,6 +94,16 @@ def test_single_request_tensor_count(monkeypatch, m, with_bank, tensors):
     # packed verdict) and the final norm. The chains of ops before built 73
     # and 23, and the blocks with position and view nodes around them 21 and 7
     assert _served_tensors(monkeypatch, m, with_bank) == tensors
+
+
+def test_padded_batch_tensor_count(monkeypatch):
+    # histories of unequal length: the token lookup, one node per block (the
+    # first adds each row's position by id), the final norm and the gather
+    # of each history's last row; each latent step: the bank step, one node
+    # per block and the final norm. With a position gather node in each of
+    # the m + 1 calls it was 13
+    histories = [list(range(1, 11)), [4, 5, 6], list(range(20, 27))]
+    assert _served_tensors(monkeypatch, 2, True, histories) == 10
 
 
 # -- batched rows and stage losses against batches of one ---------------------

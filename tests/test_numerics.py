@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (Bare, add_rows, add_rowvec, attention, concat_columns, confidence, entropy,
-                     exp, gelu, grad_check, matvec, softmax)
+from oracles import (Bare, add_positions, add_rowvec, attention, concat_columns, confidence,
+                     entropy, exp, gelu, grad_check, matvec, softmax)
 from vrec.numerics import (
     Rng,
     Tensor,
@@ -336,7 +336,7 @@ def test_softmax_cross_entropy_analytic_identity():
 @pytest.mark.parametrize("op_name", [
     "matmul", "add_rowvec", "embedding", "layer_norm", "gelu", "relu",
     "softmax", "log_softmax", "log", "exp", "concat",
-    "row_slices", "entropy", "confidence", "transpose", "add_rows",
+    "row_slices", "entropy", "confidence", "transpose", "add_positions",
 ])
 def test_op_gradients_match_finite_differences(op_name):
     rng = Rng(hash(op_name) % (2**31))
@@ -402,10 +402,11 @@ def test_op_gradients_match_finite_differences(op_name):
         w = Tensor(rng.normal((3, 4)))
         t = Tensor(rng.normal((4, 3)))
         f = lambda: (w.transpose() * t).sum() + (w.transpose() * w.transpose()).sum()
-    elif op_name == "add_rows":
-        w = Tensor(rng.normal((2, 3)))
+    elif op_name == "add_positions":
+        w = Tensor(rng.normal((4, 3)))
         x = Tensor(rng.normal((6, 3)))
-        f = lambda: (add_rows(x, w) * add_rows(x, w) * x).sum()
+        ids = [2, 0, 2, 3, 0, 2]  # a repeated id adds its rows' gradients; row 1 gets none
+        f = lambda: (add_positions(x, w, ids) * add_positions(x, w, ids) * x).sum()
         assert np.abs(backward_grad(f, x) - fd_grad(f, x)).max() < 1e-6
     assert np.abs(backward_grad(f, w) - fd_grad(f, w)).max() < 1e-6
 

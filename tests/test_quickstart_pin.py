@@ -29,11 +29,11 @@ QUICK_START = {
 }
 
 DIGESTS = {
-    "stage0.ckpt": "8cc96fad0f1973d3d62b4d7bbff96455105ac0a8ec64cde4be30831d3aedb3fd",
-    "stage1.ckpt": "7617b54e8fc434a74766f512708c5bf09147ce7fef1dea4f3a102bbba0ceb3e0",
-    "final.ckpt": "99596a211a4861608dee240cc022af81da8553b7079e3e95a7b98f683ff1f495",
+    "stage0.ckpt": "4bfe2f3c7bfa92464a475effbacbd20059a1289225602f1e60299fe161268aba",
+    "stage1.ckpt": "6740d0e82f44121817aa82a2003d991d592a2b9d9eb2d7009236921fa64ee2f7",
+    "final.ckpt": "650ea4bc8c2f303e505a901e13c992663bbc3c5180aa1aaeaf81d9a00779aac4",
     "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
-    "r_steps": "5546905a3d0516463f3e61b4ce180bb335c31a4151ad243d8018ba7f2bd43d4f",
+    "r_steps": "4152bf1e3abebf7211b5eaad149f5721bb76f0deabfb0cacb30a3c67847fbba0",
     "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",
 }
 
@@ -60,8 +60,8 @@ CLI_DIGESTS = {
     "planted_labels.jsonl": "5ac2e404058a0e3013a98c2ce0c6ac42ac4b086693af7175e98eb17221595446",
     "labeling_category.jsonl": "4fa46965160d42def88a8d4eae1733b7a8c6aa835543298df2ab5a2d716796bf",
     "labeling_title.jsonl": "82970f99e51fa8a1902773c3e86305fc348825daf32b7dfb910a60946f29c219",
-    "traces.jsonl": "fd1a65b717d6409285fba66d358540a2559168bdbe18bcee670bb49bd6d0e48b",
-    "inspect.json": "27f66250fd95bec285365e67a46fab0002842f6ee412063407c0f44eba43cc2b",
+    "traces.jsonl": "036d9144339e8dccccfdeb6dee1f85611c516e8f76ed8d430574f3119bf3ffe4",
+    "inspect.json": "7bda26201d93e6b342ad7ae56da1182c0dea758110c45e8bf6335d8ac0ab62bd",
 }
 
 
