@@ -50,9 +50,9 @@ __all__ = ["Backbone", "KVCache", "ModelConfig"]
 N_SPECIAL_TOKENS = 1  # one reserved non-item token keeps item-row restriction honest
 MASK_VALUE = -1e30
 # a block's parameters in the order numerics.transformer_block takes them
-BLOCK_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
-                "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1",
-                "mlp.w2", "mlp.b2")
+BLOCK_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.bv",
+                "attn.wo", "attn.bo", "ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1", "mlp.w2",
+                "mlp.b2")
 
 
 @dataclass
@@ -139,7 +139,8 @@ class Backbone:
             p[pre + "ln1.bias"] = zeros(d)
             for name in ("wq", "wk", "wv", "wo"):
                 p[pre + "attn." + name] = w((d, d))
-                p[pre + "attn.b" + name[1]] = zeros(d)
+                if name != "wk":  # a key bias shifts all of a query's scores alike: softmax drops it
+                    p[pre + "attn.b" + name[1]] = zeros(d)
             p[pre + "ln2.gain"] = ones(d)
             p[pre + "ln2.bias"] = zeros(d)
             p[pre + "mlp.w1"] = w((d, 4 * d))

@@ -83,20 +83,24 @@ def _build(path: str | Path, config, verifiers) -> tuple[Backbone, VerifierBank 
 
 def _difference(stored: dict, table: list[tuple], expected: dict) -> str:
     """The first way a stored header, with its parameter table as (name,
-    shape, offset) rows, differs from the header of the models it describes."""
+    shape, offset) rows, differs from the header of the models it describes:
+    its sections, then a parameter name missing or unexpected (a file of
+    another layout), then a shape or offset."""
     for section in ("config", "verifiers"):
         if _canonical(stored.get(section)) != _canonical(expected[section]):
             return f"header {section} {stored.get(section)} is not the model's {expected[section]}"
+    names, wanted = [row[0] for row in table], [want["name"] for want in expected["params"]]
+    for name in wanted:
+        if name not in names:
+            return f"parameter {name} missing"
+    for name in names:
+        if name not in wanted:
+            return f"unexpected parameter {name} for the model its header describes"
     for want in expected["params"]:
-        got = [(shape, offset) for name, shape, offset in table if name == want["name"]]
-        if not got:
-            return f"parameter {want['name']} missing"
-        for field, value in zip(("shape", "offset"), got[0]):
+        got = next(row[1:] for row in table if row[0] == want["name"])
+        for field, value in zip(("shape", "offset"), got):
             if value != want[field]:
                 return f"parameter {want['name']} has {field} {value}, expected {want[field]}"
-    for name, _, _ in table:
-        if all(name != want["name"] for want in expected["params"]):
-            return f"unexpected parameter {name} for the model its header describes"
     return "header is not the one saving its models writes (a parameter repeated or out of " \
         "body order, or JSON in another form)"
 

@@ -484,14 +484,16 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     is the embedded rows, a verifier step's packed output, or the block
     below's output). The first block also takes the position table ``pos``
     and ``at``, one position per input row, and adds row ``at[r]`` of the
-    table to input row r.
-    ``params`` are ln1 gain and bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2
-    gain and bias, w1, b1, w2 and b2, and with u = LN1(x) the block computes
+    table to input row r. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
+    bv, wo, bo, ln2 gain and bias, w1, b1, w2 and b2, and with x the input
+    rows (plus pos[at] in the first block) and u = LN1(x) the block computes
 
-        a = x + attention(u Wq + bq, [keys; u Wk + bk], [values; u Wv + bv]) Wo + bo
+        a = x + attention(u Wq + bq, [keys; u Wk], [values; u Wv + bv]) Wo + bo
         out = a + gelu(LN2(a) W1 + b1) W2 + b2
 
-    (``_attention_np`` with ``heads``, ``mask`` and ``batch``). ``past`` are
+    (``_attention_np`` with ``heads``, ``mask`` and ``batch``). The keys have
+    no bias: it would add q.bk to all of a query's scores alike, which
+    softmax ignores, so its gradient is exactly zero. ``past`` are
     this layer's outputs from earlier calls; ``keys`` and ``values`` are
     their k and v columns concatenated, which the new rows attend to after
     (None with no ``past``). The gradient flows to ``past`` and ``pos`` too.
@@ -500,7 +502,7 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     bits of the chain of elementary ops it replaces, and its gradient adds
     terms in that chain's order.
     """
-    (gain1, bias1, wq, bq, wk, bk, wv, bv, wo, bo,
+    (gain1, bias1, wq, bq, wk, wv, bv, wo, bo,
      gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
     d = wq.shape[0]
     rows, width = x.data.shape
@@ -510,7 +512,7 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
-    q, k, v = u @ wq + bq, u @ wk + bk, u @ wv + bv
+    q, k, v = u @ wq + bq, u @ wk, u @ wv + bv
     if keys is not None:
         keys, values = np.concatenate([keys, k]), np.concatenate([values, v])
     else:
@@ -547,9 +549,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
             g_past.append(g_t)
             lo = hi
         return (*g_past, g_gain1, g_bias1, u.T @ g_q, g_q.sum(axis=0), u.T @ g_k,
-                g_k.sum(axis=0), u.T @ g_v, g_v.sum(axis=0), joined.T @ g_a, g_a.sum(axis=0),
-                g_gain2, g_bias2, u2.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out,
-                g_out.sum(axis=0), g_x, *g_pos)
+                u.T @ g_v, g_v.sum(axis=0), joined.T @ g_a, g_a.sum(axis=0), g_gain2, g_bias2,
+                u2.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0), g_x, *g_pos)
     # x and pos last: backward's depth-first search then reaches this call's
     # inputs before the earlier calls, in the order the chain of ops did
     inputs = (x,) if pos is None else (x, pos)

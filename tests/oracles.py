@@ -150,8 +150,9 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     for i in range(cfg.layers):
         pre = f"blocks.{i}."
         normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        q, k, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
-                   for c in "qkv")
+        q, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
+                for c in "qv")
+        k = matmul(normed, p[pre + "attn.wk"])  # no key bias
         if i < len(cache.keys):
             k = cache.keys[i] = concat([cache.keys[i], k])
             v = cache.values[i] = concat([cache.values[i], v])

@@ -24,7 +24,7 @@ def test_same_seed_identical_params():
 def test_param_count_formula():
     cfg = small_cfg(d_m=24, layers=3, heads=3, n_items=20, max_positions=40)
     d, L = cfg.d_m, cfg.layers
-    expected = cfg.vocab * d + cfg.max_positions * d + L * (12 * d * d + 13 * d) + 2 * d
+    expected = cfg.vocab * d + cfg.max_positions * d + L * (12 * d * d + 12 * d) + 2 * d
     assert Backbone(cfg).values.size == expected
 
 
@@ -363,7 +363,7 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
     checked = [name for name in grads
                if name == "pos_emb" or name.startswith(("ln_f.", "blocks.", "router.",
                                                         "trunk.", "heads."))]
-    assert len(checked) == 3 + 16 * layers + 2 + 2 + 2 * 2
+    assert len(checked) == 3 + 15 * layers + 2 + 2 + 2 * 2
     assert grads["pos_emb"].any()
     for name in checked:
         assert np.abs(grads[name] - chain_grads[name]).max() <= 1e-12, name

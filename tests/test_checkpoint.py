@@ -242,6 +242,18 @@ def _without_classes(parts):
             e["offset"] -= cut
 
 
+def _with_key_bias(parts):
+    """SAVED as a backbone whose blocks had a key bias was saved: a
+    ``blocks.0.attn.bk`` of d_m zeros in body order, before ``attn.bo``."""
+    params, start = parts["header"]["params"], _entry(parts, "backbone.blocks.0.attn.bo")["offset"]
+    for e in params:
+        if e["offset"] >= start:
+            e["offset"] += 8 * 8
+    params.insert(params.index(_entry(parts, "backbone.blocks.0.attn.bo")),
+                  {"name": "backbone.blocks.0.attn.bk", "shape": [8], "offset": start})
+    parts["body"][start:start] = bytes(8 * 8)
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda p: p["header"]["params"].remove(_entry(p, "backbone.ln_f.bias")),
      "parameter backbone.ln_f.bias missing"),
@@ -252,16 +264,17 @@ def _without_classes(parts):
         p["body"].extend(bytes(8 * 24))),
      "unexpected parameter bank.heads.3.w"),
     (_per_verifier_layout, "parameter bank.heads.2.b missing"),
-    (lambda p: _entry(p, "backbone.blocks.0.attn.bk").update(offset=-8),
-     r"parameter backbone.blocks.0.attn.bk has offset -8, expected \d+"),
+    (lambda p: _entry(p, "backbone.blocks.0.attn.bq").update(offset=-8),
+     r"parameter backbone.blocks.0.attn.bq has offset -8, expected \d+"),
     (lambda p: _entry(p, "backbone.ln_f.gain").update(
         offset=_entry(p, "backbone.ln_f.bias")["offset"]),
      r"parameter backbone.ln_f.gain has offset \d+, expected \d+"),
     (lambda p: p["header"]["params"].reverse(), "out of body order"),
     (lambda p: p["header"]["params"].append(_entry(p, "bank.router.a")), "a parameter repeated"),
     (lambda p: p["body"].extend(bytes(8)), r"trailing bytes \(\d+ bytes, parameters end at \d+\)"),
+    (_with_key_bias, "unexpected parameter backbone.blocks.0.attn.bk"),
 ], ids=["missing", "wrong_shape", "unexpected", "per_verifier_layout", "negative_offset",
-        "overlapping_offset", "out_of_order", "repeated", "trailing_bytes"])
+        "overlapping_offset", "out_of_order", "repeated", "trailing_bytes", "key_bias_layout"])
 def test_parameters_must_match_the_header_model(tmp_path, edit, message):
     path = _rewritten(tmp_path / "edited.ckpt", edit)
     with pytest.raises(ValueError, match=message) as err:

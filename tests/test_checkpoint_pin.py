@@ -20,30 +20,30 @@ BANKS = {"no_bank": None, "depth1": (1, 0), "depth2": (2, 0), "depth2_w10": (2, 
          "depth3": (3, 0), "depth3_w10": (3, 10)}
 
 DIGESTS = {
-    "no_bank-1-1": "8d4cd719cc66d97c3831082db4657d9b91fa370c1055ff06c65744702736fec1",
-    "no_bank-1-2": "e270117c0649778a87217de9465f5578b9e65afad3a4bfe01e24dbc168d60670",
-    "no_bank-3-1": "f8f6f26815503377f18fed41aacc52442707d61416c7ec34f30dfadb54e568ca",
-    "no_bank-3-2": "5123262eb00d3f4e6c83a563717fb64df0e13bc36b29d07ef948fc6f6202e63f",
-    "depth1-1-1": "1adf6ea55ecac2f1023e020f200227952e0544b81cf1be81d6f70a34592ce58d",
-    "depth1-1-2": "0b3ab4d61d2a46b5b5d06236f40348cf07ab37b354468b6e171e3f15607f60fa",
-    "depth1-3-1": "fcfe72db9f667c29824502533bc3697e8b134b00c2150d27d0ccd69c4ab2f739",
-    "depth1-3-2": "af4da75dc9b464285b7bff0607767ebd73736b645f00a3b449658f3cb645da00",
-    "depth2-1-1": "a7b938f91e50f2a0ae53f7a97e0598eb24a64ff1bd7c396547191b1c37a06ce8",
-    "depth2-1-2": "d4a5d290ec516a6bf06149dceba62c2cdad224fb9bab52b509757e51b0c97f7a",
-    "depth2-3-1": "f04247ec76b96bb08c65f528ab6c5f0fd7622cdad682a5a2f039784b11f9fa69",
-    "depth2-3-2": "032f6d010fc9c77eb965eea381a6a9f36715740c956c81c892d918af52a992b2",
-    "depth2_w10-1-1": "a7b938f91e50f2a0ae53f7a97e0598eb24a64ff1bd7c396547191b1c37a06ce8",
-    "depth2_w10-1-2": "d4a5d290ec516a6bf06149dceba62c2cdad224fb9bab52b509757e51b0c97f7a",
-    "depth2_w10-3-1": "f04247ec76b96bb08c65f528ab6c5f0fd7622cdad682a5a2f039784b11f9fa69",
-    "depth2_w10-3-2": "032f6d010fc9c77eb965eea381a6a9f36715740c956c81c892d918af52a992b2",
-    "depth3-1-1": "f454ac66736b02f3c4f480558c440464fb04cde4457af827653b41ceefaf040f",
-    "depth3-1-2": "5eeebaabc17c744e277d39db9049408770f8b24a89558c756424ba22e4dadd33",
-    "depth3-3-1": "bb4997cad6c1026b81026f1c904b44d3632e6d20b95ff5ae57d7795f084b9152",
-    "depth3-3-2": "fbe990934193985bd39482954a72dcbf6b67d2d9beded25faecb590418fcf8a9",
-    "depth3_w10-1-1": "cdb5a6654a2664a69bb224081f7f7d14fbda3dad1e8e05cbc20f3c4b1a33ce78",
-    "depth3_w10-1-2": "11ee39f08dcd1743d896b5c0bcaa8e9281ea09c080887aa31aeaf008f6f9a14a",
-    "depth3_w10-3-1": "6d468eaf0fa45fe3bb7dba1882dc1839ca9f5b19cee2ba82845c7ccf0432896e",
-    "depth3_w10-3-2": "1570f80cb2eccea890f2afe814ed3ba86b5825b38f820af4d369da805d85d224",
+    "no_bank-1-1": "13170d7be719f84aa99939f85dad02c83eee5521728500fd3bb110532d8e8eb2",
+    "no_bank-1-2": "85d217e19cfa434bc9e11cd1533806c5d1909ed42e6aa3c8ebf622c50ccc1441",
+    "no_bank-3-1": "f69493ccc47e93a32e43b4c850e6f914ef1906c76a6cff19f355639316925322",
+    "no_bank-3-2": "bb74375f23c6e240850fd02ec1e85d62b80ed90579cc479bbdc70792f80f1fdc",
+    "depth1-1-1": "046ac7f7265679a0b6ebde4e52e9b6187dba7f1d1bfe5d721bfd14f64cc497a5",
+    "depth1-1-2": "ebddc53aec2896dc928a12bd426828fce922fae168f66565aa7936c002c72e1a",
+    "depth1-3-1": "46fa048de4c4c59cbae94f371fe6aed930570ce6728dde0a2f3b4ac0d2c9954f",
+    "depth1-3-2": "8f16d38a8c548d6ab132d10a4a93b0e1d856d4a4700f0e47f8ad422fee0035ef",
+    "depth2-1-1": "342109ae7cf46ba612fec080abd328c3f261734773268315437a9c4b7ca1ece8",
+    "depth2-1-2": "d8f6497a72a87252e2f21ec3a7caa08f0984ec86717446474da56a6d60b8cf0d",
+    "depth2-3-1": "815ac669b52a2d0385aeb57e2c114e4f32e0bbcba9e788babbd86eeb951c9905",
+    "depth2-3-2": "28e5a12282cfe7937c8586ba3e997ca6a2455f9628ca3c776ecb355caf743851",
+    "depth2_w10-1-1": "342109ae7cf46ba612fec080abd328c3f261734773268315437a9c4b7ca1ece8",
+    "depth2_w10-1-2": "d8f6497a72a87252e2f21ec3a7caa08f0984ec86717446474da56a6d60b8cf0d",
+    "depth2_w10-3-1": "815ac669b52a2d0385aeb57e2c114e4f32e0bbcba9e788babbd86eeb951c9905",
+    "depth2_w10-3-2": "28e5a12282cfe7937c8586ba3e997ca6a2455f9628ca3c776ecb355caf743851",
+    "depth3-1-1": "42bf46c88baef339d5111693b24a9780ab3bbe1c2d7b635a8d559958c3af1c24",
+    "depth3-1-2": "5250e5561f1f35d5cf62ca543ae1f1b6aa9a9e20d3ecf0b03927c836123c094b",
+    "depth3-3-1": "0785d77be16b2c83a91d367c7737cc93b4cd0e83d8cf17055d9cd579f20308db",
+    "depth3-3-2": "ec4c86ea36ca1b973cac09f21d8fbbad9f84c332e63cd96e83e0460ff23c4af4",
+    "depth3_w10-1-1": "1d4bf203c99a20c1f886f8f5be35fc229b55d0fa9e3119d25c75c4acc16d7483",
+    "depth3_w10-1-2": "e8278521408ffc733584fb8d81d3eb475f0091df09090b8f53c5869a8437306b",
+    "depth3_w10-3-1": "ea76ef35c2bd20006933b6c0afa4c555fad8ef8c6e000b117e9b82c8b1124b57",
+    "depth3_w10-3-2": "13cf18ce29e437d34610b9778b930ddd5195d22732a4f475f6eac44ac9a2db78",
 }
 
 

@@ -29,11 +29,11 @@ QUICK_START = {
 }
 
 DIGESTS = {
-    "stage0.ckpt": "4bfe2f3c7bfa92464a475effbacbd20059a1289225602f1e60299fe161268aba",
-    "stage1.ckpt": "6740d0e82f44121817aa82a2003d991d592a2b9d9eb2d7009236921fa64ee2f7",
-    "final.ckpt": "650ea4bc8c2f303e505a901e13c992663bbc3c5180aa1aaeaf81d9a00779aac4",
+    "stage0.ckpt": "995a6ce51719d9c8b97e0015343a4c1d2f8ad59a314b1616f47dde1624e3f4ca",
+    "stage1.ckpt": "6e55b3864fa2afa94b9584abaac941aa87b234184df19511b239921afa171cc2",
+    "final.ckpt": "20d493d95d7c4be741c273f4c952634811629a8cdb7e4a79b016a3e31d0c7322",
     "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
-    "r_steps": "4152bf1e3abebf7211b5eaad149f5721bb76f0deabfb0cacb30a3c67847fbba0",
+    "r_steps": "0570c4ce9a4137e25c0655b842cfccbe6cfbbbc7d09bf457eacf9935c733e2d9",
     "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",
 }
 
@@ -60,8 +60,8 @@ CLI_DIGESTS = {
     "planted_labels.jsonl": "5ac2e404058a0e3013a98c2ce0c6ac42ac4b086693af7175e98eb17221595446",
     "labeling_category.jsonl": "4fa46965160d42def88a8d4eae1733b7a8c6aa835543298df2ab5a2d716796bf",
     "labeling_title.jsonl": "82970f99e51fa8a1902773c3e86305fc348825daf32b7dfb910a60946f29c219",
-    "traces.jsonl": "036d9144339e8dccccfdeb6dee1f85611c516e8f76ed8d430574f3119bf3ffe4",
-    "inspect.json": "7bda26201d93e6b342ad7ae56da1182c0dea758110c45e8bf6335d8ac0ab62bd",
+    "traces.jsonl": "8a4d887dd36540641da5f32e8a279d8ec7760bd6d9dcbf0d5cc80103bf9e1f39",
+    "inspect.json": "27af907f851869c8049affd92b1db3f8ac82cf4aa9d7d076cb31ebde75ed461b",
 }
 
 

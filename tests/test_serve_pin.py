@@ -41,50 +41,50 @@ BATCHES = {"one": [3, 17, 5, 5, 0, 12, 9],
            "padded": [[1, 2, 3, 4, 5], [19, 0, 7, 7, 3, 11, 2, 8, 6], [4, 4, 13]]}
 
 DIGESTS = {
-    "bench-m0-one": "3360e66735a0db6856dadc42f9fb91cb091f732833faf74aed8893acbd80dc98",
-    "bench-m0-padded": "4549d1e09e8682679d49bb6492872c73d8e2913ccf6bf4b8155d091eaebe148f",
-    "bench-m2-one": "2577ecd85a98ff6c95f7fa28e4a0059e796e38f583bef858c58f633850b4aade",
-    "bench-m2-padded": "e4342ec71859e9ac8b0e73665735782a6cb4dc48b11d25e2924ab1faebdace0e",
-    "bench-m8-one": "c91dc3824e58666f41140b4635185ead58f308bfaf0f87cc8f5f1e8bd721da00",
-    "bench-m8-padded": "e7c9438a91ecd9e9ed0df220a840e09ff1ea24de854143c7ff09f837682ecc57",
-    "plain-m0-one": "ac678fb448b6e35cb416896ff6e8b955a5b7f36e4b09fb528f370597b46dec7c",
-    "plain-m0-padded": "6bb5abe9d89068fde62b92f28ed683f2cfd162fdd4f2e6531ae904099ce525b3",
-    "plain-m2-one": "5b4fff11f2c2ccc76045ee907ecee6c885d6dff758fc6382ccd28ee9fd2dca50",
-    "plain-m2-padded": "41d5f1108aab5d9d3701bd01fa55fd52cb50a185c14fd6ca2f83665d029384fc",
-    "plain-m8-one": "39914e0f1eab60b69b1936b3c337ee5183c854a682a7aaf519188c88dcf32e6c",
-    "plain-m8-padded": "725f933b725ea3752b7dc61502aca920d54f8d3722c1f4de573c421a33397470",
-    "trunk2-m0-one": "81c06d9023dd07360a79319c297cbd7542a4b287f21205a0af35fee44257fb53",
-    "trunk2-m0-padded": "300282f5438800599fb639fb285274632f1e3cabd621e447cabb247be42d7970",
-    "trunk2-m2-one": "016f2ea0e8e0f4489dc54d5fa946790517160384f6b452463c2a3a5c1b4205bd",
-    "trunk2-m2-padded": "87f5290eb1ea27edf57dde82216e529fbc5419eadaefc475214100ab699e29f3",
-    "trunk2-m8-one": "d622f657595ec39ea38ee9ef9dc48486dd67aa24361fdd72979908a200ac9957",
-    "trunk2-m8-padded": "dcec5517a2a96e3392c4f9992071986c56f8f99a93020659028c03e9c143033e",
-    "trunk3-m0-one": "fdfb984ca20b43140dd41f0821f35ac604d628a51bd9fda6e16b4b596a698e6c",
-    "trunk3-m0-padded": "43c483df7064e3e8247ede893a178d3997139f7018bcb0113c435ebb4ac4ab3e",
-    "trunk3-m2-one": "3379cc642bc96045e917a756ad59143ec252bb9a6fbdc13f663bd3765015a494",
-    "trunk3-m2-padded": "764fcfd3bf9d29619dbf24e5c77f94f39104936b295020b9b68933dfdecb3000",
-    "trunk3-m8-one": "fbd28e3cd74a036e5616f8ce32b5d1ea53c56c667c5b5eff554663b4804a8f3c",
-    "trunk3-m8-padded": "ce63a5726193091febc0d58883ebb4dcaebbbc98b7bf657ddf751d4d8226ef7a",
-    "unequal-m0-one": "1e64c7267fe63847434bd45dfb56e77f9bd9504dceba5e5c55d39e24fa91ace5",
-    "unequal-m0-padded": "43e9acae6f98345ba64a1845d8549737c77a5f36530b4ffdc04a668a9d76e6c6",
-    "unequal-m2-one": "a109a4d7248bdd0305f3df55e947f4f2424fb4d4828701ed1376534e12378670",
-    "unequal-m2-padded": "e60f97456927004524af22d1fc5b2a098b493b58e6df92ac84186e307ac340c2",
-    "unequal-m8-one": "cba7417ac25afc1d9407e0d8f27c2059d8b43abb855681e747451529295bcafa",
-    "unequal-m8-padded": "9fd63b2a411474868ba5d91ace4c7e04e2e18968b1cc1cdace103cc045d98fb5",
-    "uniform-m0-one": "d2d4c0b726afef71e9b153d22391950d5ce799b78f592f9bac3501c4a16c9de9",
-    "uniform-m0-padded": "6cf2899bf38788e69c3f37b1949e611ea50b69f66d2e97c44da3206ad4cb63c7",
-    "uniform-m2-one": "3c77409a519613139897f19105118a6231df9f958954d857b860b08daf858d15",
-    "uniform-m2-padded": "0725ca246139574f15ae159cad52844caf685a95b75213cb7623197ad731291a",
-    "uniform-m8-one": "e66c394dac01641cb8e3c8baac962e8126ed60dbe1891e15cce0d4febb1772d8",
-    "uniform-m8-padded": "a27a03057c858bd482bdac61898f1a06d04b2ab15ce48949505c914d55b37f80",
-    "width1-m0-one": "70b2f7b7752081bbd3429693ee616a087696300ab9295091b63934e4387173b4",
-    "width1-m0-padded": "661f90c916f32a825a55213a22e77cacf0e31126ca53fa57450ff2cc7e922b30",
-    "width1-m2-one": "0360f478c56b2f28e4e1c88d7bf628ab2c01fa5b7a18f22e0634c1e690c9caec",
-    "width1-m2-padded": "d2aa6d6f70929103b46fa38f398e1b8af15d06c3a18d2d9b08f5719988dea9a6",
-    "width1-m8-one": "5b2b3a06be932d09a576f1b0fffcf728543330493d31af56af2a21aac9e97ca0",
-    "width1-m8-padded": "72e8da86d8c28374c916379519aa82f810db733822cf44216ba5e66586e034c4",
+    "bench-m0-one": "0317bc743e9fc54c5b0490ab99a3c02a82ed73ac958f40bd73243fd6eff59390",
+    "bench-m0-padded": "bc0af531cfda4f03203f96a8216485d279b944c7afa985c2e70579452d2d3067",
+    "bench-m2-one": "739d0096a0fb1fe3df870e44bd78d4019caa60e1755357e819d6e88bf3d62811",
+    "bench-m2-padded": "c610a41b4c6904242adcf7a0cdc6edec4543cfd63059dec6adc2b5b7f9ad5a8b",
+    "bench-m8-one": "b49c6b9058e38aaae9d99b30208b8988a1e0e4fecea0562309ab00a745d3b976",
+    "bench-m8-padded": "e8b46b86990fa9289d34c98b6a5cf2a48e908aba49605ee16fe0d47b0f735a4a",
+    "plain-m0-one": "5889f1816665c16d1d3bda3ae96ec561e3f5a30eef4298b58074d949e10e121b",
+    "plain-m0-padded": "ad2428c109f5e5450645c0ae389cc3c8eb5b27cc21a44578d428a2d071aefeb2",
+    "plain-m2-one": "cdfcfb4c271f61e278c29d1c92131ba784418cf53402fec04198a3e4da813047",
+    "plain-m2-padded": "753cbbff378342dce22f9b507b1d9bf7830aa35c426a3d91f0f85e14439a1290",
+    "plain-m8-one": "dc204be4dd134c9703244a282c00fb729cb3619b7d11e08fd4abe4362e409f09",
+    "plain-m8-padded": "e87de808afec9ff05720d9131d95c818fe5ae1d9928729a5fa96a177acdc6894",
+    "trunk2-m0-one": "d8a523c43eb8f4a05a751e5d2e638bea98d31c74d1046ca5470d0ebca7a5fe78",
+    "trunk2-m0-padded": "117f35470843fabb1c19a276db24a4a4fe2ed55c56d6ab2b9236d2e599afaab9",
+    "trunk2-m2-one": "116ee0b01cce8220ab8608f0b30fa18a4fa9faf34bc304dcf0d80d00c67118ed",
+    "trunk2-m2-padded": "f5a45c50aed28be6ae1e0d79fb78907aaf4bfeed8601ee44fcae9cca1449a06e",
+    "trunk2-m8-one": "f53347656aae192d1672a22fef7f1937fa36b1266ad43d51fe05062bd68faf54",
+    "trunk2-m8-padded": "642b95b7b64b695ebd5e5c75d7dc81793b630fbc4a10ef87c7ead25fee966772",
+    "trunk3-m0-one": "5b0d26332936b4b476c36c8b947820991caf1534e1400dc1d45ac378c23c1840",
+    "trunk3-m0-padded": "63c922fbc0d4bf6245b140e24b9f4f8c2e2579fe1759aecbf9aaae755032345f",
+    "trunk3-m2-one": "5dba021d23cdf32293600bace36c1b7d606fb6c7c49f7f2f9fa98a8f2c662e4b",
+    "trunk3-m2-padded": "30136d9f5a9c00359dee8d267765edf7e302dfdbf5a823aff83ae71272c6f54a",
+    "trunk3-m8-one": "e3d62d8abb6fd12988ad443ca3608f4ca468dc46d5e0580223c35315138191c1",
+    "trunk3-m8-padded": "45d9443a88f7f0b042d3fba69ca7284540d9459cf4641cced7a8d289dd325126",
+    "unequal-m0-one": "f1745d688b49ebfb087bb4adb0d8c5b20cb73ee781e71cb9e0d49b6f044add5c",
+    "unequal-m0-padded": "5eb1ebcee61f25b7854680413279000ee519bdc12768a2e1e613d384eb2b46f1",
+    "unequal-m2-one": "11765fa14a40bff24688bbc71e8c4e461386cc2689e83ecd483cd3eab2964253",
+    "unequal-m2-padded": "8d17d657c45098b78793f615c8da8878887d030b2908537a8aed3a4ff8eaacbe",
+    "unequal-m8-one": "7ebe28b8e541c1b80ec98dfe5ce7dd69d34f6eababc18f9194ac91af390b32a4",
+    "unequal-m8-padded": "43a7f2bb4b2cc26cac9a76f30c650ba69dbd36c3f723797c683cd59f9ea3d9f0",
+    "uniform-m0-one": "5d77b38ee65ccba03d29ee1de989552ba82989b38a0aa0b5297b1ed18a356b2a",
+    "uniform-m0-padded": "5bf394bd4a292cc80a50310deaa2a79045cb5e505a6fda868c047ac23f04675c",
+    "uniform-m2-one": "698c0b18a13687951787455d38517c2b101c6036f8a1a7990a21706b0dac91ea",
+    "uniform-m2-padded": "fcd28a5a447b6ababf6fbf4ce2a42fbaf5c1edf1025f68c4916fbc70840de9aa",
+    "uniform-m8-one": "aee9b57ed63129bbd5f5b390201d5ab002b8703279b4b6d1bb44f71e6f65194a",
+    "uniform-m8-padded": "62d6401bdf16f8b4326b84942a3cd3593d74dbbabbcb624aeb2d994a47122a29",
+    "width1-m0-one": "feed79aa51e2d1427d1d3e46e6af1725dd861c12dcf3f39854ca8ec68b8e1910",
+    "width1-m0-padded": "ca473ee9385344c351d50ca2be3235d8e7590bd31d9f716f9911b5c1d223f539",
+    "width1-m2-one": "7791a74a30ff979899455bebebdeee7023924eeb6c77660ba012bdb21ac35e47",
+    "width1-m2-padded": "3b76c798ee8596f6623cc27f626ba28ae9d78ccf907c960998eb6d084d7633f5",
+    "width1-m8-one": "530ac6a1b886ede055afb9a48e1d32692c9f24a395d43ef0922f35b5d14c29a2",
+    "width1-m8-padded": "16e82935a805d0a0a8d59c7ce02061a8abce325657f5f8d2321ae228269c394e",
 }
-GRADS_DIGEST = "152555e3ac0302c1d3cf5d50df02849ba960a9a058c8e5800e4e4caf1e22b8fb"
+GRADS_DIGEST = "ba5f158a17221ab4d90632fe8b456bff0c2be30cda8a86b6e9015fbe35c78c7d"
 
 
 def _models(case: str, m: int):
@@ -94,8 +94,10 @@ def _models(case: str, m: int):
                                  max_positions=24, m=m, seed=seed))
     rng = Rng(seed, 3)
     # parameters at unit scale, so attention and predictions are far from uniform
-    for t in model.params().values():
+    for name, t in model.params().items():
         t.data[...] = rng.normal(t.shape, std=0.7)
+        if name.endswith("attn.wk"):  # the draw of the key bias the blocks had
+            rng.normal(d_m, std=0.7)
     bank = None
     if dims:
         bank = make_bank(dims, d_m=d_m, seed=seed, hidden_width=width, hidden_depth=depth)
