@@ -223,7 +223,7 @@ class Backbone:
         if ids.min() < 0 or ids.max() >= self.cfg.n_items:
             bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
             raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
-        at = np.repeat(np.arange(width), B)  # column c of every sequence is at position c
+        at = np.arange(width).repeat(B)  # column c of every sequence is at position c
         if ragged:  # the shorter histories' columns hold the non-item token, at position 0
             grid = np.full((B, width), self.cfg.n_items)
             grid[~pad] = ids

@@ -89,7 +89,8 @@ def _difference(stored: dict, table: list[tuple], expected: dict) -> str:
     for section in ("config", "verifiers"):
         if _canonical(stored.get(section)) != _canonical(expected[section]):
             return f"header {section} {stored.get(section)} is not the model's {expected[section]}"
-    names, wanted = [row[0] for row in table], [want["name"] for want in expected["params"]]
+    names = [name for name, _, _ in table]
+    wanted = [want["name"] for want in expected["params"]]
     for name in wanted:
         if name not in names:
             return f"parameter {name} missing"
@@ -97,7 +98,7 @@ def _difference(stored: dict, table: list[tuple], expected: dict) -> str:
         if name not in wanted:
             return f"unexpected parameter {name} for the model its header describes"
     for want in expected["params"]:
-        got = next(row[1:] for row in table if row[0] == want["name"])
+        got = next((shape, offset) for name, shape, offset in table if name == want["name"])
         for field, value in zip(("shape", "offset"), got):
             if value != want[field]:
                 return f"parameter {want['name']} has {field} {value}, expected {want[field]}"

@@ -108,11 +108,11 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     columns), from its own length in ``cache`` on. It places the token and
     position rows, tracks the padding and masks the attention itself; adds
     each row's position before the first block, as one ``add_positions``
-    node by position id; and runs each block as the chain of elementary ops that
-    ``numerics.transformer_block`` fuses. Unlike ``encode`` it takes any mix
-    in one call, so histories and several latents in one uncached call are
-    the re-encode reference of a cached rollout. Its cache is a
-    ``ChainCache``."""
+    node by position id; and runs each block, whose keys have no bias, as
+    the chain of elementary ops that ``numerics.transformer_block`` fuses.
+    Unlike ``encode`` it takes any mix in one call, so histories and
+    several latents in one uncached call are the re-encode reference of a
+    cached rollout. Its cache is a ``ChainCache``."""
     cache = ChainCache() if cache is None else cache
     p, cfg = model.params(), model.cfg
     d = cfg.d_m

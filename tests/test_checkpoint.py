@@ -245,12 +245,13 @@ def _without_classes(parts):
 def _with_key_bias(parts):
     """SAVED as a backbone whose blocks had a key bias was saved: a
     ``blocks.0.attn.bk`` of d_m zeros in body order, before ``attn.bo``."""
-    params, start = parts["header"]["params"], _entry(parts, "backbone.blocks.0.attn.bo")["offset"]
+    params, bo = parts["header"]["params"], _entry(parts, "backbone.blocks.0.attn.bo")
+    start = bo["offset"]
     for e in params:
         if e["offset"] >= start:
             e["offset"] += 8 * 8
-    params.insert(params.index(_entry(parts, "backbone.blocks.0.attn.bo")),
-                  {"name": "backbone.blocks.0.attn.bk", "shape": [8], "offset": start})
+    params.insert(params.index(bo), {"name": "backbone.blocks.0.attn.bk", "shape": [8],
+                                     "offset": start})
     parts["body"][start:start] = bytes(8 * 8)
 
 

@@ -11,7 +11,8 @@ the uniform router, a depth-3 trunk of width 1 (where the stacked bank
 adds some terms in another order than a per-verifier loop), m in {0, 2, 8},
 and a batch of one and a padded batch. One more digest pins the
 backbone's and the bank's gradients after a stage-2 backward at the width-1
-shape. The digests were taken with numpy 2.4.6 on x86-64; another BLAS may
+shape. The blocks have no key bias; the draws still take a vector where
+each was, so every other value is the one drawn before it went. The digests were taken with numpy 2.4.6 on x86-64; another BLAS may
 round the same run differently."""
 
 import hashlib
