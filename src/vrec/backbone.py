@@ -16,11 +16,16 @@ The histories are padded on the right to the longest; one history is the
 batch of one. Rows are position-major (row c*B + b is column c of
 sequence b), so every linear layer is one matmul over all of them, each
 block is one graph node (``numerics.transformer_block``) and a step grows
-the cache by one concatenation of keys and of values per layer. The first
-block adds each row's position from the table by id, and the final norm
-reads the last block's packed output, so a call builds the token lookup (a
-step takes its rows as they are), one node per block and the final norm,
-whether or not the histories differ in length. Only a batch whose
+the cache by one concatenation of keys and of values per layer. Either
+call returns one row per sequence, its last position, the only row of the
+top block anything reads: every block computes the keys and values of
+every new column, and the top block the rest only for those rows, so
+the prefill of the histories computes no query, attention or MLP row of
+the top block that would be thrown away. The first block adds each row's
+position from the table by id, and the final norm reads the last block's
+packed output, so a call builds the token lookup (a step takes its rows
+as they are), one node per block and the final norm, whether or not the
+histories differ in length. Only a batch whose
 histories differ has a token grid and, in each call, a padding mask; a
 padded slot sits at position 0 and its key is masked in every attention,
 so each sequence's states are those it has alone, up to the grouping of
@@ -83,13 +88,15 @@ class KVCache:
     """A batch's attention state; a single request's is a batch of one.
 
     Per layer, ``layers`` holds its block's outputs on each call so far
-    (position-major rows packing [x | k | v]) and their k and v columns
-    concatenated, (columns * batch, d_m) each: the keys and values the next
-    call attends to. The outputs are ordinary graph Tensors, so a loss
-    back-propagates through every position the cache holds. ``batch``
-    counts the sequences (0 before the first call) and ``pad`` marks the
-    columns that are padding, per sequence (None while there are none, so
-    every sequence holds every column).
+    (rows packing [x | k | v]; in the top layer, a histories call's B rows
+    pack each sequence's last row beside the k and v of every new row,
+    reshaped to B rows) and their k and v concatenated, (columns * batch,
+    d_m) each, position-major: the keys and values the next call attends
+    to. The outputs are ordinary graph Tensors, so a loss back-propagates
+    through every position the cache holds. ``batch`` counts the sequences
+    (0 before the first call) and ``pad`` marks the columns that are
+    padding, per sequence (None while there are none, so every sequence
+    holds every column).
     """
 
     layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(
@@ -174,30 +181,27 @@ class Backbone:
         position (the positional embedding is still added) and attends to
         every position the cache holds.
 
-        Returns the last layer's states of the n new columns as (n*B, d_m)
-        position-major rows, and the cache grows by them. Any other call
-        is refused with the cache left as it was.
+        Returns the last layer's state of each sequence at its own last
+        position, one (B, d_m) row per sequence in batch order, for either
+        call: the one row of each history that the reasoning loop reads, or
+        the step's row. Every block computes the keys and values of every
+        new column, which the cache grows by; the top block computes the
+        rest only for the rows it returns. Any other call is refused with
+        the cache left as it was.
         """
-        x, at, mask = self._latent_rows(history, injected, cache) if injected else \
-            self._embed(history, cache)
+        x, at, (mask, read, top_mask) = self._latent_rows(history, injected, cache) \
+            if injected else self._embed(history, cache)
         layers = cache.layers or [((), None, None)] * self.cfg.layers
-        pos = self._params["pos_emb"]
+        pos, top = self._params["pos_emb"], self.cfg.layers - 1
         for i, params in enumerate(self._blocks):
             past, keys, values = layers[i]
-            x, keys, values = transformer_block(x, params, self.cfg.heads, mask, cache.batch,
-                                                past, keys, values, pos, at)
+            x, keys, values = transformer_block(
+                x, params, self.cfg.heads, top_mask if i == top else mask, cache.batch, past,
+                keys, values, pos, at, read if i == top else None)
             layers[i] = ((*past, x), keys, values)
             pos = None  # the first block adds the position rows
         cache.layers = layers
         return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
-
-    @staticmethod
-    def last_rows(rows: Tensor, cache: KVCache) -> Tensor:
-        """Each sequence's row at its own last position, of the position-major
-        ``rows`` that ``encode`` returned for the histories in ``cache``."""
-        B = cache.batch
-        return rows[-B:] if cache.pad is None else \
-            embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
 
     def _embed(self, history, cache: KVCache):
         """``encode``'s histories: their token embeddings, each row's position
@@ -257,18 +261,22 @@ class Backbone:
             at, pad = cache.lengths, np.concatenate([pad, np.zeros((B, 1), bool)], axis=1)
         return rows, at, self._commit(cache, B, 1, pad)
 
-    def _commit(self, cache: KVCache, B: int, n: int,
-                pad: np.ndarray | None) -> np.ndarray | None:
+    def _commit(self, cache: KVCache, B: int, n: int, pad: np.ndarray | None) -> tuple:
         """Record the call's batch and padding in ``cache``, and return the
-        mask of what its n new columns attend to: histories (an empty cache)
-        column c sees columns 0..c, a latent step (n = 1) every column,
-        except padding."""
-        mask = None if n == 1 else np.where(np.arange(n) > np.arange(n)[:, None], MASK_VALUE, 0.0)
-        if pad is not None:
-            keys = np.where(pad, MASK_VALUE, 0.0)[:, None, :]
-            mask = keys if mask is None else mask + keys
+        mask of what its n new columns attend to, the rows the top block
+        computes past their keys and values (``read`` of
+        ``numerics.transformer_block``) and their mask. Histories (an empty
+        cache): column c sees columns 0..c, and the top block computes each
+        sequence's last column, which sees every column of its own. A
+        latent step (n = 1): its column sees every column and is computed
+        whole (read None). Padding is masked throughout."""
+        keys = None if pad is None else np.where(pad, MASK_VALUE, 0.0)[:, None, :]
         cache.batch, cache.pad = B, pad
-        return mask
+        if n == 1:
+            return keys, None, keys
+        mask = np.where(np.arange(n) > np.arange(n)[:, None], MASK_VALUE, 0.0)
+        last = n - 1 if pad is None else n - 1 - pad.sum(axis=1)  # each sequence's last column
+        return (mask if keys is None else mask + keys), last * B + np.arange(B), keys
 
     def next_item_scores(self, hidden: Tensor) -> Tensor:
         """(R, n_items) logits of every row of ``hidden``, tied to the

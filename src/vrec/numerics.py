@@ -32,10 +32,14 @@ the verifier bank's step in ``verifiers``. Their outputs have the bits of
 the chains of elementary ops they replace, which stay in the tests as
 their oracles, and their gradients add terms in those chains' order. A
 block reads the first d columns of a wider input, a bank step's packed
-output, and the first block adds each row's position itself; ``layer_norm``
-reads the first columns of a block's packed output. So a latent step
-builds the bank step, one node per block and the final norm, and no
-slicing or position node between them.
+output, and the first block adds each row's position itself; a block
+given the rows that are read (``read``, one per sequence) computes every
+row's keys and values but the rest of the block only for those rows, and
+scatters their gradient back to them; ``layer_norm`` reads the first
+columns of a block's packed output. So a latent step builds the bank
+step, one node per block and the final norm, and no slicing or position
+node between them, and a batch of histories returns each sequence's last
+row without one.
 """
 
 from __future__ import annotations
@@ -274,7 +278,7 @@ def _elementwise_operand(op: str, a: Tensor, b) -> Tensor:
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Gradient of a scalar operand that was applied to every element."""
-    return g if g.shape == shape else np.asarray(g.sum()).reshape(shape)
+    return g if g.shape == shape else np.asarray(np.add.reduce(g, axis=None)).reshape(shape)
 
 
 def _add(a: Tensor, b) -> Tensor:
@@ -316,7 +320,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
         return (gt,)
-    return _node(table.data[idx].copy(), (table,), "embedding_lookup", vjp)
+    return _node(table.data[idx], (table,), "embedding_lookup", vjp)  # a gather is a new array
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -380,14 +384,12 @@ def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
     xd = x.data
-    m = xd.max(axis=-1, keepdims=True)
-    shifted = xd - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    ld = shifted - lse
+    shifted = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
+    ld = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
     def vjp(g):
         s = np.exp(ld)
-        return (g - s * g.sum(axis=-1, keepdims=True),)
+        return (g - s * np.add.reduce(g, axis=-1, keepdims=True),)
     return _node(ld, (x,), "log_softmax", vjp)
 
 
@@ -425,7 +427,7 @@ def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     def vjp(g):
         gh = g.reshape(n, bh, dh).transpose(1, 0, 2)
         ga = gh @ vh.transpose(0, 2, 1)
-        gl = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * scale
+        gl = att * (ga - np.add.reduce(ga * att, axis=-1, keepdims=True)) * scale
         return tuple(x.transpose(1, 0, 2).reshape(-1, d) for x in (
             gl @ kt.transpose(0, 2, 1), gl.transpose(0, 2, 1) @ qh,
             att.transpose(0, 2, 1) @ gh))
@@ -451,9 +453,9 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     def vjp(g):
         gxhat = g * gd
         # standard layernorm backward over the last axis
-        dx = inv / d * (d * gxhat - gxhat.sum(axis=-1, keepdims=True)
-                        - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
-        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        dx = inv / d * (d * gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True)
+                        - xhat * np.add.reduce(gxhat * xhat, axis=-1, keepdims=True))
+        return (dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0))
     return xhat * gd + bd, vjp
 
 
@@ -477,7 +479,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
                       past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
                       values: np.ndarray | None = None, pos: Tensor | None = None,
-                      at: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      at: np.ndarray | None = None,
+                      read: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
@@ -497,10 +500,16 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     this layer's outputs from earlier calls; ``keys`` and ``values`` are
     their k and v columns concatenated, which the new rows attend to after
     (None with no ``past``). The gradient flows to ``past`` and ``pos`` too.
-    Returns the node, whose (n*batch, 3d) rows pack [out | k | v], and the
-    keys and values the next call attends to. The node's values have the
-    bits of the chain of elementary ops it replaces, and its gradient adds
-    terms in that chain's order.
+
+    k and v are computed for every input row; the rest, from the queries
+    on, only for the rows ``read`` lists, one per sequence in sequence
+    order (the rows a caller reads of the top block), which ``mask`` is
+    then the mask of. With ``read`` None every row is computed. The node's
+    R rows (the computed ones) pack [out | k | v], k and v reshaped to R
+    rows, so without ``read`` row r is [out_r | k_r | v_r]; the second and
+    third values returned are the keys and values the next call attends
+    to. The node's values have the bits of the chain of elementary ops it
+    replaces, and its gradient adds terms in that chain's order.
     """
     (gain1, bias1, wq, bq, wk, wv, bv, wo, bo,
      gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
@@ -512,17 +521,21 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
-    q, k, v = u @ wq + bq, u @ wk, u @ wv + bv
+    k, v = u @ wk, u @ wv + bv
+    computed = slice(None) if read is None else read
+    uq, xq = u[computed], xd[computed]
+    q = uq @ wq + bq
     if keys is not None:
         keys, values = np.concatenate([keys, k]), np.concatenate([values, v])
     else:
         keys, values = k, v
     joined, attention_vjp = _attention_np(q, keys, values, heads, mask, batch)
-    a = xd + (joined @ wo + bo)
+    a = xq + (joined @ wo + bo)
     u2, ln2_vjp = _layer_norm_np(a, gain2, bias2)
     pre = u2 @ w1 + b1
     h, tanh = _gelu_np(pre)
     out = a + (h @ w2 + b2)
+    R = len(out)
 
     def vjp(g):
         g_out = np.ascontiguousarray(g[:, :d])
@@ -531,10 +544,14 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_a = g_out + g_a
         g_q, g_keys, g_values = attention_vjp(g_a @ wo.T)
         # the new rows' keys and values, plus what later calls sent them
-        new = len(g_keys) - rows
-        g_k, g_v = g_keys[new:] + g[:, d:2 * d], g_values[new:] + g[:, 2 * d:]
-        g_x, g_gain1, g_bias1 = ln1_vjp((g_q @ wq.T + g_k @ wk.T) + g_v @ wv.T)
-        g_x = g_a + g_x
+        new, half = len(g_keys) - rows, (g.shape[1] - d) // 2
+        g_k = g_keys[new:] + g[:, d:d + half].reshape(rows, d)
+        g_v = g_values[new:] + g[:, d + half:].reshape(rows, d)
+        # the computed rows' query and residual terms go back to those rows
+        g_u = g_k @ wk.T
+        g_u[computed] += g_q @ wq.T
+        g_x, g_gain1, g_bias1 = ln1_vjp(g_u + g_v @ wv.T)
+        g_x[computed] += g_a
         g_pos = ()
         if pos is not None:
             g_pos = (np.zeros_like(pos.data),)
@@ -542,20 +559,22 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         if width != d:
             g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
         g_past, lo = [], 0
-        for t in past:
-            g_t = np.zeros_like(t.data)
-            hi = lo + len(g_t)
-            g_t[:, d:2 * d], g_t[:, 2 * d:] = g_keys[lo:hi], g_values[lo:hi]
-            g_past.append(g_t)
+        for t in past:  # each packs [out | k | v] of one call's rows
+            held = len(t.data)
+            hi = lo + (t.size - held * d) // (2 * d)
+            g_past.append(np.concatenate([np.zeros((held, d)), g_keys[lo:hi].reshape(held, -1),
+                                          g_values[lo:hi].reshape(held, -1)], axis=1))
             lo = hi
-        return (*g_past, g_gain1, g_bias1, u.T @ g_q, g_q.sum(axis=0), u.T @ g_k,
-                u.T @ g_v, g_v.sum(axis=0), joined.T @ g_a, g_a.sum(axis=0), g_gain2, g_bias2,
-                u2.T @ g_pre, g_pre.sum(axis=0), h.T @ g_out, g_out.sum(axis=0), g_x, *g_pos)
+        return (*g_past, g_gain1, g_bias1, uq.T @ g_q, np.add.reduce(g_q, axis=0), u.T @ g_k,
+                u.T @ g_v, np.add.reduce(g_v, axis=0), joined.T @ g_a,
+                np.add.reduce(g_a, axis=0), g_gain2, g_bias2, u2.T @ g_pre,
+                np.add.reduce(g_pre, axis=0), h.T @ g_out, np.add.reduce(g_out, axis=0), g_x,
+                *g_pos)
     # x and pos last: backward's depth-first search then reaches this call's
     # inputs before the earlier calls, in the order the chain of ops did
     inputs = (x,) if pos is None else (x, pos)
-    node = _node(np.concatenate([out, k, v], axis=1), (*past, *params, *inputs),
-                 "transformer_block", vjp)
+    node = _node(np.concatenate([out, k.reshape(R, -1), v.reshape(R, -1)], axis=1),
+                 (*past, *params, *inputs), "transformer_block", vjp)
     return node, keys, values
 
 

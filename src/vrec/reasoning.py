@@ -2,11 +2,13 @@
 
 The loop makes the two kinds of ``Backbone.encode`` call into the KV cache
 it makes: the histories, once, into the empty cache, then one latent step
-at a time. Each step reads the last position's hidden state as the new
-reasoning representation, replaces it (when a verifier bank is present)
-with its confidence-adjusted version, and injects that as the next
-position, so the backbone computes one new row per step and every
-position exactly once.
+at a time. Each call returns the last position's hidden state of every
+sequence, which the step reads as the new reasoning representation,
+replaces (when a verifier bank is present) with its confidence-adjusted
+version, and injects as the next position, so the backbone computes one
+new row per step and every position exactly once, and the top block
+computes nothing past its keys and values for a history row it does not
+return.
 
 The loop runs on a batch of histories at once: one padded pass over the
 histories, then one (B, d_m) pass per step. Training, collection and
@@ -79,7 +81,7 @@ def run_reasoning(backbone: Backbone, bank: VerifierBank | None,
         raise ValueError(f"sequence length {L + m} exceeds max_positions "
                          f"{backbone.cfg.max_positions}")
     cache = KVCache()
-    last = backbone.last_rows(backbone.encode(history, cache=cache), cache)
+    last = backbone.encode(history, cache=cache)  # each history's last position
     raw, verdicts = [], []
     for _ in range(m):
         verdict = None if bank is None else verify_and_adjust(bank, last)

@@ -238,7 +238,7 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         cuts = accumulate((d, n, p.shape[1], n, n), initial=0)
         g_r, g_w, g_p, g_f, g_c = (g_out[:, a:b] for a, b in pairwise(cuts))
         g_acc = g_r * (1.0 / n)
-        g_c = g_c + ((protos - x[:, None, :]) * g_acc[:, None, :]).sum(axis=2)
+        g_c = g_c + np.add.reduce((protos - x[:, None, :]) * g_acc[:, None, :], axis=2)
         g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)
         g_p = g_p - g_f.repeat(bank.sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)
         g_z = p * (g_p - np.add.reduceat(g_p * p, bank.offsets, axis=1).repeat(bank.sizes, axis=1))
@@ -254,19 +254,19 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         layers = []
         for (h_in, u, tanh), (wt, _) in zip(reversed(trunk), reversed(bank.trunk)):
             g_u = (g_h * _gelu_deriv(u, tanh)).transpose(1, 0, 2)
-            layers[:0] = [h_in.transpose(1, 2, 0) @ g_u, g_u.sum(axis=1)]
+            layers[:0] = [h_in.transpose(1, 2, 0) @ g_u, np.add.reduce(g_u, axis=1)]
             g_h = (g_u @ wt.data.transpose(0, 2, 1)).transpose(1, 0, 2)
-        g_w = g_w + (g_h * x[:, None, :]).sum(axis=2)
+        g_w = g_w + np.add.reduce(g_h * x[:, None, :], axis=2)
         # g_x gathers the verifiers' terms one by one, in the chain's order
-        g_x = np.concatenate([(g_acc * (1.0 - c).sum(axis=1, keepdims=True))[:, None],
+        g_x = np.concatenate([(g_acc * np.add.reduce(1.0 - c, axis=1, keepdims=True))[:, None],
                               w[:, :, None] * g_h], axis=1)
         g_x = np.add.accumulate(g_x, axis=1)[:, -1]
         if bank.uniform_router:
             router = [None, None]
         else:
-            g_a = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
+            g_a = w * (g_w - np.add.reduce(g_w * w, axis=1, keepdims=True))
             g_x += g_a @ bank.router.a.data
-            router = [g_a.T @ x, g_a.sum(axis=0)]
+            router = [g_a.T @ x, np.add.reduce(g_a, axis=0)]
         return (g_x, *router, *layers, *heads)
 
     return StepVerdict(bank, _node(packed, (r, *bank.leaves), "verify_and_adjust", vjp), j)

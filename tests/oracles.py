@@ -102,7 +102,7 @@ class ChainCache:
         return self.keys[0].shape[0] // self.batch if self.keys else 0
 
 
-def encode_chain(model, history, injected=None, cache=None) -> Tensor:
+def encode_chain(model, history, injected=None, cache=None, every_row=False) -> Tensor:
     """``Backbone.encode``'s reference, built apart from it: each sequence's
     tokens, then its latents (a packed verdict cut to its first d_m
     columns), from its own length in ``cache`` on. It places the token and
@@ -110,6 +110,12 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     each row's position before the first block, as one ``add_positions``
     node by position id; and runs each block, whose keys have no bias, as
     the chain of elementary ops that ``numerics.transformer_block`` fuses.
+    Like ``encode`` it returns each sequence's last position, a (B, d_m)
+    row per sequence: where a call holds more than one column, the top
+    block takes its keys and values from every row and then picks the
+    last rows out (``embedding_lookup``) for the rest. With ``every_row``
+    the top block computes every row and all of them are returned, the
+    path ``encode`` took before it computed only the rows it returns.
     Unlike ``encode`` it takes any mix in one call, so histories and
     several latents in one uncached call are the re-encode reference of a
     cached rollout. Its cache is a ``ChainCache``."""
@@ -146,25 +152,46 @@ def encode_chain(model, history, injected=None, cache=None) -> Tensor:
     seen = np.arange(old + n) <= np.arange(old, old + n)[:, None]
     if cache.pad is not None:
         seen = seen & ~cache.pad[:, None, :]
-    mask = None if seen.all() else np.where(seen, 0.0, MASKED)
+    last = np.full(B, n - 1) if latents else counts - 1  # each sequence's last column
+    read = None if every_row or n == 1 else last * B + np.arange(B)
     for i in range(cfg.layers):
         pre = f"blocks.{i}."
         normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        q, v = (add_rowvec(matmul(normed, p[pre + "attn.w" + c]), p[pre + "attn.b" + c])
-                for c in "qv")
         k = matmul(normed, p[pre + "attn.wk"])  # no key bias
+        v = add_rowvec(matmul(normed, p[pre + "attn.wv"]), p[pre + "attn.bv"])
         if i < len(cache.keys):
             k = cache.keys[i] = concat([cache.keys[i], k])
             v = cache.values[i] = concat([cache.values[i], v])
         else:
             cache.keys.append(k)
             cache.values.append(v)
+        sees = seen
+        if i == cfg.layers - 1 and read is not None:  # the last rows go on, the rest stop
+            x, normed = embedding_lookup(x, read), embedding_lookup(normed, read)
+            sees = seen[np.arange(B), last][:, None] if seen.ndim == 3 else seen[last[:1]]
+        mask = None if sees.all() else np.where(sees, 0.0, MASKED)
+        q = add_rowvec(matmul(normed, p[pre + "attn.wq"]), p[pre + "attn.bq"])
         joined = attention(q, k, v, cfg.heads, mask, batch=B)
         x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
         x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
     return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
+
+
+def encode_every_row(model, history, injected=None, cache=None) -> Tensor:
+    """``Backbone.encode`` and the pick of its last rows as they were before
+    the top block computed only the rows it returns: ``encode_chain`` with
+    ``every_row``, then, of the histories' rows, each sequence's last, as
+    a slice, or a gather in a padded batch. It takes ``encode``'s two
+    calls, into a ``ChainCache``."""
+    cache = ChainCache() if cache is None else cache
+    rows = encode_chain(model, history, injected, cache, every_row=True)
+    B = cache.batch
+    if len(rows.data) == B:
+        return rows
+    return rows[-B:] if cache.pad is None else \
+        embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
 
 
 def verifier_weights(bank, i) -> tuple[list[tuple[Tensor, Tensor]], Tensor, Tensor]:

@@ -1,10 +1,12 @@
 """Backbone encoding, ranking, and weight-tying tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from vrec.backbone import Backbone, KVCache, ModelConfig
-from oracles import ChainCache, encode_chain, greedy_recommend, softmax
+from oracles import ChainCache, encode_chain, encode_every_row, greedy_recommend, softmax
 from vrec.numerics import Rng, Tensor, tracking
 from vrec.verifiers import make_bank, verify_and_adjust
 
@@ -39,29 +41,51 @@ def test_negative_m_rejected():
 
 
 def test_encode_shape():
+    # one row per sequence: each history's last position, then each step's
     bb = Backbone(small_cfg())
-    assert bb.encode([0, 3, 5], cache=KVCache()).shape == (3, 16)
+    cache = KVCache()
+    assert bb.encode([0, 3, 5], cache=cache).shape == (1, 16)
+    assert bb.encode([], [Tensor(np.zeros((1, 16)))], cache=cache).shape == (1, 16)
+    cache = KVCache()
+    assert bb.encode([[0, 3, 5], [1]], cache=cache).shape == (2, 16) and len(cache) == 3
+
+
+def _kv(cache: KVCache, columns: int) -> list:
+    """Every layer's cached keys and values of the first ``columns``
+    columns, for one sequence."""
+    return [a[:columns] for _, keys, values in cache.layers for a in (keys, values)]
 
 
 def test_causality_exact():
+    # a changed last token leaves every layer's keys and values of the
+    # positions before it bit for bit, and moves the state encode returns
     bb = Backbone(small_cfg())
-    a = bb.encode([0, 3, 5, 7], cache=KVCache())
-    b = bb.encode([0, 3, 5, 9], cache=KVCache())  # change only the last token
-    assert np.array_equal(a.data[:3], b.data[:3])
-    assert not np.array_equal(a.data[3], b.data[3])
+    caches = KVCache(), KVCache()
+    a = bb.encode([0, 3, 5, 7], cache=caches[0])
+    b = bb.encode([0, 3, 5, 9], cache=caches[1])  # change only the last token
+    for got, want in zip(_kv(caches[1], 3), _kv(caches[0], 3), strict=True):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(_kv(caches[1], 4)[-1], _kv(caches[0], 4)[-1])
+    assert not np.array_equal(a.data, b.data)
 
 
 def test_causality_all_prefixes():
-    # exact equality under suffix edits at fixed length; shorter re-encodes
-    # agree to float precision (reduction order differs with sequence length)
+    # exact equality of the cached keys and values under suffix edits at a
+    # fixed length; each prefix's state agrees with the full-row chain's row
+    # at that position to float precision (reduction order differs with
+    # sequence length)
     bb = Backbone(small_cfg())
     hist = [1, 4, 2, 8, 6]
-    full = bb.encode(hist, cache=KVCache())
-    for t in range(1, len(hist)):
-        edited = bb.encode(hist[:t] + [11] * (len(hist) - t), cache=KVCache())
-        assert np.array_equal(edited.data[:t], full.data[:t])
+    full_cache = KVCache()
+    bb.encode(hist, cache=full_cache)
+    rows = encode_chain(bb, hist, every_row=True).data
+    for t in range(1, len(hist) + 1):
+        edited = KVCache()
+        bb.encode(hist[:t] + [11] * (len(hist) - t), cache=edited)
+        for got, want in zip(_kv(edited, t), _kv(full_cache, t), strict=True):
+            assert np.array_equal(got, want)
         prefix = bb.encode(hist[:t], cache=KVCache())
-        assert np.allclose(prefix.data, full.data[:t], atol=1e-12)
+        assert np.abs(prefix.data - rows[t - 1:t]).max() <= 1e-12
 
 
 def test_injected_latents_replace_lookup():
@@ -74,7 +98,17 @@ def test_injected_latents_replace_lookup():
     step = bb.encode([], [lat], cache=cache)
     assert step.shape == (1, 16) and len(cache) == 4
     assert np.array_equal(head.data, plain.data)
-    assert np.abs(step.data - encode_chain(bb, [0, 3, 5], [lat]).data[3:]).max() <= 1e-12
+    assert np.abs(step.data - encode_chain(bb, [0, 3, 5], [lat]).data).max() <= 1e-12
+
+
+def one_pass(bb, histories, latents) -> np.ndarray:
+    """What a cached rollout's calls return, stacked, from one uncached pass
+    of the full-row chain over the histories and the latents: each
+    history's row at its own last position, then each latent's rows."""
+    seqs = [histories] if np.ndim(histories[0]) == 0 else histories
+    B, counts = len(seqs), np.array([len(s) for s in seqs])
+    rows = encode_chain(bb, histories, [Tensor(t.data) for t in latents], every_row=True).data
+    return np.concatenate([rows[(counts - 1) * B + np.arange(B)], rows[counts.max() * B:]])
 
 
 def test_cached_encode_in_chunks_matches_one_pass():
@@ -83,13 +117,14 @@ def test_cached_encode_in_chunks_matches_one_pass():
     bb = Backbone(small_cfg())
     for histories in ([1], [1, 4, 2], [1, 4, 2, 8, 6, 0], [[1, 4, 2, 8], [3, 5]],
                       [[6], [0, 2, 9]]):
-        B = 1 if np.ndim(histories[0]) == 0 else len(histories)
+        seqs = [histories] if np.ndim(histories[0]) == 0 else histories
+        B = len(seqs)
         latents = [Tensor(Rng(1).normal((B, 16))), Tensor(Rng(2).normal((B, 16)))]
-        full = encode_chain(bb, histories, latents).data
         cache = KVCache()
         chunks = [bb.encode(histories, cache=cache)]
         chunks += [bb.encode([], [lat], cache=cache) for lat in latents]
-        assert len(cache) * B == len(full)
+        assert len(cache) == max(map(len, seqs)) + len(latents)
+        full = one_pass(bb, histories, latents)
         assert np.abs(np.concatenate([c.data for c in chunks]) - full).max() <= 1e-12
 
 
@@ -127,10 +162,49 @@ def test_latent_step_errors():
         wide = Tensor(np.arange(40.0).reshape(2, 20) / 40.0)
         step = bb.encode([], [wide], cache=cache).data
         whole = encode_chain(bb, histories, [wide]).data
-        assert np.abs(step - whole[-2:]).max() <= 1e-12
+        assert np.abs(step - whole).max() <= 1e-12
         with pytest.raises(ValueError, match="sequence length 5 exceeds max_positions 4"):
             bb.encode([], [wide], cache=cache)
         assert len(cache) == 4
+
+
+# sha256 prefix of two latent steps' rows and of every layer's cached keys
+# and values after them, in _latent_steps_digest, taken when the top block
+# computed every row of the histories
+LATENT_STEPS_DIGEST = "4cc5cdc2722b63bd8788550e5d4f08bd"
+
+
+def _latent_steps_digest() -> str:
+    h = hashlib.sha256()
+    for histories in ([[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]],
+                      [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]]):
+        for layers in (1, 2):
+            bb = Backbone(small_cfg(d_m=12, layers=layers, heads=3, max_positions=20, seed=3))
+            rng = Rng(layers, 4)
+            for t in bb.params().values():
+                t.data[...] = rng.normal(t.shape, std=0.6)
+            caches = KVCache(), ChainCache()
+            bb.encode(histories, cache=caches[0])
+            encode_every_row(bb, histories, cache=caches[1])
+            for _ in range(2):
+                latent = Tensor(rng.normal((len(histories), 12)))
+                step = bb.encode([], [latent], cache=caches[0])
+                assert np.array_equal(step.data,
+                                      encode_every_row(bb, [], [latent], caches[1]).data)
+                h.update(step.data.tobytes())
+            for i, (_, keys, values) in enumerate(caches[0].layers):
+                assert np.array_equal(keys, caches[1].keys[i].data)
+                assert np.array_equal(values, caches[1].values[i].data)
+                h.update(keys.tobytes())
+                h.update(values.tobytes())
+    return h.hexdigest()[:32]
+
+
+def test_latent_steps_keep_their_bits():
+    # every block still computes the keys and values of every history row,
+    # and a latent step computes its rows whole, so given the same cache a
+    # step keeps its bits: against the full-row chain, and pinned
+    assert _latent_steps_digest() == LATENT_STEPS_DIGEST
 
 
 def test_encode_errors():
@@ -215,7 +289,7 @@ def test_cache_is_made_empty_and_always_given():
 
 def test_scores_softmax_normalized():
     bb = Backbone(small_cfg())
-    scores = bb.next_item_scores(bb.encode([0, 3, 5], cache=KVCache()))[2]
+    scores = bb.next_item_scores(bb.encode([0, 3, 5], cache=KVCache()))[0]
     assert scores.shape == (12,)
     assert abs(softmax(scores).data.sum() - 1.0) < 1e-12
 
@@ -223,20 +297,20 @@ def test_scores_softmax_normalized():
 def test_greedy_is_top_of_scores():
     bb = Backbone(small_cfg())
     hidden = bb.encode([0, 3, 5], cache=KVCache())
-    scores = bb.next_item_scores(hidden).data[2]
-    assert greedy_recommend(bb, hidden[2:]) == int(scores.argmax())
+    scores = bb.next_item_scores(hidden).data[0]
+    assert greedy_recommend(bb, hidden) == int(scores.argmax())
 
 
 def test_rank_full_permutation_and_oracle():
     bb = Backbone(small_cfg())
     hidden = bb.encode([2, 7], cache=KVCache())
-    ranked = bb.rank_items(hidden)[1]
+    ranked = bb.rank_items(hidden)[0]
     assert sorted(ranked.tolist()) == list(range(12))
-    scores = bb.next_item_scores(hidden).data[1]
+    scores = bb.next_item_scores(hidden).data[0]
     # brute-force oracle: stable sort on (-score, id)
     oracle = sorted(range(12), key=lambda i: (-scores[i], i))
     assert ranked.tolist() == oracle
-    assert bb.rank_items(hidden, 5)[1].tolist() == oracle[:5]
+    assert bb.rank_items(hidden, 5)[0].tolist() == oracle[:5]
 
 
 def test_rank_ties_break_to_lower_id():
@@ -244,7 +318,7 @@ def test_rank_ties_break_to_lower_id():
     emb = bb.params()["tok_emb"]
     emb.data[7] = emb.data[3]  # force an exact score tie between items 3 and 7
     hidden = bb.encode([0, 1], cache=KVCache())
-    ranked = bb.rank_items(hidden)[1].tolist()
+    ranked = bb.rank_items(hidden)[0].tolist()
     assert ranked.index(3) < ranked.index(7)
 
 
@@ -252,9 +326,9 @@ def test_output_projection_weight_tied():
     bb = Backbone(small_cfg())
     assert not any("out" in k for k in bb.params())
     hidden = bb.encode([0, 1], cache=KVCache())
-    before = bb.next_item_scores(hidden).data[1].copy()
+    before = bb.next_item_scores(hidden).data[0].copy()
     bb.params()["tok_emb"].data[5] += 1.0
-    after = bb.next_item_scores(hidden).data[1]
+    after = bb.next_item_scores(hidden).data[0]
     assert after[5] != before[5]
     mask = np.arange(12) != 5
     assert np.array_equal(after[mask], before[mask])
@@ -263,8 +337,8 @@ def test_output_projection_weight_tied():
 def test_scores_reproducible():
     bb = Backbone(small_cfg())
     h = bb.encode([4, 9, 1], cache=KVCache())
-    a = bb.next_item_scores(h).data[2]
-    b = bb.next_item_scores(bb.encode([4, 9, 1], cache=KVCache())).data[2]
+    a = bb.next_item_scores(h).data[0]
+    b = bb.next_item_scores(bb.encode([4, 9, 1], cache=KVCache())).data[0]
     assert np.array_equal(a, b)
 
 
@@ -275,14 +349,13 @@ def _rollout(encode, cache, histories: list, coef: list):
     """A cached rollout: the histories, then three latent steps, each latent
     a function of the previous output. Returns each call's output, the
     latents, and a scalar over every output."""
-    B = len(histories)
     outs, latents = [encode(histories, None, cache)], []
     for _ in range(3):
-        latents.append(outs[-1][-B:] * 0.5)
+        latents.append(outs[-1] * 0.5)
         outs.append(encode([], [latents[-1]], cache))
     loss = None
     for out, k in zip(outs, coef):
-        term = (out * k[:len(out.data)]).sum()
+        term = (out * k).sum()
         loss = term if loss is None else loss + term
     return outs, latents, loss
 
@@ -297,7 +370,7 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
         t.data[...] = rng.normal(t.shape, std=0.6)
     histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
         [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
-    coef = [rng.normal((7 * len(histories), 12)) for _ in range(4)]
+    coef = [rng.normal((len(histories), 12)) for _ in range(4)]
     params = list(bb.params().values())
     results = []
     for encode, cache in ((lambda h, i, c: bb.encode(h, i, cache=c), KVCache()),
@@ -314,8 +387,7 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
     for got, want in zip(grads, chain_grads):
         assert np.array_equal(got, want)
     # and the steps against one pass over the histories and the same latents
-    whole = encode_chain(bb, histories, [Tensor(t.data) for t in latents]).data
-    assert np.abs(np.concatenate(rows) - whole).max() <= 1e-12
+    assert np.abs(np.concatenate(rows) - one_pass(bb, histories, latents)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
@@ -333,12 +405,11 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
         t.data[...] = rng.normal(t.shape, std=0.6)
     histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
         [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10]]
-    B = len(histories)
 
     def rollout(encode, cache):
         outs, latents = [encode(histories, None, cache)], []
         for scale in (1.0, 0.5, 1.0, 0.75):
-            latents.append(verify_and_adjust(bank, outs[-1][-B:] * scale).packed)
+            latents.append(verify_and_adjust(bank, outs[-1] * scale).packed)
             outs.append(encode([], [latents[-1]], cache))
         return outs, latents
 
@@ -367,5 +438,5 @@ def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):
     assert grads["pos_emb"].any()
     for name in checked:
         assert np.abs(grads[name] - chain_grads[name]).max() <= 1e-12, name
-    whole = encode_chain(bb, histories, [Tensor(t.data) for t in latents]).data
-    assert np.abs(np.concatenate(rows) - whole).max() <= 1e-12
+    # and the steps against one pass over the histories and the same latents
+    assert np.abs(np.concatenate(rows) - one_pass(bb, histories, latents)).max() <= 1e-12

@@ -28,9 +28,9 @@ TOL = 1e-12
 # sha256 prefixes of every trace row, verdict and final state of the
 # requests in _single_request_digest, computed on the path that served one
 # history before it became the batch of one
-PINNED = {(False, 1): "cb10a730551a79cd0bf16d0999ffd9ab",
-          (True, 1): "1c472d7c6c99793988f86255c1785705",
-          (True, 3): "e22d36a0abc3694a7a72cdea0d500361"}
+PINNED = {(False, 1): "47847e893d8e1c9ee903cd7c65b7648a",
+          (True, 1): "d6f409e791a064c4bd4ab020ccfcce58",
+          (True, 3): "f5e6e036fd1588f6b33bf3730da4175f"}
 
 
 def _single_request_digest(with_bank: bool, depth: int) -> str:
@@ -81,29 +81,33 @@ def _served_tensors(monkeypatch, m: int, with_bank: bool, batch=None) -> int:
 
 def test_deep_request_tensor_bound(monkeypatch):
     # m=8 with three verifiers built 223 Tensors when each block was a chain
-    # of ops and each bank step looped over its verifiers, and 63 with one
-    # node per block and per bank step but position and view nodes around them
-    assert _served_tensors(monkeypatch, 8, True) == 28
+    # of ops and each bank step looped over its verifiers, 63 with one node
+    # per block and per bank step but position and view nodes around them,
+    # and 28 while the history's last row was sliced out of every row
+    assert _served_tensors(monkeypatch, 8, True) == 27
 
 
-@pytest.mark.parametrize("m,with_bank,tensors", [(2, True, 10), (0, False, 4)])
+@pytest.mark.parametrize("m,with_bank,tensors", [(2, True, 9), (0, False, 3)])
 def test_single_request_tensor_count(monkeypatch, m, with_bank, tensors):
     # the history's pass: the token lookup, one node per block (the first
-    # adds the position rows), the final norm and the last row; each latent
-    # step: the bank step, one node per block (the first reads r* from the
-    # packed verdict) and the final norm. The chains of ops before built 73
-    # and 23, and the blocks with position and view nodes around them 21 and 7
+    # adds the position rows, the top computes only the last row past its
+    # keys and values) and the final norm; each latent step: the bank step,
+    # one node per block (the first reads r* from the packed verdict) and
+    # the final norm. The chains of ops before built 73 and 23, the blocks
+    # with position and view nodes around them 21 and 7, and the blocks with
+    # a slice of the last row after the final norm 10 and 4
     assert _served_tensors(monkeypatch, m, with_bank) == tensors
 
 
 def test_padded_batch_tensor_count(monkeypatch):
     # histories of unequal length: the token lookup, one node per block (the
-    # first adds each row's position by id), the final norm and the gather
-    # of each history's last row; each latent step: the bank step, one node
-    # per block and the final norm. With a position gather node in each of
-    # the m + 1 calls it was 13
+    # first adds each row's position by id, the top computes each history's
+    # last row past its keys and values) and the final norm; each latent
+    # step: the bank step, one node per block and the final norm. With a
+    # position gather node in each of the m + 1 calls it was 13, and with a
+    # gather of each history's last row after the final norm 10
     histories = [list(range(1, 11)), [4, 5, 6], list(range(20, 27))]
-    assert _served_tensors(monkeypatch, 2, True, histories) == 10
+    assert _served_tensors(monkeypatch, 2, True, histories) == 9
 
 
 # -- batched rows and stage losses against batches of one ---------------------

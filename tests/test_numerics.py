@@ -1,6 +1,7 @@
 """Tensor op and autodiff tests against an independent finite-difference oracle."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def test_softmax_cross_entropy_analytic_identity():
     "row_slices", "entropy", "confidence", "transpose", "add_positions",
 ])
 def test_op_gradients_match_finite_differences(op_name):
-    rng = Rng(hash(op_name) % (2**31))
+    rng = Rng(zlib.crc32(op_name.encode()))  # the same draws in every process
     if op_name == "matmul":
         w = Tensor(rng.normal((4, 3)))
         x = Tensor(rng.normal((3, 2)))

@@ -29,11 +29,11 @@ QUICK_START = {
 }
 
 DIGESTS = {
-    "stage0.ckpt": "995a6ce51719d9c8b97e0015343a4c1d2f8ad59a314b1616f47dde1624e3f4ca",
-    "stage1.ckpt": "6e55b3864fa2afa94b9584abaac941aa87b234184df19511b239921afa171cc2",
-    "final.ckpt": "20d493d95d7c4be741c273f4c952634811629a8cdb7e4a79b016a3e31d0c7322",
+    "stage0.ckpt": "2691fa5d2a88881ab5450481291bd58c1ae90b2163a53b41708a02e48bb54594",
+    "stage1.ckpt": "e5a13832dda971f4a73b04fb7e6a5ba68d1004fd0ba766c730fde405ec35b87a",
+    "final.ckpt": "3c2b8eb4e2bc07f45f9ddf2da1e43bf8453466cb4cfa9ac6ef86aa4a19635e1c",
     "metrics.csv": "08b6f84ec1d155124594751cc4b9a94c8c3561b8492e462579fbe1d33a322091",
-    "r_steps": "0570c4ce9a4137e25c0655b842cfccbe6cfbbbc7d09bf457eacf9935c733e2d9",
+    "r_steps": "d0032fcaab30874140472e0fd15b88aa9b3b8863bad8daa7de32e7d90042d467",
     "labels": "9cdf00c26228b3cc2cbe9f0471fe6ad41989239551c2208f89d5fc69970d950a",
 }
 
@@ -60,8 +60,8 @@ CLI_DIGESTS = {
     "planted_labels.jsonl": "5ac2e404058a0e3013a98c2ce0c6ac42ac4b086693af7175e98eb17221595446",
     "labeling_category.jsonl": "4fa46965160d42def88a8d4eae1733b7a8c6aa835543298df2ab5a2d716796bf",
     "labeling_title.jsonl": "82970f99e51fa8a1902773c3e86305fc348825daf32b7dfb910a60946f29c219",
-    "traces.jsonl": "8a4d887dd36540641da5f32e8a279d8ec7760bd6d9dcbf0d5cc80103bf9e1f39",
-    "inspect.json": "27af907f851869c8049affd92b1db3f8ac82cf4aa9d7d076cb31ebde75ed461b",
+    "traces.jsonl": "7a3c9fc5ec971b639825b60344366ebc66b2d529ff4341bbffaba791a92ae1fb",
+    "inspect.json": "100f1da14e702228ceed9fd52f6093b2e45a4a4a412a003e898ae02ede32b9a3",
 }
 
 

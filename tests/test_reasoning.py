@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import vrec.reasoning
-from oracles import (ChainCache, confidences, encode_chain, grad_check, greedy_recommend,
-                     layout_grads)
+from oracles import (ChainCache, confidences, encode_chain, encode_every_row, grad_check,
+                     greedy_recommend, layout_grads)
 from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.numerics import Rng, Tensor, concat, tracking
 from vrec.reasoning import (
@@ -32,8 +32,8 @@ def test_m0_empty_trace_equals_plain_backbone():
     trace, hidden = run_reasoning(bb, None, [0, 3, 5], 0)
     assert trace.steps == [] and trace.m == 0
     plain = bb.encode([0, 3, 5], cache=KVCache())
-    assert np.array_equal(hidden.data, plain.data[-1:])
-    assert recommend(bb, hidden).tolist() == bb.rank_items(plain)[2].tolist()
+    assert np.array_equal(hidden.data, plain.data)
+    assert recommend(bb, hidden).tolist() == bb.rank_items(plain)[0].tolist()
 
 
 def test_no_bank_adjusted_equals_raw():
@@ -125,16 +125,17 @@ def test_over_long_sequence_rejected_before_encoding(monkeypatch):
 def reencode_reasoning(bb, bank, history, m):
     """The loop the KV cache replaced: every step re-encodes the whole
     prefix, the history and the latents so far, in one pass of the
-    reference ``encode_chain``."""
+    reference ``encode_chain`` that computes every row, and reads the
+    prefix's last row."""
     L = len(history)
     steps, latents = [], []
     for t in range(m):
-        r_t = encode_chain(bb, history, latents)[L + t - 1:L + t]
+        r_t = encode_chain(bb, history, latents, every_row=True)[L + t - 1:L + t]
         verdict = verify_and_adjust(bank, r_t) if bank is not None else None
         r_adj = r_t if verdict is None else verdict.r_star
         steps.append((r_t, r_adj, verdict))
         latents.append(r_adj)
-    return steps, encode_chain(bb, history, latents)[-1:]
+    return steps, encode_chain(bb, history, latents, every_row=True)[-1:]
 
 
 @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
@@ -303,3 +304,40 @@ def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m)
         results.append(([v.data.tobytes() for v in losses.values()],
                         layout_grads(bb).tobytes(), layout_grads(bank).tobytes()))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("m", [0, 1, 4])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_read_rows_match_the_every_row_chain(monkeypatch, layers, m, padded):
+    # the top block computing only each history's last row, against the
+    # path it replaced, which computed every row and then picked those out:
+    # a one-row product rounds unlike the same row of a matrix product, so
+    # the final states and stage 2's losses and gradients agree to 1e-12
+    # of each array's largest entry rather than bit for bit
+    bb = Backbone(ModelConfig(d_m=12, layers=layers, heads=3, n_items=12, max_positions=20,
+                              m=m, seed=layers))
+    bank = make_bank([("a", 3), ("b", 9), ("c", 3)], d_m=12, seed=m, hidden_depth=2)
+    rng = Rng(layers, m)
+    params = list(bb.params().values()) + list(bank.params().values())
+    for t in params:
+        t.data[...] = rng.normal(t.shape, std=0.5)
+    histories = [[1, 4, 2, 8, 6, 0, 3], [3, 5, 11], [7, 7, 1, 9, 2]] if padded else \
+        [[1, 4, 2, 8, 6], [3, 5, 11, 0, 10], [7, 7, 1, 9, 2]]
+    targets = np.array([2, 9, 4])
+    classes = np.array([[rng.integers(0, 3) for _ in range(3)] for _ in range(12)])
+    hyper = TrainHyper(beta=0.5, gamma=0.3)
+    results = []
+    for every_row in (False, True):
+        if every_row:
+            monkeypatch.setattr(Backbone, "encode", encode_every_row)
+            monkeypatch.setattr(vrec.reasoning, "KVCache", ChainCache)
+        _, final = run_reasoning(bb, bank, histories, m)
+        with tracking(params):
+            losses = reasoning_losses(bb, bank, histories, targets, hyper, classes)
+            losses["total"].backward()
+        results.append([final.data, *(v.data for v in losses.values()),
+                        *(t.grad.copy() for t in params)])
+    assert results[0][0].shape == (3, 12)
+    for got, want in zip(*results, strict=True):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -42,50 +42,50 @@ BATCHES = {"one": [3, 17, 5, 5, 0, 12, 9],
            "padded": [[1, 2, 3, 4, 5], [19, 0, 7, 7, 3, 11, 2, 8, 6], [4, 4, 13]]}
 
 DIGESTS = {
-    "bench-m0-one": "0317bc743e9fc54c5b0490ab99a3c02a82ed73ac958f40bd73243fd6eff59390",
-    "bench-m0-padded": "bc0af531cfda4f03203f96a8216485d279b944c7afa985c2e70579452d2d3067",
-    "bench-m2-one": "739d0096a0fb1fe3df870e44bd78d4019caa60e1755357e819d6e88bf3d62811",
-    "bench-m2-padded": "c610a41b4c6904242adcf7a0cdc6edec4543cfd63059dec6adc2b5b7f9ad5a8b",
-    "bench-m8-one": "b49c6b9058e38aaae9d99b30208b8988a1e0e4fecea0562309ab00a745d3b976",
-    "bench-m8-padded": "e8b46b86990fa9289d34c98b6a5cf2a48e908aba49605ee16fe0d47b0f735a4a",
-    "plain-m0-one": "5889f1816665c16d1d3bda3ae96ec561e3f5a30eef4298b58074d949e10e121b",
-    "plain-m0-padded": "ad2428c109f5e5450645c0ae389cc3c8eb5b27cc21a44578d428a2d071aefeb2",
-    "plain-m2-one": "cdfcfb4c271f61e278c29d1c92131ba784418cf53402fec04198a3e4da813047",
-    "plain-m2-padded": "753cbbff378342dce22f9b507b1d9bf7830aa35c426a3d91f0f85e14439a1290",
-    "plain-m8-one": "dc204be4dd134c9703244a282c00fb729cb3619b7d11e08fd4abe4362e409f09",
-    "plain-m8-padded": "e87de808afec9ff05720d9131d95c818fe5ae1d9928729a5fa96a177acdc6894",
-    "trunk2-m0-one": "d8a523c43eb8f4a05a751e5d2e638bea98d31c74d1046ca5470d0ebca7a5fe78",
-    "trunk2-m0-padded": "117f35470843fabb1c19a276db24a4a4fe2ed55c56d6ab2b9236d2e599afaab9",
-    "trunk2-m2-one": "116ee0b01cce8220ab8608f0b30fa18a4fa9faf34bc304dcf0d80d00c67118ed",
-    "trunk2-m2-padded": "f5a45c50aed28be6ae1e0d79fb78907aaf4bfeed8601ee44fcae9cca1449a06e",
-    "trunk2-m8-one": "f53347656aae192d1672a22fef7f1937fa36b1266ad43d51fe05062bd68faf54",
-    "trunk2-m8-padded": "642b95b7b64b695ebd5e5c75d7dc81793b630fbc4a10ef87c7ead25fee966772",
-    "trunk3-m0-one": "5b0d26332936b4b476c36c8b947820991caf1534e1400dc1d45ac378c23c1840",
-    "trunk3-m0-padded": "63c922fbc0d4bf6245b140e24b9f4f8c2e2579fe1759aecbf9aaae755032345f",
-    "trunk3-m2-one": "5dba021d23cdf32293600bace36c1b7d606fb6c7c49f7f2f9fa98a8f2c662e4b",
-    "trunk3-m2-padded": "30136d9f5a9c00359dee8d267765edf7e302dfdbf5a823aff83ae71272c6f54a",
-    "trunk3-m8-one": "e3d62d8abb6fd12988ad443ca3608f4ca468dc46d5e0580223c35315138191c1",
-    "trunk3-m8-padded": "45d9443a88f7f0b042d3fba69ca7284540d9459cf4641cced7a8d289dd325126",
-    "unequal-m0-one": "f1745d688b49ebfb087bb4adb0d8c5b20cb73ee781e71cb9e0d49b6f044add5c",
-    "unequal-m0-padded": "5eb1ebcee61f25b7854680413279000ee519bdc12768a2e1e613d384eb2b46f1",
-    "unequal-m2-one": "11765fa14a40bff24688bbc71e8c4e461386cc2689e83ecd483cd3eab2964253",
-    "unequal-m2-padded": "8d17d657c45098b78793f615c8da8878887d030b2908537a8aed3a4ff8eaacbe",
-    "unequal-m8-one": "7ebe28b8e541c1b80ec98dfe5ce7dd69d34f6eababc18f9194ac91af390b32a4",
-    "unequal-m8-padded": "43a7f2bb4b2cc26cac9a76f30c650ba69dbd36c3f723797c683cd59f9ea3d9f0",
-    "uniform-m0-one": "5d77b38ee65ccba03d29ee1de989552ba82989b38a0aa0b5297b1ed18a356b2a",
-    "uniform-m0-padded": "5bf394bd4a292cc80a50310deaa2a79045cb5e505a6fda868c047ac23f04675c",
-    "uniform-m2-one": "698c0b18a13687951787455d38517c2b101c6036f8a1a7990a21706b0dac91ea",
-    "uniform-m2-padded": "fcd28a5a447b6ababf6fbf4ce2a42fbaf5c1edf1025f68c4916fbc70840de9aa",
-    "uniform-m8-one": "aee9b57ed63129bbd5f5b390201d5ab002b8703279b4b6d1bb44f71e6f65194a",
-    "uniform-m8-padded": "62d6401bdf16f8b4326b84942a3cd3593d74dbbabbcb624aeb2d994a47122a29",
-    "width1-m0-one": "feed79aa51e2d1427d1d3e46e6af1725dd861c12dcf3f39854ca8ec68b8e1910",
-    "width1-m0-padded": "ca473ee9385344c351d50ca2be3235d8e7590bd31d9f716f9911b5c1d223f539",
-    "width1-m2-one": "7791a74a30ff979899455bebebdeee7023924eeb6c77660ba012bdb21ac35e47",
-    "width1-m2-padded": "3b76c798ee8596f6623cc27f626ba28ae9d78ccf907c960998eb6d084d7633f5",
-    "width1-m8-one": "530ac6a1b886ede055afb9a48e1d32692c9f24a395d43ef0922f35b5d14c29a2",
-    "width1-m8-padded": "16e82935a805d0a0a8d59c7ce02061a8abce325657f5f8d2321ae228269c394e",
+    "bench-m0-one": "7b4fead48558485c28f0f90471cc8dfbe93c2199697119bf71054e3f4503445a",
+    "bench-m0-padded": "21dd01847a3e0c4c0622b4b72df7ed3194f7f2e3af6c3ed6e017b6452e3a0303",
+    "bench-m2-one": "ee60bfe5ecd694e3661871a35830f3452d0a46150078360d63dd85bfbe126b8a",
+    "bench-m2-padded": "c5dedd41e31cac57a6488e64c3657fa4670d407b62727fe9e3e54de40cd403b7",
+    "bench-m8-one": "8347c2afd83bded49352de3681198afd8f1dc7d2e58b7d1bbda06e0d17436d9d",
+    "bench-m8-padded": "b5182bfaf1f8ed5e5baff0d17f77eb07df9a1820e8328984a1106879dcef4868",
+    "plain-m0-one": "6964d4e995f6a3e0462426a87f0a2e47cf511df12278eb4c937ff591e1afb2a8",
+    "plain-m0-padded": "db344b87d53206393c62cca704bfbcbcf6eab4c2c4d230cc5b6e1f1a5e1a8981",
+    "plain-m2-one": "cb791fb03e84b5a089cbd7df2100acf1cd84eb93a6e0a13fd88dc7c95d894c9f",
+    "plain-m2-padded": "418fa67e40ee2fd0f947f916fcd9a7edb47340ba2d4ba1c81d11c15ddb49622f",
+    "plain-m8-one": "4f2eab2b5605b7cf317a656a0c303fb220e4a9a6ea6081ffec75428fe7b42c0b",
+    "plain-m8-padded": "4d4c79b338c9f29eff51d45b8e3a39fe07d293f0e1a3d61b43a6a6dad11cbd88",
+    "trunk2-m0-one": "f6d0749e2fef843962d68f8fac2a9fb944ab607439220ec49bc1402ff6ca2725",
+    "trunk2-m0-padded": "658355ca0cf8fba87b2678ae626f0b3619d48e2e5c0832f55f2d9a6d094201b7",
+    "trunk2-m2-one": "7d9898293c298755fbf0ecf8218b2c928dbd95873a5b5f6871f63ef9584be97e",
+    "trunk2-m2-padded": "428f8f1b107932f936f207b2d9bc71f1ee3300545265397f6d3840a160ae3cd4",
+    "trunk2-m8-one": "c063ccf88c111df18768953af909e7dbdc2b41800ef1fddfc38eda602f152065",
+    "trunk2-m8-padded": "fb1d133623048a8a8ffb0e0ca6c154451233ae54d9d858eb4c494c0888ce1df9",
+    "trunk3-m0-one": "3d7c641592a9541dd1d44005200030f7ac42eb3b382027e6be4f969030874f12",
+    "trunk3-m0-padded": "2753ea3cabde42b77b00029565574033fca4bdb618cf2af5e081f36d37aca8c7",
+    "trunk3-m2-one": "a7c4afe964262b3d045d8df3ff1b4f24219afed684ae12018ff17706f4498a5f",
+    "trunk3-m2-padded": "8a630eddc7b2b23dccc9385eaab0d02ec0afc7e09fa87da56b2ea896cddbbe76",
+    "trunk3-m8-one": "ccfc20f25ca2cbc823380c827ff8a6d0392afe9a51b6a8de8706a9e277faf753",
+    "trunk3-m8-padded": "0e77f4d7b3b4c06fb8ac1f3b74d7b052f71a5ec16116505abdf0effb1e039b49",
+    "unequal-m0-one": "4a3a33af25a759ec0b23b498ec19a0b24e8fa08637a1822e3e02e15de4c4ae60",
+    "unequal-m0-padded": "5deb7cd8b542a424e460e73ac34006a137f4b4baf8661f2d7225ec075083d7ca",
+    "unequal-m2-one": "2a38332c9d815ce4319a3e91f3b51fcb4c9035f5b788a007190f70f96e9bf79b",
+    "unequal-m2-padded": "3c6f9d24bf8f325cdf5a0e0777cfc3437cc403f45bb5b8a99de0e7924918af68",
+    "unequal-m8-one": "caf90fc14b9c84e8367c07a663f6915565ee5afd7cc07c8db30877625d7b8939",
+    "unequal-m8-padded": "8aa161a2719aabaaa0dace2e13603380a160e301f9ad9b423f8688b4049c29d5",
+    "uniform-m0-one": "6cf4d746e2c76a017ea136387c5f2ad34a1556004edaec57234b8f6e8532305c",
+    "uniform-m0-padded": "fcdb21e3f27abee74ae642b819463821cf9804dc58726b6e58d0aaaa1f38cde5",
+    "uniform-m2-one": "87d1656922d5324a0710d21ed7418edeed4e22987970be72596e8277e70b9d08",
+    "uniform-m2-padded": "e006a842db3c4597bfff77b7951d9f341b273866188ac515fc3e91901ec6364b",
+    "uniform-m8-one": "27cc009c00b7cbe8355dff9c798cb7327b68590192cea863e1989c0e2fa3d457",
+    "uniform-m8-padded": "7d6434fa90ffd1fcae42468847529be858c69d49525909c48c619d9321e3a3dd",
+    "width1-m0-one": "8a65352a7347e1f9861023abd788567b42710f8918ba0f2508489020e44f56eb",
+    "width1-m0-padded": "bf2344673e7e1bfc4529c143749342d4632440cd5a588653ded25e939138f368",
+    "width1-m2-one": "5b3ad2766b081c3861e1afce5c80949bd9bfbd3d8855821a226e558227d5fed3",
+    "width1-m2-padded": "575918b097bed9f25f32e613ef8875825741c93126d870392435bbc4c75c4b40",
+    "width1-m8-one": "daf0d8b1a510bb12886d62d022a0d512c283375f73aa82a3238b1317603221d8",
+    "width1-m8-padded": "95d17a0f2bf9ae12614698a0ed4cb9ded43847aa70f5f1dd7aec7b8d74e1e04f",
 }
-GRADS_DIGEST = "ba5f158a17221ab4d90632fe8b456bff0c2be30cda8a86b6e9015fbe35c78c7d"
+GRADS_DIGEST = "b063f4a224e53b93dca5147711c217e112daa8605a514fa715fe178b55baba59"
 
 
 def _models(case: str, m: int):
