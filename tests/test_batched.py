@@ -2,9 +2,8 @@
 
 A batch pads its histories on the right and masks the padded keys, so each
 row's math is that of its sample alone up to the grouping of sums. A single
-request is the batch of one and the oracle: its bits are pinned here to
-those of the single-sequence path it replaced, and every batched value must
-match it to 1e-12."""
+request is the batch of one and the oracle: its bits are pinned here, and
+every batched value must match it to 1e-12."""
 
 import hashlib
 
@@ -26,8 +25,10 @@ TOL = 1e-12
 # -- one request: its bits and its Tensor count ------------------------------
 
 # sha256 prefixes of every trace row, verdict and final state of the
-# requests in _single_request_digest, computed on the path that served one
-# history before it became the batch of one
+# requests in _single_request_digest. They were the bits of the path that
+# served one history before it became the batch of one until the top block
+# computed only each history's last row: a one-row product rounds unlike
+# that row of a matrix product, so they were re-pinned then
 PINNED = {(False, 1): "47847e893d8e1c9ee903cd7c65b7648a",
           (True, 1): "d6f409e791a064c4bd4ab020ccfcce58",
           (True, 3): "f5e6e036fd1588f6b33bf3730da4175f"}
