@@ -13,12 +13,14 @@ Four rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - Every op builds its output through ``_node``, which links the output into
-  the graph only when some child is tracked; an op on untracked inputs
-  builds no graph and runs no gradient-only work.
+  the graph only inside ``tracking`` and only when some child is tracked.
+  Outside every block an op builds no graph, even on an output of an
+  earlier block, and looks at none of its inputs: inference and evaluation
+  pay for their arithmetic alone.
 - Every tensor is created untracked. Only the tensors being fitted or
-  grad-checked are tracked, and only inside ``tracking(tensors)``, so
-  inference and evaluation build no graph. Entering the block zeroes
-  their gradients; ``backward`` only adds to them.
+  grad-checked are tracked, and only inside ``tracking(tensors)``.
+  Entering the block zeroes their gradients; ``backward`` only adds to
+  them.
 - A model's parameters live in one value vector (``parameter_vectors``),
   each one's ``.data`` a view of its run. An optimizer owns the gradient
   vectors and binds each ``.grad`` to its run, so a step is one array
@@ -176,16 +178,23 @@ class Tensor:
                 pending[id(child)] = cg if prev is None else prev + cg
 
 
+# ``tracking`` blocks open now, in the whole process (training runs in one
+# thread); with none, ``_node`` links nothing
+_open_blocks = 0
+
+
 @contextmanager
 def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
     """Mark ``tensors`` as leaves to differentiate for the length of the
     block, each with a zero gradient: the one place a gradient is reset or,
     but for an optimizer's vectors (``training.Adam``), made. A ``.grad``
     that is a view of an optimizer's vector is zeroed in place; any other
-    tensor gets a new zero array. Ops on them build a graph only inside the
-    block; on exit, also by an exception, each tensor's previous
-    ``requires_grad`` comes back, and its ``.grad`` keeps the block's gradient.
+    tensor gets a new zero array. Ops build a graph only while a block is
+    open: the block counts itself in ``_open_blocks`` until it exits. On
+    exit, also by an exception, each tensor's previous ``requires_grad``
+    comes back, and its ``.grad`` keeps the block's gradient.
     """
+    global _open_blocks
     tensors = list(tensors)
     saved = [t.requires_grad for t in tensors]
     for t in tensors:
@@ -194,9 +203,11 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
         else:
             t.grad = np.zeros_like(t.data)
         t.requires_grad = True
+    _open_blocks += 1
     try:
         yield
     finally:
+        _open_blocks -= 1
         for t, was in zip(tensors, saved):
             t.requires_grad = was
 
@@ -249,13 +260,17 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op's output; it joins the graph only when some child is tracked.
+    """Wrap an op's output; it joins the graph only inside ``tracking`` and
+    when some child is tracked. Outside every block it is returned at once,
+    without a look at ``children``.
 
     ``vjp`` maps the output gradient to one gradient per entry of
     ``children``, in order; ``backward`` skips the untracked ones.
     """
     out = Tensor(data)
     out._op = op
+    if not _open_blocks:
+        return out
     for c in children:
         if c.requires_grad or c._vjp is not None:
             out._children = children
@@ -320,7 +335,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
         return (gt,)
-    return _node(table.data[idx], (table,), "embedding_lookup", vjp)  # a gather is a new array
+    # take: a new array, as table.data[idx] is, in a third of its time
+    return _node(table.data.take(idx, axis=0), (table,), "embedding_lookup", vjp)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -442,12 +458,17 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
     # np.mean and np.var's arithmetic, without their per-call overhead. One
-    # row's mean and scale are numpy scalars: they round as (1, 1) arrays
-    # would, and each step on them costs a fraction of an array op
-    axis, keep = (None, False) if xd.size == d else (-1, True)
-    centered = xd - np.add.reduce(xd, axis=axis, keepdims=keep) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=axis, keepdims=keep) / d
-                        + LAYER_NORM_EPS)
+    # row's mean and scale are Python floats: each step on them is the IEEE
+    # operation a (1, 1) array would round by (math.sqrt is correctly rounded,
+    # as np.sqrt is), without numpy's scalar dispatch
+    if xd.size == d:
+        centered = xd - float(np.add.reduce(xd, axis=None)) / d
+        inv = 1.0 / math.sqrt(float(np.add.reduce(centered * centered, axis=None)) / d
+                              + LAYER_NORM_EPS)
+    else:
+        centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+                            + LAYER_NORM_EPS)
     xhat = centered * inv
 
     def vjp(g):
@@ -479,15 +500,18 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
                       past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
                       values: np.ndarray | None = None, pos: Tensor | None = None,
-                      at: np.ndarray | None = None,
-                      read: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      at: np.ndarray | slice | None = None,
+                      read: np.ndarray | slice | None = None,
+                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
     is the embedded rows, a verifier step's packed output, or the block
     below's output). The first block also takes the position table ``pos``
     and ``at``, one position per input row, and adds row ``at[r]`` of the
-    table to input row r. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
+    table to input row r; a call without padding gives ``at`` as the slice
+    of the positions its columns take, column c of every sequence at
+    ``at.start + c``. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
     bv, wo, bo, ln2 gain and bias, w1, b1, w2 and b2, and with x the input
     rows (plus pos[at] in the first block) and u = LN1(x) the block computes
 
@@ -503,8 +527,9 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
 
     k and v are computed for every input row; the rest, from the queries
     on, only for the rows ``read`` lists, one per sequence in sequence
-    order (the rows a caller reads of the top block), which ``mask`` is
-    then the mask of. With ``read`` None every row is computed. The node's
+    order (the rows a caller reads of the top block: an int array, or a
+    slice when they are the last ``batch`` rows), which ``mask`` is then
+    the mask of. With ``read`` None every row is computed. The node's
     R rows (the computed ones) pack [out | k | v], k and v reshaped to R
     rows, so without ``read`` row r is [out_r | k_r | v_r]; the second and
     third values returned are the keys and values the next call attends
@@ -517,7 +542,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     rows, width = x.data.shape
     xd = x.data if width == d else x.data[:, :d]
     if pos is not None:
-        xd = xd + pos.data.take(at, axis=0)  # take: a third of the time of pos.data[at]
+        if isinstance(at, slice):  # column c of every sequence at position at.start + c
+            xd = (xd.reshape(-1, batch, d) + pos.data[at, None]).reshape(rows, d)
+        else:
+            xd = xd + pos.data.take(at, axis=0)  # take: a third of the time of pos.data[at]
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
@@ -555,7 +583,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_pos = ()
         if pos is not None:
             g_pos = (np.zeros_like(pos.data),)
-            np.add.at(g_pos[0], at, g_x)
+            if isinstance(at, slice):  # each column's rows added in row order, as np.add.at does
+                g_pos[0][at] += np.add.reduce(g_x.reshape(-1, batch, d), axis=1)
+            else:
+                np.add.at(g_pos[0], at, g_x)
         if width != d:
             g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
         g_past, lo = [], 0

@@ -62,7 +62,9 @@ class VerifierBank:
         self.uniform_router = False  # ablation switch: bypass the learned router
         self.sizes = [d_i for _, d_i in dimensions]
         self.offsets = list(accumulate(self.sizes[:-1], initial=0))  # of each p_i in p_1 .. p_n
-        n = len(self.sizes)
+        self.n = n = len(self.sizes)
+        self.d_m = d_m
+        self.n_classes = sum(self.sizes)  # classes of all verifiers together: p_1 .. p_n
         self.router = Router(a=Tensor(np.zeros((n, d_m))), bias=Tensor(np.zeros(n)))
         inner = [hidden_width or d_m] * (hidden_depth - 2)
         widths = [d_m, *inner, d_m] if hidden_depth > 1 else []
@@ -84,19 +86,6 @@ class VerifierBank:
         # the step's children after r, in the order its VJP returns gradients
         self.leaves = (self.router.a, self.router.bias,
                        *(t for layer in self.trunk + list(self.heads.values()) for t in layer))
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def d_m(self) -> int:
-        return self.router.a.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        """Classes of all verifiers together, the length of p_1 .. p_n."""
-        return sum(self.sizes)
 
     def params(self) -> dict[str, Tensor]:
         p: dict[str, Tensor] = {"router.a": self.router.a, "router.bias": self.router.bias}

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from vrec.backbone import Backbone, KVCache, ModelConfig
+from vrec.backbone import MASK_VALUE, Backbone, KVCache, ModelConfig
 from oracles import ChainCache, encode_chain, encode_every_row, greedy_recommend, softmax
 from vrec.numerics import Rng, Tensor, tracking
 from vrec.verifiers import make_bank, verify_and_adjust
@@ -67,6 +67,23 @@ def test_causality_exact():
         assert np.array_equal(got, want)
     assert not np.array_equal(_kv(caches[1], 4)[-1], _kv(caches[0], 4)[-1])
     assert not np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+def test_causal_mask_only_for_the_blocks_below_the_top(padded):
+    # the top block computes each history's last row, which sees every column
+    # of its own: a one-layer model builds no causal mask, a two-layer one
+    # the mask it always had; the top block's is the padding mask alone
+    histories = [[1, 2, 3, 4], [5, 6] if padded else [5, 6, 7, 8]]
+    causal = np.where(np.arange(4) > np.arange(4)[:, None], MASK_VALUE, 0.0)
+    keys = np.where(np.arange(4) >= np.array([[4], [2]]), MASK_VALUE, 0.0)[:, None, :]
+    for layers in (1, 2):
+        _, _, (mask, _, top) = Backbone(small_cfg(layers=layers))._embed(histories, KVCache())
+        if layers == 1:
+            assert mask is None
+        else:
+            assert np.array_equal(mask, causal + keys if padded else causal)
+        assert np.array_equal(top, keys) if padded else top is None
 
 
 def test_causality_all_prefixes():

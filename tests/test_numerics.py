@@ -5,14 +5,20 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (Bare, add_positions, add_rowvec, attention, concat_columns, confidence,
                      entropy, exp, gelu, grad_check, matvec, softmax)
+from vrec import numerics
+from vrec.backbone import Backbone, ModelConfig
 from vrec.numerics import (
+    LAYER_NORM_EPS,
     Rng,
     Tensor,
     _gelu_deriv,
     _gelu_np,
+    _layer_norm_np,
     concat,
     embedding_lookup,
     layer_norm,
@@ -21,6 +27,7 @@ from vrec.numerics import (
     matmul,
     relu,
     tracking,
+    transformer_block,
 )
 from vrec.training import Adam
 
@@ -130,6 +137,53 @@ def test_layer_norm_of_one_row_has_its_bits_in_a_batch():
             (o * Tensor(g[i:i + 1])).sum().backward()
         assert np.array_equal(o.data[0], out.data[i])
         assert np.array_equal(alone.grad[0], whole.grad[i])
+
+
+def _one_row_norm_with_numpy_scalars(xd, gd, bd, g):
+    """One row's norm and its vector-Jacobian product, its mean and scale
+    numpy scalars: the formula the Python-float path replaced."""
+    d = xd.shape[-1]
+    centered = xd - np.add.reduce(xd, axis=None) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=None) / d + LAYER_NORM_EPS)
+    xhat = centered * inv
+    gxhat = g * gd
+    dx = inv / d * (d * gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True)
+                    - xhat * np.add.reduce(gxhat * xhat, axis=-1, keepdims=True))
+    return xhat * gd + bd, dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
+
+
+@st.composite
+def _norm_rows(draw):
+    """A row, gain, bias and output gradient: rows of ordinary spread at
+    scales from 1e-300 to 1e300 (whose squares, or sums, overflow), rows of
+    one value (zero variance) and rows of signed zeros and extremes."""
+    d = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["spread", "constant", "extremes"]))
+    if kind == "spread":
+        scale = draw(st.sampled_from([1.0, -1e-300, 1e-150, 1e150, 1e300, -1e300]))
+        row = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))) * scale
+    elif kind == "constant":
+        row = np.full(d, draw(st.sampled_from([0.0, -0.0, 3.5, -1e300, 1e300])))
+    else:
+        row = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300]),
+                                     min_size=d, max_size=d)))
+    small = st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)
+    return [row[None], np.array(draw(small)), np.array(draw(small)),
+            np.array([draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_rows())
+def test_one_row_norm_keeps_the_numpy_scalar_bits(case):
+    # its mean and scale are Python floats, the same IEEE operations; bytes
+    # compare signed zeros and NaNs too
+    xd, gd, bd, g = case
+    with np.errstate(all="ignore"):
+        out, vjp = _layer_norm_np(xd, gd, bd)
+        got = (out, *vjp(g))
+        want = _one_row_norm_with_numpy_scalars(xd, gd, bd, g)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_layer_norm_takes_rows_only():
@@ -276,6 +330,72 @@ def test_untracked_inputs_build_no_graph():
             attention(x, x, x, 2)]
     for out in outs:
         assert out._children == () and out._vjp is None, out._op
+
+
+def test_ops_outside_tracking_build_no_graph():
+    # an output of an earlier block still carries its vjp; outside every
+    # block an op on it builds no graph, inside one it links as before
+    w, free = Tensor(Rng(11).normal((3, 4))), Tensor(np.ones((3, 4)))
+    gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    with tracking([w]):
+        y = w * w
+    assert y._vjp is not None
+    outs = [y * 2.0, matmul(y, y.transpose()), layer_norm(y, gain, bias), y[1:], y.sum(),
+            concat([y, free])]
+    for out in outs:
+        assert out._children == () and out._vjp is None, out._op
+    with tracking([free]):
+        linked, joined = y * 2.0, concat([y, free])
+        untracked = gain * bias
+    assert linked._children[0] is y and linked._vjp is not None
+    assert joined._children == (y, free) and joined._vjp is not None
+    assert untracked._children == () and untracked._vjp is None
+
+
+def test_open_block_count_returns_to_zero():
+    a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
+    assert numerics._open_blocks == 0
+    with tracking([a]):
+        with tracking([b]):
+            assert numerics._open_blocks == 2
+        assert numerics._open_blocks == 1
+    assert numerics._open_blocks == 0
+    with pytest.raises(RuntimeError):
+        with tracking([a]), tracking([b]):
+            raise RuntimeError("raised inside two blocks")
+    assert numerics._open_blocks == 0
+    assert (a * b)._vjp is None
+
+
+@pytest.mark.parametrize("case", ["histories", "latent_step", "padded"])
+def test_position_gradient_has_the_bits_of_a_scatter(case):
+    # the first block's gradient to the position table is np.add.at of its
+    # input rows' gradient at their positions: a call without padding gives
+    # the positions as a slice and sums each column's rows in row order, a
+    # padded one gives one per row and scatters
+    d, B, W = 8, 3, 5
+    bb = Backbone(ModelConfig(d_m=d, layers=1, heads=2, n_items=10, max_positions=12, m=0,
+                              seed=4))
+    params, pos, rng = bb._blocks[0], bb.params()["pos_emb"], Rng(21)
+    rows_at = {"histories": np.arange(W).repeat(B), "latent_step": np.full(B, 6),
+               "padded": np.where(np.arange(W * B) % 4 == 1, 0, np.arange(W).repeat(B))}[case]
+    at = {"histories": slice(0, W), "latent_step": slice(6, 7), "padded": rows_at}[case]
+    rows = len(rows_at)
+    held = 0 if case == "histories" else 6 * B  # keys and values of earlier calls
+    keys, values = (rng.normal((held, d)) if held else None for _ in range(2))
+    x = Tensor(rng.normal((rows, d)))
+    g = Tensor(rng.normal((rows, 3 * d)))
+    results = []
+    for given_at in (at, rows_at):
+        with tracking([x, pos, *params]):
+            out, _, _ = transformer_block(x, params, 2, None, B, (), keys, values, pos, given_at)
+            (out * g).sum().backward()
+        results.append([out.data, pos.grad, *(t.grad for t in (x, *params))])
+        scatter = np.zeros_like(pos.data)
+        np.add.at(scatter, rows_at, x.grad)
+        assert pos.grad.tobytes() == scatter.tobytes()
+    for a, b in zip(*results):  # the slice changes no other bit either
+        assert a.tobytes() == b.tobytes()
 
 
 # -- backward: analytic cases -------------------------------------------

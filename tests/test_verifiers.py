@@ -14,6 +14,15 @@ def bank_of(dims, d_m=8, seed=0, **kw):
     return make_bank(dims, d_m=d_m, seed=seed, **kw)
 
 
+def test_bank_sizes_are_attributes_set_once():
+    # the step reads them several times per call: no property recomputes them
+    bank = bank_of([("a", 4), ("b", 3), ("c", 4), ("d", 2)], d_m=10, hidden_depth=2)
+    assert {k: vars(bank)[k] for k in ("n", "d_m", "n_classes")} == {"n": 4, "d_m": 10,
+                                                                     "n_classes": 13}
+    assert (bank.n, bank.d_m, bank.n_classes) == (len(bank.sizes), bank.router.a.shape[1],
+                                                  sum(bank.sizes))
+
+
 def one_verifier_bank(w_last: np.ndarray, b_last: np.ndarray) -> VerifierBank:
     """A linear verifier with this (d_m, d_i) head, under a zero router."""
     bank = VerifierBank([("hand", len(b_last))], d_m=len(w_last))
