@@ -2,8 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 ab_trees.py --base REV                  # outputs, then 200 timed rounds
-    python3 ab_trees.py --base REV --rounds 400 --requests 20 --steps 1
+    python3 ab_trees.py --base REV
 
 REV's ``src/vrec`` is taken with ``git archive`` into a temporary directory
 and imported as a second package beside the working tree's (``src/vrec``
@@ -18,12 +17,16 @@ imports only relatively), so both trees run in one process on one input.
    state, latent step, verdict, ranking, loss and gradient must be
    bit-equal between the trees; the script names each one that is not.
 2. Time. One child (the native kernel) alternates which tree goes first,
-   round by round. A round serves the same ``--requests`` histories in each
-   shape, and runs ``--steps`` stage-2 minibatch steps (forward and
-   backward), in each tree; short rounds keep both trees on one host speed
-   when the cores switch speed. Per unit it reports each tree's median time,
-   the median over rounds of base time / change time (above 1: the change
-   is faster) and the rounds in which the change was faster.
+   round by round, for ``ROUNDS`` rounds. A round serves the same
+   ``REQUESTS`` histories in each shape, runs ``STEPS`` stage-2 minibatch
+   steps (forward and backward), and does the benchmark's set-up work
+   (``benchmarks/workloads.py``): the training set-up builds the request
+   and training corpora and the three labelings, the serving set-up saves
+   and loads a model and bank. It does each in each tree; short rounds keep
+   both trees on one host speed when the cores switch speed. Per unit it
+   reports each tree's median time, the median over rounds of base time /
+   change time (above 1: the change is faster) and the rounds in which the
+   change was faster.
 
 The last line of standard output is one JSON object with both results.
 Every child runs with one BLAS and OpenMP thread.
@@ -50,8 +53,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 KERNELS = {"native": {}, "Haswell": {"OPENBLAS_CORETYPE": "Haswell"}}
-# the benchmark's model and bank shapes (benchmarks/workloads.py)
+# the benchmark's corpus, model and bank shapes (benchmarks/workloads.py)
+CORPUS = dict(n_items=96, n_groups=6, stickiness=0.8, seq_len_range=(16, 24))
+TRAIN_USERS, REQUEST_USERS, REQUEST_SEED_OFFSET = 48, 500, 1_000_003
 D_M, N_ITEMS, DIMS = 24, 96, [("category", 6), ("title", 6), ("cf", 6)]
+# timed rounds, requests served per shape and stage-2 steps per round; a
+# step takes 16 histories from the requests, so REQUESTS >= 15 + STEPS
+ROUNDS, REQUESTS, STEPS = 200, 40, 2
 
 
 def _load(name: str, path: Path) -> dict:
@@ -62,7 +70,8 @@ def _load(name: str, path: Path) -> dict:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("backbone", "numerics", "reasoning", "training", "verifiers")}
+            for sub in ("backbone", "checkpoint", "datasets", "labeling", "numerics",
+                        "reasoning", "training", "verifiers")}
 
 
 def _requests(n: int, seed: int = 0) -> list:
@@ -98,6 +107,25 @@ class Tree:
             losses["total"].backward()
         return losses, [t.grad for t in params]
 
+    def train_setup(self, seed: int = 1) -> list:
+        """The train_pipeline set-up: both corpora and the three labelings."""
+        ds, lab = self.mods["datasets"], self.mods["labeling"]
+        _, logs, _ = ds.generate_synthetic(
+            ds.SynthConfig(n_users=REQUEST_USERS, seed=seed + REQUEST_SEED_OFFSET, **CORPUS))
+        ds.chronological_split(logs)
+        items, logs, _ = ds.generate_synthetic(
+            ds.SynthConfig(n_users=TRAIN_USERS, seed=seed, **CORPUS))
+        split = ds.chronological_split(logs)
+        return [lab.build_labeling(name, items, samples=split.train, n_users=split.n_users,
+                                   d_i=d_i, seed=seed)
+                for name, d_i in (("category", None), ("title", 6), ("cf", 6))]
+
+    def serve_setup(self, path: Path) -> None:
+        """The serving set-up's checkpoint round trip of a model and bank."""
+        ck = self.mods["checkpoint"]
+        ck.save_model(path, self.model[8], self.bank)
+        ck.load_model(path)
+
 
 def _outputs(tree: Tree, two_layer: Tree) -> dict:
     """Every output of the comparison, by name, as bytes."""
@@ -130,21 +158,23 @@ def _child_outputs(base: Path) -> None:
     print(json.dumps({"outputs": len(a), "differ": sorted(k for k in a if a[k] != b[k])}))
 
 
-def _child_time(base: Path, rounds: int, n_requests: int, steps: int) -> None:
+def _child_time(base: Path, workdir: Path) -> None:
     trees = {"base": Tree(_load("vrec_base", base)),
              "change": Tree(_load("vrec_change", ROOT / "src" / "vrec"))}
-    reqs = _requests(n_requests)
-    batches = [(reqs[i:i + 16], np.arange(i, i + 16) % N_ITEMS) for i in range(steps)]
+    reqs = _requests(REQUESTS)
+    batches = [(reqs[i:i + 16], np.arange(i, i + 16) % N_ITEMS) for i in range(STEPS)]
     units = {
         "serve_plain": lambda t: [t.serve(h, 0) for h in reqs],
         "serve_deep": lambda t: [t.serve(h, 8) for h in reqs],
         "train_step": lambda t: [t.train_step(h, y) for h, y in batches],
+        "train_setup": lambda t: t.train_setup(),
+        "serve_setup": lambda t: t.serve_setup(workdir / "serve.ckpt"),
     }
     times = {(u, name): [] for u in units for name in trees}
     for tree in trees.values():  # warm-up
         for run in units.values():
             run(tree)
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for unit, run in units.items():
             for name in order:
@@ -154,7 +184,7 @@ def _child_time(base: Path, rounds: int, n_requests: int, steps: int) -> None:
     report = {}
     for unit in units:
         base_s, change_s = times[unit, "base"], times[unit, "change"]
-        per = n_requests if unit != "train_step" else steps
+        per = {"serve_plain": REQUESTS, "serve_deep": REQUESTS, "train_step": STEPS}.get(unit, 1)
         ratios = [a / b for a, b in zip(base_s, change_s)]
         report[unit] = {
             "base_us": round(statistics.median(base_s) / per * 1e6, 1),
@@ -162,7 +192,7 @@ def _child_time(base: Path, rounds: int, n_requests: int, steps: int) -> None:
             "median_ratio": round(statistics.median(ratios), 4),
             "ratio_quartiles": [round(q, 4) for q in statistics.quantiles(ratios, n=4)[::2]],
             "rounds_change_faster": sum(x > 1.0 for x in ratios),
-            "rounds": rounds,
+            "rounds": ROUNDS,
         }
     print(json.dumps(report))
 
@@ -179,9 +209,6 @@ def _run_child(args: list[str], extra_env: dict) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", help="the commit to compare the working tree with (required)")
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--requests", type=int, default=40, help="served per shape per round")
-    p.add_argument("--steps", type=int, default=2, help="stage-2 minibatch steps per round")
     p.add_argument("--child", choices=("outputs", "time"), help=argparse.SUPPRESS)
     p.add_argument("--tree", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -189,12 +216,11 @@ def main(argv=None) -> int:
         _child_outputs(Path(args.tree))
         return 0
     if args.child == "time":
-        _child_time(Path(args.tree), args.rounds, args.requests, args.steps)
+        with tempfile.TemporaryDirectory() as tmp:
+            _child_time(Path(args.tree), Path(tmp))
         return 0
     if not args.base:
         p.error("--base is required")
-    if args.rounds < 2 or args.requests < 1 or args.steps < 1:
-        p.error("--rounds must be at least 2, --requests and --steps at least 1")
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src/vrec"],
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
@@ -203,9 +229,7 @@ def main(argv=None) -> int:
         tree = str(Path(tmp) / "src" / "vrec")
         outputs = {kernel: _run_child(["--child", "outputs", "--tree", tree], env)
                    for kernel, env in KERNELS.items()}
-        timing = _run_child(["--child", "time", "--tree", tree, "--rounds", str(args.rounds),
-                             "--requests", str(args.requests), "--steps", str(args.steps)],
-                            KERNELS["native"])
+        timing = _run_child(["--child", "time", "--tree", tree], KERNELS["native"])
     for kernel, result in outputs.items():
         verdict = "bit-equal" if not result["differ"] else "differ: " + ", ".join(result["differ"])
         print(f"outputs under the {kernel} kernel ({result['outputs']} compared): {verdict}")
