@@ -26,7 +26,9 @@ imports only relatively), so both trees run in one process on one input.
    both trees on one host speed when the cores switch speed. Per unit it
    reports each tree's median time, the median over rounds of base time /
    change time (above 1: the change is faster) and the rounds in which the
-   change was faster.
+   change was faster. A tree against itself has read 0.99-1.02 on most
+   units, and code two trees share up to 1.03: a ratio that close to 1
+   decides nothing.
 
 The last line of standard output is one JSON object with both results.
 Every child runs with one BLAS and OpenMP thread.

@@ -22,14 +22,14 @@ top block anything reads: every block computes the keys and values of
 every new column, and the top block the rest only for those rows, so
 the prefill of the histories computes no query, attention or MLP row of
 the top block that would be thrown away. The first block adds each row's
-position from the table by id, and the final norm reads the last block's
-packed output, so a call builds the token lookup (a step takes its rows
-as they are), one node per block and the final norm, whether or not the
-histories differ in length. Only a batch whose
-histories differ has a token grid and, in each call, a padding mask; a
-padded slot sits at position 0 and its key is masked in every attention,
-so each sequence's states are those it has alone, up to the grouping of
-sums.
+position from the table (a slice of positions, by id in a padded batch),
+and the final norm reads the last block's packed output, so a call builds
+the token lookup (a step takes its rows as they are), one node per block
+and the final norm, whether or not the histories differ in length. Only a
+batch whose histories differ has a token grid and, in each call, a
+padding mask; a padded slot sits at position 0 and its key is masked in
+every attention, so each sequence's states are those it has alone, up to
+the grouping of sums.
 """
 
 from __future__ import annotations
@@ -205,7 +205,8 @@ class Backbone:
 
     def _embed(self, history, cache: KVCache):
         """``encode``'s histories: their token embeddings, each row's position
-        (``at`` of ``numerics.transformer_block``, 0 for padding) and the
+        (``at`` of ``numerics.transformer_block``: the slice of the columns'
+        positions, or with padding one per row, 0 for padding) and the
         mask of what they attend to. Checks the call, then records the
         batch and its padding in ``cache``."""
         if cache.batch:
@@ -227,21 +228,22 @@ class Backbone:
         if ids.min() < 0 or ids.max() >= self.cfg.n_items:
             bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
             raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
-        at = np.arange(width).repeat(B)  # column c of every sequence is at position c
+        at = slice(0, width)  # column c of every sequence is at position c
         if ragged:  # the shorter histories' columns hold the non-item token, at position 0
             grid = np.full((B, width), self.cfg.n_items)
             grid[~pad] = ids
             ids = grid
+            at = np.arange(width).repeat(B)
             at[pad.T.ravel()] = 0
         x = embedding_lookup(self._params["tok_emb"], ids.ravel("F"))
         return x, at, self._commit(cache, B, width, pad)
 
     def _latent_rows(self, history, injected: list[Tensor], cache: KVCache):
         """``_embed`` for a latent step: one row per sequence, at its next
-        position, len(cache) for sequences of one length and ``lengths`` in
-        a padded batch. The histories were checked when they entered the
-        cache, so this checks only the call and the rows and position it
-        adds."""
+        position, len(cache) for sequences of one length (as a slice) and
+        ``lengths`` in a padded batch. The histories were checked when they
+        entered the cache, so this checks only the call and the rows and
+        position it adds."""
         if len(history):
             raise ValueError("encode takes histories or one latent step, not both")
         if len(injected) != 1:
@@ -256,7 +258,7 @@ class Backbone:
         if start + 1 > self.cfg.max_positions:
             raise ValueError(f"sequence length {start + 1} exceeds max_positions "
                              f"{self.cfg.max_positions}")
-        at, pad = np.full(B, start), cache.pad
+        at, pad = slice(start, start + 1), cache.pad
         if pad is not None:
             at, pad = cache.lengths, np.concatenate([pad, np.zeros((B, 1), bool)], axis=1)
         return rows, at, self._commit(cache, B, 1, pad)
@@ -276,8 +278,10 @@ class Backbone:
         cache.batch, cache.pad = B, pad
         if n == 1:
             return keys, None, keys
-        last = n - 1 if pad is None else n - 1 - pad.sum(axis=1)  # each sequence's last column
-        read = last * B + np.arange(B)
+        if pad is None:  # the last B rows
+            read = slice((n - 1) * B, n * B)
+        else:  # each sequence's last column
+            read = (n - 1 - pad.sum(axis=1)) * B + np.arange(B)
         if self.cfg.layers == 1:  # the top block is the only block: no row reads the causal mask
             return None, read, keys
         mask = np.where(np.arange(n) > np.arange(n)[:, None], MASK_VALUE, 0.0)

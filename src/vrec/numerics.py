@@ -500,15 +500,18 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
                       past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
                       values: np.ndarray | None = None, pos: Tensor | None = None,
-                      at: np.ndarray | None = None,
-                      read: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      at: np.ndarray | slice | None = None,
+                      read: np.ndarray | slice | None = None,
+                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
     is the embedded rows, a verifier step's packed output, or the block
     below's output). The first block also takes the position table ``pos``
     and ``at``, one position per input row, and adds row ``at[r]`` of the
-    table to input row r. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
+    table to input row r; a call without padding gives ``at`` as the slice
+    of the positions its columns take, column c of every sequence at
+    ``at.start + c``. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
     bv, wo, bo, ln2 gain and bias, w1, b1, w2 and b2, and with x the input
     rows (plus pos[at] in the first block) and u = LN1(x) the block computes
 
@@ -520,16 +523,13 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     softmax ignores, so its gradient is exactly zero. ``past`` are
     this layer's outputs from earlier calls; ``keys`` and ``values`` are
     their k and v columns concatenated, which the new rows attend to after
-    (None with no ``past``). The gradient flows to ``past`` and ``pos`` too:
-    to ``pos`` by a scatter of the rows' gradients at ``at``, or, when
-    ``at`` puts column c of every sequence at position at[0] + c (a call
-    without padding), by each column's rows summed in row order, the
-    scatter's bits.
+    (None with no ``past``). The gradient flows to ``past`` and ``pos`` too.
 
     k and v are computed for every input row; the rest, from the queries
     on, only for the rows ``read`` lists, one per sequence in sequence
-    order (the rows a caller reads of the top block), which ``mask`` is
-    then the mask of. With ``read`` None every row is computed. The node's
+    order (the rows a caller reads of the top block: an int array, or a
+    slice when they are the last ``batch`` rows), which ``mask`` is then
+    the mask of. With ``read`` None every row is computed. The node's
     R rows (the computed ones) pack [out | k | v], k and v reshaped to R
     rows, so without ``read`` row r is [out_r | k_r | v_r]; the second and
     third values returned are the keys and values the next call attends
@@ -542,7 +542,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     rows, width = x.data.shape
     xd = x.data if width == d else x.data[:, :d]
     if pos is not None:
-        xd = xd + pos.data.take(at, axis=0)  # take: a third of the time of pos.data[at]
+        if isinstance(at, slice):  # column c of every sequence at position at.start + c
+            xd = (xd.reshape(-1, batch, d) + pos.data[at, None]).reshape(rows, d)
+        else:
+            xd = xd + pos.data.take(at, axis=0)  # take: a third of the time of pos.data[at]
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
@@ -580,9 +583,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_pos = ()
         if pos is not None:
             g_pos = (np.zeros_like(pos.data),)
-            n, first = rows // batch, int(at[0])
-            if np.array_equal(at, np.arange(first, first + n).repeat(batch)):  # no padding
-                g_pos[0][first:first + n] += np.add.reduce(g_x.reshape(n, batch, d), axis=1)
+            if isinstance(at, slice):  # each column's rows added in row order, as np.add.at does
+                g_pos[0][at] += np.add.reduce(g_x.reshape(-1, batch, d), axis=1)
             else:
                 np.add.at(g_pos[0], at, g_x)
         if width != d:

@@ -370,25 +370,32 @@ def test_open_block_count_returns_to_zero():
 @pytest.mark.parametrize("case", ["histories", "latent_step", "padded"])
 def test_position_gradient_has_the_bits_of_a_scatter(case):
     # the first block's gradient to the position table is np.add.at of its
-    # input rows' gradient at their positions: a call without padding (each
-    # column at one position) sums each column's rows in row order instead,
-    # a padded one (padding at position 0) scatters
+    # input rows' gradient at their positions: a call without padding gives
+    # the positions as a slice and sums each column's rows in row order, a
+    # padded one gives one per row and scatters
     d, B, W = 8, 3, 5
     bb = Backbone(ModelConfig(d_m=d, layers=1, heads=2, n_items=10, max_positions=12, m=0,
                               seed=4))
     params, pos, rng = bb._blocks[0], bb.params()["pos_emb"], Rng(21)
-    at = {"histories": np.arange(W).repeat(B), "latent_step": np.full(B, 6),
-          "padded": np.where(np.arange(W * B) % 4 == 1, 0, np.arange(W).repeat(B))}[case]
+    rows_at = {"histories": np.arange(W).repeat(B), "latent_step": np.full(B, 6),
+               "padded": np.where(np.arange(W * B) % 4 == 1, 0, np.arange(W).repeat(B))}[case]
+    at = {"histories": slice(0, W), "latent_step": slice(6, 7), "padded": rows_at}[case]
+    rows = len(rows_at)
     held = 0 if case == "histories" else 6 * B  # keys and values of earlier calls
     keys, values = (rng.normal((held, d)) if held else None for _ in range(2))
-    x = Tensor(rng.normal((len(at), d)))
-    g = Tensor(rng.normal((len(at), 3 * d)))
-    with tracking([x, pos, *params]):
-        out, _, _ = transformer_block(x, params, 2, None, B, (), keys, values, pos, at)
-        (out * g).sum().backward()
-    scatter = np.zeros_like(pos.data)
-    np.add.at(scatter, at, x.grad)
-    assert pos.grad.tobytes() == scatter.tobytes()
+    x = Tensor(rng.normal((rows, d)))
+    g = Tensor(rng.normal((rows, 3 * d)))
+    results = []
+    for given_at in (at, rows_at):
+        with tracking([x, pos, *params]):
+            out, _, _ = transformer_block(x, params, 2, None, B, (), keys, values, pos, given_at)
+            (out * g).sum().backward()
+        results.append([out.data, pos.grad, *(t.grad for t in (x, *params))])
+        scatter = np.zeros_like(pos.data)
+        np.add.at(scatter, rows_at, x.grad)
+        assert pos.grad.tobytes() == scatter.tobytes()
+    for a, b in zip(*results):  # the slice changes no other bit either
+        assert a.tobytes() == b.tobytes()
 
 
 # -- backward: analytic cases -------------------------------------------
