@@ -14,9 +14,10 @@ values the cache kept from earlier calls.
 
 The histories are padded on the right to the longest; one history is the
 batch of one. Rows are position-major (row c*B + b is column c of
-sequence b), so every linear layer is one matmul over all of them, each
-block is one graph node (``numerics.transformer_block``) and a step grows
-the cache by one concatenation of keys and of values per layer. Either
+sequence b), so every linear layer is one matmul over all of them and
+each block is one graph node (``numerics.transformer_block``), which
+holds its layer's keys and values so far: the cache keeps each layer's
+last node, and a step's block links that one node. Either
 call returns one row per sequence, its last position, the only row of the
 top block anything reads: every block computes the keys and values of
 every new column, and the top block the rest only for those rows, so
@@ -87,26 +88,26 @@ class ModelConfig:
 class KVCache:
     """A batch's attention state; a single request's is a batch of one.
 
-    Per layer, ``layers`` holds its block's outputs on each call so far
-    (rows packing [x | k | v]; in the top layer, a histories call's B rows
-    pack each sequence's last row beside the k and v of every new row,
-    reshaped to B rows) and their k and v concatenated, (columns * batch,
-    d_m) each, position-major: the keys and values the next call attends
-    to. The outputs are ordinary graph Tensors, so a loss back-propagates
-    through every position the cache holds. ``batch`` counts the sequences
-    (0 before the first call) and ``pad`` marks the columns that are
-    padding, per sequence (None while there are none, so every sequence
-    holds every column).
+    Per layer, ``layers`` holds its block's node from the last call, whose
+    rows pack [out | keys | values]: the call's outputs beside the keys and
+    values of every position the layer holds, (columns * batch, d_m) each,
+    position-major, reshaped to the node's rows. The next call's block
+    attends to them and links the node as its one earlier call, so a loss
+    back-propagates through every position the cache holds. ``columns``
+    counts the columns held (``len``), ``batch`` the sequences (0 before
+    the first call), and ``pad`` marks the columns that are padding, per
+    sequence (None while there are none, so every sequence holds every
+    column).
     """
 
-    layers: list[tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]] = field(
-        init=False, default_factory=list)
+    layers: list[Tensor] = field(init=False, default_factory=list)
     batch: int = field(init=False, default=0)
     pad: np.ndarray | None = field(init=False, default=None)  # (batch, columns) bool
+    columns: int = field(init=False, default=0)
 
     def __len__(self) -> int:
         """Columns held: for one sequence, its positions."""
-        return len(self.layers[0][1]) // self.batch if self.layers else 0
+        return self.columns
 
     @property
     def lengths(self) -> np.ndarray:
@@ -191,14 +192,12 @@ class Backbone:
         """
         x, at, (mask, read, top_mask) = self._latent_rows(history, injected, cache) \
             if injected else self._embed(history, cache)
-        layers = cache.layers or [((), None, None)] * self.cfg.layers
+        layers = cache.layers or [None] * self.cfg.layers
         pos, top = self._params["pos_emb"], self.cfg.layers - 1
         for i, params in enumerate(self._blocks):
-            past, keys, values = layers[i]
-            x, keys, values = transformer_block(
-                x, params, self.cfg.heads, top_mask if i == top else mask, cache.batch, past,
-                keys, values, pos, at, read if i == top else None)
-            layers[i] = ((*past, x), keys, values)
+            x = layers[i] = transformer_block(
+                x, params, self.cfg.heads, top_mask if i == top else mask, cache.batch,
+                layers[i], pos, at, read if i == top else None)
             pos = None  # the first block adds the position rows
         cache.layers = layers
         return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
@@ -225,8 +224,9 @@ class Backbone:
         pad = np.arange(width) >= np.array(counts)[:, None] if ragged else None  # (B, width)
         # the one place where item ids enter the model
         ids = np.concatenate(seqs) if ragged else np.array(seqs)
-        if ids.min() < 0 or ids.max() >= self.cfg.n_items:
-            bad = ids[(ids < 0) | (ids >= self.cfg.n_items)][0]
+        flat = ids.ravel().tolist()  # Python's min and max: a third of the time of numpy's
+        if min(flat) < 0 or max(flat) >= self.cfg.n_items:
+            bad = next(i for i in flat if not 0 <= i < self.cfg.n_items)
             raise ValueError(f"history item id {bad} outside 0..{self.cfg.n_items - 1}")
         at = slice(0, width)  # column c of every sequence is at position c
         if ragged:  # the shorter histories' columns hold the non-item token, at position 0
@@ -264,9 +264,9 @@ class Backbone:
         return rows, at, self._commit(cache, B, 1, pad)
 
     def _commit(self, cache: KVCache, B: int, n: int, pad: np.ndarray | None) -> tuple:
-        """Record the call's batch and padding in ``cache``, and return the
-        mask of what its n new columns attend to, the rows the top block
-        computes past their keys and values (``read`` of
+        """Record the call's batch, padding and columns in ``cache``, and
+        return the mask of what its n new columns attend to, the rows the
+        top block computes past their keys and values (``read`` of
         ``numerics.transformer_block``) and their mask. Histories (an empty
         cache): column c sees columns 0..c, and the top block computes each
         sequence's last column, which sees every column of its own; so only
@@ -276,6 +276,7 @@ class Backbone:
         None). Padding is masked throughout."""
         keys = None if pad is None else np.where(pad, MASK_VALUE, 0.0)[:, None, :]
         cache.batch, cache.pad = B, pad
+        cache.columns += n
         if n == 1:
             return keys, None, keys
         if pad is None:  # the last B rows

@@ -41,7 +41,8 @@ scatters their gradient back to them; ``layer_norm`` reads the first
 columns of a block's packed output. So a latent step builds the bank
 step, one node per block and the final norm, and no slicing or position
 node between them, and a batch of histories returns each sequence's last
-row without one.
+row without one. A block's node also packs its layer's keys and values so
+far: the one earlier call that the next call's block links.
 """
 
 from __future__ import annotations
@@ -498,11 +499,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray | None = None, batch: int = 1,
-                      past: Sequence[Tensor] = (), keys: np.ndarray | None = None,
-                      values: np.ndarray | None = None, pos: Tensor | None = None,
+                      prev: Tensor | None = None, pos: Tensor | None = None,
                       at: np.ndarray | slice | None = None,
-                      read: np.ndarray | slice | None = None,
-                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                      read: np.ndarray | slice | None = None) -> Tensor:
     """One pre-LN transformer block over new position-major rows, as one node.
 
     The first d columns of ``x`` are the block's n*batch input rows (``x``
@@ -520,21 +519,21 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
 
     (``_attention_np`` with ``heads``, ``mask`` and ``batch``). The keys have
     no bias: it would add q.bk to all of a query's scores alike, which
-    softmax ignores, so its gradient is exactly zero. ``past`` are
-    this layer's outputs from earlier calls; ``keys`` and ``values`` are
-    their k and v columns concatenated, which the new rows attend to after
-    (None with no ``past``). The gradient flows to ``past`` and ``pos`` too.
+    softmax ignores, so its gradient is exactly zero. ``prev`` is this
+    layer's node from the call before (None on the first call), whose
+    columns hold the keys and values the new rows attend to after.
 
     k and v are computed for every input row; the rest, from the queries
     on, only for the rows ``read`` lists, one per sequence in sequence
     order (the rows a caller reads of the top block: an int array, or a
     slice when they are the last ``batch`` rows), which ``mask`` is then
     the mask of. With ``read`` None every row is computed. The node's
-    R rows (the computed ones) pack [out | k | v], k and v reshaped to R
-    rows, so without ``read`` row r is [out_r | k_r | v_r]; the second and
-    third values returned are the keys and values the next call attends
-    to. The node's values have the bits of the chain of elementary ops it
-    replaces, and its gradient adds terms in that chain's order.
+    R rows (the computed ones) pack [out | keys | values], the keys and
+    values of every position the layer holds reshaped to R rows. Its
+    gradient to ``prev`` is the earlier rows' part of what later calls and
+    this one sent the keys and values; it flows to ``pos`` too. The node's
+    values have the bits of the chain of elementary ops it replaces, and
+    its gradient adds terms in that chain's order.
     """
     (gain1, bias1, wq, bq, wk, wv, bv, wo, bo,
      gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
@@ -553,10 +552,11 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     computed = slice(None) if read is None else read
     uq, xq = u[computed], xd[computed]
     q = uq @ wq + bq
-    if keys is not None:
-        keys, values = np.concatenate([keys, k]), np.concatenate([values, v])
-    else:
-        keys, values = k, v
+    keys, values = k, v
+    if prev is not None:
+        half = (prev.data.shape[1] - d) // 2
+        keys = np.concatenate([prev.data[:, d:d + half].reshape(-1, d), k])
+        values = np.concatenate([prev.data[:, d + half:].reshape(-1, d), v])
     joined, attention_vjp = _attention_np(q, keys, values, heads, mask, batch)
     a = xq + (joined @ wo + bo)
     u2, ln2_vjp = _layer_norm_np(a, gain2, bias2)
@@ -571,10 +571,11 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
         g_a, g_gain2, g_bias2 = ln2_vjp(g_pre @ w1.T)
         g_a = g_out + g_a
         g_q, g_keys, g_values = attention_vjp(g_a @ wo.T)
-        # the new rows' keys and values, plus what later calls sent them
-        new, half = len(g_keys) - rows, (g.shape[1] - d) // 2
-        g_k = g_keys[new:] + g[:, d:d + half].reshape(rows, d)
-        g_v = g_values[new:] + g[:, d + half:].reshape(rows, d)
+        # every held row's key and value, plus what later calls sent them
+        half, new = (g.shape[1] - d) // 2, len(g_keys) - rows
+        g_keys = g_keys + g[:, d:d + half].reshape(-1, d)
+        g_values = g_values + g[:, d + half:].reshape(-1, d)
+        g_k, g_v = g_keys[new:], g_values[new:]
         # the computed rows' query and residual terms go back to those rows
         g_u = g_k @ wk.T
         g_u[computed] += g_q @ wq.T
@@ -589,24 +590,18 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
                 np.add.at(g_pos[0], at, g_x)
         if width != d:
             g_x = np.concatenate([g_x, np.zeros((rows, width - d))], axis=1)
-        g_past, lo = [], 0
-        for t in past:  # each packs [out | k | v] of one call's rows
-            held = len(t.data)
-            hi = lo + (t.size - held * d) // (2 * d)
-            g_past.append(np.concatenate([np.zeros((held, d)), g_keys[lo:hi].reshape(held, -1),
-                                          g_values[lo:hi].reshape(held, -1)], axis=1))
-            lo = hi
-        return (*g_past, g_gain1, g_bias1, uq.T @ g_q, np.add.reduce(g_q, axis=0), u.T @ g_k,
-                u.T @ g_v, np.add.reduce(g_v, axis=0), joined.T @ g_a,
-                np.add.reduce(g_a, axis=0), g_gain2, g_bias2, u2.T @ g_pre,
-                np.add.reduce(g_pre, axis=0), h.T @ g_out, np.add.reduce(g_out, axis=0), g_x,
-                *g_pos)
-    # x and pos last: backward's depth-first search then reaches this call's
-    # inputs before the earlier calls, in the order the chain of ops did
-    inputs = (x,) if pos is None else (x, pos)
-    node = _node(np.concatenate([out, k.reshape(R, -1), v.reshape(R, -1)], axis=1),
-                 (*past, *params, *inputs), "transformer_block", vjp)
-    return node, keys, values
+        g_prev = ()
+        if prev is not None:  # the earlier rows' keys and values, packed as prev is
+            held = len(prev.data)
+            g_prev = (np.concatenate([np.zeros((held, d)), g_keys[:new].reshape(held, -1),
+                                      g_values[:new].reshape(held, -1)], axis=1),)
+        return (g_x, *g_pos, *g_prev, g_gain1, g_bias1, uq.T @ g_q,
+                np.add.reduce(g_q, axis=0), u.T @ g_k, u.T @ g_v, np.add.reduce(g_v, axis=0),
+                joined.T @ g_a, np.add.reduce(g_a, axis=0), g_gain2, g_bias2, u2.T @ g_pre,
+                np.add.reduce(g_pre, axis=0), h.T @ g_out, np.add.reduce(g_out, axis=0))
+    inputs = tuple(t for t in (x, pos, prev) if t is not None)
+    return _node(np.concatenate([out, keys.reshape(R, -1), values.reshape(R, -1)], axis=1),
+                 (*inputs, *params), "transformer_block", vjp)
 
 
 def check_int(name: str, value, least: int = 0) -> None:

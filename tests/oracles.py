@@ -6,10 +6,11 @@ as their oracles (``encode_chain`` is the backbone's), and the first ops
 here are the ones the chains need that the library no longer does. They
 are built on ``numerics._node`` like every library op. The rest are small
 references the tests check the library against, the finite-difference
-gradient check, readers of a verifier's slices of the bank's stacks and of
-verdict fields that only tests read, bare tensors as one model and a
-reader of a model's parameter gradients in layout order, and a checkpoint
-writer for tests that edit a saved header."""
+gradient check, a reader of a ``KVCache``'s keys and values, readers of
+a verifier's slices of the bank's stacks and of verdict fields that only
+tests read, bare tensors as one model and a reader of a model's
+parameter gradients in layout order, and a checkpoint writer for tests
+that edit a saved header."""
 
 import json
 import struct
@@ -192,6 +193,18 @@ def encode_every_row(model, history, injected=None, cache=None) -> Tensor:
         return rows
     return rows[-B:] if cache.pad is None else \
         embedding_lookup(rows, (cache.lengths - 1) * B + np.arange(B))
+
+
+def cached_keys_values(cache, d_m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's keys and values in a ``KVCache``, (columns * batch,
+    d_m) each, position-major: the columns of the layer's block node past
+    its first d_m, split in half, each reshaped to rows of d_m."""
+    kv = []
+    for node in cache.layers:
+        packed = node.data[:, d_m:]
+        half = packed.shape[1] // 2
+        kv.append((packed[:, :half].reshape(-1, d_m), packed[:, half:].reshape(-1, d_m)))
+    return kv
 
 
 def verifier_weights(bank, i) -> tuple[list[tuple[Tensor, Tensor]], Tensor, Tensor]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vrec.backbone import MASK_VALUE, Backbone, KVCache, ModelConfig
-from oracles import ChainCache, encode_chain, encode_every_row, greedy_recommend, softmax
+from oracles import (ChainCache, cached_keys_values, encode_chain, encode_every_row,
+                     greedy_recommend, softmax)
 from vrec.numerics import Rng, Tensor, tracking
 from vrec.verifiers import make_bank, verify_and_adjust
 
@@ -50,10 +51,10 @@ def test_encode_shape():
     assert bb.encode([[0, 3, 5], [1]], cache=cache).shape == (2, 16) and len(cache) == 3
 
 
-def _kv(cache: KVCache, columns: int) -> list:
+def _kv(cache: KVCache, columns: int, d_m: int) -> list:
     """Every layer's cached keys and values of the first ``columns``
     columns, for one sequence."""
-    return [a[:columns] for _, keys, values in cache.layers for a in (keys, values)]
+    return [a[:columns] for kv in cached_keys_values(cache, d_m) for a in kv]
 
 
 def test_causality_exact():
@@ -63,9 +64,9 @@ def test_causality_exact():
     caches = KVCache(), KVCache()
     a = bb.encode([0, 3, 5, 7], cache=caches[0])
     b = bb.encode([0, 3, 5, 9], cache=caches[1])  # change only the last token
-    for got, want in zip(_kv(caches[1], 3), _kv(caches[0], 3), strict=True):
+    for got, want in zip(_kv(caches[1], 3, 16), _kv(caches[0], 3, 16), strict=True):
         assert np.array_equal(got, want)
-    assert not np.array_equal(_kv(caches[1], 4)[-1], _kv(caches[0], 4)[-1])
+    assert not np.array_equal(_kv(caches[1], 4, 16)[-1], _kv(caches[0], 4, 16)[-1])
     assert not np.array_equal(a.data, b.data)
 
 
@@ -99,7 +100,7 @@ def test_causality_all_prefixes():
     for t in range(1, len(hist) + 1):
         edited = KVCache()
         bb.encode(hist[:t] + [11] * (len(hist) - t), cache=edited)
-        for got, want in zip(_kv(edited, t), _kv(full_cache, t), strict=True):
+        for got, want in zip(_kv(edited, t, 16), _kv(full_cache, t, 16), strict=True):
             assert np.array_equal(got, want)
         prefix = bb.encode(hist[:t], cache=KVCache())
         assert np.abs(prefix.data - rows[t - 1:t]).max() <= 1e-12
@@ -209,7 +210,7 @@ def _latent_steps_digest() -> str:
                 assert np.array_equal(step.data,
                                       encode_every_row(bb, [], [latent], caches[1]).data)
                 h.update(step.data.tobytes())
-            for i, (_, keys, values) in enumerate(caches[0].layers):
+            for i, (keys, values) in enumerate(cached_keys_values(caches[0], 12)):
                 assert np.array_equal(keys, caches[1].keys[i].data)
                 assert np.array_equal(values, caches[1].values[i].data)
                 h.update(keys.tobytes())
@@ -292,7 +293,7 @@ def test_each_refused_call_leaves_the_cache_as_it_was(histories):
 def test_cache_is_made_empty_and_always_given():
     # a cache starts empty, only encode fills it, and encode has no cache of
     # its own to fall back on
-    for kwargs in ({"layers": []}, {"batch": 2}, {"pad": None}):
+    for kwargs in ({"layers": []}, {"batch": 2}, {"pad": None}, {"columns": 3}):
         with pytest.raises(TypeError):
             KVCache(**kwargs)
     bb = Backbone(small_cfg())

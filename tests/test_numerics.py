@@ -381,16 +381,21 @@ def test_position_gradient_has_the_bits_of_a_scatter(case):
                "padded": np.where(np.arange(W * B) % 4 == 1, 0, np.arange(W).repeat(B))}[case]
     at = {"histories": slice(0, W), "latent_step": slice(6, 7), "padded": rows_at}[case]
     rows = len(rows_at)
-    held = 0 if case == "histories" else 6 * B  # keys and values of earlier calls
-    keys, values = (rng.normal((held, d)) if held else None for _ in range(2))
+    # the keys and values of earlier calls, as a node of the block below
+    # packs them, one [out | k | v] per row. The new node packs every row it
+    # holds into its own rows, so the padded case's 15 rows hold a multiple
+    # of 15 (in encode, a call of more than one column has no earlier call)
+    held = {"histories": 0, "latent_step": 6 * B, "padded": W * B}[case]
+    prev = Tensor(rng.normal((held, 3 * d))) if held else None
     x = Tensor(rng.normal((rows, d)))
-    g = Tensor(rng.normal((rows, 3 * d)))
+    g = Tensor(rng.normal((rows, d + 2 * (held + rows) * d // rows)))
+    tracked = [x, *params] + ([] if prev is None else [prev])
     results = []
     for given_at in (at, rows_at):
-        with tracking([x, pos, *params]):
-            out, _, _ = transformer_block(x, params, 2, None, B, (), keys, values, pos, given_at)
+        with tracking([pos, *tracked]):
+            out = transformer_block(x, params, 2, None, B, prev, pos, given_at)
             (out * g).sum().backward()
-        results.append([out.data, pos.grad, *(t.grad for t in (x, *params))])
+        results.append([out.data, pos.grad, *(t.grad for t in tracked)])
         scatter = np.zeros_like(pos.data)
         np.add.at(scatter, rows_at, x.grad)
         assert pos.grad.tobytes() == scatter.tobytes()

@@ -171,6 +171,31 @@ def test_each_position_encoded_once(monkeypatch):
             assert counts == [len(history)] + [1] * m
 
 
+@pytest.mark.parametrize("layers,edges", [(1, 8), (2, 25)])
+def test_each_block_links_one_earlier_call(layers, edges):
+    # a layer's block node holds the keys and values of every earlier call,
+    # so it links only the call before: m edges per layer, plus one from
+    # each block to the one below in each of the m + 1 calls. With a child
+    # per earlier call it was m(m+1)/2 per layer, 36 and 81 in all
+    bb = Backbone(ModelConfig(d_m=16, layers=layers, heads=2, n_items=12, max_positions=20,
+                              m=8, seed=0))
+    bank = make_bank([("a", 4), ("b", 3)], d_m=16, seed=4)
+    with tracking(list(bb.params().values()) + list(bank.params().values())):
+        _, hidden = run_reasoning(bb, bank, [0, 5, 9, 2, 7, 1], 8)
+    seen, stack, total, earlier = set(), [hidden], 0, []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._op == "transformer_block":
+            blocks = [c._op == "transformer_block" for c in node._children]
+            total += sum(blocks)
+            earlier.append(sum(blocks[1:]))  # the first child is its input rows
+        stack.extend(node._children)
+    assert total == edges and max(earlier) == 1
+
+
 def test_grad_check_through_cached_rollout():
     # the gradient-fidelity acceptance setup, one latent step deeper
     bb = Backbone(ModelConfig(d_m=8, layers=1, heads=2, n_items=6, max_positions=16,
