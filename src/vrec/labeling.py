@@ -115,28 +115,33 @@ def train_cf(samples, n_items: int, n_users: int, epochs: int = CF_EPOCHS,
 
     For each training sample the observed target is scored against one
     sampled negative item via a logistic loss on the score difference;
-    user and item embeddings descend the gradient.
+    user and item embeddings descend the gradient. Each epoch draws its
+    negatives in one call, one per sample in sample order (a negative that
+    hits the target moves to the next item, modulo the item count), then
+    updates sample by sample in that order, each update's gradients taken
+    from the rows before it.
     """
     rng = Rng(seed, 1)
     user_emb = rng.normal((n_users, CF_DIM), std=0.1)
     item_emb = rng.normal((n_items, CF_DIM), std=0.1)
+    targets = np.array([s.target for s in samples], dtype=np.int64)
+    # each row a view, so an update writes its three rows in place
+    user_rows, item_rows = list(user_emb), list(item_emb)
+    pairs = [(user_rows[s.user], item_rows[s.target]) for s in samples]
+    lr = np.array(CF_LR)  # an array operand: numpy charges a Python float more
     for _ in range(epochs):
-        for s in samples:
-            u = user_emb[s.user]
-            pos = item_emb[s.target]
-            neg_id = int(rng.integers(0, n_items))
-            if neg_id == s.target:
-                neg_id = (neg_id + 1) % n_items
-            neg = item_emb[neg_id]
-            x = float(u @ (pos - neg))
-            # d/dx of -log(sigmoid(x)) is sigmoid(x) - 1
-            g = 1.0 / (1.0 + np.exp(-x)) - 1.0
-            grad_u = g * (pos - neg)
-            grad_pos = g * u
-            grad_neg = -g * u
-            user_emb[s.user] -= CF_LR * grad_u
-            item_emb[s.target] -= CF_LR * grad_pos
-            item_emb[neg_id] -= CF_LR * grad_neg
+        neg = rng.integers(0, n_items, size=len(samples))
+        hit = neg == targets
+        neg[hit] = (neg[hit] + 1) % n_items
+        for (u, pos), q in zip(pairs, [item_rows[i] for i in neg.tolist()]):
+            diff = pos - q
+            # d/dx of -log(sigmoid(x)) is sigmoid(x) - 1, on Python floats
+            g = np.array(1.0 / (1.0 + float(np.exp(-float(u @ diff)))) - 1.0)
+            # the negative row's gradient is -g u, so it takes the target's step
+            step = lr * (g * u)
+            u -= lr * (g * diff)
+            pos -= step
+            q += step
     return CfModel(item_emb=item_emb, user_emb=user_emb)
 
 

@@ -6,8 +6,9 @@ there is no broadcasting except scalar-with-tensor, so shape mismatches
 fail loudly instead of silently expanding. ``Tensor.sum`` and
 ``Tensor.mean`` reduce the whole tensor to a scalar; ``log_softmax`` works
 over the last axis, and ``layer_norm`` normalizes the first columns of 2-D
-rows, refusing a 1-D vector. ``Rng``'s ``uniform`` and ``integers`` draw
-one number per call.
+rows, refusing a 1-D vector. ``Rng``'s ``uniform`` draws one number per
+call, and ``integers`` one or, given ``size``, that many: an array of n
+draws is the n single draws in turn and leaves the stream where they do.
 
 Four rules keep the core small:
 
@@ -377,19 +378,24 @@ def relu(x: Tensor) -> Tensor:
                  lambda g: (g * (xd > 0.0).astype(np.float64),))
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
+# Fixed constants of the array ops as 0-d float64 arrays: an op rounds the
+# same with them as with a Python float, but numpy 2.4 charges about 0.4 us
+# more per op for a Python scalar operand
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+_GELU_C, _GELU_A = np.array(math.sqrt(2.0 / math.pi)), np.array(0.044715)
+_GELU_3A = np.array(3 * 0.044715)
 
 
 def _gelu_np(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximation GELU of an array, and the tanh its derivative reuses."""
     # xd*xd*xd, not xd**3: numpy sends a cube through libm pow, many times slower
-    tanh = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
-    return 0.5 * xd * (1.0 + tanh), tanh
+    tanh = np.tanh(_GELU_C * (xd + _GELU_A * (xd * xd * xd)))
+    return _HALF * xd * (_ONE + tanh), tanh
 
 
 def _gelu_deriv(xd: np.ndarray, tanh: np.ndarray) -> np.ndarray:
-    sech2 = 1.0 - tanh**2
-    return 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
+    sech2 = _ONE - tanh**2
+    return _HALF * (_ONE + tanh) + _HALF * xd * sech2 * _GELU_C * (_ONE + _GELU_3A * xd**2)
 
 
 def _softmax_np(xd: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -427,7 +433,7 @@ def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     rows, d = q.shape
     n, T = rows // batch, k.shape[0] // batch
     dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = np.array(1.0 / math.sqrt(dh))
     # one contiguous matrix per sequence and head: each batched product then
     # makes the BLAS call, and gets the bits, of that product on its own
     bh = batch * heads
@@ -452,6 +458,7 @@ def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
 
 
 LAYER_NORM_EPS = 1e-5
+_LAYER_NORM_EPS = np.array(LAYER_NORM_EPS)
 
 
 def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.ndarray, Callable]:
@@ -467,9 +474,10 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
         inv = 1.0 / math.sqrt(float(np.add.reduce(centered * centered, axis=None)) / d
                               + LAYER_NORM_EPS)
     else:
-        centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-                            + LAYER_NORM_EPS)
+        width = np.array(float(d))
+        centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / width
+        inv = _ONE / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
+                             + _LAYER_NORM_EPS)
     xhat = centered * inv
 
     def vjp(g):
@@ -637,8 +645,8 @@ class Rng:
     def uniform(self) -> float:
         return self._gen.random()
 
-    def integers(self, low: int, high: int):
-        return self._gen.integers(low, high)
+    def integers(self, low: int, high: int, size: int | None = None):
+        return self._gen.integers(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

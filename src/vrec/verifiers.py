@@ -23,13 +23,14 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from .numerics import (Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log,
+from .numerics import (_ONE, Rng, Tensor, _gelu_deriv, _gelu_np, _node, _softmax_np, log,
                        parameter_vectors)
 
 __all__ = ["Router", "StepVerdict", "VerifierBank", "check_bank_shape", "check_class_count",
            "make_bank", "verify_and_adjust"]
 
 EPSILON = 1e-6
+_EPSILON = np.array(EPSILON)  # an array operand is cheaper (see numerics._ONE)
 
 
 @dataclass
@@ -218,15 +219,16 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         f[:, idx] = -np.add.reduce(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0)), axis=2)  # 0 log 0 is 0
         j[:, idx] = j_k = p_k.argmax(axis=2)
         protos[:, idx] = w_k[np.arange(len(w_k)), :, j_k]  # W_last_i[:, j*_i]
-    c = np.minimum(1.0, 1.0 / np.maximum(f, EPSILON))
-    terms = (1.0 - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
-    r_star = np.add.accumulate(terms, axis=1)[:, -1] * (1.0 / n)  # summed verifier by verifier
+    c = np.minimum(_ONE, _ONE / np.maximum(f, _EPSILON))
+    terms = (_ONE - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
+    inv_n = np.array(1.0 / n)
+    r_star = np.add.accumulate(terms, axis=1)[:, -1] * inv_n  # summed verifier by verifier
     packed = np.concatenate([r_star, w, p, f, c], axis=1)
 
     def vjp(g_out):
         cuts = accumulate((d, n, p.shape[1], n, n), initial=0)
         g_r, g_w, g_p, g_f, g_c = (g_out[:, a:b] for a, b in pairwise(cuts))
-        g_acc = g_r * (1.0 / n)
+        g_acc = g_r * inv_n
         g_c = g_c + np.add.reduce((protos - x[:, None, :]) * g_acc[:, None, :], axis=2)
         g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)
         g_p = g_p - g_f.repeat(bank.sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)

@@ -9,10 +9,14 @@ references the tests check the library against, the finite-difference
 gradient check, a reader of a ``KVCache``'s keys and values, readers of
 a verifier's slices of the bank's stacks and of verdict fields that only
 tests read, bare tensors as one model and a reader of a model's
-parameter gradients in layout order, and a checkpoint writer for tests
-that edit a saved header."""
+parameter gradients in layout order, the CF trainer's one-draw-per-sample
+loop, the name of the BLAS kernel in use, and a checkpoint writer for
+tests that edit a saved header."""
 
+import ctypes
+import glob
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -20,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from vrec.checkpoint import MAGIC
+from vrec.labeling import CF_DIM, CF_EPOCHS, CF_LR, CfModel
 from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
                            _softmax_np, concat, embedding_lookup, layer_norm, matmul,
                            parameter_layout, parameter_vectors, tracking)
@@ -380,6 +385,46 @@ def cf_pair_loss(model, samples, seed: int = 0) -> float:
         x = float(model.user_emb[s.user] @ (model.item_emb[s.target] - model.item_emb[neg_id]))
         total += float(np.log1p(np.exp(-x)))
     return total / max(len(samples), 1)
+
+
+def train_cf_oracle(samples, n_items: int, n_users: int, epochs: int = CF_EPOCHS,
+                    seed: int = 0) -> CfModel:
+    """``labeling.train_cf`` as a plain per-sample loop: one negative drawn
+    per update, every gradient a new array, each row written back by index."""
+    rng = Rng(seed, 1)
+    user_emb = rng.normal((n_users, CF_DIM), std=0.1)
+    item_emb = rng.normal((n_items, CF_DIM), std=0.1)
+    for _ in range(epochs):
+        for s in samples:
+            u = user_emb[s.user]
+            pos = item_emb[s.target]
+            neg_id = int(rng.integers(0, n_items))
+            if neg_id == s.target:
+                neg_id = (neg_id + 1) % n_items
+            neg = item_emb[neg_id]
+            x = float(u @ (pos - neg))
+            g = 1.0 / (1.0 + np.exp(-x)) - 1.0
+            grad_u = g * (pos - neg)
+            grad_pos = g * u
+            grad_neg = -g * u
+            user_emb[s.user] -= CF_LR * grad_u
+            item_emb[s.target] -= CF_LR * grad_pos
+            item_emb[neg_id] -= CF_LR * grad_neg
+    return CfModel(item_emb=item_emb, user_emb=user_emb)
+
+
+def blas_kernel() -> str:
+    """The kernel name that numpy's bundled OpenBLAS picked for this CPU (or
+    that ``OPENBLAS_CORETYPE`` chose), e.g. ``SkylakeX`` or ``Haswell``;
+    each kernel rounds a BLAS product its own way. ``unknown`` when numpy
+    bundles no OpenBLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def write_checkpoint(path, header: dict, body: bytes) -> None:

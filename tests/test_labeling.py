@@ -1,12 +1,14 @@
 """Labeling-dimension tests: category passthrough, title trigrams, CF, k-means."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vrec.labeling
-from oracles import cf_pair_loss
+from oracles import blas_kernel, cf_pair_loss, train_cf_oracle
 from vrec.datasets import Item, Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import (
     build_labeling,
@@ -103,6 +105,46 @@ def test_cf_deterministic(synth):
     b = train_cf(split.train, n_items=40, n_users=split.n_users, epochs=2, seed=5)
     assert np.array_equal(a.item_emb, b.item_emb)
     assert np.array_equal(a.user_emb, b.user_emb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_users=st.integers(1, 6), n_items=st.integers(1, 12),
+       epochs=st.integers(0, 3),
+       draws=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=40))
+# two items: about half the negatives hit the target and move to the other item
+@example(seed=3, n_users=2, n_items=2, epochs=3, draws=[(0, 0), (1, 1), (0, 1), (1, 0)] * 5)
+def test_train_cf_matches_the_oracle_loop_bit_for_bit(seed, n_users, n_items, epochs, draws):
+    samples = [Sample(user=u % n_users, history=[], target=t % n_items) for u, t in draws]
+    got = train_cf(samples, n_items=n_items, n_users=n_users, epochs=epochs, seed=seed)
+    want = train_cf_oracle(samples, n_items=n_items, n_users=n_users, epochs=epochs, seed=seed)
+    assert got.item_emb.tobytes() == want.item_emb.tobytes()
+    assert got.user_emb.tobytes() == want.user_emb.tobytes()
+
+
+# sha256 of train_cf's item then user embeddings on the benchmark's training
+# corpus (48 users, 96 items, seed 1), per OpenBLAS kernel: the dot product
+# of each update rounds as the kernel's ddot sums. Recorded with the
+# one-draw-per-sample loop that tests/oracles.train_cf_oracle keeps.
+CF_DIGESTS = {
+    "SkylakeX": "9feda47a6242deee83a530edec5e3a2c3dd61f00fffc6212726f4cadeca7b5ea",
+    "Haswell": "b633f6176182f0b35bfe7be8f029c7fb98df616516d0d1f0c9b2cda931ab3294",
+    "Sandybridge": "b633f6176182f0b35bfe7be8f029c7fb98df616516d0d1f0c9b2cda931ab3294",
+    "Nehalem": "587d37bb4a5058e9535dce383c883e58da7d300e9be88e048e3547e1f628c0f2",
+    "Katmai": "587d37bb4a5058e9535dce383c883e58da7d300e9be88e048e3547e1f628c0f2",
+}
+
+
+def test_cf_embeddings_pinned():
+    kernel = blas_kernel()
+    assert kernel in CF_DIGESTS, f"no CF digest recorded for the BLAS kernel {kernel!r}"
+    items, logs, _ = generate_synthetic(
+        SynthConfig(n_users=48, n_items=96, n_groups=6, stickiness=0.8,
+                    seq_len_range=(16, 24), seed=1))
+    split = chronological_split(logs)
+    for train in (train_cf, train_cf_oracle):
+        model = train(split.train, n_items=len(items), n_users=split.n_users, seed=1)
+        digest = hashlib.sha256(model.item_emb.tobytes() + model.user_emb.tobytes())
+        assert digest.hexdigest() == CF_DIGESTS[kernel], train.__name__
 
 
 def test_kmeans_two_points_two_clusters():

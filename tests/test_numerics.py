@@ -629,6 +629,21 @@ def test_rng_choice_weighted_deterministic():
     assert set(draws1) <= {0, 1, 2}
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 5), low=st.integers(-50, 50),
+       span=st.one_of(st.integers(1, 200), st.integers(2**32 - 2, 2**40)),
+       n=st.integers(0, 40))
+def test_rng_integers_array_is_the_scalar_draws_in_turn(seed, stream, low, span, n):
+    # train_cf draws an epoch's negatives in one call where it drew one per sample
+    one, each = Rng(seed, stream), Rng(seed, stream)
+    drawn = one.integers(low, low + span, size=n)
+    assert drawn.dtype == np.int64 and drawn.shape == (n,)
+    assert drawn.tolist() == [int(each.integers(low, low + span)) for _ in range(n)]
+    # the stream is left where the scalar draws leave it
+    assert int(one.integers(low, low + span)) == int(each.integers(low, low + span))
+    assert one.uniform() == each.uniform()
+
+
 # -- fused attention against the per-head chain ---------------------------
 
 
