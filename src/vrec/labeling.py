@@ -135,8 +135,9 @@ def train_cf(samples, n_items: int, n_users: int, epochs: int = CF_EPOCHS,
         neg[hit] = (neg[hit] + 1) % n_items
         for (u, pos), q in zip(pairs, [item_rows[i] for i in neg.tolist()]):
             diff = pos - q
-            # d/dx of -log(sigmoid(x)) is sigmoid(x) - 1, on Python floats
-            g = np.array(1.0 / (1.0 + float(np.exp(-float(u @ diff)))) - 1.0)
+            # d/dx of -log(sigmoid(x)) is sigmoid(x) - 1, on Python floats;
+            # .dot reaches the BLAS ddot that @ does, without the ufunc's dispatch
+            g = np.array(1.0 / (1.0 + float(np.exp(-float(u.dot(diff))))) - 1.0)
             # the negative row's gradient is -g u, so it takes the target's step
             step = lr * (g * u)
             u -= lr * (g * diff)

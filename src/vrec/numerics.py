@@ -14,14 +14,15 @@ Four rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - Every op builds its output through ``_node``, which links the output into
-  the graph only inside ``tracking`` and only when some child is tracked.
-  Outside every block an op builds no graph, even on an output of an
-  earlier block, and looks at none of its inputs: inference and evaluation
-  pay for their arithmetic alone.
+  the graph and appends it to the block's tape only inside ``tracking`` and
+  only when some child is tracked. Outside every block an op builds no
+  graph, even on an output of an earlier block, and looks at none of its
+  inputs: inference and evaluation pay for their arithmetic alone.
 - Every tensor is created untracked. Only the tensors being fitted or
   grad-checked are tracked, and only inside ``tracking(tensors)``.
-  Entering the block zeroes their gradients; ``backward`` only adds to
-  them.
+  Entering the block zeroes their gradients and puts them on its tape;
+  ``backward``, run in that block, walks the tape backwards (each node
+  after every node made from it) and only adds to them.
 - A model's parameters live in one value vector (``parameter_vectors``),
   each one's ``.data`` a view of its run. An optimizer owns the gradient
   vectors and binds each ``.grad`` to its run, so a step is one array
@@ -155,17 +156,15 @@ class Tensor:
     def backward(self) -> None:
         """Add d(self)/d(leaf) to each tracked leaf's ``.grad`` (zeroed by ``tracking``).
 
-        ``self`` must be a scalar (size 1) that depends on a tracked tensor.
-        A second call in one ``tracking`` block adds to the first's.
+        ``self`` must be a scalar (size 1) built from a tracked tensor inside
+        the ``tracking`` block that is open now: backward walks that block's
+        tape. A second call in the block adds to the first's. Any other loss
+        raises ``ValueError`` and changes no ``.grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        if not (self.requires_grad or self._vjp is not None):
-            raise ValueError("backward: the loss depends on no tracked tensor; build it "
-                             "inside numerics.tracking(params)")
-        topo = _topo_order(self)
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        for node in reversed(_tape):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
@@ -178,11 +177,18 @@ class Tensor:
                     continue
                 prev = pending.get(id(child))
                 pending[id(child)] = cg if prev is None else prev + cg
+        if id(self) in pending:
+            raise ValueError("backward: the loss depends on no tracked tensor of the open "
+                             "block; build it and call backward inside one "
+                             "numerics.tracking(params) block")
 
 
 # ``tracking`` blocks open now, in the whole process (training runs in one
-# thread); with none, ``_node`` links nothing
+# thread); with none, ``_node`` links nothing. ``_tape`` holds the open
+# blocks' tracked tensors and linked nodes in creation order, and empties
+# when the outermost block exits
 _open_blocks = 0
+_tape: list[Tensor] = []
 
 
 @contextmanager
@@ -192,9 +198,12 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
     but for an optimizer's vectors (``training.Adam``), made. A ``.grad``
     that is a view of an optimizer's vector is zeroed in place; any other
     tensor gets a new zero array. Ops build a graph only while a block is
-    open: the block counts itself in ``_open_blocks`` until it exits. On
-    exit, also by an exception, each tensor's previous ``requires_grad``
-    comes back, and its ``.grad`` keeps the block's gradient.
+    open: the block counts itself in ``_open_blocks`` until it exits and
+    puts the tensors on the tape that ``backward`` walks, so a loss is
+    back-propagated in the block that built it. On exit, also by an
+    exception, each tensor's previous ``requires_grad`` comes back, and its
+    ``.grad`` keeps the block's gradient; the outermost block empties the
+    tape.
     """
     global _open_blocks
     tensors = list(tensors)
@@ -206,10 +215,13 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
             t.grad = np.zeros_like(t.data)
         t.requires_grad = True
     _open_blocks += 1
+    _tape.extend(tensors)
     try:
         yield
     finally:
         _open_blocks -= 1
+        if not _open_blocks:
+            _tape.clear()
         for t, was in zip(tensors, saved):
             t.requires_grad = was
 
@@ -238,33 +250,11 @@ def parameter_vectors(params: dict[str, Tensor]) -> np.ndarray:
     return values
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS; graphs from unrolled reasoning loops overflow Python's
-    # recursion limit. Here, in backward and in _node the test of being
-    # tracked is written out: they run once per graph edge.
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for child in node._children:
-            if (child.requires_grad or child._vjp is not None) and id(child) not in visited:
-                stack.append((child, False))
-    return order
-
-
 def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op's output; it joins the graph only inside ``tracking`` and
-    when some child is tracked. Outside every block it is returned at once,
-    without a look at ``children``.
+    """Wrap an op's output; it joins the graph, and the open block's tape,
+    only inside ``tracking`` and when some child is tracked. Outside every
+    block it is returned at once, without a look at ``children``.
 
     ``vjp`` maps the output gradient to one gradient per entry of
     ``children``, in order; ``backward`` skips the untracked ones.
@@ -273,10 +263,13 @@ def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
     out._op = op
     if not _open_blocks:
         return out
+    # the test of being tracked is written out here and in backward: they
+    # run once per graph edge
     for c in children:
         if c.requires_grad or c._vjp is not None:
             out._children = children
             out._vjp = vjp
+            _tape.append(out)
             break
     return out
 

@@ -124,7 +124,15 @@ def encode_chain(model, history, injected=None, cache=None, every_row=False) -> 
     path ``encode`` took before it computed only the rows it returns.
     Unlike ``encode`` it takes any mix in one call, so histories and
     several latents in one uncached call are the re-encode reference of a
-    cached rollout. Its cache is a ``ChainCache``."""
+    cached rollout. Its cache is a ``ChainCache``.
+
+    A block's normed rows u feed three products, created in the order v,
+    q (after the top block's read-row lookups), then k. ``backward`` walks
+    the tape from the last-created node back, so it sums u's gradient as
+    (g_k + g_q) + g_v, the order in which ``transformer_block``'s VJP sums
+    it. A float sum of three terms depends on their order, so another
+    creation order changes the gradient's last bits; the values computed
+    do not depend on it."""
     cache = ChainCache() if cache is None else cache
     p, cfg = model.params(), model.cfg
     d = cfg.d_m
@@ -163,20 +171,21 @@ def encode_chain(model, history, injected=None, cache=None, every_row=False) -> 
     for i in range(cfg.layers):
         pre = f"blocks.{i}."
         normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        k = matmul(normed, p[pre + "attn.wk"])  # no key bias
+        # normed's consumers in the order v, q, k (see the docstring)
         v = add_rowvec(matmul(normed, p[pre + "attn.wv"]), p[pre + "attn.bv"])
+        sees, queried = seen, normed
+        if i == cfg.layers - 1 and read is not None:  # the last rows go on, the rest stop
+            x, queried = embedding_lookup(x, read), embedding_lookup(normed, read)
+            sees = seen[np.arange(B), last][:, None] if seen.ndim == 3 else seen[last[:1]]
+        mask = None if sees.all() else np.where(sees, 0.0, MASKED)
+        q = add_rowvec(matmul(queried, p[pre + "attn.wq"]), p[pre + "attn.bq"])
+        k = matmul(normed, p[pre + "attn.wk"])  # no key bias
         if i < len(cache.keys):
             k = cache.keys[i] = concat([cache.keys[i], k])
             v = cache.values[i] = concat([cache.values[i], v])
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        sees = seen
-        if i == cfg.layers - 1 and read is not None:  # the last rows go on, the rest stop
-            x, normed = embedding_lookup(x, read), embedding_lookup(normed, read)
-            sees = seen[np.arange(B), last][:, None] if seen.ndim == 3 else seen[last[:1]]
-        mask = None if sees.all() else np.where(sees, 0.0, MASKED)
-        q = add_rowvec(matmul(normed, p[pre + "attn.wq"]), p[pre + "attn.bq"])
         joined = attention(q, k, v, cfg.heads, mask, batch=B)
         x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])

@@ -237,6 +237,20 @@ def test_backward_rejects_loss_without_tracked_input():
     assert x.grad is None
 
 
+def test_backward_refuses_a_loss_from_a_closed_block():
+    x = Tensor(np.ones(2))
+    with tracking([x]):
+        stale = (x * x).sum()
+    with pytest.raises(ValueError, match="no tracked tensor"):
+        stale.backward()  # outside every block
+    assert np.array_equal(x.grad, np.zeros(2))
+    with tracking([x]):
+        (x * 3.0).sum().backward()
+        with pytest.raises(ValueError, match="no tracked tensor"):
+            stale.backward()  # in a later block than the one that built it
+        assert np.array_equal(x.grad, np.full(2, 3.0))
+
+
 def test_tracking_scopes_and_restores():
     a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
     with tracking([b]):
@@ -353,17 +367,23 @@ def test_ops_outside_tracking_build_no_graph():
 
 
 def test_open_block_count_returns_to_zero():
+    # and the tape empties with the outermost block
     a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
-    assert numerics._open_blocks == 0
+    assert numerics._open_blocks == 0 and numerics._tape == []
+    with tracking([a]):
+        a * 2.0
+    assert numerics._tape == []
     with tracking([a]):
         with tracking([b]):
+            a * b
             assert numerics._open_blocks == 2
-        assert numerics._open_blocks == 1
-    assert numerics._open_blocks == 0
+        assert numerics._open_blocks == 1 and len(numerics._tape) == 3
+    assert numerics._open_blocks == 0 and numerics._tape == []
     with pytest.raises(RuntimeError):
         with tracking([a]), tracking([b]):
+            a * b
             raise RuntimeError("raised inside two blocks")
-    assert numerics._open_blocks == 0
+    assert numerics._open_blocks == 0 and numerics._tape == []
     assert (a * b)._vjp is None
 
 
@@ -430,6 +450,15 @@ def test_half_norm_squared_gradient_is_x():
     with tracking([x]):
         (0.5 * (x * x).sum()).backward()
     assert np.allclose(x.grad, xv, atol=1e-15)
+
+
+def test_backward_adds_terms_last_created_first():
+    # x's three gradient terms summed in another order would read 0.0: 1.0 is
+    # lost when it is added to 1e16
+    x = Tensor(np.ones(1))
+    with tracking([x]):
+        ((x * 1.0).sum() + (x * 1e16).sum() + (x * -1e16).sum()).backward()
+    assert x.grad.tolist() == [1.0]
 
 
 def test_repeated_backward_accumulates():
