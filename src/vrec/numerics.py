@@ -15,14 +15,15 @@ Four rules keep the core small:
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - Every op builds its output through ``_node``, which links the output into
   the graph and appends it to the block's tape only inside ``tracking`` and
-  only when some child is tracked. Outside every block an op builds no
+  only when some child is tracked. Outside the block an op builds no
   graph, even on an output of an earlier block, and looks at none of its
   inputs: inference and evaluation pay for their arithmetic alone.
 - Every tensor is created untracked. Only the tensors being fitted or
-  grad-checked are tracked, and only inside ``tracking(tensors)``.
-  Entering the block zeroes their gradients and puts them on its tape;
-  ``backward``, run in that block, walks the tape backwards (each node
-  after every node made from it) and only adds to them.
+  grad-checked are tracked, and only inside ``tracking(tensors)``, one
+  block at a time, whose tape is the engine's only state. Entering the
+  block zeroes their gradients and starts the tape with them; ``backward``,
+  run in that block, walks the tape backwards (each node after every node
+  made from it) and only adds to them.
 - A model's parameters live in one value vector (``parameter_vectors``),
   each one's ``.data`` a view of its run. An optimizer owns the gradient
   vectors and binds each ``.grad`` to its run, so a step is one array
@@ -156,15 +157,15 @@ class Tensor:
     def backward(self) -> None:
         """Add d(self)/d(leaf) to each tracked leaf's ``.grad`` (zeroed by ``tracking``).
 
-        ``self`` must be a scalar (size 1) built from a tracked tensor inside
-        the ``tracking`` block that is open now: backward walks that block's
-        tape. A second call in the block adds to the first's. Any other loss
-        raises ``ValueError`` and changes no ``.grad``.
+        ``self`` must be a scalar (size 1) built from a tracked tensor in the
+        ``tracking`` block that is open now (one at a time), whose tape
+        backward walks. A second call in the block adds to the first's. Any
+        other loss raises ``ValueError`` and changes no ``.grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(_tape):
+        for node in reversed(_tape or ()):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
@@ -183,12 +184,10 @@ class Tensor:
                              "numerics.tracking(params) block")
 
 
-# ``tracking`` blocks open now, in the whole process (training runs in one
-# thread); with none, ``_node`` links nothing. ``_tape`` holds the open
-# blocks' tracked tensors and linked nodes in creation order, and empties
-# when the outermost block exits
-_open_blocks = 0
-_tape: list[Tensor] = []
+# The open ``tracking`` block's tracked tensors and linked nodes in creation
+# order, or None while no block is open (training runs in one thread): with
+# None, ``_node`` links nothing
+_tape: list[Tensor] | None = None
 
 
 @contextmanager
@@ -197,33 +196,30 @@ def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
     block, each with a zero gradient: the one place a gradient is reset or,
     but for an optimizer's vectors (``training.Adam``), made. A ``.grad``
     that is a view of an optimizer's vector is zeroed in place; any other
-    tensor gets a new zero array. Ops build a graph only while a block is
-    open: the block counts itself in ``_open_blocks`` until it exits and
-    puts the tensors on the tape that ``backward`` walks, so a loss is
-    back-propagated in the block that built it. On exit, also by an
-    exception, each tensor's previous ``requires_grad`` comes back, and its
-    ``.grad`` keeps the block's gradient; the outermost block empties the
-    tape.
+    tensor gets a new zero array. Blocks do not nest: a block opened in
+    another raises ``RuntimeError`` and leaves that one as it was. Ops build
+    a graph only while a block is open, on a tape that starts with the
+    tensors and that ``backward`` walks, so a loss is back-propagated in
+    the block that built it. On exit, also by an exception, the tape is
+    dropped and the tensors untracked; their ``.grad`` keeps the gradient.
     """
-    global _open_blocks
+    global _tape
+    if _tape is not None:
+        raise RuntimeError("tracking blocks do not nest")
     tensors = list(tensors)
-    saved = [t.requires_grad for t in tensors]
     for t in tensors:
         if t.grad is not None and t.grad.base is not None:
             t.grad.fill(0.0)
         else:
             t.grad = np.zeros_like(t.data)
         t.requires_grad = True
-    _open_blocks += 1
-    _tape.extend(tensors)
+    _tape = list(tensors)
     try:
         yield
     finally:
-        _open_blocks -= 1
-        if not _open_blocks:
-            _tape.clear()
-        for t, was in zip(tensors, saved):
-            t.requires_grad = was
+        _tape = None
+        for t in tensors:
+            t.requires_grad = False
 
 
 def parameter_layout(params: dict[str, Tensor]) -> Iterator[tuple[str, Tensor, int]]:
@@ -253,15 +249,15 @@ def parameter_vectors(params: dict[str, Tensor]) -> np.ndarray:
 def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op's output; it joins the graph, and the open block's tape,
-    only inside ``tracking`` and when some child is tracked. Outside every
-    block it is returned at once, without a look at ``children``.
+    only inside ``tracking`` and when some child is tracked. With no block
+    open it is returned at once, without a look at ``children``.
 
     ``vjp`` maps the output gradient to one gradient per entry of
     ``children``, in order; ``backward`` skips the untracked ones.
     """
     out = Tensor(data)
     out._op = op
-    if not _open_blocks:
+    if _tape is None:
         return out
     # the test of being tracked is written out here and in backward: they
     # run once per graph edge

@@ -66,6 +66,9 @@ class VerifierBank:
         self.n = n = len(self.sizes)
         self.d_m = d_m
         self.n_classes = sum(self.sizes)  # classes of all verifiers together: p_1 .. p_n
+        # the columns of a step's packed output [r* | w | p_1 .. p_n | f | c]
+        self.r_cols, self.w_cols, self.p_cols, self.f_cols, self.c_cols = (
+            slice(a, b) for a, b in pairwise(accumulate((d_m, n, self.n_classes, n, n), initial=0)))
         self.router = Router(a=Tensor(np.zeros((n, d_m))), bias=Tensor(np.zeros(n)))
         inner = [hidden_width or d_m] * (hidden_depth - 2)
         widths = [d_m, *inner, d_m] if hidden_depth > 1 else []
@@ -114,19 +117,17 @@ class StepVerdict:
     @property
     def r_star(self) -> Tensor:
         """Adjusted representations, (B, d_m)."""
-        return self.packed[:, :self._bank.d_m]
+        return self.packed[:, self._bank.r_cols]
 
     @property
     def w(self) -> Tensor:
         """Router weights, (B, n)."""
-        d, n = self._bank.d_m, self._bank.n
-        return self.packed[:, d:d + n]
+        return self.packed[:, self._bank.w_cols]
 
     @property
     def f(self) -> Tensor:
         """Per-verifier prediction entropies, (B, n)."""
-        lo = self._bank.d_m + self._bank.n + self._bank.n_classes
-        return self.packed[:, lo:lo + self._bank.n]
+        return self.packed[:, self._bank.f_cols]
 
     @property
     def j_star(self) -> list:
@@ -137,8 +138,7 @@ class StepVerdict:
         """Sum over rows and verifiers of -log p_i[labels[row, i]], the terms
         added row by row and, within a row, verifier by verifier; a row whose
         labels are -1 adds nothing. ``labels`` is (B, n), one row per row."""
-        p_lo = self._bank.d_m + self._bank.n
-        p = self.packed[:, p_lo:p_lo + self._bank.n_classes]
+        p = self.packed[:, self._bank.p_cols]
         rows = np.flatnonzero(labels[:, 0] >= 0)
         pick = np.zeros(p.shape)
         pick[rows[:, None], np.add(self._bank.offsets, labels[rows])] = -1.0
@@ -223,11 +223,11 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     terms = (_ONE - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
     inv_n = np.array(1.0 / n)
     r_star = np.add.accumulate(terms, axis=1)[:, -1] * inv_n  # summed verifier by verifier
-    packed = np.concatenate([r_star, w, p, f, c], axis=1)
+    packed = np.concatenate([r_star, w, p, f, c], axis=1)  # as bank.r_cols .. c_cols lay out
 
     def vjp(g_out):
-        cuts = accumulate((d, n, p.shape[1], n, n), initial=0)
-        g_r, g_w, g_p, g_f, g_c = (g_out[:, a:b] for a, b in pairwise(cuts))
+        g_r, g_w, g_p = g_out[:, bank.r_cols], g_out[:, bank.w_cols], g_out[:, bank.p_cols]
+        g_f, g_c = g_out[:, bank.f_cols], g_out[:, bank.c_cols]
         g_acc = g_r * inv_n
         g_c = g_c + np.add.reduce((protos - x[:, None, :]) * g_acc[:, None, :], axis=2)
         g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)

@@ -436,6 +436,15 @@ def blas_kernel() -> str:
     return "unknown"
 
 
+def kernel_pin(pins: dict):
+    """The entry of ``pins``, a table keyed by BLAS kernel name, that was
+    recorded for the kernel loaded now (``blas_kernel``). A kernel with no
+    entry fails the test, naming it."""
+    kernel = blas_kernel()
+    assert kernel in pins, f"no digest recorded for the BLAS kernel {kernel!r}"
+    return pins[kernel]
+
+
 def write_checkpoint(path, header: dict, body: bytes) -> None:
     """A file in the checkpoint format: magic, header length, ``header`` as
     canonical JSON, then ``body``, whatever they hold."""

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vrec.labeling
-from oracles import blas_kernel, cf_pair_loss, train_cf_oracle
+from oracles import cf_pair_loss, kernel_pin, train_cf_oracle
 from vrec.datasets import Item, Sample, SynthConfig, chronological_split, generate_synthetic
 from vrec.labeling import (
     build_labeling,
@@ -135,8 +135,7 @@ CF_DIGESTS = {
 
 
 def test_cf_embeddings_pinned():
-    kernel = blas_kernel()
-    assert kernel in CF_DIGESTS, f"no CF digest recorded for the BLAS kernel {kernel!r}"
+    want = kernel_pin(CF_DIGESTS)
     items, logs, _ = generate_synthetic(
         SynthConfig(n_users=48, n_items=96, n_groups=6, stickiness=0.8,
                     seq_len_range=(16, 24), seed=1))
@@ -144,7 +143,7 @@ def test_cf_embeddings_pinned():
     for train in (train_cf, train_cf_oracle):
         model = train(split.train, n_items=len(items), n_users=split.n_users, seed=1)
         digest = hashlib.sha256(model.item_emb.tobytes() + model.user_emb.tobytes())
-        assert digest.hexdigest() == CF_DIGESTS[kernel], train.__name__
+        assert digest.hexdigest() == want, train.__name__
 
 
 def test_kmeans_two_points_two_clusters():

@@ -251,18 +251,24 @@ def test_backward_refuses_a_loss_from_a_closed_block():
         assert np.array_equal(x.grad, np.full(2, 3.0))
 
 
-def test_tracking_scopes_and_restores():
+def test_tracking_blocks_do_not_nest():
+    # a refused inner block leaves the open one as it was: its tensors
+    # tracked, its gradients and tape unchanged, and backward still works
     a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
     with tracking([b]):
-        with tracking([a, b]):
-            assert a.requires_grad and b.requires_grad
-            (a * b).sum().backward()
-        assert not a.requires_grad and b.requires_grad
+        y = b * b
+        tape = list(numerics._tape)
+        with pytest.raises(RuntimeError, match="tracking blocks do not nest"):
+            with tracking([a, b]):
+                pass
+        assert b.requires_grad and not a.requires_grad and a.grad is None
+        assert numerics._tape == tape and np.array_equal(b.grad, np.zeros(3))
+        y.sum().backward()
     assert not b.requires_grad
-    assert np.array_equal(a.grad, np.full(3, 2.0)) and np.array_equal(b.grad, np.ones(3))
-    with pytest.raises(RuntimeError):
+    assert np.array_equal(b.grad, np.full(3, 4.0))
+    with pytest.raises(ValueError, match="raised inside the block"):
         with tracking([a]):
-            raise RuntimeError("raised inside the block")
+            raise ValueError("raised inside the block")
     assert not a.requires_grad
     assert (a * a).sum()._vjp is None
 
@@ -366,24 +372,25 @@ def test_ops_outside_tracking_build_no_graph():
     assert untracked._children == () and untracked._vjp is None
 
 
-def test_open_block_count_returns_to_zero():
-    # and the tape empties with the outermost block
+def test_no_tape_outside_a_block():
+    # the tape exists only while a block is open: not after a normal exit,
+    # an exception or a refused nesting
     a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
-    assert numerics._open_blocks == 0 and numerics._tape == []
+    assert numerics._tape is None
     with tracking([a]):
         a * 2.0
-    assert numerics._tape == []
-    with tracking([a]):
-        with tracking([b]):
+        assert len(numerics._tape) == 2
+    assert numerics._tape is None
+    with pytest.raises(ValueError):
+        with tracking([a]):
             a * b
-            assert numerics._open_blocks == 2
-        assert numerics._open_blocks == 1 and len(numerics._tape) == 3
-    assert numerics._open_blocks == 0 and numerics._tape == []
-    with pytest.raises(RuntimeError):
+            raise ValueError("raised inside the block")
+    assert numerics._tape is None
+    with pytest.raises(RuntimeError, match="do not nest"):
         with tracking([a]), tracking([b]):
-            a * b
-            raise RuntimeError("raised inside two blocks")
-    assert numerics._open_blocks == 0 and numerics._tape == []
+            pass
+    assert numerics._tape is None
+    assert not a.requires_grad and not b.requires_grad
     assert (a * b)._vjp is None
 
 
