@@ -224,17 +224,15 @@ def chronological_split(logs: list[InteractionLog]) -> Split:
     split = Split(train=[], valid=[], test=[])
     user_idx = 0
     for log in logs:
-        if len(log.items) < MIN_LOG_LENGTH:
+        items = log.items
+        if len(items) < MIN_LOG_LENGTH:
             split.skipped_users += 1
             continue
-        n = len(log.items) - 1
+        n = len(items) - 1
         n_hold = n // 10
-        points = [
-            Sample(user=user_idx,
-                   history=log.items[max(0, t - MAX_HISTORY):t],
-                   target=log.items[t])
-            for t in range(1, len(log.items))
-        ]
+        # Sample(user, history, target), built positionally: the split's hot loop
+        points = [Sample(user_idx, items[max(0, t - MAX_HISTORY):t], items[t])
+                  for t in range(1, len(items))]
         n_train = n - 2 * n_hold
         split.train.extend(points[:n_train])
         split.valid.extend(points[n_train:n_train + n_hold])

@@ -9,6 +9,9 @@ over the last axis, and ``layer_norm`` normalizes the first columns of 2-D
 rows, refusing a 1-D vector. ``Rng``'s ``uniform`` draws one number per
 call, and ``integers`` one or, given ``size``, that many: an array of n
 draws is the n single draws in turn and leaves the stream where they do.
+Every draw equals numpy's ``Generator``'s on the same Philox stream; the
+scalar ones are decoded in Python from raw Philox words drawn in blocks,
+without numpy's per-call overhead.
 
 Four rules keep the core small:
 
@@ -615,33 +618,135 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be below 2**64, got {seed}")
 
 
+_2_POW_32, _2_POW_64, _MASK_64 = 2**32, 2**64, 2**64 - 1
+_2_POW_M53 = 2.0**-53
+_INT64_LOW, _INT64_END = -(2**63), 2**63  # integers' bounds: low >= _INT64_LOW, high <= _INT64_END
+_INTEGER = (int, np.integer)
+_INT64_ZERO = np.int64(0)  # np.int64 + a Python int is an np.int64, made faster than np.int64(v)
+_FIRST_BLOCK, _LAST_BLOCK = 32, 1024  # Rng's block sizes in words: each block twice the last
+
+
 class Rng:
     """Counter-based deterministic random stream keyed by (seed, stream_id).
 
     Built on the Philox bit generator, so identical keys reproduce identical
-    sequences on every platform.
+    sequences on every platform. Every draw equals the one numpy's
+    ``Generator`` on that bit generator makes for the same call, in turn.
+    ``uniform`` and scalar ``integers`` decode blocks of raw 64-bit words in
+    Python as ``Generator`` does in C, which saves its per-call overhead:
+    a double is ``(w >> 11) * 2**-53``; a span below 2**32 takes Lemire's
+    rejection on a 32-bit draw, a span of 2**32 is one 32-bit draw, a larger
+    one Lemire's rejection on a word (2**64: the word itself), and a span of
+    1 draws nothing. A 32-bit draw is the low half of a new word, keeping
+    its high half for the next one, as Philox's own buffer does. The other
+    draws first move the bit generator to where the decoded ones leave the
+    stream.
     """
+
+    __slots__ = ("seed", "stream_id", "_gen", "_start", "_block", "_block_size", "_has_half",
+                 "_half")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._start = None  # the bit generator's state before the block; None: no block
+        self._block: list[int] = []  # its words not yet used, the next one last
+        self._block_size = 0  # the words drawn into the block
+        self._has_half, self._half = False, 0  # Philox's has_uint32 and uinteger
+
+    def _words(self) -> list[int]:
+        """The block's unused words; a new block when none is left, drawn from
+        where the last one ended or, after an array draw, from the bit
+        generator's state, its kept half included."""
+        if not self._block:
+            bits = self._gen.bit_generator
+            state = bits.state
+            if self._start is None:  # no block yet, or an array draw since the last
+                self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
+                self._block_size = _FIRST_BLOCK
+            else:
+                self._block_size = min(2 * self._block_size, _LAST_BLOCK)
+            self._start = state
+            self._block = bits.random_raw(self._block_size).tolist()[::-1]
+        return self._block
+
+    def _next32(self) -> int:
+        if not (self._has_half or self._block):
+            self._words()  # a new block, which takes up the bit generator's kept half
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._block.pop()
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def _next64(self) -> int:
+        return (self._block or self._words()).pop()
+
+    def _settled(self) -> np.random.Generator:
+        """The generator, its bit generator moved to where the decoded draws
+        leave the stream: the state before the block, advanced by the words
+        used, with the kept half."""
+        if self._start is not None:
+            state = self._start
+            state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+            bits = self._gen.bit_generator
+            bits.state = state
+            bits.random_raw(self._block_size - len(self._block))
+            # no half: the next 32-bit draw starts a block, which takes the
+            # bit generator's kept half as the array draws leave it
+            self._start, self._block, self._has_half = None, [], False
+        return self._gen
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
-        return self._gen.standard_normal(shape) * std
+        return self._settled().standard_normal(shape) * std
 
     def uniform(self) -> float:
-        return self._gen.random()
+        return ((self._block or self._words()).pop() >> 11) * _2_POW_M53
 
     def integers(self, low: int, high: int, size: int | None = None):
-        return self._gen.integers(low, high, size)
+        if size is not None or type(low) is not int or type(high) is not int or not (
+                _INT64_LOW <= low < high <= _INT64_END):
+            if (size is None and isinstance(low, _INTEGER) and isinstance(high, _INTEGER)
+                    and not (type(low) is int and type(high) is int)):  # numpy integers: as ints
+                return self.integers(int(low), int(high))
+            return self._settled().integers(low, high, size)  # also raises as numpy does
+        span = high - low
+        if span < _2_POW_32:
+            if span == 1:
+                return _INT64_ZERO + low
+            if self._has_half:  # _next32 inlined on the hot path, a new block left to it
+                self._has_half = False
+                m = self._half * span
+            elif self._block:
+                word = self._block.pop()
+                self._has_half, self._half = True, word >> 32
+                m = (word & 0xFFFFFFFF) * span
+            else:
+                m = self._next32() * span
+            if m & 0xFFFFFFFF < span:  # Lemire's rejection, its threshold 2**32 % span
+                threshold = _2_POW_32 % span
+                while m & 0xFFFFFFFF < threshold:
+                    m = self._next32() * span
+            return _INT64_ZERO + (low + (m >> 32))
+        if span == _2_POW_32:
+            return _INT64_ZERO + (low + self._next32())
+        if span == _2_POW_64:
+            return _INT64_ZERO + (low + self._next64())
+        m = self._next64() * span
+        if m & _MASK_64 < span:
+            threshold = _2_POW_64 % span
+            while m & _MASK_64 < threshold:
+                m = self._next64() * span
+        return _INT64_ZERO + (low + (m >> 64))
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._settled().permutation(n)
 
     def choice_weighted(self, weights: np.ndarray) -> int:
         """Index draw proportional to non-negative weights."""
         total = float(weights.sum())
-        u = self._gen.random() * total
+        u = self.uniform() * total
         return int(np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(weights) - 1))

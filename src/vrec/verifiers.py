@@ -30,7 +30,9 @@ __all__ = ["Router", "StepVerdict", "VerifierBank", "check_bank_shape", "check_c
            "make_bank", "verify_and_adjust"]
 
 EPSILON = 1e-6
-_EPSILON = np.array(EPSILON)  # an array operand is cheaper (see numerics._ONE)
+# array operands are cheaper than Python floats (see numerics._ONE)
+_EPSILON, _ZERO, _MINUS_ONE = np.array(EPSILON), np.array(0.0), np.array(-1.0)
+_TINY = np.array(1e-300)
 
 
 @dataclass
@@ -66,6 +68,7 @@ class VerifierBank:
         self.n = n = len(self.sizes)
         self.d_m = d_m
         self.n_classes = sum(self.sizes)  # classes of all verifiers together: p_1 .. p_n
+        self.inv_n = np.array(1.0 / n)
         # the columns of a step's packed output [r* | w | p_1 .. p_n | f | c]
         self.r_cols, self.w_cols, self.p_cols, self.f_cols, self.c_cols = (
             slice(a, b) for a, b in pairwise(accumulate((d_m, n, self.n_classes, n, n), initial=0)))
@@ -79,13 +82,13 @@ class VerifierBank:
             members.setdefault(k, []).append(i)
         self.heads = {k: (Tensor(np.zeros((len(idx), d_m, k))), Tensor(np.zeros((len(idx), k))))
                       for k, idx in sorted(members.items())}
-        # by class count k: its verifiers and their columns within p_1 .. p_n
-        # (slices when every verifier has k classes)
+        # by class count k: its verifiers, their columns within p_1 .. p_n
+        # (slices when every verifier has k classes) and their slots 0 .. n_k-1
         self.groups = [(k, np.array(idx), np.array([self.offsets[i] + a for i in idx
-                                                   for a in range(k)]))
+                                                   for a in range(k)]), np.arange(len(idx)))
                        for k, idx in sorted(members.items())]
         if len(members) == 1:
-            self.groups = [(self.sizes[0], slice(None), slice(None))]
+            self.groups = [(self.sizes[0], slice(None), slice(None), np.arange(n))]
         self.values = parameter_vectors(self.params())
         # the step's children after r, in the order its VJP returns gradients
         self.leaves = (self.router.a, self.router.bias,
@@ -210,18 +213,24 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         trunk.append((h, u, tanh))
         h = out
     B, d = x.shape
-    p, f = np.empty((B, bank.n_classes)), np.empty((B, n))
-    j, protos = np.empty((B, n), dtype=np.intp), np.empty((B, n, d))
-    for k, idx, cols in bank.groups:  # softmax, entropy, argmax on (B, n_k, k)
+    parts = []  # per class count: p, f, j* and prototypes of its verifiers
+    for k, idx, cols, slots in bank.groups:  # softmax, entropy, argmax on (B, n_k, k)
         w_k, b_k = (t.data for t in bank.heads[k])
         p_k = _softmax_np((h[:, idx, None] @ w_k)[:, :, 0] + b_k, axis=2)
-        p[:, cols] = p_k.reshape(B, -1)
-        f[:, idx] = -np.add.reduce(p_k * np.log(np.where(p_k > 0.0, p_k, 1.0)), axis=2)  # 0 log 0 is 0
-        j[:, idx] = j_k = p_k.argmax(axis=2)
-        protos[:, idx] = w_k[np.arange(len(w_k)), :, j_k]  # W_last_i[:, j*_i]
+        f_k = -np.add.reduce(p_k * np.log(np.where(p_k > _ZERO, p_k, _ONE)), axis=2)  # 0 log 0 is 0
+        j_k = p_k.argmax(axis=2)
+        protos_k = w_k[slots, :, j_k]  # W_last_i[:, j*_i]
+        parts.append((idx, cols, p_k.reshape(B, -1), f_k, j_k, protos_k))
+    if len(parts) == 1:  # every verifier has k classes
+        _, _, p, f, j, protos = parts[0]
+    else:  # scatter each class count's verifiers to their places
+        p, f = np.empty((B, bank.n_classes)), np.empty((B, n))
+        j, protos = np.empty((B, n), dtype=np.intp), np.empty((B, n, d))
+        for idx, cols, p_k, f_k, j_k, protos_k in parts:
+            p[:, cols], f[:, idx], j[:, idx], protos[:, idx] = p_k, f_k, j_k, protos_k
     c = np.minimum(_ONE, _ONE / np.maximum(f, _EPSILON))
     terms = (_ONE - c)[:, :, None] * x[:, None, :] + c[:, :, None] * protos
-    inv_n = np.array(1.0 / n)
+    inv_n = bank.inv_n
     r_star = np.add.accumulate(terms, axis=1)[:, -1] * inv_n  # summed verifier by verifier
     packed = np.concatenate([r_star, w, p, f, c], axis=1)  # as bank.r_cols .. c_cols lay out
 
@@ -230,12 +239,12 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
         g_f, g_c = g_out[:, bank.f_cols], g_out[:, bank.c_cols]
         g_acc = g_r * inv_n
         g_c = g_c + np.add.reduce((protos - x[:, None, :]) * g_acc[:, None, :], axis=2)
-        g_f = g_f + g_c * np.where(f > 1.0, -1.0 / (f * f), 0.0)
-        g_p = g_p - g_f.repeat(bank.sizes, axis=1) * (np.log(np.maximum(p, 1e-300)) + 1.0)
+        g_f = g_f + g_c * np.where(f > _ONE, _MINUS_ONE / (f * f), _ZERO)
+        g_p = g_p - g_f.repeat(bank.sizes, axis=1) * (np.log(np.maximum(p, _TINY)) + _ONE)
         g_z = p * (g_p - np.add.reduceat(g_p * p, bank.offsets, axis=1).repeat(bank.sizes, axis=1))
         # verifiers lead the batched products below: (n_k, d, B) @ (n_k, B, k) and back
         g_b, g_h, heads = np.add.reduce(g_z, axis=0), np.empty((B, n, d)), []
-        for k, idx, cols in bank.groups:
+        for k, idx, cols, _ in bank.groups:
             w_k = bank.heads[k][0].data
             g_zk = g_z[:, cols].reshape(B, -1, k).transpose(1, 0, 2)
             chosen = c[:, idx].T[:, :, None] * np.eye(k)[j[:, idx].T]
@@ -249,7 +258,7 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
             g_h = (g_u @ wt.data.transpose(0, 2, 1)).transpose(1, 0, 2)
         g_w = g_w + np.add.reduce(g_h * x[:, None, :], axis=2)
         # g_x gathers the verifiers' terms one by one, in the chain's order
-        g_x = np.concatenate([(g_acc * np.add.reduce(1.0 - c, axis=1, keepdims=True))[:, None],
+        g_x = np.concatenate([(g_acc * np.add.reduce(_ONE - c, axis=1, keepdims=True))[:, None],
                               w[:, :, None] * g_h], axis=1)
         g_x = np.add.accumulate(g_x, axis=1)[:, -1]
         if bank.uniform_router:

@@ -39,6 +39,12 @@ def test_minimal_config(tmp_path):
     assert cfg.m == 1
 
 
+def test_synth_n_groups_defaults_to_four(tmp_path):
+    obj = json.loads(json.dumps(MINI))
+    del obj["data"]["synth"]["n_groups"]
+    assert load_config(write(tmp_path, obj)).synth.n_groups == 4
+
+
 def test_model_config_derives_n_items(tmp_path):
     cfg = load_config(write(tmp_path, MINI))
     model = cfg.model_config(n_items=12)

@@ -8,7 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vrec.datasets import (
+    MAX_HISTORY,
+    MIN_LOG_LENGTH,
     InteractionLog,
+    Sample,
+    Split,
     SynthConfig,
     chronological_split,
     generate_synthetic,
@@ -269,3 +273,34 @@ def test_split_chronology_and_sizes():
         assert targets == kept_logs[u].items[1:]
         for s in parts["train"] + parts["valid"] + parts["test"]:
             assert 1 <= len(s.history) <= 10
+
+
+def keyword_split(logs) -> Split:
+    """The split built with keyword arguments and attribute reads, as it was
+    before ``chronological_split`` built each sample positionally."""
+    split = Split(train=[], valid=[], test=[])
+    user_idx = 0
+    for log in logs:
+        if len(log.items) < MIN_LOG_LENGTH:
+            split.skipped_users += 1
+            continue
+        n = len(log.items) - 1
+        n_hold = n // 10
+        points = [Sample(user=user_idx, history=log.items[max(0, t - MAX_HISTORY):t],
+                         target=log.items[t]) for t in range(1, len(log.items))]
+        n_train = n - 2 * n_hold
+        split.train.extend(points[:n_train])
+        split.valid.extend(points[n_train:n_train + n_hold])
+        split.test.extend(points[n_train + n_hold:])
+        user_idx += 1
+    split.n_users = user_idx
+    return split
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 30), max_size=30), max_size=8))
+def test_split_equals_the_keyword_built_split(seqs):
+    # logs of every length from 0, so some fall below MIN_LOG_LENGTH
+    logs = [InteractionLog(user=f"u{i}", items=seq, timestamps=list(range(len(seq))))
+            for i, seq in enumerate(seqs)]
+    assert chronological_split(logs) == keyword_split(logs)

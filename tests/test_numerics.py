@@ -680,6 +680,70 @@ def test_rng_integers_array_is_the_scalar_draws_in_turn(seed, stream, low, span,
     assert one.uniform() == each.uniform()
 
 
+SPANS = st.one_of(st.integers(1, 300), st.just(2**32), st.integers(2**32 - 3, 2**32 + 3),
+                  st.integers(2**31, 2**33), st.integers(1, 2**62))
+RNG_CALLS = st.one_of(
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("integers"), st.integers(-1000, 1000), SPANS, st.none(), st.booleans()),
+    st.tuples(st.just("integers"), st.integers(-1000, 1000), SPANS, st.integers(0, 40),
+              st.booleans()),
+    st.tuples(st.just("normal"), st.integers(0, 4), st.integers(1, 3)),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
+    st.tuples(st.just("choice_weighted"),
+              st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 5),
+       calls=st.lists(RNG_CALLS, max_size=60))
+def test_rng_draws_are_numpys_generator_draws(seed, stream, calls):
+    # uniform and scalar integers decode raw Philox words; every call, in any
+    # mix and with Python or numpy integer bounds, must return what numpy's
+    # Generator returns, and leave its state
+    rng = Rng(seed, stream)
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    for name, *args in calls:
+        if name == "uniform":
+            got, want = rng.uniform(), ref.random()
+        elif name == "integers":
+            low, span, size, numpy_bounds = args
+            low, high = (np.int64(low), np.int64(low + span)) if numpy_bounds else (low, low + span)
+            got, want = rng.integers(low, high, size), ref.integers(low, high, size)
+        elif name == "normal":
+            got, want = rng.normal(tuple(args), std=2.0), ref.standard_normal(tuple(args)) * 2.0
+        elif name == "permutation":
+            got, want = rng.permutation(args[0]), ref.permutation(args[0])
+        else:
+            weights = np.array(args[0])
+            got = rng.choice_weighted(weights)
+            u = ref.random() * float(weights.sum())
+            want = int(np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(weights) - 1))
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+    assert plain(rng._settled().bit_generator.state) == plain(ref.bit_generator.state)
+
+
+def plain(state: dict) -> dict:
+    """A bit generator's state with its arrays as lists, to compare with ==."""
+    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (5, 3), (-2**63 - 1, 0), (0, 2**63 + 1)])
+def test_rng_integers_refuses_as_numpy_does(low, high):
+    rng, ref = Rng(3), np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
+    rng.uniform()
+    ref.random()
+    with pytest.raises(ValueError) as want:
+        ref.integers(low, high)
+    with pytest.raises(ValueError, match=f"^{want.value}$"):
+        rng.integers(low, high)
+    assert rng.uniform() == ref.random()  # a refused call draws nothing
+
+
 # -- fused attention against the per-head chain ---------------------------
 
 

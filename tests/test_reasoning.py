@@ -265,6 +265,17 @@ def test_homogeneity_orthogonal_vectors():
     assert h == pytest.approx(0.0, abs=1e-12)
 
 
+def test_homogeneity_floors_the_norm_of_near_zero_rows():
+    # a row's norm is floored at 1e-12: a zero row has a zero unit row, so
+    # its cosines are 0 and the mean stays finite, and a row of norm 1e-14
+    # has a unit row of norm 1e-2
+    a, b = np.eye(16)[0], np.eye(16)[1]
+    h, proj = homogeneity([fake_trace([np.zeros(16)]), fake_trace([a]), fake_trace([a])], 0)
+    assert h == pytest.approx(1.0 / 3.0, abs=1e-15) and np.isfinite(proj).all()
+    h, _ = homogeneity([fake_trace([1e-14 * a]), fake_trace([a]), fake_trace([b])], 0)
+    assert h == pytest.approx(1e-2 / 3.0, rel=1e-12)
+
+
 def test_homogeneity_matches_brute_force():
     rng = Rng(5)
     vecs = [rng.normal((16,)) for _ in range(8)]
