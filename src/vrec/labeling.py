@@ -21,6 +21,7 @@ __all__ = [
     "CfModel",
     "GroupLabeling",
     "build_labeling",
+    "check_class_count_fits",
     "class_table",
     "embed_titles",
     "kmeans",
@@ -217,28 +218,34 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
     return best
 
 
+def check_class_count_fits(dimension: str, d_i: int, n_items: int, n_categories: int) -> None:
+    """Refuse a title or cf ``d_i`` above the item count, and a category
+    ``d_i`` other than the corpus's category count (one class per category)."""
+    if dimension == "category" and d_i != n_categories:
+        raise ValueError(f"labeling 'category': d_i={d_i}, but the corpus has "
+                         f"{n_categories} categories (one class each)")
+    if dimension != "category" and d_i > n_items:
+        raise ValueError(f"labeling {dimension!r}: d_i={d_i} exceeds the item count {n_items}")
+
+
 def build_labeling(dimension: str, items, samples=None, n_users: int = 0,
                    d_i: int | None = None, seed: int = 0) -> GroupLabeling:
     """Compose a labeling for one dimension: category, title, or cf.
 
     A labeling with fewer than 2 classes is refused: its verifier's entropy
     is always 0, so confidence is full and every step becomes the prototype.
-    So is a title or cf ``d_i`` above the item count, and a category ``d_i``
-    other than the corpus's category count (one class per category), before
-    any training.
+    So is a ``d_i`` that ``check_class_count_fits`` refuses, before any
+    training.
     """
     if dimension == "category":
         labeling = label_by_category(items)
-        if d_i is not None and d_i != labeling.d_i:
-            raise ValueError(f"labeling 'category': d_i={d_i}, but the corpus has "
-                             f"{labeling.d_i} categories (one class each)")
+        if d_i is not None:
+            check_class_count_fits(dimension, d_i, len(items), labeling.d_i)
     else:
         if dimension not in ("title", "cf"):
             raise ValueError(f"unknown labeling dimension {dimension!r}")
         k = DEFAULT_CLASS_COUNT if d_i is None else d_i
-        if k > len(items):
-            raise ValueError(f"labeling {dimension!r}: d_i={k} exceeds the item count "
-                             f"{len(items)}")
+        check_class_count_fits(dimension, k, len(items), 0)
         if dimension == "title":
             emb = embed_titles(items)
         else:

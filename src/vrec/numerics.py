@@ -13,20 +13,20 @@ Every draw equals numpy's ``Generator``'s on the same Philox stream; the
 scalar ones are decoded in Python from raw Philox words drawn in blocks,
 without numpy's per-call overhead.
 
-Four rules keep the core small:
+Three rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
-- Every op builds its output through ``_node``, which links the output into
-  the graph and appends it to the block's tape only inside ``tracking`` and
-  only when some child is tracked. Outside the block an op builds no
-  graph, even on an output of an earlier block, and looks at none of its
-  inputs: inference and evaluation pay for their arithmetic alone.
-- Every tensor is created untracked. Only the tensors being fitted or
-  grad-checked are tracked, and only inside ``tracking(tensors)``, one
-  block at a time, whose tape is the engine's only state. Entering the
-  block zeroes their gradients and starts the tape with them; ``backward``,
-  run in that block, walks the tape backwards (each node after every node
-  made from it) and only adds to them.
+- The open ``tracking`` block's tape is the graph and the engine's only
+  state: a tensor is tracked exactly when it is on the tape. Opening the
+  block (one at a time) zeroes the gradients of the tensors being fitted or
+  grad-checked and starts the tape with them as leaves. Every op builds its
+  output through ``_node``, which puts the output on the tape, with its
+  children and vector-Jacobian product, only when some child is on it.
+  Outside the block an op looks at none of its inputs (inference and
+  evaluation pay for their arithmetic alone), and inside it an earlier
+  block's output is a constant. ``backward``, run in the block, walks the
+  tape backwards (each node after every node made from it) and only adds
+  to the leaves' gradients.
 - A model's parameters live in one value vector (``parameter_vectors``),
   each one's ``.data`` a view of its run. An optimizer owns the gradient
   vectors and binds each ``.grad`` to its run, so a step is one array
@@ -79,23 +79,18 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 array plus an optional reverse-mode graph node.
+    """A float64 array and, once ``tracking`` gives it one, its gradient.
 
-    Inside ``tracking`` a tensor is a leaf to differentiate: ``backward``
-    adds d(loss)/d(leaf) to the ``.grad`` that the block zeroed. Tensors
-    produced by operators on tracked inputs carry a vector-Jacobian closure
-    and propagate instead of accumulating.
+    A tensor holds no graph: whether it is tracked, and what it was made
+    from, is read off the open block's tape. ``backward`` adds
+    d(loss)/d(leaf) to each leaf's ``.grad``, which the block zeroed.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_children", "_vjp", "_op")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = False
-        self._children: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
-        self._op = ""
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -109,7 +104,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
     # -- operator sugar ---------------------------------------------------
 
@@ -158,71 +153,69 @@ class Tensor:
         return _reduce(self, mean=True)
 
     def backward(self) -> None:
-        """Add d(self)/d(leaf) to each tracked leaf's ``.grad`` (zeroed by ``tracking``).
+        """Add d(self)/d(leaf) to each leaf's ``.grad`` (zeroed by ``tracking``).
 
-        ``self`` must be a scalar (size 1) built from a tracked tensor in the
-        ``tracking`` block that is open now (one at a time), whose tape
-        backward walks. A second call in the block adds to the first's. Any
-        other loss raises ``ValueError`` and changes no ``.grad``.
+        ``self`` must be a scalar (size 1) on the tape of the ``tracking``
+        block that is open now (one at a time): built there from a leaf.
+        Backward walks that tape. A second call in the block adds to the
+        first's. Any other loss raises ``ValueError`` and changes no ``.grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(_tape or ()):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node.grad += g
-            if node._vjp is None:
-                continue
-            for child, cg in zip(node._children, node._vjp(g)):
-                if cg is None or not (child.requires_grad or child._vjp is not None):
-                    continue
-                prev = pending.get(id(child))
-                pending[id(child)] = cg if prev is None else prev + cg
-        if id(self) in pending:
+        tape = _tape or {}
+        if id(self) not in tape:
             raise ValueError("backward: the loss depends on no tracked tensor of the open "
                              "block; build it and call backward inside one "
                              "numerics.tracking(params) block")
+        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        for node, children, vjp, _ in reversed(tape.values()):
+            g = pending.pop(id(node), None)
+            if g is None:
+                continue
+            if vjp is None:  # a leaf
+                node.grad += g
+                continue
+            for child, cg in zip(children, vjp(g)):
+                if cg is None or id(child) not in tape:
+                    continue
+                prev = pending.get(id(child))
+                pending[id(child)] = cg if prev is None else prev + cg
 
 
-# The open ``tracking`` block's tracked tensors and linked nodes in creation
-# order, or None while no block is open (training runs in one thread): with
-# None, ``_node`` links nothing
-_tape: list[Tensor] | None = None
+# The open ``tracking`` block's tape, or None while no block is open (training
+# runs in one thread): id(node) -> (node, children, vjp, op) in creation order,
+# a leaf's entry without children or vjp. It holds the block's nodes alive,
+# so their ids stay unique while it is open; with None, ``_node`` links nothing
+_tape: dict[int, tuple[Tensor, tuple[Tensor, ...], Callable | None, str]] | None = None
 
 
 @contextmanager
 def tracking(tensors: Sequence[Tensor]) -> Iterator[None]:
-    """Mark ``tensors`` as leaves to differentiate for the length of the
-    block, each with a zero gradient: the one place a gradient is reset or,
-    but for an optimizer's vectors (``training.Adam``), made. A ``.grad``
-    that is a view of an optimizer's vector is zeroed in place; any other
-    tensor gets a new zero array. Blocks do not nest: a block opened in
-    another raises ``RuntimeError`` and leaves that one as it was. Ops build
-    a graph only while a block is open, on a tape that starts with the
-    tensors and that ``backward`` walks, so a loss is back-propagated in
-    the block that built it. On exit, also by an exception, the tape is
-    dropped and the tensors untracked; their ``.grad`` keeps the gradient.
+    """Open a block whose tape starts with ``tensors`` as leaves to
+    differentiate, each with a zero gradient: the one place a gradient is
+    reset or, but for an optimizer's vectors (``training.Adam``), made. A
+    ``.grad`` that is a view of an optimizer's vector is zeroed in place;
+    any other tensor gets a new zero array. Blocks do not nest: a block
+    opened in another raises ``RuntimeError`` and leaves that one as it was.
+    Ops build a graph only on the open block's tape, which ``backward``
+    walks, so a loss is back-propagated in the block that built it. On exit,
+    also by an exception, the tape and with it the graph are dropped; the
+    leaves' ``.grad`` keeps the gradient.
     """
     global _tape
     if _tape is not None:
         raise RuntimeError("tracking blocks do not nest")
-    tensors = list(tensors)
-    for t in tensors:
+    tape = {id(t): (t, (), None, "leaf") for t in tensors}
+    for t, *_ in tape.values():
         if t.grad is not None and t.grad.base is not None:
             t.grad.fill(0.0)
         else:
             t.grad = np.zeros_like(t.data)
-        t.requires_grad = True
-    _tape = list(tensors)
+    _tape = tape
     try:
         yield
     finally:
         _tape = None
-        for t in tensors:
-            t.requires_grad = False
 
 
 def parameter_layout(params: dict[str, Tensor]) -> Iterator[tuple[str, Tensor, int]]:
@@ -251,25 +244,19 @@ def parameter_vectors(params: dict[str, Tensor]) -> np.ndarray:
 
 def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op's output; it joins the graph, and the open block's tape,
-    only inside ``tracking`` and when some child is tracked. With no block
+    """Wrap an op's output; it goes on the open block's tape, with its
+    children, ``vjp`` and ``op``, when some child is on it. With no block
     open it is returned at once, without a look at ``children``.
 
     ``vjp`` maps the output gradient to one gradient per entry of
-    ``children``, in order; ``backward`` skips the untracked ones.
+    ``children``, in order; ``backward`` skips the ones not on the tape.
     """
     out = Tensor(data)
-    out._op = op
-    if _tape is None:
-        return out
-    # the test of being tracked is written out here and in backward: they
-    # run once per graph edge
-    for c in children:
-        if c.requires_grad or c._vjp is not None:
-            out._children = children
-            out._vjp = vjp
-            _tape.append(out)
-            break
+    if _tape is not None:
+        for c in children:
+            if id(c) in _tape:
+                _tape[id(out)] = (out, children, vjp, op)
+                break
     return out
 
 
@@ -457,6 +444,7 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     """Normalize rows over the last axis, then scale and shift; and the
     vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
+    width = np.array(float(d))  # the array ops' width: a 0-d array, as for _ONE
     # np.mean and np.var's arithmetic, without their per-call overhead. One
     # row's mean and scale are Python floats: each step on them is the IEEE
     # operation a (1, 1) array would round by (math.sqrt is correctly rounded,
@@ -466,7 +454,6 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
         inv = 1.0 / math.sqrt(float(np.add.reduce(centered * centered, axis=None)) / d
                               + LAYER_NORM_EPS)
     else:
-        width = np.array(float(d))
         centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / width
         inv = _ONE / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
                              + _LAYER_NORM_EPS)
@@ -475,8 +462,8 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     def vjp(g):
         gxhat = g * gd
         # standard layernorm backward over the last axis
-        dx = inv / d * (d * gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True)
-                        - xhat * np.add.reduce(gxhat * xhat, axis=-1, keepdims=True))
+        dx = inv / width * (width * gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True)
+                            - xhat * np.add.reduce(gxhat * xhat, axis=-1, keepdims=True))
         return (dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0))
     return xhat * gd + bd, vjp
 
@@ -630,7 +617,10 @@ class Rng:
     """Counter-based deterministic random stream keyed by (seed, stream_id).
 
     Built on the Philox bit generator, so identical keys reproduce identical
-    sequences on every platform. Every draw equals the one numpy's
+    sequences on every platform. The package draws from streams 0 (the synthetic
+    corpus), 1 (the CF trainer), 3 to 6 (the k-means restarts), 10 (the
+    backbone's weights), 20 (the verifier bank's), and 30, 31 and 32 (the
+    shuffles of training stages 0, 1 and 2). Every draw equals the one numpy's
     ``Generator`` on that bit generator makes for the same call, in turn.
     ``uniform`` and scalar ``integers`` decode blocks of raw 64-bit words in
     Python as ``Generator`` does in C, which saves its per-call overhead:

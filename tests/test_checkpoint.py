@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import write_checkpoint
+from vrec import numerics
 from vrec.backbone import Backbone, ModelConfig
 from vrec.checkpoint import MAGIC, load_model, save_model
 from vrec.reasoning import run_reasoning
@@ -65,8 +66,9 @@ def test_model_parameters_created_untracked(tmp_path):
     bank = make_bank([("a", 3)], d_m=8, hidden_width=4, hidden_depth=2)
     save_model(tmp_path / "m.ckpt", bb, bank)
     loaded_bb, loaded_bank = load_model(tmp_path / "m.ckpt")
+    assert numerics._tape is None
     for model in (bb, bank, loaded_bb, loaded_bank):
-        assert not any(p.requires_grad for p in model.params().values())
+        assert all(p.grad is None for p in model.params().values())
 
 
 def test_bad_magic_rejected(tmp_path):

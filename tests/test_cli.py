@@ -15,7 +15,7 @@ import vrec.cli
 import vrec.pipeline
 from vrec.checkpoint import load_model
 from vrec.cli import main
-from vrec.config import SEED_ENV_VAR, load_config
+from vrec.config import SEED_ENV_VAR, ConfigError, load_config
 from vrec.datasets import ingest
 from vrec.labeling import load_labeling
 from vrec.pipeline import SWEEPS, VARIANTS, VERIFIER_DATA, load_verifier_data, run_pipeline, sweep
@@ -240,6 +240,16 @@ def test_bad_study_value_rejected_before_training(tmp_path, monkeypatch, param, 
     assert not trained
     assert not list((tmp_path / "out").iterdir())
     assert not (tmp_path / "lib").exists()
+
+
+def test_impossible_d_i_refused_before_the_first_run(tmp_path, monkeypatch):
+    # 13 title classes on a 12-item corpus: the sweep stops before its first
+    # run, at d_i=2, starts
+    runs = []
+    monkeypatch.setattr(vrec.pipeline, "run_pipeline", runs.append)
+    with pytest.raises(ConfigError, match="dimensions\\[1\\]: labeling 'title': d_i=13 exceeds"):
+        sweep(load_config(write_config(tmp_path)), "d_i", [2, 13])
+    assert not runs
 
 
 def _built_banks(tmp_path, monkeypatch, param, values):

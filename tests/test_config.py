@@ -169,11 +169,27 @@ def test_run_config_without_dimensions_builds_with_steps(tmp_path):
     ({"dimensions": [("category", None), ("cf", 2.5)]}, "dimensions\\[1\\]: d_i must be an"),
     ({"bank_depth": 0}, "depth >= 1"),
     ({"bank_width": -1}, "width >= 0"),
+    ({"dimensions": [("category", 4)]}, "dimensions\\[0\\]: labeling 'category': d_i=4, but the "
+     "corpus has 3 categories"),
+    ({"dimensions": [("category", 3), ("cf", 13)]},
+     "dimensions\\[1\\]: labeling 'cf': d_i=13 exceeds the item count 12"),
 ])
 def test_run_config_edits_are_checked(tmp_path, edit, message):
     cfg = load_config(write(tmp_path, MINI))
     with pytest.raises(ConfigError, match=message):
         replace(cfg, **edit)
+
+
+def test_class_counts_checked_against_the_synthetic_corpus_at_load(tmp_path):
+    # 3 categories and 12 items; an ingested corpus is counted when it loads
+    obj = json.loads(json.dumps(MINI))
+    obj["dimensions"] = [{"name": "category", "d_i": 3}, {"name": "cf", "d_i": 12}]
+    assert load_config(write(tmp_path, obj)).dimensions == [("category", 3), ("cf", 12)]
+    obj["dimensions"][1]["d_i"] = 13
+    with pytest.raises(ConfigError, match="'cf': d_i=13 exceeds the item count 12"):
+        load_config(write(tmp_path, obj))
+    obj["data"] = {"items": "items.jsonl", "interactions": "interactions.jsonl"}
+    assert load_config(write(tmp_path, obj)).dimensions[1] == ("cf", 13)
 
 
 def test_no_dimensions_fine_without_steps(tmp_path):

@@ -1,6 +1,7 @@
 """Tensor op and autodiff tests against an independent finite-difference oracle."""
 
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -252,25 +253,25 @@ def test_backward_refuses_a_loss_from_a_closed_block():
 
 
 def test_tracking_blocks_do_not_nest():
-    # a refused inner block leaves the open one as it was: its tensors
-    # tracked, its gradients and tape unchanged, and backward still works
+    # a refused inner block leaves the open one as it was: its tape (b and
+    # b * b, not a), its gradients unchanged, and backward still works
     a, b = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
     with tracking([b]):
         y = b * b
-        tape = list(numerics._tape)
+        tape = dict(numerics._tape)
         with pytest.raises(RuntimeError, match="tracking blocks do not nest"):
             with tracking([a, b]):
                 pass
-        assert b.requires_grad and not a.requires_grad and a.grad is None
+        assert list(numerics._tape) == [id(b), id(y)] and a.grad is None
         assert numerics._tape == tape and np.array_equal(b.grad, np.zeros(3))
         y.sum().backward()
-    assert not b.requires_grad
     assert np.array_equal(b.grad, np.full(3, 4.0))
     with pytest.raises(ValueError, match="raised inside the block"):
         with tracking([a]):
             raise ValueError("raised inside the block")
-    assert not a.requires_grad
-    assert (a * a).sum()._vjp is None
+    assert numerics._tape is None
+    with pytest.raises(ValueError, match="no tracked tensor"):
+        (a * a).sum().backward()
 
 
 def test_tracking_gives_each_tensor_a_zero_gradient():
@@ -292,7 +293,8 @@ def test_a_tensor_left_out_of_tracking_gets_no_gradient():
     x, y = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
     with tracking([x]):
         (x * y).sum().backward()
-    assert y.grad is None and not y.requires_grad
+        assert id(x) in numerics._tape and id(y) not in numerics._tape
+    assert y.grad is None
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
@@ -317,13 +319,21 @@ def test_tensor_takes_only_its_data_and_concat_joins_rows_only():
     assert concat([Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2)))]).shape == (3, 2)
     for name in ("zero_grad", "tracked", "__radd__", "__rsub__", "__matmul__"):
         assert not hasattr(Tensor, name), name
+    assert Tensor.__slots__ == ("data", "grad")  # the graph lives on the tape alone
 
 
 def test_grad_check_tracks_untracked_params_only_while_checking():
-    # and leaves its analytic gradient in .grad
+    # x is on the tape in the analytic pass only, and its analytic gradient
+    # is left in .grad
     x = Tensor(Rng(3).normal((4,)))
-    assert grad_check(lambda: (x * x * x).sum(), [x]) < 1e-6
-    assert not x.requires_grad
+    tracked = []
+
+    def f():
+        tracked.append(numerics._tape is not None and id(x) in numerics._tape)
+        return (x * x * x).sum()
+    assert grad_check(f, [x]) < 1e-6
+    assert tracked[0] and len(tracked) == 9 and not any(tracked[1:])
+    assert numerics._tape is None
     assert np.allclose(x.grad, 3.0 * x.data**2, rtol=1e-14, atol=0.0)
 
 
@@ -343,33 +353,71 @@ def test_getitem_rejects_non_basic_keys(key):
 
 
 def test_untracked_inputs_build_no_graph():
-    x = Tensor(Rng(10).normal((3, 4)))
+    # in an open block, ops on tensors off its tape put nothing on it
+    x, free = Tensor(Rng(10).normal((3, 4))), Tensor(np.ones(2))
     gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
-    outs = [matmul(x, x.transpose()), x[1:, np.int64(2)], softmax(x) * x - 1.0,
-            layer_norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0]),
-            attention(x, x, x, 2)]
-    for out in outs:
-        assert out._children == () and out._vjp is None, out._op
+    with tracking([free]):
+        outs = [matmul(x, x.transpose()), x[1:, np.int64(2)], softmax(x) * x - 1.0,
+                layer_norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0]),
+                attention(x, x, x, 2)]
+        assert list(numerics._tape) == [id(free)]
+        for out in outs:
+            with pytest.raises(ValueError, match="no tracked tensor"):
+                out.sum().backward()
+    assert np.array_equal(free.grad, np.zeros(2))
 
 
 def test_ops_outside_tracking_build_no_graph():
-    # an output of an earlier block still carries its vjp; outside every
-    # block an op on it builds no graph, inside one it links as before
+    # outside every block there is no tape, so an op on an earlier block's
+    # output records nothing; inside a later block that output is a
+    # constant: an op on it alone is not linked, one that joins it with a
+    # tracked tensor is, and sends it no gradient
     w, free = Tensor(Rng(11).normal((3, 4))), Tensor(np.ones((3, 4)))
     gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
     with tracking([w]):
         y = w * w
-    assert y._vjp is not None
+        assert list(numerics._tape) == [id(w), id(y)]
     outs = [y * 2.0, matmul(y, y.transpose()), layer_norm(y, gain, bias), y[1:], y.sum(),
             concat([y, free])]
-    for out in outs:
-        assert out._children == () and out._vjp is None, out._op
+    assert numerics._tape is None and all(out.grad is None for out in outs)
     with tracking([free]):
         linked, joined = y * 2.0, concat([y, free])
         untracked = gain * bias
-    assert linked._children[0] is y and linked._vjp is not None
-    assert joined._children == (y, free) and joined._vjp is not None
-    assert untracked._children == () and untracked._vjp is None
+        assert list(numerics._tape) == [id(free), id(joined)]
+        assert numerics._tape[id(joined)][:2] == (joined, (y, free))
+        with pytest.raises(ValueError, match="no tracked tensor"):
+            linked.sum().backward()
+        joined.sum().backward()
+    assert np.array_equal(free.grad, np.ones((3, 4)))
+    assert np.array_equal(w.grad, np.zeros((3, 4)))
+
+
+def test_backward_refuses_a_loss_built_only_from_a_closed_blocks_outputs():
+    # such a loss is a constant of the open block: refused before any .grad moves
+    a, b = Tensor(np.full(2, 3.0)), Tensor(np.ones(2))
+    with tracking([a]):
+        y = a * a
+    with tracking([a, b]):
+        (a * b).sum().backward()
+        before = [a.grad.copy(), b.grad.copy()]
+        with pytest.raises(ValueError, match="no tracked tensor"):
+            (y * 2.0).sum().backward()
+        assert [a.grad.tobytes(), b.grad.tobytes()] == [g.tobytes() for g in before]
+
+
+def test_a_closed_blocks_graph_is_freed_while_its_loss_lives():
+    # the tape holds a block's links; a node keeps only its data and
+    # gradient, so an intermediate node (here seen through its data, as a
+    # Tensor takes no weak reference) dies when the block exits
+    w = Tensor(np.arange(3.0))
+    with tracking([w]):
+        square = w * w
+        loss, data = square.sum(), weakref.ref(square.data)
+        del square
+        assert data() is not None  # on the tape
+        loss.backward()
+    assert data() is None
+    assert loss.item() == 5.0 and np.array_equal(w.grad, np.arange(3.0) * 2.0)
 
 
 def test_no_tape_outside_a_block():
@@ -390,8 +438,9 @@ def test_no_tape_outside_a_block():
         with tracking([a]), tracking([b]):
             pass
     assert numerics._tape is None
-    assert not a.requires_grad and not b.requires_grad
-    assert (a * b)._vjp is None
+    with tracking([b]):
+        a * 2.0
+        assert list(numerics._tape) == [id(b)]
 
 
 @pytest.mark.parametrize("case", ["histories", "latent_step", "padded"])

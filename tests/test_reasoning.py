@@ -8,6 +8,7 @@ import pytest
 import vrec.reasoning
 from oracles import (ChainCache, confidences, encode_chain, encode_every_row, grad_check,
                      greedy_recommend, layout_grads)
+from vrec import numerics
 from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.numerics import Rng, Tensor, concat, tracking
 from vrec.reasoning import (
@@ -181,19 +182,15 @@ def test_each_block_links_one_earlier_call(layers, edges):
                               m=8, seed=0))
     bank = make_bank([("a", 4), ("b", 3)], d_m=16, seed=4)
     with tracking(list(bb.params().values()) + list(bank.params().values())):
-        _, hidden = run_reasoning(bb, bank, [0, 5, 9, 2, 7, 1], 8)
-    seen, stack, total, earlier = set(), [hidden], 0, []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._op == "transformer_block":
-            blocks = [c._op == "transformer_block" for c in node._children]
-            total += sum(blocks)
-            earlier.append(sum(blocks[1:]))  # the first child is its input rows
-        stack.extend(node._children)
-    assert total == edges and max(earlier) == 1
+        run_reasoning(bb, bank, [0, 5, 9, 2, 7, 1], 8)
+        tape = dict(numerics._tape)
+    blocks = {key for key, (_, _, _, op) in tape.items() if op == "transformer_block"}
+    total, earlier = 0, []
+    for key in blocks:
+        linked = [id(c) in blocks for c in tape[key][1]]
+        total += sum(linked)
+        earlier.append(sum(linked[1:]))  # the first child is its input rows
+    assert len(blocks) == layers * 9 and total == edges and max(earlier) == 1
 
 
 def test_grad_check_through_cached_rollout():
@@ -225,7 +222,7 @@ def test_grad_check_through_cached_rollout():
         grads.append([p.grad.copy() for p in params])
     assert max(np.abs(a - b).max() for a, b in zip(*grads)) <= 1e-12
     assert grad_check(loss, params, h=3e-5) < 1e-5
-    assert not any(p.requires_grad for p in params)
+    assert numerics._tape is None
 
 
 def test_recommend_ranks_every_item_once():
