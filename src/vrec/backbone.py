@@ -48,6 +48,7 @@ from .numerics import (
     layer_norm,
     matmul,
     parameter_vectors,
+    row_operands,
     transformer_block,
 )
 
@@ -159,8 +160,12 @@ class Backbone:
         p["ln_f.bias"] = zeros(d)
         self._params = p
         self.values = parameter_vectors(p)
-        self._blocks = [[p[f"blocks.{i}.{name}"] for name in BLOCK_PARAMS]
-                        for i in range(cfg.layers)]
+        # per block, and for the final norm: its parameters (the node's
+        # children) and the arrays it computes with (numerics.row_operands)
+        self._blocks = [(params, row_operands(params)) for params in (
+            [p[f"blocks.{i}.{name}"] for name in BLOCK_PARAMS] for i in range(cfg.layers))]
+        self._final = (p["ln_f.gain"], p["ln_f.bias"])
+        self._final_arrays = row_operands(self._final)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
@@ -194,13 +199,13 @@ class Backbone:
             if injected else self._embed(history, cache)
         layers = cache.layers or [None] * self.cfg.layers
         pos, top = self._params["pos_emb"], self.cfg.layers - 1
-        for i, params in enumerate(self._blocks):
+        for i, (params, arrays) in enumerate(self._blocks):
             x = layers[i] = transformer_block(
-                x, params, self.cfg.heads, top_mask if i == top else mask, cache.batch,
+                x, params, arrays, self.cfg.heads, top_mask if i == top else mask, cache.batch,
                 layers[i], pos, at, read if i == top else None)
             pos = None  # the first block adds the position rows
         cache.layers = layers
-        return layer_norm(x, self._params["ln_f.gain"], self._params["ln_f.bias"])
+        return layer_norm(x, *self._final, self._final_arrays)
 
     def _embed(self, history, cache: KVCache):
         """``encode``'s histories: their token embeddings, each row's position
@@ -297,4 +302,4 @@ class Backbone:
         """Each row's top-k item ids by descending score, ties to the lower
         id. The scores are ``next_item_scores``', computed without a Tensor."""
         items = self._params["tok_emb"].data[:self.cfg.n_items].T.copy()
-        return np.argsort(-(hidden.data @ items), axis=1, kind="stable")[:, :k]
+        return np.argsort(-hidden.data.dot(items), axis=1, kind="stable")[:, :k]

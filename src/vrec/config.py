@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .backbone import ModelConfig
 from .datasets import MAX_HISTORY, SynthConfig
-from .labeling import check_class_count_fits
+from .labeling import DEFAULT_CLASS_COUNT, check_class_count_fits
 from .numerics import check_int, check_seed
 from .training import TrainHyper
 from .verifiers import check_bank_shape, check_class_count
@@ -117,13 +117,15 @@ class RunConfig:
             model = ModelConfig(**self.model)  # n_items is checked when the data loads
         check_max_positions(model.max_positions, [self.m])
         for i, (name, d_i) in enumerate(self.dimensions):  # a class count may be unset
-            if d_i is not None:
-                with _refused(f"dimensions[{i}]: "):
+            with _refused(f"dimensions[{i}]: "):
+                if d_i is not None:
                     check_class_count(d_i)
-                    # a synthetic corpus has one category per planted group; an
-                    # ingested one is counted when it loads
-                    if self.synth is not None:
-                        check_class_count_fits(name, d_i, self.synth.n_items, self.synth.n_groups)
+                # a synthetic corpus has one category per planted group, and an
+                # unset title or cf d_i is DEFAULT_CLASS_COUNT; an ingested
+                # corpus is counted when it loads
+                if self.synth is not None and (d_i is not None or name != "category"):
+                    check_class_count_fits(name, DEFAULT_CLASS_COUNT if d_i is None else d_i,
+                                           self.synth.n_items, self.synth.n_groups)
 
     def model_config(self, n_items: int) -> ModelConfig:
         kwargs = dict(self.model)

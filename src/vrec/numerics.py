@@ -13,7 +13,7 @@ Every draw equals numpy's ``Generator``'s on the same Philox stream; the
 scalar ones are decoded in Python from raw Philox words drawn in blocks,
 without numpy's per-call overhead.
 
-Three rules keep the core small:
+Four rules keep the core small:
 
 - Basic indexing (``x[i]``, ``x[a:b]``, ``x[:, j]``) is the one slicing op.
 - The open ``tracking`` block's tape is the graph and the engine's only
@@ -31,6 +31,10 @@ Three rules keep the core small:
   each one's ``.data`` a view of its run. An optimizer owns the gradient
   vectors and binds each ``.grad`` to its run, so a step is one array
   operation per model; a model holds no gradient.
+- A product of two matrices is ``ndarray.dot``: on the operands the hot
+  paths pass, the BLAS call of ``@`` and its bits, without the matmul
+  ufunc's dispatch. ``@`` is for stacks only, where ``dot`` means another
+  product.
 
 Composites that every latent step runs are single nodes with hand-written
 vector-Jacobian products: ``transformer_block`` here (a pre-LN block:
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -73,6 +78,7 @@ __all__ = [
     "parameter_layout",
     "parameter_vectors",
     "relu",
+    "row_operands",
     "tracking",
     "transformer_block",
 ]
@@ -242,6 +248,14 @@ def parameter_vectors(params: dict[str, Tensor]) -> np.ndarray:
     return values
 
 
+def row_operands(params: Sequence[Tensor]) -> tuple[np.ndarray, ...]:
+    """What ops compute with for ``params``, made once per model beside
+    ``parameter_vectors``: each 1-D gain or bias as a (1, d) row view (numpy
+    applies it to one row in half the time of a (d,) operand), any other
+    parameter's ``.data`` as it is. Views of ``values``, they follow its writes."""
+    return tuple(t.data[None] if t.data.ndim == 1 else t.data for t in params)
+
+
 def _node(data: np.ndarray, children: tuple[Tensor, ...], op: str,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op's output; it goes on the open block's tape, with its
@@ -297,7 +311,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: unsupported ranks {ad.ndim} @ {bd.ndim}")
     if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: shape mismatch {ad.shape} @ {bd.shape}")
-    return _node(ad @ bd, (a, b), "matmul", lambda g: (g @ bd.T, ad.T @ g))
+    return _node(ad.dot(bd), (a, b), "matmul", lambda g: (g.dot(bd.T), ad.T.dot(g)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -365,6 +379,12 @@ _GELU_C, _GELU_A = np.array(math.sqrt(2.0 / math.pi)), np.array(0.044715)
 _GELU_3A = np.array(3 * 0.044715)
 
 
+# the constants that depend on a size, as 0-d arrays made once per size: a
+# layer norm's width d and attention's score scale 1/sqrt(dh)
+_width = cache(lambda d: np.array(float(d)))
+_inv_sqrt = cache(lambda dh: np.array(1.0 / math.sqrt(dh)))
+
+
 def _gelu_np(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximation GELU of an array, and the tanh its derivative reuses."""
     # xd*xd*xd, not xd**3: numpy sends a cube through libm pow, many times slower
@@ -412,7 +432,7 @@ def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     rows, d = q.shape
     n, T = rows // batch, k.shape[0] // batch
     dh = d // heads
-    scale = np.array(1.0 / math.sqrt(dh))
+    scale = _inv_sqrt(dh)
     # one contiguous matrix per sequence and head: each batched product then
     # makes the BLAS call, and gets the bits, of that product on its own
     bh = batch * heads
@@ -444,7 +464,7 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     """Normalize rows over the last axis, then scale and shift; and the
     vector-Jacobian product to the rows, gain and bias."""
     d = xd.shape[-1]
-    width = np.array(float(d))  # the array ops' width: a 0-d array, as for _ONE
+    width = _width(d)
     # np.mean and np.var's arithmetic, without their per-call overhead. One
     # row's mean and scale are Python floats: each step on them is the IEEE
     # operation a (1, 1) array would round by (math.sqrt is correctly rounded,
@@ -468,15 +488,17 @@ def _layer_norm_np(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> tuple[np.n
     return xhat * gd + bd, vjp
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               arrays: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """Normalize the first len(gain) columns of 2-D rows, then scale and
     shift; the rest of a wider matrix, such as ``transformer_block``'s
-    packed output, is ignored."""
+    packed output, is ignored. ``arrays`` are ``row_operands((gain, bias))``,
+    the (1, d) rows it computes with; the gradient goes to the tensors."""
     width, d = x.data.shape[-1], gain.data.size
     if x.data.ndim != 2 or gain.data.shape != (d,) or bias.data.shape != (d,) or width < d:
         raise ValueError(f"layer_norm: rows of shape {x.data.shape} for gain/bias of shape "
                          f"{gain.data.shape} and {bias.data.shape}; it takes 2-D rows that wide")
-    out, cols_vjp = _layer_norm_np(np.ascontiguousarray(x.data[:, :d]), gain.data, bias.data)
+    out, cols_vjp = _layer_norm_np(np.ascontiguousarray(x.data[:, :d]), *arrays)
 
     def vjp(g):
         g_x, g_gain, g_bias = cols_vjp(g)
@@ -484,8 +506,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, gain, bias), "layer_norm", vjp)
 
 
-def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
-                      mask: np.ndarray | None = None, batch: int = 1,
+def transformer_block(x: Tensor, params: Sequence[Tensor], arrays: Sequence[np.ndarray],
+                      heads: int, mask: np.ndarray | None = None, batch: int = 1,
                       prev: Tensor | None = None, pos: Tensor | None = None,
                       at: np.ndarray | slice | None = None,
                       read: np.ndarray | slice | None = None) -> Tensor:
@@ -498,7 +520,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     table to input row r; a call without padding gives ``at`` as the slice
     of the positions its columns take, column c of every sequence at
     ``at.start + c``. ``params`` are ln1 gain and bias, wq, bq, wk, wv,
-    bv, wo, bo, ln2 gain and bias, w1, b1, w2 and b2, and with x the input
+    bv, wo, bo, ln2 gain and bias, w1, b1, w2 and b2 (the node's children;
+    it computes with ``arrays``, their ``row_operands``), and with x the input
     rows (plus pos[at] in the first block) and u = LN1(x) the block computes
 
         a = x + attention(u Wq + bq, [keys; u Wk], [values; u Wv + bv]) Wo + bo
@@ -522,8 +545,7 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     values have the bits of the chain of elementary ops it replaces, and
     its gradient adds terms in that chain's order.
     """
-    (gain1, bias1, wq, bq, wk, wv, bv, wo, bo,
-     gain2, bias2, w1, b1, w2, b2) = (t.data for t in params)
+    gain1, bias1, wq, bq, wk, wv, bv, wo, bo, gain2, bias2, w1, b1, w2, b2 = arrays
     d = wq.shape[0]
     rows, width = x.data.shape
     xd = x.data if width == d else x.data[:, :d]
@@ -535,38 +557,38 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
     elif width != d:
         xd = np.ascontiguousarray(xd)
     u, ln1_vjp = _layer_norm_np(xd, gain1, bias1)
-    k, v = u @ wk, u @ wv + bv
+    k, v = u.dot(wk), u.dot(wv) + bv
     computed = slice(None) if read is None else read
     uq, xq = u[computed], xd[computed]
-    q = uq @ wq + bq
+    q = uq.dot(wq) + bq
     keys, values = k, v
     if prev is not None:
         half = (prev.data.shape[1] - d) // 2
         keys = np.concatenate([prev.data[:, d:d + half].reshape(-1, d), k])
         values = np.concatenate([prev.data[:, d + half:].reshape(-1, d), v])
     joined, attention_vjp = _attention_np(q, keys, values, heads, mask, batch)
-    a = xq + (joined @ wo + bo)
+    a = xq + (joined.dot(wo) + bo)
     u2, ln2_vjp = _layer_norm_np(a, gain2, bias2)
-    pre = u2 @ w1 + b1
+    pre = u2.dot(w1) + b1
     h, tanh = _gelu_np(pre)
-    out = a + (h @ w2 + b2)
+    out = a + (h.dot(w2) + b2)
     R = len(out)
 
     def vjp(g):
         g_out = np.ascontiguousarray(g[:, :d])
-        g_pre = (g_out @ w2.T) * _gelu_deriv(pre, tanh)
-        g_a, g_gain2, g_bias2 = ln2_vjp(g_pre @ w1.T)
+        g_pre = g_out.dot(w2.T) * _gelu_deriv(pre, tanh)
+        g_a, g_gain2, g_bias2 = ln2_vjp(g_pre.dot(w1.T))
         g_a = g_out + g_a
-        g_q, g_keys, g_values = attention_vjp(g_a @ wo.T)
+        g_q, g_keys, g_values = attention_vjp(g_a.dot(wo.T))
         # every held row's key and value, plus what later calls sent them
         half, new = (g.shape[1] - d) // 2, len(g_keys) - rows
         g_keys = g_keys + g[:, d:d + half].reshape(-1, d)
         g_values = g_values + g[:, d + half:].reshape(-1, d)
         g_k, g_v = g_keys[new:], g_values[new:]
         # the computed rows' query and residual terms go back to those rows
-        g_u = g_k @ wk.T
-        g_u[computed] += g_q @ wq.T
-        g_x, g_gain1, g_bias1 = ln1_vjp(g_u + g_v @ wv.T)
+        g_u = g_k.dot(wk.T)
+        g_u[computed] += g_q.dot(wq.T)
+        g_x, g_gain1, g_bias1 = ln1_vjp(g_u + g_v.dot(wv.T))
         g_x[computed] += g_a
         g_pos = ()
         if pos is not None:
@@ -582,10 +604,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int,
             held = len(prev.data)
             g_prev = (np.concatenate([np.zeros((held, d)), g_keys[:new].reshape(held, -1),
                                       g_values[:new].reshape(held, -1)], axis=1),)
-        return (g_x, *g_pos, *g_prev, g_gain1, g_bias1, uq.T @ g_q,
-                np.add.reduce(g_q, axis=0), u.T @ g_k, u.T @ g_v, np.add.reduce(g_v, axis=0),
-                joined.T @ g_a, np.add.reduce(g_a, axis=0), g_gain2, g_bias2, u2.T @ g_pre,
-                np.add.reduce(g_pre, axis=0), h.T @ g_out, np.add.reduce(g_out, axis=0))
+        return (g_x, *g_pos, *g_prev, g_gain1, g_bias1, uq.T.dot(g_q),
+                np.add.reduce(g_q, axis=0), u.T.dot(g_k), u.T.dot(g_v), np.add.reduce(g_v, axis=0),
+                joined.T.dot(g_a), np.add.reduce(g_a, axis=0), g_gain2, g_bias2, u2.T.dot(g_pre),
+                np.add.reduce(g_pre, axis=0), h.T.dot(g_out), np.add.reduce(g_out, axis=0))
     inputs = tuple(t for t in (x, pos, prev) if t is not None)
     return _node(np.concatenate([out, keys.reshape(R, -1), values.reshape(R, -1)], axis=1),
                  (*inputs, *params), "transformer_block", vjp)

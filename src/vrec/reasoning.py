@@ -103,7 +103,7 @@ def pca_project(vectors: np.ndarray) -> np.ndarray:
     """Project row vectors onto their top-2 principal components."""
     centered = vectors - vectors.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return centered @ vt[:2].T
+    return centered.dot(vt[:2].T)
 
 
 def homogeneity(traces: list[ReasoningTrace], t: int) -> tuple[float, np.ndarray]:
@@ -116,7 +116,7 @@ def homogeneity(traces: list[ReasoningTrace], t: int) -> tuple[float, np.ndarray
     vecs = np.concatenate([tr.adjusted()[t].data for tr in traces])
     norms = np.linalg.norm(vecs, axis=1)
     unit = vecs / np.maximum(norms, 1e-12)[:, None]
-    sims = unit @ unit.T
+    sims = unit.dot(unit.T)
     iu = np.triu_indices(len(vecs), k=1)
     return float(sims[iu].mean()), pca_project(vecs)
 

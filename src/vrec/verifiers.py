@@ -90,6 +90,12 @@ class VerifierBank:
         if len(members) == 1:
             self.groups = [(self.sizes[0], slice(None), slice(None), np.arange(n))]
         self.values = parameter_vectors(self.params())
+        # the biases as the step adds them: views of ``values`` with a leading
+        # axis of 1 that broadcasts over the rows, router (1, n), trunk layers
+        # (1, n, b) and heads (1, n_k, k), each made once
+        self.router_bias = self.router.bias.data[None]
+        self.trunk_biases = [b.data[None] for _, b in self.trunk]
+        self.head_biases = {k: b.data[None] for k, (_, b) in self.heads.items()}
         # the step's children after r, in the order its VJP returns gradients
         self.leaves = (self.router.a, self.router.bias,
                        *(t for layer in self.trunk + list(self.heads.values()) for t in layer))
@@ -196,7 +202,9 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     term is a convex combination of the raw representation and the chosen
     prototype. All of it is one graph node, whose values have the bits of
     the same ops applied one verifier and one row at a time: each batched
-    product makes one row's and one verifier's BLAS call.
+    product makes one row's and one verifier's BLAS call. The biases are
+    the bank's row views, made once (``router_bias``, ``trunk_biases`` and
+    ``head_biases``).
     """
     n, x = bank.n, r.data
     if x.ndim != 2 or x.shape[1] != bank.d_m:
@@ -204,19 +212,19 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
     if bank.uniform_router:
         w = np.full((len(x), n), 1.0 / n)
     else:
-        w = _softmax_np(_rowwise(x, bank.router.a.data.T) + bank.router.bias.data)
+        w = _softmax_np(_rowwise(x, bank.router.a.data.T) + bank.router_bias)
     h = w[:, :, None] * x[:, None, :]  # w_i r, per verifier
     trunk = []
-    for wt, b in bank.trunk:
-        u = (h[:, :, None] @ wt.data)[:, :, 0] + b.data
+    for (wt, _), b in zip(bank.trunk, bank.trunk_biases):
+        u = (h[:, :, None] @ wt.data)[:, :, 0] + b
         out, tanh = _gelu_np(u)
         trunk.append((h, u, tanh))
         h = out
     B, d = x.shape
     parts = []  # per class count: p, f, j* and prototypes of its verifiers
     for k, idx, cols, slots in bank.groups:  # softmax, entropy, argmax on (B, n_k, k)
-        w_k, b_k = (t.data for t in bank.heads[k])
-        p_k = _softmax_np((h[:, idx, None] @ w_k)[:, :, 0] + b_k, axis=2)
+        w_k = bank.heads[k][0].data
+        p_k = _softmax_np((h[:, idx, None] @ w_k)[:, :, 0] + bank.head_biases[k], axis=2)
         f_k = -np.add.reduce(p_k * np.log(np.where(p_k > _ZERO, p_k, _ONE)), axis=2)  # 0 log 0 is 0
         j_k = p_k.argmax(axis=2)
         protos_k = w_k[slots, :, j_k]  # W_last_i[:, j*_i]
@@ -265,8 +273,8 @@ def verify_and_adjust(bank: VerifierBank, r: Tensor) -> StepVerdict:
             router = [None, None]
         else:
             g_a = w * (g_w - np.add.reduce(g_w * w, axis=1, keepdims=True))
-            g_x += g_a @ bank.router.a.data
-            router = [g_a.T @ x, np.add.reduce(g_a, axis=0)]
+            g_x += g_a.dot(bank.router.a.data)
+            router = [g_a.T.dot(x), np.add.reduce(g_a, axis=0)]
         return (g_x, *router, *layers, *heads)
 
     return StepVerdict(bank, _node(packed, (r, *bank.leaves), "verify_and_adjust", vjp), j)

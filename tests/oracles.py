@@ -27,7 +27,7 @@ from vrec.checkpoint import MAGIC
 from vrec.labeling import CF_DIM, CF_EPOCHS, CF_LR, CfModel
 from vrec.numerics import (Rng, Tensor, _attention_np, _gelu_deriv, _gelu_np, _node,
                            _softmax_np, concat, embedding_lookup, layer_norm, matmul,
-                           parameter_layout, parameter_vectors, tracking)
+                           parameter_layout, parameter_vectors, row_operands, tracking)
 from vrec.reasoning import recommend
 
 
@@ -61,6 +61,12 @@ def concat_columns(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, np.cumsum([p.data.shape[1] for p in parts])[:-1], axis=1))
     return _node(np.concatenate([p.data for p in parts], axis=1), parts, "concat_columns", vjp)
+
+
+def norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm`` given its gain and bias rows (``row_operands``), made
+    for the call: a model makes them once."""
+    return layer_norm(x, gain, bias, row_operands((gain, bias)))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -170,7 +176,7 @@ def encode_chain(model, history, injected=None, cache=None, every_row=False) -> 
     read = None if every_row or n == 1 else last * B + np.arange(B)
     for i in range(cfg.layers):
         pre = f"blocks.{i}."
-        normed = layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        normed = norm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         # normed's consumers in the order v, q, k (see the docstring)
         v = add_rowvec(matmul(normed, p[pre + "attn.wv"]), p[pre + "attn.bv"])
         sees, queried = seen, normed
@@ -188,10 +194,10 @@ def encode_chain(model, history, injected=None, cache=None, every_row=False) -> 
             cache.values.append(v)
         joined = attention(q, k, v, cfg.heads, mask, batch=B)
         x = x + add_rowvec(matmul(joined, p[pre + "attn.wo"]), p[pre + "attn.bo"])
-        normed = layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        normed = norm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         h = gelu(add_rowvec(matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
         x = x + add_rowvec(matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
-    return layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
+    return norm(x, p["ln_f.gain"], p["ln_f.bias"])
 
 
 def encode_every_row(model, history, injected=None, cache=None) -> Tensor:

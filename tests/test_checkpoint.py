@@ -3,6 +3,7 @@
 import json
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import write_checkpoint
+from oracles import encode_chain, write_checkpoint
 from vrec import numerics
-from vrec.backbone import Backbone, ModelConfig
+from vrec.backbone import Backbone, KVCache, ModelConfig
 from vrec.checkpoint import MAGIC, load_model, save_model
+from vrec.numerics import Rng
 from vrec.reasoning import run_reasoning
+from vrec.training import Adam
 from vrec.verifiers import make_bank
 
 
@@ -105,6 +108,49 @@ def test_model_roundtrip_reproduces_reasoning(tmp_path):
     assert np.array_equal(hidden_a.data, hidden_b.data)
     for (_, adj_a, _), (_, adj_b, _) in zip(trace_a.steps, trace_b.steps):
         assert np.array_equal(adj_a.data, adj_b.data)
+
+
+def _prepared(bb, bank) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each array the models' hot paths compute with in place of a
+    parameter's ``.data`` (gains and biases as rows), with the value vector
+    it must be a view of."""
+    rows = [a for _, arrays in bb._blocks for a in arrays] + list(bb._final_arrays)
+    biases = [bank.router_bias, *bank.trunk_biases, *bank.head_biases.values()]
+    return [(a, bb.values) for a in rows] + [(a, bank.values) for a in biases]
+
+
+HISTORY = [0, 3, 7, 1, 5]
+
+
+def _served(bb, bank) -> bytes:
+    trace, last = run_reasoning(bb, bank, HISTORY, 3)
+    return last.data.tobytes() + b"".join(v.packed.data.tobytes() for v in trace.verdicts)
+
+
+def test_prepared_arrays_follow_the_values_vector(tmp_path):
+    # the row views are made once, with the model, and stay views of its
+    # values through an optimizer step, a load and a write of the whole
+    # vector: a model so written serves what one loaded from its checkpoint
+    # does, and encodes what the chain of ops on its tensors does
+    cfg = ModelConfig(d_m=8, layers=2, heads=2, n_items=12, max_positions=16, m=3, seed=5)
+    dims = [("a", 2), ("b", 3), ("c", 3)]
+    bb, bank = Backbone(cfg), make_bank(dims, d_m=8, seed=5, hidden_depth=2)
+    assert len(_prepared(bb, bank)) == 2 * 15 + 2 + 1 + 1 + 2
+    opt = Adam([bb, bank], lr=0.05)
+    for i, grads in enumerate(opt.grads):
+        grads[:] = Rng(i).normal(grads.shape)
+    opt.step()
+    path = tmp_path / "model.ckpt"
+    save_model(path, bb, bank)
+    written = Backbone(replace(cfg, seed=6)), make_bank(dims, d_m=8, seed=6, hidden_depth=2)
+    for model, source in zip(written, (bb, bank)):
+        model.values[:] = source.values
+    for models in ((bb, bank), load_model(path), written):
+        for array, values in _prepared(*models):
+            assert np.shares_memory(array, values)
+        assert (models[0].encode(HISTORY, cache=KVCache()).data.tobytes()
+                == encode_chain(models[0], HISTORY).data.tobytes())
+    assert _served(*written) == _served(*load_model(path)) == _served(bb, bank)
 
 
 def test_model_roundtrip_preserves_mlp_shapes(tmp_path):

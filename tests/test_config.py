@@ -173,6 +173,8 @@ def test_run_config_without_dimensions_builds_with_steps(tmp_path):
      "corpus has 3 categories"),
     ({"dimensions": [("category", 3), ("cf", 13)]},
      "dimensions\\[1\\]: labeling 'cf': d_i=13 exceeds the item count 12"),
+    ({"dimensions": [("title", None)]},
+     "dimensions\\[0\\]: labeling 'title': d_i=20 exceeds the item count 12"),
 ])
 def test_run_config_edits_are_checked(tmp_path, edit, message):
     cfg = load_config(write(tmp_path, MINI))
@@ -190,6 +192,22 @@ def test_class_counts_checked_against_the_synthetic_corpus_at_load(tmp_path):
         load_config(write(tmp_path, obj))
     obj["data"] = {"items": "items.jsonl", "interactions": "interactions.jsonl"}
     assert load_config(write(tmp_path, obj)).dimensions[1] == ("cf", 13)
+
+
+@pytest.mark.parametrize("name", ["title", "cf"])
+def test_unset_d_i_checked_as_the_default_against_the_synthetic_corpus(tmp_path, name):
+    # an unset title or cf d_i means labeling.DEFAULT_CLASS_COUNT (20) classes,
+    # which 12 items cannot hold: refused at load, before any stage runs. 20
+    # items can; an unset category d_i is the corpus's own count
+    obj = json.loads(json.dumps(MINI))
+    obj["dimensions"] = [{"name": "category"}, {"name": name}]
+    with pytest.raises(ConfigError, match=f"dimensions\\[1\\]: labeling '{name}': d_i=20 "
+                                          "exceeds the item count 12"):
+        load_config(write(tmp_path, obj))
+    obj["data"]["synth"]["n_items"] = 20
+    assert load_config(write(tmp_path, obj)).dimensions == [("category", None), (name, None)]
+    obj["data"] = {"items": "items.jsonl", "interactions": "interactions.jsonl"}
+    assert load_config(write(tmp_path, obj)).dimensions == [("category", None), (name, None)]
 
 
 def test_no_dimensions_fine_without_steps(tmp_path):

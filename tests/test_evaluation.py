@@ -157,18 +157,31 @@ def test_run_pipeline_refuses_empty_test_split_before_stage0(tmp_path, monkeypat
     assert not trained
 
 
-def test_run_pipeline_refuses_category_d_i_other_than_the_corpus_before_stage0(monkeypatch):
-    # the 3-group corpus labels by category into 3 classes, whatever d_i says
+def test_run_pipeline_refuses_category_d_i_other_than_the_corpus_before_stage0(
+        tmp_path, monkeypatch):
+    # an ingested corpus's categories are counted only when it loads, so
+    # RunConfig accepts d_i=5 and run_pipeline refuses it for the corpus's
+    # 3 categories, after loading and before stage 0 trains
+    items, interactions = tmp_path / "items.jsonl", tmp_path / "interactions.jsonl"
+    items.write_text("".join(json.dumps({"id": i, "title": f"item {i}", "category": "abc"[i % 3]})
+                             + "\n" for i in range(12)), encoding="utf-8")
+    interactions.write_text("".join(json.dumps({"user": u, "items": [(u + 5 * t) % 12 for t in
+                                                                     range(14)],
+                                                "timestamps": list(range(14))}) + "\n"
+                                    for u in range(8)), encoding="utf-8")
+    cfg = replace(MICRO_RUN, synth=None, items_path=items, interactions_path=interactions,
+                  dimensions=[("category", 5)])
     trained = []
     monkeypatch.setattr(vrec.pipeline, "pretrain_backbone", lambda *a, **k: trained.append(a))
     with pytest.raises(ValueError, match="'category': d_i=5, but the corpus has 3 categories"):
-        run_pipeline(replace(MICRO_RUN, dimensions=[("category", 5)]))
+        run_pipeline(cfg)
     assert not trained
 
 
 def test_d_i_sweep_leaves_the_category_count():
-    edited = SWEEPS["d_i"](replace(MICRO_RUN, dimensions=[("category", 3), ("title", 3),
-                                                           ("cf", None)]), 5)
+    # 20 items: an unset cf d_i is labeling.DEFAULT_CLASS_COUNT, which 12 could not hold
+    edited = SWEEPS["d_i"](replace(MICRO_RUN, synth=replace(MICRO_SYNTH, n_items=20),
+                                   dimensions=[("category", 3), ("title", 3), ("cf", None)]), 5)
     assert edited.dimensions == [("category", 3), ("title", 5), ("cf", 5)]
 
 

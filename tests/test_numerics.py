@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (Bare, add_positions, add_rowvec, attention, concat_columns, confidence,
-                     entropy, exp, gelu, grad_check, matvec, softmax)
+                     entropy, exp, gelu, grad_check, matvec, norm, softmax)
 from vrec import numerics
 from vrec.backbone import Backbone, ModelConfig
 from vrec.numerics import (
@@ -22,11 +22,11 @@ from vrec.numerics import (
     _layer_norm_np,
     concat,
     embedding_lookup,
-    layer_norm,
     log,
     log_softmax,
     matmul,
     relu,
+    row_operands,
     tracking,
     transformer_block,
 )
@@ -122,6 +122,49 @@ def test_gelu_derivative_matches_central_differences():
     assert np.abs(ad - fd).max() < 1e-8
 
 
+@st.composite
+def _product_operands(draw):
+    """Two operands of a 2-D product in the hot paths' shapes: 1, 16 or 160
+    rows, as the left operand's rows or, as in a weight's gradient, the
+    shared axis, and widths 3-97. The left one is C-ordered, F-ordered, a
+    transpose or a column slice of a wider array, the right one any of these
+    but a slice; or the right one is the transpose of a C-ordered left one,
+    the product reasoning's homogeneity takes. No hot path takes the cases
+    left out, where the two can round otherwise: a one-row product with a
+    column slice on the right (seen at 3 output columns), or a column slice
+    times its own transpose."""
+    rows, width, other = (draw(st.sampled_from([1, 16, 160])), draw(st.integers(3, 97)),
+                          draw(st.integers(3, 97)))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape, layouts=("C", "F", "transposed", "sliced")):
+        layout = draw(st.sampled_from(layouts))
+        if layout == "C":
+            return rng.normal(shape)
+        if layout == "F":
+            return np.asfortranarray(rng.normal(shape))
+        if layout == "transposed":
+            return rng.normal(shape[::-1]).T
+        start = draw(st.integers(0, 5))
+        return rng.normal((shape[0], shape[1] + start + draw(st.integers(1, 5))))[
+            :, start:start + shape[1]]
+    m, k = (rows, width) if draw(st.booleans()) else (width, rows)
+    if draw(st.integers(0, 9)) == 0:
+        a = rng.normal((m, k))
+        return a, a.T
+    return operand((m, k)), operand((k, other), ("C", "F", "transposed"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_product_operands())
+def test_dot_gives_the_bits_of_matmul(operands):
+    # every product of two matrices in src/vrec is ndarray.dot, which skips
+    # the matmul ufunc's dispatch; on the loaded BLAS kernel it makes the
+    # call, and gives the bits, that @ does
+    a, b = operands
+    assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+
 def test_layer_norm_of_one_row_has_its_bits_in_a_batch():
     # one row's mean and scale are numpy scalars, a batch's (R, 1) arrays
     rng = Rng(6)
@@ -129,12 +172,12 @@ def test_layer_norm_of_one_row_has_its_bits_in_a_batch():
     gain, bias = Tensor(1.0 + 0.1 * rng.normal((24,))), Tensor(0.1 * rng.normal((24,)))
     whole = Tensor(x)
     with tracking([whole]):
-        out = layer_norm(whole, gain, bias)
+        out = norm(whole, gain, bias)
         (out * Tensor(g)).sum().backward()
     for i in range(5):
         alone = Tensor(x[i:i + 1].copy())
         with tracking([alone]):
-            o = layer_norm(alone, gain, bias)
+            o = norm(alone, gain, bias)
             (o * Tensor(g[i:i + 1])).sum().backward()
         assert np.array_equal(o.data[0], out.data[i])
         assert np.array_equal(alone.grad[0], whole.grad[i])
@@ -192,10 +235,10 @@ def test_layer_norm_takes_rows_only():
     gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
     for shape in ((4,), (6,), (2, 3), (1, 2, 4)):
         with pytest.raises(ValueError, match="layer_norm"):
-            layer_norm(Tensor(np.arange(np.prod(shape), dtype=float).reshape(shape)), gain, bias)
+            norm(Tensor(np.arange(np.prod(shape), dtype=float).reshape(shape)), gain, bias)
     wide = Tensor(Rng(4).normal((3, 6)))
-    assert np.array_equal(layer_norm(wide, gain, bias).data,
-                          layer_norm(Tensor(wide.data[:, :4].copy()), gain, bias).data)
+    assert np.array_equal(norm(wide, gain, bias).data,
+                          norm(Tensor(wide.data[:, :4].copy()), gain, bias).data)
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -358,7 +401,7 @@ def test_untracked_inputs_build_no_graph():
     gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
     with tracking([free]):
         outs = [matmul(x, x.transpose()), x[1:, np.int64(2)], softmax(x) * x - 1.0,
-                layer_norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0]),
+                norm(x, gain, bias), concat([x, x]), gelu(x).sum(), log_softmax(x[0]),
                 attention(x, x, x, 2)]
         assert list(numerics._tape) == [id(free)]
         for out in outs:
@@ -377,7 +420,7 @@ def test_ops_outside_tracking_build_no_graph():
     with tracking([w]):
         y = w * w
         assert list(numerics._tape) == [id(w), id(y)]
-    outs = [y * 2.0, matmul(y, y.transpose()), layer_norm(y, gain, bias), y[1:], y.sum(),
+    outs = [y * 2.0, matmul(y, y.transpose()), norm(y, gain, bias), y[1:], y.sum(),
             concat([y, free])]
     assert numerics._tape is None and all(out.grad is None for out in outs)
     with tracking([free]):
@@ -452,7 +495,7 @@ def test_position_gradient_has_the_bits_of_a_scatter(case):
     d, B, W = 8, 3, 5
     bb = Backbone(ModelConfig(d_m=d, layers=1, heads=2, n_items=10, max_positions=12, m=0,
                               seed=4))
-    params, pos, rng = bb._blocks[0], bb.params()["pos_emb"], Rng(21)
+    (params, _), pos, rng = bb._blocks[0], bb.params()["pos_emb"], Rng(21)
     rows_at = {"histories": np.arange(W).repeat(B), "latent_step": np.full(B, 6),
                "padded": np.where(np.arange(W * B) % 4 == 1, 0, np.arange(W).repeat(B))}[case]
     at = {"histories": slice(0, W), "latent_step": slice(6, 7), "padded": rows_at}[case]
@@ -469,7 +512,8 @@ def test_position_gradient_has_the_bits_of_a_scatter(case):
     results = []
     for given_at in (at, rows_at):
         with tracking([pos, *tracked]):
-            out = transformer_block(x, params, 2, None, B, prev, pos, given_at)
+            out = transformer_block(x, params, row_operands(params), 2, None, B, prev, pos,
+                                    given_at)
             (out * g).sum().backward()
         results.append([out.data, pos.grad, *(t.grad for t in tracked)])
         scatter = np.zeros_like(pos.data)
@@ -570,7 +614,7 @@ def test_op_gradients_match_finite_differences(op_name):
         w = Tensor(rng.normal((4, 6)))
         gain = Tensor(1.0 + 0.1 * rng.normal((6,)))
         bias = Tensor(0.1 * rng.normal((6,)))
-        f = lambda: (layer_norm(w, gain, bias) * layer_norm(w, gain, bias)).sum()
+        f = lambda: (norm(w, gain, bias) * norm(w, gain, bias)).sum()
         for p in (gain, bias):
             assert np.abs(backward_grad(f, p) - fd_grad(f, p)).max() < 1e-6
     elif op_name == "gelu":
