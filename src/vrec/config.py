@@ -114,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"eval_ks must be a non-empty list of distinct positive integers, "
                               f"got {ks!r}")
         with _refused("model: "):
+            if "n_items" in self.model:  # model_config passes the corpus's count
+                raise ValueError("n_items is not set here: it comes from the corpus")
             model = ModelConfig(**self.model)  # n_items is checked when the data loads
         check_max_positions(model.max_positions, [self.m])
         for i, (name, d_i) in enumerate(self.dimensions):  # a class count may be unset

@@ -82,8 +82,8 @@ class SynthConfig:
         check_seed(self.seed)
         if self.n_groups > self.n_items:
             raise ValueError(f"n_groups ({self.n_groups}) exceeds n_items ({self.n_items})")
-        if not 0.0 <= self.stickiness <= 1.0:
-            raise ValueError(f"stickiness must lie in [0,1], got {self.stickiness}")
+        if isinstance(self.stickiness, bool) or not 0.0 <= self.stickiness <= 1.0:
+            raise ValueError(f"stickiness must lie in [0,1], got {self.stickiness!r}")
         if not (isinstance(self.seq_len_range, (tuple, list)) and len(self.seq_len_range) == 2):
             raise ValueError(f"seq_len_range must be two integers, got {self.seq_len_range!r}")
         low, high = self.seq_len_range
@@ -121,13 +121,13 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Item], list[InteractionLo
     lo, hi = cfg.seq_len_range
     logs: list[InteractionLog] = []
     for u in range(cfg.n_users):
-        length = int(rng.integers(lo, hi + 1))
-        g = int(rng.integers(0, n_g))
+        length = rng.integers(lo, hi + 1)
+        g = rng.integers(0, n_g)
         seq: list[int] = []
         for _ in range(length):
-            seq.append(int(rng.integers(bounds[g], bounds[g + 1])))
+            seq.append(rng.integers(bounds[g], bounds[g + 1]))
             if n_g > 1 and rng.uniform() >= cfg.stickiness:
-                hop = int(rng.integers(0, n_g - 1))
+                hop = rng.integers(0, n_g - 1)
                 g = hop if hop < g else hop + 1
         logs.append(InteractionLog(user=f"u{u}", items=seq, timestamps=list(range(length))))
 

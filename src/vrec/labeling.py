@@ -161,11 +161,11 @@ def _kmeans_once(points: np.ndarray, k: int, rng: Rng,
                  trace: list | None) -> tuple[np.ndarray, np.ndarray]:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(0, n))]
+    centers[0] = points[rng.integers(0, n)]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         if d2.sum() <= 0.0:
-            centers[j] = points[int(rng.integers(0, n))]
+            centers[j] = points[rng.integers(0, n)]
         else:
             centers[j] = points[rng.choice_weighted(d2)]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))

@@ -221,6 +221,7 @@ def _latent_steps_digest() -> str:
     return h.hexdigest()[:32]
 
 
+@pytest.mark.kernel_bits
 def test_latent_steps_keep_their_bits():
     # every block still computes the keys and values of every history row,
     # and a latent step computes its rows whole, so given the same cache a
@@ -381,6 +382,7 @@ def _rollout(encode, cache, histories: list, coef: list):
     return outs, latents, loss
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
 @pytest.mark.parametrize("heads", [1, 2, 3])
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -411,6 +413,7 @@ def test_fused_blocks_match_oracle_chain(layers, heads, padded):
     assert np.abs(np.concatenate(rows) - one_pass(bb, histories, latents)).max() <= 1e-12
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_packed_verdicts_as_latents_match_oracle_chain(layers, padded):

@@ -59,6 +59,7 @@ def _single_request_digest(with_bank: bool, depth: int) -> str:
     return h.hexdigest()[:32]
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("with_bank,depth", [(False, 1), (True, 1), (True, 3)])
 def test_single_request_bits_unchanged(with_bank, depth):
     assert _single_request_digest(with_bank, depth) == kernel_pin(PINNED)[with_bank, depth]

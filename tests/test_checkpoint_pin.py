@@ -16,6 +16,8 @@ from vrec.backbone import Backbone, ModelConfig
 from vrec.checkpoint import save_model
 from vrec.verifiers import make_bank
 
+pytestmark = pytest.mark.kernel_bits
+
 BANKS = {"no_bank": None, "depth1": (1, 0), "depth2": (2, 0), "depth2_w10": (2, 10),
          "depth3": (3, 0), "depth3_w10": (3, 10)}
 

@@ -175,6 +175,10 @@ def test_run_config_without_dimensions_builds_with_steps(tmp_path):
      "dimensions\\[1\\]: labeling 'cf': d_i=13 exceeds the item count 12"),
     ({"dimensions": [("title", None)]},
      "dimensions\\[0\\]: labeling 'title': d_i=20 exceeds the item count 12"),
+    # load_config refuses the key as unknown; built in code, it reached
+    # run_pipeline, which passed ModelConfig n_items twice
+    ({"model": {"d_m": 8, "n_items": 12}},
+     "^model: n_items is not set here: it comes from the corpus$"),
 ])
 def test_run_config_edits_are_checked(tmp_path, edit, message):
     cfg = load_config(write(tmp_path, MINI))
@@ -285,6 +289,7 @@ def test_eval_ks_must_be_distinct_positive_integers(tmp_path, eval_ks):
     ("data", {"items": 5, "interactions": "i.jsonl"}, "data.items: expected a path string"),
     ("data", {"items": "i.jsonl", "interactions": ["x"]},
      r'data.interactions: expected a path string, got \["x"\]'),
+    ("data.synth.stickiness", True, r"data.synth: stickiness must lie in \[0,1\], got True"),
 ])
 def test_values_that_fail_later_are_refused_at_load(tmp_path, where, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -316,6 +321,8 @@ VALID = {  # the rule each field is checked against at load
     and 0 <= v < math.inf,
     "hyper.batch": lambda v: _integer(v, 1),
     "data.synth.n_users": lambda v: _integer(v, 1),
+    "data.synth.stickiness": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and 0 <= v <= 1,
     "data.synth.seq_len_range": lambda v: isinstance(v, list) and len(v) == 2
     and all(_integer(x, 1) for x in v) and v[0] <= v[1],
     "out": lambda v: v is None or isinstance(v, str),

@@ -223,6 +223,9 @@ def test_synthetic_rejects_bad_config():
         SynthConfig(n_items=3, n_groups=5)
     with pytest.raises(ValueError, match="stickiness"):
         SynthConfig(stickiness=1.5)
+    # a bool passes the [0, 1] check, and True would make a corpus at 1.0
+    with pytest.raises(ValueError, match=r"^stickiness must lie in \[0,1\], got True$"):
+        SynthConfig(stickiness=True)
 
 
 def make_log(n_items_in_log):

@@ -85,6 +85,7 @@ def purity_vs(labels, truth, k):
     return hit / len(labels)
 
 
+@pytest.mark.kernel_bits
 def test_cf_repeat_item_ranks_first():
     samples = [Sample(user=0, history=[3], target=3)] * 30
     model = train_cf(samples, n_items=10, n_users=1, epochs=10, seed=0)
@@ -92,6 +93,7 @@ def test_cf_repeat_item_ranks_first():
     assert int(scores.argmax()) == 3
 
 
+@pytest.mark.kernel_bits
 def test_cf_loss_decreases(synth):
     _, _, _, split = synth
     m0 = train_cf(split.train, n_items=40, n_users=split.n_users, epochs=0, seed=42)
@@ -99,6 +101,7 @@ def test_cf_loss_decreases(synth):
     assert cf_pair_loss(m5, split.train, seed=7) < cf_pair_loss(m0, split.train, seed=7)
 
 
+@pytest.mark.kernel_bits
 def test_cf_deterministic(synth):
     _, _, _, split = synth
     a = train_cf(split.train, n_items=40, n_users=split.n_users, epochs=2, seed=5)
@@ -107,6 +110,7 @@ def test_cf_deterministic(synth):
     assert np.array_equal(a.user_emb, b.user_emb)
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n_users=st.integers(1, 6), n_items=st.integers(1, 12),
        epochs=st.integers(0, 3),
@@ -134,6 +138,7 @@ CF_DIGESTS = {
 }
 
 
+@pytest.mark.kernel_bits
 def test_cf_embeddings_pinned():
     want = kernel_pin(CF_DIGESTS)
     items, logs, _ = generate_synthetic(
@@ -199,6 +204,7 @@ def test_build_labeling_title_covers_all_items(synth):
     assert purity_vs(lab.labels, planted.labels, 4) == 1.0
 
 
+@pytest.mark.kernel_bits
 def test_build_labeling_cf_recovers_planted_groups(synth):
     items, _, planted, split = synth
     lab = build_labeling("cf", items, samples=split.train, n_users=split.n_users,
@@ -233,7 +239,7 @@ def test_build_labeling_refuses_category_d_i_other_than_its_categories():
     assert build_labeling("category", items).d_i == 3
 
 
-@pytest.mark.parametrize("dimension", ["title", "cf"])
+@pytest.mark.parametrize("dimension", ["title", pytest.param("cf", marks=pytest.mark.kernel_bits)])
 def test_build_labeling_refuses_more_classes_than_items(dimension, monkeypatch):
     for name in ("embed_titles", "train_cf", "kmeans"):
         monkeypatch.setattr(vrec.labeling, name, lambda *a, **kw: pytest.fail("labeling began"))

@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (Bare, add_positions, add_rowvec, attention, concat_columns, confidence,
@@ -155,6 +155,7 @@ def _product_operands(draw):
     return operand((m, k)), operand((k, other), ("C", "F", "transposed"))
 
 
+@pytest.mark.kernel_bits
 @settings(max_examples=400, deadline=None)
 @given(_product_operands())
 def test_dot_gives_the_bits_of_matmul(operands):
@@ -486,6 +487,7 @@ def test_no_tape_outside_a_block():
         assert list(numerics._tape) == [id(b)]
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("case", ["histories", "latent_step", "padded"])
 def test_position_gradient_has_the_bits_of_a_scatter(case):
     # the first block's gradient to the position table is np.add.at of its
@@ -552,6 +554,7 @@ def test_half_norm_squared_gradient_is_x():
     assert np.allclose(x.grad, xv, atol=1e-15)
 
 
+@pytest.mark.kernel_bits
 def test_backward_adds_terms_last_created_first():
     # x's three gradient terms summed in another order would read 0.0: 1.0 is
     # lost when it is added to 1e16
@@ -789,10 +792,26 @@ RNG_CALLS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 5),
        calls=st.lists(RNG_CALLS, max_size=60))
+# a Generator draw that leaves the bit generator's half kept, then a decoded
+# draw that must take that half before it draws a block
+@example(seed=0, stream=0, calls=[("integers", 0, 2**32, None, False),
+                                  ("integers", 0, 2, None, False)])
+# a decoded draw that keeps a half, numpy integer bounds, a decoded draw
+@example(seed=1, stream=2, calls=[("integers", 0, 10, None, False),
+                                  ("integers", 0, 10, None, True),
+                                  ("integers", 0, 10, None, False)])
+# a decoded span of 3 * 2**30 rejects about one 32-bit draw in four: with
+# this key, the second and the seventh
+@example(seed=0, stream=0, calls=[("integers", -7, 3 * 2**30, None, False)] * 7 + [("uniform",)])
+# an array draw between two decoded draws
+@example(seed=3, stream=1, calls=[("integers", 5, 100, None, False),
+                                  ("integers", 5, 100, 7, False),
+                                  ("integers", 5, 100, None, False)])
 def test_rng_draws_are_numpys_generator_draws(seed, stream, calls):
-    # uniform and scalar integers decode raw Philox words; every call, in any
-    # mix and with Python or numpy integer bounds, must return what numpy's
-    # Generator returns, and leave its state
+    # uniform and scalar integers with Python int bounds and a span below
+    # 2**32 decode raw Philox words; every call, in any mix and with Python
+    # or numpy integer bounds, must return what numpy's Generator returns, a
+    # scalar integers draw as a Python int, and leave its state
     rng = Rng(seed, stream)
     ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     for name, *args in calls:
@@ -801,7 +820,8 @@ def test_rng_draws_are_numpys_generator_draws(seed, stream, calls):
         elif name == "integers":
             low, span, size, numpy_bounds = args
             low, high = (np.int64(low), np.int64(low + span)) if numpy_bounds else (low, low + span)
-            got, want = rng.integers(low, high, size), ref.integers(low, high, size)
+            got = rng.integers(low, high, size)
+            want = ref.integers(low, high, size) if size is not None else int(ref.integers(low, high))
         elif name == "normal":
             got, want = rng.normal(tuple(args), std=2.0), ref.standard_normal(tuple(args)) * 2.0
         elif name == "permutation":

@@ -15,11 +15,14 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from oracles import kernel_pin
 from vrec.cli import main
 from vrec.config import SEED_ENV_VAR, load_config
 from vrec.pipeline import VERIFIER_DATA, run_pipeline
+
+pytestmark = pytest.mark.kernel_bits
 
 QUICK_START = {
     "seed": 7,

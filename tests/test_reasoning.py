@@ -309,6 +309,7 @@ def test_export_traces_jsonl(tmp_path):
     assert len(first["steps"][0]["r_star"]) == 16
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("m", [0, 1, 4])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m):
@@ -339,6 +340,7 @@ def test_stage_losses_match_the_oracle_chain_bit_for_bit(monkeypatch, layers, m)
     assert results[0] == results[1]
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
 @pytest.mark.parametrize("m", [0, 1, 4])
 @pytest.mark.parametrize("layers", [1, 2, 3])

@@ -29,6 +29,8 @@ from vrec.reasoning import recommend, run_reasoning
 from vrec.training import TrainHyper, reasoning_losses
 from vrec.verifiers import make_bank
 
+pytestmark = pytest.mark.kernel_bits
+
 N_ITEMS = 20
 # name: (d_m, layers, heads, bank dimensions or None, bank depth, bank width, uniform router)
 CASES = {

@@ -18,6 +18,8 @@ from vrec.datasets import SynthConfig
 from vrec.pipeline import SWEEPS, VARIANTS, ablate, step_scalability, sweep
 from vrec.training import TrainHyper
 
+pytestmark = pytest.mark.kernel_bits
+
 SYNTH = SynthConfig(n_users=16, n_items=12, n_groups=3, stickiness=0.9,
                     seq_len_range=(12, 16), seed=1)
 RUN = RunConfig(seed=1, synth=SYNTH,

@@ -245,6 +245,7 @@ def randomized_bank(n: int, depth: int, uniform: bool, seed: int) -> VerifierBan
     return bank
 
 
+@pytest.mark.kernel_bits
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
 @pytest.mark.parametrize("uniform", [False, True], ids=["learned", "uniform"])
 @pytest.mark.parametrize("depth", [1, 3])
